@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt build vet test race racecache chaos obssmoke layoutcheck packcheck clustercheck streamcheck obstracecheck fuzzsmoke benchdiff bench benchsmoke figures
+.PHONY: verify fmt build vet test race racecache chaos obssmoke layoutcheck packcheck clustercheck streamcheck obstracecheck fuzzsmoke benchdiff bench benchsmoke benchrepo figures
 
 # The CI gate: formatting, build, vet, and the full test suite under the
 # race detector (short mode keeps the large-terrain tests out of the
@@ -126,6 +126,18 @@ bench: test
 # without paying for statistically meaningful timings (the CI smoke).
 benchsmoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
+
+# Repository-benchmark smoke: the harness under bench/ (the program
+# BENCHMARK.json names) must still compile against the library's public
+# surface, pass its own tests, and complete a one-second hot_patch run
+# with every answer verified and every separation guard ok — so a change
+# that breaks any of those fails here rather than in the benchmark
+# driver. Not part of `make verify`; CI runs it after benchsmoke. Output
+# lands under results/, which is git-ignored.
+benchrepo:
+	$(GO) vet ./bench
+	$(GO) test ./bench
+	$(GO) run ./bench -workload hot_patch -seed 1 -seconds 1 -out results/bench-smoke
 
 # Full-scale figure reproduction (several minutes); output under results/.
 figures:

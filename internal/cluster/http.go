@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,28 +14,73 @@ import (
 	"dmesh/internal/obs"
 )
 
+const (
+	// maxShardBody caps the response body the router will buffer from a
+	// shard. A declared Content-Length above it fails the request before
+	// anything is allocated, so a hostile or broken shard costs one
+	// failed attempt, not a multi-gigabyte buffer. (The largest honest
+	// body — a whole 1025² terrain in one patch — is well under it.)
+	maxShardBody = 256 << 20
+	// maxErrorEcho caps how much of a non-200 response body is quoted in
+	// the error the failed attempt reports.
+	maxErrorEcho = 256
+)
+
+// readBody consumes and closes a shard response, returning the whole
+// body of a 200 and an error for anything else. It reads what the shard
+// declared, once: the buffer is sized from Content-Length (bounded by
+// maxShardBody) and filled exactly, and a body shorter or longer than
+// declared is a cut connection or a misbehaving middlebox — corrupt, not
+// short. Only a response without a declared length falls back to a
+// (bounded) read-to-EOF.
+func readBody(resp *http.Response, url string) ([]byte, error) {
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		// The excerpt is best effort: a read error just shortens it.
+		excerpt, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorEcho))
+		return nil, fmt.Errorf("cluster: %s: status %d: %s", url, resp.StatusCode, excerpt)
+	}
+	n := resp.ContentLength
+	if n > maxShardBody {
+		return nil, fmt.Errorf("cluster: %s: declared body of %d bytes exceeds the %d-byte limit: %w",
+			url, n, maxShardBody, dm.ErrCorrupt)
+	}
+	if n < 0 {
+		body, err := io.ReadAll(io.LimitReader(resp.Body, maxShardBody+1))
+		if err != nil {
+			return nil, fmt.Errorf("cluster: %s: %w", url, err)
+		}
+		if len(body) > maxShardBody {
+			return nil, fmt.Errorf("cluster: %s: body exceeds the %d-byte limit: %w", url, maxShardBody, dm.ErrCorrupt)
+		}
+		return body, nil
+	}
+	body := make([]byte, n)
+	if got, err := io.ReadFull(resp.Body, body); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			err = dm.ErrCorrupt // the body ended early; anything else is the transport's own error
+		}
+		return nil, fmt.Errorf("cluster: %s: truncated body (%d of %d declared bytes): %w", url, got, n, err)
+	}
+	// One more byte would be a body longer than declared. Go's transport
+	// stops at the declared length itself; the probe covers any other
+	// RoundTripper, and costs nothing here (the transport has already
+	// seen EOF, so the connection is reusable either way).
+	var probe [1]byte
+	if extra, _ := resp.Body.Read(probe[:]); extra > 0 {
+		return nil, fmt.Errorf("cluster: %s: body longer than the %d declared bytes: %w", url, n, dm.ErrCorrupt)
+	}
+	return body, nil
+}
+
 // scrape GETs one shard introspection URL and returns the whole body,
-// enforcing the same truncation discipline as the tile path: a body
-// whose length disagrees with the declared Content-Length is corrupt,
-// not short.
+// under the same read discipline as the tile path (readBody).
 func (rt *Router) scrape(url string) ([]byte, error) {
 	resp, err := rt.client.Get(url)
 	if err != nil {
 		return nil, err
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s: status %d", url, resp.StatusCode)
-	}
-	if resp.ContentLength >= 0 && int64(len(body)) != resp.ContentLength {
-		return nil, fmt.Errorf("cluster: %s: truncated body (%d of %d declared bytes): %w",
-			url, len(body), resp.ContentLength, dm.ErrCorrupt)
-	}
-	return body, nil
+	return readBody(resp, url)
 }
 
 // Handler mounts the router's cluster-wide observability surface:

@@ -4,7 +4,6 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -256,10 +255,10 @@ func (rt *Router) fetchTile(k tilecache.Key, tr *obs.Trace) (f tileFetch) {
 }
 
 // getPatch issues one /patch request and decodes the body. Any
-// transport error, non-200 status, truncated body, or undecodable body
-// is a failed attempt — the fail-stop model treats them all as "this
-// shard cannot serve the tile right now", and fetchTile fails over to
-// the next candidate. With traced set the shard is asked for its phase
+// transport error, non-200 status, truncated, over-long or over-limit
+// body (readBody), or undecodable body is a failed attempt — the
+// fail-stop model treats them all as "this shard cannot serve the tile
+// right now", and fetchTile fails over to the next candidate. With traced set the shard is asked for its phase
 // trace (trace=1) and a missing or corrupt X-DM-Trace header fails the
 // attempt the same way: a traced query's accounting is part of its
 // answer.
@@ -272,22 +271,9 @@ func (rt *Router) getPatch(base string, k tilecache.Key, traced bool) (*dm.TileP
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	body, err := readBody(resp, url)
 	if err != nil {
 		return nil, 0, nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, nil, fmt.Errorf("cluster: %s: status %d: %s", url, resp.StatusCode, body)
-	}
-	// The shard declares Content-Length on /patch; a body of any other
-	// length is a cut connection or a misbehaving middlebox. (When the
-	// declared length exceeds the bytes sent, Go's transport already
-	// fails the read above; this catches the short-declaration flavor,
-	// where the body "completes" at the wrong size.)
-	if resp.ContentLength >= 0 && int64(len(body)) != resp.ContentLength {
-		return nil, 0, nil, fmt.Errorf("cluster: %s: truncated body (%d of %d declared bytes): %w",
-			url, len(body), resp.ContentLength, dm.ErrCorrupt)
 	}
 	tp, err := dm.DecodeTilePatch(body)
 	if err != nil {

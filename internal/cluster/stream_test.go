@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -231,5 +232,105 @@ func TestFailoverTruncatedBodies(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), wantBody.Bytes()) {
 		t.Fatal("stream through truncating cluster differs from single node")
+	}
+}
+
+// hostileFront answers every request the way a broken or hostile shard
+// might: "loud" sends a 500 with a megabyte of body, otherwise a 200
+// that declares a terabyte and sends a few bytes.
+func hostileFront(t *testing.T, loud bool) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if loud {
+			w.WriteHeader(http.StatusInternalServerError)
+			w.Write(bytes.Repeat([]byte("shard on fire! "), 1<<16))
+			return
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(1<<40))
+		w.WriteHeader(http.StatusOK)
+		w.Write([]byte("DMTP"))
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestFailoverHostileBodies is the regression for the router's unbounded
+// reads: a non-200 response's body used to be quoted whole into the
+// attempt's error, and any declared Content-Length was trusted. Either
+// shard must now cost one bounded failed attempt — on the tile path and
+// on the scrape path — with the failover accounting intact.
+func TestFailoverHostileBodies(t *testing.T) {
+	tr := terrain(t, "highland")
+	single := singleNode(t, tr)
+	good, err := serve.New(serve.Config{Terrain: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodTS := httptest.NewServer(good.Handler(false))
+	t.Cleanup(goodTS.Close)
+	loud, huge := hostileFront(t, true), hostileFront(t, false)
+
+	newRouter := func(urls ...string) *cluster.Router {
+		t.Helper()
+		ids := []string{"shard-0", "shard-1", "shard-2"}[:len(urls)]
+		rt, err := cluster.NewRouter(cluster.Config{Shards: urls, IDs: ids, Grid: good.Grid()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt
+	}
+	roi := geom.Rect{MinX: 0.1, MinY: 0.15, MaxX: 0.85, MaxY: 0.8}
+	ladder := single.Ladder()
+
+	// Alone, each hostile shard fails the query with a short error.
+	for name, ts := range map[string]*httptest.Server{"loud": loud, "huge": huge} {
+		rt := newRouter(ts.URL)
+		_, st, err := rt.Query(roi, ladder[0])
+		if err == nil {
+			t.Fatalf("%s: query against a hostile shard succeeded", name)
+		}
+		if len(err.Error()) > 1024 {
+			t.Errorf("%s: error quotes %d bytes of the response", name, len(err.Error()))
+		}
+		if name == "huge" && !errors.Is(err, dm.ErrCorrupt) {
+			t.Errorf("huge: err = %v, want ErrCorrupt", err)
+		}
+		if st.Attempts != st.Tiles {
+			t.Errorf("%s: %d attempts for %d tiles on a one-shard ring", name, st.Attempts, st.Tiles)
+		}
+		for _, sh := range rt.Health().Shards {
+			if sh.Healthy || sh.Error == "" || len(sh.Error) > 1024 {
+				t.Errorf("%s: health probe reported %+v", name, sh)
+			}
+		}
+	}
+
+	// Behind a good shard they are failed attempts the router fails over
+	// from, and the accounting invariant holds through every one.
+	rt := newRouter(loud.URL, huge.URL, goodTS.URL)
+	rng := rand.New(rand.NewSource(43))
+	maxRedirect := 0
+	for _, r := range randRects(rng, 12) {
+		e := ladder[rng.Intn(len(ladder))]
+		res, st, err := rt.Query(r, e)
+		if err != nil {
+			t.Fatalf("Query(%v, %g): %v", r, e, err)
+		}
+		if st.Attempts != st.Tiles+st.Redirected {
+			t.Fatalf("attempts %d != tiles %d + redirected %d", st.Attempts, st.Tiles, st.Redirected)
+		}
+		direct, _, derr := single.Query(r, e)
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		if !bytes.Equal(canonicalMesh(res), canonicalMesh(direct)) {
+			t.Fatal("answer assembled around hostile shards differs from single node")
+		}
+		if st.Redirected > maxRedirect {
+			maxRedirect = st.Redirected
+		}
+	}
+	if maxRedirect < 2 {
+		t.Fatalf("no query needed >= 2 redirects (max %d); ring layout defeats the regression", maxRedirect)
 	}
 }

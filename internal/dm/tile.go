@@ -156,8 +156,7 @@ func StitchTiles(r geom.Rect, e float64, tiles []*TilePatch) (*Result, error) {
 func StitchTilesTraced(r geom.Rect, e float64, tiles []*TilePatch, tr *obs.Trace) (*Result, error) {
 	tr.Begin(obs.PhaseStitch)
 	defer tr.End()
-	live := make(map[int64]*Node)
-	shared := make(map[int64]struct{})
+	nNodes := 0
 	for _, tp := range tiles {
 		if tp == nil {
 			return nil, fmt.Errorf("dm: stitch: nil tile patch")
@@ -165,6 +164,11 @@ func StitchTilesTraced(r geom.Rect, e float64, tiles []*TilePatch, tr *obs.Trace
 		if tp.E != e {
 			return nil, fmt.Errorf("dm: stitch: tile %v materialized at LOD %g, want %g", tp.Rect, tp.E, e)
 		}
+		nNodes += len(tp.Nodes)
+	}
+	live := make(map[int64]*Node, nNodes)
+	shared := make(map[int64]struct{})
+	for _, tp := range tiles {
 		for id, n := range tp.Nodes {
 			if !r.ContainsPoint(n.Pos.XY()) {
 				continue // clip to the true ROI
@@ -195,29 +199,34 @@ func StitchTilesTraced(r geom.Rect, e float64, tiles []*TilePatch, tr *obs.Trace
 			p.tris[tr] = struct{}{}
 		}
 	}
-	// addIfLive inserts one edge incrementally: both endpoints must have
-	// survived the ROI clip, and the patch-mesh addEdge walk closes every
-	// triangle the new edge completes against the mesh built so far.
-	addIfLive := func(a, b int64) {
-		if _, ok := live[a]; !ok {
-			return
-		}
-		if _, ok := live[b]; !ok {
-			return
-		}
-		k := edgeKey(a, b)
-		if p.edgeCount[k] == 0 {
-			p.inc(k)
+	// addLive inserts a pair list's edges incrementally: both endpoints
+	// must have survived the ROI clip, and the patch-mesh addEdge walk
+	// closes every triangle the new edge completes against the mesh built
+	// so far. The lists are sorted by first endpoint, so its liveness is
+	// probed once per run of equal a, not once per pair.
+	addLive := func(pairs [][2]int64) {
+		for i := 0; i < len(pairs); {
+			a := pairs[i][0]
+			_, aLive := live[a]
+			for ; i < len(pairs) && pairs[i][0] == a; i++ {
+				if !aLive {
+					continue
+				}
+				if _, ok := live[pairs[i][1]]; !ok {
+					continue
+				}
+				k := edgeKey(a, pairs[i][1])
+				if p.edgeCount[k] == 0 {
+					p.inc(k)
+				}
+			}
 		}
 	}
 	// Boundary tiles: the ROI edge cuts through them, so their intra
 	// edges are re-checked against the clipped live set.
 	for _, tp := range tiles {
-		if r.ContainsRect(tp.Rect) {
-			continue
-		}
-		for _, ed := range tp.edges {
-			addIfLive(ed[0], ed[1])
+		if !r.ContainsRect(tp.Rect) {
+			addLive(tp.edges)
 		}
 	}
 	// Seams: out-going pairs of every tile, resolved against the combined
@@ -225,9 +234,7 @@ func StitchTilesTraced(r geom.Rect, e float64, tiles []*TilePatch, tr *obs.Trace
 	// set dedups).
 	tr.Begin(obs.PhaseSeam)
 	for _, tp := range tiles {
-		for _, pr := range tp.outPairs {
-			addIfLive(pr[0], pr[1])
-		}
+		addLive(tp.outPairs)
 	}
 	// Corner sweep: a triangle whose three edges were each bulk-merged
 	// from a different interior tile is in no tile's triangle set and no

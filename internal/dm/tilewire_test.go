@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dmesh/internal/geom"
+	"dmesh/internal/pm"
 )
 
 func materializeWirePatches(t *testing.T, s *Store, r geom.Rect, e float64, level int) []*TilePatch {
@@ -24,6 +25,9 @@ func materializeWirePatches(t *testing.T, s *Store, r geom.Rect, e float64, leve
 	return tiles
 }
 
+// requireSamePatch asserts got carries want's stitch surface — header,
+// node IDs, positions bit for bit, edges, triangles, out-pairs — which is
+// everything the wire ships, and that got re-encodes to want's bytes.
 func requireSamePatch(t *testing.T, label string, got, want *TilePatch) {
 	t.Helper()
 	if got.Rect != want.Rect || got.E != want.E || got.FetchedRecords != want.FetchedRecords {
@@ -33,17 +37,16 @@ func requireSamePatch(t *testing.T, label string, got, want *TilePatch) {
 	if len(got.Nodes) != len(want.Nodes) {
 		t.Fatalf("%s: %d nodes, want %d", label, len(got.Nodes), len(want.Nodes))
 	}
+	bits := func(p geom.Point3) [3]uint64 {
+		return [3]uint64{math.Float64bits(p.X), math.Float64bits(p.Y), math.Float64bits(p.Z)}
+	}
 	for id, wn := range want.Nodes {
 		gn, ok := got.Nodes[id]
 		if !ok {
 			t.Fatalf("%s: node %d missing", label, id)
 		}
-		g, w := *gn, *wn
-		if len(g.Conn) == 0 && len(w.Conn) == 0 { // nil vs empty is not a wire difference
-			g.Conn, w.Conn = nil, nil
-		}
-		if !reflect.DeepEqual(g, w) {
-			t.Fatalf("%s: node %d mismatch:\n got %+v\nwant %+v", label, id, g, w)
+		if gn.ID != id || bits(gn.Pos) != bits(wn.Pos) {
+			t.Fatalf("%s: node %d: got (%d, %v) want (%d, %v)", label, id, gn.ID, gn.Pos, wn.ID, wn.Pos)
 		}
 	}
 	if !reflect.DeepEqual(got.edges, want.edges) {
@@ -55,50 +58,53 @@ func requireSamePatch(t *testing.T, label string, got, want *TilePatch) {
 	if !reflect.DeepEqual(got.outPairs, want.outPairs) {
 		t.Fatalf("%s: outPairs mismatch", label)
 	}
+	if !bytes.Equal(EncodeTilePatch(got), EncodeTilePatch(want)) {
+		t.Fatalf("%s: re-encode differs from original encoding", label)
+	}
 }
 
-// TestTilePatchWireRoundTrip: every materialized patch round-trips the
-// wire codec field-exactly (EHigh = +Inf on roots included), and the
-// encoding is deterministic — encode(decode(encode(p))) == encode(p).
+// TestTilePatchWireRoundTrip: every materialized patch round-trips its
+// stitch surface through the wire codec exactly, and the encoding is a
+// fixed point — encode(decode(encode(p))) == encode(p). The decoded
+// nodes carry ID and Pos only: the record fields the stitch never reads
+// do not travel.
 func TestTilePatchWireRoundTrip(t *testing.T) {
 	ds, _ := buildDataset(t, 8, "highland")
 	s := newTestStore(t, ds)
 	r := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	for _, pct := range []float64{0.5, 0.9, 0.995} {
-		e := eAtPercentile(ds, pct)
-		for i, tp := range materializeWirePatches(t, s, r, e, 2) {
-			label := fmt.Sprintf("pct %g tile %d", pct, i)
-			enc := EncodeTilePatch(tp)
-			dec, err := DecodeTilePatch(enc)
-			if err != nil {
-				t.Fatalf("%s: decode: %v", label, err)
-			}
-			requireSamePatch(t, label, dec, tp)
-			if !bytes.Equal(EncodeTilePatch(dec), enc) {
-				t.Fatalf("%s: re-encode differs from original encoding", label)
+	check := func(label string, tp *TilePatch) {
+		t.Helper()
+		dec, err := DecodeTilePatch(EncodeTilePatch(tp))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", label, err)
+		}
+		requireSamePatch(t, label, dec, tp)
+		for id, n := range dec.Nodes {
+			if want := (Node{Node: pm.Node{ID: id, Pos: n.Pos}}); !reflect.DeepEqual(*n, want) {
+				t.Fatalf("%s: decoded node %d carries more than ID and Pos: %+v", label, id, *n)
 			}
 		}
 	}
-	// The coarsest query keeps root nodes live; their EHigh is +Inf and
-	// must survive the trip bit-exactly.
+	for _, pct := range []float64{0.5, 0.9, 0.995} {
+		e := eAtPercentile(ds, pct)
+		for i, tp := range materializeWirePatches(t, s, r, e, 2) {
+			check(fmt.Sprintf("pct %g tile %d", pct, i), tp)
+		}
+	}
+	// The coarsest query keeps only root nodes live, and an ROI off the
+	// terrain materializes an empty patch: both ends of the size range.
 	tp, err := s.MaterializeTile(r, s.MaxE()*2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawInf := false
-	for _, n := range tp.Nodes {
-		if math.IsInf(n.EHigh, 1) {
-			sawInf = true
-		}
-	}
-	if !sawInf {
-		t.Fatal("expected an infinite EHigh in the root patch")
-	}
-	dec, err := DecodeTilePatch(EncodeTilePatch(tp))
-	if err != nil {
+	check("root patch", tp)
+	if tp, err = s.MaterializeTile(geom.Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, 0); err != nil {
 		t.Fatal(err)
 	}
-	requireSamePatch(t, "root patch", dec, tp)
+	if len(tp.Nodes) != 0 {
+		t.Fatalf("off-terrain patch has %d nodes", len(tp.Nodes))
+	}
+	check("empty patch", tp)
 }
 
 // TestStitchDecodedTiles is the cluster's correctness linchpin: stitching
@@ -169,8 +175,20 @@ func TestTilePatchWireCorruption(t *testing.T) {
 	// Trailing garbage is corruption too.
 	requireCorrupt("trailing bytes", append(append([]byte(nil), enc...), 0xff))
 	// Blow up the node count: the remaining bytes can't hold it.
-	huge := append([]byte(nil), enc[:53]...) // magic+ver+rect+e = 4+1+40+8 = 53
+	huge := append([]byte(nil), enc[:45]...) // magic+ver+rect+e = 4+1+32+8 = 45
 	huge = append(huge, 0x01)                // fetched = 1
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	requireCorrupt("impossible node count", huge)
+
+	// Spellings the encoder never emits are corruption, not alternatives:
+	// the decoder is canonical, so byte equality is value equality.
+	nc := nonCanonicalPatches()
+	if _, err := DecodeTilePatch(nc[0]); err != nil {
+		t.Fatalf("hand-built baseline patch does not decode: %v", err)
+	}
+	for i, b := range nc[1:] {
+		requireCorrupt(fmt.Sprintf("non-canonical #%d", i+1), b)
+	}
+	// A body from the previous codec version is foreign bytes like any other.
+	requireCorrupt("v1 body", v1PatchBody())
 }

@@ -11,8 +11,9 @@
 //
 //   - /patch?level=&ix=&iy=&band= — one canonical tile, materialized
 //     through the shared cache and returned in the deterministic binary
-//     wire encoding (dm.EncodeTilePatch); per-request disk accesses and
-//     cache coldness travel in X-DM-DA / X-DM-Cold headers.
+//     wire encoding (dm.EncodeTilePatch, memoized per resident tile);
+//     per-request disk accesses and cache coldness travel in X-DM-DA /
+//     X-DM-Cold headers.
 //   - /hottiles?n=K — the cache's top-K hottest tiles (hit-count order,
 //     Key total-order tie-breaks), the router's replication input.
 //   - /gridinfo — the tile grid parameters (data rect, max level, LOD
@@ -46,7 +47,6 @@ import (
 	"time"
 
 	"dmesh"
-	"dmesh/internal/dm"
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
 	"dmesh/internal/stream"
@@ -567,7 +567,12 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		tr = dmesh.NewQueryTrace(nil)
 	}
 	start := time.Now()
-	tp, st, err := s.cache.PatchTraced(k, tr)
+	// The whole body is in hand before the header goes out: with
+	// Content-Length declared, a write that dies mid-body surfaces at the
+	// router as a short read (a failed attempt eligible for failover)
+	// instead of a clean-looking truncated 200. A warm tile's body is the
+	// cache's memoized encoding, shared read-only with every other reader.
+	body, st, err := s.cache.PatchWire(k, tr)
 	if err != nil {
 		if errors.Is(err, tilecache.ErrInvalidKey) {
 			s.jsonError(w, http.StatusBadRequest, err)
@@ -576,7 +581,7 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	dur := time.Since(start)
+	dur := time.Since(start) // lookup, materialization and encoding: all but the write
 	s.patches.Add(1)
 	s.patchDA.Add(st.DA)
 	s.mPatchReqs.Inc()
@@ -584,11 +589,6 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	s.hPatchNs.Observe(uint64(dur))
 	s.slow.Observe(fmt.Sprintf("patch key=%s cold=%t", k, st.Cold), dur, st.DA, tr)
 
-	// Encode fully before the header goes out: with Content-Length
-	// declared, a write that dies mid-body surfaces at the router as a
-	// short read (a failed attempt eligible for failover) instead of a
-	// clean-looking truncated 200.
-	body := dm.EncodeTilePatch(tp)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Header().Set("X-DM-DA", strconv.FormatUint(st.DA, 10))

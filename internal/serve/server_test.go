@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -217,6 +218,90 @@ func TestPatchEndpoint(t *testing.T) {
 	}
 	if resp, _ := Fetch(t, ts.URL, "/patch?level=x"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed key: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestPatchColdStampedeOneBody: many clients fetching one cold key via
+// /patch cost one materialization, all read byte-identical bodies, and
+// the cache ends up holding the patch plus one memoized body — charged
+// once, by exactly the body's length. A node driven only through /tile
+// memoizes nothing.
+func TestPatchColdStampedeOneBody(t *testing.T) {
+	s := NewTestServer(t, 33, 0)
+	ts := httptest.NewServer(s.Handler(false))
+	defer ts.Close()
+
+	tilePath := "/tile?x0=0.1&y0=0.1&x1=0.4&y1=0.4&lod=0.9"
+	if resp, body := Fetch(t, ts.URL, tilePath); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/tile: status %d: %s", resp.StatusCode, body)
+	}
+	tileOnly := 0
+	for _, st := range s.Cache().TileStats() {
+		p, _, err := s.Cache().Patch(st.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tileOnly += p.Bytes()
+	}
+	if got := s.Cache().Stats().Bytes; got != tileOnly {
+		t.Fatalf("after /tile only: resident %d bytes, the patches alone estimate %d", got, tileOnly)
+	}
+	s.Cache().InvalidateAll()
+	missesBefore := s.Cache().Stats().Misses
+
+	k := tilecache.Key{Level: 1, IX: 1, IY: 1, Band: len(s.Grid().Ladder()) / 2}
+	url := ts.URL + fmt.Sprintf("/patch?level=%d&ix=%d&iy=%d&band=%d", k.Level, k.IX, k.IY, k.Band)
+	const n = 12
+	bodies := make([][]byte, n)
+	cold := make([]bool, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Get(url)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			bodies[i], errs[i] = io.ReadAll(resp.Body)
+			cold[i] = resp.Header.Get("X-DM-Cold") == "true"
+			if resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
+			}
+		}(i)
+	}
+	wg.Wait()
+	colds := 0
+	for i := range bodies {
+		if errs[i] != nil {
+			t.Fatalf("fetch #%d: %v", i, errs[i])
+		}
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("fetch #%d read a different body", i)
+		}
+		if cold[i] {
+			colds++
+		}
+	}
+	st := s.Cache().Stats()
+	if misses := st.Misses - missesBefore; colds != 1 || misses != 1 {
+		t.Fatalf("%d cold responses, %d materializations; want 1 and 1", colds, misses)
+	}
+	p, _, err := s.Cache().Patch(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := p.Bytes() + len(bodies[0]); st.Bytes != want {
+		t.Fatalf("resident %d bytes, want patch %d + one body %d", st.Bytes, p.Bytes(), len(bodies[0]))
+	}
+	if _, body := Fetch(t, ts.URL, url[len(ts.URL):]); !bytes.Equal(body, bodies[0]) {
+		t.Error("warm fetch served different bytes")
+	}
+	if got := s.Cache().Stats().Bytes; got != st.Bytes {
+		t.Errorf("warm fetch moved resident bytes from %d to %d", st.Bytes, got)
 	}
 }
 

@@ -42,3 +42,52 @@ func TestTileStatsAndDADeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryOnlyAccountingPinned replays a seeded query sequence under a
+// budget of a few tiles and pins the outcome to constants: the resident
+// byte count, the eviction count and the surviving key set. A cache that
+// is only ever asked for stitched answers — a node serving /tile, /frame
+// or /stream — holds no wire memo, so what it charges and what it evicts
+// is exactly what TilePatch.Bytes and the GDSF order dictate; the values
+// were recorded before PatchWire existed and must not move with it.
+func TestQueryOnlyAccountingPinned(t *testing.T) {
+	const (
+		budget        = 40000
+		wantBytes     = 38488
+		wantEvictions = 26
+		wantKeys      = "0/0/0/1 0/0/0/6 2/3/0/7 2/3/1/7 2/3/3/1 "
+	)
+	tr := terrain(t, "crater")
+	s := mustStore(t, tr)
+	c, err := tr.NewTileCache(s, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i, r := range randRects(rng, 25) {
+		e := tr.LODPercentile(0.6 + 0.4*rng.Float64())
+		if _, _, err := c.Query(r, e); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	st := c.Stats()
+	keys, sum := "", 0
+	for _, ts := range c.TileStats() {
+		keys += ts.Key.String() + " "
+		p, _, err := c.Patch(ts.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ts.Bytes != p.Bytes() {
+			t.Errorf("tile %s charged %d bytes, its patch estimates %d", ts.Key, ts.Bytes, p.Bytes())
+		}
+		sum += ts.Bytes
+	}
+	if st.Bytes != sum {
+		t.Errorf("resident bytes %d != sum of per-tile bytes %d", st.Bytes, sum)
+	}
+	if st.Bytes != wantBytes || st.Evictions != wantEvictions || keys != wantKeys {
+		t.Errorf("accounting moved:\n got bytes %d evictions %d keys %q\nwant bytes %d evictions %d keys %q",
+			st.Bytes, st.Evictions, keys, wantBytes, wantEvictions, wantKeys)
+	}
+}

@@ -27,8 +27,9 @@ type Config struct {
 	// per side). Default 4.
 	MaxLevel int
 	// MaxBytes is the byte budget for resident patches (estimated with
-	// TilePatch.Bytes). Default 64 MiB. Patches larger than the whole
-	// budget are served but not retained.
+	// TilePatch.Bytes) and the encoded bodies memoized beside them (see
+	// PatchWire). Default 64 MiB. Patches larger than the whole budget
+	// are served but not retained.
 	MaxBytes int
 }
 
@@ -70,7 +71,10 @@ type QueryStats struct {
 // entry is one resident patch plus its GreedyDual-Size-Frequency state.
 type entry struct {
 	patch *dm.TilePatch
-	bytes int
+	// wire memoizes dm.EncodeTilePatch(patch) once PatchWire has asked for
+	// it; nil until then. Immutable once set, shared by all readers.
+	wire  []byte
+	bytes int // patch.Bytes() + len(wire)
 	hits  uint64
 	cost  uint64  // materialization disk accesses
 	pri   float64 // GDSF priority; larger survives longer
@@ -176,16 +180,16 @@ func (c *Cache) QueryTraced(r geom.Rect, e float64, tr *obs.Trace) (*dm.Result, 
 
 	patches := make([]*dm.TilePatch, len(keys))
 	for i, k := range keys { // sorted cover order: deterministic I/O order
-		p, da, cold, deduped, err := c.tile(k, tr)
+		p, _, st, err := c.tile(k, tr)
 		if err != nil {
 			return nil, qs, fmt.Errorf("tilecache: tile %+v: %w", k, err)
 		}
 		patches[i] = p
-		qs.DA += da
-		if cold {
+		qs.DA += st.DA
+		if st.Cold {
 			qs.ColdMisses++
 		}
-		if deduped {
+		if st.Deduped {
 			qs.Deduped++
 		}
 	}
@@ -196,12 +200,13 @@ func (c *Cache) QueryTraced(r geom.Rect, e float64, tr *obs.Trace) (*dm.Result, 
 	return res, qs, nil
 }
 
-// tile returns the patch for k, materializing it if absent. The returned
-// da is nonzero only for the lookup that ran the materialization (cold),
-// so concurrent sessions' charges sum to the store's real I/O — and only
+// tile returns the patch for k, materializing it if absent, and — on a
+// hit — the entry's memoized wire body, if it has one. The returned DA is
+// nonzero only for the lookup that ran the materialization (cold), so
+// concurrent sessions' charges sum to the store's real I/O — and only
 // that lookup's materialize span is charged, keeping trace totals
 // consistent with the same accounting.
-func (c *Cache) tile(k Key, tr *obs.Trace) (p *dm.TilePatch, da uint64, cold, deduped bool, err error) {
+func (c *Cache) tile(k Key, tr *obs.Trace) (p *dm.TilePatch, wire []byte, st PatchStats, err error) {
 	tr.Begin(obs.PhaseCache)
 	defer tr.End()
 	c.mu.Lock()
@@ -210,14 +215,15 @@ func (c *Cache) tile(k Key, tr *obs.Trace) (p *dm.TilePatch, da uint64, cold, de
 		ent.hits++
 		ent.pri = c.clockL + float64(ent.hits+1)*float64(ent.cost+1)/float64(ent.bytes)
 		c.stats.Hits++
+		p, wire = ent.patch, ent.wire
 		c.mu.Unlock()
-		return ent.patch, 0, false, false, nil
+		return p, wire, PatchStats{}, nil
 	}
 	if f, ok := c.flights[k]; ok {
 		c.stats.DedupedMisses++
 		c.mu.Unlock()
 		<-f.done
-		return f.patch, 0, false, true, f.err
+		return f.patch, nil, PatchStats{Deduped: true}, f.err
 	}
 	f := &flight{done: make(chan struct{}), gen: c.gen}
 	c.flights[k] = f
@@ -241,7 +247,7 @@ func (c *Cache) tile(k Key, tr *obs.Trace) (p *dm.TilePatch, da uint64, cold, de
 	}
 	c.mu.Unlock()
 	close(f.done)
-	return f.patch, f.da, true, false, f.err
+	return f.patch, nil, PatchStats{DA: f.da, Cold: true}, f.err
 }
 
 // insertLocked adds a materialized patch under the byte budget, evicting
@@ -255,7 +261,17 @@ func (c *Cache) insertLocked(k Key, p *dm.TilePatch, cost uint64) {
 		c.stats.UnretainedOver++
 		return
 	}
-	for c.bytes+bytes > c.maxBytes && len(c.entries) > 0 {
+	c.makeRoomLocked(bytes)
+	ent := &entry{patch: p, bytes: bytes, cost: cost}
+	ent.pri = c.clockL + float64(ent.hits+1)*float64(ent.cost+1)/float64(ent.bytes)
+	c.entries[k] = ent
+	c.bytes += bytes
+}
+
+// makeRoomLocked evicts lowest-priority entries until need more bytes fit
+// under the budget (or nothing is left to evict).
+func (c *Cache) makeRoomLocked(need int) {
+	for c.bytes+need > c.maxBytes && len(c.entries) > 0 {
 		var victim Key
 		var vent *entry
 		for ck, ce := range c.entries {
@@ -270,10 +286,6 @@ func (c *Cache) insertLocked(k Key, p *dm.TilePatch, cost uint64) {
 		delete(c.entries, victim)
 		c.stats.Evictions++
 	}
-	ent := &entry{patch: p, bytes: bytes, cost: cost}
-	ent.pri = c.clockL + float64(ent.hits+1)*float64(ent.cost+1)/float64(ent.bytes)
-	c.entries[k] = ent
-	c.bytes += bytes
 }
 
 // Invalidate drops every resident tile whose footprint intersects r and
@@ -346,26 +358,63 @@ type PatchStats struct {
 // accounting machinery, so remotely served tiles rank in TileStats and
 // TopTiles alongside locally stitched ones.
 func (c *Cache) Patch(k Key) (*dm.TilePatch, PatchStats, error) {
-	return c.PatchTraced(k, nil)
+	p, _, st, err := c.patch(k, nil)
+	return p, st, err
 }
 
-// PatchTraced is Patch emitting phase spans on tr (which may be nil):
-// a root PhaseQuery span over the lookup, with the same cache-lookup /
-// materialize children QueryTraced records. Like QueryTraced the trace
-// must be charge-based (nil sampler); its accounted total equals
-// PatchStats.DA exactly.
-func (c *Cache) PatchTraced(k Key, tr *obs.Trace) (*dm.TilePatch, PatchStats, error) {
+// patch is the validated single-tile lookup behind Patch and PatchWire.
+// It emits phase spans on tr (which may be nil): a root PhaseQuery span
+// over the lookup, with the same cache-lookup / materialize children
+// QueryTraced records. Like QueryTraced the trace must be charge-based
+// (nil sampler); its accounted total equals PatchStats.DA exactly.
+func (c *Cache) patch(k Key, tr *obs.Trace) (*dm.TilePatch, []byte, PatchStats, error) {
 	if !c.grid.ValidKey(k) {
-		return nil, PatchStats{}, fmt.Errorf("tilecache: key %v outside grid (max level %d, %d ladder rungs): %w",
+		return nil, nil, PatchStats{}, fmt.Errorf("tilecache: key %v outside grid (max level %d, %d ladder rungs): %w",
 			k, c.grid.maxLevel, len(c.grid.ladder), ErrInvalidKey)
 	}
 	tr.Begin(obs.PhaseQuery)
 	defer tr.End()
-	p, da, cold, deduped, err := c.tile(k, tr)
+	p, wire, st, err := c.tile(k, tr)
 	if err != nil {
-		return nil, PatchStats{}, fmt.Errorf("tilecache: tile %+v: %w", k, err)
+		return nil, nil, PatchStats{}, fmt.Errorf("tilecache: tile %+v: %w", k, err)
 	}
-	return p, PatchStats{DA: da, Cold: cold, Deduped: deduped}, nil
+	return p, wire, st, nil
+}
+
+// PatchWire is Patch returning the tile in its wire encoding
+// (dm.EncodeTilePatch) — what a shard writes to a /patch response — and
+// recording the lookup's phase spans on tr (which may be nil). A
+// resident tile's body is encoded the first time it is asked for and
+// memoized on the entry, so every later hit is a slice hand-off: callers
+// share the returned bytes and must not modify them. The memo is lazy (a
+// cache never asked for wire bodies holds none) and charged to MaxBytes:
+// publishing it grows the entry by len(body), evicting lower-priority
+// tiles if the budget requires, and it leaves with the entry on eviction
+// or invalidation. A patch the cache does not retain is encoded per call.
+func (c *Cache) PatchWire(k Key, tr *obs.Trace) ([]byte, PatchStats, error) {
+	p, wire, st, err := c.patch(k, tr)
+	if err != nil || wire != nil {
+		return wire, st, err
+	}
+	wire = dm.EncodeTilePatch(p) // outside the lock; racing first requests each encode, one publishes
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ent := c.entries[k]
+	if ent == nil || ent.patch != p {
+		return wire, st, nil // unretained, evicted or invalidated meanwhile
+	}
+	if ent.wire != nil {
+		return ent.wire, st, nil
+	}
+	c.makeRoomLocked(len(wire))
+	if c.entries[k] == ent && c.bytes+len(wire) <= c.maxBytes {
+		// The memo outlives this request: keep an exact-size copy, so the
+		// bytes charged are the bytes held.
+		ent.wire = append([]byte(nil), wire...)
+		ent.bytes += len(wire)
+		c.bytes += len(wire)
+	}
+	return wire, st, nil
 }
 
 // TopK ranks tile stats by hit count, hottest first, with Key total-order
