@@ -565,7 +565,7 @@ func printCluster(fig *experiments.ClusterFigure) error {
 }
 
 // writeClusterJSON persists the scale-out series for the repo's
-// clustercheck tooling and the EXPERIMENTS.md cluster table.
+// cluster test tooling and the EXPERIMENTS.md cluster table.
 func writeClusterJSON(path string, e *benchEnv, figs []*experiments.ClusterFigure) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
@@ -612,7 +612,7 @@ func printStream(fig *experiments.StreamFigure) error {
 }
 
 // writeStreamJSON persists the streaming series for the repo's
-// streamcheck tooling and the EXPERIMENTS.md stream table.
+// stream test tooling and the EXPERIMENTS.md stream table.
 func writeStreamJSON(path string, e *benchEnv, figs []*experiments.StreamFigure) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
@@ -788,7 +788,7 @@ func printLayoutCompare(c *experiments.LayoutCompare, roiFrac float64) error {
 }
 
 // writeLayoutJSON persists the layout comparison for the repo's
-// layoutcheck tooling and EXPERIMENTS.md tables.
+// layout test tooling and EXPERIMENTS.md tables.
 func writeLayoutJSON(path string, e *benchEnv, cmps []*experiments.LayoutCompare) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
@@ -841,7 +841,7 @@ func printLayoutSweep(s *experiments.LayoutSweep, roiFrac float64) error {
 }
 
 // writeCompressionJSON persists the all-layouts sweep for the repo's
-// packcheck tooling and the EXPERIMENTS.md compression table.
+// packed-codec test tooling and the EXPERIMENTS.md compression table.
 func writeCompressionJSON(path string, e *benchEnv, sweeps []*experiments.LayoutSweep) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err

@@ -3,15 +3,14 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strconv"
 
-	"dmesh/internal/dm"
 	"dmesh/internal/obs"
+	"dmesh/internal/wire"
 )
 
 const (
@@ -29,10 +28,11 @@ const (
 // readBody consumes and closes a shard response, returning the whole
 // body of a 200 and an error for anything else. It reads what the shard
 // declared, once: the buffer is sized from Content-Length (bounded by
-// maxShardBody) and filled exactly, and a body shorter or longer than
-// declared is a cut connection or a misbehaving middlebox — corrupt, not
-// short. Only a response without a declared length falls back to a
-// (bounded) read-to-EOF.
+// maxShardBody) and filled exactly. A body that ends early is the
+// transport's io.ErrUnexpectedEOF; one that lies about its length —
+// above the limit, or longer than declared — is wire.ErrCorrupt. Either
+// way it is one failed attempt. Only a response without a declared
+// length falls back to a (bounded) read-to-EOF.
 func readBody(resp *http.Response, url string) ([]byte, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -43,7 +43,7 @@ func readBody(resp *http.Response, url string) ([]byte, error) {
 	n := resp.ContentLength
 	if n > maxShardBody {
 		return nil, fmt.Errorf("cluster: %s: declared body of %d bytes exceeds the %d-byte limit: %w",
-			url, n, maxShardBody, dm.ErrCorrupt)
+			url, n, maxShardBody, wire.ErrCorrupt)
 	}
 	if n < 0 {
 		body, err := io.ReadAll(io.LimitReader(resp.Body, maxShardBody+1))
@@ -51,15 +51,12 @@ func readBody(resp *http.Response, url string) ([]byte, error) {
 			return nil, fmt.Errorf("cluster: %s: %w", url, err)
 		}
 		if len(body) > maxShardBody {
-			return nil, fmt.Errorf("cluster: %s: body exceeds the %d-byte limit: %w", url, maxShardBody, dm.ErrCorrupt)
+			return nil, fmt.Errorf("cluster: %s: body exceeds the %d-byte limit: %w", url, maxShardBody, wire.ErrCorrupt)
 		}
 		return body, nil
 	}
 	body := make([]byte, n)
 	if got, err := io.ReadFull(resp.Body, body); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			err = dm.ErrCorrupt // the body ended early; anything else is the transport's own error
-		}
 		return nil, fmt.Errorf("cluster: %s: truncated body (%d of %d declared bytes): %w", url, got, n, err)
 	}
 	// One more byte would be a body longer than declared. Go's transport
@@ -68,7 +65,7 @@ func readBody(resp *http.Response, url string) ([]byte, error) {
 	// seen EOF, so the connection is reusable either way).
 	var probe [1]byte
 	if extra, _ := resp.Body.Read(probe[:]); extra > 0 {
-		return nil, fmt.Errorf("cluster: %s: body longer than the %d declared bytes: %w", url, n, dm.ErrCorrupt)
+		return nil, fmt.Errorf("cluster: %s: body longer than the %d declared bytes: %w", url, n, wire.ErrCorrupt)
 	}
 	return body, nil
 }

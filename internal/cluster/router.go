@@ -14,6 +14,7 @@ import (
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
 	"dmesh/internal/tilecache"
+	"dmesh/internal/wire"
 )
 
 // Config parameterizes a Router.
@@ -284,7 +285,7 @@ func (rt *Router) getPatch(base string, k tilecache.Key, traced bool) (*dm.TileP
 	if traced {
 		raw, err := base64.StdEncoding.DecodeString(resp.Header.Get("X-DM-Trace"))
 		if err != nil {
-			return nil, 0, nil, fmt.Errorf("cluster: %s: undecodable X-DM-Trace: %v: %w", url, err, obs.ErrCorrupt)
+			return nil, 0, nil, fmt.Errorf("cluster: %s: undecodable X-DM-Trace: %v: %w", url, err, wire.ErrCorrupt)
 		}
 		if wt, err = obs.DecodeTraceWire(raw); err != nil {
 			return nil, 0, nil, fmt.Errorf("cluster: %s: %w", url, err)

@@ -58,69 +58,29 @@ func (rt *Router) Stream(r geom.Rect, e float64, resume int, w io.Writer) (*dm.R
 // rungs a resumed stream re-runs only to rebuild delta state.
 func (rt *Router) StreamTraced(r geom.Rect, e float64, resume int, w io.Writer, tr *obs.Trace) (*dm.Result, StreamStats, error) {
 	band, snapped := rt.grid.SnapE(e)
-	levels, err := stream.LevelsFor(rt.grid.Ladder(), band)
+	st := StreamStats{SnappedE: snapped}
+	enc, err := stream.Plan(r, rt.grid.Ladder(), band, resume)
 	if err != nil {
-		return nil, StreamStats{}, err
+		return nil, st, fmt.Errorf("cluster: %w", err)
 	}
-	st := StreamStats{SnappedE: snapped, Batches: len(levels)}
-	if resume < -1 || resume >= len(levels) {
-		return nil, st, fmt.Errorf("cluster: resume %d outside [-1, %d)", resume, len(levels))
-	}
-	enc, err := stream.NewEncoder(r, levels)
-	if err != nil {
-		return nil, st, err
-	}
+	st.Batches = enc.NumBatches()
 	start := time.Now()
-	tr.Begin(obs.PhaseQuery)
-	defer tr.End()
-	hdr := enc.Header()
-	st.BytesToFirst = len(hdr)
-	st.BytesToExact = len(hdr)
-	n, err := w.Write(hdr)
-	st.BytesSent += n
-	if err != nil {
-		return nil, st, err
-	}
-	var res *dm.Result
-	for i, le := range levels {
-		replay := i <= resume
-		if replay {
-			tr.Begin(obs.PhaseStreamReplay)
-		}
-		var qs QueryStats
-		res, qs, err = rt.QueryTraced(r, le, tr)
+	res, sent, err := enc.Run(w, tr, func(level float64) (*dm.Result, error) {
+		res, qs, err := rt.QueryTraced(r, level, tr)
 		if err != nil {
-			if replay {
-				tr.End()
-			}
-			return nil, st, fmt.Errorf("cluster: stream rung %d (E %g): %w", i, le, err)
+			return nil, err
 		}
 		st.DA += qs.DA
 		st.Tiles += qs.Tiles
 		st.Attempts += qs.Attempts
 		st.Redirected += qs.Redirected
 		st.TraceDA += qs.TraceDA
-		frame, err := enc.EncodeNextTraced(res, tr)
-		if err != nil {
-			if replay {
-				tr.End()
-			}
-			return nil, st, err
-		}
-		if i == 0 {
-			st.BytesToFirst += len(frame)
-		}
-		st.BytesToExact += len(frame)
-		if replay {
-			tr.End()
-			continue
-		}
-		n, err := w.Write(frame)
-		st.BytesSent += n
-		if err != nil {
-			return nil, st, err
-		}
-		st.Sent++
+		return res, nil
+	})
+	st.Sent, st.BytesSent = sent.Frames, sent.Bytes
+	st.BytesToFirst, st.BytesToExact = sent.BytesToFirst, sent.BytesToExact
+	if err != nil {
+		return nil, st, fmt.Errorf("cluster: %w", err)
 	}
 	rt.hQueryNs.Observe(uint64(time.Since(start)))
 	return res, st, nil

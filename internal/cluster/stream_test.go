@@ -16,6 +16,7 @@ import (
 	"dmesh/internal/serve"
 	"dmesh/internal/stream"
 	"dmesh/internal/tilecache"
+	"dmesh/internal/wire"
 )
 
 // localStream encodes, over the single-node reference cache, the stream
@@ -292,7 +293,7 @@ func TestFailoverHostileBodies(t *testing.T) {
 		if len(err.Error()) > 1024 {
 			t.Errorf("%s: error quotes %d bytes of the response", name, len(err.Error()))
 		}
-		if name == "huge" && !errors.Is(err, dm.ErrCorrupt) {
+		if name == "huge" && !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("huge: err = %v, want ErrCorrupt", err)
 		}
 		if st.Attempts != st.Tiles {

@@ -1,14 +1,12 @@
 package dm
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/pm"
 	"dmesh/internal/storage/heapfile"
+	"dmesh/internal/wire"
 )
 
 // Packed record encoding (LayoutPacked, store format v4): the same node
@@ -39,10 +37,13 @@ import (
 // Escape rules: pm.None (-1) topology references are never delta-coded —
 // their presence bit is simply clear. ELow +0.0 (the majority: every
 // leaf) and EHigh +Inf (every root) cost 0 bytes. A float is dyadic when
-// value*2^12 is an integer whose round-trip through float64 restores the
-// exact bit pattern — true for the grid coordinates i/2^k and their
-// collapse midpoints, never true for NaN (any payload), infinities, or
-// -0.0, which all take the raw 8-byte path.
+// wire.DyadicIndex says so — true for the grid coordinates i/2^k and
+// their collapse midpoints, never true for NaN (any payload), infinities,
+// or -0.0, which all take the raw 8-byte path. The decoder accepts only
+// the spelling the encoder picks (minimal varints, the dyadic index
+// whenever one exists, the zero-byte escapes whenever they apply, no
+// presence bit for pm.None or for an absent overflow head), so a record
+// that decodes re-encodes to the identical bytes.
 const (
 	pkParent = 1 << iota
 	pkChild1
@@ -61,71 +62,11 @@ const (
 	pkReserved = 0xE000
 )
 
-// dyadicShift scales the dyadic fast path: v is storable as an integer
-// grid index when v*2^12 round-trips exactly. 2^12 captures the terrain
-// grids (i/2^k for sizes 2^k+1) and several collapse-midpoint levels
-// while keeping indices of unit-square coordinates at 2-byte varints.
-const (
-	dyadicShift = 12
-	dyadicScale = float64(int64(1) << dyadicShift)
-	// dyadicMaxM bounds the stored index so its varint never exceeds 6
-	// bytes (beyond that raw 8-byte floats are as small and simpler).
-	dyadicMaxM = int64(1) << 41
-)
-
 // maxPackedConn is the sanity bound on a packed record's connection
 // count: far above any real valence (the paper's average total list is
 // 840 at 17M points), far below anything that could wedge a decoder fed
 // a corrupt count.
 const maxPackedConn = 1 << 32
-
-// ErrCorrupt marks a packed record (or its overflow chain) whose bytes
-// cannot be a valid encoding. Decoders return it — wrapped with
-// position detail — instead of panicking, matching the bounded-descent
-// discipline of the rtree/btree corruption handling.
-var ErrCorrupt = errors.New("dm: corrupt record")
-
-// zigzag maps signed values to unsigned so small magnitudes of either
-// sign take short varints.
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// uvarintLen returns how many bytes binary.AppendUvarint emits for v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// dyadicIndex reports whether v is exactly representable as a dyadic
-// grid index m = v*2^dyadicShift: m must be integral, in range, and
-// float64(m)/2^dyadicShift must restore v's exact bit pattern (which
-// excludes NaNs, infinities, and -0.0 by construction).
-func dyadicIndex(v float64) (int64, bool) {
-	m := v * dyadicScale
-	if m != math.Trunc(m) || m > float64(dyadicMaxM) || m < -float64(dyadicMaxM) {
-		return 0, false
-	}
-	k := int64(m)
-	if math.Float64bits(float64(k)/dyadicScale) != math.Float64bits(v) {
-		return 0, false
-	}
-	return k, true
-}
-
-// DyadicIndex reports whether v is exactly representable on the packed
-// encoding's dyadic grid, and its index m = v*2^12 when it is. The
-// progressive stream codec shares this fast path so quantized wire
-// positions round-trip bit-exactly.
-func DyadicIndex(v float64) (int64, bool) { return dyadicIndex(v) }
-
-// FromDyadicIndex inverts DyadicIndex: the float64 whose dyadic index
-// is m. Exact for every m DyadicIndex can produce.
-func FromDyadicIndex(m int64) float64 { return float64(m) / dyadicScale }
 
 // packedFlags computes the record's presence bitmap and, alongside it,
 // the dyadic indices of the float fields that have one. Encoding and
@@ -148,7 +89,7 @@ func packedFlags(n *Node, overflow bool) (flags uint16, dy [5]int64) {
 			flags |= pkEHighInf
 			continue
 		}
-		if m, ok := dyadicIndex(v); ok {
+		if m, ok := wire.DyadicIndex(v); ok {
 			flags |= dyBits[i]
 			dy[i] = m
 		}
@@ -161,11 +102,11 @@ func packedFlags(n *Node, overflow bool) (flags uint16, dy [5]int64) {
 
 // packedRecordLen returns the encoded byte length of n's record with the
 // given inline connection prefix, without materializing it. It mirrors
-// encodePackedRecord exactly; the page-fill simulation of the packing
+// EncodePackedRecord exactly; the page-fill simulation of the packing
 // pass and the spill split both rely on that.
 func packedRecordLen(n *Node, inline int, overflow bool) int {
 	flags, dy := packedFlags(n, overflow)
-	size := uvarintLen(uint64(n.ID)) + 2
+	size := wire.UvarintLen(uint64(n.ID)) + 2
 	if overflow {
 		size += 8
 	}
@@ -174,7 +115,7 @@ func packedRecordLen(n *Node, inline int, overflow bool) int {
 		switch {
 		case i == 3 && flags&pkELowZero != 0, i == 4 && flags&pkEHighInf != 0:
 		case flags&bit != 0:
-			size += uvarintLen(zigzag(dy[i]))
+			size += wire.VarintLen(dy[i])
 		default:
 			size += 8
 		}
@@ -182,13 +123,13 @@ func packedRecordLen(n *Node, inline int, overflow bool) int {
 	refs := [5]int64{n.Parent, n.Child1, n.Child2, n.Wing1, n.Wing2}
 	for i, r := range refs {
 		if flags&(1<<i) != 0 {
-			size += uvarintLen(zigzag(r - n.ID))
+			size += wire.VarintLen(r - n.ID)
 		}
 	}
-	size += uvarintLen(uint64(len(n.Conn)))
+	size += wire.UvarintLen(uint64(len(n.Conn)))
 	prev := n.ID
 	for _, c := range n.Conn[:inline] {
-		size += uvarintLen(zigzag(c - prev))
+		size += wire.VarintLen(c - prev)
 		prev = c
 	}
 	return size
@@ -206,7 +147,7 @@ func packedSplit(n *Node) int {
 	inline := 0
 	prev := n.ID
 	for _, c := range n.Conn {
-		l := uvarintLen(zigzag(c - prev))
+		l := wire.VarintLen(c - prev)
 		if size+l > heapfile.MaxVarRecord {
 			break
 		}
@@ -217,18 +158,15 @@ func packedSplit(n *Node) int {
 	return inline
 }
 
-// encodePackedRecord appends n's compressed record to buf[:0] with the
+// EncodePackedRecord appends n's compressed record to buf[:0] with the
 // first inline connection IDs stored in place and overflowRef chaining
-// the rest (noOverflow when the list is wholly inline).
-func encodePackedRecord(n *Node, overflowRef int64, inline int, buf []byte) []byte {
-	buf = buf[:0]
-	buf = binary.AppendUvarint(buf, uint64(n.ID))
+// the rest (noOverflow, -1, when the list is wholly inline).
+func EncodePackedRecord(n *Node, overflowRef int64, inline int, buf []byte) []byte {
+	buf = wire.AppendUvarint(buf[:0], uint64(n.ID))
 	flags, dy := packedFlags(n, overflowRef != noOverflow)
-	bitmapOff := len(buf)
-	buf = append(buf, 0, 0)
-	binary.LittleEndian.PutUint16(buf[bitmapOff:], flags)
+	buf = wire.AppendU16(buf, flags)
 	if overflowRef != noOverflow {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(overflowRef))
+		buf = wire.AppendU64(buf, uint64(overflowRef))
 	}
 	vals := [5]float64{n.Pos.X, n.Pos.Y, n.Pos.Z, n.ELow, n.EHigh}
 	dyBits := [5]uint16{pkXDyadic, pkYDyadic, pkZDyadic, pkELowDyadic, pkEHighDyadic}
@@ -236,78 +174,53 @@ func encodePackedRecord(n *Node, overflowRef int64, inline int, buf []byte) []by
 		switch {
 		case i == 3 && flags&pkELowZero != 0, i == 4 && flags&pkEHighInf != 0:
 		case flags&dyBits[i] != 0:
-			buf = binary.AppendUvarint(buf, zigzag(dy[i]))
+			buf = wire.AppendVarint(buf, dy[i])
 		default:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			buf = wire.AppendF64(buf, v)
 		}
 	}
 	refs := [5]int64{n.Parent, n.Child1, n.Child2, n.Wing1, n.Wing2}
 	for i, r := range refs {
 		if flags&(1<<i) != 0 {
-			buf = binary.AppendUvarint(buf, zigzag(r-n.ID))
+			buf = wire.AppendVarint(buf, r-n.ID)
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(n.Conn)))
+	buf = wire.AppendUvarint(buf, uint64(len(n.Conn)))
 	prev := n.ID
 	for _, c := range n.Conn[:inline] {
-		buf = binary.AppendUvarint(buf, zigzag(c-prev))
+		buf = wire.AppendVarint(buf, c-prev)
 		prev = c
 	}
 	return buf
 }
 
-// decodePackedRecord decodes one packed record: the node with the inline
+// DecodePackedRecord decodes one packed record: the node with the inline
 // portion of its connection list, the total connection count, and the
-// overflow chain head (noOverflow when wholly inline). Malformed bytes
-// surface as errors wrapping ErrCorrupt, never panics, and never
-// unbounded allocations — the Conn capacity is bounded by the record's
-// own physical length. arena may be nil.
-func decodePackedRecord(buf []byte, arena *connArena) (n Node, connTotal int, overflowRef int64, err error) {
-	off := 0
-	fail := func(what string) error {
-		return fmt.Errorf("dm: packed record: %s at offset %d: %w", what, off, ErrCorrupt)
-	}
-	readUvarint := func() (uint64, bool) {
-		v, k := binary.Uvarint(buf[off:])
-		if k <= 0 {
-			return 0, false
-		}
-		off += k
-		return v, true
-	}
-	readRaw := func() (uint64, bool) {
-		if off+8 > len(buf) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-		return v, true
-	}
-
-	id, ok := readUvarint()
-	if !ok || id > math.MaxInt64 {
-		return Node{}, 0, 0, fail("node ID")
+// overflow chain head (noOverflow when wholly inline). Malformed or
+// non-canonical bytes surface as errors wrapping wire.ErrCorrupt, never
+// panics, and never unbounded allocations — the Conn capacity is bounded
+// by the record's own physical length. arena may be nil.
+func DecodePackedRecord(buf []byte, arena *connArena) (n Node, connTotal int, overflowRef int64, err error) {
+	r := wire.NewReader("dm: packed record", buf)
+	id := r.Uvarint()
+	if id > math.MaxInt64 {
+		r.Corruptf("node ID out of range")
 	}
 	n.ID = int64(id)
-	if off+2 > len(buf) {
-		return Node{}, 0, 0, fail("bitmap")
-	}
-	flags := binary.LittleEndian.Uint16(buf[off:])
-	off += 2
+	flags := r.U16()
 	if flags&pkReserved != 0 ||
 		flags&(pkELowZero|pkELowDyadic) == pkELowZero|pkELowDyadic ||
 		flags&(pkEHighInf|pkEHighDyadic) == pkEHighInf|pkEHighDyadic {
-		return Node{}, 0, 0, fail("bitmap bits")
+		r.Corruptf("bad bitmap bits")
 	}
 	overflowRef = noOverflow
 	if flags&pkOverflow != 0 {
-		u, ok := readRaw()
-		if !ok {
-			return Node{}, 0, 0, fail("overflow head")
+		if overflowRef = int64(r.U64()); overflowRef == noOverflow {
+			r.Corruptf("overflow bit without a chain head")
 		}
-		overflowRef = int64(u)
 	}
 
+	r.Section("floats")
 	var vals [5]float64
 	dyBits := [5]uint16{pkXDyadic, pkYDyadic, pkZDyadic, pkELowDyadic, pkEHighDyadic}
 	for i := range vals {
@@ -316,39 +229,36 @@ func decodePackedRecord(buf []byte, arena *connArena) (n Node, connTotal int, ov
 			vals[i] = 0
 		case i == 4 && flags&pkEHighInf != 0:
 			vals[i] = math.Inf(1)
-		case flags&dyBits[i] != 0:
-			u, ok := readUvarint()
-			if !ok {
-				return Node{}, 0, 0, fail("dyadic float")
-			}
-			vals[i] = float64(unzigzag(u)) / dyadicScale
 		default:
-			u, ok := readRaw()
-			if !ok {
-				return Node{}, 0, 0, fail("raw float")
+			v := r.Float(flags&dyBits[i] != 0)
+			if (i == 3 && math.Float64bits(v) == 0) || (i == 4 && math.IsInf(v, 1)) {
+				r.Corruptf("escapable value spelled out")
 			}
-			vals[i] = math.Float64frombits(u)
+			vals[i] = v
 		}
 	}
 	n.Pos = geom.Point3{X: vals[0], Y: vals[1], Z: vals[2]}
 	n.ELow, n.EHigh = vals[3], vals[4]
 
+	r.Section("topology refs")
 	refs := [5]int64{pm.None, pm.None, pm.None, pm.None, pm.None}
 	for i := range refs {
 		if flags&(1<<i) != 0 {
-			u, ok := readUvarint()
-			if !ok {
-				return Node{}, 0, 0, fail("topology ref")
+			if refs[i] = n.ID + r.Varint(); refs[i] == pm.None {
+				r.Corruptf("presence bit on an absent ref")
 			}
-			refs[i] = n.ID + unzigzag(u)
 		}
 	}
 	n.Parent, n.Child1, n.Child2 = refs[0], refs[1], refs[2]
 	n.Wing1, n.Wing2 = refs[3], refs[4]
 
-	total, ok := readUvarint()
-	if !ok || total > maxPackedConn {
-		return Node{}, 0, 0, fail("connection count")
+	r.Section("connections")
+	total := r.Uvarint()
+	if total > maxPackedConn {
+		r.Corruptf("connection count %d out of range", total)
+	}
+	if r.Err() != nil {
+		return Node{}, 0, 0, r.Err()
 	}
 	connTotal = int(total)
 	// Inline deltas run to the record's physical end. Capacity is exact
@@ -356,25 +266,20 @@ func decodePackedRecord(buf []byte, arena *connArena) (n Node, connTotal int, ov
 	// remaining bytes bound the entries) and spilled lists grow out of
 	// the arena chunk during the chain walk — the rare case pays one
 	// reallocation instead of every record paying a per-fetch make.
-	capacity := connTotal
-	if rem := len(buf) - off; capacity > rem {
-		capacity = rem
-	}
-	n.Conn = arena.alloc(capacity)
+	n.Conn = arena.alloc(min(connTotal, r.Len()))
 	prev := n.ID
-	for off < len(buf) {
-		u, ok := readUvarint()
-		if !ok {
-			return Node{}, 0, 0, fail("connection delta")
-		}
-		prev += unzigzag(u)
+	for r.Len() > 0 && r.Err() == nil {
+		prev += r.Varint()
 		n.Conn = append(n.Conn, prev)
 	}
-	if len(n.Conn) > connTotal {
-		return Node{}, 0, 0, fail("more inline IDs than count")
+	switch {
+	case len(n.Conn) > connTotal:
+		r.Corruptf("more inline IDs than count")
+	case overflowRef == noOverflow && len(n.Conn) != connTotal:
+		r.Corruptf("truncated inline connection list")
 	}
-	if overflowRef == noOverflow && len(n.Conn) != connTotal {
-		return Node{}, 0, 0, fail("truncated inline connection list")
+	if err := r.Done(); err != nil {
+		return Node{}, 0, 0, err
 	}
 	return n, connTotal, overflowRef, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"dmesh/internal/geom"
 	"dmesh/internal/pm"
+	"dmesh/internal/wire"
 )
 
 // packedFixtures covers the encoding's whole value space: every float
@@ -89,11 +90,11 @@ func requireNodeBitsEqual(t *testing.T, ctx string, want, got *Node) {
 func TestPackedRecordRoundTripBitExact(t *testing.T) {
 	var buf []byte
 	for fi, n := range packedFixtures() {
-		buf = encodePackedRecord(&n, noOverflow, len(n.Conn), buf)
+		buf = EncodePackedRecord(&n, noOverflow, len(n.Conn), buf)
 		if want := packedRecordLen(&n, len(n.Conn), false); len(buf) != want {
 			t.Fatalf("fixture %d: encoded %d bytes, packedRecordLen says %d", fi, len(buf), want)
 		}
-		got, total, ref, err := decodePackedRecord(buf, nil)
+		got, total, ref, err := DecodePackedRecord(buf, nil)
 		if err != nil {
 			t.Fatalf("fixture %d: %v", fi, err)
 		}
@@ -114,11 +115,11 @@ func TestPackedRecordSpillRoundTrip(t *testing.T) {
 			if inline >= len(n.Conn) {
 				continue
 			}
-			buf = encodePackedRecord(&n, 4242, inline, buf)
+			buf = EncodePackedRecord(&n, 4242, inline, buf)
 			if want := packedRecordLen(&n, inline, true); len(buf) != want {
 				t.Fatalf("fixture %d/%d: encoded %d bytes, want %d", fi, inline, len(buf), want)
 			}
-			got, total, ref, err := decodePackedRecord(buf, nil)
+			got, total, ref, err := DecodePackedRecord(buf, nil)
 			if err != nil {
 				t.Fatalf("fixture %d/%d: %v", fi, inline, err)
 			}
@@ -133,27 +134,6 @@ func TestPackedRecordSpillRoundTrip(t *testing.T) {
 					t.Fatalf("fixture %d/%d: conn[%d] = %d, want %d", fi, inline, i, got.Conn[i], n.Conn[i])
 				}
 			}
-		}
-	}
-}
-
-// TestDyadicIndexExcludesNonExact: the fast path must reject every value
-// whose round trip would not be bit-identical.
-func TestDyadicIndexExcludesNonExact(t *testing.T) {
-	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
-		0.1, math.Pi, math.SmallestNonzeroFloat64, math.MaxFloat64,
-		float64(int64(1)<<41+4096) / 4096, 1.0 / 8192}
-	for _, v := range bad {
-		if m, ok := dyadicIndex(v); ok {
-			t.Fatalf("dyadicIndex(%g) = %d, want rejection", v, m)
-		}
-	}
-	good := map[float64]int64{0: 0, 0.5: 2048, -0.25: -1024, 1: 4096,
-		3.0 / 4096: 3, float64(int64(1)<<41) / 4096: 1 << 41}
-	for v, want := range good {
-		m, ok := dyadicIndex(v)
-		if !ok || m != want {
-			t.Fatalf("dyadicIndex(%g) = %d,%v, want %d,true", v, m, ok, want)
 		}
 	}
 }
@@ -293,46 +273,74 @@ func TestPackedLayoutVersionGate(t *testing.T) {
 	}
 }
 
-// TestPackedDecodeRejectsCorruption: hand-built corruptions must surface
-// as ErrCorrupt, not panics or silent misreads.
+// TestPackedDecodeRejectsCorruption: the packed-specific violations —
+// bad bitmap bits, and every spelling the encoder would not have picked —
+// surface as wire.ErrCorrupt. (Truncation and non-minimal varints are the
+// shared harness's, internal/wire TestDecoders.)
 func TestPackedDecodeRejectsCorruption(t *testing.T) {
-	n := packedFixtures()[0]
-	valid := encodePackedRecord(&n, noOverflow, len(n.Conn), nil)
+	// ID 7 is one byte, so the bitmap is bytes 1-2 and the floats start at 3.
+	leaf := packedFixtures()[0]
+	encode := func(edit func(n *Node)) []byte {
+		n := leaf
+		edit(&n)
+		return EncodePackedRecord(&n, noOverflow, len(n.Conn), nil)
+	}
+	valid := encode(func(*Node) {})
+	flip := func(b []byte, hi, lo byte) []byte {
+		out := append([]byte{}, b...)
+		out[1] ^= lo
+		out[2] ^= hi
+		return out
+	}
+	// The same record with ELow -0.0 carries ELow as 8 raw bytes; clearing
+	// the sign bit leaves +0.0 spelled raw instead of by its escape bit.
+	rawZero := encode(func(n *Node) { n.ELow = math.Copysign(0, -1) })
+	rawZero[3+2+2+1+7] &^= 0x80 // X, Y are 2-byte indices, Z one byte; last byte of ELow
+	// Likewise EHigh -Inf travels raw, and clearing its sign leaves +Inf.
+	rawInf := encode(func(n *Node) { n.EHigh = math.Inf(-1) })
+	rawInf[3+2+2+1+7] &^= 0x80 // ELow +0 takes no bytes here; last byte of EHigh
 	cases := map[string][]byte{
-		"empty":           {},
-		"id only":         valid[:1],
-		"truncated":       valid[:len(valid)-1],
-		"reserved bit":    append([]byte{}, valid...),
-		"conflicting dy":  append([]byte{}, valid...),
-		"truncated float": valid[:4],
+		"escapable EHigh sent raw":  rawInf,
+		"escapable ELow as index 0": append(append(flip(valid, 0x03, 0)[:8:8], 0x00), valid[8:]...),
+		"reserved bit":              flip(valid, 0xE0, 0),
+		"ELow zero and dyadic":      flip(valid, 0x02, 0),
+		"escapable ELow sent raw":   rawZero,
+		"overflow bit, no head":     append(append(flip(valid, 0x10, 0)[:3:3], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), valid[3:]...),
+		"presence bit on None":      append(append(flip(valid, 0, pkChild1)[:11:11], 0x0f), valid[11:]...), // Child1 = ID-8 = pm.None
+		"dyadic value sent raw":     rawInsteadOfDyadic(valid),
+		"inline IDs past the count": append(append([]byte{}, valid...), 0x02),
 	}
-	// Set a reserved bitmap bit (bitmap starts right after the 1-byte ID
-	// for this fixture).
-	cases["reserved bit"][2] |= 0xE0
-	// ELow zero + dyadic simultaneously.
-	cases["conflicting dy"][2] |= 0x03 // bits 8 (pkELowZero) and 9 (pkELowDyadic)
+	if _, _, _, err := DecodePackedRecord(valid, nil); err != nil {
+		t.Fatalf("baseline record does not decode: %v", err)
+	}
 	for name, buf := range cases {
-		_, _, _, err := decodePackedRecord(buf, nil)
-		if err == nil {
-			t.Errorf("%s: decode accepted corrupt record", name)
-			continue
+		_, _, _, err := DecodePackedRecord(buf, nil)
+		if !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want wire.ErrCorrupt", name, err)
 		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: error %v does not wrap ErrCorrupt", name, err)
-		}
+		t.Logf("%s: %v", name, err)
 	}
+}
+
+// rawInsteadOfDyadic respells the leaf fixture's X (0.5, dyadic index
+// 2048, two bytes at offset 3) as raw IEEE bits with its dyadic bit clear.
+func rawInsteadOfDyadic(valid []byte) []byte {
+	out := append([]byte{}, valid[:3]...)
+	out[1] &^= pkXDyadic
+	out = wire.AppendF64(out, 0.5)
+	return append(out, valid[5:]...)
 }
 
 // FuzzPackedRecordDecode feeds arbitrary bytes to the packed decoder:
 // it must never panic, never allocate unboundedly, and classify every
-// failure as ErrCorrupt. Valid decodes must satisfy the encoding's
+// failure as wire.ErrCorrupt. Valid decodes must satisfy the encoding's
 // invariants (inline list within the declared total, sorted deltas
 // reconstructed consistently).
 func FuzzPackedRecordDecode(f *testing.F) {
 	for _, n := range packedFixtures() {
-		f.Add(encodePackedRecord(&n, noOverflow, len(n.Conn), nil))
+		f.Add(EncodePackedRecord(&n, noOverflow, len(n.Conn), nil))
 		if len(n.Conn) > 1 {
-			f.Add(encodePackedRecord(&n, 99, 1, nil))
+			f.Add(EncodePackedRecord(&n, 99, 1, nil))
 		}
 	}
 	f.Add([]byte{})
@@ -340,10 +348,10 @@ func FuzzPackedRecordDecode(f *testing.F) {
 	f.Add([]byte{0x00, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var arena connArena
-		n, total, ref, err := decodePackedRecord(data, &arena)
+		n, total, ref, err := DecodePackedRecord(data, &arena)
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			if !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("error %v does not wrap wire.ErrCorrupt", err)
 			}
 			return
 		}

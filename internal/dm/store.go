@@ -435,7 +435,7 @@ func (s *Store) appendPacked(n *Node, buf, obuf []byte) (heapfile.RID, error) {
 			overflowRef = int64(rid)
 		}
 	}
-	buf = encodePackedRecord(n, overflowRef, inline, buf)
+	buf = EncodePackedRecord(n, overflowRef, inline, buf)
 	rid, err := s.vheap.Append(buf)
 	if err != nil {
 		return 0, fmt.Errorf("dm: heap append: %w", err)
@@ -656,7 +656,7 @@ func (s *Store) fetchVarRecord(rid heapfile.RID, bufs *recBufs, tr *obs.Trace) (
 	var total int
 	var overflowRef int64
 	if s.layout == LayoutPacked {
-		n, total, overflowRef, err = decodePackedRecord(rec, &bufs.arena)
+		n, total, overflowRef, err = DecodePackedRecord(rec, &bufs.arena)
 		if err != nil {
 			return Node{}, err
 		}

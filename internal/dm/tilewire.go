@@ -1,12 +1,11 @@
 package dm
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 	"sort"
 
 	"dmesh/internal/geom"
+	"dmesh/internal/wire"
 )
 
 // Wire format for TilePatch (DMTP v2) — the unit a cluster shard ships to
@@ -54,46 +53,69 @@ const (
 func EncodeTilePatch(tp *TilePatch) []byte {
 	buf := make([]byte, 0, 64+27*len(tp.Nodes)+2*(len(tp.edges)+len(tp.outPairs))+4*len(tp.tris))
 	buf = append(buf, tileWireMagic...)
-	buf = binary.AppendUvarint(buf, tileWireVersion)
-	buf = appendF64(buf, tp.Rect.MinX, tp.Rect.MinY, tp.Rect.MaxX, tp.Rect.MaxY, tp.E)
-	buf = binary.AppendUvarint(buf, uint64(tp.FetchedRecords))
+	buf = wire.AppendUvarint(buf, tileWireVersion)
+	buf = wire.AppendF64(buf, tp.Rect.MinX, tp.Rect.MinY, tp.Rect.MaxX, tp.Rect.MaxY, tp.E)
+	buf = wire.AppendUvarint(buf, uint64(tp.FetchedRecords))
 
 	ids := make([]int64, 0, len(tp.Nodes))
 	for id := range tp.Nodes {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
+	buf = wire.AppendUvarint(buf, uint64(len(ids)))
 	prev := int64(-1)
 	for _, id := range ids {
 		p := tp.Nodes[id].Pos
-		buf = binary.AppendUvarint(buf, uint64(id-prev))
-		buf = appendF64(buf, p.X, p.Y, p.Z)
+		buf = wire.AppendUvarint(buf, uint64(id-prev))
+		buf = wire.AppendF64(buf, p.X, p.Y, p.Z)
 		prev = id
 	}
 
 	buf = appendPairRuns(buf, tp.edges)
-	buf = binary.AppendUvarint(buf, uint64(len(tp.tris)))
-	prev = 0
-	for _, t := range tp.tris {
-		buf = binary.AppendUvarint(buf, uint64(t.A-prev))
-		buf = binary.AppendUvarint(buf, uint64(t.B-t.A))
-		buf = binary.AppendUvarint(buf, uint64(t.C-t.B))
-		prev = t.A
-	}
+	buf = AppendTriangleSet(buf, tp.tris)
 	return appendPairRuns(buf, tp.outPairs)
 }
 
-func appendF64(buf []byte, vs ...float64) []byte {
-	for _, v := range vs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+// AppendTriangleSet codes canonical triangles (A < B < C) sorted by
+// (A, B, C) as the DMTP layout above describes. DMPS frames code their
+// triangle sets the same way.
+func AppendTriangleSet(buf []byte, ts []geom.Triangle) []byte {
+	buf = wire.AppendUvarint(buf, uint64(len(ts)))
+	prevA := int64(0)
+	for _, t := range ts {
+		buf = wire.AppendUvarint(buf, uint64(t.A-prevA))
+		buf = wire.AppendUvarint(buf, uint64(t.B-t.A))
+		buf = wire.AppendUvarint(buf, uint64(t.C-t.B))
+		prevA = t.A
 	}
 	return buf
 }
 
+// ReadTriangleSet reads what AppendTriangleSet wrote into one backing
+// array, accepting only canonical triangles in strictly ascending order.
+func ReadTriangleSet(r *wire.Reader, section string) []geom.Triangle {
+	n := r.Count(section, 3)
+	if n == 0 {
+		return nil
+	}
+	ts := make([]geom.Triangle, n)
+	var prev geom.Triangle
+	for i := 0; i < n && r.Err() == nil; i++ {
+		var t geom.Triangle
+		t.A = r.Step(prev.A, 0)
+		t.B = r.Step(t.A, 1)
+		t.C = r.Step(t.B, 1)
+		if i > 0 && t.A == prev.A && (t.B < prev.B || (t.B == prev.B && t.C <= prev.C)) {
+			r.Corruptf("out of order")
+		}
+		ts[i], prev = t, t
+	}
+	return ts
+}
+
 // appendPairRuns codes a pair list sorted by (a, b) as runs of equal a.
 func appendPairRuns(buf []byte, pairs [][2]int64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
+	buf = wire.AppendUvarint(buf, uint64(len(pairs)))
 	prevA := int64(-1)
 	for i := 0; i < len(pairs); {
 		a := pairs[i][0]
@@ -101,12 +123,12 @@ func appendPairRuns(buf []byte, pairs [][2]int64) []byte {
 		for j < len(pairs) && pairs[j][0] == a {
 			j++
 		}
-		buf = binary.AppendUvarint(buf, uint64(a-prevA))
-		buf = binary.AppendUvarint(buf, uint64(j-i))
+		buf = wire.AppendUvarint(buf, uint64(a-prevA))
+		buf = wire.AppendUvarint(buf, uint64(j-i))
 		b := pairs[i][1]
-		buf = binary.AppendVarint(buf, b-a)
+		buf = wire.AppendVarint(buf, b-a)
 		for i++; i < j; i++ {
-			buf = binary.AppendUvarint(buf, uint64(pairs[i][1]-b))
+			buf = wire.AppendUvarint(buf, uint64(pairs[i][1]-b))
 			b = pairs[i][1]
 		}
 		prevA = a
@@ -114,115 +136,31 @@ func appendPairRuns(buf []byte, pairs [][2]int64) []byte {
 	return buf
 }
 
-// tileWireReader is a bounds-checked cursor over an encoded patch. The
-// first failure sticks, so a decode loop checks err once per element
-// rather than per field. Every failure wraps ErrCorrupt and names the
-// section being read; allocation sizes are validated against the bytes
-// remaining, so truncated or hostile inputs fail cleanly instead of
-// panicking or ballooning memory.
-type tileWireReader struct {
-	b       []byte
-	off     int
-	section string
-	err     error
-}
-
-func (r *tileWireReader) corrupt(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("dm: tile patch wire: %s in %s at offset %d: %w", what, r.section, r.off, ErrCorrupt)
-	}
-}
-
-// uvarint reads one minimally encoded uvarint.
-func (r *tileWireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if off := r.off; off < len(r.b) && r.b[off] < 0x80 { // one byte: most deltas
-		r.off = off + 1
-		return uint64(r.b[off])
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.corrupt("bad uvarint")
-		return 0
-	}
-	// A zero final byte adds no value bits: the value has a shorter
-	// spelling, and accepting this one would break byte == value equality.
-	if n > 1 && r.b[r.off+n-1] == 0 {
-		r.corrupt("non-minimal uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// step reads a uvarint delta that must be at least min and returns
-// prev + delta, rejecting overflow past MaxInt64.
-func (r *tileWireReader) step(prev int64, min uint64) int64 {
-	d := r.uvarint()
-	next := prev + int64(d)
-	if d < min || d > math.MaxInt64 || next < prev {
-		r.corrupt("bad delta")
-	}
-	return next
-}
-
-func (r *tileWireReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.b) {
-		r.corrupt("truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v
-}
-
-// count opens a section: it reads the collection length and sanity-bounds
-// it — each element occupies at least minBytes on the wire, so a count the
-// remaining bytes cannot hold is corruption, not an allocation request.
-func (r *tileWireReader) count(section string, minBytes int) int {
-	r.section = section
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64(len(r.b)-r.off)/uint64(minBytes) {
-		r.corrupt("impossible count")
-		return 0
-	}
-	return int(v)
-}
-
-// pairRuns reads a run-coded pair list into one backing array.
-func (r *tileWireReader) pairRuns(section string) [][2]int64 {
-	n := r.count(section, 1)
+// readPairRuns reads a run-coded pair list into one backing array.
+func readPairRuns(r *wire.Reader, section string) [][2]int64 {
+	n := r.Count(section, 1)
 	if n == 0 {
 		return nil
 	}
 	pairs := make([][2]int64, n)
 	a := int64(-1)
-	for i := 0; i < n && r.err == nil; {
-		a = r.step(a, 1)
-		run := r.uvarint()
+	for i := 0; i < n && r.Err() == nil; {
+		a = r.Step(a, 1)
+		run := r.Uvarint()
 		if run == 0 || run > uint64(n-i) {
-			r.corrupt("bad run length")
+			r.Corruptf("bad run length")
 			break
 		}
 		// First b: a zigzag offset from a. a is non-negative, so an
 		// overflowing sum wraps negative like any other bad offset.
-		u := r.uvarint()
-		b := a + (int64(u>>1) ^ -int64(u&1))
+		b := a + r.Varint()
 		if b < 0 {
-			r.corrupt("bad offset")
+			r.Corruptf("bad offset")
 		}
 		pairs[i] = [2]int64{a, b}
 		i++
-		for end := i + int(run) - 1; i < end && r.err == nil; i++ {
-			b = r.step(b, 1)
+		for end := i + int(run) - 1; i < end && r.Err() == nil; i++ {
+			b = r.Step(b, 1)
 			pairs[i] = [2]int64{a, b}
 		}
 	}
@@ -231,7 +169,7 @@ func (r *tileWireReader) pairRuns(section string) [][2]int64 {
 
 // DecodeTilePatch parses a patch encoded by EncodeTilePatch. The decode
 // is panic-free on arbitrary input: corruption — a v1 body included —
-// surfaces as an error wrapping ErrCorrupt, and any input that decodes
+// surfaces as an error wrapping wire.ErrCorrupt, and any input that decodes
 // re-encodes to the identical bytes.
 //
 // A decoded patch is stitch-ready, not re-materializable: its Nodes carry
@@ -243,56 +181,38 @@ func (r *tileWireReader) pairRuns(section string) [][2]int64 {
 // Nodes is pre-sized and points into one []Node slab, and edges,
 // triangles and out-pairs each own one backing array.
 func DecodeTilePatch(b []byte) (*TilePatch, error) {
-	if len(b) < len(tileWireMagic) || string(b[:len(tileWireMagic)]) != tileWireMagic {
-		return nil, fmt.Errorf("dm: tile patch wire: bad magic: %w", ErrCorrupt)
-	}
-	r := &tileWireReader{b: b, off: len(tileWireMagic), section: "header"}
-	if v := r.uvarint(); r.err == nil && v != tileWireVersion {
-		return nil, fmt.Errorf("dm: tile patch wire: unsupported version %d: %w", v, ErrCorrupt)
+	r := wire.NewReader("dm: tile patch wire", b)
+	r.Magic(tileWireMagic)
+	if v := r.Uvarint(); v != tileWireVersion {
+		r.Corruptf("unsupported version %d", v)
 	}
 	tp := &TilePatch{}
-	tp.Rect.MinX, tp.Rect.MinY = r.f64(), r.f64()
-	tp.Rect.MaxX, tp.Rect.MaxY = r.f64(), r.f64()
-	tp.E = r.f64()
-	if v := r.uvarint(); v > math.MaxInt {
-		r.corrupt("fetched records out of range")
+	tp.Rect.MinX, tp.Rect.MinY = r.F64(), r.F64()
+	tp.Rect.MaxX, tp.Rect.MaxY = r.F64(), r.F64()
+	tp.E = r.F64()
+	if v := r.Uvarint(); v > math.MaxInt {
+		r.Corruptf("fetched records out of range")
 	} else {
 		tp.FetchedRecords = int(v)
 	}
 
-	nNodes := r.count("nodes", 1+3*8)
+	nNodes := r.Count("nodes", 1+3*8)
 	slab := make([]Node, nNodes)
 	tp.Nodes = make(map[int64]*Node, nNodes)
 	id := int64(-1)
-	for i := 0; i < nNodes && r.err == nil; i++ {
-		id = r.step(id, 1)
+	for i := 0; i < nNodes && r.Err() == nil; i++ {
+		id = r.Step(id, 1)
 		n := &slab[i]
 		n.ID = id
-		n.Pos.X, n.Pos.Y, n.Pos.Z = r.f64(), r.f64(), r.f64()
+		n.Pos.X, n.Pos.Y, n.Pos.Z = r.F64(), r.F64(), r.F64()
 		tp.Nodes[id] = n
 	}
 
-	tp.edges = r.pairRuns("edges")
-	if nTris := r.count("triangles", 3); nTris > 0 {
-		tp.tris = make([]geom.Triangle, nTris)
-		var prev geom.Triangle
-		for i := 0; i < nTris && r.err == nil; i++ {
-			var t geom.Triangle
-			t.A = r.step(prev.A, 0)
-			t.B = r.step(t.A, 1)
-			t.C = r.step(t.B, 1)
-			if i > 0 && t.A == prev.A && (t.B < prev.B || (t.B == prev.B && t.C <= prev.C)) {
-				r.corrupt("out of order")
-			}
-			tp.tris[i], prev = t, t
-		}
-	}
-	tp.outPairs = r.pairRuns("out-pairs")
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("dm: tile patch wire: %d trailing bytes: %w", len(b)-r.off, ErrCorrupt)
+	tp.edges = readPairRuns(&r, "edges")
+	tp.tris = ReadTriangleSet(&r, "triangles")
+	tp.outPairs = readPairRuns(&r, "out-pairs")
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return tp, nil
 }

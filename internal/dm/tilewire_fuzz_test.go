@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"dmesh/internal/geom"
+	"dmesh/internal/wire"
 )
 
 // FuzzTilePatchDecode feeds arbitrary bytes to the tile-patch wire
 // decoder — the exact bytes a cluster router reads off a possibly
 // truncating or corrupting shard connection. It must never panic, every
-// rejection must wrap ErrCorrupt so the router's failover classifies it
+// rejection must wrap wire.ErrCorrupt so the router's failover classifies it
 // as a failed attempt, and the decode is canonical: whatever decodes
 // re-encodes to the identical bytes, so byte equality is value equality.
 //
@@ -40,8 +41,8 @@ func FuzzTilePatchDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeTilePatch(data)
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			if !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("error %v does not wrap wire.ErrCorrupt", err)
 			}
 			return
 		}

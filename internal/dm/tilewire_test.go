@@ -10,6 +10,7 @@ import (
 
 	"dmesh/internal/geom"
 	"dmesh/internal/pm"
+	"dmesh/internal/wire"
 )
 
 func materializeWirePatches(t *testing.T, s *Store, r geom.Rect, e float64, level int) []*TilePatch {
@@ -137,55 +138,30 @@ func TestStitchDecodedTiles(t *testing.T) {
 	}
 }
 
-// TestTilePatchWireCorruption: truncations, bit flips, and malicious
-// counts all fail with ErrCorrupt and never panic.
+// TestTilePatchWireCorruption: the DMTP-specific violations — wrong magic
+// or version, a count the body cannot hold, every non-canonical spelling,
+// a v1 body — fail with wire.ErrCorrupt. (Truncation, trailing bytes and
+// non-minimal varints in a real patch are the shared harness's,
+// internal/wire TestDecoders.)
 func TestTilePatchWireCorruption(t *testing.T) {
-	ds, _ := buildDataset(t, 7, "highland")
-	s := newTestStore(t, ds)
-	tp, err := s.MaterializeTile(geom.Rect{MinX: 0, MinY: 0, MaxX: 0.5, MaxY: 0.5}, eAtPercentile(ds, 0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := EncodeTilePatch(tp)
-
 	requireCorrupt := func(label string, b []byte) {
 		t.Helper()
-		defer func() {
-			if p := recover(); p != nil {
-				t.Fatalf("%s: decode panicked: %v", label, p)
-			}
-		}()
-		if _, err := DecodeTilePatch(b); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: err = %v, want ErrCorrupt", label, err)
+		if _, err := DecodeTilePatch(b); !errors.Is(err, wire.ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want wire.ErrCorrupt", label, err)
 		}
 	}
-
-	requireCorrupt("empty", nil)
-	requireCorrupt("bad magic", append([]byte("XXXX"), enc[4:]...))
-	badVer := append([]byte(nil), enc...)
-	badVer[4] = 99
-	requireCorrupt("bad version", badVer)
-	// Every truncation point must fail cleanly (a prefix can't be a valid
-	// encoding: the decoder requires exhausting the input exactly).
-	for _, cut := range []int{5, 12, 44, 60, len(enc) / 3, len(enc) / 2, len(enc) - 1} {
-		if cut < len(enc) {
-			requireCorrupt(fmt.Sprintf("truncated at %d", cut), enc[:cut])
-		}
-	}
-	// Trailing garbage is corruption too.
-	requireCorrupt("trailing bytes", append(append([]byte(nil), enc...), 0xff))
-	// Blow up the node count: the remaining bytes can't hold it.
-	huge := append([]byte(nil), enc[:45]...) // magic+ver+rect+e = 4+1+32+8 = 45
-	huge = append(huge, 0x01)                // fetched = 1
-	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f)
-	requireCorrupt("impossible node count", huge)
-
-	// Spellings the encoder never emits are corruption, not alternatives:
-	// the decoder is canonical, so byte equality is value equality.
 	nc := nonCanonicalPatches()
 	if _, err := DecodeTilePatch(nc[0]); err != nil {
 		t.Fatalf("hand-built baseline patch does not decode: %v", err)
 	}
+	requireCorrupt("bad magic", append([]byte("XXXX"), nc[0][4:]...))
+	badVer := append([]byte(nil), nc[0]...)
+	badVer[4] = 99
+	requireCorrupt("bad version", badVer)
+	// Blow up the node count: the remaining bytes can't hold it.
+	requireCorrupt("impossible node count", patchBody([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}))
+	// Spellings the encoder never emits are corruption, not alternatives:
+	// the decoder is canonical, so byte equality is value equality.
 	for i, b := range nc[1:] {
 		requireCorrupt(fmt.Sprintf("non-canonical #%d", i+1), b)
 	}

@@ -1,18 +1,11 @@
 package obs
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"time"
-)
 
-// ErrCorrupt is the sentinel wrapped by every trace-wire decode failure,
-// mirroring the storage layer's corruption discipline: a malformed or
-// truncated wire trace is rejected with a descriptive error, never a
-// panic. (The obs package cannot import the storage sentinel without a
-// cycle, so cross-layer callers match on their own layer's sentinel.)
-var ErrCorrupt = errors.New("corrupt trace wire")
+	"dmesh/internal/wire"
+)
 
 // Trace wire format (TraceWire, version 1) — the compact deterministic
 // binary encoding a shard attaches to its responses so a router can
@@ -55,21 +48,22 @@ func (t *Trace) EncodeWire() ([]byte, error) {
 		}
 		spans = t.spans
 	}
+	return encodeWireSpans(spans), nil
+}
+
+func encodeWireSpans(spans []Span) []byte {
 	buf := make([]byte, 0, len(traceWireMagic)+2+len(spans)*12)
 	buf = append(buf, traceWireMagic...)
-	buf = binary.AppendUvarint(buf, traceWireVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(spans)))
+	buf = wire.AppendUvarint(buf, traceWireVersion)
+	buf = wire.AppendUvarint(buf, uint64(len(spans)))
 	for i := range spans {
 		sp := &spans[i]
-		buf = binary.AppendUvarint(buf, uint64(sp.Phase))
-		buf = binary.AppendUvarint(buf, uint64(sp.Parent+1))
-		buf = binary.AppendUvarint(buf, uint64(sp.Start))
-		buf = binary.AppendUvarint(buf, uint64(sp.Dur))
-		buf = binary.AppendUvarint(buf, uint64(sp.childDur))
-		buf = binary.AppendUvarint(buf, sp.DA)
-		buf = binary.AppendUvarint(buf, sp.childDA)
+		for _, v := range [...]uint64{uint64(sp.Phase), uint64(sp.Parent + 1),
+			uint64(sp.Start), uint64(sp.Dur), uint64(sp.childDur), sp.DA, sp.childDA} {
+			buf = wire.AppendUvarint(buf, v)
+		}
 	}
-	return buf, nil
+	return buf
 }
 
 // WireTrace is a decoded trace wire: the remote spans with their
@@ -77,6 +71,10 @@ func (t *Trace) EncodeWire() ([]byte, error) {
 type WireTrace struct {
 	Spans []Span
 }
+
+// Encode re-serializes the decoded spans; for any wire DecodeTraceWire
+// accepts it returns the identical bytes.
+func (wt *WireTrace) Encode() []byte { return encodeWireSpans(wt.Spans) }
 
 // TotalDA sums the root spans' inclusive disk accesses — the remote
 // trace's view of what the traced request cost. Zero on nil.
@@ -104,97 +102,42 @@ func (wt *WireTrace) rootDur() time.Duration {
 	return total
 }
 
-// wireReader walks a trace wire buffer; every read failure is a
-// truncation wrapped in ErrCorrupt.
-type wireReader struct {
-	buf []byte
-	off int
-}
-
-func (r *wireReader) uvarint(field string) (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("obs: trace wire: truncated or overlong %s at offset %d: %w", field, r.off, ErrCorrupt)
-	}
-	// Reject non-minimal encodings (a zero final byte adds no value
-	// bits): the format's uniqueness guarantee — byte equality is trace
-	// equality — holds only if each value has exactly one encoding.
-	if n > 1 && r.buf[r.off+n-1] == 0 {
-		return 0, fmt.Errorf("obs: trace wire: non-minimal %s at offset %d: %w", field, r.off, ErrCorrupt)
-	}
-	r.off += n
-	return v, nil
-}
-
 // DecodeTraceWire parses a TraceWire buffer. It never panics: any
 // malformed input — bad magic, unknown version, phase out of range,
 // forward or self parent references, child costs exceeding the span's
-// own, truncation at any byte, or trailing garbage — returns an error
-// wrapping ErrCorrupt.
+// own, a non-minimal varint, truncation at any byte, or trailing
+// garbage — returns an error wrapping wire.ErrCorrupt.
 func DecodeTraceWire(buf []byte) (*WireTrace, error) {
-	if len(buf) < len(traceWireMagic) || string(buf[:len(traceWireMagic)]) != traceWireMagic {
-		return nil, fmt.Errorf("obs: trace wire: bad magic: %w", ErrCorrupt)
-	}
-	r := &wireReader{buf: buf, off: len(traceWireMagic)}
-	version, err := r.uvarint("version")
-	if err != nil {
-		return nil, err
-	}
-	if version != traceWireVersion {
-		return nil, fmt.Errorf("obs: trace wire: unsupported version %d: %w", version, ErrCorrupt)
-	}
-	count, err := r.uvarint("span count")
-	if err != nil {
-		return nil, err
-	}
-	if count > maxWireSpans {
-		return nil, fmt.Errorf("obs: trace wire: implausible span count %d: %w", count, ErrCorrupt)
+	r := wire.NewReader("obs: trace wire", buf)
+	r.Magic(traceWireMagic)
+	if v := r.Uvarint(); v != traceWireVersion {
+		r.Corruptf("unsupported version %d", v)
 	}
 	// Allocation bounded by the physical buffer: a span needs >= 7 bytes.
-	if int(count) > len(buf)/7+1 {
-		return nil, fmt.Errorf("obs: trace wire: %d spans in a %d-byte wire: %w", count, len(buf), ErrCorrupt)
+	count := r.Count("spans", 7)
+	if count > maxWireSpans {
+		r.Corruptf("implausible span count %d", count)
+	}
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	spans := make([]Span, count)
 	for i := range spans {
-		phase, err := r.uvarint("phase")
-		if err != nil {
-			return nil, err
+		phase, parent := r.Uvarint(), r.Uvarint()
+		start, dur, childDur := r.Uvarint(), r.Uvarint(), r.Uvarint()
+		da, childDA := r.Uvarint(), r.Uvarint()
+		switch {
+		case phase >= uint64(NumPhases):
+			r.Corruptf("span %d: phase %d out of range", i, phase)
+		case parent > uint64(i):
+			r.Corruptf("span %d: parent %d not before it", i, int64(parent)-1)
+		case childDur > dur:
+			r.Corruptf("span %d: children claim %dns of a %dns span", i, childDur, dur)
+		case childDA > da:
+			r.Corruptf("span %d: children claim %d DA of a %d-DA span", i, childDA, da)
 		}
-		if phase >= uint64(NumPhases) {
-			return nil, fmt.Errorf("obs: trace wire: span %d: phase %d out of range: %w", i, phase, ErrCorrupt)
-		}
-		parent, err := r.uvarint("parent")
-		if err != nil {
-			return nil, err
-		}
-		if parent > uint64(i) {
-			return nil, fmt.Errorf("obs: trace wire: span %d: parent %d not before it: %w", i, int64(parent)-1, ErrCorrupt)
-		}
-		start, err := r.uvarint("start")
-		if err != nil {
-			return nil, err
-		}
-		dur, err := r.uvarint("dur")
-		if err != nil {
-			return nil, err
-		}
-		childDur, err := r.uvarint("child dur")
-		if err != nil {
-			return nil, err
-		}
-		if childDur > dur {
-			return nil, fmt.Errorf("obs: trace wire: span %d: children claim %dns of a %dns span: %w", i, childDur, dur, ErrCorrupt)
-		}
-		da, err := r.uvarint("da")
-		if err != nil {
-			return nil, err
-		}
-		childDA, err := r.uvarint("child da")
-		if err != nil {
-			return nil, err
-		}
-		if childDA > da {
-			return nil, fmt.Errorf("obs: trace wire: span %d: children claim %d DA of a %d-DA span: %w", i, childDA, da, ErrCorrupt)
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		spans[i] = Span{
 			Phase:    Phase(phase),
@@ -206,8 +149,8 @@ func DecodeTraceWire(buf []byte) (*WireTrace, error) {
 			childDur: time.Duration(childDur),
 		}
 	}
-	if r.off != len(buf) {
-		return nil, fmt.Errorf("obs: trace wire: %d trailing bytes: %w", len(buf)-r.off, ErrCorrupt)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return &WireTrace{Spans: spans}, nil
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"dmesh/internal/wire"
 )
 
 // sampleTrace builds a closed charge-based trace shaped like a real
@@ -96,15 +98,11 @@ func TestTraceWireRejectsOpenSpans(t *testing.T) {
 	}
 }
 
-// TestTraceWireDecodeCorrupt enumerates the malformed-input classes the
-// decoder must reject, each with an error wrapping ErrCorrupt and no
-// panic: bad magic, bad version, truncation at every prefix, field
-// range violations, and trailing garbage.
+// TestTraceWireDecodeCorrupt enumerates the DMTW-specific violations the
+// decoder must reject with wire.ErrCorrupt: bad magic, bad version and
+// field range violations. (Truncation, trailing bytes and non-minimal
+// varints are the shared harness's, internal/wire TestDecoders.)
 func TestTraceWireDecodeCorrupt(t *testing.T) {
-	wire, err := sampleTrace().EncodeWire()
-	if err != nil {
-		t.Fatal(err)
-	}
 	check := func(name string, buf []byte) {
 		t.Helper()
 		wt, err := DecodeTraceWire(buf)
@@ -112,17 +110,12 @@ func TestTraceWireDecodeCorrupt(t *testing.T) {
 			t.Errorf("%s: decoded successfully (%d spans)", name, len(wt.Spans))
 			return
 		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: error does not wrap ErrCorrupt: %v", name, err)
+		if !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: error does not wrap wire.ErrCorrupt: %v", name, err)
 		}
 	}
-	check("empty", nil)
 	check("bad magic", []byte("XMTW\x01\x00"))
 	check("bad version", []byte("DMTW\x02\x00"))
-	for i := 0; i < len(wire); i++ {
-		check("prefix", wire[:i])
-	}
-	check("trailing byte", append(append([]byte(nil), wire...), 0))
 
 	// Field violations, hand-built on a one-span wire:
 	// phase out of range.
@@ -239,33 +232,28 @@ func TestSpliceRemoteNoOpPaths(t *testing.T) {
 }
 
 // FuzzTraceWireDecode throws arbitrary bytes at the decoder: it must
-// never panic, any error must wrap ErrCorrupt, and an accepted input
+// never panic, any error must wrap wire.ErrCorrupt, and an accepted input
 // must re-encode to exactly the bytes that were decoded (unique
 // encoding — the decoder accepts nothing the encoder would not emit).
 func FuzzTraceWireDecode(f *testing.F) {
-	wire, err := sampleTrace().EncodeWire()
+	enc, err := sampleTrace().EncodeWire()
 	if err != nil {
 		f.Fatal(err)
 	}
-	for i := 0; i <= len(wire); i++ {
-		f.Add(wire[:i])
+	for i := 0; i <= len(enc); i++ {
+		f.Add(enc[:i])
 	}
 	f.Add([]byte("DMTW"))
 	f.Add([]byte{'D', 'M', 'T', 'W', 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wt, err := DecodeTraceWire(data)
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("decode error does not wrap ErrCorrupt: %v", err)
+			if !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("decode error does not wrap wire.ErrCorrupt: %v", err)
 			}
 			return
 		}
-		rt := &Trace{spans: wt.Spans}
-		out, err := rt.EncodeWire()
-		if err != nil {
-			t.Fatalf("re-encoding an accepted wire: %v", err)
-		}
-		if !bytes.Equal(out, data) {
+		if out := wt.Encode(); !bytes.Equal(out, data) {
 			t.Fatalf("decode/encode not the identity:\n in: %x\nout: %x", data, out)
 		}
 	})

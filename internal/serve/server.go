@@ -82,12 +82,6 @@ type Server struct {
 	model   *dmesh.CostModel
 	cache   *dmesh.DMTileCache
 
-	served   atomic.Uint64
-	tileDA   atomic.Uint64
-	patches  atomic.Uint64
-	patchDA  atomic.Uint64
-	streams  atomic.Uint64
-	streamDA atomic.Uint64
 	inflight atomic.Int64
 
 	// Telemetry: the metrics registry behind /metrics and /debug/vars,
@@ -221,13 +215,15 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // PatchTotals reports the wire-patch traffic: requests served and the
 // store disk accesses they cost (cold materializations only).
 func (s *Server) PatchTotals() (served, da uint64) {
-	return s.patches.Load(), s.patchDA.Load()
+	h := s.hPatchDA.Snapshot()
+	return h.Count, h.Sum
 }
 
 // StreamTotals reports the progressive-stream traffic: streams served
 // and the store disk accesses their rung queries cost.
 func (s *Server) StreamTotals() (served, da uint64) {
-	return s.streams.Load(), s.streamDA.Load()
+	h := s.hStreamDA.Snapshot()
+	return h.Count, h.Sum
 }
 
 // Handler mounts the serving endpoints, plus (when introspect is set)
@@ -401,11 +397,31 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.writeHealth(w, http.StatusOK, HealthResponse{Status: "ready"})
 }
 
+// meshJSON is a query answer's JSON shape, embedded in the /tile and
+// /frame responses.
+type meshJSON struct {
+	Vertices  map[string][3]float64 `json:"vertices"`
+	Triangles [][3]int64            `json:"triangles"`
+}
+
+func meshJSONOf(res *dmesh.Result) meshJSON {
+	m := meshJSON{
+		Vertices:  make(map[string][3]float64, len(res.Vertices)),
+		Triangles: make([][3]int64, 0, len(res.Triangles)),
+	}
+	for id, p := range res.Vertices {
+		m.Vertices[strconv.FormatInt(id, 10)] = [3]float64{p.X, p.Y, p.Z}
+	}
+	for _, t := range res.Triangles {
+		m.Triangles = append(m.Triangles, [3]int64{t.A, t.B, t.C})
+	}
+	return m
+}
+
 type tileResponse struct {
-	LOD          float64               `json:"lod"`
-	Vertices     map[string][3]float64 `json:"vertices"`
-	Triangles    [][3]int64            `json:"triangles"`
-	DiskAccesses uint64                `json:"disk_accesses"`
+	LOD float64 `json:"lod"`
+	meshJSON
+	DiskAccesses uint64 `json:"disk_accesses"`
 }
 
 func queryFloat(r *http.Request, name string, def float64) (float64, error) {
@@ -422,6 +438,42 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 		return def, nil
 	}
 	return strconv.Atoi(v)
+}
+
+// lodParam names one LOD-percentile query parameter and its default.
+type lodParam struct {
+	name string
+	def  float64
+}
+
+// parseROILOD reads the x0/y0/x1/y1 rectangle (default: the unit square)
+// and each named LOD percentile, which must lie in [0,1].
+func parseROILOD(r *http.Request, lods ...lodParam) (geom.Rect, []float64, error) {
+	var c [4]float64
+	for i, name := range [4]string{"x0", "y0", "x1", "y1"} {
+		v, err := queryFloat(r, name, float64(i/2))
+		if err != nil {
+			return geom.Rect{}, nil, err
+		}
+		c[i] = v
+	}
+	pcts := make([]float64, len(lods))
+	for i, l := range lods {
+		v, err := queryFloat(r, l.name, l.def)
+		if err != nil {
+			return geom.Rect{}, nil, err
+		}
+		if v < 0 || v > 1 {
+			return geom.Rect{}, nil, fmt.Errorf("%s must be a percentile in [0,1]", l.name)
+		}
+		pcts[i] = v
+	}
+	return dmesh.NewRect(c[0], c[1], c[2], c[3]), pcts, nil
+}
+
+// roiLabel renders a rectangle for slow-log entries.
+func roiLabel(r geom.Rect) string {
+	return fmt.Sprintf("roi=[%g,%g,%g,%g]", r.MinX, r.MinY, r.MaxX, r.MaxY)
 }
 
 // jsonError answers a failed request with a JSON body, so API clients
@@ -470,28 +522,16 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 }
 
 func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
-	x0, err1 := queryFloat(r, "x0", 0)
-	y0, err2 := queryFloat(r, "y0", 0)
-	x1, err3 := queryFloat(r, "x1", 1)
-	y1, err4 := queryFloat(r, "y1", 1)
-	pct, err5 := queryFloat(r, "lod", 0.9)
-	for _, err := range []error{err1, err2, err3, err4, err5} {
-		if err != nil {
-			s.jsonError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	if pct < 0 || pct > 1 {
-		s.jsonError(w, http.StatusBadRequest, fmt.Errorf("lod must be a percentile in [0,1]"))
+	roi, pcts, err := parseROILOD(r, lodParam{"lod", 0.9})
+	if err != nil {
+		s.jsonError(w, http.StatusBadRequest, err)
 		return
 	}
-	roi := dmesh.NewRect(x0, y0, x1, y1)
-	lod := s.terrain.LODPercentile(pct)
+	lod := s.terrain.LODPercentile(pcts[0])
 
 	var res *dmesh.Result
 	var da uint64
 	var tr *obs.Trace
-	var err error
 	start := time.Now()
 	nocache := r.URL.Query().Get("nocache") != ""
 	if nocache {
@@ -517,30 +557,14 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		s.jsonError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.served.Add(1)
-	s.tileDA.Add(da)
 	s.mTileReqs.Inc()
 	s.hTileDA.Observe(da)
 	s.hTileNanos.Observe(uint64(dur))
-	s.slow.Observe(fmt.Sprintf("tile roi=[%g,%g,%g,%g] lod=%g nocache=%t", x0, y0, x1, y1, pct, nocache),
-		dur, da, tr)
+	s.slow.Observe(fmt.Sprintf("tile %s lod=%g nocache=%t", roiLabel(roi), pcts[0], nocache), dur, da, tr)
 	if traceRequested(r) {
 		attachTrace(w.Header(), tr)
 	}
-
-	resp := tileResponse{
-		LOD:          lod,
-		Vertices:     make(map[string][3]float64, len(res.Vertices)),
-		Triangles:    make([][3]int64, 0, len(res.Triangles)),
-		DiskAccesses: da,
-	}
-	for id, p := range res.Vertices {
-		resp.Vertices[strconv.FormatInt(id, 10)] = [3]float64{p.X, p.Y, p.Z}
-	}
-	for _, t := range res.Triangles {
-		resp.Triangles = append(resp.Triangles, [3]int64{t.A, t.B, t.C})
-	}
-	s.writeJSON(w, resp)
+	s.writeJSON(w, tileResponse{LOD: lod, meshJSON: meshJSONOf(res), DiskAccesses: da})
 }
 
 // handlePatch answers one canonical tile by key in the binary wire
@@ -582,8 +606,6 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dur := time.Since(start) // lookup, materialization and encoding: all but the write
-	s.patches.Add(1)
-	s.patchDA.Add(st.DA)
 	s.mPatchReqs.Inc()
 	s.hPatchDA.Observe(st.DA)
 	s.hPatchNs.Observe(uint64(dur))
@@ -614,37 +636,20 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 // rungs' queries to rebuild the delta state, but transmits only the
 // batches after resume.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	x0, err1 := queryFloat(r, "x0", 0)
-	y0, err2 := queryFloat(r, "y0", 0)
-	x1, err3 := queryFloat(r, "x1", 1)
-	y1, err4 := queryFloat(r, "y1", 1)
-	pct, err5 := queryFloat(r, "lod", 0.9)
-	resume, err6 := queryInt(r, "resume", -1)
-	for _, err := range []error{err1, err2, err3, err4, err5, err6} {
-		if err != nil {
-			s.jsonError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	if pct < 0 || pct > 1 {
-		s.jsonError(w, http.StatusBadRequest, fmt.Errorf("lod must be a percentile in [0,1]"))
-		return
-	}
-	roi := dmesh.NewRect(x0, y0, x1, y1)
-	band, _ := s.cache.Grid().SnapE(s.terrain.LODPercentile(pct))
-	levels, err := stream.LevelsFor(s.cache.Grid().Ladder(), band)
+	roi, pcts, err := parseROILOD(r, lodParam{"lod", 0.9})
 	if err != nil {
 		s.jsonError(w, http.StatusBadRequest, err)
 		return
 	}
-	if resume < -1 || resume >= len(levels) {
-		s.jsonError(w, http.StatusBadRequest,
-			fmt.Errorf("resume %d outside [-1, %d)", resume, len(levels)))
+	resume, err := queryInt(r, "resume", -1)
+	if err != nil {
+		s.jsonError(w, http.StatusBadRequest, err)
 		return
 	}
-	enc, err := stream.NewEncoder(roi, levels)
+	band, _ := s.cache.Grid().SnapE(s.terrain.LODPercentile(pcts[0]))
+	enc, err := stream.Plan(roi, s.cache.Grid().Ladder(), band, resume)
 	if err != nil {
-		s.jsonError(w, http.StatusInternalServerError, err)
+		s.jsonError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -660,76 +665,46 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-DM-Batches", strconv.Itoa(len(levels)))
+	w.Header().Set("X-DM-Batches", strconv.Itoa(enc.NumBatches()))
 	w.Header().Set("X-DM-Target-E", strconv.FormatFloat(enc.TargetE(), 'g', -1, 64))
-	flusher, _ := w.(http.Flusher)
-	written, werr := w.Write(enc.Header())
-	sent := int64(written)
-	if werr != nil {
+	var da uint64
+	_, sent, err := enc.Run(flushWriter{w}, tr, func(level float64) (*dmesh.Result, error) {
+		res, qs, err := s.cache.QueryTraced(roi, level, tr)
+		da += qs.DA
+		return res, err
+	})
+	if err != nil {
+		// The header (and possibly earlier frames) are out, so the status
+		// line cannot change; cutting the connection leaves the client a
+		// length-prefixed truncation it can resume from.
 		s.mErrors.Inc()
-		log.Printf("stream write: %v", werr)
+		log.Printf("stream: %v", err)
 		return
 	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	var da uint64
-	tr.Begin(obs.PhaseQuery)
-	for i, e := range levels {
-		// A resumed stream re-runs rungs <= resume only to rebuild the
-		// encoder's delta state; wrap that replayed work in its own span
-		// so a trace shows what a resume paid for but never transmitted.
-		replay := i <= resume
-		if replay {
-			tr.Begin(obs.PhaseStreamReplay)
-		}
-		res, qs, err := s.cache.QueryTraced(roi, e, tr)
-		if err != nil {
-			// The header (and possibly earlier frames) are out, so the
-			// status line cannot change; cutting the connection leaves the
-			// client a length-prefixed truncation it can resume from.
-			s.mErrors.Inc()
-			log.Printf("stream query (rung %d): %v", i, err)
-			return
-		}
-		da += qs.DA
-		frame, err := enc.EncodeNextTraced(res, tr)
-		if err != nil {
-			s.mErrors.Inc()
-			log.Printf("stream encode (rung %d): %v", i, err)
-			return
-		}
-		if replay {
-			tr.End()
-			continue
-		}
-		n, err := w.Write(frame)
-		sent += int64(n)
-		if err != nil {
-			s.mErrors.Inc()
-			log.Printf("stream write (rung %d): %v", i, err)
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	tr.End()
 	dur := time.Since(start)
-	s.streams.Add(1)
-	s.streamDA.Add(da)
 	s.mStreamReqs.Inc()
 	s.hStreamDA.Observe(da)
-	s.hStreamBy.Observe(uint64(sent))
+	s.hStreamBy.Observe(uint64(sent.Bytes))
 	s.hStreamNs.Observe(uint64(dur))
-	s.slow.Observe(fmt.Sprintf("stream roi=[%g,%g,%g,%g] lod=%g resume=%d", x0, y0, x1, y1, pct, resume),
-		dur, da, tr)
+	s.slow.Observe(fmt.Sprintf("stream %s lod=%g resume=%d", roiLabel(roi), pcts[0], resume), dur, da, tr)
 	if tr != nil {
 		// Trailer values: set on the header map after the body, delivered
 		// in the chunked trailer block (declared before the first write).
 		attachTrace(w.Header(), tr)
 		w.Header().Set("X-DM-DA", strconv.FormatUint(da, 10))
 	}
+}
+
+// flushWriter pushes every write of a streamed body out to the client at
+// once: the header, then each batch as soon as its rung is encoded.
+type flushWriter struct{ w http.ResponseWriter }
+
+func (fw flushWriter) Write(p []byte) (int, error) {
+	n, err := fw.w.Write(p)
+	if f, ok := fw.w.(http.Flusher); ok && err == nil {
+		f.Flush()
+	}
+	return n, err
 }
 
 // hotTile is one entry of the /hottiles ranking.
@@ -744,6 +719,13 @@ type hotTile struct {
 	Nodes int    `json:"nodes"`
 }
 
+func hotTileOf(ts tilecache.TileStat) hotTile {
+	return hotTile{
+		Level: ts.Key.Level, IX: ts.Key.IX, IY: ts.Key.IY, Band: ts.Key.Band,
+		Hits: ts.Hits, DA: ts.DA, Bytes: ts.Bytes, Nodes: ts.Nodes,
+	}
+}
+
 // handleHotTiles reports the cache's top-K hottest tiles in the
 // deterministic replication order (hits descending, Key order ties).
 func (s *Server) handleHotTiles(w http.ResponseWriter, r *http.Request) {
@@ -755,10 +737,7 @@ func (s *Server) handleHotTiles(w http.ResponseWriter, r *http.Request) {
 	top := s.cache.TopTiles(n)
 	out := make([]hotTile, 0, len(top))
 	for _, ts := range top {
-		out = append(out, hotTile{
-			Level: ts.Key.Level, IX: ts.Key.IX, IY: ts.Key.IY, Band: ts.Key.Band,
-			Hits: ts.Hits, DA: ts.DA, Bytes: ts.Bytes, Nodes: ts.Nodes,
-		})
+		out = append(out, hotTileOf(ts))
 	}
 	s.writeJSON(w, out)
 }
@@ -788,14 +767,13 @@ func (s *Server) Grid() *tilecache.Grid { return s.cache.Grid() }
 func (s *Server) DataSpace() geom.Rect { return s.cache.Grid().DataRect() }
 
 type frameResponse struct {
-	Session      string                `json:"session"`
-	Full         bool                  `json:"full"`
-	Retained     int                   `json:"retained"`
-	Fetched      int                   `json:"fetched"`
-	Evicted      int                   `json:"evicted"`
-	Vertices     map[string][3]float64 `json:"vertices"`
-	Triangles    [][3]int64            `json:"triangles"`
-	DiskAccesses uint64                `json:"disk_accesses"`
+	Session  string `json:"session"`
+	Full     bool   `json:"full"`
+	Retained int    `json:"retained"`
+	Fetched  int    `json:"fetched"`
+	Evicted  int    `json:"evicted"`
+	meshJSON
+	DiskAccesses uint64 `json:"disk_accesses"`
 }
 
 // handleFrame answers one frame of a named client's camera animation
@@ -809,26 +787,15 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 		s.jsonError(w, http.StatusBadRequest, fmt.Errorf("session parameter required"))
 		return
 	}
-	x0, err1 := queryFloat(r, "x0", 0)
-	y0, err2 := queryFloat(r, "y0", 0)
-	x1, err3 := queryFloat(r, "x1", 1)
-	y1, err4 := queryFloat(r, "y1", 1)
-	near, err5 := queryFloat(r, "near", 0.75)
-	far, err6 := queryFloat(r, "far", 0.99)
-	for _, err := range []error{err1, err2, err3, err4, err5, err6} {
-		if err != nil {
-			s.jsonError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	if near < 0 || near > 1 || far < 0 || far > 1 {
-		s.jsonError(w, http.StatusBadRequest, fmt.Errorf("near and far must be percentiles in [0,1]"))
+	roi, pcts, err := parseROILOD(r, lodParam{"near", 0.75}, lodParam{"far", 0.99})
+	if err != nil {
+		s.jsonError(w, http.StatusBadRequest, err)
 		return
 	}
 	plane := dmesh.QueryPlane{
-		R:    dmesh.NewRect(x0, y0, x1, y1),
-		EMin: s.terrain.LODPercentile(near),
-		EMax: s.terrain.LODPercentile(far),
+		R:    roi,
+		EMin: s.terrain.LODPercentile(pcts[0]),
+		EMax: s.terrain.LODPercentile(pcts[1]),
 		Axis: 1,
 	}
 
@@ -844,8 +811,7 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 		// Observe under the camera lock: the trace is reset by the next
 		// frame, and Observe copies the phase stats out. The wire encoding
 		// is captured under the same lock for the same reason.
-		s.slow.Observe(fmt.Sprintf("frame session=%s roi=[%g,%g,%g,%g]", name, x0, y0, x1, y1),
-			dur, st.DA, cam.tr)
+		s.slow.Observe(fmt.Sprintf("frame session=%s %s", name, roiLabel(roi)), dur, st.DA, cam.tr)
 		if traceRequested(r) {
 			if buf, encErr := cam.tr.EncodeWire(); encErr == nil {
 				wire = base64.StdEncoding.EncodeToString(buf)
@@ -864,23 +830,15 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	s.hFrameDA.Observe(st.DA)
 	s.hFrameNs.Observe(uint64(dur))
 
-	resp := frameResponse{
+	s.writeJSON(w, frameResponse{
 		Session:      name,
 		Full:         st.Full,
 		Retained:     st.Retained,
 		Fetched:      st.Fetched,
 		Evicted:      st.Evicted,
-		Vertices:     make(map[string][3]float64, len(res.Vertices)),
-		Triangles:    make([][3]int64, 0, len(res.Triangles)),
+		meshJSON:     meshJSONOf(res),
 		DiskAccesses: st.DA,
-	}
-	for id, p := range res.Vertices {
-		resp.Vertices[strconv.FormatInt(id, 10)] = [3]float64{p.X, p.Y, p.Z}
-	}
-	for _, t := range res.Triangles {
-		resp.Triangles = append(resp.Triangles, [3]int64{t.A, t.B, t.C})
-	}
-	s.writeJSON(w, resp)
+	})
 }
 
 // CameraStats is one retained coherent session's accounting in /stats.
@@ -924,15 +882,17 @@ type StatsResponse struct {
 // response is encoded by encoding/json (sorted keys) and the camera list
 // is sorted by session name.
 func (s *Server) StatsSnapshot(now time.Time) StatsResponse {
+	tiles := s.hTileDA.Snapshot()
+	patches, patchDA := s.PatchTotals()
 	resp := StatsResponse{
 		Points:         s.terrain.NumPoints(),
 		Nodes:          s.terrain.Dataset.Tree.Len(),
 		MaxLOD:         s.terrain.MaxLOD(),
 		LODPercentiles: make(map[string]float64),
-		TilesServed:    s.served.Load(),
-		TileDA:         s.tileDA.Load(),
-		PatchesServed:  s.patches.Load(),
-		PatchDA:        s.patchDA.Load(),
+		TilesServed:    tiles.Count,
+		TileDA:         tiles.Sum,
+		PatchesServed:  patches,
+		PatchDA:        patchDA,
 		CameraCapacity: maxCameras,
 	}
 	for _, p := range []float64{0.5, 0.9, 0.99} {
@@ -988,10 +948,7 @@ func (s *Server) CacheStatsSnapshot() CacheStatsResponse {
 		Ladder: s.cache.Ladder(),
 	}
 	for _, ts := range s.cache.TopTiles(0) {
-		resp.Tiles = append(resp.Tiles, hotTile{
-			Level: ts.Key.Level, IX: ts.Key.IX, IY: ts.Key.IY, Band: ts.Key.Band,
-			Hits: ts.Hits, DA: ts.DA, Bytes: ts.Bytes, Nodes: ts.Nodes,
-		})
+		resp.Tiles = append(resp.Tiles, hotTileOf(ts))
 	}
 	return resp
 }

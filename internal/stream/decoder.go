@@ -1,13 +1,15 @@
 package stream
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"dmesh/internal/dm"
 	"dmesh/internal/geom"
+	"dmesh/internal/wire"
 )
 
 // Decoder reconstructs a progressive stream batch by batch. After any
@@ -51,13 +53,22 @@ func (d *Decoder) read(p []byte) error {
 // byte accounting).
 func (d *Decoder) ReadByte() (byte, error) {
 	var b [1]byte
-	if err := d.read(b[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
-		}
-		return 0, err
+	err := d.read(b[:])
+	return b[0], err
+}
+
+// uvarint reads one framing varint straight off the body: a body that
+// ends is a resumable cut, a non-canonical spelling is not.
+func (d *Decoder) uvarint(what string) (uint64, error) {
+	v, err := wire.ReadUvarint(d)
+	switch {
+	case err == nil:
+		return v, nil
+	case errors.Is(err, wire.ErrCorrupt):
+		return 0, d.poison(fmt.Errorf("stream: %s: %w", what, err))
+	default:
+		return 0, fmt.Errorf("stream: reading %s: %w", what, ErrTruncated)
 	}
-	return b[0], nil
 }
 
 // Attach starts reading from r: it consumes and validates the stream
@@ -68,36 +79,36 @@ func (d *Decoder) Attach(r io.Reader) error {
 		return d.sticky
 	}
 	d.r = r
-	magic := make([]byte, len(streamMagic))
+	var fixed [len(streamMagic) + 5*8]byte
+	magic, floats := fixed[:len(streamMagic)], fixed[len(streamMagic):]
 	if err := d.read(magic); err != nil {
 		return fmt.Errorf("stream: reading header: %w", ErrTruncated)
 	}
 	if string(magic) != streamMagic {
-		return d.poison(fmt.Errorf("stream: bad magic %q: %w", magic, ErrCorrupt))
+		return d.poison(fmt.Errorf("stream: bad magic %q: %w", magic, wire.ErrCorrupt))
 	}
-	version, err := binary.ReadUvarint(d)
+	version, err := d.uvarint("header version")
 	if err != nil {
-		return fmt.Errorf("stream: reading header: %w", ErrTruncated)
+		return err
 	}
 	if version != streamVersion {
-		return d.poison(fmt.Errorf("stream: unsupported version %d: %w", version, ErrCorrupt))
+		return d.poison(fmt.Errorf("stream: unsupported version %d: %w", version, wire.ErrCorrupt))
 	}
-	var f [5]float64
-	raw := make([]byte, 8*len(f))
-	if err := d.read(raw); err != nil {
+	if err := d.read(floats); err != nil {
 		return fmt.Errorf("stream: reading header: %w", ErrTruncated)
 	}
-	for i := range f {
-		f[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	n, err := binary.ReadUvarint(d)
+	fr := wire.NewReader("stream header", floats)
+	rect := geom.Rect{MinX: fr.F64(), MinY: fr.F64(), MaxX: fr.F64(), MaxY: fr.F64()}
+	targetE := fr.F64()
+	n, err := d.uvarint("header batch count")
 	if err != nil {
-		return fmt.Errorf("stream: reading header: %w", ErrTruncated)
+		return err
 	}
-	rect := geom.Rect{MinX: f[0], MinY: f[1], MaxX: f[2], MaxY: f[3]}
-	targetE := f[4]
 	if n == 0 || n > maxFramePayload {
-		return d.poison(fmt.Errorf("stream: impossible batch count %d: %w", n, ErrCorrupt))
+		return d.poison(fmt.Errorf("stream: impossible batch count %d: %w", n, wire.ErrCorrupt))
+	}
+	if math.IsNaN(targetE) || math.IsInf(targetE, 0) {
+		return d.poison(fmt.Errorf("stream: target E %g: %w", targetE, wire.ErrCorrupt))
 	}
 	if !d.started {
 		d.started = true
@@ -106,7 +117,7 @@ func (d *Decoder) Attach(r io.Reader) error {
 	}
 	if rect != d.rect || math.Float64bits(targetE) != math.Float64bits(d.targetE) || int(n) != d.nBatches {
 		return d.poison(fmt.Errorf("stream: resumed header mismatch (rect %v target %g batches %d, want %v %g %d): %w",
-			rect, targetE, n, d.rect, d.targetE, d.nBatches, ErrCorrupt))
+			rect, targetE, n, d.rect, d.targetE, d.nBatches, wire.ErrCorrupt))
 	}
 	return nil
 }
@@ -145,7 +156,7 @@ func (d *Decoder) BytesToFirstFrame() int64 { return d.bytesAt1 }
 
 // Next reads and applies one batch, returning its index and LOD.
 // io.EOF signals a completed stream (all batches applied); ErrTruncated
-// a resumable cut; ErrCorrupt an unrecoverable encoding violation.
+// a resumable cut; wire.ErrCorrupt an unrecoverable encoding violation.
 func (d *Decoder) Next() (int, float64, error) {
 	if d.sticky != nil {
 		return 0, 0, d.sticky
@@ -156,15 +167,15 @@ func (d *Decoder) Next() (int, float64, error) {
 	if d.Done() {
 		return 0, 0, io.EOF
 	}
-	length, err := binary.ReadUvarint(d)
+	length, err := d.uvarint("frame length")
 	if err != nil {
-		return 0, 0, fmt.Errorf("stream: frame %d: %w", d.next, ErrTruncated)
+		return 0, 0, err
 	}
 	if length > maxFramePayload {
-		return 0, 0, d.poison(fmt.Errorf("stream: frame %d declares %d bytes: %w", d.next, length, ErrCorrupt))
+		return 0, 0, d.poison(fmt.Errorf("stream: frame %d declares %d bytes: %w", d.next, length, wire.ErrCorrupt))
 	}
-	payload := make([]byte, length)
-	if err := d.read(payload); err != nil {
+	payload, err := d.readPayload(int(length))
+	if err != nil {
 		return 0, 0, fmt.Errorf("stream: frame %d: %w", d.next, ErrTruncated)
 	}
 	e, err := d.applyBatch(payload)
@@ -179,297 +190,175 @@ func (d *Decoder) Next() (int, float64, error) {
 	return d.next - 1, e, nil
 }
 
+// payloadChunk is the most a frame's declared length is trusted for
+// before any of its bytes have arrived.
+const payloadChunk = 64 << 10
+
+// readPayload reads a frame payload of the declared length, growing the
+// buffer only as bytes actually arrive: a real frame (tens of KB) is one
+// exact-size allocation, while a hostile or cut stream that declares a
+// gigabyte costs what it sent, not what it claimed.
+func (d *Decoder) readPayload(n int) ([]byte, error) {
+	buf := make([]byte, min(n, payloadChunk))
+	for have := 0; ; {
+		if err := d.read(buf[have:]); err != nil {
+			return nil, err
+		}
+		if have = len(buf); have == n {
+			return buf, nil
+		}
+		buf = slices.Grow(buf, min(n-have, have))
+		buf = buf[:min(n, cap(buf))]
+	}
+}
+
 // Mesh returns the decoded mesh at the last applied batch — a fresh
 // Result in the canonical query-answer shape, safe to retain.
 func (d *Decoder) Mesh() *dm.Result { return d.state.result() }
 
-// frameReader is the bounds-checked cursor over one frame payload;
-// every violation wraps ErrCorrupt.
-type frameReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *frameReader) corrupt(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("stream: %s at offset %d: %w", what, r.off, ErrCorrupt)
-	}
-}
-
-func (r *frameReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.corrupt("bad uvarint " + what)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *frameReader) f64(what string) float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.b) {
-		r.corrupt("truncated float " + what)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *frameReader) byte(what string) byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.b) {
-		r.corrupt("truncated " + what)
-		return 0
-	}
-	b := r.b[r.off]
-	r.off++
-	return b
-}
-
-// count reads a collection length and sanity-bounds it against the
-// bytes remaining (each element takes at least minBytes on the wire).
-func (r *frameReader) count(what string, minBytes int) int {
-	v := r.uvarint(what)
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64(len(r.b)-r.off)/uint64(minBytes) {
-		r.corrupt("impossible count " + what)
-		return 0
-	}
-	return int(v)
-}
-
 // idSet reads an ascending ID set (first absolute, then strictly
 // positive deltas).
-func (r *frameReader) idSet(what string) []int64 {
-	n := r.count(what, 1)
+func idSet(r *wire.Reader, what string) []int64 {
+	n := r.Count(what, 1)
 	if n == 0 {
 		return nil
 	}
-	ids := make([]int64, 0, n)
+	ids := make([]int64, n)
 	prev := int64(0)
-	for i := 0; i < n && r.err == nil; i++ {
-		d := r.uvarint(what + " delta")
-		if r.err != nil {
-			break
-		}
-		if i > 0 && d == 0 {
-			r.corrupt("non-ascending " + what)
-			break
-		}
-		if d > math.MaxInt64 || prev > math.MaxInt64-int64(d) {
-			r.corrupt("overflowing " + what)
-			break
-		}
-		prev += int64(d)
-		ids = append(ids, prev)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		prev = r.Step(prev, min(uint64(i), 1)) // the first ID is absolute
+		ids[i] = prev
 	}
 	return ids
 }
 
 // pairSet reads ascending (a, b) pairs with a < b.
-func (r *frameReader) pairSet(what string) [][2]int64 {
-	n := r.count(what, 2)
+func pairSet(r *wire.Reader, what string) [][2]int64 {
+	n := r.Count(what, 2)
 	if n == 0 {
 		return nil
 	}
-	ps := make([][2]int64, 0, n)
-	prevA, prevB := int64(0), int64(-1)
-	for i := 0; i < n && r.err == nil; i++ {
-		da := r.uvarint(what + " a")
-		db := r.uvarint(what + " b")
-		if r.err != nil {
-			break
+	ps := make([][2]int64, n)
+	var prev [2]int64
+	for i := 0; i < n && r.Err() == nil; i++ {
+		a := r.Step(prev[0], 0)
+		b := r.Step(a, 1)
+		if i > 0 && a == prev[0] && b <= prev[1] {
+			r.Corruptf("out of order")
 		}
-		if da > math.MaxInt64 || prevA > math.MaxInt64-int64(da) || db == 0 || db > math.MaxInt64 {
-			r.corrupt("bad pair in " + what)
-			break
-		}
-		a := prevA + int64(da)
-		if a > math.MaxInt64-int64(db) {
-			r.corrupt("overflowing " + what)
-			break
-		}
-		b := a + int64(db)
-		if i > 0 && da == 0 && b <= prevB {
-			r.corrupt("non-ascending " + what)
-			break
-		}
-		ps = append(ps, [2]int64{a, b})
-		prevA, prevB = a, b
+		prev = [2]int64{a, b}
+		ps[i] = prev
 	}
 	return ps
 }
 
-// triSet reads ascending canonical (A, B, C) triangles with A < B < C.
-func (r *frameReader) triSet(what string) []geom.Triangle {
-	n := r.count(what, 3)
-	if n == 0 {
-		return nil
-	}
-	ts := make([]geom.Triangle, 0, n)
-	prevA, prevB, prevC := int64(0), int64(-1), int64(-1)
-	for i := 0; i < n && r.err == nil; i++ {
-		da := r.uvarint(what + " a")
-		db := r.uvarint(what + " b")
-		dc := r.uvarint(what + " c")
-		if r.err != nil {
-			break
-		}
-		if da > math.MaxInt64 || prevA > math.MaxInt64-int64(da) ||
-			db == 0 || db > math.MaxInt64 || dc == 0 || dc > math.MaxInt64 {
-			r.corrupt("bad triangle in " + what)
-			break
-		}
-		a := prevA + int64(da)
-		if a > math.MaxInt64-int64(db) {
-			r.corrupt("overflowing " + what)
-			break
-		}
-		b := a + int64(db)
-		if b > math.MaxInt64-int64(dc) {
-			r.corrupt("overflowing " + what)
-			break
-		}
-		c := b + int64(dc)
-		if i > 0 && da == 0 && (b < prevB || (b == prevB && c <= prevC)) {
-			r.corrupt("non-ascending " + what)
-			break
-		}
-		ts = append(ts, geom.Triangle{A: a, B: b, C: c})
-		prevA, prevB, prevC = a, b, c
-	}
-	return ts
+// addedVert is one vertex a batch introduces.
+type addedVert struct {
+	id int64
+	p  geom.Point3
 }
 
 // applyBatch parses one frame payload and applies it to the state,
 // returning the batch's LOD. Membership violations (removing what was
-// never sent, re-adding what exists) are corruption: the two codec ends
-// have diverged and no resume can fix that.
+// never sent, adding what the previous batch's mesh already has) are
+// corruption: the two codec ends have diverged and no resume can fix
+// that. Additions are checked against the mesh as it stood before the
+// batch, so a frame cannot remove an element and add it back — the
+// encoder, which sends the set difference, never would.
 func (d *Decoder) applyBatch(payload []byte) (float64, error) {
-	r := &frameReader{b: payload}
-	idx := r.uvarint("batch index")
-	e := r.f64("batch e")
-	if r.err != nil {
-		return 0, r.err
-	}
-	if idx != uint64(d.next) {
-		return 0, fmt.Errorf("stream: batch %d arrived, expected %d: %w", idx, d.next, ErrCorrupt)
-	}
-	if d.next > 0 && e >= d.lastE {
-		return 0, fmt.Errorf("stream: batch %d does not refine (E %g after %g): %w", idx, e, d.lastE, ErrCorrupt)
-	}
-	if int(idx) == d.nBatches-1 && math.Float64bits(e) != math.Float64bits(d.targetE) {
-		return 0, fmt.Errorf("stream: final batch E %g, header target %g: %w", e, d.targetE, ErrCorrupt)
+	r := wire.NewReader("frame payload", payload)
+	idx := r.Uvarint()
+	e := r.F64()
+	switch {
+	case r.Err() != nil:
+	case idx != uint64(d.next):
+		r.Corruptf("batch %d arrived", idx)
+	case math.IsNaN(e) || math.IsInf(e, 0):
+		r.Corruptf("batch E %g", e)
+	case d.next > 0 && e >= d.lastE:
+		r.Corruptf("batch does not refine (E %g after %g)", e, d.lastE)
+	case int(idx) == d.nBatches-1 && math.Float64bits(e) != math.Float64bits(d.targetE):
+		r.Corruptf("final batch E %g, header target %g", e, d.targetE)
 	}
 
-	remTris := r.triSet("removed triangles")
-	remEdges := r.pairSet("removed edges")
-	remVerts := r.idSet("removed vertices")
+	remTris := dm.ReadTriangleSet(&r, "removed triangles")
+	remEdges := pairSet(&r, "removed edges")
+	remVerts := idSet(&r, "removed vertices")
 
-	nAdd := r.count("added vertices", 5)
-	type addedVert struct {
-		id int64
-		p  geom.Point3
-	}
-	adds := make([]addedVert, 0, nAdd)
+	adds := make([]addedVert, r.Count("added vertices", 5))
 	prevID := int64(0)
-	for i := 0; i < nAdd && r.err == nil; i++ {
-		dID := r.uvarint("added vertex id")
-		if r.err != nil {
-			break
-		}
-		if (i > 0 && dID == 0) || dID > math.MaxInt64 || prevID > math.MaxInt64-int64(dID) {
-			r.corrupt("non-ascending added vertex ids")
-			break
-		}
-		prevID += int64(dID)
-		flags := r.byte("vertex flags")
-		if r.err != nil {
-			break
-		}
+	for i := 0; i < len(adds) && r.Err() == nil; i++ {
+		prevID = r.Step(prevID, min(uint64(i), 1)) // the first ID is absolute
+		flags := r.Byte()
 		if flags&^0x07 != 0 {
-			r.corrupt("reserved vertex flag bits")
-			break
+			r.Corruptf("reserved vertex flag bits")
 		}
-		var c [3]float64
-		for ci := 0; ci < 3; ci++ {
-			if flags&(1<<ci) != 0 {
-				m := unzigzag(r.uvarint("dyadic coordinate"))
-				c[ci] = dm.FromDyadicIndex(m)
-			} else {
-				c[ci] = r.f64("coordinate")
-			}
-		}
-		adds = append(adds, addedVert{id: prevID, p: geom.Point3{X: c[0], Y: c[1], Z: c[2]}})
+		adds[i] = addedVert{id: prevID, p: geom.Point3{
+			X: r.Float(flags&1 != 0), Y: r.Float(flags&2 != 0), Z: r.Float(flags&4 != 0)}}
 	}
 
-	addEdges := r.pairSet("added edges")
-	addTris := r.triSet("added triangles")
-	if r.err != nil {
-		return 0, r.err
-	}
-	if r.off != len(r.b) {
-		return 0, fmt.Errorf("stream: %d trailing bytes in batch %d: %w", len(r.b)-r.off, idx, ErrCorrupt)
+	addEdges := pairSet(&r, "added edges")
+	addTris := dm.ReadTriangleSet(&r, "added triangles")
+	if err := r.Done(); err != nil {
+		return 0, fmt.Errorf("stream: batch %d: %w", d.next, err)
 	}
 
-	for _, t := range remTris {
-		if _, ok := d.state.tris[t]; !ok {
-			return 0, fmt.Errorf("stream: batch %d removes unknown triangle (%d,%d,%d): %w", idx, t.A, t.B, t.C, ErrCorrupt)
-		}
-		delete(d.state.tris, t)
-	}
-	for _, p := range remEdges {
-		if _, ok := d.state.edges[p]; !ok {
-			return 0, fmt.Errorf("stream: batch %d removes unknown edge (%d,%d): %w", idx, p[0], p[1], ErrCorrupt)
-		}
-		delete(d.state.edges, p)
-	}
-	for _, id := range remVerts {
-		if _, ok := d.state.verts[id]; !ok {
-			return 0, fmt.Errorf("stream: batch %d removes unknown vertex %d: %w", idx, id, ErrCorrupt)
-		}
-		delete(d.state.verts, id)
-	}
+	s := &d.state
+	r.Section("membership")
 	for _, av := range adds {
-		if _, ok := d.state.verts[av.id]; ok {
-			return 0, fmt.Errorf("stream: batch %d re-adds vertex %d: %w", idx, av.id, ErrCorrupt)
+		if _, ok := s.verts[av.id]; ok {
+			r.Corruptf("re-adds vertex %d", av.id)
 		}
-		d.state.verts[av.id] = av.p
 	}
 	for _, p := range addEdges {
-		if _, ok := d.state.edges[p]; ok {
-			return 0, fmt.Errorf("stream: batch %d re-adds edge (%d,%d): %w", idx, p[0], p[1], ErrCorrupt)
+		if _, ok := s.edges[p]; ok {
+			r.Corruptf("re-adds edge (%d,%d)", p[0], p[1])
 		}
-		if _, ok := d.state.verts[p[0]]; !ok {
-			return 0, fmt.Errorf("stream: batch %d edge references untransmitted vertex %d: %w", idx, p[0], ErrCorrupt)
-		}
-		if _, ok := d.state.verts[p[1]]; !ok {
-			return 0, fmt.Errorf("stream: batch %d edge references untransmitted vertex %d: %w", idx, p[1], ErrCorrupt)
-		}
-		d.state.edges[p] = struct{}{}
 	}
 	for _, t := range addTris {
-		if _, ok := d.state.tris[t]; ok {
-			return 0, fmt.Errorf("stream: batch %d re-adds triangle (%d,%d,%d): %w", idx, t.A, t.B, t.C, ErrCorrupt)
+		if _, ok := s.tris[t]; ok {
+			r.Corruptf("re-adds triangle (%d,%d,%d)", t.A, t.B, t.C)
 		}
-		for _, id := range [3]int64{t.A, t.B, t.C} {
-			if _, ok := d.state.verts[id]; !ok {
-				return 0, fmt.Errorf("stream: batch %d triangle references untransmitted vertex %d: %w", idx, id, ErrCorrupt)
+	}
+	for _, t := range remTris {
+		if _, ok := s.tris[t]; !ok {
+			r.Corruptf("removes unknown triangle (%d,%d,%d)", t.A, t.B, t.C)
+		}
+		delete(s.tris, t)
+	}
+	for _, p := range remEdges {
+		if _, ok := s.edges[p]; !ok {
+			r.Corruptf("removes unknown edge (%d,%d)", p[0], p[1])
+		}
+		delete(s.edges, p)
+	}
+	for _, id := range remVerts {
+		if _, ok := s.verts[id]; !ok {
+			r.Corruptf("removes unknown vertex %d", id)
+		}
+		delete(s.verts, id)
+	}
+	for _, av := range adds {
+		s.verts[av.id] = av.p
+	}
+	for _, p := range addEdges {
+		for _, id := range p {
+			if _, ok := s.verts[id]; !ok {
+				r.Corruptf("edge references untransmitted vertex %d", id)
 			}
 		}
-		d.state.tris[t] = struct{}{}
+		s.edges[p] = struct{}{}
+	}
+	for _, t := range addTris {
+		for _, id := range [3]int64{t.A, t.B, t.C} {
+			if _, ok := s.verts[id]; !ok {
+				r.Corruptf("triangle references untransmitted vertex %d", id)
+			}
+		}
+		s.tris[t] = struct{}{}
+	}
+	if err := r.Err(); err != nil {
+		return 0, fmt.Errorf("stream: batch %d: %w", d.next, err)
 	}
 	return e, nil
 }

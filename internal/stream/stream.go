@@ -8,7 +8,10 @@
 // and decoding all batches reproduces the direct answer at the snapped
 // target bit for bit.
 //
-// Wire layout (little endian; uvarint/varint are encoding/binary's):
+// Wire layout (little endian; varints and floats are internal/wire's,
+// and the decoder accepts only the canonical spelling of each — minimal
+// varints, the dyadic index for every coordinate that has one — so a
+// frame that decodes re-encodes to the identical bytes):
 //
 //	header:
 //	  magic "DMPS", version uvarint (1)
@@ -24,7 +27,7 @@
 //	      ID delta uvarint (vs previous added ID; absolute for the first)
 //	      flags byte: bits 0..2 mark x/y/z as dyadic, bits 3..7 reserved
 //	      x, y, z: zigzag-uvarint dyadic index when flagged (the packed
-//	      record fast path, dm.DyadicIndex), else raw float64 bits
+//	      record fast path, wire.DyadicIndex), else raw float64 bits
 //	    added edges        (pair set)
 //	    added triangles    (triangle set)
 //
@@ -37,7 +40,8 @@
 //	              b as uvarint(b-a)
 //	triangle set: count uvarint; canonical triangles (A < B < C) in
 //	              ascending order; A as uvarint delta vs the previous
-//	              A, then uvarint(B-A), uvarint(C-B)
+//	              A, then uvarint(B-A), uvarint(C-B) — the DMTP coding,
+//	              dm.AppendTriangleSet
 //
 // Every frame is length-prefixed, so a connection cut mid-frame is
 // detectable: the decoder keeps the last complete batch and the client
@@ -46,7 +50,6 @@
 package stream
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -56,6 +59,7 @@ import (
 	"dmesh/internal/dm"
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
+	"dmesh/internal/wire"
 )
 
 const (
@@ -67,29 +71,12 @@ const (
 	maxFramePayload = 1 << 30
 )
 
-// ErrCorrupt marks stream bytes that cannot be a valid encoding (bad
-// magic, non-canonical set ordering, references to vertices never
-// transmitted). It is not recoverable by resuming.
-var ErrCorrupt = errors.New("stream: corrupt stream")
-
 // ErrTruncated marks a stream that ended before the announced batch
-// count was delivered — a cut connection, not corruption. The decoder
-// holds the last complete batch; re-request with resume=LastApplied()
-// and Attach the new body to continue.
+// count was delivered — a cut connection, not corruption (bytes that
+// cannot be a valid encoding are wire.ErrCorrupt, and not recoverable by
+// resuming). The decoder holds the last complete batch; re-request with
+// resume=LastApplied() and Attach the new body to continue.
 var ErrTruncated = errors.New("stream: truncated")
-
-// zigzag maps signed values to unsigned so small magnitudes of either
-// sign take short varints (dyadic indices can be negative).
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-func appendF64(buf []byte, vs ...float64) []byte {
-	for _, v := range vs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
-}
 
 // LevelsFor returns the coarse-to-fine batch schedule for a query whose
 // target snapped onto ladder rung band: every rung from the ladder top
@@ -203,6 +190,7 @@ type Encoder struct {
 	levels []float64
 	idx    int
 	prev   meshState
+	resume int // last batch the client already holds; Run skips through it
 }
 
 // NewEncoder prepares an encoder for a stream of len(levels) batches.
@@ -225,7 +213,98 @@ func NewEncoder(rect geom.Rect, levels []float64) (*Encoder, error) {
 		rect:   rect,
 		levels: append([]float64(nil), levels...),
 		prev:   newMeshState(),
+		resume: -1,
 	}, nil
+}
+
+// Plan prepares the encoder that answers one /stream request: the batch
+// schedule for a query whose LOD snapped onto ladder rung band, resumed
+// after batch resume (the last batch the client fully received; -1
+// streams everything). Every error is the request's fault, and nothing
+// has been written when it is returned.
+func Plan(rect geom.Rect, ladder []float64, band, resume int) (*Encoder, error) {
+	levels, err := LevelsFor(ladder, band)
+	if err != nil {
+		return nil, err
+	}
+	if resume < -1 || resume >= len(levels) {
+		return nil, fmt.Errorf("stream: resume %d outside [-1, %d)", resume, len(levels))
+	}
+	enc, err := NewEncoder(rect, levels)
+	if err != nil {
+		return nil, err
+	}
+	enc.resume = resume
+	return enc, nil
+}
+
+// Sent is what one Run put on the wire, and what the whole stream would
+// have cost had nothing been skipped.
+type Sent struct {
+	Frames       int // frames written (resume skips the rest)
+	Bytes        int // bytes written, header included
+	BytesToFirst int // header + coarsest batch: the first-render cost
+	BytesToExact int // header + every batch: the exact-answer cost
+}
+
+// Run writes the progressive answer to w: the header, then for each level
+// coarse to fine the delta batch encoded from query(level) — the direct
+// answer at that level, from wherever the caller gets it — each written
+// as soon as its query completes. Rungs up to the planned resume index
+// are still queried, because the delta state needs them, but not
+// written; that replayed work sits in PhaseStreamReplay spans. tr (which
+// may be nil) gets one root span over the whole stream with the rung
+// queries and encode spans beneath it. The returned Result is the last
+// level's answer. After a failure the header and earlier frames may
+// already be out: the client sees a length-prefixed truncation it can
+// resume from.
+func (e *Encoder) Run(w io.Writer, tr *obs.Trace, query func(level float64) (*dm.Result, error)) (*dm.Result, Sent, error) {
+	tr.Begin(obs.PhaseQuery)
+	defer tr.End()
+	hdr := e.Header()
+	sent := Sent{BytesToFirst: len(hdr), BytesToExact: len(hdr)}
+	n, err := w.Write(hdr)
+	sent.Bytes = n
+	if err != nil {
+		return nil, sent, err
+	}
+	var res *dm.Result
+	for i, level := range e.levels {
+		replay := i <= e.resume
+		var frame []byte
+		if res, frame, err = e.rung(level, replay, tr, query); err != nil {
+			return nil, sent, fmt.Errorf("stream: rung %d (E %g): %w", i, level, err)
+		}
+		if i == 0 {
+			sent.BytesToFirst += len(frame)
+		}
+		sent.BytesToExact += len(frame)
+		if replay {
+			continue
+		}
+		n, err := w.Write(frame)
+		sent.Bytes += n
+		if err != nil {
+			return nil, sent, err
+		}
+		sent.Frames++
+	}
+	return res, sent, nil
+}
+
+// rung answers and encodes one level, inside a replay span when the
+// frame will not be transmitted.
+func (e *Encoder) rung(level float64, replay bool, tr *obs.Trace, query func(float64) (*dm.Result, error)) (*dm.Result, []byte, error) {
+	if replay {
+		tr.Begin(obs.PhaseStreamReplay)
+		defer tr.End()
+	}
+	res, err := query(level)
+	if err != nil {
+		return nil, nil, err
+	}
+	frame, err := e.EncodeNextTraced(res, tr)
+	return res, frame, err
 }
 
 // NumBatches returns the stream's batch count.
@@ -238,9 +317,9 @@ func (e *Encoder) TargetE() float64 { return e.levels[len(e.levels)-1] }
 func (e *Encoder) Header() []byte {
 	buf := make([]byte, 0, 64)
 	buf = append(buf, streamMagic...)
-	buf = binary.AppendUvarint(buf, streamVersion)
-	buf = appendF64(buf, e.rect.MinX, e.rect.MinY, e.rect.MaxX, e.rect.MaxY, e.TargetE())
-	buf = binary.AppendUvarint(buf, uint64(len(e.levels)))
+	buf = wire.AppendUvarint(buf, streamVersion)
+	buf = wire.AppendF64(buf, e.rect.MinX, e.rect.MinY, e.rect.MaxX, e.rect.MaxY, e.TargetE())
+	buf = wire.AppendUvarint(buf, uint64(len(e.levels)))
 	return buf
 }
 
@@ -261,7 +340,7 @@ func (e *Encoder) EncodeNext(mesh *dm.Result) ([]byte, error) {
 	}
 	e.prev = next
 	e.idx++
-	frame := binary.AppendUvarint(make([]byte, 0, len(payload)+4), uint64(len(payload)))
+	frame := wire.AppendUvarint(make([]byte, 0, len(payload)+4), uint64(len(payload)))
 	return append(frame, payload...), nil
 }
 
@@ -348,26 +427,22 @@ func encodeBatch(idx int, level float64, prev, next meshState) ([]byte, error) {
 	sortTris(addTris)
 
 	buf := make([]byte, 0, 16+len(addVerts)*16+(len(remEdges)+len(addEdges))*4+(len(remTris)+len(addTris))*5)
-	buf = binary.AppendUvarint(buf, uint64(idx))
-	buf = appendF64(buf, level)
-	buf = appendTriSet(buf, remTris)
+	buf = wire.AppendUvarint(buf, uint64(idx))
+	buf = wire.AppendF64(buf, level)
+	buf = dm.AppendTriangleSet(buf, remTris)
 	buf = appendPairSet(buf, remEdges)
 	buf = appendIDSet(buf, remVerts)
 
-	buf = binary.AppendUvarint(buf, uint64(len(addVerts)))
+	buf = wire.AppendUvarint(buf, uint64(len(addVerts)))
 	prevID := int64(0)
-	for i, id := range addVerts {
-		if i == 0 {
-			buf = binary.AppendUvarint(buf, uint64(id))
-		} else {
-			buf = binary.AppendUvarint(buf, uint64(id-prevID))
-		}
+	for _, id := range addVerts {
+		buf = wire.AppendUvarint(buf, uint64(id-prevID))
 		prevID = id
 		p := next.verts[id]
 		var flags byte
 		var dy [3]int64
 		for ci, v := range [3]float64{p.X, p.Y, p.Z} {
-			if m, ok := dm.DyadicIndex(v); ok {
+			if m, ok := wire.DyadicIndex(v); ok {
 				flags |= 1 << ci
 				dy[ci] = m
 			}
@@ -375,51 +450,35 @@ func encodeBatch(idx int, level float64, prev, next meshState) ([]byte, error) {
 		buf = append(buf, flags)
 		for ci, v := range [3]float64{p.X, p.Y, p.Z} {
 			if flags&(1<<ci) != 0 {
-				buf = binary.AppendUvarint(buf, zigzag(dy[ci]))
+				buf = wire.AppendVarint(buf, dy[ci])
 			} else {
-				buf = appendF64(buf, v)
+				buf = wire.AppendF64(buf, v)
 			}
 		}
 	}
 
 	buf = appendPairSet(buf, addEdges)
-	buf = appendTriSet(buf, addTris)
+	buf = dm.AppendTriangleSet(buf, addTris)
 	return buf, nil
 }
 
 func appendIDSet(buf []byte, ids []int64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
+	buf = wire.AppendUvarint(buf, uint64(len(ids)))
 	prev := int64(0)
-	for i, id := range ids {
-		if i == 0 {
-			buf = binary.AppendUvarint(buf, uint64(id))
-		} else {
-			buf = binary.AppendUvarint(buf, uint64(id-prev))
-		}
+	for _, id := range ids {
+		buf = wire.AppendUvarint(buf, uint64(id-prev))
 		prev = id
 	}
 	return buf
 }
 
 func appendPairSet(buf []byte, ps [][2]int64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ps)))
+	buf = wire.AppendUvarint(buf, uint64(len(ps)))
 	prevA := int64(0)
 	for _, p := range ps {
-		buf = binary.AppendUvarint(buf, uint64(p[0]-prevA))
-		buf = binary.AppendUvarint(buf, uint64(p[1]-p[0]))
+		buf = wire.AppendUvarint(buf, uint64(p[0]-prevA))
+		buf = wire.AppendUvarint(buf, uint64(p[1]-p[0]))
 		prevA = p[0]
-	}
-	return buf
-}
-
-func appendTriSet(buf []byte, ts []geom.Triangle) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ts)))
-	prevA := int64(0)
-	for _, t := range ts {
-		buf = binary.AppendUvarint(buf, uint64(t.A-prevA))
-		buf = binary.AppendUvarint(buf, uint64(t.B-t.A))
-		buf = binary.AppendUvarint(buf, uint64(t.C-t.B))
-		prevA = t.A
 	}
 	return buf
 }

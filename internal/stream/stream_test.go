@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"dmesh/internal/geom"
 	"dmesh/internal/stream"
 	"dmesh/internal/tilecache"
+	"dmesh/internal/wire"
 )
 
 var (
@@ -99,7 +102,7 @@ func flatten(st *stream.Stream) []byte {
 // for random ROIs and LOD bands, decoding any batch prefix yields
 // exactly (canonical serialization) the direct query answer at that
 // prefix's rung, and the full stream reproduces the direct answer at
-// the target. Run under -race by make streamcheck.
+// the target. Run under -race by make race.
 func TestStreamPrefixExactness(t *testing.T) {
 	for _, name := range []string{"highland", "crater"} {
 		t.Run(name, func(t *testing.T) {
@@ -239,7 +242,7 @@ func TestStreamResumeHeaderMismatch(t *testing.T) {
 	if _, _, err := dec.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if err := dec.Attach(bytes.NewReader(flatten(other))); !errors.Is(err, stream.ErrCorrupt) {
+	if err := dec.Attach(bytes.NewReader(flatten(other))); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("mismatched resume header: %v, want ErrCorrupt", err)
 	}
 }
@@ -260,14 +263,14 @@ func TestStreamCorruptionRejected(t *testing.T) {
 		mut[pos] ^= byte(1 + rng.Intn(255))
 		dec := stream.NewDecoder()
 		if err := dec.Attach(bytes.NewReader(mut)); err != nil {
-			if !errors.Is(err, stream.ErrCorrupt) && !errors.Is(err, stream.ErrTruncated) {
+			if !errors.Is(err, wire.ErrCorrupt) && !errors.Is(err, stream.ErrTruncated) {
 				t.Fatalf("flip at %d: Attach: %v", pos, err)
 			}
 			continue
 		}
 		for !dec.Done() {
 			if _, _, err := dec.Next(); err != nil {
-				if !errors.Is(err, stream.ErrCorrupt) && !errors.Is(err, stream.ErrTruncated) {
+				if !errors.Is(err, wire.ErrCorrupt) && !errors.Is(err, stream.ErrTruncated) {
 					t.Fatalf("flip at %d: Next: %v", pos, err)
 				}
 				break
@@ -313,5 +316,137 @@ func TestEncoderValidation(t *testing.T) {
 	}
 	if _, err := enc.EncodeNext(empty); err == nil {
 		t.Fatal("EncodeNext past the schedule succeeded")
+	}
+}
+
+// handFrame assembles one DMPS frame that removes nothing and adds the
+// given vertex records (count, then the pre-encoded records) and nothing
+// else, for tests that need spellings the encoder never emits.
+func handFrame(idx uint64, e float64, nAdds uint64, addRecords ...byte) []byte {
+	p := wire.AppendUvarint(nil, idx)
+	p = wire.AppendF64(p, e)
+	p = append(p, 0, 0, 0) // removed triangles, edges, vertices
+	p = wire.AppendUvarint(p, nAdds)
+	p = append(p, addRecords...)
+	p = append(p, 0, 0) // added edges, triangles
+	return append(wire.AppendUvarint(nil, uint64(len(p))), p...)
+}
+
+func handHeader(t *testing.T, levels ...float64) []byte {
+	t.Helper()
+	enc, err := stream.NewEncoder(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc.Header()
+}
+
+// TestStreamCanonicalOnly: DMPS accepts exactly the bytes the encoder
+// emits. Each case is one edit away from a hand-built frame that decodes,
+// spells the same mesh, and must be rejected as wire.ErrCorrupt — so that
+// decode∘encode is the identity on bytes, as it is for DMTP.
+func TestStreamCanonicalOnly(t *testing.T) {
+	hdr := handHeader(t, 2)
+	decode := func(body ...[]byte) error {
+		dec := stream.NewDecoder()
+		if err := dec.Attach(bytes.NewReader(bytes.Join(body, nil))); err != nil {
+			return err
+		}
+		for !dec.Done() {
+			if _, _, err := dec.Next(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// Vertex 5 at (0.5, 0.25, pi): x and y dyadic (indices 2048, 1024), z raw.
+	vert := func(flags byte, coords ...[]byte) []byte {
+		return append([]byte{5, flags}, bytes.Join(coords, nil)...)
+	}
+	x, y := wire.AppendVarint(nil, 2048), wire.AppendVarint(nil, 1024)
+	z := wire.AppendF64(nil, math.Pi)
+	good := handFrame(0, 2, 1, vert(0x03, x, y, z)...)
+	if err := decode(hdr, good); err != nil {
+		t.Fatalf("hand-built baseline stream does not decode: %v", err)
+	}
+
+	nonMinimalIdx := append([]byte{}, good...)
+	nonMinimalIdx[0]++ // one more payload byte...
+	nonMinimalIdx = append(nonMinimalIdx[:1:1], append([]byte{0x80, 0x00}, good[2:]...)...)
+	twoLevel := handHeader(t, 2, 1)
+	first := handFrame(0, 2, 1, vert(0x03, x, y, z)...)
+	cases := map[string][][]byte{
+		"non-minimal version":        {[]byte("DMPS\x81\x00"), hdr[5:], good},
+		"non-minimal batch count":    {hdr[:len(hdr)-1], {0x81, 0x00}, good},
+		"non-minimal frame length":   {hdr, {good[0] | 0x80, 0x00}, good[1:]},
+		"non-minimal payload varint": {hdr, nonMinimalIdx},
+		"dyadic x sent raw":          {hdr, handFrame(0, 2, 1, vert(0x02, wire.AppendF64(nil, 0.5), y, z)...)},
+		"raw z flagged dyadic":       {hdr, handFrame(0, 2, 1, vert(0x07, x, y, wire.AppendVarint(nil, 1<<41+1))...)},
+		"reserved flag bit":          {hdr, handFrame(0, 2, 1, vert(0x0b, x, y, z)...)},
+		"NaN batch E":                {hdr, handFrame(0, math.NaN(), 0)},
+		"trailing payload byte":      {hdr, handFrame(0, 2, 1, append(vert(0x03, x, y, z), 0, 0, 0)...)},
+		// Batch 1 removes vertex 5 and adds it back: the same mesh as an
+		// empty batch, which is what the encoder would have sent.
+		"remove and re-add": {twoLevel, first, func() []byte {
+			p := wire.AppendF64([]byte{1}, 1)
+			p = append(p, 0, 0, 1, 5) // removed: no triangles, no edges, vertex 5
+			p = append(append(p, 1), vert(0x03, x, y, z)...)
+			p = append(p, 0, 0)
+			return append(wire.AppendUvarint(nil, uint64(len(p))), p...)
+		}()},
+	}
+	for name, body := range cases {
+		err := decode(body...)
+		if !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want wire.ErrCorrupt", name, err)
+		}
+		t.Logf("%s: %v", name, err)
+	}
+}
+
+// TestDecoderHostileFrameLength is the regression for the decoder
+// trusting a frame's declared length: a few dozen bytes declaring a 1 GiB
+// frame used to allocate 1 GiB before reading any of it. The payload
+// buffer now grows only as bytes arrive, the cut is an ordinary
+// ErrTruncated, and the decoder resumes from it.
+func TestDecoderHostileFrameLength(t *testing.T) {
+	hdr := handHeader(t, 2)
+	hostile := append(append([]byte{}, hdr...), wire.AppendUvarint(nil, 1<<30)...)
+	hostile = append(hostile, "only these bytes ever arrive"...)
+	if len(hostile) >= 100 {
+		t.Fatalf("hostile stream is %d bytes", len(hostile))
+	}
+	dec := stream.NewDecoder()
+	if err := dec.Attach(bytes.NewReader(hostile)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := dec.Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, stream.ErrTruncated) {
+		t.Fatalf("Next on a cut 1 GiB frame: %v, want ErrTruncated", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("decoder allocated %d bytes for a %d-byte input", grew, len(hostile))
+	}
+	if err := dec.Attach(bytes.NewReader(append(hdr, handFrame(0, 2, 0)...))); err != nil {
+		t.Fatalf("resumed Attach: %v", err)
+	}
+	if _, _, err := dec.Next(); err != nil || !dec.Done() {
+		t.Fatalf("resumed Next: %v (done %t)", err, dec.Done())
+	}
+	// A frame larger than the first chunk still arrives whole.
+	big := make([]byte, 0, 300<<10)
+	for id := byte(1); len(big) < 200<<10; id = 1 {
+		big = append(big, id, 0x00)
+		big = wire.AppendF64(big, math.Pi, math.Pi, math.Pi)
+	}
+	dec = stream.NewDecoder()
+	if err := dec.Attach(bytes.NewReader(append(handHeader(t, 2), handFrame(0, 2, uint64(len(big)/26), big...)...))); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dec.Next(); err != nil || len(dec.Mesh().Vertices) != len(big)/26 {
+		t.Fatalf("large frame: %v, %d vertices, want %d", err, len(dec.Mesh().Vertices), len(big)/26)
 	}
 }

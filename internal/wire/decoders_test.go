@@ -1,0 +1,297 @@
+package wire_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+
+	"dmesh"
+	"dmesh/internal/dm"
+	"dmesh/internal/geom"
+	"dmesh/internal/obs"
+	"dmesh/internal/pm"
+	"dmesh/internal/stream"
+	"dmesh/internal/wire"
+)
+
+// decoderRow is one wire format under the shared harness.
+type decoderRow struct {
+	name string
+	// fixture is a valid encoding; golden is its SHA-256 as the parent of
+	// the commit that introduced internal/wire produced it, so "the port
+	// left every encoder's output byte-identical" is asserted, not assumed.
+	fixture []byte
+	golden  string
+	// varints are offsets of varints in fixture that can be respelled
+	// non-minimally without fixing up a length elsewhere.
+	varints []int
+	// cut is what a strict prefix fails with: wire.ErrCorrupt for the
+	// slice decoders, stream.ErrTruncated for the resumable DMPS stream.
+	cut error
+	// roundTrip decodes b and re-encodes what it decoded. On success the
+	// result must equal b. A stream decoder may also return the
+	// re-encoding of the part it accepted alongside an error.
+	roundTrip func(b []byte) ([]byte, error)
+}
+
+var (
+	rowsOnce sync.Once
+	rows     []decoderRow
+)
+
+// traceFixture is a four-span DMTW wire (query > cache, materialize >
+// fetch) written out by hand: spans carry wall-clock times, so no public
+// constructor produces a reproducible one.
+const traceFixture = "DMTW\x01\x04" +
+	"\x00\x00\x00\xd9\xd77\xe4\xea0\n\n" +
+	"\n\x01\xdc\v\xb4\x10\x00\x00\x00" +
+	"\a\x01\xa0\x1f\xb0\xda0\xe0\xa7\x12\n\x03" +
+	"\x02\x03\x88'\xe0\xa7\x12\x00\x03\x00"
+
+func packedFixture() dm.Node {
+	return dm.Node{
+		Node: pm.Node{ID: 300, Pos: geom.Point3{X: 0.5, Y: math.Pi, Z: 3.0 / 4096},
+			ELow: 0, EHigh: 0.125, Parent: 9, Child1: pm.None, Child2: pm.None, Wing1: 5, Wing2: 1 << 33},
+		Conn: []int64{3, 5, 9, 299, 301, 4000},
+	}
+}
+
+// spilledFixture is the same node with two IDs inline and the rest on an
+// overflow chain. A spilled record's inline run ends where the record
+// does, so it is not self-delimiting — a shorter or longer tail is another
+// valid record — and only the round-trip property applies to it.
+func spilledFixture() []byte {
+	node := packedFixture()
+	return dm.EncodePackedRecord(&node, 99, 2, nil)
+}
+
+func packedRoundTrip(b []byte) ([]byte, error) {
+	n, total, ref, err := dm.DecodePackedRecord(b, nil)
+	if err != nil {
+		return nil, err
+	}
+	// A spilled record holds only the inline prefix of its list; the
+	// encoder wants the whole list to write the total. Pad it — unless the
+	// record claims more IDs than a test should allocate.
+	inline := len(n.Conn)
+	if total-inline > 1<<16 {
+		return b, nil
+	}
+	n.Conn = append(n.Conn, make([]int64, total-inline)...)
+	return dm.EncodePackedRecord(&n, ref, inline, nil), nil
+}
+
+// streamRoundTrip decodes a whole DMPS stream and re-encodes every batch
+// it accepted from the decoder's own meshes. The decoder reads from a
+// stream and stops after the announced batches, so "trailing garbage" is
+// bytes it must leave unread: the wrapper reports them.
+func streamRoundTrip(b []byte) ([]byte, error) {
+	rd := bytes.NewReader(b)
+	dec := stream.NewDecoder()
+	if err := dec.Attach(rd); err != nil {
+		return nil, err
+	}
+	rect := dec.Rect()
+	out := append([]byte("DMPS"), 1)
+	out = wire.AppendF64(out, rect.MinX, rect.MinY, rect.MaxX, rect.MaxY, dec.TargetE())
+	out = wire.AppendUvarint(out, uint64(dec.NumBatches()))
+	var levels []float64
+	var meshes []*dm.Result
+	var derr error
+	for !dec.Done() && derr == nil {
+		var e float64
+		if _, e, derr = dec.Next(); derr == nil {
+			levels = append(levels, e)
+			meshes = append(meshes, dec.Mesh())
+		}
+	}
+	if len(levels) > 0 {
+		st, err := stream.Encode(rect, levels, meshes)
+		if err != nil {
+			return nil, fmt.Errorf("accepted batches do not re-encode: %v", err)
+		}
+		for _, f := range st.Frames {
+			out = append(out, f...)
+		}
+	}
+	if derr == nil && rd.Len() > 0 {
+		derr = fmt.Errorf("%d bytes after the last batch: %w", rd.Len(), wire.ErrCorrupt)
+	}
+	return out, derr
+}
+
+func decoderRows() []decoderRow {
+	rowsOnce.Do(func() {
+		must := func(err error) {
+			if err != nil {
+				panic(err)
+			}
+		}
+		tr, err := dmesh.Build(dmesh.Config{Dataset: "highland", Size: 17, Seed: 7})
+		must(err)
+		store, err := tr.NewDMStore()
+		must(err)
+		cache, err := tr.NewTileCache(store, 0)
+		must(err)
+
+		tp, err := store.MaterializeTile(geom.Rect{MinX: 0.1, MinY: 0.2, MaxX: 0.7, MaxY: 0.8}, tr.LODPercentile(0.9))
+		must(err)
+
+		roi := geom.Rect{MinX: 0.2, MinY: 0.15, MaxX: 0.8, MaxY: 0.75}
+		levels, err := stream.LevelsFor(cache.Grid().Ladder(), 0)
+		must(err)
+		meshes := make([]*dm.Result, len(levels))
+		for i, e := range levels {
+			meshes[i], _, err = cache.Query(roi, e)
+			must(err)
+		}
+		st, err := stream.Encode(roi, levels, meshes)
+		must(err)
+		dmps := append([]byte{}, st.Header...)
+		for _, f := range st.Frames {
+			dmps = append(dmps, f...)
+		}
+
+		node := packedFixture()
+		rows = []decoderRow{{
+			name:    "DMTW",
+			fixture: []byte(traceFixture),
+			golden:  "24fb7fd972eb035b983300d0509619bf983003eb59829ad90cf2c32cdb0f1783",
+			varints: []int{4, 5, 9},
+			cut:     wire.ErrCorrupt,
+			roundTrip: func(b []byte) ([]byte, error) {
+				wt, err := obs.DecodeTraceWire(b)
+				if err != nil {
+					return nil, err
+				}
+				return wt.Encode(), nil
+			},
+		}, {
+			name:    "DMTP",
+			fixture: dm.EncodeTilePatch(tp),
+			golden:  "d122b6a787cddc2fd4e88dfbf9d24d659ae55b8070b0bc8b6a48f135000d3881",
+			varints: []int{4, 45},
+			cut:     wire.ErrCorrupt,
+			roundTrip: func(b []byte) ([]byte, error) {
+				tp, err := dm.DecodeTilePatch(b)
+				if err != nil {
+					return nil, err
+				}
+				return dm.EncodeTilePatch(tp), nil
+			},
+		}, {
+			name:      "DMPS",
+			fixture:   dmps,
+			golden:    "a4385ada9103ad878979ad06a02ac5193e8124ee4aa079616a195c094c0d1be8",
+			varints:   []int{4, 45, len(st.Header)},
+			cut:       stream.ErrTruncated,
+			roundTrip: streamRoundTrip,
+		}, {
+			name:      "packed",
+			fixture:   dm.EncodePackedRecord(&node, -1, len(node.Conn), nil),
+			golden:    "d0fcf408f0c4a914a047c50c332dcb483923baa8fd863068a9b88fb117ff969f",
+			varints:   []int{0},
+			cut:       wire.ErrCorrupt,
+			roundTrip: packedRoundTrip,
+		}}
+	})
+	return rows
+}
+
+// respell rewrites the varint at off non-minimally: same value, one more
+// byte.
+func respell(b []byte, off int) []byte {
+	end := off
+	for b[end] >= 0x80 {
+		end++
+	}
+	out := append([]byte{}, b[:end]...)
+	out = append(out, b[end]|0x80, 0x00)
+	return append(out, b[end+1:]...)
+}
+
+// TestDecoders drives every wire decoder through the same four
+// properties: (i) every strict prefix of a valid encoding fails with the
+// row's cut error and never panics; (ii) a non-minimal varint is
+// rejected; (iii) appended garbage is rejected; (iv) what decodes
+// re-encodes to the identical bytes — plus the golden hash pinning the
+// encoder's output.
+func TestDecoders(t *testing.T) {
+	for _, row := range decoderRows() {
+		t.Run(row.name, func(t *testing.T) {
+			sum := sha256.Sum256(row.fixture)
+			if got := hex.EncodeToString(sum[:]); got != row.golden {
+				t.Errorf("encoder output changed: sha256 %s, golden %s", got, row.golden)
+			}
+			out, err := row.roundTrip(row.fixture)
+			if err != nil {
+				t.Fatalf("fixture does not decode: %v", err)
+			}
+			if !bytes.Equal(out, row.fixture) {
+				t.Fatalf("fixture re-encodes to different bytes:\n in  %x\n out %x", row.fixture, out)
+			}
+			for cut := 0; cut < len(row.fixture); cut++ {
+				if _, err := row.roundTrip(row.fixture[:cut:cut]); !errors.Is(err, row.cut) {
+					t.Fatalf("prefix of %d bytes: err = %v, want %v", cut, err, row.cut)
+				}
+			}
+			for _, off := range row.varints {
+				if _, err := row.roundTrip(respell(row.fixture, off)); !errors.Is(err, wire.ErrCorrupt) {
+					t.Errorf("non-minimal varint at offset %d: err = %v, want wire.ErrCorrupt", off, err)
+				}
+			}
+			for _, tail := range [][]byte{{0x00}, {0xff}, row.fixture} {
+				if _, err := row.roundTrip(append(append([]byte{}, row.fixture...), tail...)); !errors.Is(err, wire.ErrCorrupt) {
+					t.Errorf("%d trailing bytes: err = %v, want wire.ErrCorrupt", len(tail), err)
+				}
+			}
+		})
+	}
+}
+
+func TestPackedSpilledRoundTrip(t *testing.T) {
+	in := spilledFixture()
+	const golden = "24e9d979e531ba19b145d8592358cb6c5528561c2fc39f6d6d0b32aa10cbb5e3"
+	if sum := sha256.Sum256(in); hex.EncodeToString(sum[:]) != golden {
+		t.Errorf("encoder output changed: sha256 %x, golden %s", sum, golden)
+	}
+	if out, err := packedRoundTrip(in); err != nil || !bytes.Equal(out, in) {
+		t.Fatalf("spilled record round trip: %x -> %x, %v", in, out, err)
+	}
+}
+
+// FuzzDecoders feeds arbitrary bytes to every decoder (the first byte
+// selects the format): none may panic, every rejection must be
+// wire.ErrCorrupt — or ErrTruncated for a DMPS stream that merely ends —
+// and whatever is accepted must re-encode to the bytes it was decoded
+// from, so byte equality is value equality in every format.
+func FuzzDecoders(f *testing.F) {
+	rows := decoderRows()
+	for i, row := range rows {
+		seed := append([]byte{byte(i)}, row.fixture...)
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		for _, off := range row.varints {
+			f.Add(append([]byte{byte(i)}, respell(row.fixture, off)...))
+		}
+	}
+	f.Add(append([]byte{byte(len(rows) - 1)}, spilledFixture()...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		row, in := rows[int(data[0])%len(rows)], data[1:]
+		out, err := row.roundTrip(in)
+		if err != nil && !errors.Is(err, wire.ErrCorrupt) && !errors.Is(err, row.cut) {
+			t.Fatalf("%s: error is neither wire.ErrCorrupt nor %v: %v", row.name, row.cut, err)
+		}
+		if err == nil && len(out) != len(in) || !bytes.HasPrefix(in, out) {
+			t.Fatalf("%s: accepted input re-encodes to different bytes:\n in  %x\n out %x", row.name, in, out)
+		}
+	})
+}
