@@ -38,14 +38,17 @@ chaos:
 # one table, first input byte selects the format) asserts that nothing
 # panics, every rejection is wire.ErrCorrupt (or ErrTruncated for a DMPS
 # stream that merely ends) and whatever decodes re-encodes to its own
-# bytes; the three per-codec targets keep their checked-in corpora. New
-# coverage is minimized on a short leash so the seconds go to fuzzing.
-# Longer explorations just raise -fuzztime.
+# bytes; the three per-codec targets keep their checked-in corpora, and
+# FuzzStitchDecoded goes one layer up: whatever tile bodies decode must
+# stitch without panicking, within an allocation bound, into an ascending
+# mesh. New coverage is minimized on a short leash so the seconds go to
+# fuzzing. Longer explorations just raise -fuzztime.
 fuzzsmoke:
 	$(GO) test -fuzz 'FuzzDecoders' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzDecoders$$' ./internal/wire/
 	$(GO) test -fuzz 'FuzzTraceWireDecode' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzTraceWireDecode$$' ./internal/obs/
 	$(GO) test -fuzz 'FuzzPackedRecordDecode' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzPackedRecordDecode$$' ./internal/dm/
 	$(GO) test -fuzz 'FuzzTilePatchDecode' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzTilePatchDecode$$' ./internal/dm/
+	$(GO) test -fuzz 'FuzzStitchDecoded' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzStitchDecoded$$' ./internal/dm/
 
 # Benchmark regression gate: regenerate the tracing figure at the gate
 # scale (129-point grids keep it under CI budgets) into results/gate and
@@ -72,15 +75,18 @@ benchsmoke:
 
 # Repository-benchmark smoke: the harness under bench/ (the program
 # BENCHMARK.json names) must still compile against the library's public
-# surface, pass its own tests, and complete a one-second hot_patch run
-# with every answer verified and every separation guard ok — so a change
-# that breaks any of those fails here rather than in the benchmark
-# driver. Not part of `make verify`; CI runs it after benchsmoke. Output
-# lands under results/, which is git-ignored.
+# surface, pass its own tests, and complete one-second hot_patch and
+# churn_tile runs with every answer verified and every separation guard
+# ok — so a change that breaks any of those fails here rather than in the
+# benchmark driver. churn_tile is the one workload where materialize,
+# evict and stitch run together, and its hit-ratio guard is what notices
+# TilePatch.Bytes() moving. Not part of `make verify`; CI runs it after
+# benchsmoke. Output lands under results/, which is git-ignored.
 benchrepo:
 	$(GO) vet ./bench
 	$(GO) test ./bench
 	$(GO) run ./bench -workload hot_patch -seed 1 -seconds 1 -out results/bench-smoke
+	$(GO) run ./bench -workload churn_tile -seed 1 -seconds 1 -out results/bench-smoke
 
 # Full-scale figure reproduction (several minutes); output under results/.
 figures:

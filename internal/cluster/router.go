@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -75,6 +76,7 @@ type Router struct {
 	shards      []string
 	ids         []string
 	grid        *tilecache.Grid
+	ladder      []float64 // grid.Ladder(), held once: the accessor copies
 	maxAttempts int
 	client      *http.Client
 
@@ -145,6 +147,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		shards:      append([]string(nil), cfg.Shards...),
 		ids:         append([]string(nil), ids...),
 		grid:        cfg.Grid,
+		ladder:      cfg.Grid.Ladder(),
 		maxAttempts: maxAttempts,
 		client:      client,
 		reg:         reg,
@@ -259,11 +262,18 @@ func (rt *Router) fetchTile(k tilecache.Key, tr *obs.Trace) (f tileFetch) {
 // transport error, non-200 status, truncated, over-long or over-limit
 // body (readBody), or undecodable body is a failed attempt — the
 // fail-stop model treats them all as "this shard cannot serve the tile
-// right now", and fetchTile fails over to the next candidate. With traced set the shard is asked for its phase
-// trace (trace=1) and a missing or corrupt X-DM-Trace header fails the
-// attempt the same way: a traced query's accounting is part of its
-// answer.
+// right now", and fetchTile fails over to the next candidate. So is a
+// body that decodes to another tile than k (a shard on a different grid
+// or ladder, or answering the wrong key, would otherwise stitch into a
+// silently wrong mesh), and a missing or unparsable X-DM-DA (the query's
+// disk-access total is the sum of those headers). With traced set the
+// shard is asked for its phase trace (trace=1) and a missing or corrupt
+// X-DM-Trace header fails the attempt the same way: a traced query's
+// accounting is part of its answer.
 func (rt *Router) getPatch(base string, k tilecache.Key, traced bool) (*dm.TilePatch, uint64, *obs.WireTrace, error) {
+	if !rt.grid.ValidKey(k) { // keys from /hottiles are a shard's word
+		return nil, 0, nil, fmt.Errorf("cluster: tile %s outside the grid: %w", k, tilecache.ErrInvalidKey)
+	}
 	url := fmt.Sprintf("%s/patch?level=%d&ix=%d&iy=%d&band=%d", base, k.Level, k.IX, k.IY, k.Band)
 	if traced {
 		url += "&trace=1"
@@ -280,7 +290,18 @@ func (rt *Router) getPatch(base string, k tilecache.Key, traced bool) (*dm.TileP
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	da, _ := strconv.ParseUint(resp.Header.Get("X-DM-DA"), 10, 64)
+	want, wantE := rt.grid.RectFor(k), rt.ladder[k.Band]
+	got := [5]float64{tp.Rect.MinX, tp.Rect.MinY, tp.Rect.MaxX, tp.Rect.MaxY, tp.E}
+	for i, w := range [5]float64{want.MinX, want.MinY, want.MaxX, want.MaxY, wantE} {
+		if math.Float64bits(got[i]) != math.Float64bits(w) {
+			return nil, 0, nil, fmt.Errorf("cluster: %s: body is tile %v at LOD %g, want %v at LOD %g: %w",
+				url, tp.Rect, tp.E, want, wantE, wire.ErrCorrupt)
+		}
+	}
+	da, err := strconv.ParseUint(resp.Header.Get("X-DM-DA"), 10, 64)
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("cluster: %s: bad X-DM-DA %q: %w", url, resp.Header.Get("X-DM-DA"), wire.ErrCorrupt)
+	}
 	var wt *obs.WireTrace
 	if traced {
 		raw, err := base64.StdEncoding.DecodeString(resp.Header.Get("X-DM-Trace"))

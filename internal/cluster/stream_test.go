@@ -335,3 +335,116 @@ func TestFailoverHostileBodies(t *testing.T) {
 		t.Fatalf("no query needed >= 2 redirects (max %d); ring layout defeats the regression", maxRedirect)
 	}
 }
+
+// lyingFront fronts a real shard whose /patch answers are well-formed and
+// wrong in a way no decoder can see. With wrongTile it answers every key
+// with the valid body of another tile — the neighbour in x, or at level 0
+// the same cell at another LOD, what a shard on a different grid or ladder
+// would send — and names a band its grid does not have on /hottiles;
+// otherwise it serves the right body without the X-DM-DA header.
+func lyingFront(t *testing.T, h http.Handler, wrongTile bool) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case wrongTile && r.URL.Path == "/hottiles":
+			w.Write([]byte(`[{"level":0,"ix":0,"iy":0,"band":99,"hits":7}]`))
+			return
+		case r.URL.Path != "/patch":
+			h.ServeHTTP(w, r)
+			return
+		}
+		if wrongTile {
+			q := r.URL.Query()
+			if level, _ := strconv.Atoi(q.Get("level")); level > 0 {
+				ix, _ := strconv.Atoi(q.Get("ix"))
+				q.Set("ix", strconv.Itoa(ix^1))
+			} else {
+				band, _ := strconv.Atoi(q.Get("band"))
+				q.Set("band", strconv.Itoa(band^1))
+			}
+			r.URL.RawQuery = q.Encode()
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		for k, vs := range rec.Header() {
+			if wrongTile || k != "X-Dm-Da" {
+				w.Header()[k] = vs
+			}
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestFailoverLyingShards is the regression for two answers the router
+// used to accept: a valid body for a tile it did not ask for (stitched
+// into a silently wrong mesh), and a response without X-DM-DA (counted as
+// zero disk accesses). Each is now a failed attempt: alone such a shard
+// fails the query, behind a replica the replica answers, and a hot-tile
+// report naming a key outside the grid is a failed warm-up, not a fetch.
+func TestFailoverLyingShards(t *testing.T) {
+	tr := terrain(t, "highland")
+	single := singleNode(t, tr)
+	newShard := func() *serve.Server {
+		s, err := serve.New(serve.Config{Terrain: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	good := newShard()
+	goodTS := httptest.NewServer(good.Handler(false))
+	t.Cleanup(goodTS.Close)
+	wrongTile := lyingFront(t, newShard().Handler(false), true)
+	noDA := lyingFront(t, newShard().Handler(false), false)
+	newRouter := func(urls ...string) *cluster.Router {
+		t.Helper()
+		ids := []string{"shard-0", "shard-1", "shard-2"}[:len(urls)]
+		rt, err := cluster.NewRouter(cluster.Config{Shards: urls, IDs: ids, Grid: good.Grid()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt
+	}
+	ladder := single.Ladder()
+	rng := rand.New(rand.NewSource(47))
+	rects := append(randRects(rng, 12), geom.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}) // the last is level 0
+
+	for name, ts := range map[string]*httptest.Server{"wrong tile": wrongTile, "no X-DM-DA": noDA} {
+		rt := newRouter(ts.URL)
+		for _, r := range rects {
+			if _, _, err := rt.Query(r, ladder[1]); !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("%s: Query(%v) alone: err = %v, want ErrCorrupt", name, r, err)
+			}
+		}
+	}
+
+	rt := newRouter(wrongTile.URL, noDA.URL, goodTS.URL)
+	maxRedirect := 0
+	for _, r := range rects {
+		e := ladder[rng.Intn(len(ladder))]
+		res, st, err := rt.Query(r, e)
+		if err != nil {
+			t.Fatalf("Query(%v, %g): %v", r, e, err)
+		}
+		if st.Attempts != st.Tiles+st.Redirected {
+			t.Fatalf("attempts %d != tiles %d + redirected %d", st.Attempts, st.Tiles, st.Redirected)
+		}
+		direct, _, derr := single.Query(r, e)
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		if !bytes.Equal(canonicalMesh(res), canonicalMesh(direct)) {
+			t.Fatal("answer assembled around lying shards differs from single node")
+		}
+		maxRedirect = max(maxRedirect, st.Redirected)
+	}
+	if maxRedirect < 2 {
+		t.Fatalf("no query needed >= 2 redirects (max %d); ring layout defeats the regression", maxRedirect)
+	}
+	if st, err := rt.Rebalance(4, 2); err != nil || st.Failed == 0 {
+		t.Fatalf("Rebalance over a shard reporting an out-of-grid hot tile: %+v, %v; want failed warm-ups", st, err)
+	}
+}

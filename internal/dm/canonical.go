@@ -19,11 +19,7 @@ func CanonicalMesh(res *Result) []byte {
 	var buf []byte
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 
-	ids := make([]int64, 0, len(res.Vertices))
-	for id := range res.Vertices {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := sortedIDs(res.Vertices)
 	u64(uint64(len(ids)))
 	for _, id := range ids {
 		p := res.Vertices[id]

@@ -18,6 +18,10 @@ package dm
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"slices"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/pm"
@@ -93,24 +97,28 @@ type Result struct {
 // assembleUniform builds the mesh for a uniform-LOD cut: vertices are the
 // live nodes, edges are connection-list pairs whose both ends are live.
 // Direct Mesh's core claim is that this needs no data beyond the fetched
-// records.
+// records. Walking ascending live IDs x their ascending connection lists
+// emits the edges already sorted, so Edges and Triangles come out in
+// ascending order.
 func assembleUniform(live map[int64]*Node) *Result {
-	res := &Result{Vertices: make(map[int64]geom.Point3, len(live))}
-	adj := make(map[int64][]int64, len(live))
-	for id, n := range live {
+	ids := sortedIDs(live)
+	idx := newIDIndex(ids)
+	res := &Result{Vertices: make(map[int64]geom.Point3, len(ids))}
+	edges := make([]uint64, 0, 3*len(ids))
+	for i, id := range ids {
+		n := live[id]
 		res.Vertices[id] = n.Pos
 		for _, c := range n.Conn {
 			if c <= id {
 				continue // count each pair once
 			}
-			if _, ok := live[c]; ok {
-				res.Edges = append(res.Edges, [2]int64{id, c})
-				adj[id] = append(adj[id], c)
-				adj[c] = append(adj[c], id)
+			if j := idx.lookup(c); j >= 0 {
+				edges = append(edges, packEdge(i, j))
 			}
 		}
 	}
-	res.Triangles = trianglesFromAdjacency(adj)
+	res.Edges = unpackEdges(edges, ids)
+	res.Triangles = cliques(edges, ids)
 	return res
 }
 
@@ -122,30 +130,34 @@ func assembleUniform(live map[int64]*Node) *Result {
 // (their witnesses lie outside the query cube, the connectivity the paper
 // notes cannot be kept without storing all-LOD lists).
 func assembleLifted(fetched map[int64]*Node, live map[int64]*Node) *Result {
-	res := &Result{Vertices: make(map[int64]geom.Point3, len(live))}
-	for id, n := range live {
-		res.Vertices[id] = n.Pos
+	ids := sortedIDs(live)
+	idx := newIDIndex(ids)
+	res := &Result{Vertices: make(map[int64]geom.Point3, len(ids))}
+	for _, id := range ids {
+		res.Vertices[id] = live[id].Pos
 	}
-	// rep memoizes the live representative of every fetched node.
-	const unresolved = int64(-2)
-	repCache := make(map[int64]int64, len(fetched))
-	var rep func(id int64) int64
-	rep = func(id int64) int64 {
+	// rep memoizes the live representative of every fetched node, as its
+	// index in ids (-1: none).
+	const unresolved = -2
+	repCache := make(map[int64]int, len(fetched))
+	var rep func(id int64) int
+	rep = func(id int64) int {
 		if r, ok := repCache[id]; ok {
 			return r
 		}
 		repCache[id] = unresolved // cycle guard; overwritten below
-		var r int64 = -1
-		if _, ok := live[id]; ok {
-			r = id
-		} else if n, ok := fetched[id]; ok && n.Parent != pm.None {
-			r = rep(n.Parent)
+		r := idx.lookup(id)
+		if r < 0 {
+			if n, ok := fetched[id]; ok && n.Parent != pm.None {
+				r = rep(n.Parent)
+			}
 		}
 		repCache[id] = r
 		return r
 	}
-	adj := make(map[int64][]int64, len(live))
-	seen := make(map[[2]int64]bool)
+	// Many pairs lift to the same edge, in no particular order: collect,
+	// then sort and dedup.
+	var edges []uint64
 	for id, n := range fetched {
 		ra := rep(id)
 		if ra < 0 {
@@ -155,73 +167,163 @@ func assembleLifted(fetched map[int64]*Node, live map[int64]*Node) *Result {
 			if _, ok := fetched[c]; !ok {
 				continue
 			}
-			rb := rep(c)
-			if rb < 0 || rb == ra {
-				continue
+			if rb := rep(c); rb >= 0 && rb != ra {
+				edges = append(edges, packEdge(ra, rb))
 			}
-			k := edgeKey(ra, rb)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			res.Edges = append(res.Edges, k)
-			adj[k[0]] = append(adj[k[0]], k[1])
-			adj[k[1]] = append(adj[k[1]], k[0])
 		}
 	}
-	res.Triangles = trianglesFromAdjacency(adj)
+	edges = sortEdges(edges, len(ids))
+	res.Edges = unpackEdges(edges, ids)
+	res.Triangles = cliques(edges, ids)
 	return res
 }
 
-func edgeKey(a, b int64) [2]int64 {
-	if a > b {
-		a, b = b, a
+// sortedIDs returns the keys of m in ascending order.
+func sortedIDs[V any](m map[int64]V) []int64 {
+	ids := make([]int64, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
 	}
-	return [2]int64{a, b}
+	slices.Sort(ids)
+	return ids
 }
 
-// trianglesFromAdjacency extracts the 3-cliques of the adjacency graph —
-// the triangles of the reconstructed approximation.
-func trianglesFromAdjacency(adj map[int64][]int64) []geom.Triangle {
-	// Sort neighbor lists so cliques can be found by merge-intersection.
-	for v := range adj {
-		ns := adj[v]
-		sortInt64s(ns)
+// idIndex answers "which position does this ID hold in an ascending ID
+// list" in O(1): an open-addressing table (linear probing, load <= 1/2) of
+// positions into the list itself. Its memory is bounded by the number of
+// IDs, never by an ID's value — IDs arriving in a decoded tile patch are
+// attacker-controlled up to MaxInt64 — and the hash is seeded per process
+// so that crafted IDs cannot line up one probe chain.
+type idIndex struct {
+	ids   []int64
+	slots []int32 // position + 1; 0 marks an empty slot
+	shift uint
+}
+
+var idIndexSeed = rand.Uint64()
+
+// newIDIndex indexes ids, which must be strictly ascending. Positions are
+// held (here and in packed edges) as 32-bit halves, so len(ids) must not
+// exceed MaxInt32: callers fed by untrusted input check before calling,
+// and a store query cannot hold that many records in memory.
+func newIDIndex(ids []int64) idIndex {
+	if len(ids) > math.MaxInt32 {
+		panic("dm: more than MaxInt32 live vertices in one mesh")
 	}
-	var tris []geom.Triangle
-	for u, ns := range adj {
-		for i, v := range ns {
-			if v <= u {
-				continue
+	bitsN := bits.Len(uint(2*len(ids)) | 1)
+	x := idIndex{ids: ids, slots: make([]int32, 1<<bitsN), shift: uint(64 - bitsN)}
+	for i, id := range ids {
+		s := x.home(id)
+		for x.slots[s] != 0 {
+			s = (s + 1) & (len(x.slots) - 1)
+		}
+		x.slots[s] = int32(i + 1)
+	}
+	return x
+}
+
+func (x *idIndex) home(id int64) int {
+	return int((uint64(id) ^ idIndexSeed) * 0x9E3779B97F4A7C15 >> x.shift)
+}
+
+// lookup returns id's position in the indexed list, or -1.
+func (x *idIndex) lookup(id int64) int {
+	for s := x.home(id); ; s = (s + 1) & (len(x.slots) - 1) {
+		p := x.slots[s]
+		if p == 0 {
+			return -1
+		}
+		if x.ids[p-1] == id {
+			return int(p - 1)
+		}
+	}
+}
+
+// A packed edge is a pair of positions (u, v), u < v, into an ascending
+// ID list, held as u<<32 | v: integer order on packed edges is (u, v)
+// order, which — the list being ascending — is (ID, ID) order.
+func packEdge(u, v int) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
+}
+
+// unpackEdges spells packed edges out as ID pairs, order kept.
+func unpackEdges(edges []uint64, ids []int64) [][2]int64 {
+	out := make([][2]int64, len(edges))
+	for i, e := range edges {
+		out[i] = [2]int64{ids[e>>32], ids[uint32(e)]}
+	}
+	return out
+}
+
+// edgeOffsets counts packed edges over n vertices by first endpoint:
+// once the edges are sorted, u's run is edges[off[u]:off[u+1]].
+func edgeOffsets(edges []uint64, n int) []int {
+	off := make([]int, n+1)
+	for _, e := range edges {
+		off[e>>32+1]++
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	return off
+}
+
+// sortEdges sorts packed edges over n vertices ascending and drops
+// duplicates, in O(len(edges) + n): a counting sort on the first endpoint
+// leaves each vertex's handful of forward neighbours contiguous, and those
+// short runs are sorted in place.
+func sortEdges(edges []uint64, n int) []uint64 {
+	off := edgeOffsets(edges, n)
+	out := make([]uint64, len(edges))
+	for _, e := range edges {
+		out[off[e>>32]] = e
+		off[e>>32]++
+	}
+	// off[u] is now the end of u's run (the start of u+1's).
+	w, lo := 0, 0
+	for u := 0; u < n; u++ {
+		run := out[lo:off[u]]
+		lo = off[u]
+		slices.Sort(run)
+		for i, e := range run {
+			if i == 0 || e != run[i-1] {
+				out[w] = e
+				w++
 			}
-			// w must be adjacent to both u and v, with w > v to count each
-			// triangle once.
-			vs := adj[v]
-			j, k := i+1, 0
-			for j < len(ns) && k < len(vs) {
-				switch {
-				case ns[j] < vs[k]:
-					j++
-				case ns[j] > vs[k]:
-					k++
-				default:
-					if ns[j] > v {
-						tris = append(tris, geom.Triangle{A: u, B: v, C: ns[j]})
-					}
-					j++
-					k++
-				}
+		}
+	}
+	return out[:w]
+}
+
+// cliques enumerates the 3-cliques of a graph — the triangles of the
+// reconstructed approximation — given its edges packed, strictly
+// ascending, over the ascending vertex list ids. The sorted edge list is
+// its own forward adjacency: the neighbours v > u of u are the run of
+// edges starting with u, so the triangles u < v < w on edge (u, v) are the
+// merge-intersection of the rest of u's run with v's run. Triangles come
+// out as ID triples in ascending (A, B, C) order.
+func cliques(edges []uint64, ids []int64) []geom.Triangle {
+	off := edgeOffsets(edges, len(ids))
+	tris := make([]geom.Triangle, 0, 2*len(ids)) // a planar mesh has < 2V faces
+	for i, e := range edges {
+		u, v := e>>32, uint64(uint32(e))
+		us, vs := edges[i+1:off[u+1]], edges[off[v]:off[v+1]]
+		for j, k := 0, 0; j < len(us) && k < len(vs); {
+			a, b := uint32(us[j]), uint32(vs[k])
+			switch {
+			case a < b:
+				j++
+			case a > b:
+				k++
+			default:
+				tris = append(tris, geom.Triangle{A: ids[u], B: ids[v], C: ids[a]})
+				j++
+				k++
 			}
 		}
 	}
 	return tris
-}
-
-func sortInt64s(a []int64) {
-	// Insertion sort: neighbor lists are tiny (average degree ~6).
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

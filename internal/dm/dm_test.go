@@ -1,6 +1,8 @@
 package dm
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -50,15 +52,6 @@ func eAtPercentile(ds *Dataset, p float64) float64 {
 	}
 	sort.Float64s(es)
 	return es[int(p*float64(len(es)-1))]
-}
-
-func sortedIDs(m map[int64]geom.Point3) []int64 {
-	out := make([]int64, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -479,23 +472,73 @@ func TestConnListStatsAreSmall(t *testing.T) {
 	_ = ds
 }
 
-func TestTrianglesFromAdjacency(t *testing.T) {
-	adj := map[int64][]int64{
-		1: {2, 3},
-		2: {1, 3, 4},
-		3: {1, 2, 4},
-		4: {2, 3},
+// TestCliques: the one triangulator, on graphs small enough to check by
+// eye — shared edges, a vertex with no edges, K4 (every triple is a
+// clique) — returns exactly the 3-cliques, as ID triples in ascending
+// order, and sortEdges hands it what it needs from any pair order.
+func TestCliques(t *testing.T) {
+	ids := []int64{10, 20, 30, 40, 55}
+	pack := func(pairs ...[2]int) []uint64 {
+		var es []uint64
+		for _, p := range pairs {
+			es = append(es, packEdge(p[0], p[1]))
+		}
+		return es
 	}
-	tris := trianglesFromAdjacency(adj)
-	if len(tris) != 2 {
-		t.Fatalf("got %d triangles: %v", len(tris), tris)
+	tri := func(a, b, c int64) geom.Triangle { return geom.Triangle{A: a, B: b, C: c} }
+	for _, tc := range []struct {
+		name  string
+		edges []uint64
+		want  []geom.Triangle
+	}{
+		{"empty", nil, nil},
+		{"path", pack([2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}), nil},
+		{"two triangles on an edge, out of order, duplicated",
+			pack([2]int{3, 2}, [2]int{0, 1}, [2]int{2, 1}, [2]int{0, 2}, [2]int{1, 3}, [2]int{1, 2}),
+			[]geom.Triangle{tri(10, 20, 30), tri(20, 30, 40)}},
+		{"K4 beside an isolated vertex",
+			pack([2]int{0, 1}, [2]int{0, 2}, [2]int{0, 4}, [2]int{1, 2}, [2]int{1, 4}, [2]int{2, 4}),
+			[]geom.Triangle{tri(10, 20, 30), tri(10, 20, 55), tri(10, 30, 55), tri(20, 30, 55)}},
+	} {
+		sorted := sortEdges(tc.edges, len(ids))
+		if !slices.IsSorted(sorted) || len(slices.Compact(slices.Clone(sorted))) != len(sorted) {
+			t.Fatalf("%s: sortEdges left %x", tc.name, sorted)
+		}
+		if got := cliques(sorted, ids); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: cliques = %v, want %v", tc.name, got, tc.want)
+		}
 	}
-	seen := map[geom.Triangle]bool{}
-	for _, tr := range tris {
-		seen[tr.Canon()] = true
-	}
-	if !seen[geom.Triangle{A: 1, B: 2, C: 3}] || !seen[geom.Triangle{A: 2, B: 3, C: 4}] {
-		t.Fatalf("wrong triangles: %v", tris)
+}
+
+// TestIDIndex: every listed ID maps to its position and nothing else maps
+// anywhere, for lists from empty up through sizes straddling a table
+// doubling, IDs dense, sparse and at the top of the range.
+func TestIDIndex(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 511, 512, 513, 3000} {
+		ids := make([]int64, n)
+		for i := range ids {
+			ids[i] = int64(i) * 7
+		}
+		if n > 2 {
+			ids[n-2], ids[n-1] = math.MaxInt64-1, math.MaxInt64
+		}
+		idx := newIDIndex(ids)
+		if len(idx.slots) < 2*n || len(idx.slots) > 4*n+2 {
+			t.Fatalf("%d IDs: %d slots", n, len(idx.slots))
+		}
+		for i, id := range ids {
+			if got := idx.lookup(id); got != i {
+				t.Fatalf("%d IDs: lookup(%d) = %d, want %d", n, id, got, i)
+			}
+		}
+		for _, id := range []int64{-1, 1, 6, 8, int64(n) * 7, math.MaxInt64 - 2, math.MinInt64} {
+			if slices.Contains(ids, id) {
+				continue
+			}
+			if got := idx.lookup(id); got != -1 {
+				t.Fatalf("%d IDs: lookup(%d) = %d for an absent ID", n, id, got)
+			}
+		}
 	}
 }
 

@@ -96,6 +96,13 @@ func (p *patchMesh) forEachCommonNeighbor(u, v int64, fn func(w int64)) {
 	}
 }
 
+func edgeKey(a, b int64) [2]int64 {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]int64{a, b}
+}
+
 func canonTriangle(a, b, c int64) geom.Triangle {
 	return geom.Triangle{A: a, B: b, C: c}.Canon()
 }

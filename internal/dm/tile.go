@@ -2,7 +2,7 @@ package dm
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
@@ -12,10 +12,15 @@ import (
 // answer to the uniform query Q(Rect, E) restricted to the tile footprint,
 // stored in a form that lets StitchTiles assemble the answer to any ROI
 // covered by a set of patches at the same E without touching the store
-// again. It holds the live nodes (with their connection lists), the
-// intra-tile mesh (edges and triangles whose endpoints all lie inside the
-// tile), and the out-going connection pairs whose far endpoint is not a
-// live node of this tile — the stitching seams.
+// again. It holds the live nodes, the intra-tile mesh (edges and triangles
+// whose endpoints all lie inside the tile), and the out-going connection
+// pairs whose far endpoint is not a live node of this tile — the stitching
+// seams.
+//
+// The stitch surface is flat and sorted, in the shape the wire ships it:
+// ascending ids with parallel pos, and both pair lists as runs of equal
+// first endpoint. A store-materialized patch and a decoded one carry it
+// identically; only the former also has Nodes.
 //
 // A patch is immutable once materialized; it may be shared by any number
 // of concurrent readers.
@@ -25,45 +30,82 @@ type TilePatch struct {
 	Rect geom.Rect
 	// E is the discrete LOD the patch is materialized at.
 	E float64
-	// Nodes holds every node whose position lies inside Rect and whose
-	// LOD interval contains E — exactly the live set of Q(Rect, E).
+	// Nodes holds the fetched record of every node whose position lies
+	// inside Rect and whose LOD interval contains E — exactly the live set
+	// of Q(Rect, E). Nil on a decoded patch (the records stay on the
+	// shard); NumNodes counts either kind.
 	Nodes map[int64]*Node
 
-	// edges and tris are the intra-tile mesh: connection pairs (and the
-	// 3-cliques they close) with both endpoints in Nodes. Sorted for
-	// deterministic patch content.
-	edges [][2]int64
+	// ids lists the live node IDs ascending; pos[i] is ids[i]'s position.
+	ids []int64
+	pos []geom.Point3
+	// edges and tris are the intra-tile mesh: connection pairs (a, b),
+	// a < b, and the 3-cliques they close, with every endpoint in ids.
+	// Both ascending. StitchTiles recomputes triangles from the merged edge
+	// list and does not read tris; they stay because Bytes and the wire
+	// format count them.
+	edges pairRuns
 	tris  []geom.Triangle
-	// outPairs are connection pairs (a, c) with a in Nodes and c not: c
-	// lies in a neighboring tile, or is not live at E. Stitching resolves
-	// them against the combined live set.
-	outPairs [][2]int64
+	// outPairs are connection pairs (a, c) with a in ids and c not: c lies
+	// in a neighboring tile, or is not live at E. Stitching resolves them
+	// against the combined live set.
+	outPairs pairRuns
 
 	// FetchedRecords is how many node records the materializing range
 	// query read (the I/O the patch cost, in records).
 	FetchedRecords int
 }
 
-// Bytes estimates the resident size of the patch in bytes — the unit the
-// tile cache budgets. The estimate is deterministic and intentionally
-// simple: node header + connection IDs + mesh slices.
+// pairRuns is a pair list sorted by (a, b), held as the wire codes it: one
+// run per distinct first endpoint, the far endpoints of all runs
+// back to back — 8 bytes a pair, the head stored once.
+type pairRuns struct {
+	runs []pairRun
+	far  []int64
+}
+
+// pairRun is one run: head paired with far[previous run's end : end].
+type pairRun struct {
+	head int64
+	end  int
+}
+
+// add appends the pair (head, far); heads must arrive in ascending order.
+func (p *pairRuns) add(head, far int64) {
+	p.far = append(p.far, far)
+	if n := len(p.runs); n > 0 && p.runs[n-1].head == head {
+		p.runs[n-1].end = len(p.far)
+	} else {
+		p.runs = append(p.runs, pairRun{head, len(p.far)})
+	}
+}
+
+// Bytes is the patch's size in the unit the tile cache budgets: node
+// header + connection IDs + mesh slices at 16 bytes a pair. It is the
+// input of every eviction decision, so it is frozen at this formula (see
+// DESIGN.md §9) although the run form holds a pair in 8 bytes: real
+// residency is below the estimate.
 func (tp *TilePatch) Bytes() int {
 	const nodeHeader = 96 // pm.Node fields + map overhead, rounded
-	b := 0
+	b := nodeHeader * len(tp.ids)
 	for _, n := range tp.Nodes {
-		b += nodeHeader + 8*len(n.Conn)
+		b += 8 * len(n.Conn)
 	}
-	b += 16 * len(tp.edges)
+	b += 16 * len(tp.edges.far)
 	b += 24 * len(tp.tris)
-	b += 16 * len(tp.outPairs)
+	b += 16 * len(tp.outPairs.far)
 	return b
 }
 
+// NumNodes returns the live node count, of a store-materialized or a
+// decoded patch alike.
+func (tp *TilePatch) NumNodes() int { return len(tp.ids) }
+
 // NumEdges returns the intra-tile edge count (diagnostics).
-func (tp *TilePatch) NumEdges() int { return len(tp.edges) }
+func (tp *TilePatch) NumEdges() int { return len(tp.edges.far) }
 
 // NumOutPairs returns the seam pair count (diagnostics).
-func (tp *TilePatch) NumOutPairs() int { return len(tp.outPairs) }
+func (tp *TilePatch) NumOutPairs() int { return len(tp.outPairs.far) }
 
 // MaterializeTile answers Q(r, e) like ViewpointIndependent but returns
 // the result as a TilePatch: live nodes plus the intra-tile mesh and the
@@ -81,82 +123,74 @@ func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	fetched := f.fetched()
 	s.tr.Begin(obs.PhaseTriangulate)
 	defer s.tr.End()
-	live := make(map[int64]*Node, len(fetched))
-	for id, n := range fetched {
+	live := f.fetched() // the fetcher is done with its map: filter in place
+	conn := 0
+	for id, n := range live {
 		if n.Interval().Contains(e) {
-			live[id] = n
+			conn += len(n.Conn)
+		} else {
+			delete(live, id)
 		}
 	}
-	tp := &TilePatch{Rect: r, E: e, Nodes: live, FetchedRecords: nf}
-	adj := make(map[int64][]int64, len(live))
-	for id, n := range live {
+	ids := sortedIDs(live)
+	idx := newIDIndex(ids)
+	tp := &TilePatch{
+		Rect: r, E: e, Nodes: live, FetchedRecords: nf,
+		ids: ids, pos: make([]geom.Point3, len(ids)),
+	}
+	// Ascending IDs x their ascending connection lists: both pair lists
+	// (and the packed edges the triangles come from) are emitted in order.
+	// A node heads at most one run in each; a planar mesh has < 3V edges;
+	// and at most conn pairs exist at all.
+	tp.edges = pairRuns{runs: make([]pairRun, 0, len(ids)), far: make([]int64, 0, min(3*len(ids), conn))}
+	tp.outPairs = pairRuns{runs: make([]pairRun, 0, len(ids)), far: make([]int64, 0, conn)}
+	packed := make([]uint64, 0, cap(tp.edges.far))
+	for i, id := range ids {
+		n := live[id]
+		tp.pos[i] = n.Pos
 		for _, c := range n.Conn {
-			if _, ok := live[c]; ok {
-				if c > id { // count each intra pair once
-					tp.edges = append(tp.edges, [2]int64{id, c})
-					adj[id] = append(adj[id], c)
-					adj[c] = append(adj[c], id)
-				}
-			} else {
-				tp.outPairs = append(tp.outPairs, [2]int64{id, c})
+			if j := idx.lookup(c); j < 0 {
+				tp.outPairs.add(id, c)
+			} else if j > i { // count each intra pair once
+				tp.edges.add(id, c)
+				packed = append(packed, packEdge(i, j))
 			}
 		}
 	}
-	tp.tris = trianglesFromAdjacency(adj)
-	sortEdgeSlice(tp.edges)
-	sortEdgeSlice(tp.outPairs)
-	sortTriSlice(tp.tris)
+	tp.tris = cliques(packed, ids)
 	return tp, nil
-}
-
-func sortEdgeSlice(es [][2]int64) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i][0] != es[j][0] {
-			return es[i][0] < es[j][0]
-		}
-		return es[i][1] < es[j][1]
-	})
-}
-
-func sortTriSlice(ts []geom.Triangle) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		return a.C < b.C
-	})
 }
 
 // StitchTiles assembles the answer to Q(r, e) from tile patches whose
 // footprints together cover r, all materialized at the same e. The result
 // is exactly equal (as vertex/edge/triangle sets) to ViewpointIndependent
-// (r, e) on the same store, with zero store I/O.
+// (r, e) on the same store, with zero store I/O, and its Edges and
+// Triangles are in ascending order.
 //
-// The stitch walks connection lists across tile seams: interior tiles
-// (footprint fully inside r) contribute their precomputed mesh wholesale;
-// boundary tiles are clipped edge by edge; out-going pairs resolve
-// against the combined live set, closing cross-tile triangles through the
-// patch-mesh common-neighbor walk; a final sweep over nodes shared by
-// several tiles closes the corner triangles whose every edge was
-// bulk-merged from a different tile.
+// Three linear passes over flat arrays. The tiles' ascending ID lists
+// merge, clipped to r, into the answer's vertex list (a node on a tile
+// boundary, or a tile given twice, lands once). Every pair list then
+// resolves against that list through one ID index — a pair survives when
+// both ends are vertices of the answer, whichever tile each came from —
+// into packed edges, sorted and deduplicated (a cross-tile pair is recorded
+// by both sides). The triangles are the 3-cliques of that edge list,
+// recomputed rather than merged from the tiles' own: a triangle spanning
+// two or three tiles is in no tile's set, and enumerating all of them costs
+// less than telling the two kinds apart.
 func StitchTiles(r geom.Rect, e float64, tiles []*TilePatch) (*Result, error) {
 	return StitchTilesTraced(r, e, tiles, nil)
 }
 
 // StitchTilesTraced is StitchTiles emitting phase spans on tr (which may
-// be nil): the whole stitch under one stitch span, with the seam
-// resolution and corner sweep itemized as a seam-closure child.
+// be nil): the whole stitch under one stitch span, with the resolution of
+// the seam out-pairs and the merge into the edge list itemized as a
+// seam-closure child.
 func StitchTilesTraced(r geom.Rect, e float64, tiles []*TilePatch, tr *obs.Trace) (*Result, error) {
 	tr.Begin(obs.PhaseStitch)
 	defer tr.End()
-	nNodes := 0
+	nVerts := 0 // vertices inside r, counting a shared one once per tile
 	for _, tp := range tiles {
 		if tp == nil {
 			return nil, fmt.Errorf("dm: stitch: nil tile patch")
@@ -164,93 +198,81 @@ func StitchTilesTraced(r geom.Rect, e float64, tiles []*TilePatch, tr *obs.Trace
 		if tp.E != e {
 			return nil, fmt.Errorf("dm: stitch: tile %v materialized at LOD %g, want %g", tp.Rect, tp.E, e)
 		}
-		nNodes += len(tp.Nodes)
+		for _, p := range tp.pos {
+			if r.ContainsPoint(p.XY()) {
+				nVerts++
+			}
+		}
 	}
-	live := make(map[int64]*Node, nNodes)
-	shared := make(map[int64]struct{})
-	for _, tp := range tiles {
-		for id, n := range tp.Nodes {
-			if !r.ContainsPoint(n.Pos.XY()) {
-				continue // clip to the true ROI
+	if nVerts > math.MaxInt32 {
+		return nil, fmt.Errorf("dm: stitch: %d vertices exceed the mesh index range", nVerts)
+	}
+
+	// Pass 1: k-way merge of the ID lists, clipped to the true ROI.
+	res := &Result{Vertices: make(map[int64]geom.Point3, nVerts), Strips: len(tiles)}
+	ids := make([]int64, 0, nVerts)
+	cur := make([]int, len(tiles))
+	for {
+		next, from := int64(math.MaxInt64), -1
+		for t, tp := range tiles {
+			c := cur[t]
+			for c < len(tp.ids) && !r.ContainsPoint(tp.pos[c].XY()) {
+				c++
 			}
-			if _, ok := live[id]; ok {
-				shared[id] = struct{}{} // tile-boundary node, seen before
-				continue
+			cur[t] = c
+			if c < len(tp.ids) && (from < 0 || tp.ids[c] < next) {
+				next, from = tp.ids[c], t
 			}
-			live[id] = n
+		}
+		if from < 0 {
+			break
+		}
+		ids = append(ids, next)
+		res.Vertices[next] = tiles[from].pos[cur[from]]
+		for t, tp := range tiles {
+			if c := cur[t]; c < len(tp.ids) && tp.ids[c] == next {
+				cur[t]++
+			}
 		}
 	}
 
-	p := newPatchMesh()
-	// Interior tiles: every node is inside r, so the precomputed mesh
-	// merges without per-edge liveness checks or closure walks.
+	// Pass 2: every pair list against the merged vertex list.
+	idx := newIDIndex(ids)
+	edges := make([]uint64, 0, 4*len(ids))
 	for _, tp := range tiles {
-		if !r.ContainsRect(tp.Rect) {
-			continue
-		}
-		for _, ed := range tp.edges {
-			if p.edgeCount[ed] == 0 { // duplicate on a shared tile boundary
-				p.edgeCount[ed] = 1
-				p.link(ed[0], ed[1])
-				p.link(ed[1], ed[0])
-			}
-		}
-		for _, tr := range tp.tris {
-			p.tris[tr] = struct{}{}
-		}
+		edges = idx.resolve(edges, tp.edges)
 	}
-	// addLive inserts a pair list's edges incrementally: both endpoints
-	// must have survived the ROI clip, and the patch-mesh addEdge walk
-	// closes every triangle the new edge completes against the mesh built
-	// so far. The lists are sorted by first endpoint, so its liveness is
-	// probed once per run of equal a, not once per pair.
-	addLive := func(pairs [][2]int64) {
-		for i := 0; i < len(pairs); {
-			a := pairs[i][0]
-			_, aLive := live[a]
-			for ; i < len(pairs) && pairs[i][0] == a; i++ {
-				if !aLive {
-					continue
-				}
-				if _, ok := live[pairs[i][1]]; !ok {
-					continue
-				}
-				k := edgeKey(a, pairs[i][1])
-				if p.edgeCount[k] == 0 {
-					p.inc(k)
-				}
-			}
-		}
-	}
-	// Boundary tiles: the ROI edge cuts through them, so their intra
-	// edges are re-checked against the clipped live set.
-	for _, tp := range tiles {
-		if !r.ContainsRect(tp.Rect) {
-			addLive(tp.edges)
-		}
-	}
-	// Seams: out-going pairs of every tile, resolved against the combined
-	// live set (each cross-tile pair is recorded by both sides; the edge
-	// set dedups).
 	tr.Begin(obs.PhaseSeam)
 	for _, tp := range tiles {
-		addLive(tp.outPairs)
+		edges = idx.resolve(edges, tp.outPairs)
 	}
-	// Corner sweep: a triangle whose three edges were each bulk-merged
-	// from a different interior tile is in no tile's triangle set and no
-	// incremental closure saw it. All its vertices then lie on tile
-	// boundaries (each appears in at least two tiles), so walking the
-	// shared nodes' neighborhoods finds every such clique.
-	for u := range shared {
-		for v := range p.adj[u] {
-			p.forEachCommonNeighbor(u, v, func(w int64) {
-				p.tris[canonTriangle(u, v, w)] = struct{}{}
-			})
-		}
-	}
+	edges = sortEdges(edges, len(ids))
 	tr.End()
 
-	res := p.result(live)
-	res.Strips = len(tiles)
+	// Pass 3: the sorted edge list is the mesh.
+	res.Edges = unpackEdges(edges, ids)
+	res.Triangles = cliques(edges, ids)
 	return res, nil
+}
+
+// resolve appends to edges, packed, the pairs of p whose both endpoints
+// are indexed. A run's head is probed once: 98-99% of a tile's out-pairs
+// are dead at its LOD, and a head clipped away by the ROI takes its whole
+// run with it. An endpoint no tile lists is simply not live.
+func (x *idIndex) resolve(edges []uint64, p pairRuns) []uint64 {
+	lo := 0
+	for _, run := range p.runs {
+		far := p.far[lo:run.end]
+		lo = run.end
+		u := x.lookup(run.head)
+		if u < 0 {
+			continue
+		}
+		for _, c := range far {
+			if v := x.lookup(c); v >= 0 && v != u {
+				edges = append(edges, packEdge(u, v))
+			}
+		}
+	}
+	return edges
 }

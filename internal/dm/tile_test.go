@@ -1,8 +1,10 @@
 package dm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dmesh/internal/geom"
@@ -53,25 +55,62 @@ func tileCover(s *Store, r geom.Rect, level int) []geom.Rect {
 	return out
 }
 
+// requireAscendingMesh asserts what StitchTiles promises beyond set
+// equality: edges low-high and strictly ascending, triangles canonical and
+// strictly ascending, every endpoint a vertex of the answer.
+func requireAscendingMesh(t testing.TB, label string, res *Result) {
+	t.Helper()
+	has := func(ids ...int64) bool {
+		for _, id := range ids {
+			if _, ok := res.Vertices[id]; !ok {
+				return false
+			}
+		}
+		return true
+	}
+	for i, e := range res.Edges {
+		if e[0] >= e[1] || !has(e[0], e[1]) || (i > 0 && slices.Compare(res.Edges[i-1][:], e[:]) >= 0) {
+			t.Fatalf("%s: edge[%d] = %v after %v: not ascending over the vertex set", label, i, e, res.Edges[max(i-1, 0)])
+		}
+	}
+	for i, tr := range res.Triangles {
+		cur := []int64{tr.A, tr.B, tr.C}
+		if tr.A >= tr.B || tr.B >= tr.C || !has(cur...) {
+			t.Fatalf("%s: triangle[%d] = %v: not canonical over the vertex set", label, i, tr)
+		}
+		if p := res.Triangles[max(i-1, 0)]; i > 0 && slices.Compare([]int64{p.A, p.B, p.C}, cur) >= 0 {
+			t.Fatalf("%s: triangle[%d] = %v after %v: not ascending", label, i, tr, p)
+		}
+	}
+}
+
+// stitchAgainstDirect covers r with tiles at the given level and requires
+// the stitch of the resident patches, and of the same patches through the
+// wire, to equal the direct query as canonical bytes.
 func stitchAgainstDirect(t *testing.T, s *Store, label string, r geom.Rect, e float64, level int) {
 	t.Helper()
-	var tiles []*TilePatch
-	for _, tr := range tileCover(s, r, level) {
-		tp, err := s.MaterializeTile(tr, e)
-		if err != nil {
-			t.Fatalf("%s: materialize %v: %v", label, tr, err)
-		}
-		tiles = append(tiles, tp)
-	}
-	got, err := StitchTiles(r, e, tiles)
-	if err != nil {
-		t.Fatalf("%s: stitch: %v", label, err)
-	}
 	want, err := s.ViewpointIndependent(r, e)
 	if err != nil {
 		t.Fatalf("%s: direct: %v", label, err)
 	}
-	requireSameMesh(t, label, got, want)
+	resident := materializeWirePatches(t, s, r, e, level)
+	decoded := make([]*TilePatch, len(resident))
+	for i, tp := range resident {
+		if decoded[i], err = DecodeTilePatch(EncodeTilePatch(tp)); err != nil {
+			t.Fatalf("%s: tile %d through the wire: %v", label, i, err)
+		}
+	}
+	for kind, tiles := range map[string][]*TilePatch{"resident": resident, "decoded": decoded} {
+		got, err := StitchTiles(r, e, tiles)
+		if err != nil {
+			t.Fatalf("%s: stitch %s: %v", label, kind, err)
+		}
+		requireAscendingMesh(t, label+" "+kind, got)
+		if !bytes.Equal(CanonicalMesh(got), CanonicalMesh(want)) {
+			requireSameMesh(t, label+" "+kind, got, want) // names the first difference
+			t.Fatalf("%s: stitch %s differs from the direct query", label, kind)
+		}
+	}
 }
 
 // TestMaterializeTileContent checks that a patch's live set is exactly
@@ -110,12 +149,13 @@ func TestMaterializeTileContent(t *testing.T) {
 }
 
 // TestStitchTilesExact is the subsystem's exactness property at the dm
-// layer: over random ROIs, LODs, and tile-grid levels on both datasets,
-// the tile-stitched mesh equals the direct query — including ROIs aligned
-// on tile boundaries and degenerate zero-area ROIs.
+// layer: over random ROIs, LOD percentiles and tile-grid levels 1-3 on both
+// datasets, resident and decoded patches alike stitch to the direct query
+// byte for byte — including ROIs aligned on tile boundaries, degenerate
+// zero-area ROIs, and covers that list a tile twice.
 func TestStitchTilesExact(t *testing.T) {
 	for _, name := range []string{"highland", "crater"} {
-		ds, _ := buildDataset(t, 9, name)
+		ds, _ := buildDataset(t, 33, name)
 		s := newTestStore(t, ds)
 		rng := rand.New(rand.NewSource(42))
 		pcts := []float64{0.5, 0.8, 0.9, 0.97, 0.995}
@@ -139,6 +179,21 @@ func TestStitchTilesExact(t *testing.T) {
 		}
 		for j, r := range edgeCases {
 			stitchAgainstDirect(t, s, fmt.Sprintf("%s edge[%d]", name, j), r, e, 2)
+		}
+		// Set semantics: a tile given twice, or out of order, changes nothing.
+		r := geom.Rect{MinX: 0.2, MinY: 0.3, MaxX: 0.7, MaxY: 0.6}
+		tiles := materializeWirePatches(t, s, r, e, 2)
+		once, err := StitchTiles(r, e, tiles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Reverse(tiles)
+		twice, err := StitchTiles(r, e, append(tiles, tiles[0], tiles[len(tiles)-1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(CanonicalMesh(once), CanonicalMesh(twice)) {
+			t.Fatalf("%s: duplicated, reordered tiles changed the stitch", name)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package dm
 
 import (
 	"math"
-	"sort"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/wire"
@@ -48,32 +47,27 @@ const (
 
 // EncodeTilePatch serializes tp into the deterministic binary wire form
 // decodable with DecodeTilePatch. tp must be a patch as MaterializeTile
-// (or DecodeTilePatch) builds it: edges, triangles and out-pairs sorted,
-// IDs non-negative.
+// (or DecodeTilePatch) builds it — IDs, edges, triangles and out-pairs
+// ascending, IDs non-negative — so encoding is a straight copy-out.
 func EncodeTilePatch(tp *TilePatch) []byte {
-	buf := make([]byte, 0, 64+27*len(tp.Nodes)+2*(len(tp.edges)+len(tp.outPairs))+4*len(tp.tris))
+	buf := make([]byte, 0, 64+27*len(tp.ids)+2*(len(tp.edges.far)+len(tp.outPairs.far))+4*len(tp.tris))
 	buf = append(buf, tileWireMagic...)
 	buf = wire.AppendUvarint(buf, tileWireVersion)
 	buf = wire.AppendF64(buf, tp.Rect.MinX, tp.Rect.MinY, tp.Rect.MaxX, tp.Rect.MaxY, tp.E)
 	buf = wire.AppendUvarint(buf, uint64(tp.FetchedRecords))
 
-	ids := make([]int64, 0, len(tp.Nodes))
-	for id := range tp.Nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf = wire.AppendUvarint(buf, uint64(len(ids)))
+	buf = wire.AppendUvarint(buf, uint64(len(tp.ids)))
 	prev := int64(-1)
-	for _, id := range ids {
-		p := tp.Nodes[id].Pos
+	for i, id := range tp.ids {
+		p := tp.pos[i]
 		buf = wire.AppendUvarint(buf, uint64(id-prev))
 		buf = wire.AppendF64(buf, p.X, p.Y, p.Z)
 		prev = id
 	}
 
-	buf = appendPairRuns(buf, tp.edges)
+	buf = tp.edges.appendWire(buf)
 	buf = AppendTriangleSet(buf, tp.tris)
-	return appendPairRuns(buf, tp.outPairs)
+	return tp.outPairs.appendWire(buf)
 }
 
 // AppendTriangleSet codes canonical triangles (A < B < C) sorted by
@@ -113,36 +107,34 @@ func ReadTriangleSet(r *wire.Reader, section string) []geom.Triangle {
 	return ts
 }
 
-// appendPairRuns codes a pair list sorted by (a, b) as runs of equal a.
-func appendPairRuns(buf []byte, pairs [][2]int64) []byte {
-	buf = wire.AppendUvarint(buf, uint64(len(pairs)))
-	prevA := int64(-1)
-	for i := 0; i < len(pairs); {
-		a := pairs[i][0]
-		j := i + 1
-		for j < len(pairs) && pairs[j][0] == a {
-			j++
+// appendWire codes the pair list as runs of equal a.
+func (p pairRuns) appendWire(buf []byte) []byte {
+	buf = wire.AppendUvarint(buf, uint64(len(p.far)))
+	prevA, lo := int64(-1), 0
+	for _, run := range p.runs {
+		far := p.far[lo:run.end]
+		lo = run.end
+		buf = wire.AppendUvarint(buf, uint64(run.head-prevA))
+		buf = wire.AppendUvarint(buf, uint64(len(far)))
+		buf = wire.AppendVarint(buf, far[0]-run.head)
+		for k := 1; k < len(far); k++ {
+			buf = wire.AppendUvarint(buf, uint64(far[k]-far[k-1]))
 		}
-		buf = wire.AppendUvarint(buf, uint64(a-prevA))
-		buf = wire.AppendUvarint(buf, uint64(j-i))
-		b := pairs[i][1]
-		buf = wire.AppendVarint(buf, b-a)
-		for i++; i < j; i++ {
-			buf = wire.AppendUvarint(buf, uint64(pairs[i][1]-b))
-			b = pairs[i][1]
-		}
-		prevA = a
+		prevA = run.head
 	}
 	return buf
 }
 
-// readPairRuns reads a run-coded pair list into one backing array.
-func readPairRuns(r *wire.Reader, section string) [][2]int64 {
+// readRuns reads a run-coded pair list: one backing array for the far
+// endpoints, and the runs appended into room for maxRuns — what an honest
+// encoder needs, every head being a node of the tile. A body with more
+// grows the slice, each run having cost it three bytes or more.
+func readRuns(r *wire.Reader, section string, maxRuns int) pairRuns {
 	n := r.Count(section, 1)
 	if n == 0 {
-		return nil
+		return pairRuns{}
 	}
-	pairs := make([][2]int64, n)
+	p := pairRuns{runs: make([]pairRun, 0, min(n, maxRuns)), far: make([]int64, n)}
 	a := int64(-1)
 	for i := 0; i < n && r.Err() == nil; {
 		a = r.Step(a, 1)
@@ -157,14 +149,15 @@ func readPairRuns(r *wire.Reader, section string) [][2]int64 {
 		if b < 0 {
 			r.Corruptf("bad offset")
 		}
-		pairs[i] = [2]int64{a, b}
-		i++
-		for end := i + int(run) - 1; i < end && r.Err() == nil; i++ {
+		end := i + int(run)
+		p.far[i] = b
+		for i++; i < end && r.Err() == nil; i++ {
 			b = r.Step(b, 1)
-			pairs[i] = [2]int64{a, b}
+			p.far[i] = b
 		}
+		p.runs = append(p.runs, pairRun{a, end})
 	}
-	return pairs
+	return p
 }
 
 // DecodeTilePatch parses a patch encoded by EncodeTilePatch. The decode
@@ -172,14 +165,14 @@ func readPairRuns(r *wire.Reader, section string) [][2]int64 {
 // surfaces as an error wrapping wire.ErrCorrupt, and any input that decodes
 // re-encodes to the identical bytes.
 //
-// A decoded patch is stitch-ready, not re-materializable: its Nodes carry
-// ID and Pos only (no LOD interval, tree links, MBR or connection list),
-// which is all StitchTiles and EncodeTilePatch read. It must not be used
-// where a store-materialized patch's records are expected.
+// A decoded patch is stitch-ready, not re-materializable: it carries the
+// flat stitch surface (IDs, positions, pair runs, triangles) and no Nodes
+// — no LOD interval, tree links, MBR or connection list — which is all
+// StitchTiles and EncodeTilePatch read. It must not be used where a
+// store-materialized patch's records are expected.
 //
-// The patch is built from a handful of allocations whatever its size:
-// Nodes is pre-sized and points into one []Node slab, and edges,
-// triangles and out-pairs each own one backing array.
+// The sections are read straight into the patch's own arrays, seven
+// allocations whatever its size.
 func DecodeTilePatch(b []byte) (*TilePatch, error) {
 	r := wire.NewReader("dm: tile patch wire", b)
 	r.Magic(tileWireMagic)
@@ -197,20 +190,18 @@ func DecodeTilePatch(b []byte) (*TilePatch, error) {
 	}
 
 	nNodes := r.Count("nodes", 1+3*8)
-	slab := make([]Node, nNodes)
-	tp.Nodes = make(map[int64]*Node, nNodes)
+	tp.ids = make([]int64, nNodes)
+	tp.pos = make([]geom.Point3, nNodes)
 	id := int64(-1)
 	for i := 0; i < nNodes && r.Err() == nil; i++ {
 		id = r.Step(id, 1)
-		n := &slab[i]
-		n.ID = id
-		n.Pos.X, n.Pos.Y, n.Pos.Z = r.F64(), r.F64(), r.F64()
-		tp.Nodes[id] = n
+		tp.ids[i] = id
+		tp.pos[i] = geom.Point3{X: r.F64(), Y: r.F64(), Z: r.F64()}
 	}
 
-	tp.edges = readPairRuns(&r, "edges")
+	tp.edges = readRuns(&r, "edges", nNodes)
 	tp.tris = ReadTriangleSet(&r, "triangles")
-	tp.outPairs = readPairRuns(&r, "out-pairs")
+	tp.outPairs = readRuns(&r, "out-pairs", nNodes)
 	if err := r.Done(); err != nil {
 		return nil, err
 	}

@@ -13,8 +13,10 @@ import (
 // its dm.tilewire_* and dm.stitch_ms ledger rows with `go test -bench`.
 var hotTiles struct {
 	once  sync.Once
+	store *Store
 	roi   geom.Rect
 	e     float64
+	rects []geom.Rect
 	tiles []*TilePatch
 	wire  [][]byte
 	nodes int
@@ -27,9 +29,11 @@ func hotPatchTiles(tb testing.TB) {
 	h.once.Do(func() {
 		ds, _ := buildDataset(tb, 257, "highland")
 		s := newTestStore(tb, ds)
+		h.store = s
 		h.roi = geom.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.5, MaxY: 0.5}
 		h.e = eAtPercentile(ds, 0.95)
-		for _, r := range tileCover(s, h.roi, 2) {
+		h.rects = tileCover(s, h.roi, 2)
+		for _, r := range h.rects {
 			tp, err := s.MaterializeTile(r, h.e)
 			if err != nil {
 				tb.Fatal(err)
@@ -37,7 +41,7 @@ func hotPatchTiles(tb testing.TB) {
 			w := EncodeTilePatch(tp)
 			h.tiles = append(h.tiles, tp)
 			h.wire = append(h.wire, w)
-			h.nodes += len(tp.Nodes)
+			h.nodes += tp.NumNodes()
 			h.bytes += len(w)
 		}
 	})
@@ -72,12 +76,27 @@ func BenchmarkTilePatchDecode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchSink += len(tp.Nodes)
+			benchSink += tp.NumNodes()
 		}
 	}
 	b.ReportMetric(float64(hotTiles.bytes)/float64(hotTiles.nodes), "B/vertex")
 }
 
+func benchStitch(b *testing.B, tiles []*TilePatch) {
+	b.ReportAllocs()
+	b.SetBytes(int64(hotTiles.bytes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := StitchTiles(hotTiles.roi, hotTiles.e, tiles)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += len(res.Vertices)
+	}
+	b.ReportMetric(float64(hotTiles.bytes)/float64(hotTiles.nodes), "B/vertex")
+}
+
+// BenchmarkStitchDecodedTiles is the router's stitch: patches off the wire.
 func BenchmarkStitchDecodedTiles(b *testing.B) {
 	hotPatchTiles(b)
 	decoded := make([]*TilePatch, len(hotTiles.wire))
@@ -88,23 +107,36 @@ func BenchmarkStitchDecodedTiles(b *testing.B) {
 		}
 		decoded[i] = tp
 	}
-	b.ReportAllocs()
-	b.SetBytes(int64(hotTiles.bytes))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := StitchTiles(hotTiles.roi, hotTiles.e, decoded)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += len(res.Vertices)
-	}
-	b.ReportMetric(float64(hotTiles.bytes)/float64(hotTiles.nodes), "B/vertex")
+	benchStitch(b, decoded)
 }
 
-// TestTilePatchDecodeAllocsBounded pins the slab decode: a fixed dozen
-// allocations (patch, reader, slab, three backing arrays, the map) plus
-// the runtime's own per-table allocations for a pre-sized map — one table
-// per ~900 entries — where the per-node decode paid two per node.
+// BenchmarkStitchResidentTiles is Cache.Query's stitch: store-materialized
+// patches, the ROI cutting through all four.
+func BenchmarkStitchResidentTiles(b *testing.B) {
+	hotPatchTiles(b)
+	benchStitch(b, hotTiles.tiles)
+}
+
+// BenchmarkMaterializeTile is a tile-cache miss below the cache: the four
+// tiles' range queries (warm pool) and their patches.
+func BenchmarkMaterializeTile(b *testing.B) {
+	hotPatchTiles(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range hotTiles.rects {
+			tp, err := hotTiles.store.MaterializeTile(r, hotTiles.e)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink += tp.NumNodes()
+		}
+	}
+}
+
+// TestTilePatchDecodeAllocsBounded pins the flat decode: the patch, IDs,
+// positions, triangles and two arrays per pair list — eight allocations,
+// whatever the patch's size.
 func TestTilePatchDecodeAllocsBounded(t *testing.T) {
 	for _, size := range []int{9, 65} {
 		ds, _ := buildDataset(t, size, "highland")
@@ -118,10 +150,49 @@ func TestTilePatchDecodeAllocsBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		ceiling := float64(12 + len(tp.Nodes)/256)
-		t.Logf("%d nodes, %d wire bytes: %.0f allocations", len(tp.Nodes), len(w), allocs)
-		if allocs > ceiling {
-			t.Errorf("decoding a %d-node patch: %.0f allocations, want <= %.0f", len(tp.Nodes), allocs, ceiling)
+		t.Logf("%d nodes, %d wire bytes: %.0f allocations", tp.NumNodes(), len(w), allocs)
+		if allocs > 10 {
+			t.Errorf("decoding a %d-node patch: %.0f allocations, want <= 10", tp.NumNodes(), allocs)
+		}
+	}
+}
+
+// TestStitchAllocsBounded pins the flat stitch: a fixed number of arrays
+// (vertex list, cursors, index, two edge buffers, offsets, the three result
+// slices) plus whatever tables the runtime gives the pre-sized Vertices
+// map — measured here by making that map alone — however many vertices
+// the answer has.
+func TestStitchAllocsBounded(t *testing.T) {
+	for _, size := range []int{9, 65} {
+		ds, _ := buildDataset(t, size, "highland")
+		s := newTestStore(t, ds)
+		r := geom.Rect{MinX: 0.1, MinY: 0.2, MaxX: 0.8, MaxY: 0.9}
+		e := eAtPercentile(ds, 0.5)
+		var tiles []*TilePatch
+		for _, tr := range tileCover(s, r, 1) {
+			tp, err := s.MaterializeTile(tr, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tiles = append(tiles, tp)
+		}
+		var res *Result
+		allocs := testing.AllocsPerRun(10, func() {
+			var err error
+			if res, err = StitchTiles(r, e, tiles); err != nil {
+				t.Fatal(err)
+			}
+		})
+		mapAllocs := testing.AllocsPerRun(10, func() {
+			m := make(map[int64]geom.Point3, len(res.Vertices))
+			for id, p := range res.Vertices {
+				m[id] = p
+			}
+			benchSink += len(m)
+		})
+		t.Logf("%d vertices: %.0f allocations, %.0f of them the Vertices map", len(res.Vertices), allocs, mapAllocs)
+		if allocs > 14+mapAllocs {
+			t.Errorf("stitching %d vertices: %.0f allocations, want <= 14 + the map's %.0f", len(res.Vertices), allocs, mapAllocs)
 		}
 	}
 }

@@ -2,7 +2,10 @@ package dm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 
 	"dmesh/internal/geom"
@@ -116,4 +119,105 @@ func v1PatchBody() []byte {
 	b = append(b, make([]byte, 4*8)...) // MBR
 	b = append(b, 0)                    // conn count
 	return append(b, 0, 0, 0)           // edges, tris, outPairs
+}
+
+// stitchFuzzInput frames a FuzzStitchDecoded input: a body count, the ROI
+// as four bytes, then every body but the last behind a two-byte
+// little-endian length; the last takes the rest.
+func stitchFuzzInput(roi [4]byte, bodies ...[]byte) []byte {
+	in := append([]byte{byte(len(bodies) - 1)}, roi[:]...)
+	for i, b := range bodies {
+		if i < len(bodies)-1 {
+			in = binary.LittleEndian.AppendUint16(in, uint16(len(b)))
+		}
+		in = append(in, b...)
+	}
+	return in
+}
+
+// FuzzStitchDecoded stitches whatever decodes. A router hands StitchTiles
+// one to a few bodies that each passed DecodeTilePatch — so canonical, but
+// otherwise anything: pair lists naming IDs no tile has, IDs up to
+// MaxInt64, the same tile twice, tiles that disagree about a node. The
+// stitch must not panic, must allocate in proportion to the bytes it was
+// given and the mesh it returns, and must return a mesh whose edges and
+// triangles are strictly ascending over its own vertex set.
+func FuzzStitchDecoded(f *testing.F) {
+	ds, _ := buildDataset(f, 17, "highland")
+	s := newTestStore(f, ds)
+	var real [][]byte
+	for _, r := range tileCover(s, fullRect(), 1) {
+		tp, err := s.MaterializeTile(r, eAtPercentile(ds, 0.9))
+		if err != nil {
+			f.Fatal(err)
+		}
+		real = append(real, EncodeTilePatch(tp))
+	}
+	// Hand-made tiles at the origin, LOD 0: canonical, and wrong.
+	tile := func(ids []int64, edges, out [][2]int64) []byte {
+		tp := &TilePatch{ids: ids, pos: make([]geom.Point3, len(ids))}
+		for _, p := range edges {
+			tp.edges.add(p[0], p[1])
+		}
+		for _, p := range out {
+			tp.outPairs.add(p[0], p[1])
+		}
+		b := EncodeTilePatch(tp)
+		if _, err := DecodeTilePatch(b); err != nil {
+			f.Fatalf("seed tile does not decode: %v", err)
+		}
+		return b
+	}
+	const top = math.MaxInt64
+	wide := [4]byte{0, 0, 255, 255} // covers the terrain and the origin
+	f.Add(stitchFuzzInput(wide, real...))
+	f.Add(stitchFuzzInput([4]byte{100, 90, 51, 60}, real...))  // the ROI cuts through all four
+	f.Add(stitchFuzzInput(wide, real[0], real[0], real[1]))    // a tile given twice
+	f.Add(stitchFuzzInput(wide, real[2], tile(nil, nil, nil))) // an empty tile, at another LOD
+	// Edges and out-pairs naming IDs absent from every node list, heads included.
+	f.Add(stitchFuzzInput(wide, tile([]int64{0, 3}, [][2]int64{{0, 3}, {0, 7}, {5, 4}}, [][2]int64{{1, 0}, {3, 9}})))
+	// IDs at the top of the range, a triangle closed across three tiles,
+	// a self pair, an edge spelled high-low.
+	f.Add(stitchFuzzInput(wide,
+		tile([]int64{0, top - 1}, [][2]int64{{0, top - 1}, {top - 1, 0}}, [][2]int64{{0, top}, {top - 1, top - 1}}),
+		tile([]int64{top - 1, top}, nil, [][2]int64{{top - 1, 5}, {top, 0}, {top, top - 1}}),
+		tile([]int64{5, top}, nil, [][2]int64{{5, top}, {top, top}})))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		at := func(i int) float64 { return (float64(data[i]) - 64) / 128 }
+		roi := geom.Rect{MinX: at(1), MinY: at(2)}
+		roi.MaxX, roi.MaxY = roi.MinX+at(3)+0.5, roi.MinY+at(4)+0.5
+		rest := data[5:]
+		var tiles []*TilePatch
+		for left := int(data[0] % 4); left >= 0; left-- {
+			body := rest
+			if left > 0 {
+				if len(rest) < 2 || len(rest)-2 < int(binary.LittleEndian.Uint16(rest)) {
+					return
+				}
+				n := 2 + int(binary.LittleEndian.Uint16(rest))
+				body, rest = rest[2:n], rest[n:]
+			}
+			tp, err := DecodeTilePatch(body)
+			if err != nil {
+				return
+			}
+			tiles = append(tiles, tp)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := StitchTiles(roi, tiles[0].E, tiles)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			return // tiles at different LODs: refused, not stitched
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+64*(len(data)+len(res.Triangles))); got > limit {
+			t.Fatalf("stitching %d input bytes into %d triangles allocated %d bytes, limit %d",
+				len(data), len(res.Triangles), got, limit)
+		}
+		requireAscendingMesh(t, "stitch", res)
+	})
 }

@@ -5,11 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
+	"slices"
 	"testing"
 
 	"dmesh/internal/geom"
-	"dmesh/internal/pm"
 	"dmesh/internal/wire"
 )
 
@@ -26,37 +25,33 @@ func materializeWirePatches(t *testing.T, s *Store, r geom.Rect, e float64, leve
 	return tiles
 }
 
-// requireSamePatch asserts got carries want's stitch surface — header,
-// node IDs, positions bit for bit, edges, triangles, out-pairs — which is
-// everything the wire ships, and that got re-encodes to want's bytes.
+// requireSamePatch asserts got carries want's flat stitch surface —
+// header, ascending IDs, positions bit for bit, edge runs, triangles,
+// out-pair runs — which is everything the wire ships, and that got
+// re-encodes to want's bytes.
 func requireSamePatch(t *testing.T, label string, got, want *TilePatch) {
 	t.Helper()
 	if got.Rect != want.Rect || got.E != want.E || got.FetchedRecords != want.FetchedRecords {
 		t.Fatalf("%s: header mismatch: got (%v, %g, %d) want (%v, %g, %d)",
 			label, got.Rect, got.E, got.FetchedRecords, want.Rect, want.E, want.FetchedRecords)
 	}
-	if len(got.Nodes) != len(want.Nodes) {
-		t.Fatalf("%s: %d nodes, want %d", label, len(got.Nodes), len(want.Nodes))
+	if !slices.Equal(got.ids, want.ids) {
+		t.Fatalf("%s: IDs mismatch: %d nodes, want %d", label, got.NumNodes(), want.NumNodes())
 	}
 	bits := func(p geom.Point3) [3]uint64 {
 		return [3]uint64{math.Float64bits(p.X), math.Float64bits(p.Y), math.Float64bits(p.Z)}
 	}
-	for id, wn := range want.Nodes {
-		gn, ok := got.Nodes[id]
-		if !ok {
-			t.Fatalf("%s: node %d missing", label, id)
-		}
-		if gn.ID != id || bits(gn.Pos) != bits(wn.Pos) {
-			t.Fatalf("%s: node %d: got (%d, %v) want (%d, %v)", label, id, gn.ID, gn.Pos, wn.ID, wn.Pos)
-		}
+	if !slices.EqualFunc(got.pos, want.pos, func(g, w geom.Point3) bool { return bits(g) == bits(w) }) {
+		t.Fatalf("%s: positions mismatch", label)
 	}
-	if !reflect.DeepEqual(got.edges, want.edges) {
+	sameRuns := func(g, w pairRuns) bool { return slices.Equal(g.runs, w.runs) && slices.Equal(g.far, w.far) }
+	if !sameRuns(got.edges, want.edges) {
 		t.Fatalf("%s: edges mismatch", label)
 	}
-	if !reflect.DeepEqual(got.tris, want.tris) {
+	if !slices.Equal(got.tris, want.tris) {
 		t.Fatalf("%s: triangles mismatch", label)
 	}
-	if !reflect.DeepEqual(got.outPairs, want.outPairs) {
+	if !sameRuns(got.outPairs, want.outPairs) {
 		t.Fatalf("%s: outPairs mismatch", label)
 	}
 	if !bytes.Equal(EncodeTilePatch(got), EncodeTilePatch(want)) {
@@ -66,9 +61,8 @@ func requireSamePatch(t *testing.T, label string, got, want *TilePatch) {
 
 // TestTilePatchWireRoundTrip: every materialized patch round-trips its
 // stitch surface through the wire codec exactly, and the encoding is a
-// fixed point — encode(decode(encode(p))) == encode(p). The decoded
-// nodes carry ID and Pos only: the record fields the stitch never reads
-// do not travel.
+// fixed point — encode(decode(encode(p))) == encode(p). A decoded patch
+// has no Nodes: the records the stitch never reads do not travel.
 func TestTilePatchWireRoundTrip(t *testing.T) {
 	ds, _ := buildDataset(t, 8, "highland")
 	s := newTestStore(t, ds)
@@ -80,10 +74,9 @@ func TestTilePatchWireRoundTrip(t *testing.T) {
 			t.Fatalf("%s: decode: %v", label, err)
 		}
 		requireSamePatch(t, label, dec, tp)
-		for id, n := range dec.Nodes {
-			if want := (Node{Node: pm.Node{ID: id, Pos: n.Pos}}); !reflect.DeepEqual(*n, want) {
-				t.Fatalf("%s: decoded node %d carries more than ID and Pos: %+v", label, id, *n)
-			}
+		if dec.Nodes != nil || len(tp.Nodes) != tp.NumNodes() {
+			t.Fatalf("%s: decoded patch has %d records, resident one %d for %d nodes",
+				label, len(dec.Nodes), len(tp.Nodes), tp.NumNodes())
 		}
 	}
 	for _, pct := range []float64{0.5, 0.9, 0.995} {
@@ -102,8 +95,8 @@ func TestTilePatchWireRoundTrip(t *testing.T) {
 	if tp, err = s.MaterializeTile(geom.Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(tp.Nodes) != 0 {
-		t.Fatalf("off-terrain patch has %d nodes", len(tp.Nodes))
+	if tp.NumNodes() != 0 {
+		t.Fatalf("off-terrain patch has %d nodes", tp.NumNodes())
 	}
 	check("empty patch", tp)
 }
