@@ -57,8 +57,12 @@ fuzzsmoke:
 # beyond tolerance; timing metrics are ignored (they measure the
 # machine). The full-scale baselines for the other figures live in the
 # same directory and are compared whenever their BENCH_*.json is
-# regenerated into the gate directory at the baseline's scale.
+# regenerated into the gate directory at the baseline's scale. The gate
+# directory is emptied first: it is git-ignored, and a BENCH_*.json left
+# there by an earlier run at another scale fails the diff on a sizes
+# mismatch that has nothing to do with the change under test.
 benchdiff:
+	rm -rf results/gate
 	$(GO) run ./cmd/dmbench -fig obstrace -size 129 -size2 129 -resultdir results/gate
 	$(GO) run ./cmd/dmbenchdiff -baseline results/baselines -current results/gate
 
@@ -75,18 +79,22 @@ benchsmoke:
 
 # Repository-benchmark smoke: the harness under bench/ (the program
 # BENCHMARK.json names) must still compile against the library's public
-# surface, pass its own tests, and complete one-second hot_patch and
-# churn_tile runs with every answer verified and every separation guard
-# ok — so a change that breaks any of those fails here rather than in the
-# benchmark driver. churn_tile is the one workload where materialize,
-# evict and stitch run together, and its hit-ratio guard is what notices
-# TilePatch.Bytes() moving. Not part of `make verify`; CI runs it after
-# benchsmoke. Output lands under results/, which is git-ignored.
+# surface, pass its own tests, and complete one-second hot_patch,
+# churn_tile and flyover_frame runs with every answer verified and every
+# separation guard ok — so a change that breaks any of those fails here
+# rather than in the benchmark driver. churn_tile is the one workload
+# where materialize, evict and stitch run together, and its hit-ratio
+# guard is what notices TilePatch.Bytes() moving; flyover_frame is the
+# one that drives coherent sessions, and its full_frac guard is what
+# notices the delta-versus-full decision moving. Not part of `make
+# verify`; CI runs it after benchsmoke. Output lands under results/,
+# which is git-ignored.
 benchrepo:
 	$(GO) vet ./bench
 	$(GO) test ./bench
 	$(GO) run ./bench -workload hot_patch -seed 1 -seconds 1 -out results/bench-smoke
 	$(GO) run ./bench -workload churn_tile -seed 1 -seconds 1 -out results/bench-smoke
+	$(GO) run ./bench -workload flyover_frame -seed 1 -seconds 1 -out results/bench-smoke
 
 # Full-scale figure reproduction (several minutes); output under results/.
 figures:

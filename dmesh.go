@@ -63,7 +63,7 @@ type (
 	DMSession = dm.Session
 	// DMCoherentSession answers a temporally coherent frame sequence (a
 	// terrain flyover) incrementally, retaining the previous frame's
-	// fetched nodes and triangulation (DMStore.NewCoherentSession).
+	// fetched nodes (DMStore.NewCoherentSession).
 	DMCoherentSession = dm.CoherentSession
 	// FrameStats describes how one coherent frame was answered: delta vs
 	// full, nodes retained/fetched/evicted, disk accesses.

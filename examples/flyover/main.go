@@ -4,8 +4,8 @@
 // the program answers the same camera path twice: once by re-running the
 // full query every frame (warm buffer pool — the stateless engine's best
 // case) and once with a coherent session (dmesh.DMCoherentSession) that
-// retains the previous frame's nodes and triangulation and only fetches
-// the newly exposed volume. The buffer pool is deliberately small, as on
+// retains the previous frame's nodes and only fetches the newly exposed
+// volume. The buffer pool is deliberately small, as on
 // a server answering many flyovers at once; that is the regime where
 // temporal coherence pays.
 //

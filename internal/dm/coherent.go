@@ -6,7 +6,6 @@ import (
 	"dmesh/internal/costmodel"
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
-	"dmesh/internal/pm"
 	"dmesh/internal/rtree"
 )
 
@@ -14,21 +13,20 @@ var errFrameNeedsModel = errors.New("dm: FrameMultiBase requires a cost model")
 
 // CoherentSession answers a sequence of temporally coherent queries —
 // the frames of a terrain flyover — incrementally. It retains the
-// previous frame's fetched node set (with LOD intervals) and its
-// triangulation; for the next frame it subtracts the covered volume
-// from the new query volume, issues narrow range queries only for the
-// newly exposed fragments, evicts nodes whose vertical segments left
-// the volume, and repairs the triangulation only around the nodes that
-// changed, walking their connection lists. When the cost model predicts
-// the delta plan to be no cheaper than starting over (the viewpoint
-// jumped), the frame falls back to a full query and the state resets.
+// previous frame's fetched node set (with LOD intervals) and nothing
+// else; for the next frame it subtracts the covered volume from the new
+// query volume, issues narrow range queries only for the newly exposed
+// fragments, evicts nodes whose vertical segments left the volume, and
+// reassembles the mesh over the reconciled set — connection lists make
+// that pure CPU, no disk access. When the cost model predicts the delta
+// plan to be no cheaper than starting over (the viewpoint jumped), the
+// frame falls back to a full query and the state resets.
 //
 // The invariant that makes every frame exact is fetched-set equality:
 // after each frame the retained map holds precisely the nodes whose
 // stored segments intersect the frame's query volume — the same set a
-// from-scratch query fetches — and the patched mesh equals the
-// assembler's output over that set (same vertices, edges, triangles;
-// slice orders differ).
+// from-scratch query fetches — and the mesh comes from the same
+// assemblePlane a from-scratch query runs over that set.
 //
 // A CoherentSession wraps its own pager.Session, so FrameStats.DA is
 // the frame's exact page-read count even while other sessions share the
@@ -40,9 +38,6 @@ type CoherentSession struct {
 
 	cover   []geom.Box      // query volume of the previous frame
 	fetched map[int64]*Node // nodes whose segments intersect cover
-	rep     map[int64]int64 // live representative per fetched node (-1: none)
-	live    map[int64]*Node // the previous frame's cut
-	mesh    *patchMesh
 }
 
 // FrameStats describes how one coherent frame was answered.
@@ -82,13 +77,7 @@ func (s *Store) NewCoherentSession(model *costmodel.Model) *CoherentSession {
 func (c *CoherentSession) Invalidate() {
 	c.cover = nil
 	c.fetched = nil
-	c.rep = nil
-	c.live = nil
-	c.mesh = nil
 }
-
-// DiskAccesses returns the total pages read by this session's frames.
-func (c *CoherentSession) DiskAccesses() uint64 { return c.sess.DiskAccesses() }
 
 // EnableTrace attaches (and returns) a phase tracer to the session. The
 // trace is reset at the start of every frame — frames zero the session
@@ -143,8 +132,8 @@ func (c *CoherentSession) FrameStrips(qp geom.QueryPlane, strips []costmodel.Str
 }
 
 // frame is the engine: decide delta vs full, reconcile the fetched set
-// with the new target volume, then patch the mesh around the dirty
-// nodes.
+// with the new target volume, then assemble the mesh over it exactly as
+// a one-shot query would.
 func (c *CoherentSession) frame(qp geom.QueryPlane, target []geom.Box) (*Result, FrameStats, error) {
 	c.sess.ResetStats()
 	// The counters just went to zero, so the trace restarts here: a span
@@ -169,27 +158,23 @@ func (c *CoherentSession) frame(qp geom.QueryPlane, target []geom.Box) (*Result,
 	}
 
 	f := c.sess.newFetcher()
-	f.track = true
-	var evicted map[int64]*Node
 	if full {
 		st.Full = true
 		st.Fragments = 0
 		c.Invalidate()
 		f.nodes = make(map[int64]*Node)
-		c.mesh = newPatchMesh()
 	} else {
 		// Evict nodes whose stored segments no longer intersect the
 		// target volume: the same closed-box intersection the R-tree
 		// applies, so retention and (re)fetching agree bit for bit.
-		evicted = make(map[int64]*Node)
+		before := len(c.fetched)
 		for id, n := range c.fetched {
 			if !segmentIntersectsAny(segmentOf(&n.Node, c.sess.maxE), target) {
-				evicted[id] = n
 				delete(c.fetched, id)
 			}
 		}
-		st.Evicted = len(evicted)
 		st.Retained = len(c.fetched)
+		st.Evicted = before - st.Retained
 		f.nodes = c.fetched
 	}
 	fetchBoxes := target
@@ -200,139 +185,23 @@ func (c *CoherentSession) frame(qp geom.QueryPlane, target []geom.Box) (*Result,
 		nf, err := f.fetchBox(b)
 		if err != nil {
 			// The retained state may be mid-reconciliation; start clean.
+			// The pages the frame did read are still the frame's.
 			c.Invalidate()
+			st.DA = c.sess.DiskAccesses()
 			tr.End()
 			return nil, st, err
 		}
 		st.Fetched += nf
 	}
 	c.fetched = f.fetched()
-
-	tr.Begin(obs.PhaseTriangulate)
-	newLive, newRep := liveAndReps(qp, c.fetched)
-
-	// Dirty set: every node whose presence or live representative
-	// changed. Any edge the frame adds or removes has a witness pair
-	// with at least one dirty endpoint (a liveness flip always changes
-	// the node's own rep, and a rep chain through an evicted or newly
-	// fetched node changes the chain root's rep), so walking the dirty
-	// nodes' connection lists visits every affected pair.
-	dirty := make(map[int64]bool, len(f.added)+len(evicted))
-	for _, id := range f.added {
-		dirty[id] = true
-	}
-	for id := range evicted {
-		dirty[id] = true
-	}
-	for id, r := range newRep {
-		if !dirty[id] {
-			if old, ok := c.rep[id]; ok && old != r {
-				dirty[id] = true
-			}
-		}
-	}
-
-	oldRep := c.rep // nil on full frames: no old contributions to remove
-	for a := range dirty {
-		n := c.fetched[a]
-		if n == nil {
-			n = evicted[a]
-		}
-		for _, b := range n.Conn {
-			if dirty[b] && b < a {
-				continue // the pair is handled from b's side
-			}
-			oldE, oldOK := edgeContribution(oldRep, a, b)
-			newE, newOK := edgeContribution(newRep, a, b)
-			if oldOK == newOK && (!oldOK || oldE == newE) {
-				continue
-			}
-			if oldOK {
-				c.mesh.dec(oldE)
-			}
-			if newOK {
-				c.mesh.inc(newE)
-			}
-		}
-	}
-
 	c.cover = append(c.cover[:0:0], target...)
-	c.rep = newRep
-	c.live = newLive
 
-	res := c.mesh.result(newLive)
-	tr.End() // triangulate
+	res := c.sess.assemblePlane(qp, c.fetched)
 	res.FetchedRecords = st.Fetched
 	res.Strips = len(fetchBoxes)
 	st.DA = c.sess.DiskAccesses()
 	tr.End() // root; after this the trace accounts for exactly st.DA
 	return res, st, nil
-}
-
-// edgeContribution returns the lifted edge witnessed by the connection
-// pair (a, b) under the given representative map, mirroring
-// assembleLifted: both endpoints must be fetched (have reps) and lift
-// to distinct live nodes. A nil map (full frame) contributes nothing.
-func edgeContribution(rep map[int64]int64, a, b int64) ([2]int64, bool) {
-	ra, ok := rep[a]
-	if !ok || ra < 0 {
-		return [2]int64{}, false
-	}
-	rb, ok := rep[b]
-	if !ok || rb < 0 || rb == ra {
-		return [2]int64{}, false
-	}
-	return edgeKey(ra, rb), true
-}
-
-// liveAndReps computes the frame's cut and every fetched node's live
-// representative, with exactly assemblePlane/assembleLifted semantics:
-// live nodes are those whose interval contains the plane's requirement
-// at their position; a non-live node's rep walks parent pointers while
-// they stay inside the fetched set. On a degenerate plane (uniform LOD)
-// nodes represent only themselves.
-func liveAndReps(qp geom.QueryPlane, fetched map[int64]*Node) (map[int64]*Node, map[int64]int64) {
-	live := make(map[int64]*Node, len(fetched))
-	for id, n := range fetched {
-		if n.Interval().Contains(qp.EAt(n.Pos.X, n.Pos.Y)) {
-			live[id] = n
-		}
-	}
-	rep := make(map[int64]int64, len(fetched))
-	if qp.EMin == qp.EMax {
-		for id := range fetched {
-			if _, ok := live[id]; ok {
-				rep[id] = id
-			} else {
-				rep[id] = -1
-			}
-		}
-		return live, rep
-	}
-	// The memo cache may pick up chain nodes outside the fetched set
-	// (their rep is -1); rep itself must hold exactly the fetched IDs,
-	// because membership in it encodes membership in the frame.
-	const unresolved = int64(-2)
-	cache := make(map[int64]int64, len(fetched))
-	var walk func(id int64) int64
-	walk = func(id int64) int64 {
-		if r, ok := cache[id]; ok {
-			return r
-		}
-		cache[id] = unresolved // cycle guard; overwritten below
-		var r int64 = -1
-		if _, ok := live[id]; ok {
-			r = id
-		} else if n, ok := fetched[id]; ok && n.Parent != pm.None {
-			r = walk(n.Parent)
-		}
-		cache[id] = r
-		return r
-	}
-	for id := range fetched {
-		rep[id] = walk(id)
-	}
-	return live, rep
 }
 
 func segmentIntersectsAny(seg geom.Box, boxes []geom.Box) bool {

@@ -1,17 +1,22 @@
 package dm
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"dmesh/internal/geom"
+	"dmesh/internal/storage/faultfs"
+	"dmesh/internal/storage/pager"
 )
 
-// requireSameMesh compares two results as sets: same vertex IDs and
-// positions, same edge set, same triangle set. Slice orders differ
-// between the incremental and from-scratch assemblers by design.
+// requireSameMesh compares two results the way the Result type states
+// its contract: same vertex IDs and positions, and Edges and Triangles
+// equal as slices (every producer emits them ascending) — then, as the
+// exactness properties are stated, equal CanonicalMesh bytes. The slice
+// walk comes first because it names the first difference.
 func requireSameMesh(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if len(got.Vertices) != len(want.Vertices) {
@@ -22,50 +27,24 @@ func requireSameMesh(t *testing.T, label string, got, want *Result) {
 			t.Fatalf("%s: vertex %d = %v, want %v", label, id, gp, p)
 		}
 	}
-	sortEdges := func(es [][2]int64) [][2]int64 {
-		out := append([][2]int64(nil), es...)
-		sort.Slice(out, func(i, j int) bool {
-			if out[i][0] != out[j][0] {
-				return out[i][0] < out[j][0]
-			}
-			return out[i][1] < out[j][1]
-		})
-		return out
+	if len(got.Edges) != len(want.Edges) {
+		t.Fatalf("%s: %d edges, want %d", label, len(got.Edges), len(want.Edges))
 	}
-	ge, we := sortEdges(got.Edges), sortEdges(want.Edges)
-	if len(ge) != len(we) {
-		t.Fatalf("%s: %d edges, want %d", label, len(ge), len(we))
-	}
-	for i := range ge {
-		if ge[i] != we[i] {
-			t.Fatalf("%s: edge[%d] = %v, want %v", label, i, ge[i], we[i])
+	for i := range got.Edges {
+		if got.Edges[i] != want.Edges[i] {
+			t.Fatalf("%s: edge[%d] = %v, want %v", label, i, got.Edges[i], want.Edges[i])
 		}
 	}
-	sortTris := func(ts []geom.Triangle) []geom.Triangle {
-		out := make([]geom.Triangle, len(ts))
-		for i, tr := range ts {
-			out[i] = tr.Canon()
-		}
-		sort.Slice(out, func(i, j int) bool {
-			a, b := out[i], out[j]
-			if a.A != b.A {
-				return a.A < b.A
-			}
-			if a.B != b.B {
-				return a.B < b.B
-			}
-			return a.C < b.C
-		})
-		return out
+	if len(got.Triangles) != len(want.Triangles) {
+		t.Fatalf("%s: %d triangles, want %d", label, len(got.Triangles), len(want.Triangles))
 	}
-	gt, wt := sortTris(got.Triangles), sortTris(want.Triangles)
-	if len(gt) != len(wt) {
-		t.Fatalf("%s: %d triangles, want %d", label, len(gt), len(wt))
-	}
-	for i := range gt {
-		if gt[i] != wt[i] {
-			t.Fatalf("%s: triangle[%d] = %v, want %v", label, i, gt[i], wt[i])
+	for i := range got.Triangles {
+		if got.Triangles[i] != want.Triangles[i] {
+			t.Fatalf("%s: triangle[%d] = %v, want %v", label, i, got.Triangles[i], want.Triangles[i])
 		}
+	}
+	if !bytes.Equal(CanonicalMesh(got), CanonicalMesh(want)) {
+		t.Fatalf("%s: CanonicalMesh bytes differ", label)
 	}
 }
 
@@ -203,8 +182,8 @@ func TestCoherentUniformExact(t *testing.T) {
 }
 
 // TestCoherentMixedModesExact interleaves uniform, single-base, and
-// multi-base frames in one session: the retained state must carry
-// across plane types (uniform and lifted representative maps differ).
+// multi-base frames in one session: the retained set must carry across
+// plane types.
 func TestCoherentMixedModesExact(t *testing.T) {
 	ds, _ := buildDataset(t, 9, "highland")
 	s := newTestStore(t, ds)
@@ -344,9 +323,9 @@ func TestCoherentIdenticalFrame(t *testing.T) {
 	requireSameMesh(t, "identical frame", second, first)
 }
 
-// TestConnListsSymmetric pins the assumption the dirty-pair walk relies
-// on: if b is in a's connection list, a is in b's. Without symmetry a
-// dirty node could fail to find a clean partner's pair.
+// TestConnListsSymmetric pins the assumption both assemblers rely on
+// when they visit each connection pair from its lower endpoint only: if
+// b is in a's connection list, a is in b's.
 func TestConnListsSymmetric(t *testing.T) {
 	for _, name := range []string{"highland", "crater"} {
 		ds, _ := buildDataset(t, 9, name)
@@ -425,5 +404,92 @@ func TestCoherentSavesDiskAccesses(t *testing.T) {
 	}
 	if incDA*2 > fullDA {
 		t.Fatalf("incremental DA %d not 2x better than full %d", incDA, fullDA)
+	}
+}
+
+// TestCoherentSurvivesReadFault injects a data-page read fault in the
+// middle of a camera walk, on a pool small enough that frames really
+// read pages. The failing frame must return the injected error and
+// still report every page it read (FrameStats.DA equals the backend
+// reads the wrappers saw, the failed one included, and the trace agrees);
+// the session must come out clean: the next frame runs Full, and it and
+// the incremental frames after it equal the from-scratch query.
+func TestCoherentSurvivesReadFault(t *testing.T) {
+	ds, _ := buildDataset(t, 33, "highland")
+	var fbs []*faultfs.Backend // heap, overflow, r*-tree, id index
+	s, err := BuildStore(ds, StorePools{Data: 8, Overflow: 4, Index: 8, IDIndex: 4,
+		WrapBackend: func(b pager.Backend) pager.Backend {
+			fb := faultfs.Wrap(b)
+			fbs = append(fbs, fb)
+			return fb
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := s.CostModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := s.NewSession()
+	backendReads := func() (n uint64) {
+		for _, fb := range fbs {
+			n += fb.Stats().Ops[faultfs.Read]
+		}
+		return n
+	}
+
+	if err := s.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	cs := s.NewCoherentSession(model)
+	tr := cs.EnableTrace()
+	emin, emax := eAtPercentile(ds, 0.5), eAtPercentile(ds, 0.95)
+	const faultAt = 6
+	sawDelta := false
+	for i := 0; i < 14; i++ {
+		y := 0.03 * float64(i)
+		qp := geom.QueryPlane{R: geom.Rect{MinX: 0.1, MinY: y, MaxX: 0.7, MaxY: y + 0.45}, EMin: emin, EMax: emax, Axis: 1}
+		if i == faultAt {
+			// The third data page this frame reads fails.
+			fbs[0].ResetStats()
+			fbs[0].SetSchedule(faultfs.Read, faultfs.Schedule{Nth: []uint64{3}})
+		}
+		before := backendReads()
+		got, st, err := cs.Frame(qp)
+		reads := backendReads() - before
+		if cerr := tr.CheckTotal(st.DA); cerr != nil {
+			t.Errorf("frame %d: %v", i, cerr)
+		}
+		if st.DA != reads {
+			t.Errorf("frame %d: FrameStats.DA = %d, backends served %d reads", i, st.DA, reads)
+		}
+		if i == faultAt {
+			if !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("faulted frame returned %v, want the injected error", err)
+			}
+			if got != nil || st.DA < 3 {
+				t.Fatalf("faulted frame: result %v, stats %+v", got, st)
+			}
+			if cs.fetched != nil || cs.cover != nil {
+				t.Fatal("faulted frame left retained state behind")
+			}
+			fbs[0].Heal()
+			continue
+		}
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if want := i == 0 || i == faultAt+1; st.Full != want {
+			t.Fatalf("frame %d: Full = %v, want %v (%+v)", i, st.Full, want, st)
+		}
+		sawDelta = sawDelta || (i > faultAt && !st.Full && st.Retained > 0)
+		want, err := oracle.SingleBase(qp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameMesh(t, fmt.Sprintf("frame %d (full=%v)", i, st.Full), got, want)
+	}
+	if !sawDelta {
+		t.Fatal("no incremental frame ran after the fault healed")
 	}
 }

@@ -207,59 +207,3 @@ func TestShardedStoreColdDAMatchesUnsharded(t *testing.T) {
 		t.Fatalf("cold DA differs: 1 shard %d, 8 shards %d", a, b)
 	}
 }
-
-// TestParallelExecuteStripsMatchesSerial: the opt-in strip worker pool
-// must return exactly the serial result — same mesh, same fetched-record
-// count, and on a cold pool the same disk accesses (shared pool makes
-// each page a single backend read regardless of which worker gets there
-// first).
-func TestParallelExecuteStripsMatchesSerial(t *testing.T) {
-	ds, _ := buildDataset(t, 9, "crater")
-	s := newTestStore(t, ds)
-	model, err := s.CostModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	qp := geom.QueryPlane{
-		R:    geom.Rect{MinX: 0.05, MinY: 0.05, MaxX: 0.95, MaxY: 0.95},
-		EMin: eAtPercentile(ds, 0.25), EMax: eAtPercentile(ds, 0.95), Axis: 1,
-	}
-	strips := model.PlanStrips(qp, 0)
-	if len(strips) < 2 {
-		t.Skipf("planner produced %d strips; need >= 2", len(strips))
-	}
-
-	if err := s.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	s.ResetStats()
-	serial, err := s.ExecuteStrips(qp, strips)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialDA := s.DiskAccesses()
-
-	s.SetStripWorkers(4)
-	defer s.SetStripWorkers(1)
-	if err := s.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	s.ResetStats()
-	par, err := s.ExecuteStrips(qp, strips)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parDA := s.DiskAccesses()
-
-	if parDA != serialDA {
-		t.Errorf("cold DA differs: serial %d, parallel %d", serialDA, parDA)
-	}
-	if par.FetchedRecords != serial.FetchedRecords || par.Strips != serial.Strips {
-		t.Fatalf("parallel fetched %d records over %d strips, serial %d over %d",
-			par.FetchedRecords, par.Strips, serial.FetchedRecords, serial.Strips)
-	}
-	// The assemblers emit edge and triangle slices in map-iteration
-	// order, so two runs over the same mesh may order them differently;
-	// compare as sets.
-	requireSameMesh(t, "parallel vs serial", par, serial)
-}

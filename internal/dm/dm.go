@@ -82,9 +82,13 @@ func (d *Dataset) UniformCut(e float64) []int64 {
 type Result struct {
 	// Vertices maps vertex ID to its 3D position.
 	Vertices map[int64]geom.Point3
-	// Edges holds each mesh edge once, with Edges[i][0] < Edges[i][1].
+	// Edges holds each mesh edge once, with Edges[i][0] < Edges[i][1],
+	// in ascending (ID, ID) order.
 	Edges [][2]int64
-	// Triangles holds the triangulation (canonicalized vertex triples).
+	// Triangles holds the triangulation as canonical vertex triples
+	// (A < B < C), in ascending (A, B, C) order. Every producer of a
+	// Result emits both slices in that order, so equal meshes are equal
+	// slices.
 	Triangles []geom.Triangle
 	// FetchedRecords is how many node records the query retrieved
 	// (including records fetched but filtered out of the approximation).
@@ -131,44 +135,59 @@ func assembleUniform(live map[int64]*Node) *Result {
 // notes cannot be kept without storing all-LOD lists).
 func assembleLifted(fetched map[int64]*Node, live map[int64]*Node) *Result {
 	ids := sortedIDs(live)
-	idx := newIDIndex(ids)
 	res := &Result{Vertices: make(map[int64]geom.Point3, len(ids))}
 	for _, id := range ids {
 		res.Vertices[id] = live[id].Pos
 	}
-	// rep memoizes the live representative of every fetched node, as its
-	// index in ids (-1: none).
-	const unresolved = -2
-	repCache := make(map[int64]int, len(fetched))
-	var rep func(id int64) int
-	rep = func(id int64) int {
-		if r, ok := repCache[id]; ok {
+	// reps memoizes the live representative of every fetched node: indexed
+	// by the node's position in fids, holding a position in ids (-1: none).
+	// Live nodes represent themselves; ids is a subsequence of fids.
+	fids := sortedIDs(fetched)
+	fidx := newIDIndex(fids)
+	const unknown, unresolved = -3, -2
+	reps := make([]int32, len(fids))
+	for p, j := 0, 0; p < len(fids); p++ {
+		if j < len(ids) && ids[j] == fids[p] {
+			reps[p] = int32(j)
+			j++
+		} else {
+			reps[p] = unknown
+		}
+	}
+	var rep func(p int) int32
+	rep = func(p int) int32 {
+		if r := reps[p]; r != unknown {
 			return r
 		}
-		repCache[id] = unresolved // cycle guard; overwritten below
-		r := idx.lookup(id)
-		if r < 0 {
-			if n, ok := fetched[id]; ok && n.Parent != pm.None {
-				r = rep(n.Parent)
+		reps[p] = unresolved // cycle guard; overwritten below
+		r := int32(-1)
+		if parent := fetched[fids[p]].Parent; parent != pm.None {
+			if pp := fidx.lookup(parent); pp >= 0 {
+				r = rep(pp)
 			}
 		}
-		repCache[id] = r
+		reps[p] = r
 		return r
 	}
 	// Many pairs lift to the same edge, in no particular order: collect,
-	// then sort and dedup.
+	// then sort and dedup. Connection lists are symmetric, so each pair is
+	// visited from its lower endpoint only.
 	var edges []uint64
-	for id, n := range fetched {
-		ra := rep(id)
+	for p, id := range fids {
+		ra := rep(p)
 		if ra < 0 {
 			continue
 		}
-		for _, c := range n.Conn {
-			if _, ok := fetched[c]; !ok {
+		for _, c := range fetched[id].Conn {
+			if c <= id {
 				continue
 			}
-			if rb := rep(c); rb >= 0 && rb != ra {
-				edges = append(edges, packEdge(ra, rb))
+			q := fidx.lookup(c)
+			if q < 0 {
+				continue
+			}
+			if rb := rep(q); rb >= 0 && rb != ra {
+				edges = append(edges, packEdge(int(ra), int(rb)))
 			}
 		}
 	}

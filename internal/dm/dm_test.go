@@ -181,7 +181,7 @@ func checkExactAgainstReplay(t *testing.T, name string, ds *Dataset, seq *simpli
 			truthEdges := make(map[[2]int64]bool)
 			for v, ns := range truth {
 				for _, u := range ns {
-					truthEdges[edgeKey(v, u)] = true
+					truthEdges[[2]int64{min(v, u), max(v, u)}] = true
 				}
 			}
 			if len(res.Edges) != len(truthEdges) {

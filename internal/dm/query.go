@@ -2,9 +2,6 @@ package dm
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"dmesh/internal/costmodel"
 	"dmesh/internal/geom"
@@ -21,13 +18,7 @@ type fetcher struct {
 	rids  []heapfile.RID
 	bufs  recBufs
 	nodes map[int64]*Node
-	// track records the IDs of nodes newly added to the map in added —
-	// the coherent engine points nodes at its retained map and needs to
-	// know which fetched nodes it had not seen before.
-	track bool
-	added []int64
-	// tr carries the owning view's tracer (nil when tracing is off, and
-	// forced nil in parallel strip workers — a trace is single-goroutine).
+	// tr carries the owning view's tracer (nil when tracing is off).
 	tr *obs.Trace
 }
 
@@ -77,9 +68,6 @@ func (f *fetcher) fetchBox(box geom.Box) (int, error) {
 		if _, ok := f.nodes[n.ID]; !ok {
 			node := n
 			f.nodes[n.ID] = &node
-			if f.track {
-				f.added = append(f.added, n.ID)
-			}
 		}
 	}
 	f.tr.End()
@@ -163,9 +151,7 @@ func (s *Store) MultiBase(qp geom.QueryPlane, model *costmodel.Model, maxStrips 
 
 // ExecuteStrips answers a viewpoint-dependent query with an explicit cube
 // plan (one range query per strip). MultiBase uses it with the optimizer's
-// plan; ablations pass fixed plans (costmodel.EqualStrips). With
-// SetStripWorkers > 1 the strips are fetched by a bounded worker pool;
-// the serial path is the measurement default.
+// plan; ablations pass fixed plans (costmodel.EqualStrips).
 func (s *Store) ExecuteStrips(qp geom.QueryPlane, strips []costmodel.Strip) (*Result, error) {
 	s.tr.Begin(obs.PhaseQuery)
 	defer s.tr.End()
@@ -175,12 +161,6 @@ func (s *Store) ExecuteStrips(qp geom.QueryPlane, strips []costmodel.Strip) (*Re
 // executeStrips runs an explicit plan under an already-open root span
 // (ExecuteStrips and MultiBase both land here).
 func (s *Store) executeStrips(qp geom.QueryPlane, strips []costmodel.Strip) (*Result, error) {
-	if workers := s.stripWorkers; workers > 1 && len(strips) > 1 {
-		if workers > len(strips) {
-			workers = len(strips)
-		}
-		return s.executeStripsParallel(qp, strips, workers)
-	}
 	f := s.newFetcher()
 	total := 0
 	for _, st := range strips {
@@ -191,74 +171,6 @@ func (s *Store) executeStrips(qp geom.QueryPlane, strips []costmodel.Strip) (*Re
 		total += nf
 	}
 	res := s.assemblePlane(qp, f.fetched())
-	res.FetchedRecords = total
-	res.Strips = len(strips)
-	return res, nil
-}
-
-// executeStripsParallel fans one plan's strips out over workers
-// goroutines. The strips share the store's buffer pool (each page is read
-// from the backend at most once, under its shard lock), so the union of
-// pages read matches the serial execution; per-strip node maps merge in
-// strip order with sorted node IDs, keeping the merged map — and
-// therefore the assembled mesh — identical to the serial result.
-func (s *Store) executeStripsParallel(qp geom.QueryPlane, strips []costmodel.Strip, workers int) (*Result, error) {
-	type stripResult struct {
-		nodes map[int64]*Node
-		nf    int
-		err   error
-	}
-	results := make([]stripResult, len(strips))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	// A trace is single-goroutine, so the workers run untraced and the
-	// whole fan-out is attributed to one fetch span: the parallel path
-	// trades per-phase resolution (rtree vs fetch vs overflow) for
-	// wall-clock, keeping the total exact.
-	s.tr.Begin(obs.PhaseFetch)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f := s.newFetcher()
-			f.tr = nil
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(strips) {
-					return
-				}
-				f.nodes = nil // fresh per-strip map, reused buffers
-				nf, err := f.fetchBox(strips[i].Box())
-				results[i] = stripResult{nodes: f.fetched(), nf: nf, err: err}
-			}
-		}()
-	}
-	wg.Wait()
-	s.tr.End()
-
-	total, size := 0, 0
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-		total += results[i].nf
-		size += len(results[i].nodes)
-	}
-	fetched := make(map[int64]*Node, size)
-	ids := make([]int64, 0, size)
-	for i := range results {
-		ids = ids[:0]
-		for id := range results[i].nodes {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		for _, id := range ids {
-			if _, ok := fetched[id]; !ok {
-				fetched[id] = results[i].nodes[id]
-			}
-		}
-	}
-	res := s.assemblePlane(qp, fetched)
 	res.FetchedRecords = total
 	res.Strips = len(strips)
 	return res, nil

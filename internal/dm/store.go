@@ -43,10 +43,6 @@ type Store struct {
 	maxE   float64
 	space  geom.Box
 
-	// stripWorkers bounds the per-query fan-out of multi-strip plans
-	// (1 = serial, the measurement default). Set before serving.
-	stripWorkers int
-
 	// tr, when non-nil, receives phase-attributed spans from every query
 	// run on this view. Nil (the default) costs one pointer check per
 	// span site and nothing else.
@@ -62,19 +58,6 @@ func (s *Store) SetTrace(tr *obs.Trace) { s.tr = tr }
 
 // Trace returns the attached phase tracer (nil when tracing is off).
 func (s *Store) Trace() *obs.Trace { return s.tr }
-
-// SetStripWorkers sets how many goroutines ExecuteStrips may use to fetch
-// the strips of one multi-base plan (values below 2 keep the serial
-// execution the figure measurements use). Strips share the store's buffer
-// pool either way, so the total disk accesses of a cold query are
-// unchanged; only wall-clock time is. Call during setup, not while
-// queries are running.
-func (s *Store) SetStripWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.stripWorkers = n
-}
 
 // Layout selects the physical order of node records in the heap file.
 type Layout int

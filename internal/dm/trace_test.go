@@ -89,38 +89,12 @@ func TestTraceInvariantQueries(t *testing.T) {
 	}
 }
 
-// TestTraceInvariantParallelStrips checks the parallel strip path: the
-// workers run untraced, the fan-out lands in one fetch span, and the
-// total still attributes exactly.
-func TestTraceInvariantParallelStrips(t *testing.T) {
-	ds, _ := buildDataset(t, 9, "highland")
-	s := newTestStore(t, ds)
-	model, err := s.CostModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	qp := geom.QueryPlane{R: geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9},
-		EMin: eAtPercentile(ds, 0.5), EMax: eAtPercentile(ds, 0.95), Axis: 1}
-	s.SetStripWorkers(4)
-	if err := s.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	s.ResetStats()
-	tr := obs.NewTrace(s.DiskAccesses)
-	s.SetTrace(tr)
-	if _, err := s.MultiBase(qp, model, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.CheckTotal(s.DiskAccesses()); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestTraceInvariantCoherent drives the determinism test's camera walk
 // with a trace enabled and checks, every frame, that the trace accounts
-// for exactly FrameStats.DA — and that the traced walk's FrameStats are
-// identical to an untraced walk's (tracing cannot perturb the paper's
-// numbers).
+// for exactly FrameStats.DA with exactly one triangulate span (a frame
+// assembles once, like a one-shot query) — and that the traced walk's
+// FrameStats are identical to an untraced walk's (tracing cannot perturb
+// the paper's numbers).
 func TestTraceInvariantCoherent(t *testing.T) {
 	for _, name := range []string{"highland", "crater"} {
 		ds, _ := buildDataset(t, 9, name)
@@ -158,6 +132,15 @@ func TestTraceInvariantCoherent(t *testing.T) {
 				if traced {
 					if err := tr.CheckTotal(st.DA); err != nil {
 						t.Errorf("%s frame %d: %v", name, i, err)
+					}
+					tri := 0
+					for _, sp := range tr.Spans() {
+						if sp.Phase == obs.PhaseTriangulate {
+							tri++
+						}
+					}
+					if tri != 1 {
+						t.Errorf("%s frame %d: %d triangulate spans, want 1", name, i, tri)
 					}
 				}
 				out = append(out, st)

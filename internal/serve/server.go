@@ -804,10 +804,10 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res, st, err := cam.cs.Frame(plane)
 	dur := time.Since(start)
+	cam.da += st.DA // a failed frame still paid for the pages it read
 	var wire string
 	if err == nil {
 		cam.frames++
-		cam.da += st.DA
 		// Observe under the camera lock: the trace is reset by the next
 		// frame, and Observe copies the phase stats out. The wire encoding
 		// is captured under the same lock for the same reason.
@@ -819,6 +819,7 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	cam.mu.Unlock()
+	s.hFrameDA.Observe(st.DA)
 	if err != nil {
 		s.jsonError(w, http.StatusInternalServerError, err)
 		return
@@ -827,7 +828,6 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-DM-Trace", wire)
 	}
 	s.mFrameReqs.Inc()
-	s.hFrameDA.Observe(st.DA)
 	s.hFrameNs.Observe(uint64(dur))
 
 	s.writeJSON(w, frameResponse{

@@ -14,7 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"dmesh"
 	"dmesh/internal/dm"
+	"dmesh/internal/storage/faultfs"
+	"dmesh/internal/storage/pager"
 	"dmesh/internal/tilecache"
 )
 
@@ -437,5 +440,63 @@ func TestGracefulShutdown(t *testing.T) {
 	// Idempotent and safe without a live listener.
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Errorf("second Shutdown: %v", err)
+	}
+}
+
+// TestFailedFrameAccountsDiskAccesses: a /frame that dies on a read fault
+// answers 500, but the pages it read before failing are real work: they
+// must reach the camera's /stats total and the frame-DA histogram, which
+// FrameStats.DA (exact also on the error path) makes possible.
+func TestFailedFrameAccountsDiskAccesses(t *testing.T) {
+	terrain, err := dmesh.Build(dmesh.Config{Dataset: "highland", Size: 33, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fbs []*faultfs.Backend // heap, overflow, r*-tree, id index
+	store, err := terrain.NewDMStoreWithPools(dmesh.StorePools{
+		WrapBackend: func(b pager.Backend) pager.Backend {
+			fb := faultfs.Wrap(b)
+			fbs = append(fbs, fb)
+			return fb
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Terrain: terrain, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler(false))
+	defer ts.Close()
+	if err := store.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+
+	const frame = "/frame?session=cam&near=0.75&far=0.99&x0=0.2&x1=0.7"
+	if resp, _ := Fetch(t, ts.URL, frame+"&y0=0.0&y1=0.4"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("clean frame: status %d", resp.StatusCode)
+	}
+	before := s.StatsSnapshot(time.Now()).TotalFrameDA
+	if before == 0 {
+		t.Fatal("cold first frame read nothing")
+	}
+
+	// The delta frame's index descent succeeds; its first data page fails.
+	if err := store.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	fbs[0].SetSchedule(faultfs.Read, faultfs.Schedule{Every: 1})
+	if resp, _ := Fetch(t, ts.URL, frame+"&y0=0.1&y1=0.5"); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("faulted frame: status %d, want 500", resp.StatusCode)
+	}
+	st := s.StatsSnapshot(time.Now())
+	if st.TotalFrameDA <= before {
+		t.Errorf("failed frame's disk accesses dropped: total %d, was %d", st.TotalFrameDA, before)
+	}
+	if st.TotalFrames != 1 {
+		t.Errorf("TotalFrames = %d, want 1 (a failed frame is not a served frame)", st.TotalFrames)
+	}
+	if n := s.hFrameDA.Snapshot().Count; n != 2 {
+		t.Errorf("frame-DA histogram holds %d observations, want 2", n)
 	}
 }
