@@ -3,8 +3,8 @@ GO ?= go
 .PHONY: verify fmt build vet test race chaos fuzzsmoke benchdiff bench benchsmoke benchrepo figures
 
 # The CI gate: formatting, build, vet, the whole test suite under the
-# race detector (no test in the repo is short-mode gated, so `race` runs
-# everything), the small-scale chaos run, a few seconds of live fuzzing
+# race detector (no test in the repo is short-mode gated: `grep -rn
+# 'testing.Short()'` is empty), the small-scale chaos run, a few seconds of live fuzzing
 # over every decoder, and the benchmark regression gate. Gates that were
 # -run subsets of `race` are gone; to iterate on one area, run its
 # package: `go test -race ./internal/cluster/`.
@@ -25,7 +25,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -short ./...
+	$(GO) test -race ./...
 
 # Chaos gate: the fault-tolerance figure at small scale. dmbench exits
 # nonzero if any query under injected read failures / bit flips panics
@@ -80,21 +80,24 @@ benchsmoke:
 # Repository-benchmark smoke: the harness under bench/ (the program
 # BENCHMARK.json names) must still compile against the library's public
 # surface, pass its own tests, and complete one-second hot_patch,
-# churn_tile and flyover_frame runs with every answer verified and every
-# separation guard ok — so a change that breaks any of those fails here
-# rather than in the benchmark driver. churn_tile is the one workload
-# where materialize, evict and stitch run together, and its hit-ratio
-# guard is what notices TilePatch.Bytes() moving; flyover_frame is the
-# one that drives coherent sessions, and its full_frac guard is what
-# notices the delta-versus-full decision moving. Not part of `make
-# verify`; CI runs it after benchsmoke. Output lands under results/,
-# which is git-ignored.
+# churn_tile, flyover_frame and cold_direct runs with every answer
+# verified and every separation guard ok — so a change that breaks any of
+# those fails here rather than in the benchmark driver. churn_tile is the
+# one workload where materialize, evict and stitch run together, and its
+# hit-ratio guard is what notices TilePatch.Bytes() moving; flyover_frame
+# is the one that drives coherent sessions, and its full_frac guard is
+# what notices the delta-versus-full decision moving; cold_direct is the
+# only one that drives MultiBase, the file-backed fetch path and the
+# lifted assembler cold, and its da_per_op_gt_20 guard is what notices a
+# query that stopped reading the store. Not part of `make verify`; CI runs
+# it after benchsmoke. Output lands under results/, which is git-ignored.
 benchrepo:
 	$(GO) vet ./bench
 	$(GO) test ./bench
 	$(GO) run ./bench -workload hot_patch -seed 1 -seconds 1 -out results/bench-smoke
 	$(GO) run ./bench -workload churn_tile -seed 1 -seconds 1 -out results/bench-smoke
 	$(GO) run ./bench -workload flyover_frame -seed 1 -seconds 1 -out results/bench-smoke
+	$(GO) run ./bench -workload cold_direct -seed 1 -seconds 1 -out results/bench-smoke
 
 # Full-scale figure reproduction (several minutes); output under results/.
 figures:

@@ -2,6 +2,7 @@ package dm
 
 import (
 	"errors"
+	"slices"
 
 	"dmesh/internal/costmodel"
 	"dmesh/internal/geom"
@@ -23,10 +24,10 @@ var errFrameNeedsModel = errors.New("dm: FrameMultiBase requires a cost model")
 // frame falls back to a full query and the state resets.
 //
 // The invariant that makes every frame exact is fetched-set equality:
-// after each frame the retained map holds precisely the nodes whose
-// stored segments intersect the frame's query volume — the same set a
-// from-scratch query fetches — and the mesh comes from the same
-// assemblePlane a from-scratch query runs over that set.
+// after each frame the retained record set holds precisely the nodes
+// whose stored segments intersect the frame's query volume — the same set
+// a from-scratch query fetches — and the mesh comes from the same assemble
+// a from-scratch query runs over that set.
 //
 // A CoherentSession wraps its own pager.Session, so FrameStats.DA is
 // the frame's exact page-read count even while other sessions share the
@@ -36,8 +37,8 @@ type CoherentSession struct {
 	sess  *Session
 	model *costmodel.Model
 
-	cover   []geom.Box      // query volume of the previous frame
-	fetched map[int64]*Node // nodes whose segments intersect cover
+	cover   []geom.Box // query volume of the previous frame; nil: no state
+	fetched []Node     // record set of the nodes whose segments intersect cover
 }
 
 // FrameStats describes how one coherent frame was answered.
@@ -97,18 +98,13 @@ func (c *CoherentSession) Trace() *obs.Trace { return c.sess.tr }
 // Store.ViewpointIndependent exactly, including the fetch clamp to the
 // dataset's maximum LOD.
 func (c *CoherentSession) FrameUniform(r geom.Rect, e float64) (*Result, FrameStats, error) {
-	fetchE := e
-	if fetchE > c.sess.maxE {
-		fetchE = c.sess.maxE
-	}
-	qp := geom.QueryPlane{R: r, EMin: e, EMax: e}
-	return c.frame(qp, []geom.Box{geom.BoxFromRect(r, fetchE, fetchE)})
+	return c.frame(geom.QueryPlane{R: r, EMin: e, EMax: e}, []geom.Box{c.sess.cube(r, e, e)})
 }
 
 // Frame answers a single-base viewpoint-dependent frame, matching
 // Store.SingleBase exactly.
 func (c *CoherentSession) Frame(qp geom.QueryPlane) (*Result, FrameStats, error) {
-	return c.frame(qp, []geom.Box{geom.BoxFromRect(qp.R, qp.EMin, qp.EMax)})
+	return c.frame(qp, []geom.Box{c.sess.cube(qp.R, qp.EMin, qp.EMax)})
 }
 
 // FrameMultiBase answers a multi-base viewpoint-dependent frame: the
@@ -124,11 +120,7 @@ func (c *CoherentSession) FrameMultiBase(qp geom.QueryPlane, maxStrips int) (*Re
 // FrameStrips answers a viewpoint-dependent frame with an explicit cube
 // plan, matching Store.ExecuteStrips on the same plan exactly.
 func (c *CoherentSession) FrameStrips(qp geom.QueryPlane, strips []costmodel.Strip) (*Result, FrameStats, error) {
-	target := make([]geom.Box, len(strips))
-	for i, st := range strips {
-		target[i] = st.Box()
-	}
-	return c.frame(qp, target)
+	return c.frame(qp, stripBoxes(strips))
 }
 
 // frame is the engine: decide delta vs full, reconcile the fetched set
@@ -143,7 +135,7 @@ func (c *CoherentSession) frame(qp geom.QueryPlane, target []geom.Box) (*Result,
 	tr.Begin(obs.PhaseQuery)
 	st := FrameStats{Strips: len(target)}
 
-	full := c.fetched == nil
+	full := c.cover == nil
 	var frags []geom.Box
 	if !full {
 		tr.Begin(obs.PhasePlan)
@@ -158,45 +150,38 @@ func (c *CoherentSession) frame(qp geom.QueryPlane, target []geom.Box) (*Result,
 	}
 
 	f := c.sess.newFetcher()
+	fetchBoxes := frags
 	if full {
 		st.Full = true
 		st.Fragments = 0
 		c.Invalidate()
-		f.nodes = make(map[int64]*Node)
+		fetchBoxes = target
 	} else {
-		// Evict nodes whose stored segments no longer intersect the
+		// Evict records whose stored segments no longer intersect the
 		// target volume: the same closed-box intersection the R-tree
-		// applies, so retention and (re)fetching agree bit for bit.
+		// applies, so retention and (re)fetching agree bit for bit. The
+		// newly exposed records land behind the retained ones in the same
+		// slab, and the fetcher's own sort reconciles the two.
 		before := len(c.fetched)
-		for id, n := range c.fetched {
-			if !segmentIntersectsAny(segmentOf(&n.Node, c.sess.maxE), target) {
-				delete(c.fetched, id)
-			}
-		}
-		st.Retained = len(c.fetched)
+		f.recs = slices.DeleteFunc(c.fetched, func(n Node) bool {
+			return !segmentIntersectsAny(segmentOf(&n.Node, c.sess.maxE), target)
+		})
+		st.Retained = len(f.recs)
 		st.Evicted = before - st.Retained
-		f.nodes = c.fetched
 	}
-	fetchBoxes := target
-	if !full {
-		fetchBoxes = frags
-	}
-	for _, b := range fetchBoxes {
-		nf, err := f.fetchBox(b)
-		if err != nil {
-			// The retained state may be mid-reconciliation; start clean.
-			// The pages the frame did read are still the frame's.
-			c.Invalidate()
-			st.DA = c.sess.DiskAccesses()
-			tr.End()
-			return nil, st, err
-		}
-		st.Fetched += nf
+	var err error
+	if st.Fetched, err = f.fetchBoxes(fetchBoxes); err != nil {
+		// The retained state is mid-reconciliation; start clean. The pages
+		// the frame did read are still the frame's.
+		c.Invalidate()
+		st.DA = c.sess.DiskAccesses()
+		tr.End()
+		return nil, st, err
 	}
 	c.fetched = f.fetched()
-	c.cover = append(c.cover[:0:0], target...)
+	c.cover = slices.Clone(target)
 
-	res := c.sess.assemblePlane(qp, c.fetched)
+	res := c.sess.assemble(c.fetched, qp.EAt, qp.EMin != qp.EMax)
 	res.FetchedRecords = st.Fetched
 	res.Strips = len(fetchBoxes)
 	st.DA = c.sess.DiskAccesses()

@@ -24,6 +24,7 @@ import (
 	"slices"
 
 	"dmesh/internal/geom"
+	"dmesh/internal/obs"
 	"dmesh/internal/pm"
 	"dmesh/internal/simplify"
 )
@@ -98,70 +99,62 @@ type Result struct {
 	Strips int
 }
 
-// assembleUniform builds the mesh for a uniform-LOD cut: vertices are the
-// live nodes, edges are connection-list pairs whose both ends are live.
-// Direct Mesh's core claim is that this needs no data beyond the fetched
-// records. Walking ascending live IDs x their ascending connection lists
-// emits the edges already sorted, so Edges and Triangles come out in
-// ascending order.
-func assembleUniform(live map[int64]*Node) *Result {
-	ids := sortedIDs(live)
-	idx := newIDIndex(ids)
-	res := &Result{Vertices: make(map[int64]geom.Point3, len(ids))}
-	edges := make([]uint64, 0, 3*len(ids))
-	for i, id := range ids {
-		n := live[id]
-		res.Vertices[id] = n.Pos
-		for _, c := range n.Conn {
-			if c <= id {
-				continue // count each pair once
-			}
-			if j := idx.lookup(c); j >= 0 {
-				edges = append(edges, packEdge(i, j))
-			}
-		}
-	}
-	res.Edges = unpackEdges(edges, ids)
-	res.Triangles = cliques(edges, ids)
-	return res
-}
-
-// assembleLifted builds the mesh for an adaptive (viewpoint-dependent)
-// cut. live is the cut; fetched is every retrieved record (live's
-// ancestors near the plane among them). A connection pair (a, b) lifts to
-// the edge (rep(a), rep(b)) where rep walks parent pointers up to the
-// first live node; pairs whose chains leave the fetched set are dropped
-// (their witnesses lie outside the query cube, the connectivity the paper
-// notes cannot be kept without storing all-LOD lists).
-func assembleLifted(fetched map[int64]*Node, live map[int64]*Node) *Result {
-	ids := sortedIDs(live)
-	res := &Result{Vertices: make(map[int64]geom.Point3, len(ids))}
-	for _, id := range ids {
-		res.Vertices[id] = live[id].Pos
-	}
-	// reps memoizes the live representative of every fetched node: indexed
-	// by the node's position in fids, holding a position in ids (-1: none).
-	// Live nodes represent themselves; ids is a subsequence of fids.
-	fids := sortedIDs(fetched)
-	fidx := newIDIndex(fids)
-	const unknown, unresolved = -3, -2
-	reps := make([]int32, len(fids))
-	for p, j := 0, 0; p < len(fids); p++ {
-		if j < len(ids) && ids[j] == fids[p] {
-			reps[p] = int32(j)
-			j++
-		} else {
+// assemble builds the approximation a record set holds where need(x, y)
+// is the LOD required at (x, y): the cut is every record whose LOD interval
+// contains the requirement at its own position, and its mesh comes from
+// connection lists alone — Direct Mesh's core claim is that this needs no
+// data beyond the fetched records. It is the one place liveness is decided
+// and the one assembler behind every query kind and coherent frame.
+//
+// With lift set (an adaptive, viewpoint-dependent cut) recs also holds the
+// cut's ancestors near the plane, and a connection pair (a, b) lifts to the
+// edge (rep(a), rep(b)) where rep walks parent pointers up to the first
+// live node; pairs whose chains leave the record set are dropped (their
+// witnesses lie outside the query cube, the connectivity the paper notes
+// cannot be kept without storing all-LOD lists). Without it (a uniform
+// cut) a record off the cut represents nothing, so edges are the pairs
+// with both ends live, and ascending records x their ascending connection
+// lists emit them already sorted.
+func (s *Store) assemble(recs []Node, need func(x, y float64) float64, lift bool) *Result {
+	s.tr.Begin(obs.PhaseTriangulate)
+	defer s.tr.End()
+	// reps holds, per record, the position in ids of its live
+	// representative: itself when live, memoized by rep otherwise.
+	const isLive, unknown, unresolved, none = -4, -3, -2, -1
+	reps := make([]int32, len(recs))
+	fids := make([]int64, len(recs))
+	n := 0
+	for p := range recs {
+		r := &recs[p]
+		fids[p] = r.ID
+		switch {
+		case r.Interval().Contains(need(r.Pos.X, r.Pos.Y)):
+			reps[p] = isLive
+			n++
+		case lift:
 			reps[p] = unknown
+		default:
+			reps[p] = none
 		}
 	}
+	ids := make([]int64, 0, n)
+	res := &Result{Vertices: make(map[int64]geom.Point3, n)}
+	for p := range recs {
+		if reps[p] == isLive {
+			reps[p] = int32(len(ids))
+			ids = append(ids, recs[p].ID)
+			res.Vertices[recs[p].ID] = recs[p].Pos
+		}
+	}
+	fidx := newIDIndex(fids)
 	var rep func(p int) int32
 	rep = func(p int) int32 {
 		if r := reps[p]; r != unknown {
 			return r
 		}
 		reps[p] = unresolved // cycle guard; overwritten below
-		r := int32(-1)
-		if parent := fetched[fids[p]].Parent; parent != pm.None {
+		r := int32(none)
+		if parent := recs[p].Parent; parent != pm.None {
 			if pp := fidx.lookup(parent); pp >= 0 {
 				r = rep(pp)
 			}
@@ -169,17 +162,16 @@ func assembleLifted(fetched map[int64]*Node, live map[int64]*Node) *Result {
 		reps[p] = r
 		return r
 	}
-	// Many pairs lift to the same edge, in no particular order: collect,
-	// then sort and dedup. Connection lists are symmetric, so each pair is
-	// visited from its lower endpoint only.
-	var edges []uint64
-	for p, id := range fids {
+	// Connection lists are symmetric, so each pair is visited from its
+	// lower endpoint only.
+	edges := make([]uint64, 0, 3*n)
+	for p := range recs {
 		ra := rep(p)
 		if ra < 0 {
 			continue
 		}
-		for _, c := range fetched[id].Conn {
-			if c <= id {
+		for _, c := range recs[p].Conn {
+			if c <= recs[p].ID {
 				continue
 			}
 			q := fidx.lookup(c)
@@ -191,7 +183,10 @@ func assembleLifted(fetched map[int64]*Node, live map[int64]*Node) *Result {
 			}
 		}
 	}
-	edges = sortEdges(edges, len(ids))
+	if lift {
+		// Many pairs lift to the same edge, in no particular order.
+		edges = sortEdges(edges, n)
+	}
 	res.Edges = unpackEdges(edges, ids)
 	res.Triangles = cliques(edges, ids)
 	return res

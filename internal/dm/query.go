@@ -2,6 +2,7 @@ package dm
 
 import (
 	"fmt"
+	"slices"
 
 	"dmesh/internal/costmodel"
 	"dmesh/internal/geom"
@@ -10,14 +11,16 @@ import (
 )
 
 // fetcher runs the range queries of one Direct Mesh query, reusing the
-// RID list and record/overflow buffers across strips and accumulating the
-// fetched nodes (keyed by node ID) in one map pre-sized from the first
-// index hit count.
+// RID list and record/overflow buffers across boxes and appending the
+// decoded records to one slab in arrival order. fetched turns the slab
+// into the record set — a []Node ascending by ID, each ID once — the only
+// form fetched records take: queries assemble it, coherent sessions
+// retain it, tile patches keep it.
 type fetcher struct {
-	s     *Store
-	rids  []heapfile.RID
-	bufs  recBufs
-	nodes map[int64]*Node
+	s    *Store
+	rids []heapfile.RID
+	bufs recBufs
+	recs []Node
 	// tr carries the owning view's tracer (nil when tracing is off).
 	tr *obs.Trace
 }
@@ -30,48 +33,114 @@ func (s *Store) newFetcher() *fetcher {
 	}
 }
 
-// fetched returns the accumulated node map (never nil).
-func (f *fetcher) fetched() map[int64]*Node {
-	if f.nodes == nil {
-		f.nodes = make(map[int64]*Node)
+// fetched makes the slab a record set in place and returns it: ascending
+// by ID, the first arrival of an ID kept and later repeats (a record on a
+// boundary two boxes share, or fetched again behind the retained set a
+// coherent frame seeded the slab with) dropped, the vacated tail zeroed so
+// that no stale Conn pins an arena chunk. A slab already strictly
+// ascending returns after one scan. Otherwise the sort runs over packed
+// ID<<32 | position keys — fetchRecord holds IDs to [0, NumNodes()), below
+// 2^32 for any store whose records fit in memory — and each record then
+// moves once along the permutation's cycles: sorting the 152-byte records
+// themselves costs more than the map this replaced (DESIGN.md §5 item 11).
+func (f *fetcher) fetched() []Node {
+	recs := f.recs
+	sorted := true
+	for i := 1; i < len(recs) && sorted; i++ {
+		sorted = recs[i-1].ID < recs[i].ID
 	}
-	return f.nodes
+	if sorted {
+		return recs
+	}
+	keys := make([]uint64, len(recs))
+	for i := range recs {
+		keys[i] = uint64(recs[i].ID)<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	// keys[i] names the record that belongs at i: gather along each cycle,
+	// marking a slot done by pointing its key at itself.
+	for start := range keys {
+		if int(uint32(keys[start])) == start {
+			continue
+		}
+		moved := recs[start]
+		i := start
+		for {
+			src := int(uint32(keys[i]))
+			keys[i] = uint64(i)
+			if src == start {
+				recs[i] = moved
+				break
+			}
+			recs[i] = recs[src]
+			i = src
+		}
+	}
+	f.recs = slices.CompactFunc(recs, func(a, b Node) bool { return a.ID == b.ID })
+	return f.recs
 }
 
-// fetchBox retrieves every node whose vertical segment intersects box:
-// one R*-tree range query plus the data-page reads for the matching
-// records. It returns the number of records read (duplicates across
-// strips are real I/O and count).
-func (f *fetcher) fetchBox(box geom.Box) (int, error) {
-	f.rids = f.rids[:0]
-	f.tr.Begin(obs.PhaseRTree)
-	err := f.s.rt.Search(box, func(ref int64, _ geom.Box) bool {
-		f.rids = append(f.rids, heapfile.RID(ref))
-		return true
-	})
-	f.tr.End()
-	if err != nil {
-		return 0, fmt.Errorf("dm: index search: %w", err)
-	}
-	if f.nodes == nil {
-		f.nodes = make(map[int64]*Node, len(f.rids))
-	}
+// fetchBoxes retrieves every node whose vertical segment intersects one
+// of boxes: per box one R*-tree range query plus the data-page reads for
+// the matching records. It returns the number of records read (duplicates
+// across boxes are real I/O and count).
+func (f *fetcher) fetchBoxes(boxes []geom.Box) (int, error) {
 	fetched := 0
-	f.tr.Begin(obs.PhaseFetch)
-	for _, rid := range f.rids {
-		n, err := f.s.fetchRecord(rid, &f.bufs, f.tr)
+	for _, box := range boxes {
+		f.rids = f.rids[:0]
+		f.tr.Begin(obs.PhaseRTree)
+		err := f.s.rt.Search(box, func(ref int64, _ geom.Box) bool {
+			f.rids = append(f.rids, heapfile.RID(ref))
+			return true
+		})
+		f.tr.End()
 		if err != nil {
-			f.tr.End()
-			return fetched, err
+			return fetched, fmt.Errorf("dm: index search: %w", err)
 		}
-		fetched++
-		if _, ok := f.nodes[n.ID]; !ok {
-			node := n
-			f.nodes[n.ID] = &node
+		f.recs = slices.Grow(f.recs, len(f.rids))
+		f.tr.Begin(obs.PhaseFetch)
+		for _, rid := range f.rids {
+			n, err := f.s.fetchRecord(rid, &f.bufs, f.tr)
+			if err != nil {
+				f.tr.End()
+				return fetched, err
+			}
+			fetched++
+			f.recs = append(f.recs, n)
 		}
+		f.tr.End()
 	}
-	f.tr.End()
 	return fetched, nil
+}
+
+// query is the ending every one-shot query shares: fetch the boxes into
+// one record set, assemble it, stamp the retrieval statistics. It runs
+// under the caller's root span.
+func (s *Store) query(boxes []geom.Box, need func(x, y float64) float64, lift bool) (*Result, error) {
+	f := s.newFetcher()
+	nf, err := f.fetchBoxes(boxes)
+	if err != nil {
+		return nil, err
+	}
+	res := s.assemble(f.fetched(), need, lift)
+	res.FetchedRecords = nf
+	res.Strips = len(boxes)
+	return res, nil
+}
+
+// queryPlane answers a query plane from the given cubes. A degenerate
+// plane (EMin == EMax) is a uniform cut and does not lift.
+func (s *Store) queryPlane(qp geom.QueryPlane, boxes []geom.Box) (*Result, error) {
+	return s.query(boxes, qp.EAt, qp.EMin != qp.EMax)
+}
+
+// cube is the query volume r x [lo, hi]; Q(M, r, e) is the degenerate
+// cube r x [e, e] (Section 5.1). Stored segments clamp the roots' infinite
+// tops to the dataset maximum, so the cube is clamped there too: a query
+// coarser than the whole dataset still fetches the root approximation.
+// Liveness keeps the caller's LOD (root intervals are stored unbounded).
+func (s *Store) cube(r geom.Rect, lo, hi float64) geom.Box {
+	return geom.BoxFromRect(r, min(lo, s.maxE), min(hi, s.maxE))
 }
 
 // ViewpointIndependent answers Q(M, r, e): a single range query with the
@@ -81,35 +150,7 @@ func (f *fetcher) fetchBox(box geom.Box) (int, error) {
 func (s *Store) ViewpointIndependent(r geom.Rect, e float64) (*Result, error) {
 	s.tr.Begin(obs.PhaseQuery)
 	defer s.tr.End()
-	// Stored segments clamp the roots' infinite tops to the dataset
-	// maximum, so fetch at min(e, maxE): a query coarser than the whole
-	// dataset still returns the root approximation. The liveness filter
-	// below keeps the caller's e (root intervals are stored unbounded).
-	fetchE := e
-	if fetchE > s.maxE {
-		fetchE = s.maxE
-	}
-	f := s.newFetcher()
-	nf, err := f.fetchBox(geom.BoxFromRect(r, fetchE, fetchE))
-	if err != nil {
-		return nil, err
-	}
-	fetched := f.fetched()
-	s.tr.Begin(obs.PhaseTriangulate)
-	// The R*-tree stores closed boxes but LOD intervals are half-open:
-	// a node whose EHigh equals e is fetched yet not part of the LOD-e
-	// approximation. Filter, keeping the I/O already (correctly) paid.
-	live := make(map[int64]*Node, len(fetched))
-	for id, n := range fetched {
-		if n.Interval().Contains(e) {
-			live[id] = n
-		}
-	}
-	res := assembleUniform(live)
-	s.tr.End()
-	res.FetchedRecords = nf
-	res.Strips = 1
-	return res, nil
+	return s.queryPlane(geom.QueryPlane{R: r, EMin: e, EMax: e}, []geom.Box{s.cube(r, e, e)})
 }
 
 // SingleBase answers a viewpoint-dependent query with Algorithm 1 of the
@@ -120,15 +161,7 @@ func (s *Store) ViewpointIndependent(r geom.Rect, e float64) (*Result, error) {
 func (s *Store) SingleBase(qp geom.QueryPlane) (*Result, error) {
 	s.tr.Begin(obs.PhaseQuery)
 	defer s.tr.End()
-	f := s.newFetcher()
-	nf, err := f.fetchBox(geom.BoxFromRect(qp.R, qp.EMin, qp.EMax))
-	if err != nil {
-		return nil, err
-	}
-	res := s.assemblePlane(qp, f.fetched())
-	res.FetchedRecords = nf
-	res.Strips = 1
-	return res, nil
+	return s.queryPlane(qp, []geom.Box{s.cube(qp.R, qp.EMin, qp.EMax)})
 }
 
 // MultiBase answers a viewpoint-dependent query with the optimization of
@@ -146,52 +179,23 @@ func (s *Store) MultiBase(qp geom.QueryPlane, model *costmodel.Model, maxStrips 
 	s.tr.Begin(obs.PhasePlan)
 	strips := model.PlanStrips(qp, maxStrips)
 	s.tr.End()
-	return s.executeStrips(qp, strips)
+	return s.queryPlane(qp, stripBoxes(strips))
 }
 
 // ExecuteStrips answers a viewpoint-dependent query with an explicit cube
-// plan (one range query per strip). MultiBase uses it with the optimizer's
-// plan; ablations pass fixed plans (costmodel.EqualStrips).
+// plan (one range query per strip): MultiBase's ending with the plan given
+// instead of optimized; ablations pass fixed plans (costmodel.EqualStrips).
 func (s *Store) ExecuteStrips(qp geom.QueryPlane, strips []costmodel.Strip) (*Result, error) {
 	s.tr.Begin(obs.PhaseQuery)
 	defer s.tr.End()
-	return s.executeStrips(qp, strips)
+	return s.queryPlane(qp, stripBoxes(strips))
 }
 
-// executeStrips runs an explicit plan under an already-open root span
-// (ExecuteStrips and MultiBase both land here).
-func (s *Store) executeStrips(qp geom.QueryPlane, strips []costmodel.Strip) (*Result, error) {
-	f := s.newFetcher()
-	total := 0
-	for _, st := range strips {
-		nf, err := f.fetchBox(st.Box())
-		if err != nil {
-			return nil, err
-		}
-		total += nf
+// stripBoxes spells a cube plan out as its query volumes.
+func stripBoxes(strips []costmodel.Strip) []geom.Box {
+	boxes := make([]geom.Box, len(strips))
+	for i, st := range strips {
+		boxes[i] = st.Box()
 	}
-	res := s.assemblePlane(qp, f.fetched())
-	res.FetchedRecords = total
-	res.Strips = len(strips)
-	return res, nil
-}
-
-// assemblePlane turns the fetched cube contents into the approximation on
-// the query plane: the live set holds every node whose LOD interval
-// contains the plane's requirement at the node's own position, and
-// connectivity lifts connection pairs to their live representatives.
-// A degenerate plane (EMin == EMax) reduces to the uniform assembly.
-func (s *Store) assemblePlane(qp geom.QueryPlane, fetched map[int64]*Node) *Result {
-	s.tr.Begin(obs.PhaseTriangulate)
-	defer s.tr.End()
-	live := make(map[int64]*Node, len(fetched))
-	for id, n := range fetched {
-		if n.Interval().Contains(qp.EAt(n.Pos.X, n.Pos.Y)) {
-			live[id] = n
-		}
-	}
-	if qp.EMin == qp.EMax {
-		return assembleUniform(live)
-	}
-	return assembleLifted(fetched, live)
+	return boxes
 }

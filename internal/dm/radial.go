@@ -33,15 +33,9 @@ func (s *Store) Radial(roi geom.Rect, viewer geom.Point2, scale float64, tiles i
 		tiles = 8
 	}
 
-	eAt := func(x, y float64) float64 {
-		return scale * viewer.Dist(geom.Point2{X: x, Y: y})
-	}
-
 	s.tr.Begin(obs.PhaseQuery)
 	defer s.tr.End()
-	f := s.newFetcher()
-	total := 0
-	strips := 0
+	var boxes []geom.Box
 	tw := roi.Width() / float64(tiles)
 	th := roi.Height() / float64(tiles)
 	for ty := 0; ty < tiles; ty++ {
@@ -53,34 +47,12 @@ func (s *Store) Radial(roi geom.Rect, viewer geom.Point2, scale float64, tiles i
 				MaxY: roi.MinY + float64(ty+1)*th,
 			}
 			lo, hi := radialRange(tile, viewer, scale)
-			if lo > s.maxE {
-				lo = s.maxE
-			}
-			if hi > s.maxE {
-				hi = s.maxE
-			}
-			nf, err := f.fetchBox(geom.BoxFromRect(tile, lo, hi))
-			if err != nil {
-				return nil, err
-			}
-			total += nf
-			strips++
+			boxes = append(boxes, s.cube(tile, lo, hi))
 		}
 	}
-
-	fetched := f.fetched()
-	s.tr.Begin(obs.PhaseTriangulate)
-	live := make(map[int64]*Node, len(fetched))
-	for id, n := range fetched {
-		if n.Interval().Contains(eAt(n.Pos.X, n.Pos.Y)) {
-			live[id] = n
-		}
-	}
-	res := assembleLifted(fetched, live)
-	s.tr.End()
-	res.FetchedRecords = total
-	res.Strips = strips
-	return res, nil
+	return s.query(boxes, func(x, y float64) float64 {
+		return scale * viewer.Dist(geom.Point2{X: x, Y: y})
+	}, true)
 }
 
 // radialRange returns the min and max required LOD over a tile: the

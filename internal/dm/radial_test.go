@@ -114,7 +114,7 @@ func TestRadialCheaperThanFullCube(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ResetStats()
-	if _, err := s.newFetcher().fetchBox(geom.BoxFromRect(roi, lo, hi)); err != nil {
+	if _, err := s.newFetcher().fetchBoxes([]geom.Box{geom.BoxFromRect(roi, lo, hi)}); err != nil {
 		t.Fatal(err)
 	}
 	single := s.DiskAccesses()

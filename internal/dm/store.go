@@ -583,13 +583,27 @@ func newRecBufs() recBufs {
 }
 
 // fetchRecord reads and fully decodes the record at rid, following the
-// overflow chain when the connection list spills. tr may be nil; the
-// parallel strip path passes nil explicitly because its workers share
-// the store view but a trace is single-goroutine.
+// overflow chain when the connection list spills. tr may be nil. Store IDs
+// are dense, and everything downstream relies on it (record sets sort on
+// 32-bit ID keys): a record whose ID is outside [0, NumNodes()) is
+// corruption no checksum-less store would otherwise notice.
 func (s *Store) fetchRecord(rid heapfile.RID, bufs *recBufs, tr *obs.Trace) (Node, error) {
+	var n Node
+	var err error
 	if s.layout.variableRecords() {
-		return s.fetchVarRecord(rid, bufs, tr)
+		n, err = s.fetchVarRecord(rid, bufs, tr)
+	} else {
+		n, err = s.fetchFixedRecord(rid, bufs, tr)
 	}
+	if err == nil && (n.ID < 0 || n.ID >= s.idx.Len()) {
+		return Node{}, fmt.Errorf("dm: record %d carries node ID %d, outside [0, %d): corrupt", rid, n.ID, s.idx.Len())
+	}
+	return n, err
+}
+
+// fetchFixedRecord is fetchRecord for the fixed layouts: a RecordSize
+// main record, lists beyond ConnInline chained through the overflow file.
+func (s *Store) fetchFixedRecord(rid heapfile.RID, bufs *recBufs, tr *obs.Trace) (Node, error) {
 	buf := bufs.rec[:RecordSize]
 	if err := s.heap.Read(rid, buf); err != nil {
 		return Node{}, err

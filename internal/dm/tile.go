@@ -3,6 +3,7 @@ package dm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
@@ -32,9 +33,10 @@ type TilePatch struct {
 	E float64
 	// Nodes holds the fetched record of every node whose position lies
 	// inside Rect and whose LOD interval contains E — exactly the live set
-	// of Q(Rect, E). Nil on a decoded patch (the records stay on the
-	// shard); NumNodes counts either kind.
-	Nodes map[int64]*Node
+	// of Q(Rect, E) — as a record set: ascending by ID, parallel to ids.
+	// Nil on a decoded patch (the records stay on the shard); NumNodes
+	// counts either kind.
+	Nodes []Node
 
 	// ids lists the live node IDs ascending; pos[i] is ids[i]'s position.
 	ids []int64
@@ -86,10 +88,10 @@ func (p *pairRuns) add(head, far int64) {
 // DESIGN.md §9) although the run form holds a pair in 8 bytes: real
 // residency is below the estimate.
 func (tp *TilePatch) Bytes() int {
-	const nodeHeader = 96 // pm.Node fields + map overhead, rounded
+	const nodeHeader = 96 // frozen: what a node was charged when Nodes was a map
 	b := nodeHeader * len(tp.ids)
-	for _, n := range tp.Nodes {
-		b += 8 * len(n.Conn)
+	for i := range tp.Nodes {
+		b += 8 * len(tp.Nodes[i].Conn)
 	}
 	b += 16 * len(tp.edges.far)
 	b += 24 * len(tp.tris)
@@ -114,32 +116,22 @@ func (tp *TilePatch) NumOutPairs() int { return len(tp.outPairs.far) }
 func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 	s.tr.Begin(obs.PhaseMaterialize)
 	defer s.tr.End()
-	fetchE := e
-	if fetchE > s.maxE {
-		fetchE = s.maxE
-	}
 	f := s.newFetcher()
-	nf, err := f.fetchBox(geom.BoxFromRect(r, fetchE, fetchE))
+	nf, err := f.fetchBoxes([]geom.Box{s.cube(r, e, e)})
 	if err != nil {
 		return nil, err
 	}
 	s.tr.Begin(obs.PhaseTriangulate)
 	defer s.tr.End()
-	live := f.fetched() // the fetcher is done with its map: filter in place
-	conn := 0
-	for id, n := range live {
-		if n.Interval().Contains(e) {
-			conn += len(n.Conn)
-		} else {
-			delete(live, id)
-		}
+	// The fetcher is done with its slab: compact it to the live records.
+	live := slices.DeleteFunc(f.fetched(), func(n Node) bool { return !n.Interval().Contains(e) })
+	ids, pos, conn := make([]int64, len(live)), make([]geom.Point3, len(live)), 0
+	for i := range live {
+		ids[i], pos[i] = live[i].ID, live[i].Pos
+		conn += len(live[i].Conn)
 	}
-	ids := sortedIDs(live)
+	tp := &TilePatch{Rect: r, E: e, Nodes: live, FetchedRecords: nf, ids: ids, pos: pos}
 	idx := newIDIndex(ids)
-	tp := &TilePatch{
-		Rect: r, E: e, Nodes: live, FetchedRecords: nf,
-		ids: ids, pos: make([]geom.Point3, len(ids)),
-	}
 	// Ascending IDs x their ascending connection lists: both pair lists
 	// (and the packed edges the triangles come from) are emitted in order.
 	// A node heads at most one run in each; a planar mesh has < 3V edges;
@@ -148,9 +140,7 @@ func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 	tp.outPairs = pairRuns{runs: make([]pairRun, 0, len(ids)), far: make([]int64, 0, conn)}
 	packed := make([]uint64, 0, cap(tp.edges.far))
 	for i, id := range ids {
-		n := live[id]
-		tp.pos[i] = n.Pos
-		for _, c := range n.Conn {
+		for _, c := range live[i].Conn {
 			if j := idx.lookup(c); j < 0 {
 				tp.outPairs.add(id, c)
 			} else if j > i { // count each intra pair once

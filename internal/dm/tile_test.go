@@ -131,10 +131,12 @@ func TestMaterializeTileContent(t *testing.T) {
 	if len(tp.Nodes) != len(want.Vertices) {
 		t.Fatalf("patch has %d nodes, direct query %d vertices", len(tp.Nodes), len(want.Vertices))
 	}
-	for id, p := range want.Vertices {
-		n, ok := tp.Nodes[id]
-		if !ok || n.Pos != p {
-			t.Fatalf("node %d missing or misplaced in patch", id)
+	for i, n := range tp.Nodes {
+		if i > 0 && n.ID <= tp.Nodes[i-1].ID {
+			t.Fatalf("patch nodes not ascending at %d", i)
+		}
+		if p, ok := want.Vertices[n.ID]; !ok || n.Pos != p || tp.ids[i] != n.ID {
+			t.Fatalf("node %d missing or misplaced in patch", n.ID)
 		}
 	}
 	if tp.FetchedRecords != want.FetchedRecords {

@@ -17,8 +17,13 @@ type QueryPlane struct {
 }
 
 // EAt returns the LOD the plane requires at point (x, y), clamped to
-// [EMin, EMax]. Points outside R clamp to the nearest edge requirement.
+// [EMin, EMax]. Points outside R clamp to the nearest edge requirement. A
+// degenerate plane requires EMin exactly, at any value: interpolating
+// +Inf - +Inf would make it NaN.
 func (qp QueryPlane) EAt(x, y float64) float64 {
+	if qp.EMin == qp.EMax {
+		return qp.EMin
+	}
 	var t float64
 	if qp.Axis == 0 {
 		if w := qp.R.Width(); w > 0 {

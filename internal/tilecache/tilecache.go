@@ -332,7 +332,7 @@ func (c *Cache) TileStats() []TileStat {
 	for k, ent := range c.entries {
 		out = append(out, TileStat{
 			Key: k, Hits: ent.hits, DA: ent.cost,
-			Bytes: ent.bytes, Nodes: len(ent.patch.Nodes),
+			Bytes: ent.bytes, Nodes: ent.patch.NumNodes(),
 		})
 	}
 	c.mu.Unlock()
