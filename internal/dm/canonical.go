@@ -1,9 +1,10 @@
 package dm
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 
 	"dmesh/internal/geom"
 )
@@ -36,12 +37,11 @@ func CanonicalMesh(res *Result) []byte {
 		}
 		edges = append(edges, e)
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
+	// Every producer of a Result emits both lists already in this order;
+	// the sort is for hand-built ones.
+	if !slices.IsSortedFunc(edges, CompareEdges) {
+		slices.SortFunc(edges, CompareEdges)
+	}
 	u64(uint64(len(edges)))
 	for _, e := range edges {
 		u64(uint64(e[0]))
@@ -52,15 +52,9 @@ func CanonicalMesh(res *Result) []byte {
 	for _, t := range res.Triangles {
 		tris = append(tris, t.Canon())
 	}
-	sort.Slice(tris, func(i, j int) bool {
-		if tris[i].A != tris[j].A {
-			return tris[i].A < tris[j].A
-		}
-		if tris[i].B != tris[j].B {
-			return tris[i].B < tris[j].B
-		}
-		return tris[i].C < tris[j].C
-	})
+	if !slices.IsSortedFunc(tris, CompareTriangles) {
+		slices.SortFunc(tris, CompareTriangles)
+	}
 	u64(uint64(len(tris)))
 	for _, t := range tris {
 		u64(uint64(t.A))
@@ -68,4 +62,24 @@ func CanonicalMesh(res *Result) []byte {
 		u64(uint64(t.C))
 	}
 	return buf
+}
+
+// CompareEdges orders (low, high) edges the way Result.Edges is sorted.
+func CompareEdges(a, b [2]int64) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a[1], b[1])
+}
+
+// CompareTriangles orders canonical triangles the way Result.Triangles is
+// sorted.
+func CompareTriangles(a, b geom.Triangle) int {
+	if c := cmp.Compare(a.A, b.A); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.B, b.B); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.C, b.C)
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -18,7 +19,9 @@ import (
 // exact answer at the stream's target.
 //
 // Truncation is recoverable: a Next that fails with ErrTruncated leaves
-// the decoder at the last complete batch. Re-request the stream with
+// the decoder at the last complete batch — as does one that fails with
+// wire.ErrCorrupt, which is sticky: Mesh() stays the last complete mesh,
+// never a half-applied batch. Re-request the stream with
 // resume=LastApplied() and Attach the new response body; the decoder
 // verifies the re-sent header matches and continues where it stopped.
 type Decoder struct {
@@ -31,14 +34,18 @@ type Decoder struct {
 	lastE     float64
 	bytesRead int64
 	bytesAt1  int64 // bytesRead when the first batch completed
-	state     meshState
 	sticky    error
+
+	// state is the mesh at the last complete batch. A batch is merged into
+	// spare's buffers and the two are swapped only once all of it has
+	// checked out, so a rejected batch leaves state — and Mesh() — as the
+	// previous batch left them.
+	state, spare mesh
+	payload      []byte // the frame buffer, reused: everything parsed is copied out of it
 }
 
 // NewDecoder returns an empty decoder; Attach a response body to start.
-func NewDecoder() *Decoder {
-	return &Decoder{state: newMeshState()}
-}
+func NewDecoder() *Decoder { return &Decoder{} }
 
 // read pulls exactly len(p) bytes, counting them.
 func (d *Decoder) read(p []byte) error {
@@ -194,17 +201,20 @@ func (d *Decoder) Next() (int, float64, error) {
 // before any of its bytes have arrived.
 const payloadChunk = 64 << 10
 
-// readPayload reads a frame payload of the declared length, growing the
-// buffer only as bytes actually arrive: a real frame (tens of KB) is one
-// exact-size allocation, while a hostile or cut stream that declares a
-// gigabyte costs what it sent, not what it claimed.
+// readPayload reads a frame payload of the declared length into the
+// decoder's frame buffer, growing it only as bytes actually arrive: a real
+// frame (tens of KB) fits what earlier frames left or costs one
+// allocation, while a hostile or cut stream that declares a gigabyte
+// costs what it sent, not what it claimed.
 func (d *Decoder) readPayload(n int) ([]byte, error) {
-	buf := make([]byte, min(n, payloadChunk))
+	buf := slices.Grow(d.payload[:0], min(n, payloadChunk))
+	buf = buf[:min(n, cap(buf))]
 	for have := 0; ; {
 		if err := d.read(buf[have:]); err != nil {
 			return nil, err
 		}
 		if have = len(buf); have == n {
+			d.payload = buf
 			return buf, nil
 		}
 		buf = slices.Grow(buf, min(n-have, have))
@@ -213,8 +223,20 @@ func (d *Decoder) readPayload(n int) ([]byte, error) {
 }
 
 // Mesh returns the decoded mesh at the last applied batch — a fresh
-// Result in the canonical query-answer shape, safe to retain.
-func (d *Decoder) Mesh() *dm.Result { return d.state.result() }
+// Result in the canonical query-answer shape, safe to retain. The state
+// is already in that shape, so this is two copies and the map fill.
+func (d *Decoder) Mesh() *dm.Result {
+	s := &d.state
+	res := &dm.Result{
+		Vertices:  make(map[int64]geom.Point3, len(s.ids)),
+		Edges:     append(make([][2]int64, 0, len(s.edges)), s.edges...),
+		Triangles: append(make([]geom.Triangle, 0, len(s.tris)), s.tris...),
+	}
+	for i, id := range s.ids {
+		res.Vertices[id] = s.pos[i]
+	}
+	return res
+}
 
 // idSet reads an ascending ID set (first absolute, then strictly
 // positive deltas).
@@ -252,19 +274,15 @@ func pairSet(r *wire.Reader, what string) [][2]int64 {
 	return ps
 }
 
-// addedVert is one vertex a batch introduces.
-type addedVert struct {
-	id int64
-	p  geom.Point3
-}
-
 // applyBatch parses one frame payload and applies it to the state,
-// returning the batch's LOD. Membership violations (removing what was
-// never sent, adding what the previous batch's mesh already has) are
-// corruption: the two codec ends have diverged and no resume can fix
-// that. Additions are checked against the mesh as it stood before the
-// batch, so a frame cannot remove an element and add it back — the
-// encoder, which sends the set difference, never would.
+// returning the batch's LOD: next = (state − removed) ∪ added, one merge
+// per element kind. Membership violations (removing what was never sent,
+// adding what the previous batch's mesh already has) are corruption: the
+// two codec ends have diverged and no resume can fix that. Additions are
+// checked against the mesh as it stood before the batch, so a frame
+// cannot remove an element and add it back — the encoder, which sends the
+// set difference, never would. Nothing of a rejected batch reaches the
+// state.
 func (d *Decoder) applyBatch(payload []byte) (float64, error) {
 	r := wire.NewReader("frame payload", payload)
 	idx := r.Uvarint()
@@ -285,16 +303,17 @@ func (d *Decoder) applyBatch(payload []byte) (float64, error) {
 	remEdges := pairSet(&r, "removed edges")
 	remVerts := idSet(&r, "removed vertices")
 
-	adds := make([]addedVert, r.Count("added vertices", 5))
+	nAdds := r.Count("added vertices", 5)
+	addIDs, addPos := make([]int64, nAdds), make([]geom.Point3, nAdds)
 	prevID := int64(0)
-	for i := 0; i < len(adds) && r.Err() == nil; i++ {
+	for i := 0; i < nAdds && r.Err() == nil; i++ {
 		prevID = r.Step(prevID, min(uint64(i), 1)) // the first ID is absolute
 		flags := r.Byte()
 		if flags&^0x07 != 0 {
 			r.Corruptf("reserved vertex flag bits")
 		}
-		adds[i] = addedVert{id: prevID, p: geom.Point3{
-			X: r.Float(flags&1 != 0), Y: r.Float(flags&2 != 0), Z: r.Float(flags&4 != 0)}}
+		addIDs[i] = prevID
+		addPos[i] = geom.Point3{X: r.Float(flags&1 != 0), Y: r.Float(flags&2 != 0), Z: r.Float(flags&4 != 0)}
 	}
 
 	addEdges := pairSet(&r, "added edges")
@@ -303,62 +322,60 @@ func (d *Decoder) applyBatch(payload []byte) (float64, error) {
 		return 0, fmt.Errorf("stream: batch %d: %w", d.next, err)
 	}
 
-	s := &d.state
+	s, next := &d.state, d.spare
 	r.Section("membership")
-	for _, av := range adds {
-		if _, ok := s.verts[av.id]; ok {
-			r.Corruptf("re-adds vertex %d", av.id)
+	next.ids = apply(next.ids[:0], s.ids, remVerts, addIDs, cmp.Compare[int64], &r, "vertex")
+	next.edges = apply(next.edges[:0], s.edges, remEdges, addEdges, dm.CompareEdges, &r, "edge")
+	next.tris = apply(next.tris[:0], s.tris, remTris, addTris, dm.CompareTriangles, &r, "triangle")
+	// Every endpoint a batch introduces must be a vertex of the mesh the
+	// batch produces: a binary search in its ID list, behind a direct-mapped
+	// memo of the IDs already found there, since a vertex is the endpoint of
+	// a dozen edges and triangles and only the first needs the search.
+	var seen [2048]int64 // seen[id%len] == id+1: id is in next.ids
+	missing := func(id int64) bool {
+		slot := &seen[uint64(id)%uint64(len(seen))]
+		if *slot == id+1 {
+			return false
 		}
-	}
-	for _, p := range addEdges {
-		if _, ok := s.edges[p]; ok {
-			r.Corruptf("re-adds edge (%d,%d)", p[0], p[1])
+		if _, ok := slices.BinarySearch(next.ids, id); !ok {
+			return true
 		}
-	}
-	for _, t := range addTris {
-		if _, ok := s.tris[t]; ok {
-			r.Corruptf("re-adds triangle (%d,%d,%d)", t.A, t.B, t.C)
-		}
-	}
-	for _, t := range remTris {
-		if _, ok := s.tris[t]; !ok {
-			r.Corruptf("removes unknown triangle (%d,%d,%d)", t.A, t.B, t.C)
-		}
-		delete(s.tris, t)
-	}
-	for _, p := range remEdges {
-		if _, ok := s.edges[p]; !ok {
-			r.Corruptf("removes unknown edge (%d,%d)", p[0], p[1])
-		}
-		delete(s.edges, p)
-	}
-	for _, id := range remVerts {
-		if _, ok := s.verts[id]; !ok {
-			r.Corruptf("removes unknown vertex %d", id)
-		}
-		delete(s.verts, id)
-	}
-	for _, av := range adds {
-		s.verts[av.id] = av.p
+		*slot = id + 1
+		return false
 	}
 	for _, p := range addEdges {
 		for _, id := range p {
-			if _, ok := s.verts[id]; !ok {
+			if missing(id) {
 				r.Corruptf("edge references untransmitted vertex %d", id)
 			}
 		}
-		s.edges[p] = struct{}{}
 	}
 	for _, t := range addTris {
 		for _, id := range [3]int64{t.A, t.B, t.C} {
-			if _, ok := s.verts[id]; !ok {
+			if missing(id) {
 				r.Corruptf("triangle references untransmitted vertex %d", id)
 			}
 		}
-		s.tris[t] = struct{}{}
 	}
 	if err := r.Err(); err != nil {
 		return 0, fmt.Errorf("stream: batch %d: %w", d.next, err)
 	}
+	// Positions follow the merged IDs: each is an added vertex or the next
+	// survivor, and both are ascending, so one forward walk finds them.
+	next.pos = slices.Grow(next.pos[:0], len(next.ids))
+	old, ad := 0, 0
+	for _, id := range next.ids {
+		if ad < len(addIDs) && addIDs[ad] == id {
+			next.pos = append(next.pos, addPos[ad])
+			ad++
+			continue
+		}
+		for s.ids[old] != id {
+			old++
+		}
+		next.pos = append(next.pos, s.pos[old])
+		old++
+	}
+	d.state, d.spare = next, d.state
 	return e, nil
 }

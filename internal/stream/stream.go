@@ -54,7 +54,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"dmesh/internal/dm"
 	"dmesh/internal/geom"
@@ -93,95 +93,6 @@ func LevelsFor(ladder []float64, band int) ([]float64, error) {
 	return levels, nil
 }
 
-// meshState is the decoded-so-far mesh both codec ends keep in lockstep:
-// the encoder deltas each batch against it, the decoder applies each
-// batch to it.
-type meshState struct {
-	verts map[int64]geom.Point3
-	edges map[[2]int64]struct{}
-	tris  map[geom.Triangle]struct{}
-}
-
-func newMeshState() meshState {
-	return meshState{
-		verts: make(map[int64]geom.Point3),
-		edges: make(map[[2]int64]struct{}),
-		tris:  make(map[geom.Triangle]struct{}),
-	}
-}
-
-// stateFromResult normalizes a query answer into set form: edges with
-// endpoints ascending, triangles canonical. Degenerate elements are an
-// encoder-input error, not a wire condition.
-func stateFromResult(res *dm.Result) (meshState, error) {
-	s := meshState{
-		verts: make(map[int64]geom.Point3, len(res.Vertices)),
-		edges: make(map[[2]int64]struct{}, len(res.Edges)),
-		tris:  make(map[geom.Triangle]struct{}, len(res.Triangles)),
-	}
-	for id, p := range res.Vertices {
-		if id < 0 {
-			return meshState{}, fmt.Errorf("stream: negative vertex ID %d", id)
-		}
-		s.verts[id] = p
-	}
-	for _, e := range res.Edges {
-		a, b := e[0], e[1]
-		if a > b {
-			a, b = b, a
-		}
-		if a == b {
-			return meshState{}, fmt.Errorf("stream: degenerate edge (%d,%d)", e[0], e[1])
-		}
-		s.edges[[2]int64{a, b}] = struct{}{}
-	}
-	for _, t := range res.Triangles {
-		c := t.Canon()
-		if c.A >= c.B || c.B >= c.C {
-			return meshState{}, fmt.Errorf("stream: degenerate triangle (%d,%d,%d)", t.A, t.B, t.C)
-		}
-		s.tris[c] = struct{}{}
-	}
-	return s, nil
-}
-
-// result materializes the state as a dm.Result in the canonical shape
-// queries produce: edges endpoint- then lexicographically sorted,
-// triangles canonical and sorted.
-func (s meshState) result() *dm.Result {
-	res := &dm.Result{
-		Vertices:  make(map[int64]geom.Point3, len(s.verts)),
-		Edges:     make([][2]int64, 0, len(s.edges)),
-		Triangles: make([]geom.Triangle, 0, len(s.tris)),
-	}
-	for id, p := range s.verts {
-		res.Vertices[id] = p
-	}
-	for e := range s.edges {
-		res.Edges = append(res.Edges, e)
-	}
-	sort.Slice(res.Edges, func(i, j int) bool {
-		if res.Edges[i][0] != res.Edges[j][0] {
-			return res.Edges[i][0] < res.Edges[j][0]
-		}
-		return res.Edges[i][1] < res.Edges[j][1]
-	})
-	for t := range s.tris {
-		res.Triangles = append(res.Triangles, t)
-	}
-	sort.Slice(res.Triangles, func(i, j int) bool {
-		a, b := res.Triangles[i], res.Triangles[j]
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		return a.C < b.C
-	})
-	return res
-}
-
 // Encoder turns the per-rung query answers of one ROI into the
 // progressive wire form. Feed it the answers coarse to fine — one
 // EncodeNext per level, in the order NewEncoder was given them.
@@ -189,8 +100,19 @@ type Encoder struct {
 	rect   geom.Rect
 	levels []float64
 	idx    int
-	prev   meshState
 	resume int // last batch the client already holds; Run skips through it
+
+	// prev is the last rung encoded: ids and pos in the encoder's own
+	// buffers, edges and tris borrowed from that rung's Result. spare holds
+	// the ids/pos buffers of the rung before it, which the next one reuses.
+	prev, spare mesh
+	// Scratch the batches share, so that steady-state encoding allocates
+	// the returned frame and nothing per element.
+	remIDs             []int64
+	addVerts           []int // positions in the new rung's ids
+	remEdges, addEdges [][2]int64
+	remTris, addTris   []geom.Triangle
+	payload            []byte
 }
 
 // NewEncoder prepares an encoder for a stream of len(levels) batches.
@@ -212,7 +134,6 @@ func NewEncoder(rect geom.Rect, levels []float64) (*Encoder, error) {
 	return &Encoder{
 		rect:   rect,
 		levels: append([]float64(nil), levels...),
-		prev:   newMeshState(),
 		resume: -1,
 	}, nil
 }
@@ -324,121 +245,133 @@ func (e *Encoder) Header() []byte {
 }
 
 // EncodeNext encodes the next batch: the delta from the previous level's
-// answer to mesh, which must be the query answer at the next level of
-// the schedule. Returns the complete frame (length prefix included).
-func (e *Encoder) EncodeNext(mesh *dm.Result) ([]byte, error) {
+// answer to res, which must be the query answer at the next level of the
+// schedule, in the shape dm.Result documents — edges (low, high) and
+// triangles canonical, both strictly ascending, no negative ID. Anything
+// else is an input error naming the offending element; the encoder checks
+// that shape and never sorts its way around it. Returns the complete frame
+// (length prefix included), which the caller owns.
+//
+// The encoder copies the vertices out of res.Vertices but borrows
+// res.Edges and res.Triangles, read-only, as the state the next call
+// diffs against: the caller must leave both slices unmodified until the
+// next EncodeNext on this encoder has returned (or the encoder is dropped).
+func (e *Encoder) EncodeNext(res *dm.Result) ([]byte, error) {
 	if e.idx >= len(e.levels) {
 		return nil, fmt.Errorf("stream: EncodeNext past the %d scheduled batches", len(e.levels))
 	}
-	next, err := stateFromResult(mesh)
+	next, err := e.flatten(res)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := encodeBatch(e.idx, e.levels[e.idx], e.prev, next)
-	if err != nil {
+	if err := e.encodeBatch(next); err != nil {
 		return nil, err
 	}
-	e.prev = next
+	e.prev, e.spare = next, mesh{ids: e.prev.ids, pos: e.prev.pos}
 	e.idx++
-	frame := wire.AppendUvarint(make([]byte, 0, len(payload)+4), uint64(len(payload)))
-	return append(frame, payload...), nil
+	n := uint64(len(e.payload))
+	frame := make([]byte, 0, wire.UvarintLen(n)+len(e.payload))
+	return append(wire.AppendUvarint(frame, n), e.payload...), nil
 }
 
 // EncodeNextTraced is EncodeNext inside a PhaseStreamEncode span on tr
 // (which may be nil) — pure CPU, so the span carries wall time and zero
 // DA, keeping a traced stream's encode cost visible next to the rung
 // queries that feed it.
-func (e *Encoder) EncodeNextTraced(mesh *dm.Result, tr *obs.Trace) ([]byte, error) {
+func (e *Encoder) EncodeNextTraced(res *dm.Result, tr *obs.Trace) ([]byte, error) {
 	tr.Begin(obs.PhaseStreamEncode)
 	defer tr.End()
-	return e.EncodeNext(mesh)
+	return e.EncodeNext(res)
 }
 
-// encodeBatch serializes the prev -> next delta as one frame payload.
-func encodeBatch(idx int, level float64, prev, next meshState) ([]byte, error) {
-	var remVerts, addVerts []int64
-	for id := range prev.verts {
-		if _, ok := next.verts[id]; !ok {
-			remVerts = append(remVerts, id)
+// flatten checks a rung's answer against the shape dm.Result documents
+// and returns it as flat state: the vertex IDs sorted into the spare
+// buffers (a map has no order to rely on), edges and triangles as they
+// are.
+func (e *Encoder) flatten(res *dm.Result) (mesh, error) {
+	ids := slices.Grow(e.spare.ids[:0], len(res.Vertices))
+	for id := range res.Vertices {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	if len(ids) > 0 && ids[0] < 0 {
+		return mesh{}, fmt.Errorf("stream: negative vertex ID %d", ids[0])
+	}
+	pos := slices.Grow(e.spare.pos[:0], len(ids))
+	for _, id := range ids {
+		pos = append(pos, res.Vertices[id])
+	}
+	for i, p := range res.Edges {
+		switch {
+		case p[0] < 0:
+			return mesh{}, fmt.Errorf("stream: negative vertex ID in edge (%d,%d)", p[0], p[1])
+		case p[0] >= p[1]:
+			return mesh{}, fmt.Errorf("stream: edge (%d,%d) is not low < high", p[0], p[1])
+		case i > 0 && dm.CompareEdges(res.Edges[i-1], p) >= 0:
+			return mesh{}, fmt.Errorf("stream: edge (%d,%d) at %d is not strictly ascending", p[0], p[1], i)
 		}
 	}
-	for id, p := range next.verts {
-		if q, ok := prev.verts[id]; ok {
+	for i, t := range res.Triangles {
+		switch {
+		case t.A < 0:
+			return mesh{}, fmt.Errorf("stream: negative vertex ID in triangle (%d,%d,%d)", t.A, t.B, t.C)
+		case t.A >= t.B || t.B >= t.C:
+			return mesh{}, fmt.Errorf("stream: triangle (%d,%d,%d) is not A < B < C", t.A, t.B, t.C)
+		case i > 0 && dm.CompareTriangles(res.Triangles[i-1], t) >= 0:
+			return mesh{}, fmt.Errorf("stream: triangle (%d,%d,%d) at %d is not strictly ascending", t.A, t.B, t.C, i)
+		}
+	}
+	return mesh{ids: ids, pos: pos, edges: res.Edges, tris: res.Triangles}, nil
+}
+
+// encodeBatch serializes the e.prev -> next delta as one frame payload
+// into e.payload.
+func (e *Encoder) encodeBatch(next mesh) error {
+	prev := e.prev
+	// The vertex diff carries positions, so it is spelled out: removed IDs,
+	// added vertices as positions in next, and the moved check on the rest.
+	e.remIDs = slices.Grow(e.remIDs[:0], len(prev.ids))
+	e.addVerts = slices.Grow(e.addVerts[:0], len(next.ids))
+	i, j := 0, 0
+	for i < len(prev.ids) || j < len(next.ids) {
+		switch {
+		case j == len(next.ids) || i < len(prev.ids) && prev.ids[i] < next.ids[j]:
+			e.remIDs = append(e.remIDs, prev.ids[i])
+			i++
+		case i == len(prev.ids) || next.ids[j] < prev.ids[i]:
+			e.addVerts = append(e.addVerts, j)
+			j++
+		default:
 			// A refinement only splits vertices; the codec has no "move"
 			// delta, so a changed position cannot be expressed.
-			if math.Float64bits(p.X) != math.Float64bits(q.X) ||
+			if p, q := next.pos[j], prev.pos[i]; math.Float64bits(p.X) != math.Float64bits(q.X) ||
 				math.Float64bits(p.Y) != math.Float64bits(q.Y) ||
 				math.Float64bits(p.Z) != math.Float64bits(q.Z) {
-				return nil, fmt.Errorf("stream: vertex %d moved between levels", id)
+				return fmt.Errorf("stream: vertex %d moved between levels", next.ids[j])
 			}
-			continue
+			i++
+			j++
 		}
-		addVerts = append(addVerts, id)
 	}
-	sortIDs := func(ids []int64) { sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] }) }
-	sortIDs(remVerts)
-	sortIDs(addVerts)
+	e.remEdges, e.addEdges = diff(e.remEdges[:0], e.addEdges[:0], prev.edges, next.edges, dm.CompareEdges)
+	e.remTris, e.addTris = diff(e.remTris[:0], e.addTris[:0], prev.tris, next.tris, dm.CompareTriangles)
 
-	var remEdges, addEdges [][2]int64
-	for e := range prev.edges {
-		if _, ok := next.edges[e]; !ok {
-			remEdges = append(remEdges, e)
-		}
-	}
-	for e := range next.edges {
-		if _, ok := prev.edges[e]; !ok {
-			addEdges = append(addEdges, e)
-		}
-	}
-	sortPairs := func(ps [][2]int64) {
-		sort.Slice(ps, func(i, j int) bool {
-			if ps[i][0] != ps[j][0] {
-				return ps[i][0] < ps[j][0]
-			}
-			return ps[i][1] < ps[j][1]
-		})
-	}
-	sortPairs(remEdges)
-	sortPairs(addEdges)
+	// Room for three-byte ID deltas and raw coordinates; longer spellings
+	// grow the buffer like any append.
+	buf := slices.Grow(e.payload[:0], 16+len(e.remIDs)*3+len(e.addVerts)*28+
+		(len(e.remEdges)+len(e.addEdges))*6+(len(e.remTris)+len(e.addTris))*9)
+	buf = wire.AppendUvarint(buf, uint64(e.idx))
+	buf = wire.AppendF64(buf, e.levels[e.idx])
+	buf = dm.AppendTriangleSet(buf, e.remTris)
+	buf = appendPairSet(buf, e.remEdges)
+	buf = appendIDSet(buf, e.remIDs)
 
-	var remTris, addTris []geom.Triangle
-	for t := range prev.tris {
-		if _, ok := next.tris[t]; !ok {
-			remTris = append(remTris, t)
-		}
-	}
-	for t := range next.tris {
-		if _, ok := prev.tris[t]; !ok {
-			addTris = append(addTris, t)
-		}
-	}
-	sortTris := func(ts []geom.Triangle) {
-		sort.Slice(ts, func(i, j int) bool {
-			if ts[i].A != ts[j].A {
-				return ts[i].A < ts[j].A
-			}
-			if ts[i].B != ts[j].B {
-				return ts[i].B < ts[j].B
-			}
-			return ts[i].C < ts[j].C
-		})
-	}
-	sortTris(remTris)
-	sortTris(addTris)
-
-	buf := make([]byte, 0, 16+len(addVerts)*16+(len(remEdges)+len(addEdges))*4+(len(remTris)+len(addTris))*5)
-	buf = wire.AppendUvarint(buf, uint64(idx))
-	buf = wire.AppendF64(buf, level)
-	buf = dm.AppendTriangleSet(buf, remTris)
-	buf = appendPairSet(buf, remEdges)
-	buf = appendIDSet(buf, remVerts)
-
-	buf = wire.AppendUvarint(buf, uint64(len(addVerts)))
+	buf = wire.AppendUvarint(buf, uint64(len(e.addVerts)))
 	prevID := int64(0)
-	for _, id := range addVerts {
+	for _, k := range e.addVerts {
+		id, p := next.ids[k], next.pos[k]
 		buf = wire.AppendUvarint(buf, uint64(id-prevID))
 		prevID = id
-		p := next.verts[id]
 		var flags byte
 		var dy [3]int64
 		for ci, v := range [3]float64{p.X, p.Y, p.Z} {
@@ -457,9 +390,9 @@ func encodeBatch(idx int, level float64, prev, next meshState) ([]byte, error) {
 		}
 	}
 
-	buf = appendPairSet(buf, addEdges)
-	buf = dm.AppendTriangleSet(buf, addTris)
-	return buf, nil
+	buf = appendPairSet(buf, e.addEdges)
+	e.payload = dm.AppendTriangleSet(buf, e.addTris)
+	return nil
 }
 
 func appendIDSet(buf []byte, ids []int64) []byte {

@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -310,12 +312,50 @@ func TestEncoderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A Result that violates its own documented shape is an input error
+	// naming the element; nothing is normalized or sorted on its behalf, and
+	// the rejected call consumes no batch.
+	verts := map[int64]geom.Point3{1: {}, 2: {}, 3: {}, 4: {}}
+	bad := map[string]struct {
+		res  dm.Result
+		want string
+	}{
+		"negative vertex ID":      {dm.Result{Vertices: map[int64]geom.Point3{-7: {}, 1: {}}}, "-7"},
+		"degenerate edge":         {dm.Result{Vertices: verts, Edges: [][2]int64{{2, 2}}}, "(2,2)"},
+		"edge high-low":           {dm.Result{Vertices: verts, Edges: [][2]int64{{3, 1}}}, "(3,1)"},
+		"edge with negative ID":   {dm.Result{Vertices: verts, Edges: [][2]int64{{-1, 2}}}, "(-1,2)"},
+		"edges descending":        {dm.Result{Vertices: verts, Edges: [][2]int64{{1, 3}, {1, 2}}}, "(1,2)"},
+		"edge repeated":           {dm.Result{Vertices: verts, Edges: [][2]int64{{1, 2}, {1, 2}}}, "(1,2)"},
+		"degenerate triangle":     {dm.Result{Vertices: verts, Triangles: []geom.Triangle{{A: 1, B: 1, C: 2}}}, "(1,1,2)"},
+		"triangle not canonical":  {dm.Result{Vertices: verts, Triangles: []geom.Triangle{{A: 2, B: 1, C: 3}}}, "(2,1,3)"},
+		"triangle negative ID":    {dm.Result{Vertices: verts, Triangles: []geom.Triangle{{A: -2, B: 1, C: 3}}}, "(-2,1,3)"},
+		"triangles descending":    {dm.Result{Vertices: verts, Triangles: []geom.Triangle{{A: 1, B: 2, C: 4}, {A: 1, B: 2, C: 3}}}, "(1,2,3)"},
+		"triangle repeated":       {dm.Result{Vertices: verts, Triangles: []geom.Triangle{{A: 1, B: 2, C: 3}, {A: 1, B: 2, C: 3}}}, "(1,2,3)"},
+		"triangles descending, B": {dm.Result{Vertices: verts, Triangles: []geom.Triangle{{A: 1, B: 3, C: 4}, {A: 1, B: 2, C: 4}}}, "(1,2,4)"},
+	}
+	for name, c := range bad {
+		if _, err := enc.EncodeNext(&c.res); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %s", name, err, c.want)
+		}
+	}
 	empty := &dm.Result{Vertices: map[int64]geom.Point3{}}
 	if _, err := enc.EncodeNext(empty); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := enc.EncodeNext(empty); err == nil {
 		t.Fatal("EncodeNext past the schedule succeeded")
+	}
+
+	// A vertex the previous rung already sent cannot come back elsewhere.
+	enc, err = stream.NewEncoder(rect, []float64{2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := enc.EncodeNext(&dm.Result{Vertices: map[int64]geom.Point3{1: {}, 2: {}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := enc.EncodeNext(&dm.Result{Vertices: map[int64]geom.Point3{2: {Z: 1}, 3: {}}}); err == nil || !strings.Contains(err.Error(), "vertex 2 moved") {
+		t.Fatalf("moved vertex: err = %v", err)
 	}
 }
 
@@ -448,5 +488,264 @@ func TestDecoderHostileFrameLength(t *testing.T) {
 	}
 	if _, _, err := dec.Next(); err != nil || len(dec.Mesh().Vertices) != len(big)/26 {
 		t.Fatalf("large frame: %v, %d vertices, want %d", err, len(dec.Mesh().Vertices), len(big)/26)
+	}
+}
+
+// delta is one batch spelled as its six sets: what a frame carries, free
+// of how either codec end computes it. The tests build frames from it —
+// the reference encoder's, and hostile ones no encoder emits.
+type delta struct {
+	remTris  []geom.Triangle
+	remEdges [][2]int64
+	remVerts []int64
+	addVerts []int64 // positions come from pos
+	pos      map[int64]geom.Point3
+	addEdges [][2]int64
+	addTris  []geom.Triangle
+}
+
+func appendPairs(p []byte, ps [][2]int64) []byte {
+	p = wire.AppendUvarint(p, uint64(len(ps)))
+	prevA := int64(0)
+	for _, e := range ps {
+		p = wire.AppendUvarint(p, uint64(e[0]-prevA))
+		p = wire.AppendUvarint(p, uint64(e[1]-e[0]))
+		prevA = e[0]
+	}
+	return p
+}
+
+// frame spells the delta as DMPS batch idx at LOD e, sets in the order
+// given (the decoder must reject unsorted ones; the spelling does not
+// care).
+func (d delta) frame(idx int, e float64) []byte {
+	p := wire.AppendUvarint(nil, uint64(idx))
+	p = wire.AppendF64(p, e)
+	p = dm.AppendTriangleSet(p, d.remTris)
+	p = appendPairs(p, d.remEdges)
+	p = wire.AppendUvarint(p, uint64(len(d.remVerts)))
+	prev := int64(0)
+	for _, id := range d.remVerts {
+		p = wire.AppendUvarint(p, uint64(id-prev))
+		prev = id
+	}
+	p = wire.AppendUvarint(p, uint64(len(d.addVerts)))
+	prev = 0
+	for _, id := range d.addVerts {
+		p = wire.AppendUvarint(p, uint64(id-prev))
+		prev = id
+		pt := d.pos[id]
+		var flags byte
+		var coords []byte
+		for ci, v := range [3]float64{pt.X, pt.Y, pt.Z} {
+			if m, ok := wire.DyadicIndex(v); ok {
+				flags |= 1 << ci
+				coords = wire.AppendVarint(coords, m)
+			} else {
+				coords = wire.AppendF64(coords, v)
+			}
+		}
+		p = append(append(p, flags), coords...)
+	}
+	p = appendPairs(p, d.addEdges)
+	p = dm.AppendTriangleSet(p, d.addTris)
+	return append(wire.AppendUvarint(nil, uint64(len(p))), p...)
+}
+
+// refDelta is the codec's original encoder, kept as the reference the
+// merge-based one is compared against: both meshes into hash sets, the
+// two set differences pulled out of them, each sorted.
+func refDelta(prev, next *dm.Result) delta {
+	d := delta{pos: next.Vertices}
+	for id := range prev.Vertices {
+		if _, ok := next.Vertices[id]; !ok {
+			d.remVerts = append(d.remVerts, id)
+		}
+	}
+	for id := range next.Vertices {
+		if _, ok := prev.Vertices[id]; !ok {
+			d.addVerts = append(d.addVerts, id)
+		}
+	}
+	edgeSet := func(res *dm.Result) map[[2]int64]struct{} {
+		m := make(map[[2]int64]struct{}, len(res.Edges))
+		for _, e := range res.Edges {
+			if e[0] > e[1] {
+				e[0], e[1] = e[1], e[0]
+			}
+			m[e] = struct{}{}
+		}
+		return m
+	}
+	triSet := func(res *dm.Result) map[geom.Triangle]struct{} {
+		m := make(map[geom.Triangle]struct{}, len(res.Triangles))
+		for _, t := range res.Triangles {
+			m[t.Canon()] = struct{}{}
+		}
+		return m
+	}
+	pe, ne, pt, nt := edgeSet(prev), edgeSet(next), triSet(prev), triSet(next)
+	for e := range pe {
+		if _, ok := ne[e]; !ok {
+			d.remEdges = append(d.remEdges, e)
+		}
+	}
+	for e := range ne {
+		if _, ok := pe[e]; !ok {
+			d.addEdges = append(d.addEdges, e)
+		}
+	}
+	for t := range pt {
+		if _, ok := nt[t]; !ok {
+			d.remTris = append(d.remTris, t)
+		}
+	}
+	for t := range nt {
+		if _, ok := pt[t]; !ok {
+			d.addTris = append(d.addTris, t)
+		}
+	}
+	slices.Sort(d.remVerts)
+	slices.Sort(d.addVerts)
+	slices.SortFunc(d.remEdges, dm.CompareEdges)
+	slices.SortFunc(d.addEdges, dm.CompareEdges)
+	slices.SortFunc(d.remTris, dm.CompareTriangles)
+	slices.SortFunc(d.addTris, dm.CompareTriangles)
+	return d
+}
+
+// TestStreamMatchesReference is the differential test: over random ROIs
+// and every band of both datasets, every frame the encoder emits is byte
+// for byte the reference encoder's, and the decoder's mesh after every
+// batch is the direct answer at that rung.
+func TestStreamMatchesReference(t *testing.T) {
+	for _, name := range []string{"highland", "crater"} {
+		t.Run(name, func(t *testing.T) {
+			f := fix(t, name)
+			ladder := f.cache.Grid().Ladder()
+			rng := rand.New(rand.NewSource(23))
+			for qi, roi := range randRects(rng, 4) {
+				for band := range ladder {
+					levels, err := stream.LevelsFor(ladder, band)
+					if err != nil {
+						t.Fatal(err)
+					}
+					enc, err := stream.NewEncoder(roi, levels)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dec := stream.NewDecoder()
+					body := bytes.NewBuffer(enc.Header())
+					if err := dec.Attach(body); err != nil {
+						t.Fatal(err)
+					}
+					prev := &dm.Result{}
+					for i, e := range levels {
+						direct, err := f.store.ViewpointIndependent(roi, e)
+						if err != nil {
+							t.Fatal(err)
+						}
+						frame, err := enc.EncodeNext(direct)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := refDelta(prev, direct).frame(i, e); !bytes.Equal(frame, want) {
+							t.Fatalf("query %d band %d batch %d: frame differs from the reference encoder's (%d B vs %d B)",
+								qi, band, i, len(frame), len(want))
+						}
+						body.Write(frame)
+						if _, _, err := dec.Next(); err != nil {
+							t.Fatalf("query %d band %d batch %d: %v", qi, band, i, err)
+						}
+						if !bytes.Equal(dm.CanonicalMesh(dec.Mesh()), dm.CanonicalMesh(direct)) {
+							t.Fatalf("query %d band %d: mesh after batch %d differs from the direct answer", qi, band, i)
+						}
+						prev = direct
+					}
+				}
+			}
+		})
+	}
+}
+
+// hostileStream is a two-batch stream over one triangle whose second
+// batch the caller supplies: batch 0 adds vertices 1, 2, 3, their three
+// edges and the triangle.
+func hostileStream(t *testing.T, second delta) []byte {
+	t.Helper()
+	first := delta{
+		addVerts: []int64{1, 2, 3},
+		pos:      map[int64]geom.Point3{1: {X: 0.25}, 2: {Y: 0.5}, 3: {X: 1, Y: 1, Z: math.Pi}},
+		addEdges: [][2]int64{{1, 2}, {1, 3}, {2, 3}},
+		addTris:  []geom.Triangle{{A: 1, B: 2, C: 3}},
+	}
+	return bytes.Join([][]byte{handHeader(t, 2, 1), first.frame(0, 2), second.frame(1, 1)}, nil)
+}
+
+// TestDecoderRejectsWholeBatch: a batch that contradicts the mesh it is
+// applied to is wire.ErrCorrupt, sticky, and leaves no trace — Mesh() is
+// still the previous batch's. The first case is the regression: batch 1
+// removes a real triangle and a real edge before naming an edge the mesh
+// never had, and the decoder used to have deleted the real ones by the
+// time it noticed.
+func TestDecoderRejectsWholeBatch(t *testing.T) {
+	origin := map[int64]geom.Point3{3: {}, 4: {}}
+	cases := map[string]delta{
+		"removes real elements, then an unknown edge": {
+			remTris: []geom.Triangle{{A: 1, B: 2, C: 3}}, remEdges: [][2]int64{{1, 2}, {2, 9}}},
+		"removes and re-adds the same edge": {
+			remEdges: [][2]int64{{1, 3}}, addEdges: [][2]int64{{1, 3}}},
+		"removes an unknown triangle": {
+			remTris: []geom.Triangle{{A: 1, B: 2, C: 4}}},
+		"adds an edge to a vertex the batch removes": {
+			remTris: []geom.Triangle{{A: 1, B: 2, C: 3}}, remEdges: [][2]int64{{1, 3}, {2, 3}}, remVerts: []int64{3},
+			addVerts: []int64{4}, pos: origin, addEdges: [][2]int64{{3, 4}}},
+		"adds a vertex already present": {
+			addVerts: []int64{3}, pos: origin},
+		"adds a triangle on an untransmitted vertex": {
+			addTris: []geom.Triangle{{A: 1, B: 2, C: 7}}},
+		"removes an unknown vertex past the last": {
+			remVerts: []int64{8}},
+	}
+	for name, second := range cases {
+		dec := stream.NewDecoder()
+		if err := dec.Attach(bytes.NewReader(hostileStream(t, second))); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := dec.Next(); err != nil {
+			t.Fatalf("%s: batch 0: %v", name, err)
+		}
+		want := dm.CanonicalMesh(dec.Mesh())
+		_, _, err := dec.Next()
+		if !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want wire.ErrCorrupt", name, err)
+			continue
+		}
+		t.Logf("%s: %v", name, err)
+		if !bytes.Equal(dm.CanonicalMesh(dec.Mesh()), want) {
+			t.Errorf("%s: the rejected batch changed the mesh", name)
+		}
+		if _, _, again := dec.Next(); again != err {
+			t.Errorf("%s: second Next = %v, want the sticky %v", name, again, err)
+		}
+		if dec.LastApplied() != 0 {
+			t.Errorf("%s: LastApplied = %d after a rejected batch 1", name, dec.LastApplied())
+		}
+	}
+	// The same two-batch shape with a legal second batch decodes: the cases
+	// above fail for their membership, not their spelling.
+	legal := delta{remTris: []geom.Triangle{{A: 1, B: 2, C: 3}}, remEdges: [][2]int64{{1, 3}},
+		addVerts: []int64{4}, pos: origin, addEdges: [][2]int64{{1, 4}, {3, 4}}, addTris: []geom.Triangle{{A: 2, B: 3, C: 4}}}
+	dec := stream.NewDecoder()
+	if err := dec.Attach(bytes.NewReader(hostileStream(t, legal))); err != nil {
+		t.Fatal(err)
+	}
+	for !dec.Done() {
+		if _, _, err := dec.Next(); err != nil {
+			t.Fatalf("legal second batch: %v", err)
+		}
+	}
+	if m := dec.Mesh(); len(m.Vertices) != 4 || len(m.Edges) != 4 || len(m.Triangles) != 1 {
+		t.Fatalf("legal second batch: %d vertices, %d edges, %d triangles", len(m.Vertices), len(m.Edges), len(m.Triangles))
 	}
 }

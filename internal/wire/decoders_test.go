@@ -265,6 +265,55 @@ func TestPackedSpilledRoundTrip(t *testing.T) {
 	}
 }
 
+// hostileDMPS spells four two-batch DMPS streams no encoder emits, each
+// well-formed byte for byte and each contradicting the mesh its own first
+// batch built (vertices 1, 2, 3 at the origin, their three edges, the
+// triangle): the second batch removes and re-adds one edge, removes a
+// triangle that was never sent, adds an edge to a vertex it removes, or
+// adds a vertex already present. The decoder must reject all four.
+func hostileDMPS() [][]byte {
+	frame := func(idx byte, e float64, sets ...[]byte) []byte {
+		p := wire.AppendF64([]byte{idx}, e)
+		for _, set := range sets {
+			p = append(p, set...)
+		}
+		return append(wire.AppendUvarint(nil, uint64(len(p))), p...)
+	}
+	none := []byte{0}
+	hdr := wire.AppendF64(append([]byte("DMPS"), 1), 0, 0, 1, 1, 1)
+	hdr = append(hdr, 2)
+	first := frame(0, 2, none, none, none,
+		[]byte{3, 1, 7, 0, 0, 0, 1, 7, 0, 0, 0, 1, 7, 0, 0, 0}, // vertices 1, 2, 3, all-dyadic zeros
+		[]byte{3, 1, 1, 0, 2, 1, 1},                            // edges (1,2) (1,3) (2,3)
+		[]byte{1, 1, 1, 1})                                     // triangle (1,2,3)
+	var out [][]byte
+	for _, second := range [][]byte{
+		frame(1, 1, none, []byte{1, 1, 2}, none, none, []byte{1, 1, 2}, none),
+		frame(1, 1, []byte{1, 1, 1, 2}, none, none, none, none, none),
+		frame(1, 1, []byte{1, 1, 1, 1}, []byte{2, 1, 2, 1, 1}, []byte{1, 3}, []byte{1, 4, 7, 0, 0, 0}, []byte{1, 3, 1}, none),
+		frame(1, 1, none, none, none, []byte{1, 3, 7, 0, 0, 0}, none, none),
+	} {
+		out = append(out, bytes.Join([][]byte{hdr, first, second}, nil))
+	}
+	return out
+}
+
+// TestHostileDMPS pins what the fuzz property alone would let slide (a
+// wrongly accepted frame that happens to re-encode to itself): each
+// hostile stream decodes its first batch and fails the second as corrupt.
+func TestHostileDMPS(t *testing.T) {
+	for i, s := range hostileDMPS() {
+		out, err := streamRoundTrip(s)
+		if !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("hostile stream %d: err = %v, want wire.ErrCorrupt", i, err)
+		}
+		const header = 4 + 1 + 5*8 + 1
+		if !bytes.HasPrefix(s, out) || len(out) <= header || len(out) == len(s) {
+			t.Errorf("hostile stream %d: accepted part is not the header and first batch (%d of %d bytes)", i, len(out), len(s))
+		}
+	}
+}
+
 // FuzzDecoders feeds arbitrary bytes to every decoder (the first byte
 // selects the format): none may panic, every rejection must be
 // wire.ErrCorrupt — or ErrTruncated for a DMPS stream that merely ends —
@@ -281,6 +330,9 @@ func FuzzDecoders(f *testing.F) {
 		}
 	}
 	f.Add(append([]byte{byte(len(rows) - 1)}, spilledFixture()...))
+	for _, s := range hostileDMPS() {
+		f.Add(append([]byte{2}, s...)) // rows[2] is DMPS
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
