@@ -19,8 +19,6 @@
 //	curl 'http://localhost:8080/frame?session=cam1&x0=0.2&y0=0.1&x1=0.7&y1=0.5&near=0.75&far=0.99'
 //	curl 'http://localhost:8080/patch?level=1&ix=0&iy=1&band=3'
 //	curl 'http://localhost:8080/hottiles?n=10'
-//	curl 'http://localhost:8080/stats'
-//	curl 'http://localhost:8080/cachestats'
 //	curl 'http://localhost:8080/metrics'
 //	curl 'http://localhost:8080/slowlog?n=5'
 package main
@@ -43,7 +41,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	size := flag.Int("size", 129, "terrain size")
 	slowMS := flag.Int("slowms", 50, "slow-log admission threshold in milliseconds")
-	introspect := flag.Bool("introspect", true, "mount /metrics, /slowlog, /debug/vars and /debug/pprof/")
+	introspect := flag.Bool("introspect", true, "mount /metrics, /slowlog and /debug/pprof/")
 	drainSec := flag.Int("drain", 10, "graceful-shutdown drain timeout in seconds")
 	flag.Parse()
 
@@ -54,7 +52,6 @@ func main() {
 	s, err := serve.New(serve.Config{
 		Terrain:       terrain,
 		SlowThreshold: time.Duration(*slowMS) * time.Millisecond,
-		ExpvarName:    "tileserver",
 	})
 	if err != nil {
 		log.Fatal(err)

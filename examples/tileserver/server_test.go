@@ -2,12 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"dmesh/internal/serve"
 )
 
-// The serving behavior itself (obs smoke, stats determinism,
+// The serving behavior itself (obs smoke, metrics determinism,
 // introspection opt-out, patch wire endpoint, graceful drain) is tested
 // where the code now lives, in internal/serve, on the same shared
 // harness. This smoke test only checks the example's deployment shape:
@@ -32,10 +33,12 @@ func TestExampleServesExtractedCore(t *testing.T) {
 		t.Fatal("/tile answered an empty mesh")
 	}
 
-	if resp, _ := serve.Fetch(t, ts.URL, "/stats"); resp.StatusCode != 200 {
-		t.Fatalf("/stats: status %d", resp.StatusCode)
-	}
-	if resp, _ := serve.Fetch(t, ts.URL, "/metrics"); resp.StatusCode != 200 {
+	resp, body = serve.Fetch(t, ts.URL, "/metrics")
+	if resp.StatusCode != 200 {
 		t.Fatalf("/metrics: status %d", resp.StatusCode)
+	}
+	// The harness served three tiles before this test's own.
+	if want := "tileserver_tile_requests_total 4\n"; !strings.Contains(string(body), want) {
+		t.Errorf("/metrics missing %q", want)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 
 	"dmesh/internal/obs"
 	"dmesh/internal/wire"
@@ -93,8 +92,8 @@ func (rt *Router) scrape(url string) ([]byte, error) {
 //   - /clusterslowlog — every shard's slow log merged (slowest first,
 //     shard-tagged), each entry carrying its wire trace for drill-down.
 //
-// The merged pages fully encode before writing and declare
-// Content-Length, like every fixed-size response in the repo.
+// The merged pages go out through obs.WriteBody, like every fixed-size
+// response in the repo.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/clustermetrics", rt.handleClusterMetrics)
@@ -103,17 +102,10 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// writeBody sends a fully rendered response with Content-Length.
-func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
+// clusterError answers a failed merge. Write errors are dropped on every
+// merged page: a scraper that hung up needs no log line.
 func clusterError(w http.ResponseWriter, status int, err error) {
-	body, _ := json.Marshal(map[string]string{"error": err.Error()})
-	writeBody(w, status, "application/json", append(body, '\n'))
+	_ = obs.WriteError(w, status, err)
 }
 
 // handleClusterMetrics scrapes every shard's /metrics, merges them with
@@ -122,17 +114,7 @@ func clusterError(w http.ResponseWriter, status int, err error) {
 // cluster_shards_scraped gauge — so the page stays available through
 // partial outages.
 func (rt *Router) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
-	var own bytes.Buffer
-	if err := rt.reg.WritePrometheus(&own); err != nil {
-		clusterError(w, http.StatusInternalServerError, err)
-		return
-	}
-	ownSnap, err := obs.ParsePrometheus(&own)
-	if err != nil {
-		clusterError(w, http.StatusInternalServerError, err)
-		return
-	}
-	snaps := []*obs.PromSnapshot{ownSnap}
+	snaps := []*obs.PromSnapshot{rt.reg.Snapshot()}
 	scraped := 0
 	for _, base := range rt.shards { // configuration order: deterministic
 		body, err := rt.scrape(base + "/metrics")
@@ -159,12 +141,7 @@ func (rt *Router) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		Name: "cluster_shards_scraped", Help: "shards whose /metrics answered this scrape",
 		Kind: "gauge", Value: int64(scraped),
 	}
-	var buf bytes.Buffer
-	if err := merged.WriteText(&buf); err != nil {
-		clusterError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeBody(w, http.StatusOK, "text/plain; version=0.0.4; charset=utf-8", buf.Bytes())
+	obs.WriteMetrics(w, merged)
 }
 
 // ShardHealth is one shard's probe outcome in /clusterhealth.
@@ -213,16 +190,11 @@ func (rt *Router) Health() ClusterHealth {
 
 func (rt *Router) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 	ch := rt.Health()
-	body, err := json.Marshal(ch)
-	if err != nil {
-		clusterError(w, http.StatusInternalServerError, err)
-		return
-	}
 	status := http.StatusOK
 	if ch.Status != "ready" {
 		status = http.StatusServiceUnavailable
 	}
-	writeBody(w, status, "application/json", append(body, '\n'))
+	_ = obs.WriteJSON(w, status, ch)
 }
 
 // ClusterSlowEntry is one shard's slow-log entry tagged with the shard
@@ -234,16 +206,13 @@ type ClusterSlowEntry struct {
 }
 
 // handleClusterSlowLog merges every shard's /slowlog, slowest first
-// (ties: shard order, then newest), capped by n (default 20).
+// (ties: shard order, then newest), capped like a shard's own page
+// (obs.SlowLogLimit).
 func (rt *Router) handleClusterSlowLog(w http.ResponseWriter, r *http.Request) {
-	n := 20
-	if s := r.URL.Query().Get("n"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v <= 0 {
-			clusterError(w, http.StatusBadRequest, fmt.Errorf("n must be a positive integer"))
-			return
-		}
-		n = v
+	n, err := obs.SlowLogLimit(r)
+	if err != nil {
+		clusterError(w, http.StatusBadRequest, err)
+		return
 	}
 	var entries []ClusterSlowEntry
 	scraped := 0
@@ -275,14 +244,9 @@ func (rt *Router) handleClusterSlowLog(w http.ResponseWriter, r *http.Request) {
 	if len(entries) > n {
 		entries = entries[:n]
 	}
-	body, err := json.Marshal(struct {
+	_ = obs.WriteJSON(w, http.StatusOK, struct {
 		ScrapedShards int                `json:"scraped_shards"`
 		TotalShards   int                `json:"total_shards"`
 		Entries       []ClusterSlowEntry `json:"entries"`
 	}{scraped, len(rt.shards), entries})
-	if err != nil {
-		clusterError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeBody(w, http.StatusOK, "application/json", append(body, '\n'))
 }

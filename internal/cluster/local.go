@@ -105,13 +105,6 @@ func (lc *LocalCluster) KillShard(i int) {
 	lc.HTTP[i].Close()
 }
 
-// Alive reports whether shard i has not been killed.
-func (lc *LocalCluster) Alive(i int) bool {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return !lc.killed[i]
-}
-
 // Close shuts every still-alive shard down.
 func (lc *LocalCluster) Close() {
 	lc.mu.Lock()

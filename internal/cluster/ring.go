@@ -115,9 +115,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// NumShards returns the shard count.
-func (r *Ring) NumShards() int { return len(r.ids) }
-
 // IDs returns the shard identity list in construction order.
 func (r *Ring) IDs() []string { return append([]string(nil), r.ids...) }
 

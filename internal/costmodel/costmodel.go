@@ -252,15 +252,3 @@ func tooThin(r geom.Rect, axis int) bool {
 	}
 	return r.Height() < minExtent
 }
-
-// DebugSplitGain exposes the split-decision quantities for diagnostics:
-// the formula (7) gain and the boundary-shared credit for splitting q at
-// the middle of the gradient axis.
-func (m *Model) DebugSplitGain(qp geom.QueryPlane, r geom.Rect) (gain, shared float64) {
-	strip := stripFor(qp, r)
-	r1, r2 := splitMid(r, qp.Axis)
-	s1, s2 := stripFor(qp, r1), stripFor(qp, r2)
-	gain = m.EstimateDA(strip.Box()) - m.EstimateDA(s1.Box()) - m.EstimateDA(s2.Box())
-	shared = m.boundaryShared(strip.Box(), qp.Axis)
-	return gain, shared
-}

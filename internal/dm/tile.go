@@ -103,12 +103,6 @@ func (tp *TilePatch) Bytes() int {
 // decoded patch alike.
 func (tp *TilePatch) NumNodes() int { return len(tp.ids) }
 
-// NumEdges returns the intra-tile edge count (diagnostics).
-func (tp *TilePatch) NumEdges() int { return len(tp.edges.far) }
-
-// NumOutPairs returns the seam pair count (diagnostics).
-func (tp *TilePatch) NumOutPairs() int { return len(tp.outPairs.far) }
-
 // MaterializeTile answers Q(r, e) like ViewpointIndependent but returns
 // the result as a TilePatch: live nodes plus the intra-tile mesh and the
 // out-going connection pairs needed to stitch the patch against its

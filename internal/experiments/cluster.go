@@ -9,6 +9,7 @@ import (
 
 	"dmesh/internal/cluster"
 	"dmesh/internal/geom"
+	"dmesh/internal/serve"
 	"dmesh/internal/workload"
 )
 
@@ -197,10 +198,17 @@ func (b *Bundle) measureClusterPoint(lc *cluster.LocalCluster, n int, epoch1, ep
 			return nil, err
 		}
 	}
+	// patchTotals reads a shard's wire-patch traffic from its registry:
+	// patches served and the store disk accesses they cost (cold
+	// materializations only).
+	patchTotals := func(s *serve.Server) (served, da uint64) {
+		return s.Registry().Counter("tileserver_patch_requests_total", "").Value(),
+			s.Registry().Histogram("tileserver_patch_disk_accesses", "").Snapshot().Sum
+	}
 	patches0 := make([]uint64, len(lc.Servers))
 	patchDA0 := make([]uint64, len(lc.Servers))
 	for i, s := range lc.Servers {
-		patches0[i], patchDA0[i] = s.PatchTotals()
+		patches0[i], patchDA0[i] = patchTotals(s)
 	}
 	redirects0 := lc.Router.Registry().Counter("cluster_router_redirects_total", "").Value()
 
@@ -270,7 +278,7 @@ func (b *Bundle) measureClusterPoint(lc *cluster.LocalCluster, n int, epoch1, ep
 	}
 	pt.MeanShardDAPerQuery = pt.DAPerQuery / float64(n)
 	for i, s := range lc.Servers {
-		patches, patchDA := s.PatchTotals()
+		patches, patchDA := patchTotals(s)
 		patches -= patches0[i]
 		patchDA -= patchDA0[i]
 		cs := s.Cache().Stats()

@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -119,7 +117,7 @@ type metric struct {
 // Registry is a named collection of metrics. Get-or-create registration
 // is idempotent by name; registering the same name as a different kind
 // panics (a wiring bug, not a runtime condition). Export order is sorted
-// by name, so two snapshots of the same state encode identically.
+// by name, so two exports of the same state encode identically.
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
@@ -193,113 +191,48 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	return r.getOrCreate(name, help, kindHistogram).hist
 }
 
-// sortedMetrics snapshots the metric set in name order.
-func (r *Registry) sortedMetrics() []*metric {
+// Snapshot copies the registry's current state into the form the
+// Prometheus text writer, parser and merger share (PromSnapshot), so
+// there is one text encoding of a metrics page and an in-process reader
+// needs no render-and-parse round trip. Histogram buckets are cumulative
+// with le labels.
+func (r *Registry) Snapshot() *PromSnapshot {
 	r.mu.Lock()
-	out := make([]*metric, 0, len(r.metrics))
+	metrics := make([]*metric, 0, len(r.metrics))
 	for _, m := range r.metrics {
-		out = append(out, m)
+		metrics = append(metrics, m)
 	}
 	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+	snap := &PromSnapshot{Metrics: make(map[string]*PromMetric, len(metrics))}
+	for _, m := range metrics {
+		pm := &PromMetric{Name: m.name, Help: m.help, Kind: "gauge"}
+		switch m.kind {
+		case kindCounter:
+			pm.Kind, pm.Value = "counter", int64(m.counter.Value())
+		case kindGauge:
+			pm.Value = m.gauge.Value()
+		case kindGaugeFunc:
+			pm.Value = r.fnValue(m)
+		case kindHistogram:
+			s := m.hist.Snapshot()
+			pm.Kind, pm.Sum, pm.Count = "histogram", s.Sum, s.Count
+			var cum uint64
+			for i, n := range s.Buckets {
+				cum += n
+				le := "+Inf"
+				if i < histBuckets {
+					le = strconv.FormatUint(BucketBound(i), 10)
+				}
+				pm.Buckets = append(pm.Buckets, PromBucket{LE: le, Cum: cum})
+			}
+		}
+		snap.Metrics[m.name] = pm
+	}
+	return snap
 }
 
 // WritePrometheus writes the registry in Prometheus text exposition
-// format (version 0.0.4), metrics sorted by name, histogram buckets
-// cumulative with le labels.
+// format (version 0.0.4), metrics sorted by name.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	for _, m := range r.sortedMetrics() {
-		if m.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help); err != nil {
-				return err
-			}
-		}
-		var err error
-		switch m.kind {
-		case kindCounter:
-			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", m.name, m.name, m.counter.Value())
-		case kindGauge:
-			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", m.name, m.name, m.gauge.Value())
-		case kindGaugeFunc:
-			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", m.name, m.name, r.fnValue(m))
-		case kindHistogram:
-			if _, err = fmt.Fprintf(w, "# TYPE %s histogram\n", m.name); err != nil {
-				return err
-			}
-			s := m.hist.Snapshot()
-			var cum uint64
-			for i := 0; i < histBuckets; i++ {
-				cum += s.Buckets[i]
-				if _, err = fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", m.name, BucketBound(i), cum); err != nil {
-					return err
-				}
-			}
-			cum += s.Buckets[histBuckets]
-			_, err = fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
-				m.name, cum, m.name, s.Sum, m.name, s.Count)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// jsonHistogram is the JSON shape of one histogram.
-type jsonHistogram struct {
-	Sum     uint64            `json:"sum"`
-	Count   uint64            `json:"count"`
-	Buckets map[string]uint64 `json:"buckets"` // le -> cumulative count, nonzero rows only
-}
-
-// snapshotJSON builds the export map. encoding/json sorts map keys, so
-// the output is deterministic for a fixed state.
-func (r *Registry) snapshotJSON() map[string]any {
-	out := make(map[string]any)
-	for _, m := range r.sortedMetrics() {
-		switch m.kind {
-		case kindCounter:
-			out[m.name] = m.counter.Value()
-		case kindGauge:
-			out[m.name] = m.gauge.Value()
-		case kindGaugeFunc:
-			out[m.name] = r.fnValue(m)
-		case kindHistogram:
-			s := m.hist.Snapshot()
-			jh := jsonHistogram{Sum: s.Sum, Count: s.Count, Buckets: make(map[string]uint64)}
-			var cum uint64
-			for i := 0; i <= histBuckets; i++ {
-				cum += s.Buckets[i]
-				if s.Buckets[i] == 0 {
-					continue
-				}
-				if i == histBuckets {
-					jh.Buckets["+Inf"] = cum
-				} else {
-					jh.Buckets[fmt.Sprint(BucketBound(i))] = cum
-				}
-			}
-			out[m.name] = jh
-		}
-	}
-	return out
-}
-
-// WriteJSON writes the registry as one JSON object, keys sorted.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(r.snapshotJSON())
-}
-
-// PublishExpvar exposes the registry under the given expvar name (shown
-// by /debug/vars). Publishing is idempotent: if the name is already
-// taken — e.g. a test constructing two servers in one process — the
-// existing binding is left in place, since expvar.Publish panics on
-// duplicates and offers no unpublish.
-func (r *Registry) PublishExpvar(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.snapshotJSON() }))
+	return r.Snapshot().WriteText(w)
 }

@@ -51,13 +51,6 @@ func (l *SlowLog) Threshold() time.Duration {
 	return l.threshold
 }
 
-// SetThreshold changes the admission threshold for future observations.
-func (l *SlowLog) SetThreshold(d time.Duration) {
-	l.mu.Lock()
-	l.threshold = d
-	l.mu.Unlock()
-}
-
 // Observe records a finished query if it met the threshold. The phase
 // breakdown is copied out of tr (which may be nil or about to be
 // reset), so entries stay valid after the trace is reused.

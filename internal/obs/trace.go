@@ -1,6 +1,6 @@
 // Package obs is the stdlib-only telemetry layer of the serving stack:
 // a metrics registry (atomic counters, gauges, log-bucketed histograms
-// with deterministic snapshots and expvar-JSON / Prometheus-text export),
+// with deterministic snapshots and Prometheus-text export),
 // a hierarchical query tracer whose spans attribute both wall time and
 // exact disk-access deltas to query phases, and a ring-buffered slow-query
 // log.

@@ -26,7 +26,7 @@ func NewTestServer(tb testing.TB, size int, slowThreshold time.Duration) *Server
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, err := New(Config{Terrain: terrain, SlowThreshold: slowThreshold, ExpvarName: "tileserver"})
+	s, err := New(Config{Terrain: terrain, SlowThreshold: slowThreshold})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -45,14 +45,8 @@ func StartTestHarness(tb testing.TB) (*Server, *httptest.Server) {
 
 	get := func(path string) {
 		tb.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			tb.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp, body := Fetch(tb, ts.URL, path); resp.StatusCode != http.StatusOK {
+			tb.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
 		}
 	}
 	get("/tile?x0=0.2&y0=0.2&x1=0.6&y1=0.6&lod=0.9")

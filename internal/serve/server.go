@@ -5,51 +5,46 @@
 // API, so a cluster shard is exactly the example server over a subset of
 // tile keys.
 //
-// On top of the example's JSON endpoints (/tile, /frame, /stats,
-// /cachestats) it serves the shard-facing surface the cluster router
-// consumes:
+// The four query endpoints are rows of one table (routes.go) served by
+// one pipeline: /tile and /frame answer JSON, and the shard-facing
+// surface the cluster router consumes answers bytes:
 //
 //   - /patch?level=&ix=&iy=&band= — one canonical tile, materialized
 //     through the shared cache and returned in the deterministic binary
 //     wire encoding (dm.EncodeTilePatch, memoized per resident tile);
 //     per-request disk accesses and cache coldness travel in X-DM-DA /
 //     X-DM-Cold headers.
-//   - /hottiles?n=K — the cache's top-K hottest tiles (hit-count order,
-//     Key total-order tie-breaks), the router's replication input.
-//   - /gridinfo — the tile grid parameters (data rect, max level, LOD
-//     ladder), so any client can verify it quantizes like the shard.
 //   - /stream?x0=&y0=&x1=&y1=&lod=&resume= — the progressive answer: a
 //     chunked body carrying the internal/stream header plus one delta
 //     batch per LOD-ladder rung, coarse to fine, each flushed as soon as
 //     its rung's query completes. resume=K (the last fully received
 //     batch index) re-sends the header and skips batches <= K, so an
 //     interrupted client pays only for what it never got.
+//   - /hottiles?n=K — the cache's top-K hottest tiles (hit-count order,
+//     Key total-order tie-breaks), the router's replication input.
+//   - /gridinfo — the tile grid parameters (data rect, max level, LOD
+//     ladder), so any client can verify it quantizes like the shard.
 //
-// Start runs the server on a listener; Shutdown drains: it stops
-// accepting, then blocks until every in-flight request (tile fetches
-// included) has completed or the context expires.
+// Every number the server keeps lives in one registry, served at
+// /metrics. Start runs the server on a listener; Shutdown drains: it
+// stops accepting, then blocks until every in-flight request (tile
+// fetches included) has completed or the context expires.
 package serve
 
 import (
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"runtime"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dmesh"
-	"dmesh/internal/geom"
 	"dmesh/internal/obs"
-	"dmesh/internal/stream"
 	"dmesh/internal/tilecache"
 )
 
@@ -66,13 +61,24 @@ type Config struct {
 	CacheMaxBytes int
 	// SlowThreshold is the slow-log admission threshold (0 admits all).
 	SlowThreshold time.Duration
-	// SlowLogSize is the slow-log ring capacity (0 = 128).
-	SlowLogSize int
-	// ExpvarName, when non-empty, publishes the metrics registry under
-	// this expvar key. Leave empty for in-process clusters: expvar is
-	// process-global and the first registry would shadow the rest.
-	ExpvarName string
 }
+
+const (
+	// slowLogSize is the slow-log ring capacity.
+	slowLogSize = 128
+	// maxCameras caps the retained coherent sessions; the least recently
+	// used one is dropped when a new client would exceed it.
+	maxCameras = 64
+
+	// Listener limits. A client gets readHeaderTimeout to deliver its
+	// request head and an idle keep-alive connection is closed after
+	// idleTimeout. There is deliberately no blanket WriteTimeout: /stream
+	// and /debug/pprof/profile are long by design, and a deadline on
+	// them belongs to the request, not the listener.
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
 
 // Server is the serving core: store, tile cache, coherent camera
 // sessions, and the telemetry behind the introspection endpoints.
@@ -84,53 +90,40 @@ type Server struct {
 
 	inflight atomic.Int64
 
-	// Telemetry: the metrics registry behind /metrics and /debug/vars,
-	// and the ring-buffered slow-request log behind /slowlog.
-	reg  *obs.Registry
-	slow *obs.SlowLog
-
-	mTileReqs   *obs.Counter
-	mFrameReqs  *obs.Counter
-	mPatchReqs  *obs.Counter
-	mStreamReqs *obs.Counter
-	mErrors     *obs.Counter
-	hTileDA     *obs.Histogram
-	hTileNanos  *obs.Histogram
-	hFrameDA    *obs.Histogram
-	hFrameNs    *obs.Histogram
-	hPatchDA    *obs.Histogram
-	hPatchNs    *obs.Histogram
-	hStreamDA   *obs.Histogram
-	hStreamBy   *obs.Histogram
-	hStreamNs   *obs.Histogram
+	// Telemetry: the registry behind /metrics — the one place numbers
+	// live — and the ring-buffered slow-request log behind /slowlog.
+	reg          *obs.Registry
+	slow         *obs.SlowLog
+	endpoints    []endpointMetrics // parallel to routes
+	streamBytes  *obs.Histogram
+	reqErrors    *obs.Counter
+	camEvictions *obs.Counter
 
 	// Named coherent sessions, one per animating client. A coherent
 	// session is stateful and not safe for concurrent use, so each entry
-	// carries its own lock; the map itself has another. Evicted clients'
-	// frame and disk-access totals roll up into the evicted* fields so
-	// /stats never under-reports served work.
-	camMu         sync.Mutex
-	cameras       map[string]*camera
-	camEvictions  uint64
-	evictedFrames uint64
-	evictedDA     uint64
+	// carries its own lock; the map itself has another.
+	camMu   sync.Mutex
+	cameras map[string]*camera
 
-	httpMu   sync.Mutex
-	httpSrv  *http.Server
-	listener net.Listener
+	headerTimeout time.Duration // readHeaderTimeout; tests shorten it before Start
+
+	httpMu  sync.Mutex
+	httpSrv *http.Server
 }
 
-// maxCameras caps the retained coherent sessions; the least recently
-// used one is dropped when a new client would exceed it.
-const maxCameras = 64
+// endpointMetrics is one query endpoint's accounting, written only by
+// the pipeline (Server.serve).
+type endpointMetrics struct {
+	served  *obs.Counter   // requests answered 200
+	da      *obs.Histogram // store disk accesses of every request that ran, served or not
+	latency *obs.Histogram // parse through render — all but the write — of every request
+}
 
 type camera struct {
 	mu       sync.Mutex
 	cs       *dmesh.DMCoherentSession
 	tr       *obs.Trace // the session's trace; reset every frame
 	lastUsed time.Time
-	frames   uint64
-	da       uint64
 }
 
 // New builds the store (unless provided), the tile cache, and the
@@ -155,46 +148,54 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	slowSize := cfg.SlowLogSize
-	if slowSize == 0 {
-		slowSize = 128
-	}
+	reg := obs.NewRegistry()
 	s := &Server{
 		terrain: cfg.Terrain, store: store, model: model, cache: cache,
-		cameras: make(map[string]*camera),
-		reg:     obs.NewRegistry(),
-		slow:    obs.NewSlowLog(slowSize, cfg.SlowThreshold),
+		cameras:       make(map[string]*camera),
+		reg:           reg,
+		slow:          obs.NewSlowLog(slowLogSize, cfg.SlowThreshold),
+		streamBytes:   reg.Histogram("tileserver_stream_bytes", "bytes written per progressive stream"),
+		reqErrors:     reg.Counter("tileserver_request_errors_total", "requests answered with an error status, and streams cut short"),
+		camEvictions:  reg.Counter("tileserver_camera_evictions_total", "coherent sessions dropped from the LRU"),
+		headerTimeout: readHeaderTimeout,
 	}
-	s.mTileReqs = s.reg.Counter("tileserver_tile_requests_total", "tile requests served")
-	s.mFrameReqs = s.reg.Counter("tileserver_frame_requests_total", "coherent frames served")
-	s.mPatchReqs = s.reg.Counter("tileserver_patch_requests_total", "wire tile patches served")
-	s.mErrors = s.reg.Counter("tileserver_request_errors_total", "requests answered with an error status")
-	s.hTileDA = s.reg.Histogram("tileserver_tile_disk_accesses", "disk accesses per tile request")
-	s.hTileNanos = s.reg.Histogram("tileserver_tile_latency_nanos", "tile request latency in nanoseconds")
-	s.hFrameDA = s.reg.Histogram("tileserver_frame_disk_accesses", "disk accesses per coherent frame")
-	s.hFrameNs = s.reg.Histogram("tileserver_frame_latency_nanos", "frame request latency in nanoseconds")
-	s.hPatchDA = s.reg.Histogram("tileserver_patch_disk_accesses", "disk accesses per wire patch request")
-	s.hPatchNs = s.reg.Histogram("tileserver_patch_latency_nanos", "wire patch request latency in nanoseconds")
-	s.mStreamReqs = s.reg.Counter("tileserver_stream_requests_total", "progressive streams served")
-	s.hStreamDA = s.reg.Histogram("tileserver_stream_disk_accesses", "disk accesses per progressive stream")
-	s.hStreamBy = s.reg.Histogram("tileserver_stream_bytes", "bytes written per progressive stream")
-	s.hStreamNs = s.reg.Histogram("tileserver_stream_latency_nanos", "progressive stream latency in nanoseconds")
-	s.reg.GaugeFunc("tileserver_cache_entries", "resident tile-cache patches", func() int64 {
-		return int64(cache.Stats().Entries)
+	for _, rt := range routes {
+		s.endpoints = append(s.endpoints, endpointMetrics{
+			served:  reg.Counter("tileserver_"+rt.name+"_requests_total", rt.name+" requests served"),
+			da:      reg.Histogram("tileserver_"+rt.name+"_disk_accesses", "disk accesses per "+rt.name+" request, failed ones included"),
+			latency: reg.Histogram("tileserver_"+rt.name+"_latency_nanos", rt.name+" request latency in nanoseconds"),
+		})
+	}
+	// Facts other subsystems already keep are read at scrape time. The
+	// store total is the reconciliation target: every disk access a
+	// request causes lands in exactly one endpoint's histogram sum.
+	reg.GaugeFunc("tileserver_store_disk_accesses", "pages the store has read from its files", func() int64 {
+		return int64(store.DiskAccesses())
 	})
-	s.reg.GaugeFunc("tileserver_cache_bytes", "estimated resident tile-cache bytes", func() int64 {
-		return int64(cache.Stats().Bytes)
-	})
-	s.reg.GaugeFunc("tileserver_cameras_active", "retained coherent sessions", func() int64 {
+	reg.GaugeFunc("tileserver_cameras_active", "retained coherent sessions", func() int64 {
 		s.camMu.Lock()
 		defer s.camMu.Unlock()
 		return int64(len(s.cameras))
 	})
-	s.reg.GaugeFunc("tileserver_inflight_requests", "requests currently being served", func() int64 {
-		return s.inflight.Load()
-	})
-	if cfg.ExpvarName != "" {
-		s.reg.PublishExpvar(cfg.ExpvarName)
+	reg.GaugeFunc("tileserver_inflight_requests", "requests currently being served", s.inflight.Load)
+	type cs = dmesh.TileCacheStats
+	for _, g := range []struct {
+		name, help string
+		read       func(cs) int
+	}{
+		{"entries", "resident tile-cache patches", func(st cs) int { return st.Entries }},
+		{"bytes", "estimated resident tile-cache bytes", func(st cs) int { return st.Bytes }},
+		{"queries", "tile-cache queries", func(st cs) int { return int(st.Queries) }},
+		{"tile_lookups", "tile fetches (several per query)", func(st cs) int { return int(st.TileLookups) }},
+		{"hits", "lookups served from a resident patch", func(st cs) int { return int(st.Hits) }},
+		{"misses", "lookups that materialized the patch", func(st cs) int { return int(st.Misses) }},
+		{"deduped_misses", "lookups that waited on another's materialization", func(st cs) int { return int(st.DedupedMisses) }},
+		{"evictions", "patches evicted for space", func(st cs) int { return int(st.Evictions) }},
+		{"invalidations", "cache invalidation calls", func(st cs) int { return int(st.Invalidations) }},
+		{"materialize_disk_accesses", "disk accesses spent materializing tiles", func(st cs) int { return int(st.MaterializeDA) }},
+		{"unretained", "patches served but too large to retain", func(st cs) int { return st.UnretainedOver }},
+	} {
+		reg.GaugeFunc("tileserver_cache_"+g.name, g.help, func() int64 { return int64(g.read(cache.Stats())) })
 	}
 	return s, nil
 }
@@ -212,32 +213,18 @@ func (s *Server) Cache() *dmesh.DMTileCache { return s.cache }
 // cluster can read per-shard counters without scraping /metrics.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// PatchTotals reports the wire-patch traffic: requests served and the
-// store disk accesses they cost (cold materializations only).
-func (s *Server) PatchTotals() (served, da uint64) {
-	h := s.hPatchDA.Snapshot()
-	return h.Count, h.Sum
-}
-
-// StreamTotals reports the progressive-stream traffic: streams served
-// and the store disk accesses their rung queries cost.
-func (s *Server) StreamTotals() (served, da uint64) {
-	h := s.hStreamDA.Snapshot()
-	return h.Count, h.Sum
-}
+// Grid returns the cache's quantization grid.
+func (s *Server) Grid() *tilecache.Grid { return s.cache.Grid() }
 
 // Handler mounts the serving endpoints, plus (when introspect is set)
-// the observability surface: /metrics, /slowlog, /debug/vars,
-// /debug/pprof/. Every handler runs inside the in-flight tracker that
-// Shutdown drains.
+// the observability surface: /metrics, /slowlog, /debug/pprof/. Every
+// handler runs inside the in-flight tracker that Shutdown drains.
 func (s *Server) Handler(introspect bool) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/tile", s.handleTile)
-	mux.HandleFunc("/frame", s.handleFrame)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/cachestats", s.handleCacheStats)
-	mux.HandleFunc("/patch", s.handlePatch)
-	mux.HandleFunc("/stream", s.handleStream)
+	for i := range routes {
+		rt, m := &routes[i], &s.endpoints[i]
+		mux.HandleFunc(rt.path, func(w http.ResponseWriter, r *http.Request) { s.serve(rt, m, w, r) })
+	}
 	mux.HandleFunc("/hottiles", s.handleHotTiles)
 	mux.HandleFunc("/gridinfo", s.handleGridInfo)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -261,9 +248,14 @@ func (s *Server) Start(addr string, introspect bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{Handler: s.Handler(introspect)}
+	srv := &http.Server{
+		Handler:           s.Handler(introspect),
+		ReadHeaderTimeout: s.headerTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	s.httpMu.Lock()
-	s.httpSrv, s.listener = srv, l
+	s.httpSrv = srv
 	s.httpMu.Unlock()
 	go func() {
 		if err := srv.Serve(l); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -303,46 +295,15 @@ func (s *Server) lookupCamera(name string) *camera {
 				oldest = n
 			}
 		}
-		// Roll the evicted client's stats into the totals instead of
-		// silently dropping them with the session.
-		old := s.cameras[oldest]
-		old.mu.Lock()
-		frames, da := old.frames, old.da
-		old.mu.Unlock()
-		s.camEvictions++
-		s.evictedFrames += frames
-		s.evictedDA += da
+		// The frames it served stay counted where they were recorded, in
+		// the frame endpoint's series.
 		delete(s.cameras, oldest)
-		log.Printf("evicted coherent session %q (%d frames, %d disk accesses)", oldest, frames, da)
+		s.camEvictions.Inc()
 	}
 	cs := s.store.NewCoherentSession(s.model)
 	c := &camera{cs: cs, tr: cs.EnableTrace(), lastUsed: time.Now()}
 	s.cameras[name] = c
 	return c
-}
-
-// traceRequested reports whether the client asked this response to
-// carry its phase trace (trace=1). Tracing is strictly opt-in: default
-// serving records nothing extra and ships nothing extra, so every
-// untraced figure number stays byte-identical.
-func traceRequested(r *http.Request) bool {
-	return r.URL.Query().Get("trace") != ""
-}
-
-// attachTrace sets X-DM-Trace to the base64 TraceWire encoding of tr.
-// Must run before the body goes out when h is a response's header map
-// (trailers, declared up front, may set it after). A trace that fails
-// to encode — open spans — drops the header, never the response.
-func attachTrace(h http.Header, tr *obs.Trace) {
-	if tr == nil {
-		return
-	}
-	buf, err := tr.EncodeWire()
-	if err != nil {
-		log.Printf("trace encode: %v", err)
-		return
-	}
-	h.Set("X-DM-Trace", base64.StdEncoding.EncodeToString(buf))
 }
 
 // HealthResponse is the /healthz and /readyz body.
@@ -351,24 +312,16 @@ type HealthResponse struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// writeHealth answers a probe with a fixed-size JSON body. Probe misses
-// are not request errors: a 503 from /readyz is the endpoint working.
-func (s *Server) writeHealth(w http.ResponseWriter, status int, resp HealthResponse) {
-	body, err := json.Marshal(resp)
-	if err != nil {
-		body = []byte(`{"status":"error"}`)
-	}
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
+// writeJSON answers one of the fixed-size pages below. Probe misses are
+// not request errors: a 503 from /readyz is the endpoint working.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	_ = obs.WriteJSON(w, status, v) // a prober or scraper that hung up needs no log line
 }
 
 // handleHealthz is the liveness probe: the process is up and the HTTP
 // stack is answering. Always 200.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeHealth(w, http.StatusOK, HealthResponse{Status: "ok"})
+	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 }
 
 // ReadyError reports why the server cannot serve queries yet, nil when
@@ -391,320 +344,10 @@ func (s *Server) ReadyError() error {
 // the tile cache can warm, 503 (with the reason) until then.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if err := s.ReadyError(); err != nil {
-		s.writeHealth(w, http.StatusServiceUnavailable, HealthResponse{Status: "unready", Error: err.Error()})
+		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "unready", Error: err.Error()})
 		return
 	}
-	s.writeHealth(w, http.StatusOK, HealthResponse{Status: "ready"})
-}
-
-// meshJSON is a query answer's JSON shape, embedded in the /tile and
-// /frame responses.
-type meshJSON struct {
-	Vertices  map[string][3]float64 `json:"vertices"`
-	Triangles [][3]int64            `json:"triangles"`
-}
-
-func meshJSONOf(res *dmesh.Result) meshJSON {
-	m := meshJSON{
-		Vertices:  make(map[string][3]float64, len(res.Vertices)),
-		Triangles: make([][3]int64, 0, len(res.Triangles)),
-	}
-	for id, p := range res.Vertices {
-		m.Vertices[strconv.FormatInt(id, 10)] = [3]float64{p.X, p.Y, p.Z}
-	}
-	for _, t := range res.Triangles {
-		m.Triangles = append(m.Triangles, [3]int64{t.A, t.B, t.C})
-	}
-	return m
-}
-
-type tileResponse struct {
-	LOD float64 `json:"lod"`
-	meshJSON
-	DiskAccesses uint64 `json:"disk_accesses"`
-}
-
-func queryFloat(r *http.Request, name string, def float64) (float64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	return strconv.ParseFloat(v, 64)
-}
-
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	return strconv.Atoi(v)
-}
-
-// lodParam names one LOD-percentile query parameter and its default.
-type lodParam struct {
-	name string
-	def  float64
-}
-
-// parseROILOD reads the x0/y0/x1/y1 rectangle (default: the unit square)
-// and each named LOD percentile, which must lie in [0,1].
-func parseROILOD(r *http.Request, lods ...lodParam) (geom.Rect, []float64, error) {
-	var c [4]float64
-	for i, name := range [4]string{"x0", "y0", "x1", "y1"} {
-		v, err := queryFloat(r, name, float64(i/2))
-		if err != nil {
-			return geom.Rect{}, nil, err
-		}
-		c[i] = v
-	}
-	pcts := make([]float64, len(lods))
-	for i, l := range lods {
-		v, err := queryFloat(r, l.name, l.def)
-		if err != nil {
-			return geom.Rect{}, nil, err
-		}
-		if v < 0 || v > 1 {
-			return geom.Rect{}, nil, fmt.Errorf("%s must be a percentile in [0,1]", l.name)
-		}
-		pcts[i] = v
-	}
-	return dmesh.NewRect(c[0], c[1], c[2], c[3]), pcts, nil
-}
-
-// roiLabel renders a rectangle for slow-log entries.
-func roiLabel(r geom.Rect) string {
-	return fmt.Sprintf("roi=[%g,%g,%g,%g]", r.MinX, r.MinY, r.MaxX, r.MaxY)
-}
-
-// jsonError answers a failed request with a JSON body, so API clients
-// parsing every response get structured errors instead of plain text.
-// I/O faults under a query surface here as a 500 with the error chain
-// (e.g. an injected fault or a checksum mismatch) — the server itself
-// keeps serving. The body is marshaled before the header goes out, so
-// the status line and Content-Length always describe the bytes actually
-// sent.
-func (s *Server) jsonError(w http.ResponseWriter, status int, err error) {
-	s.mErrors.Inc()
-	body, encErr := json.Marshal(map[string]string{"error": err.Error()})
-	if encErr != nil {
-		// A map[string]string cannot fail to marshal; keep the client
-		// parseable anyway.
-		body = []byte(`{"error":"error encoding failed"}`)
-	}
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	if _, err := w.Write(body); err != nil {
-		log.Printf("error write: %v", err)
-	}
-}
-
-// writeJSON buffers the whole encoding, sets Content-Length, then
-// writes. Streaming json.NewEncoder(w).Encode straight into the
-// ResponseWriter cannot do that: once the header is out, an encode or
-// write failure leaves the client a truncated 200 indistinguishable
-// from a short document, with nothing but a server-side log line to
-// show for it. With the length declared up front a cut body surfaces at
-// the client as an unexpected EOF.
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		s.jsonError(w, http.StatusInternalServerError, err)
-		return
-	}
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	if _, err := w.Write(body); err != nil {
-		log.Printf("response write: %v", err)
-	}
-}
-
-func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
-	roi, pcts, err := parseROILOD(r, lodParam{"lod", 0.9})
-	if err != nil {
-		s.jsonError(w, http.StatusBadRequest, err)
-		return
-	}
-	lod := s.terrain.LODPercentile(pcts[0])
-
-	var res *dmesh.Result
-	var da uint64
-	var tr *obs.Trace
-	start := time.Now()
-	nocache := r.URL.Query().Get("nocache") != ""
-	if nocache {
-		// Bypass the tile cache: one session per request, so the
-		// session's counters see only this request's page reads — and the
-		// trace samples them directly.
-		sess := s.store.NewSession()
-		tr = sess.NewTrace()
-		res, err = sess.ViewpointIndependent(roi, lod)
-		da = sess.DiskAccesses()
-	} else {
-		// The cache snaps the LOD onto its ladder, materializes any cold
-		// tiles (once, however many requests race) and stitches; da is
-		// only the store I/O this request's cold tiles cost, and the
-		// charge-based trace attributes exactly that.
-		tr = dmesh.NewQueryTrace(nil)
-		var qs dmesh.TileQueryStats
-		res, qs, err = s.cache.QueryTraced(roi, lod, tr)
-		lod, da = qs.SnappedE, qs.DA
-	}
-	dur := time.Since(start)
-	if err != nil {
-		s.jsonError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.mTileReqs.Inc()
-	s.hTileDA.Observe(da)
-	s.hTileNanos.Observe(uint64(dur))
-	s.slow.Observe(fmt.Sprintf("tile %s lod=%g nocache=%t", roiLabel(roi), pcts[0], nocache), dur, da, tr)
-	if traceRequested(r) {
-		attachTrace(w.Header(), tr)
-	}
-	s.writeJSON(w, tileResponse{LOD: lod, meshJSON: meshJSONOf(res), DiskAccesses: da})
-}
-
-// handlePatch answers one canonical tile by key in the binary wire
-// encoding — the shard endpoint the cluster router fans out to. The
-// response is deterministic for a key (the patch encoding sorts nodes),
-// so any replica returns byte-identical bodies.
-func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
-	level, err1 := queryInt(r, "level", -1)
-	ix, err2 := queryInt(r, "ix", -1)
-	iy, err3 := queryInt(r, "iy", -1)
-	band, err4 := queryInt(r, "band", -1)
-	for _, err := range []error{err1, err2, err3, err4} {
-		if err != nil {
-			s.jsonError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	k := tilecache.Key{Level: level, IX: ix, IY: iy, Band: band}
-	var tr *obs.Trace
-	if traceRequested(r) {
-		// Charge-based: the cache counts DA through per-flight sessions,
-		// so the trace total equals the X-DM-DA header exactly — the
-		// per-hop half of the cluster's cross-hop invariant.
-		tr = dmesh.NewQueryTrace(nil)
-	}
-	start := time.Now()
-	// The whole body is in hand before the header goes out: with
-	// Content-Length declared, a write that dies mid-body surfaces at the
-	// router as a short read (a failed attempt eligible for failover)
-	// instead of a clean-looking truncated 200. A warm tile's body is the
-	// cache's memoized encoding, shared read-only with every other reader.
-	body, st, err := s.cache.PatchWire(k, tr)
-	if err != nil {
-		if errors.Is(err, tilecache.ErrInvalidKey) {
-			s.jsonError(w, http.StatusBadRequest, err)
-		} else {
-			s.jsonError(w, http.StatusInternalServerError, err)
-		}
-		return
-	}
-	dur := time.Since(start) // lookup, materialization and encoding: all but the write
-	s.mPatchReqs.Inc()
-	s.hPatchDA.Observe(st.DA)
-	s.hPatchNs.Observe(uint64(dur))
-	s.slow.Observe(fmt.Sprintf("patch key=%s cold=%t", k, st.Cold), dur, st.DA, tr)
-
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Header().Set("X-DM-DA", strconv.FormatUint(st.DA, 10))
-	w.Header().Set("X-DM-Cold", strconv.FormatBool(st.Cold))
-	if tr != nil {
-		attachTrace(w.Header(), tr)
-	}
-	if _, err := w.Write(body); err != nil {
-		log.Printf("patch write: %v", err)
-	}
-}
-
-// handleStream answers one ROI progressively: the stream header, then
-// one delta batch per LOD-ladder rung from the coarsest rung down to
-// the one the requested LOD snaps to, each flushed as soon as its
-// rung's query completes — so the client renders a coarse mesh after
-// the first frame and refines to the exact answer. Every rung's answer
-// comes through the shared tile cache, so the per-rung queries are the
-// same canonical tile fetches /tile and /patch pay for.
-//
-// resume is the last batch index the client fully received (-1, the
-// default, streams everything): the server still replays the earlier
-// rungs' queries to rebuild the delta state, but transmits only the
-// batches after resume.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	roi, pcts, err := parseROILOD(r, lodParam{"lod", 0.9})
-	if err != nil {
-		s.jsonError(w, http.StatusBadRequest, err)
-		return
-	}
-	resume, err := queryInt(r, "resume", -1)
-	if err != nil {
-		s.jsonError(w, http.StatusBadRequest, err)
-		return
-	}
-	band, _ := s.cache.Grid().SnapE(s.terrain.LODPercentile(pcts[0]))
-	enc, err := stream.Plan(roi, s.cache.Grid().Ladder(), band, resume)
-	if err != nil {
-		s.jsonError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	var tr *obs.Trace
-	if traceRequested(r) {
-		// The trace is complete only after the last batch, so it travels
-		// as an HTTP trailer: declared here, set after the body. The DA
-		// total rides along for clients that want the invariant without
-		// decoding the trace.
-		tr = dmesh.NewQueryTrace(nil)
-		w.Header().Set("Trailer", "X-DM-Trace, X-DM-DA")
-	}
-
-	start := time.Now()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-DM-Batches", strconv.Itoa(enc.NumBatches()))
-	w.Header().Set("X-DM-Target-E", strconv.FormatFloat(enc.TargetE(), 'g', -1, 64))
-	var da uint64
-	_, sent, err := enc.Run(flushWriter{w}, tr, func(level float64) (*dmesh.Result, error) {
-		res, qs, err := s.cache.QueryTraced(roi, level, tr)
-		da += qs.DA
-		return res, err
-	})
-	if err != nil {
-		// The header (and possibly earlier frames) are out, so the status
-		// line cannot change; cutting the connection leaves the client a
-		// length-prefixed truncation it can resume from.
-		s.mErrors.Inc()
-		log.Printf("stream: %v", err)
-		return
-	}
-	dur := time.Since(start)
-	s.mStreamReqs.Inc()
-	s.hStreamDA.Observe(da)
-	s.hStreamBy.Observe(uint64(sent.Bytes))
-	s.hStreamNs.Observe(uint64(dur))
-	s.slow.Observe(fmt.Sprintf("stream %s lod=%g resume=%d", roiLabel(roi), pcts[0], resume), dur, da, tr)
-	if tr != nil {
-		// Trailer values: set on the header map after the body, delivered
-		// in the chunked trailer block (declared before the first write).
-		attachTrace(w.Header(), tr)
-		w.Header().Set("X-DM-DA", strconv.FormatUint(da, 10))
-	}
-}
-
-// flushWriter pushes every write of a streamed body out to the client at
-// once: the header, then each batch as soon as its rung is encoded.
-type flushWriter struct{ w http.ResponseWriter }
-
-func (fw flushWriter) Write(p []byte) (int, error) {
-	n, err := fw.w.Write(p)
-	if f, ok := fw.w.(http.Flusher); ok && err == nil {
-		f.Flush()
-	}
-	return n, err
+	writeJSON(w, http.StatusOK, HealthResponse{Status: "ready"})
 }
 
 // hotTile is one entry of the /hottiles ranking.
@@ -719,27 +362,25 @@ type hotTile struct {
 	Nodes int    `json:"nodes"`
 }
 
-func hotTileOf(ts tilecache.TileStat) hotTile {
-	return hotTile{
-		Level: ts.Key.Level, IX: ts.Key.IX, IY: ts.Key.IY, Band: ts.Key.Band,
-		Hits: ts.Hits, DA: ts.DA, Bytes: ts.Bytes, Nodes: ts.Nodes,
-	}
-}
-
 // handleHotTiles reports the cache's top-K hottest tiles in the
-// deterministic replication order (hits descending, Key order ties).
+// deterministic replication order (hits descending, Key order ties);
+// n=0, the default, lists every resident tile.
 func (s *Server) handleHotTiles(w http.ResponseWriter, r *http.Request) {
-	n, err := queryInt(r, "n", 0)
+	n, err := queryInt(r.URL.Query(), "n", 0)
 	if err != nil {
-		s.jsonError(w, http.StatusBadRequest, err)
+		s.reqErrors.Inc()
+		_ = obs.WriteError(w, http.StatusBadRequest, err) // as writeJSON: no log line for a client that hung up
 		return
 	}
 	top := s.cache.TopTiles(n)
 	out := make([]hotTile, 0, len(top))
 	for _, ts := range top {
-		out = append(out, hotTileOf(ts))
+		out = append(out, hotTile{
+			Level: ts.Key.Level, IX: ts.Key.IX, IY: ts.Key.IY, Band: ts.Key.Band,
+			Hits: ts.Hits, DA: ts.DA, Bytes: ts.Bytes, Nodes: ts.Nodes,
+		})
 	}
-	s.writeJSON(w, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // gridInfo is the /gridinfo body: everything needed to rebuild the
@@ -753,208 +394,9 @@ type gridInfo struct {
 func (s *Server) handleGridInfo(w http.ResponseWriter, r *http.Request) {
 	g := s.cache.Grid()
 	dr := g.DataRect()
-	s.writeJSON(w, gridInfo{
+	writeJSON(w, http.StatusOK, gridInfo{
 		DataRect: [4]float64{dr.MinX, dr.MinY, dr.MaxX, dr.MaxY},
 		MaxLevel: g.MaxLevel(),
 		Ladder:   g.Ladder(),
 	})
-}
-
-// Grid returns the cache's quantization grid.
-func (s *Server) Grid() *tilecache.Grid { return s.cache.Grid() }
-
-// DataSpace returns the store's data rect (for grid reconstruction).
-func (s *Server) DataSpace() geom.Rect { return s.cache.Grid().DataRect() }
-
-type frameResponse struct {
-	Session  string `json:"session"`
-	Full     bool   `json:"full"`
-	Retained int    `json:"retained"`
-	Fetched  int    `json:"fetched"`
-	Evicted  int    `json:"evicted"`
-	meshJSON
-	DiskAccesses uint64 `json:"disk_accesses"`
-}
-
-// handleFrame answers one frame of a named client's camera animation
-// through its retained coherent session. near and far are LOD
-// percentiles at the low- and high-y edges of the view (equal values
-// give a uniform frame); overlapping consecutive frames are answered
-// incrementally.
-func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("session")
-	if name == "" {
-		s.jsonError(w, http.StatusBadRequest, fmt.Errorf("session parameter required"))
-		return
-	}
-	roi, pcts, err := parseROILOD(r, lodParam{"near", 0.75}, lodParam{"far", 0.99})
-	if err != nil {
-		s.jsonError(w, http.StatusBadRequest, err)
-		return
-	}
-	plane := dmesh.QueryPlane{
-		R:    roi,
-		EMin: s.terrain.LODPercentile(pcts[0]),
-		EMax: s.terrain.LODPercentile(pcts[1]),
-		Axis: 1,
-	}
-
-	cam := s.lookupCamera(name)
-	cam.mu.Lock()
-	start := time.Now()
-	res, st, err := cam.cs.Frame(plane)
-	dur := time.Since(start)
-	cam.da += st.DA // a failed frame still paid for the pages it read
-	var wire string
-	if err == nil {
-		cam.frames++
-		// Observe under the camera lock: the trace is reset by the next
-		// frame, and Observe copies the phase stats out. The wire encoding
-		// is captured under the same lock for the same reason.
-		s.slow.Observe(fmt.Sprintf("frame session=%s %s", name, roiLabel(roi)), dur, st.DA, cam.tr)
-		if traceRequested(r) {
-			if buf, encErr := cam.tr.EncodeWire(); encErr == nil {
-				wire = base64.StdEncoding.EncodeToString(buf)
-			}
-		}
-	}
-	cam.mu.Unlock()
-	s.hFrameDA.Observe(st.DA)
-	if err != nil {
-		s.jsonError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if wire != "" {
-		w.Header().Set("X-DM-Trace", wire)
-	}
-	s.mFrameReqs.Inc()
-	s.hFrameNs.Observe(uint64(dur))
-
-	s.writeJSON(w, frameResponse{
-		Session:      name,
-		Full:         st.Full,
-		Retained:     st.Retained,
-		Fetched:      st.Fetched,
-		Evicted:      st.Evicted,
-		meshJSON:     meshJSONOf(res),
-		DiskAccesses: st.DA,
-	})
-}
-
-// CameraStats is one retained coherent session's accounting in /stats.
-type CameraStats struct {
-	Session      string `json:"session"`
-	Frames       uint64 `json:"frames"`
-	DiskAccesses uint64 `json:"disk_accesses"`
-	IdleSeconds  int64  `json:"idle_seconds"`
-}
-
-// StatsResponse is the /stats body.
-type StatsResponse struct {
-	Points         int                `json:"points"`
-	Nodes          int                `json:"nodes"`
-	MaxLOD         float64            `json:"max_lod"`
-	LODPercentiles map[string]float64 `json:"lod_percentiles"`
-
-	TilesServed uint64  `json:"tiles_served"`
-	TileDA      uint64  `json:"tile_disk_accesses"`
-	DAPerTile   float64 `json:"da_per_tile"`
-
-	PatchesServed uint64 `json:"patches_served"`
-	PatchDA       uint64 `json:"patch_disk_accesses"`
-
-	// Coherent-session LRU: per-client occupancy plus eviction counts.
-	// Totals include clients already evicted from the LRU, so nothing is
-	// silently dropped.
-	Cameras          []CameraStats `json:"cameras"`
-	CameraOccupancy  int           `json:"camera_occupancy"`
-	CameraCapacity   int           `json:"camera_capacity"`
-	CameraEvictions  uint64        `json:"camera_evictions"`
-	TotalFrames      uint64        `json:"total_frames"`
-	TotalFrameDA     uint64        `json:"total_frame_disk_accesses"`
-	EvictedFrames    uint64        `json:"evicted_frames"`
-	EvictedFrameDA   uint64        `json:"evicted_frame_disk_accesses"`
-	StoreDiskAccsses uint64        `json:"store_disk_accesses"`
-}
-
-// StatsSnapshot assembles the /stats response at the given time.
-// Deterministic for a fixed server state and now: the only map in the
-// response is encoded by encoding/json (sorted keys) and the camera list
-// is sorted by session name.
-func (s *Server) StatsSnapshot(now time.Time) StatsResponse {
-	tiles := s.hTileDA.Snapshot()
-	patches, patchDA := s.PatchTotals()
-	resp := StatsResponse{
-		Points:         s.terrain.NumPoints(),
-		Nodes:          s.terrain.Dataset.Tree.Len(),
-		MaxLOD:         s.terrain.MaxLOD(),
-		LODPercentiles: make(map[string]float64),
-		TilesServed:    tiles.Count,
-		TileDA:         tiles.Sum,
-		PatchesServed:  patches,
-		PatchDA:        patchDA,
-		CameraCapacity: maxCameras,
-	}
-	for _, p := range []float64{0.5, 0.9, 0.99} {
-		resp.LODPercentiles[fmt.Sprintf("p%.0f", p*100)] = s.terrain.LODPercentile(p)
-	}
-	if resp.TilesServed > 0 {
-		resp.DAPerTile = float64(resp.TileDA) / float64(resp.TilesServed)
-	}
-	s.camMu.Lock()
-	resp.CameraOccupancy = len(s.cameras)
-	resp.CameraEvictions = s.camEvictions
-	resp.EvictedFrames = s.evictedFrames
-	resp.EvictedFrameDA = s.evictedDA
-	resp.TotalFrames = s.evictedFrames
-	resp.TotalFrameDA = s.evictedDA
-	for name, c := range s.cameras {
-		c.mu.Lock()
-		resp.Cameras = append(resp.Cameras, CameraStats{
-			Session:      name,
-			Frames:       c.frames,
-			DiskAccesses: c.da,
-			IdleSeconds:  int64(now.Sub(c.lastUsed).Seconds()),
-		})
-		resp.TotalFrames += c.frames
-		resp.TotalFrameDA += c.da
-		c.mu.Unlock()
-	}
-	s.camMu.Unlock()
-	sort.Slice(resp.Cameras, func(i, j int) bool { return resp.Cameras[i].Session < resp.Cameras[j].Session })
-	resp.StoreDiskAccsses = s.store.DiskAccesses()
-	return resp
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, s.StatsSnapshot(time.Now()))
-}
-
-// CacheStatsResponse is the /cachestats body: global cache counters plus
-// the per-tile hit/cost accounting, hottest tiles first (ties keep the
-// underlying Key order, so the encoding is deterministic).
-type CacheStatsResponse struct {
-	Stats  dmesh.TileCacheStats `json:"stats"`
-	Ladder []float64            `json:"lod_ladder"`
-	Tiles  []hotTile            `json:"tiles"`
-}
-
-// CacheStatsSnapshot assembles the /cachestats response. TopTiles ranks
-// by hits with Key total-order tie-breaks, so the encoding is
-// deterministic.
-func (s *Server) CacheStatsSnapshot() CacheStatsResponse {
-	resp := CacheStatsResponse{
-		Stats:  s.cache.Stats(),
-		Ladder: s.cache.Ladder(),
-	}
-	for _, ts := range s.cache.TopTiles(0) {
-		resp.Tiles = append(resp.Tiles, hotTileOf(ts))
-	}
-	return resp
-}
-
-// handleCacheStats reports the shared tile cache: global counters plus
-// the per-tile hit/cost accounting, hottest tiles first.
-func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, s.CacheStatsSnapshot())
 }

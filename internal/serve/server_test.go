@@ -14,17 +14,14 @@ import (
 	"testing"
 	"time"
 
-	"dmesh"
 	"dmesh/internal/dm"
-	"dmesh/internal/storage/faultfs"
-	"dmesh/internal/storage/pager"
 	"dmesh/internal/tilecache"
 )
 
 // TestObsSmoke drives the introspection endpoints end to end: /metrics
-// must be Prometheus text carrying the server's series, /slowlog must
-// return phase-attributed entries, /debug/vars must be expvar JSON with
-// the published registry.
+// must be Prometheus text carrying the server's series — the cache,
+// camera and store facts read at scrape time included — and /slowlog
+// must return phase-attributed entries.
 func TestObsSmoke(t *testing.T) {
 	_, ts := StartTestHarness(t)
 
@@ -43,7 +40,12 @@ func TestObsSmoke(t *testing.T) {
 		"# TYPE tileserver_tile_disk_accesses histogram",
 		"tileserver_tile_disk_accesses_count 3",
 		"tileserver_cameras_active 1",
+		"tileserver_camera_evictions_total 0",
 		"tileserver_cache_entries",
+		"tileserver_cache_queries 2", // the nocache tile bypasses the cache
+		"tileserver_cache_hits",
+		"tileserver_cache_materialize_disk_accesses",
+		"# TYPE tileserver_store_disk_accesses gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -86,79 +88,45 @@ func TestObsSmoke(t *testing.T) {
 		}
 	}
 
-	resp, body = Fetch(t, ts.URL, "/debug/vars")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/vars: status %d", resp.StatusCode)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	if _, ok := vars["tileserver"]; !ok {
-		t.Error("/debug/vars missing published \"tileserver\" registry")
-	}
-
 	if resp, _ := Fetch(t, ts.URL, "/debug/pprof/"); resp.StatusCode != http.StatusOK {
 		t.Errorf("/debug/pprof/: status %d", resp.StatusCode)
 	}
 }
 
-// TestStatsEncodingDeterministic is the regression for the JSON
-// determinism audit: for a fixed server state, two back-to-back
-// encodings of the /stats and /cachestats payloads must be
-// byte-identical — no map-iteration order, no unsorted slices.
-// /stats is pinned to one timestamp because IdleSeconds is (second
-// granularity) time-dependent; everything else must not depend on when
-// it is encoded.
-func TestStatsEncodingDeterministic(t *testing.T) {
-	s, ts := StartTestHarness(t)
-
-	now := time.Now()
-	a, err := json.Marshal(s.StatsSnapshot(now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(s.StatsSnapshot(now))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestMetricsEncodingDeterministic is the regression for the encoding
+// determinism audit, on the one stats surface left: for a fixed server
+// state two back-to-back /metrics pages must be byte-identical — no
+// map-iteration order, no unsorted series, nothing that depends on when
+// the page is rendered.
+func TestMetricsEncodingDeterministic(t *testing.T) {
+	_, ts := StartTestHarness(t)
+	_, a := Fetch(t, ts.URL, "/metrics")
+	_, b := Fetch(t, ts.URL, "/metrics")
 	if !bytes.Equal(a, b) {
-		t.Errorf("/stats payload not deterministic:\n%s\n%s", a, b)
-	}
-
-	// /cachestats has no time-dependent fields at all, so the HTTP
-	// responses themselves must match byte for byte.
-	_, c1 := Fetch(t, ts.URL, "/cachestats")
-	_, c2 := Fetch(t, ts.URL, "/cachestats")
-	if !bytes.Equal(c1, c2) {
-		t.Errorf("/cachestats response not deterministic:\n%s\n%s", c1, c2)
+		t.Errorf("/metrics not deterministic:\n%s\n%s", a, b)
 	}
 }
 
 // TestIntrospectionOptOut checks that introspect=false leaves only the
-// serving endpoints mounted.
+// serving endpoints mounted, and that the retired stats surfaces are
+// mounted in neither mode.
 func TestIntrospectionOptOut(t *testing.T) {
 	s := NewTestServer(t, 33, 0)
 	ts := httptest.NewServer(s.Handler(false))
 	defer ts.Close()
-	for _, path := range []string{"/metrics", "/slowlog", "/debug/vars", "/debug/pprof/"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
+	for _, path := range []string{"/metrics", "/slowlog", "/debug/pprof/", "/stats", "/cachestats", "/debug/vars"} {
+		if resp, _ := Fetch(t, ts.URL, path); resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s with introspection off: status %d, want 404", path, resp.StatusCode)
 		}
 	}
-	if resp, err := http.Get(ts.URL + "/stats"); err != nil {
-		t.Fatal(err)
-	} else {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET /stats: status %d", resp.StatusCode)
+	if resp, _ := Fetch(t, ts.URL, "/gridinfo"); resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /gridinfo: status %d", resp.StatusCode)
+	}
+	on := httptest.NewServer(s.Handler(true))
+	defer on.Close()
+	for _, path := range []string{"/stats", "/cachestats", "/debug/vars"} {
+		if resp, _ := Fetch(t, on.URL, path); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s with introspection on: status %d, want 404", path, resp.StatusCode)
 		}
 	}
 }
@@ -434,69 +402,11 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Errorf("%d requests still tracked in-flight after drain", s.inflight.Load())
 	}
 
-	if _, err := http.Get(base + "/stats"); err == nil {
+	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("server still accepting connections after Shutdown")
 	}
 	// Idempotent and safe without a live listener.
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Errorf("second Shutdown: %v", err)
-	}
-}
-
-// TestFailedFrameAccountsDiskAccesses: a /frame that dies on a read fault
-// answers 500, but the pages it read before failing are real work: they
-// must reach the camera's /stats total and the frame-DA histogram, which
-// FrameStats.DA (exact also on the error path) makes possible.
-func TestFailedFrameAccountsDiskAccesses(t *testing.T) {
-	terrain, err := dmesh.Build(dmesh.Config{Dataset: "highland", Size: 33, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fbs []*faultfs.Backend // heap, overflow, r*-tree, id index
-	store, err := terrain.NewDMStoreWithPools(dmesh.StorePools{
-		WrapBackend: func(b pager.Backend) pager.Backend {
-			fb := faultfs.Wrap(b)
-			fbs = append(fbs, fb)
-			return fb
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Terrain: terrain, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler(false))
-	defer ts.Close()
-	if err := store.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-
-	const frame = "/frame?session=cam&near=0.75&far=0.99&x0=0.2&x1=0.7"
-	if resp, _ := Fetch(t, ts.URL, frame+"&y0=0.0&y1=0.4"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("clean frame: status %d", resp.StatusCode)
-	}
-	before := s.StatsSnapshot(time.Now()).TotalFrameDA
-	if before == 0 {
-		t.Fatal("cold first frame read nothing")
-	}
-
-	// The delta frame's index descent succeeds; its first data page fails.
-	if err := store.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	fbs[0].SetSchedule(faultfs.Read, faultfs.Schedule{Every: 1})
-	if resp, _ := Fetch(t, ts.URL, frame+"&y0=0.1&y1=0.5"); resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("faulted frame: status %d, want 500", resp.StatusCode)
-	}
-	st := s.StatsSnapshot(time.Now())
-	if st.TotalFrameDA <= before {
-		t.Errorf("failed frame's disk accesses dropped: total %d, was %d", st.TotalFrameDA, before)
-	}
-	if st.TotalFrames != 1 {
-		t.Errorf("TotalFrames = %d, want 1 (a failed frame is not a served frame)", st.TotalFrames)
-	}
-	if n := s.hFrameDA.Snapshot().Count; n != 2 {
-		t.Errorf("frame-DA histogram holds %d observations, want 2", n)
 	}
 }

@@ -91,8 +91,8 @@ func TestStreamEndpoint(t *testing.T) {
 		t.Fatal("streamed mesh differs from the direct query answer")
 	}
 
-	if served, _ := s.StreamTotals(); served != 1 {
-		t.Errorf("StreamTotals served = %d, want 1", served)
+	if served := s.Registry().Counter("tileserver_stream_requests_total", "").Value(); served != 1 {
+		t.Errorf("tileserver_stream_requests_total = %d, want 1", served)
 	}
 }
 
@@ -204,8 +204,6 @@ func TestContentLengthDeclared(t *testing.T) {
 		fmt.Sprintf("/patch?level=%d&ix=%d&iy=%d&band=%d", k.Level, k.IX, k.IY, k.Band),
 		"/tile?x0=0.2&y0=0.2&x1=0.6&y1=0.6&lod=0.9",
 		"/frame?session=cl&x0=0.2&y0=0.0&x1=0.7&y1=0.4&near=0.75&far=0.99",
-		"/stats",
-		"/cachestats",
 		"/hottiles?n=5",
 		"/gridinfo",
 		"/slowlog?n=5",

@@ -181,11 +181,11 @@ func (c *Cache) QueryTraced(r geom.Rect, e float64, tr *obs.Trace) (*dm.Result, 
 	patches := make([]*dm.TilePatch, len(keys))
 	for i, k := range keys { // sorted cover order: deterministic I/O order
 		p, _, st, err := c.tile(k, tr)
+		qs.DA += st.DA // before the error check: a failed materialization still read pages
 		if err != nil {
 			return nil, qs, fmt.Errorf("tilecache: tile %+v: %w", k, err)
 		}
 		patches[i] = p
-		qs.DA += st.DA
 		if st.Cold {
 			qs.ColdMisses++
 		}
@@ -366,7 +366,9 @@ func (c *Cache) Patch(k Key) (*dm.TilePatch, PatchStats, error) {
 // It emits phase spans on tr (which may be nil): a root PhaseQuery span
 // over the lookup, with the same cache-lookup / materialize children
 // QueryTraced records. Like QueryTraced the trace must be charge-based
-// (nil sampler); its accounted total equals PatchStats.DA exactly.
+// (nil sampler); its accounted total equals PatchStats.DA exactly — also
+// when the materialization fails, so the caller can account the pages a
+// failed lookup read.
 func (c *Cache) patch(k Key, tr *obs.Trace) (*dm.TilePatch, []byte, PatchStats, error) {
 	if !c.grid.ValidKey(k) {
 		return nil, nil, PatchStats{}, fmt.Errorf("tilecache: key %v outside grid (max level %d, %d ladder rungs): %w",
@@ -376,7 +378,7 @@ func (c *Cache) patch(k Key, tr *obs.Trace) (*dm.TilePatch, []byte, PatchStats, 
 	defer tr.End()
 	p, wire, st, err := c.tile(k, tr)
 	if err != nil {
-		return nil, nil, PatchStats{}, fmt.Errorf("tilecache: tile %+v: %w", k, err)
+		return nil, nil, st, fmt.Errorf("tilecache: tile %+v: %w", k, err)
 	}
 	return p, wire, st, nil
 }
