@@ -79,17 +79,20 @@ benchsmoke:
 
 # Repository-benchmark smoke: the harness under bench/ (the program
 # BENCHMARK.json names) must still compile against the library's public
-# surface, pass its own tests, and complete one-second hot_patch,
-# churn_tile, flyover_frame and cold_direct runs with every answer
-# verified and every separation guard ok — so a change that breaks any of
-# those fails here rather than in the benchmark driver. churn_tile is the
-# one workload where materialize, evict and stitch run together, and its
-# hit-ratio guard is what notices TilePatch.Bytes() moving; flyover_frame
-# is the one that drives coherent sessions, and its full_frac guard is
-# what notices the delta-versus-full decision moving; cold_direct is the
-# only one that drives MultiBase, the file-backed fetch path and the
-# lifted assembler cold, and its da_per_op_gt_20 guard is what notices a
-# query that stopped reading the store. Not part of `make verify`; CI runs
+# surface, pass its own tests, and complete a one-second run of each of
+# the five workloads with every answer verified and every separation
+# guard ok — so a change that breaks any of those fails here rather than
+# in the benchmark driver. churn_tile is the one workload where
+# materialize, evict and stitch run together, and its hit-ratio guard is
+# what notices TilePatch.Bytes() or the eviction order moving;
+# flyover_frame is the one that drives coherent sessions, and its
+# full_frac guard is what notices the delta-versus-full decision moving;
+# cold_direct is the only one that drives MultiBase, the file-backed fetch
+# path and the lifted assembler cold, and its da_per_op_gt_20 guard is
+# what notices a query that stopped reading the store; progressive_stream
+# is the only one that drives Router.Stream and the DMPS codec, and its
+# first_mesh_lt_half_op guard is what notices a first batch that stopped
+# arriving well before the exact mesh. Not part of `make verify`; CI runs
 # it after benchsmoke. Output lands under results/, which is git-ignored.
 benchrepo:
 	$(GO) vet ./bench
@@ -98,6 +101,7 @@ benchrepo:
 	$(GO) run ./bench -workload churn_tile -seed 1 -seconds 1 -out results/bench-smoke
 	$(GO) run ./bench -workload flyover_frame -seed 1 -seconds 1 -out results/bench-smoke
 	$(GO) run ./bench -workload cold_direct -seed 1 -seconds 1 -out results/bench-smoke
+	$(GO) run ./bench -workload progressive_stream -seed 1 -seconds 1 -out results/bench-smoke
 
 # Full-scale figure reproduction (several minutes); output under results/.
 figures:

@@ -282,7 +282,8 @@ func BenchmarkAblationWarmCache(b *testing.B) {
 
 // BenchmarkAblationPoolSize varies the buffer-pool size: once the pool is
 // smaller than a query's working set, pages are re-read within a single
-// query and the disk-access count rises above the cold minimum.
+// query and the disk-access count rises above the cold minimum. Like the
+// other ablations it runs on the figures' fixed-record layout, by name.
 func BenchmarkAblationPoolSize(b *testing.B) {
 	bb := bundle(b, "highland")
 	e := bb.Terrain.LODPercentile(0.8)
@@ -291,6 +292,7 @@ func BenchmarkAblationPoolSize(b *testing.B) {
 		b.Run(fmt.Sprintf("pool%d", pool), func(b *testing.B) {
 			store, err := bb.Terrain.NewDMStoreWithPools(dmesh.StorePools{
 				Data: pool, Index: pool, IDIndex: pool, Overflow: pool,
+				Layout: dmesh.LayoutSTR,
 			})
 			if err != nil {
 				b.Fatal(err)

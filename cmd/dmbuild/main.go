@@ -6,7 +6,7 @@
 // Usage:
 //
 //	dmbuild -out ./stores/highland [-dataset highland|crater] [-size N] [-seed S]
-//	        [-layout str|hilbert|rowmajor|connect|packed]
+//	        [-layout packed|str|hilbert|rowmajor|connect]
 package main
 
 import (
@@ -27,7 +27,7 @@ func main() {
 		demPath = flag.String("dem", "", "build from an ESRI ASCII grid DEM file instead of generating")
 		xyzPath = flag.String("xyz", "", "build from an XYZ survey-point file (Delaunay-triangulated)")
 		mtmPath = flag.String("mtm", "", "also save the collapse sequence in compact MTM format to this path")
-		layoutF = flag.String("layout", "str", "physical record layout: str, hilbert, rowmajor, connect, or packed")
+		layoutF = flag.String("layout", "packed", "physical record layout: packed, str, hilbert, rowmajor, or connect")
 	)
 	flag.Parse()
 	if *out == "" {

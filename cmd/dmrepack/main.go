@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	dmrepack -src ./stores/highland -out ./stores/highland-connect [-layout connect]
+//	dmrepack -src ./stores/highland-str -out ./stores/highland [-layout packed]
 package main
 
 import (
@@ -24,7 +24,7 @@ func main() {
 	var (
 		src     = flag.String("src", "", "source store directory (required)")
 		out     = flag.String("out", "", "output directory for the repacked store (required)")
-		layoutF = flag.String("layout", "connect", "target layout: str, hilbert, rowmajor, connect, or packed")
+		layoutF = flag.String("layout", "packed", "target layout: packed, str, hilbert, rowmajor, or connect")
 	)
 	flag.Parse()
 	if *src == "" || *out == "" {

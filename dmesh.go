@@ -296,20 +296,21 @@ type StorePools = dm.StorePools
 // Layout selects the physical order of Direct Mesh records on disk.
 type Layout = dm.Layout
 
-// Physical record layouts (see dm.Layout). LayoutConnect is the
-// connectivity-clustered layout that co-locates connection-list
-// neighbors and their overflow chains; LayoutPacked adds the compressed
-// delta-varint record encoding on the same placement.
+// Physical record layouts (see dm.Layout). LayoutPacked — compressed
+// delta-varint records in the R*-tree's leaf order — is the zero value and
+// what every store is built in unless a layout is named; LayoutSTR is the
+// same clustering on fixed-size records, the design the paper's figures
+// are measured on; the other three are clustering ablations.
 const (
+	LayoutPacked   = dm.LayoutPacked
 	LayoutSTR      = dm.LayoutSTR
 	LayoutHilbert  = dm.LayoutHilbert
 	LayoutRowMajor = dm.LayoutRowMajor
 	LayoutConnect  = dm.LayoutConnect
-	LayoutPacked   = dm.LayoutPacked
 )
 
-// ParseLayout parses a layout flag value ("str", "hilbert", "rowmajor",
-// "connect", "packed").
+// ParseLayout parses a layout flag value ("packed", "str", "hilbert",
+// "rowmajor", "connect").
 func ParseLayout(name string) (Layout, error) { return dm.ParseLayout(name) }
 
 // RepackDMStore rewrites an open store into dir under the layout (and
@@ -319,8 +320,9 @@ func RepackDMStore(src *DMStore, pools StorePools, dir string) (*DMStore, error)
 	return dm.Repack(src, pools, dir)
 }
 
-// NewDMStore lays the Direct Mesh out on paged storage: records in Hilbert
-// order, a 3D R*-tree over vertical segments, a B+-tree by ID.
+// NewDMStore lays the Direct Mesh out on paged storage: packed records
+// clustered on a 3D R*-tree over vertical segments (its STR leaf order),
+// and a B+-tree by ID.
 func (t *Terrain) NewDMStore() (*DMStore, error) {
 	return dm.BuildStore(t.Dataset, dm.StorePools{})
 }

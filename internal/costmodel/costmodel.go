@@ -90,6 +90,10 @@ func (m *Model) SetDataFactor(f float64) {
 	m.dataFactor = f
 }
 
+// DataFactor returns the data pages charged per visited leaf (see
+// SetDataFactor).
+func (m *Model) DataFactor() float64 { return m.dataFactor }
+
 // SetSharedPool selects the shared-buffer-pool variant of the split test
 // (see the sharedPool field). Off by default: the paper's formula (7).
 func (m *Model) SetSharedPool(on bool) { m.sharedPool = on }

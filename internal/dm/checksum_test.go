@@ -114,12 +114,12 @@ func TestChecksummedStoreReopenAndVerify(t *testing.T) {
 	}
 }
 
-// Version-1 stores (written before the checksum layer existed) must stay
-// readable.
+// Version-1 stores (written before the checksum layer existed, the layout
+// an integer in the numbering that had LayoutSTR as 0) must stay readable.
 func TestOpenStoreAcceptsVersion1Meta(t *testing.T) {
 	ds, _ := buildDataset(t, 5, "highland")
 	dir := filepath.Join(t.TempDir(), "store")
-	s, err := BuildStoreAt(ds, StorePools{}, dir)
+	s, err := BuildStoreAt(ds, StorePools{Layout: LayoutSTR}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,11 @@ func TestOpenStoreAcceptsVersion1Meta(t *testing.T) {
 	if err := json.Unmarshal(raw, &meta); err != nil {
 		t.Fatal(err)
 	}
+	if meta["layout"] != "str" {
+		t.Fatalf("meta layout = %v, want the name \"str\"", meta["layout"])
+	}
 	meta["version"] = 1
+	meta["layout"] = 0
 	delete(meta, "checksums")
 	raw, err = json.Marshal(meta)
 	if err != nil {
@@ -150,8 +154,29 @@ func TestOpenStoreAcceptsVersion1Meta(t *testing.T) {
 		t.Fatalf("OpenStore on version-1 meta: %v", err)
 	}
 	defer s2.Close()
+	if s2.Layout() != LayoutSTR {
+		t.Fatalf("version-1 layout 0 opened as %v, want str", s2.Layout())
+	}
 	if _, err := s2.FetchByID(0); err != nil {
 		t.Fatal(err)
+	}
+
+	// A name is not a version-1 layout, and an integer is not a current one.
+	meta["layout"] = "str"
+	raw, _ = json.Marshal(meta)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(dir, StorePools{}); err == nil {
+		t.Fatal("OpenStore accepted a layout name in a version-1 meta")
+	}
+	meta["version"], meta["layout"] = metaVersion, 0
+	raw, _ = json.Marshal(meta)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(dir, StorePools{}); err == nil {
+		t.Fatal("OpenStore accepted an integer layout in a current meta")
 	}
 
 	// Future versions are rejected.

@@ -15,18 +15,13 @@ import (
 // enough for spatial clustering to still matter within it.
 const connectBands = 16
 
-// varSizer returns the realized on-disk lengths of one node's records
-// under a variable layout: the overflow-record lengths in write (tail-
-// first) order appended to ov, and the owner record's length. The greedy
-// page fill consults it so its page-roll simulation tracks the actual
-// encoded sizes — essential for the packed encoding, whose record
-// length depends on the node's field values, not just its list length.
-type varSizer func(n *Node, ov []int) (ovLens []int, recLen int)
-
-// connectSizer sizes the plain variable encoding: exact-length records
-// of 8-byte IDs, raw overflow chunks beyond the page-bounded inline
-// capacity.
-func connectSizer(n *Node, ov []int) ([]int, int) {
+// connectSizer returns the realized on-disk lengths of one node's records
+// under LayoutConnect: the overflow-record lengths in write (tail-first)
+// order appended to ov, and the owner record's length — exact-length
+// records of 8-byte IDs, raw overflow chunks beyond the page-bounded
+// inline capacity. The greedy page fill consults it so its page-roll
+// simulation tracks the actual encoded sizes.
+func connectSizer(n *Node, ov []int) (ovLens []int, recLen int) {
 	ov = ov[:0]
 	inline := connectInline(len(n.Conn))
 	if rest := len(n.Conn) - inline; rest > 0 {
@@ -41,34 +36,15 @@ func connectSizer(n *Node, ov []int) ([]int, int) {
 	return ov, connectRecordLen(inline)
 }
 
-// packedSizer sizes the compressed encoding: the realized varint record
-// length, with raw overflow chunks only for the rare list whose deltas
-// overrun a page.
-func packedSizer(n *Node, ov []int) ([]int, int) {
-	ov = ov[:0]
-	inline := packedSplit(n)
-	if rest := len(n.Conn) - inline; rest > 0 {
-		for start := ((rest - 1) / connectOverflowFanout) * connectOverflowFanout; start >= 0; start -= connectOverflowFanout {
-			end := start + connectOverflowFanout
-			if end > rest {
-				end = rest
-			}
-			ov = append(ov, 10+(end-start)*8)
-		}
-	}
-	return ov, packedRecordLen(n, inline, inline < len(n.Conn))
-}
-
 // connectOrder computes the physical record order of the connectivity-
-// clustered layouts (LayoutConnect, LayoutPacked): Hilbert order within
-// LOD bands (coarse bands first, matching query planes that always
-// include the coarse levels), refined by a greedy page-fill that pulls a
-// node's connection-list neighbors onto its page while they fit
+// clustered layout (LayoutConnect): Hilbert order within LOD bands
+// (coarse bands first, matching query planes that always include the
+// coarse levels), refined by a greedy page-fill that pulls a node's
+// connection-list neighbors onto its page while they fit
 // (Dillabaugh-style graph blocking: path-traversal neighbors share
-// pages). Record sizes come from sizer, so the page-roll simulation is
-// exact for either encoding. All tie-breaks are total orders on node ID,
-// so the order — and therefore the on-disk layout — is deterministic.
-func connectOrder(nodes []Node, sizer varSizer) []int64 {
+// pages). All tie-breaks are total orders on node ID, so the order — and
+// therefore the on-disk layout — is deterministic.
+func connectOrder(nodes []Node) []int64 {
 	n := len(nodes)
 	if n == 0 {
 		return nil
@@ -121,7 +97,7 @@ func connectOrder(nodes []Node, sizer varSizer) []int64 {
 		placed[id] = true
 		order = append(order, id)
 		var recLen int
-		ovScratch, recLen = sizer(&nodes[id], ovScratch)
+		ovScratch, recLen = connectSizer(&nodes[id], ovScratch)
 		for _, l := range ovScratch {
 			if sim.Add(l) {
 				newPage = true

@@ -102,8 +102,7 @@ func packedFlags(n *Node, overflow bool) (flags uint16, dy [5]int64) {
 
 // packedRecordLen returns the encoded byte length of n's record with the
 // given inline connection prefix, without materializing it. It mirrors
-// EncodePackedRecord exactly; the page-fill simulation of the packing
-// pass and the spill split both rely on that.
+// EncodePackedRecord exactly; the spill split relies on that.
 func packedRecordLen(n *Node, inline int, overflow bool) int {
 	flags, dy := packedFlags(n, overflow)
 	size := wire.UvarintLen(uint64(n.ID)) + 2

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/rtree"
@@ -27,7 +28,9 @@ type storeMeta struct {
 	Version int      `json:"version"`
 	MaxE    float64  `json:"max_e"`
 	Space   geom.Box `json:"space"`
-	Layout  Layout   `json:"layout"`
+	// Layout is the layout's name (Layout.String) from version 5 on, and
+	// an integer in legacyLayouts' numbering before; see layout.
+	Layout json.RawMessage `json:"layout"`
 	// Checksums records whether the page files carry the interleaved
 	// CRC-32C layout of pager.Checksummed (meta version 2+); reading a
 	// checksummed store without the wrapper would misinterpret the page
@@ -35,11 +38,33 @@ type storeMeta struct {
 	Checksums bool `json:"checksums,omitempty"`
 }
 
-// metaVersion is the current on-disk format. Version 4 adds the
-// compressed packed-record encoding of LayoutPacked; version 3 added the
-// variable-record heap encoding of LayoutConnect; versions 1 (no
-// checksum support) and 2 (fixed layouts only) remain readable.
-const metaVersion = 4
+// metaVersion is the current on-disk format. Version 5 records the
+// layout by name, so the Layout constants can be renumbered without
+// touching stores on disk; version 4 added the compressed packed-record
+// encoding of LayoutPacked; version 3 added the variable-record heap
+// encoding of LayoutConnect; versions 1 (no checksum support) and 2
+// (fixed layouts only) remain readable.
+const metaVersion = 5
+
+// legacyLayouts is the numbering meta versions 1-4 wrote the layout in
+// (LayoutSTR was the zero value then).
+var legacyLayouts = [...]Layout{LayoutSTR, LayoutHilbert, LayoutRowMajor, LayoutConnect, LayoutPacked}
+
+// layout decodes the sidecar's layout field per its version.
+func (m *storeMeta) layout() (Layout, error) {
+	if m.Version >= 5 {
+		var name string
+		if err := json.Unmarshal(m.Layout, &name); err != nil {
+			return 0, fmt.Errorf("dm: store version %d layout %s: want a layout name", m.Version, m.Layout)
+		}
+		return ParseLayout(name)
+	}
+	var i int
+	if err := json.Unmarshal(m.Layout, &i); err != nil || i < 0 || i >= len(legacyLayouts) {
+		return 0, fmt.Errorf("dm: store version %d layout %s: want an integer in [0, %d)", m.Version, m.Layout, len(legacyLayouts))
+	}
+	return legacyLayouts[i], nil
+}
 
 // BuildStoreAt builds the Direct Mesh store in dir as regular files, so it
 // can be reopened later with OpenStore. The directory is created if
@@ -70,7 +95,8 @@ func buildNodesAt(nodes []Node, maxE float64, pools StorePools, dir string) (*St
 		return nil, err
 	}
 	meta := storeMeta{Version: metaVersion, MaxE: s.maxE, Space: s.space,
-		Layout: pools.Layout, Checksums: pools.Checksums}
+		Layout:    json.RawMessage(strconv.Quote(pools.Layout.String())),
+		Checksums: pools.Checksums}
 	raw, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("dm: %w", err)
@@ -98,10 +124,14 @@ func OpenStore(dir string, pools StorePools) (*Store, error) {
 	if meta.Version < 1 || meta.Version > metaVersion {
 		return nil, fmt.Errorf("dm: store version %d, want 1..%d", meta.Version, metaVersion)
 	}
-	if meta.Layout == LayoutConnect && meta.Version < 3 {
+	layout, err := meta.layout()
+	if err != nil {
+		return nil, fmt.Errorf("dm: open store: %w", err)
+	}
+	if layout == LayoutConnect && meta.Version < 3 {
 		return nil, fmt.Errorf("dm: connect layout requires store version 3, got %d", meta.Version)
 	}
-	if meta.Layout == LayoutPacked && meta.Version < 4 {
+	if layout == LayoutPacked && meta.Version < 4 {
 		return nil, fmt.Errorf("dm: packed layout requires store version 4, got %d", meta.Version)
 	}
 	// The on-disk layout dictates the checksum setting; the caller's pools
@@ -134,11 +164,11 @@ func OpenStore(dir string, pools StorePools) (*Store, error) {
 		overP:  pools.newPager(backends[1], pools.Overflow),
 		rtP:    pools.newPager(backends[2], pools.Index),
 		idxP:   pools.newPager(backends[3], pools.IDIndex),
-		layout: meta.Layout,
+		layout: layout,
 		maxE:   meta.MaxE,
 		space:  meta.Space,
 	}
-	if meta.Layout.variableRecords() {
+	if layout.variableRecords() {
 		if s.vheap, err = heapfile.OpenVar(s.heapP); err != nil {
 			return nil, fmt.Errorf("dm: open heap: %w", err)
 		}

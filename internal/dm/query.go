@@ -11,7 +11,7 @@ import (
 )
 
 // fetcher runs the range queries of one Direct Mesh query, reusing the
-// RID list and record/overflow buffers across boxes and appending the
+// RID list and the record reader across boxes and appending the
 // decoded records to one slab in arrival order. fetched turns the slab
 // into the record set — a []Node ascending by ID, each ID once — the only
 // form fetched records take: queries assemble it, coherent sessions
@@ -19,7 +19,7 @@ import (
 type fetcher struct {
 	s    *Store
 	rids []heapfile.RID
-	bufs recBufs
+	rd   recReader
 	recs []Node
 	// tr carries the owning view's tracer (nil when tracing is off).
 	tr *obs.Trace
@@ -27,9 +27,9 @@ type fetcher struct {
 
 func (s *Store) newFetcher() *fetcher {
 	return &fetcher{
-		s:    s,
-		bufs: newRecBufs(),
-		tr:   s.tr,
+		s:  s,
+		rd: s.newRecReader(),
+		tr: s.tr,
 	}
 }
 
@@ -82,9 +82,13 @@ func (f *fetcher) fetched() []Node {
 
 // fetchBoxes retrieves every node whose vertical segment intersects one
 // of boxes: per box one R*-tree range query plus the data-page reads for
-// the matching records. It returns the number of records read (duplicates
-// across boxes are real I/O and count).
+// the matching records, read in the index's own order — on a store
+// clustered on the index, leaf after leaf of RIDs that share data pages,
+// which the reader's cursor turns into one pin a page. It returns the
+// number of records read (duplicates across boxes are real I/O and
+// count).
 func (f *fetcher) fetchBoxes(boxes []geom.Box) (int, error) {
+	defer f.rd.release()
 	fetched := 0
 	for _, box := range boxes {
 		f.rids = f.rids[:0]
@@ -100,7 +104,7 @@ func (f *fetcher) fetchBoxes(boxes []geom.Box) (int, error) {
 		f.recs = slices.Grow(f.recs, len(f.rids))
 		f.tr.Begin(obs.PhaseFetch)
 		for _, rid := range f.rids {
-			n, err := f.s.fetchRecord(rid, &f.bufs, f.tr)
+			n, err := f.s.fetchRecord(rid, &f.rd, f.tr)
 			if err != nil {
 				f.tr.End()
 				return fetched, err

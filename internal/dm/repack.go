@@ -16,7 +16,8 @@ func loadNodes(src *Store) ([]Node, error) {
 	n := src.idx.Len()
 	nodes := make([]Node, n)
 	seen := int64(0)
-	bufs := newRecBufs()
+	rd := src.newRecReader()
+	defer rd.release()
 	var ferr error
 	err := src.idx.Range(math.MinInt64, math.MaxInt64, func(id, rid int64) bool {
 		if id < 0 || id >= n {
@@ -24,7 +25,7 @@ func loadNodes(src *Store) ([]Node, error) {
 			return false
 		}
 		var node Node
-		node, ferr = src.fetchRecord(heapfile.RID(rid), &bufs, nil)
+		node, ferr = src.fetchRecord(heapfile.RID(rid), &rd, nil)
 		if ferr != nil {
 			return false
 		}

@@ -18,13 +18,13 @@ import (
 // Store is the disk-resident Direct Mesh: node records in a heap file
 // clustered on the spatial index (Section 6: "terrain data is arranged on
 // the disk in such a way that their (x, y) clustering is preserved as much
-// as possible" — by default records follow the R*-tree's STR leaf order;
-// see Layout for alternatives), a 3D R*-tree over the nodes' vertical
-// segments in (x, y, e) space, a B+-tree from node ID to record, and an
-// overflow file for long connection lists.
+// as possible" — by default compressed records in the R*-tree's STR leaf
+// order; see Layout for alternatives), a 3D R*-tree over the nodes'
+// vertical segments in (x, y, e) space, a B+-tree from node ID to record,
+// and an overflow file for the fixed layouts' long connection lists.
 //
 // Exactly one of heap (fixed records; LayoutSTR/Hilbert/RowMajor) and
-// vheap (variable records; LayoutConnect/LayoutPacked) is non-nil, per
+// vheap (variable records; LayoutPacked/LayoutConnect) is non-nil, per
 // layout. Both live on heapP; the variable layouts keep their overflow
 // records in vheap too, co-located with their owners, so their
 // conn.overflow file stays empty.
@@ -63,11 +63,20 @@ func (s *Store) Trace() *obs.Trace { return s.tr }
 type Layout int
 
 const (
-	// LayoutSTR clusters the table on the R*-tree: records are laid out
-	// in the index's STR leaf order, so the records of one index leaf
-	// share data pages. This is the default and the standard physical
-	// design for an index-clustered table.
-	LayoutSTR Layout = iota
+	// LayoutPacked is the default and the serving layout: compressed
+	// variable-length records (zigzag-varint connection deltas, delta-coded
+	// topology references, a field-presence bitmap and a lossless dyadic
+	// fast path for floats; see packed.go) laid out in the R*-tree's STR
+	// leaf order, so the records of one index leaf share data pages — the
+	// table is clustered on the index. Records shrink to under a quarter
+	// of the fixed encoding, whole connection lists are inline (no
+	// overflow file), and decoding is bit-exact, so answers are unchanged.
+	LayoutPacked Layout = iota
+	// LayoutSTR is the same index clustering on fixed-size records with a
+	// separate overflow file for lists beyond ConnInline: the physical
+	// design the paper's figures are measured on (experiments.BuildBundle
+	// asks for it by name).
+	LayoutSTR
 	// LayoutHilbert orders records by the Hilbert curve over (x, y) only
 	// (pure spatial clustering, all LOD levels interleaved). Kept for the
 	// clustering ablation.
@@ -75,21 +84,13 @@ const (
 	// LayoutRowMajor orders records by node ID (creation order); the
 	// un-clustered baseline for the ablation.
 	LayoutRowMajor
-	// LayoutConnect is the connectivity-clustered layout: variable-length
-	// records (whole connection lists inline in the common case, overflow
-	// records co-located with their owners otherwise), packed by Hilbert
-	// order within LOD bands and refined so connection-list neighbors
-	// share pages. It exists to eliminate the overflow_walk disk accesses
-	// the fixed layouts pay, and the extra data pages connection-heavy
-	// queries touch.
+	// LayoutConnect is the connectivity-clustered layout: uncompressed
+	// variable-length records (whole connection lists inline in the common
+	// case, overflow records co-located with their owners otherwise),
+	// packed by Hilbert order within LOD bands and refined so
+	// connection-list neighbors share pages. Kept for the clustering
+	// ablation: its blocking is worse than the index's own leaf order.
 	LayoutConnect
-	// LayoutPacked is LayoutConnect's clustering on compressed records:
-	// zigzag-varint connection deltas, delta-coded topology references, a
-	// field-presence bitmap, and a lossless dyadic fast path for floats
-	// (see packed.go). Records shrink to roughly a third, so each data
-	// page holds 2-4x more nodes and every query kind reads fewer pages;
-	// decoding is bit-exact, so answers are unchanged.
-	LayoutPacked
 )
 
 // variableRecords reports whether the layout stores variable-length
@@ -119,17 +120,17 @@ func (l Layout) String() string {
 // ParseLayout parses a layout name as spelled by String — the form the
 // command-line tools accept.
 func ParseLayout(name string) (Layout, error) {
-	for _, l := range []Layout{LayoutSTR, LayoutHilbert, LayoutRowMajor, LayoutConnect, LayoutPacked} {
+	for _, l := range []Layout{LayoutPacked, LayoutSTR, LayoutHilbert, LayoutRowMajor, LayoutConnect} {
 		if name == l.String() {
 			return l, nil
 		}
 	}
-	return 0, fmt.Errorf("dm: unknown layout %q (want str, hilbert, rowmajor, connect, or packed)", name)
+	return 0, fmt.Errorf("dm: unknown layout %q (want packed, str, hilbert, rowmajor, or connect)", name)
 }
 
 // StorePools sizes the buffer pools (in pages) of the store's four files
 // and selects the record layout. The zero value selects defaults suitable
-// for tests and examples (STR layout, one buffer-pool shard).
+// for tests, examples and serving (LayoutPacked, one buffer-pool shard).
 //
 // Shards splits each buffer pool into that many independently locked
 // shards. The default of one shard reproduces a monolithic pool exactly —
@@ -268,7 +269,7 @@ func buildNodes(nodes []Node, maxE float64, pools StorePools, backends [4]pager.
 		order[i] = int64(i)
 	}
 	switch pools.Layout {
-	case LayoutSTR:
+	case LayoutPacked, LayoutSTR:
 		segs := make([]rtree.Item, len(order))
 		for i, id := range order {
 			segs[i] = rtree.Item{Box: segmentOf(&nodes[id].Node, maxE), Ref: id}
@@ -288,9 +289,7 @@ func buildNodes(nodes []Node, maxE float64, pools StorePools, backends [4]pager.
 	case LayoutRowMajor:
 		// IDs are already in creation order.
 	case LayoutConnect:
-		order = connectOrder(nodes, connectSizer)
-	case LayoutPacked:
-		order = connectOrder(nodes, packedSizer)
+		order = connectOrder(nodes)
 	default:
 		return nil, fmt.Errorf("dm: unknown layout %d", pools.Layout)
 	}
@@ -472,8 +471,11 @@ func (s *Store) RTree() *rtree.Tree { return s.rt }
 
 // CostModel builds the multi-base optimizer's cost model for this store:
 // formula (1) over the R*-tree's nodes, with leaf terms scaled by the
-// clustered data pages each visited leaf implies. Building it scans the
-// index once (a once-off cost, not charged to queries).
+// data pages each visited leaf implies — entries per leaf over realized
+// records per page, which is what a leaf's records span when the heap is
+// clustered on the index (the default layout and LayoutSTR; for the
+// ablation layouts it understates). Building it scans the index once (a
+// once-off cost, not charged to queries).
 func (s *Store) CostModel() (*costmodel.Model, error) {
 	m, err := costmodel.FromRTree(s.rt, s.space)
 	if err != nil {
@@ -566,34 +568,45 @@ func (s *Store) Breakdown() AccessBreakdown {
 	}
 }
 
-// recBufs carries the record and overflow read buffers one caller reuses
-// across fetches, plus the arena that batches the decoded nodes' Conn
-// allocations. Fixed layouts use the buffers at their fixed sizes; the
-// variable layouts' reads may grow them in place.
-type recBufs struct {
-	rec, over []byte
+// recReader is the state one caller reuses across record fetches: the
+// heap cursor variable records are decoded under (it keeps the current
+// data page pinned while consecutive RIDs stay on it), the copy-out
+// buffers fixed records are read into, and the arena that batches the
+// decoded nodes' Conn allocations. Whoever makes one releases it when the
+// run of fetches ends, on every path.
+type recReader struct {
+	cur       heapfile.VarCursor // variable layouts
+	rec, over []byte             // fixed layouts
 	arena     connArena
 }
 
-func newRecBufs() recBufs {
-	return recBufs{
+// newRecReader returns a reader over this view's heap, so a session's
+// reads are attributed to the session.
+func (s *Store) newRecReader() recReader {
+	if s.layout.variableRecords() {
+		return recReader{cur: s.vheap.Cursor()}
+	}
+	return recReader{
 		rec:  make([]byte, RecordSize),
 		over: make([]byte, OverflowRecordSize),
 	}
 }
+
+// release unpins the page the cursor holds, if any.
+func (rd *recReader) release() { rd.cur.Release() }
 
 // fetchRecord reads and fully decodes the record at rid, following the
 // overflow chain when the connection list spills. tr may be nil. Store IDs
 // are dense, and everything downstream relies on it (record sets sort on
 // 32-bit ID keys): a record whose ID is outside [0, NumNodes()) is
 // corruption no checksum-less store would otherwise notice.
-func (s *Store) fetchRecord(rid heapfile.RID, bufs *recBufs, tr *obs.Trace) (Node, error) {
+func (s *Store) fetchRecord(rid heapfile.RID, rd *recReader, tr *obs.Trace) (Node, error) {
 	var n Node
 	var err error
 	if s.layout.variableRecords() {
-		n, err = s.fetchVarRecord(rid, bufs, tr)
+		n, err = s.fetchVarRecord(rid, rd, tr)
 	} else {
-		n, err = s.fetchFixedRecord(rid, bufs, tr)
+		n, err = s.fetchFixedRecord(rid, rd, tr)
 	}
 	if err == nil && (n.ID < 0 || n.ID >= s.idx.Len()) {
 		return Node{}, fmt.Errorf("dm: record %d carries node ID %d, outside [0, %d): corrupt", rid, n.ID, s.idx.Len())
@@ -603,12 +616,12 @@ func (s *Store) fetchRecord(rid heapfile.RID, bufs *recBufs, tr *obs.Trace) (Nod
 
 // fetchFixedRecord is fetchRecord for the fixed layouts: a RecordSize
 // main record, lists beyond ConnInline chained through the overflow file.
-func (s *Store) fetchFixedRecord(rid heapfile.RID, bufs *recBufs, tr *obs.Trace) (Node, error) {
-	buf := bufs.rec[:RecordSize]
+func (s *Store) fetchFixedRecord(rid heapfile.RID, rd *recReader, tr *obs.Trace) (Node, error) {
+	buf := rd.rec[:RecordSize]
 	if err := s.heap.Read(rid, buf); err != nil {
 		return Node{}, err
 	}
-	n, total, overflowRef := decodeRecordHeader(buf, &bufs.arena)
+	n, total, overflowRef := decodeRecordHeader(buf, &rd.arena)
 	if overflowRef != noOverflow {
 		tr.Begin(obs.PhaseOverflow)
 	}
@@ -620,7 +633,7 @@ func (s *Store) fetchFixedRecord(rid heapfile.RID, bufs *recBufs, tr *obs.Trace)
 			tr.End()
 			return Node{}, fmt.Errorf("dm: node %d overflow chain longer than %d records (corrupt cycle)", n.ID, maxSteps)
 		}
-		obuf := bufs.over[:OverflowRecordSize]
+		obuf := rd.over[:OverflowRecordSize]
 		if err := s.over.Read(heapfile.RID(overflowRef), obuf); err != nil {
 			tr.End()
 			return Node{}, fmt.Errorf("dm: overflow chain: %w", err)
@@ -638,22 +651,24 @@ func (s *Store) fetchFixedRecord(rid heapfile.RID, bufs *recBufs, tr *obs.Trace)
 	return n, nil
 }
 
-// fetchVarRecord is fetchRecord for the variable layouts (connect and
-// packed): one variable record holds the whole list in the common case;
-// spilled chains live on the owner's own (or immediately preceding)
-// pages, so the overflow span below measures page reads the buffer pool
-// almost always absorbs.
-func (s *Store) fetchVarRecord(rid heapfile.RID, bufs *recBufs, tr *obs.Trace) (Node, error) {
-	rec, err := s.vheap.Read(rid, bufs.rec)
+// fetchVarRecord is fetchRecord for the variable layouts (packed and
+// connect), decoding straight from the page the cursor has pinned: one
+// variable record holds the whole list in the common case; spilled
+// chains live on the owner's own (or immediately preceding) pages and
+// are walked with the same cursor, so the overflow span below measures
+// page reads the buffer pool almost always absorbs. Every decoder copies
+// what it keeps, so nothing of the node aliases the page once the cursor
+// moves on.
+func (s *Store) fetchVarRecord(rid heapfile.RID, rd *recReader, tr *obs.Trace) (Node, error) {
+	rec, err := rd.cur.Record(rid)
 	if err != nil {
 		return Node{}, err
 	}
-	bufs.rec = rec
 	var n Node
 	var total int
 	var overflowRef int64
 	if s.layout == LayoutPacked {
-		n, total, overflowRef, err = DecodePackedRecord(rec, &bufs.arena)
+		n, total, overflowRef, err = DecodePackedRecord(rec, &rd.arena)
 		if err != nil {
 			return Node{}, err
 		}
@@ -661,7 +676,7 @@ func (s *Store) fetchVarRecord(rid heapfile.RID, bufs *recBufs, tr *obs.Trace) (
 		if err := checkConnectRecord(rec); err != nil {
 			return Node{}, err
 		}
-		n, total, overflowRef = decodeRecordHeader(rec, &bufs.arena)
+		n, total, overflowRef = decodeRecordHeader(rec, &rd.arena)
 	}
 	if overflowRef != noOverflow {
 		tr.Begin(obs.PhaseOverflow)
@@ -672,12 +687,11 @@ func (s *Store) fetchVarRecord(rid heapfile.RID, bufs *recBufs, tr *obs.Trace) (
 			tr.End()
 			return Node{}, fmt.Errorf("dm: node %d overflow chain longer than %d records (corrupt cycle)", n.ID, maxSteps)
 		}
-		ob, err := s.vheap.Read(heapfile.RID(overflowRef), bufs.over)
+		ob, err := rd.cur.Record(heapfile.RID(overflowRef))
 		if err != nil {
 			tr.End()
 			return Node{}, fmt.Errorf("dm: overflow chain: %w", err)
 		}
-		bufs.over = ob
 		if len(ob) < 10 {
 			tr.End()
 			return Node{}, fmt.Errorf("dm: node %d: malformed %d-byte overflow record", n.ID, len(ob))
@@ -704,9 +718,10 @@ func (s *Store) FetchByID(id int64) (Node, error) {
 	if err != nil {
 		return Node{}, fmt.Errorf("dm: node %d: %w", id, err)
 	}
-	bufs := newRecBufs()
+	rd := s.newRecReader()
+	defer rd.release()
 	s.tr.Begin(obs.PhaseFetch)
-	n, err := s.fetchRecord(heapfile.RID(rid), &bufs, s.tr)
+	n, err := s.fetchRecord(heapfile.RID(rid), &rd, s.tr)
 	s.tr.End()
 	return n, err
 }

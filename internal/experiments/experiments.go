@@ -35,7 +35,8 @@ type Bundle struct {
 }
 
 // BuildBundle generates a dataset and builds every store on it, with the
-// DM store on its default layout.
+// DM store on LayoutSTR — fixed-size records, the physical design the
+// paper figures are measured on; the library's own default is packed.
 func BuildBundle(name string, size int, seed int64) (*Bundle, error) {
 	return BuildBundleLayout(name, size, seed, dmesh.LayoutSTR)
 }

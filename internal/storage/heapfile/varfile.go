@@ -208,9 +208,13 @@ func (s *VarPageSim) Add(recLen int) (newPage bool) {
 }
 
 // slotEntry validates and returns the slot's record bounds. Corrupt
-// directories (offsets into the header, past the directory, or crossing
-// it) surface as errors rather than out-of-range panics.
+// directories (a slot count no page can hold, offsets into the header,
+// past the directory, or crossing it) surface as errors rather than
+// out-of-range panics.
 func slotEntry(d []byte, slot, count int) (off, length int, err error) {
+	if count > (pager.PageSize-varPageHeader)/varSlotSize {
+		return 0, 0, fmt.Errorf("heapfile: corrupt slot count %d", count)
+	}
 	dirOff := pager.PageSize - varSlotSize*(slot+1)
 	off = int(binary.LittleEndian.Uint16(d[dirOff:]))
 	length = int(binary.LittleEndian.Uint16(d[dirOff+2:]))
@@ -220,19 +224,45 @@ func slotEntry(d []byte, slot, count int) (off, length int, err error) {
 	return off, length, nil
 }
 
-// Read returns the record at rid, copied into dst if it has the capacity
-// (the returned slice is dst resized, or a fresh allocation).
-func (f *VarFile) Read(rid RID, dst []byte) ([]byte, error) {
+// VarCursor reads the records of one VarFile in place: it keeps the data
+// page of the last record pinned, so a run of RIDs that stay on one page
+// costs one Pager.Get however long it is, and hands out the record as a
+// window of the page itself rather than a copy. Moving to another page
+// unpins the old one first, so a cursor holds at most one pin and the
+// pool sees exactly the page sequence per-record reads would have shown
+// it with consecutive repeats collapsed — never more disk accesses.
+//
+// A cursor belongs to one goroutine. Get one from VarFile.Cursor (the
+// zero value holds nothing and can only be Released), and Release it when
+// the run ends — also after an error — or the pinned page blocks
+// Pager.DropCache.
+type VarCursor struct {
+	f  *VarFile
+	fr *pager.Frame // the pinned data page; nil between runs
+}
+
+// Cursor returns a cursor over f with nothing pinned. Use a session view
+// (WithSession) to have the cursor's page reads attributed.
+func (f *VarFile) Cursor() VarCursor { return VarCursor{f: f} }
+
+// Record returns the record at rid as a slice of the pinned page: valid
+// until the next Record or Release, and not to be modified. A corrupt
+// slot directory or an unreadable page is an error; the cursor stays
+// usable (and still needs its Release).
+func (c *VarCursor) Record(rid RID) ([]byte, error) {
 	page, slot := rid.split()
-	if page < 1 || page > f.last || slot < 0 {
+	if page < 1 || page > c.f.last || slot < 0 {
 		return nil, fmt.Errorf("%w: var rid %d", ErrNoRecord, rid)
 	}
-	fr, err := f.p.Get(page)
-	if err != nil {
-		return nil, err
+	if c.fr == nil || c.fr.ID() != page {
+		c.Release()
+		fr, err := c.f.p.Get(page)
+		if err != nil {
+			return nil, err
+		}
+		c.fr = fr
 	}
-	defer fr.Unpin()
-	d := fr.Data()
+	d := c.fr.Data()
 	count := int(binary.LittleEndian.Uint16(d[0:]))
 	if slot >= count {
 		return nil, fmt.Errorf("%w: var rid %d (page %d has %d slots)", ErrNoRecord, rid, page, count)
@@ -241,12 +271,16 @@ func (f *VarFile) Read(rid RID, dst []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cap(dst) < length {
-		dst = make([]byte, length)
+	return d[off : off+length : off+length], nil
+}
+
+// Release unpins the cursor's page, if it holds one. The cursor can be
+// used again afterwards.
+func (c *VarCursor) Release() {
+	if c.fr != nil {
+		c.fr.Unpin()
+		c.fr = nil
 	}
-	dst = dst[:length]
-	copy(dst, d[off:off+length])
-	return dst, nil
 }
 
 // Scan calls fn for every record in (page, slot) order, sharing one

@@ -19,6 +19,14 @@ func newVarFile(t *testing.T) (*VarFile, pager.Backend) {
 	return f, b
 }
 
+// readVar reads one record through a fresh cursor and copies it out.
+func readVar(f *VarFile, rid RID) ([]byte, error) {
+	c := f.Cursor()
+	defer c.Release()
+	rec, err := c.Record(rid)
+	return append([]byte(nil), rec...), err
+}
+
 // varRec builds a deterministic record of the given length tagged with i.
 func varRec(i, length int) []byte {
 	rec := make([]byte, length)
@@ -42,13 +50,11 @@ func TestVarFileRoundTrip(t *testing.T) {
 	if f.NumRecords() != int64(len(lengths)) {
 		t.Fatalf("NumRecords = %d, want %d", f.NumRecords(), len(lengths))
 	}
-	var buf []byte
 	for i, rid := range rids {
-		got, err := f.Read(rid, buf)
+		got, err := readVar(f, rid)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
-		buf = got
 		if !bytes.Equal(got, varRec(i, lengths[i])) {
 			t.Fatalf("record %d (len %d) mismatch", i, lengths[i])
 		}
@@ -113,7 +119,7 @@ func TestVarFileBadRID(t *testing.T) {
 	}
 	page, _ := rid.split()
 	for _, bad := range []RID{VarRID(page, 1), VarRID(page+1, 0), VarRID(0, 0), -1} {
-		if _, err := f.Read(bad, nil); err == nil {
+		if _, err := readVar(f, bad); err == nil {
 			t.Fatalf("rid %d must fail", bad)
 		}
 	}
@@ -146,7 +152,7 @@ func TestVarFileReopen(t *testing.T) {
 			g.NumRecords(), g.DataPages(), f.NumRecords(), f.DataPages())
 	}
 	for i, rid := range rids {
-		got, err := g.Read(rid, nil)
+		got, err := readVar(g, rid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +165,7 @@ func TestVarFileReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Read(rid, nil)
+	got, err := readVar(g, rid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +260,20 @@ func TestVarFileCorruptSlotDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Read(rid, nil); err == nil {
+	if _, err := readVar(g, rid); err == nil {
 		t.Fatal("corrupt slot directory must error, not panic")
+	}
+	// A slot count no page can hold must not index the directory either.
+	binary.LittleEndian.PutUint16(raw[0:], 0xffff)
+	if err := b.WritePage(page, raw); err != nil {
+		t.Fatal(err)
+	}
+	h, err := OpenVar(pager.New(b, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readVar(h, VarRID(page, 5000)); err == nil {
+		t.Fatal("corrupt slot count must error, not panic")
 	}
 	if err := g.Scan(func(RID, []byte) bool { return true }); err == nil {
 		t.Fatal("corrupt slot directory must fail the scan")
@@ -284,7 +302,7 @@ func TestVarFileSessionAttribution(t *testing.T) {
 	s := pager.NewSession()
 	view := f.WithSession(s)
 	for _, rid := range rids {
-		if _, err := view.Read(rid, nil); err != nil {
+		if _, err := readVar(view, rid); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -309,5 +327,89 @@ func TestVarRIDPacking(t *testing.T) {
 	}
 	if fmt.Sprint(VarRID(1, 0)) != "65536" {
 		t.Fatalf("unexpected RID encoding: %v", VarRID(1, 0))
+	}
+}
+
+// TestVarCursorHoldsOnePin: a cursor keeps the page of its last record
+// pinned — a second record on that page is no pager access at all — holds
+// at most that one pin however many pages it has walked (the smallest pool
+// suffices), and gives it back on Release, after which it can be reused.
+func TestVarCursorHoldsOnePin(t *testing.T) {
+	b := pager.NewMemBackend()
+	p := pager.New(b, 2) // the pager's minimum pool
+	f, err := CreateVar(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rids []RID
+	for i := 0; i < 200; i++ {
+		rid, err := f.Append(varRec(i, 300))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if err := p.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	p.ResetStats()
+	c := f.Cursor()
+	for i, rid := range rids {
+		rec, err := c.Record(rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec, varRec(i, 300)) {
+			t.Fatalf("record %d mismatch", i)
+		}
+	}
+	st := p.Stats()
+	if pages := uint64(f.DataPages()); st.Reads != pages || st.Hits != 0 {
+		t.Fatalf("a sorted run over %d pages cost %d reads and %d pool hits, want %d and 0", pages, st.Reads, st.Hits, pages)
+	}
+	if err := p.DropCache(); err == nil {
+		t.Fatal("DropCache succeeded under a live cursor: it holds no pin")
+	}
+	c.Release()
+	c.Release() // idempotent
+	if err := p.DropCache(); err != nil {
+		t.Fatalf("DropCache after Release: %v", err)
+	}
+	if st := p.Stats(); st.UnpinErrors != 0 {
+		t.Fatalf("%d unpin errors", st.UnpinErrors)
+	}
+	if rec, err := c.Record(rids[7]); err != nil || !bytes.Equal(rec, varRec(7, 300)) {
+		t.Fatalf("cursor reuse after Release: %v", err)
+	}
+	c.Release()
+}
+
+// TestVarCursorAllocsPerPage: a warm sorted run allocates per page
+// touched (the pager's frame handle and LRU element), not per record.
+func TestVarCursorAllocsPerPage(t *testing.T) {
+	f, _ := newVarFile(t)
+	var rids []RID
+	for i := 0; i < 1000; i++ {
+		rid, err := f.Append(varRec(i, 40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	pages := float64(f.DataPages())
+	if pages > 16 {
+		t.Fatalf("%v pages: the run must stay inside newVarFile's 16-frame pool to be warm", pages)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		c := f.Cursor()
+		for _, rid := range rids {
+			if _, err := c.Record(rid); err != nil {
+				panic(err)
+			}
+		}
+		c.Release()
+	})
+	if allocs > 2*pages {
+		t.Fatalf("1000 records on %v pages allocated %v objects, want <= 2 a page", pages, allocs)
 	}
 }

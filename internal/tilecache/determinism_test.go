@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"dmesh"
+	"dmesh/internal/geom"
 	"dmesh/internal/tilecache"
 )
 
@@ -48,14 +50,19 @@ func TestTileStatsAndDADeterministic(t *testing.T) {
 // byte count, the eviction count and the surviving key set. A cache that
 // is only ever asked for stitched answers — a node serving /tile, /frame
 // or /stream — holds no wire memo, so what it charges and what it evicts
-// is exactly what TilePatch.Bytes and the GDSF order dictate; the values
-// were recorded before PatchWire existed and must not move with it.
+// is exactly what TilePatch.Bytes and the GDSF order dictate; PatchWire
+// must not move the values. They were re-pinned once, for a policy change:
+// the GDSF cost term became TilePatch.FetchedRecords where it had been the
+// materialization's disk accesses (38488 bytes, 26 evictions, five keys
+// under that policy on a cold pool) — a different eviction order by
+// design, and one that no longer depends on the pool: see
+// TestEvictionIgnoresThePool.
 func TestQueryOnlyAccountingPinned(t *testing.T) {
 	const (
 		budget        = 40000
-		wantBytes     = 38488
-		wantEvictions = 26
-		wantKeys      = "0/0/0/1 0/0/0/6 2/3/0/7 2/3/1/7 2/3/3/1 "
+		wantBytes     = 36192
+		wantEvictions = 28
+		wantKeys      = "0/0/0/1 2/3/1/7 "
 	)
 	tr := terrain(t, "crater")
 	s := mustStore(t, tr)
@@ -89,5 +96,74 @@ func TestQueryOnlyAccountingPinned(t *testing.T) {
 	if st.Bytes != wantBytes || st.Evictions != wantEvictions || keys != wantKeys {
 		t.Errorf("accounting moved:\n got bytes %d evictions %d keys %q\nwant bytes %d evictions %d keys %q",
 			st.Bytes, st.Evictions, keys, wantBytes, wantEvictions, wantKeys)
+	}
+}
+
+// TestEvictionIgnoresThePool replays one seeded access history under a
+// budget of a few tiles against three stores of the same terrain — a cold
+// default pool, the same pool pre-warmed, and a four-page pool that keeps
+// evicting — and requires the same keys to be resident after every query,
+// the same eviction count and the same resident bytes. What a tile's
+// materialization paid in disk accesses differs across the three (and is
+// reported as such); what the cache keeps must not.
+func TestEvictionIgnoresThePool(t *testing.T) {
+	tr := terrain(t, "crater")
+	type outcome struct {
+		resident []string // resident keys after each query, in Key order
+		stats    tilecache.Stats
+	}
+	run := func(pools dmesh.StorePools, warm bool) outcome {
+		s, err := tr.NewDMStoreWithPools(pools)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		if warm {
+			if _, err := s.ViewpointIndependent(geom.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := tr.NewTileCache(s, 40000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out outcome
+		rng := rand.New(rand.NewSource(31))
+		for i, r := range randRects(rng, 25) {
+			e := tr.LODPercentile(0.6 + 0.4*rng.Float64())
+			if _, _, err := c.Query(r, e); err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+			keys := ""
+			for _, ts := range c.TileStats() {
+				keys += ts.Key.String() + " "
+			}
+			out.resident = append(out.resident, keys)
+		}
+		out.stats = c.Stats()
+		return out
+	}
+	cold := run(dmesh.StorePools{}, false)
+	if cold.stats.Evictions == 0 || cold.stats.MaterializeDA == 0 {
+		t.Fatalf("the history must evict and the cold pool must pay: %+v", cold.stats)
+	}
+	for name, got := range map[string]outcome{
+		"pre-warmed pool": run(dmesh.StorePools{}, true),
+		"four-page pool":  run(dmesh.StorePools{Data: 4, Overflow: 4, Index: 4, IDIndex: 4}, false),
+	} {
+		if got.stats.MaterializeDA == cold.stats.MaterializeDA {
+			t.Errorf("%s paid the cold pool's %d DA: the pools do not differ, the test proves nothing", name, cold.stats.MaterializeDA)
+		}
+		for i := range cold.resident {
+			if got.resident[i] != cold.resident[i] {
+				t.Fatalf("%s: resident after query %d = %q, cold pool %q", name, i, got.resident[i], cold.resident[i])
+			}
+		}
+		if got.stats.Evictions != cold.stats.Evictions || got.stats.Bytes != cold.stats.Bytes {
+			t.Errorf("%s: %d evictions, %d bytes; cold pool %d, %d", name,
+				got.stats.Evictions, got.stats.Bytes, cold.stats.Evictions, cold.stats.Bytes)
+		}
 	}
 }

@@ -76,8 +76,18 @@ type entry struct {
 	wire  []byte
 	bytes int // patch.Bytes() + len(wire)
 	hits  uint64
-	cost  uint64  // materialization disk accesses
+	da    uint64  // disk accesses the materialization cost: reported, never weighed
 	pri   float64 // GDSF priority; larger survives longer
+}
+
+// priority is the entry's GDSF priority at the current clock. The cost
+// term is the records the tile's range query read (TilePatch.
+// FetchedRecords): what rebuilding the tile takes, as a property of the
+// tile. The disk accesses its materialization happened to pay are not
+// that — they measure how warm the buffer pool was at the time, zero for
+// every tile once the heap fits the pool — so eviction never reads them.
+func (c *Cache) priority(ent *entry) float64 {
+	return c.clockL + float64(ent.hits+1)*float64(ent.patch.FetchedRecords+1)/float64(ent.bytes)
 }
 
 // flight is an in-progress materialization other lookups wait on.
@@ -213,7 +223,7 @@ func (c *Cache) tile(k Key, tr *obs.Trace) (p *dm.TilePatch, wire []byte, st Pat
 	c.stats.TileLookups++
 	if ent, ok := c.entries[k]; ok {
 		ent.hits++
-		ent.pri = c.clockL + float64(ent.hits+1)*float64(ent.cost+1)/float64(ent.bytes)
+		ent.pri = c.priority(ent)
 		c.stats.Hits++
 		p, wire = ent.patch, ent.wire
 		c.mu.Unlock()
@@ -252,18 +262,21 @@ func (c *Cache) tile(k Key, tr *obs.Trace) (p *dm.TilePatch, wire []byte, st Pat
 
 // insertLocked adds a materialized patch under the byte budget, evicting
 // lowest-priority entries first (GreedyDual-Size-Frequency: priority =
-// clock + hits * cost/size, clock inflated to each eviction victim's
-// priority so long-resident cold entries age out). Ties break on Key
-// total order, so eviction is deterministic given the access history.
-func (c *Cache) insertLocked(k Key, p *dm.TilePatch, cost uint64) {
+// clock + hits * cost/size with cost in fetched records — see priority —
+// and the clock inflated to each eviction victim's priority so
+// long-resident cold entries age out). Ties break on Key total order, and
+// every input is a function of the tiles and the lookups, so eviction is
+// deterministic given the access history, whatever the store's layout or
+// buffer pool. da is only recorded, for TileStats.
+func (c *Cache) insertLocked(k Key, p *dm.TilePatch, da uint64) {
 	bytes := p.Bytes()
 	if bytes > c.maxBytes {
 		c.stats.UnretainedOver++
 		return
 	}
 	c.makeRoomLocked(bytes)
-	ent := &entry{patch: p, bytes: bytes, cost: cost}
-	ent.pri = c.clockL + float64(ent.hits+1)*float64(ent.cost+1)/float64(ent.bytes)
+	ent := &entry{patch: p, bytes: bytes, da: da}
+	ent.pri = c.priority(ent)
 	c.entries[k] = ent
 	c.bytes += bytes
 }
@@ -331,7 +344,7 @@ func (c *Cache) TileStats() []TileStat {
 	out := make([]TileStat, 0, len(c.entries))
 	for k, ent := range c.entries {
 		out = append(out, TileStat{
-			Key: k, Hits: ent.hits, DA: ent.cost,
+			Key: k, Hits: ent.hits, DA: ent.da,
 			Bytes: ent.bytes, Nodes: ent.patch.NumNodes(),
 		})
 	}
