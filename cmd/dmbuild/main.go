@@ -1,7 +1,8 @@
 // Command dmbuild generates a synthetic terrain, simplifies it into a
 // Direct Mesh dataset, and writes the disk-resident store (heap file,
-// R*-tree, B+-tree, overflow file) into a directory that cmd/dmquery and
-// the examples can open.
+// R*-tree, B+-tree, overflow file, and the live-ID sets of the default
+// LOD ladder's rungs, which let a tile server keep only usable seam pairs)
+// into a directory that cmd/dmquery and the examples can open.
 //
 // Usage:
 //
@@ -98,9 +99,9 @@ func run(out, dataset string, size int, seed int64, demPath, xyzPath, mtmPath st
 		return err
 	}
 	defer store.Close()
-	fmt.Printf("  done (%.1fs); LOD percentiles: p50=%.4g p90=%.4g p99=%.4g\n",
+	fmt.Printf("  done (%.1fs); LOD percentiles: p50=%.4g p90=%.4g p99=%.4g; rung sets for %d LODs\n",
 		time.Since(start).Seconds(),
-		t.LODPercentile(0.5), t.LODPercentile(0.9), t.LODPercentile(0.99))
+		t.LODPercentile(0.5), t.LODPercentile(0.9), t.LODPercentile(0.99), len(store.Rungs()))
 
 	if mtmPath != "" {
 		f, err := os.Create(mtmPath)

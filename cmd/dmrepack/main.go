@@ -4,7 +4,8 @@
 // the source store, recomputes the record order for the target layout,
 // and writes a fresh, independently openable store. Queries against the
 // repacked store return byte-identical answers; only page placement —
-// and therefore disk accesses — changes.
+// and therefore disk accesses — changes. The source's rung sets (the
+// live-ID sets tiles are filtered by) are rebuilt for the same rungs.
 //
 // Usage:
 //
@@ -58,7 +59,7 @@ func run(src, out string, layout dmesh.Layout) error {
 		return err
 	}
 	defer rp.Close()
-	fmt.Printf("  done (%.1fs): %d nodes, %d+%d data/overflow pages\n",
-		time.Since(start).Seconds(), rp.NumNodes(), rp.DataPages(), rp.OverflowPages())
+	fmt.Printf("  done (%.1fs): %d nodes, %d+%d data/overflow pages, rung sets for %d LODs\n",
+		time.Since(start).Seconds(), rp.NumNodes(), rp.DataPages(), rp.OverflowPages(), len(rp.Rungs()))
 	return nil
 }

@@ -322,26 +322,36 @@ func RepackDMStore(src *DMStore, pools StorePools, dir string) (*DMStore, error)
 
 // NewDMStore lays the Direct Mesh out on paged storage: packed records
 // clustered on a 3D R*-tree over vertical segments (its STR leaf order),
-// and a B+-tree by ID.
+// and a B+-tree by ID. Like every store constructor here it builds the
+// store for the rungs of DefaultLODLadder (StorePools.Rungs), the LODs
+// NewTileCache materializes tiles at.
 func (t *Terrain) NewDMStore() (*DMStore, error) {
-	return dm.BuildStore(t.Dataset, dm.StorePools{})
+	return t.NewDMStoreWithPools(StorePools{})
 }
 
 // NewDMStoreWithPools is NewDMStore with explicit buffer-pool sizes.
 func (t *Terrain) NewDMStoreWithPools(pools StorePools) (*DMStore, error) {
-	return dm.BuildStore(t.Dataset, pools)
+	return dm.BuildStore(t.Dataset, t.withLadder(pools))
 }
 
 // BuildDMStoreAt builds the Direct Mesh store as files in dir, reopenable
 // with OpenDMStore.
 func (t *Terrain) BuildDMStoreAt(dir string) (*DMStore, error) {
-	return dm.BuildStoreAt(t.Dataset, dm.StorePools{}, dir)
+	return t.BuildDMStoreAtWithPools(StorePools{}, dir)
 }
 
 // BuildDMStoreAtWithPools is BuildDMStoreAt with explicit pool
 // configuration (layout, buffer sizes, checksums).
 func (t *Terrain) BuildDMStoreAtWithPools(pools StorePools, dir string) (*DMStore, error) {
-	return dm.BuildStoreAt(t.Dataset, pools, dir)
+	return dm.BuildStoreAt(t.Dataset, t.withLadder(pools), dir)
+}
+
+// withLadder fills an unset pools.Rungs with the default LOD ladder.
+func (t *Terrain) withLadder(pools StorePools) StorePools {
+	if pools.Rungs == nil {
+		pools.Rungs = t.DefaultLODLadder()
+	}
+	return pools
 }
 
 // OpenDMStore opens a store directory written by BuildDMStoreAt.

@@ -165,6 +165,20 @@ func TestClusterMetricsMerged(t *testing.T) {
 	if m := snap.Metrics["tileserver_patch_requests_total"]; m == nil || uint64(m.Value) != shardSum {
 		t.Errorf("merged tileserver_patch_requests_total = %+v, shards hold %d", m, shardSum)
 	}
+	// So must the caches' seam census, which has no merge code of its own:
+	// the shards' stores were built for the ladder they serve, so most
+	// out-pairs were dropped at materialization.
+	var kept, dropped uint64
+	for _, s := range lc.Servers {
+		st := s.Cache().Stats()
+		kept, dropped = kept+st.OutPairsKept, dropped+st.OutPairsDropped
+	}
+	if m := snap.Metrics["tileserver_cache_outpairs_kept"]; m == nil || uint64(m.Value) != kept || kept == 0 {
+		t.Errorf("merged tileserver_cache_outpairs_kept = %+v, shards hold %d", m, kept)
+	}
+	if m := snap.Metrics["tileserver_cache_outpairs_dropped"]; m == nil || uint64(m.Value) != dropped || dropped <= kept {
+		t.Errorf("merged tileserver_cache_outpairs_dropped = %+v, shards hold %d (and kept %d)", m, dropped, kept)
+	}
 	// Determinism: no traffic between scrapes, identical pages.
 	_, body2 := fetch()
 	if !bytes.Equal(body, body2) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 
 	"dmesh/internal/geom"
@@ -12,6 +13,7 @@ import (
 	"dmesh/internal/storage/btree"
 	"dmesh/internal/storage/heapfile"
 	"dmesh/internal/storage/pager"
+	"dmesh/internal/wire"
 )
 
 // File names inside a store directory.
@@ -20,6 +22,7 @@ const (
 	overFileName = "conn.overflow"
 	rtFileName   = "segments.rtree"
 	idxFileName  = "id.btree"
+	rungFileName = "rungs.live" // written only when the store has rung sets
 	metaFileName = "meta.json"
 )
 
@@ -36,14 +39,20 @@ type storeMeta struct {
 	// checksummed store without the wrapper would misinterpret the page
 	// numbering, so the choice is part of the on-disk format.
 	Checksums bool `json:"checksums,omitempty"`
+	// RungFile names the rung-set file (rungs.go) and Rungs lists the LODs
+	// it holds sets for; both absent when the store was built for no rungs,
+	// as every directory written before the sets existed is. Version 5+.
+	RungFile string    `json:"rung_file,omitempty"`
+	Rungs    []float64 `json:"rungs,omitempty"`
 }
 
 // metaVersion is the current on-disk format. Version 5 records the
 // layout by name, so the Layout constants can be renumbered without
-// touching stores on disk; version 4 added the compressed packed-record
-// encoding of LayoutPacked; version 3 added the variable-record heap
-// encoding of LayoutConnect; versions 1 (no checksum support) and 2
-// (fixed layouts only) remain readable.
+// touching stores on disk, and may name a rung-set file (a version 5
+// directory without one opens as a store built for no rungs); version 4
+// added the compressed packed-record encoding of LayoutPacked; version 3
+// added the variable-record heap encoding of LayoutConnect; versions 1
+// (no checksum support) and 2 (fixed layouts only) remain readable.
 const metaVersion = 5
 
 // legacyLayouts is the numbering meta versions 1-4 wrote the layout in
@@ -97,6 +106,20 @@ func buildNodesAt(nodes []Node, maxE float64, pools StorePools, dir string) (*St
 	meta := storeMeta{Version: metaVersion, MaxE: s.maxE, Space: s.space,
 		Layout:    json.RawMessage(strconv.Quote(pools.Layout.String())),
 		Checksums: pools.Checksums}
+	if s.rungs != nil {
+		meta.RungFile, meta.Rungs = rungFileName, s.rungs.rungs
+		b, err := openRungBackend(dir, rungFileName, pools)
+		if err != nil {
+			return nil, err
+		}
+		err = writeRungSets(b, s.rungs)
+		if cerr := b.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, fmt.Errorf("dm: write %s: %w", rungFileName, err)
+		}
+	}
 	raw, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("dm: %w", err)
@@ -168,6 +191,11 @@ func OpenStore(dir string, pools StorePools) (*Store, error) {
 		maxE:   meta.MaxE,
 		space:  meta.Space,
 	}
+	if meta.Version >= 5 && meta.RungFile != "" {
+		if s.rungs, err = openRungSets(dir, &meta, pools); err != nil {
+			return nil, fmt.Errorf("dm: open store: %s: %w", meta.RungFile, err)
+		}
+	}
 	if layout.variableRecords() {
 		if s.vheap, err = heapfile.OpenVar(s.heapP); err != nil {
 			return nil, fmt.Errorf("dm: open heap: %w", err)
@@ -184,7 +212,58 @@ func OpenStore(dir string, pools StorePools) (*Store, error) {
 	if s.idx, err = btree.Open(s.idxP); err != nil {
 		return nil, fmt.Errorf("dm: open id index: %w", err)
 	}
+	if s.rungs != nil && s.rungs.nodes != s.idx.Len() {
+		return nil, fmt.Errorf("dm: open store: %s covers %d nodes, the store holds %d: %w",
+			meta.RungFile, s.rungs.nodes, s.idx.Len(), wire.ErrCorrupt)
+	}
 	return s, nil
+}
+
+// openRungBackend opens the rung-set page file under the same wrappers as
+// the four pager-backed files.
+func openRungBackend(dir, name string, pools StorePools) (pager.Backend, error) {
+	raw, err := pager.OpenFile(filepath.Join(dir, name))
+	if err != nil {
+		return nil, fmt.Errorf("dm: open %s: %w", name, err)
+	}
+	b, err := pools.wrap(raw)
+	if err != nil {
+		raw.Close()
+		return nil, fmt.Errorf("dm: open %s: %w", name, err)
+	}
+	return b, nil
+}
+
+// openRungSets loads the rung-set file meta names, sweeping its checksums
+// first like the other files' when the store has them. The file decides
+// which seam edges tiles keep, so a damaged one — or one that disagrees
+// with meta.json — fails the open (wire.ErrCorrupt, or pager.ErrChecksum
+// from the sweep) rather than serving a quietly different mesh.
+func openRungSets(dir string, meta *storeMeta, pools StorePools) (*rungSets, error) {
+	if meta.RungFile != filepath.Base(meta.RungFile) {
+		return nil, fmt.Errorf("not a file name in the store directory")
+	}
+	if _, err := os.Stat(filepath.Join(dir, meta.RungFile)); err != nil {
+		return nil, err
+	}
+	b, err := openRungBackend(dir, meta.RungFile, pools)
+	if err != nil {
+		return nil, err
+	}
+	defer b.Close()
+	if cb, ok := b.(*pager.ChecksumBackend); ok {
+		if err := cb.VerifyAll(); err != nil {
+			return nil, err
+		}
+	}
+	rs, err := readRungSets(b)
+	if err != nil {
+		return nil, err
+	}
+	if !slices.Equal(rs.rungs, meta.Rungs) {
+		return nil, fmt.Errorf("holds rungs %v, meta.json lists %v: %w", rs.rungs, meta.Rungs, wire.ErrCorrupt)
+	}
+	return rs, nil
 }
 
 // openBackends opens the four page files of a store directory. With

@@ -50,13 +50,22 @@ func loadNodes(src *Store) ([]Node, error) {
 // record out of src, recompute the physical order, write a fresh store.
 // The source is only read; the result is a complete, independently
 // openable store directory that answers every query identically (same
-// nodes, same connection lists — only page placement changes).
+// nodes, same connection lists — only page placement changes). With no
+// pools.Rungs the result is built for the source's rungs.
 func Repack(src *Store, pools StorePools, dir string) (*Store, error) {
 	nodes, err := loadNodes(src)
 	if err != nil {
 		return nil, err
 	}
-	return buildNodesAt(nodes, src.maxE, pools, dir)
+	return buildNodesAt(nodes, src.maxE, src.carryRungs(pools), dir)
+}
+
+// carryRungs fills an unset pools.Rungs with this store's.
+func (s *Store) carryRungs(pools StorePools) StorePools {
+	if pools.Rungs == nil {
+		pools.Rungs = s.Rungs()
+	}
+	return pools
 }
 
 // RepackOnBackends is Repack onto caller-supplied backends (heap,
@@ -67,5 +76,5 @@ func RepackOnBackends(src *Store, pools StorePools, backends [4]pager.Backend) (
 	if err != nil {
 		return nil, err
 	}
-	return buildNodes(nodes, src.maxE, pools, backends)
+	return buildNodes(nodes, src.maxE, src.carryRungs(pools), backends)
 }

@@ -3,6 +3,7 @@ package dm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dmesh/internal/costmodel"
@@ -42,6 +43,9 @@ type Store struct {
 	layout Layout
 	maxE   float64
 	space  geom.Box
+	// rungs holds the live-ID set of every LOD rung the store was built
+	// for; nil when it was built for none (see StorePools.Rungs).
+	rungs *rungSets
 
 	// tr, when non-nil, receives phase-attributed spans from every query
 	// run on this view. Nil (the default) costs one pointer check per
@@ -149,9 +153,20 @@ func ParseLayout(name string) (Layout, error) {
 // layer (raw → WrapBackend → checksums → pager): the hook fault-
 // injection tests and the chaos experiment use to interpose
 // faultfs-style wrappers underneath the integrity layer.
+//
+// Rungs is a build input like Layout: the LOD values tiles will be
+// materialized at (the tile cache's ladder). The build records which
+// nodes are live at each — one bit per node per rung — and
+// MaterializeTile at one of them then keeps only the out-pairs whose far
+// endpoint is live there, the only ones a stitch can ever use. At any
+// other LOD, or on a store built with no rungs, it keeps them all: more
+// bytes, the same answers. The facade's store constructors fill it from
+// Terrain.DefaultLODLadder; OpenStore reads the directory's and Repack
+// carries the source's unless told otherwise.
 type StorePools struct {
 	Data, Overflow, Index, IDIndex int
 	Layout                         Layout
+	Rungs                          []float64
 	Shards                         int
 	Checksums                      bool
 	WrapBackend                    func(pager.Backend) pager.Backend
@@ -242,6 +257,9 @@ func buildNodes(nodes []Node, maxE float64, pools StorePools, backends [4]pager.
 		maxE:   maxE,
 	}
 	var err error
+	if s.rungs, err = newRungSets(nodes, pools.Rungs); err != nil {
+		return nil, err
+	}
 	if pools.Layout.variableRecords() {
 		if s.vheap, err = heapfile.CreateVar(s.heapP); err != nil {
 			return nil, fmt.Errorf("dm: create heap: %w", err)
@@ -443,6 +461,15 @@ func (s *Store) Layout() Layout { return s.layout }
 
 // NumNodes returns how many node records the store holds.
 func (s *Store) NumNodes() int64 { return s.idx.Len() }
+
+// Rungs returns the LOD rungs the store holds live-ID sets for, ascending
+// (see StorePools.Rungs); none when it was built for none.
+func (s *Store) Rungs() []float64 {
+	if s.rungs == nil {
+		return nil
+	}
+	return slices.Clone(s.rungs.rungs)
+}
 
 // DataPages returns how many data pages the node heap occupies —
 // the footprint the layouts trade against disk accesses.

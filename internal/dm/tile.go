@@ -15,8 +15,8 @@ import (
 // covered by a set of patches at the same E without touching the store
 // again. It holds the live nodes, the intra-tile mesh (edges and triangles
 // whose endpoints all lie inside the tile), and the out-going connection
-// pairs whose far endpoint is not a live node of this tile — the stitching
-// seams.
+// pairs that can become seam edges: those whose far endpoint is live at E
+// in some other tile.
 //
 // The stitch surface is flat and sorted, in the shape the wire ships it:
 // ascending ids with parallel pos, and both pair lists as runs of equal
@@ -48,10 +48,19 @@ type TilePatch struct {
 	// format count them.
 	edges pairRuns
 	tris  []geom.Triangle
-	// outPairs are connection pairs (a, c) with a in ids and c not: c lies
-	// in a neighboring tile, or is not live at E. Stitching resolves them
-	// against the combined live set.
+	// outPairs are the seam candidates: connection pairs (a, c) with a in
+	// ids and c not. Materialized at a rung the store has a live set for
+	// (StorePools.Rungs), only the pairs whose c is live at E — it then lies
+	// in another tile — are kept: a stitch keeps a pair only when both ends
+	// are vertices of an answer at E, so the rest (98-99 % of them, c being
+	// live at some other LOD of a's interval) can never become an edge.
+	// Without a set every pair is kept; the stitch drops the dead ones
+	// itself, and filtered and unfiltered patches stitch together.
 	outPairs pairRuns
+	// dropped counts the out-pairs the live set filtered away.
+	dropped int
+	// charge is Bytes(), fixed when the patch is made.
+	charge int
 
 	// FetchedRecords is how many node records the materializing range
 	// query read (the I/O the patch cost, in records).
@@ -72,6 +81,13 @@ type pairRun struct {
 	end  int
 }
 
+// pairCount sizes a pairRuns exactly before it is filled.
+type pairCount struct{ runs, pairs int }
+
+func (n pairCount) alloc() pairRuns {
+	return pairRuns{runs: make([]pairRun, 0, n.runs), far: make([]int64, 0, n.pairs)}
+}
+
 // add appends the pair (head, far); heads must arrive in ascending order.
 func (p *pairRuns) add(head, far int64) {
 	p.far = append(p.far, far)
@@ -83,25 +99,29 @@ func (p *pairRuns) add(head, far int64) {
 }
 
 // Bytes is the patch's size in the unit the tile cache budgets: node
-// header + connection IDs + mesh slices at 16 bytes a pair. It is the
-// input of every eviction decision, so it is frozen at this formula (see
-// DESIGN.md §9) although the run form holds a pair in 8 bytes: real
-// residency is below the estimate.
-func (tp *TilePatch) Bytes() int {
+// header + connection IDs + mesh slices at 16 bytes a pair, over the
+// census MaterializeTile took before it filtered — every out-pair, the
+// dropped ones included (a decoded patch charges the arrays it has). It is
+// the input of every eviction decision, so it is frozen at this formula
+// (see DESIGN.md §9) although the run form holds a pair in 8 bytes and a
+// filtered patch holds a fraction of the out-pairs: real residency is
+// below the estimate.
+func (tp *TilePatch) Bytes() int { return tp.charge }
+
+// patchCharge is the frozen formula behind Bytes.
+func patchCharge(nodes, conn, edges, tris, outPairs int) int {
 	const nodeHeader = 96 // frozen: what a node was charged when Nodes was a map
-	b := nodeHeader * len(tp.ids)
-	for i := range tp.Nodes {
-		b += 8 * len(tp.Nodes[i].Conn)
-	}
-	b += 16 * len(tp.edges.far)
-	b += 24 * len(tp.tris)
-	b += 16 * len(tp.outPairs.far)
-	return b
+	return nodeHeader*nodes + 8*conn + 16*edges + 24*tris + 16*outPairs
 }
 
 // NumNodes returns the live node count, of a store-materialized or a
 // decoded patch alike.
 func (tp *TilePatch) NumNodes() int { return len(tp.ids) }
+
+// OutPairs reports the seam census: the out-pairs the patch holds, and how
+// many more materialization dropped because their far endpoint is not live
+// at E (0 when the store has no live set for E, and on a decoded patch).
+func (tp *TilePatch) OutPairs() (kept, dropped int) { return len(tp.outPairs.far), tp.dropped }
 
 // MaterializeTile answers Q(r, e) like ViewpointIndependent but returns
 // the result as a TilePatch: live nodes plus the intra-tile mesh and the
@@ -126,24 +146,64 @@ func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 	}
 	tp := &TilePatch{Rect: r, E: e, Nodes: live, FetchedRecords: nf, ids: ids, pos: pos}
 	idx := newIDIndex(ids)
-	// Ascending IDs x their ascending connection lists: both pair lists
-	// (and the packed edges the triangles come from) are emitted in order.
-	// A node heads at most one run in each; a planar mesh has < 3V edges;
-	// and at most conn pairs exist at all.
-	tp.edges = pairRuns{runs: make([]pairRun, 0, len(ids)), far: make([]int64, 0, min(3*len(ids), conn))}
-	tp.outPairs = pairRuns{runs: make([]pairRun, 0, len(ids)), far: make([]int64, 0, conn)}
-	packed := make([]uint64, 0, cap(tp.edges.far))
+	// A pair's far end is another node of the tile (an edge, counted from
+	// its lower end), live at e elsewhere (an out-pair), or not live at e —
+	// which one bit of the rung's live set says before any lookup. Two
+	// passes, so that a patch the cache may hold for hours holds no slack:
+	// the first looks every candidate up once, remembers where, and sizes
+	// both pair lists; the second fills them. Ascending IDs x their
+	// ascending connection lists emit both (and the packed edges the
+	// triangles come from) in order.
+	alive := s.rungs.at(e)
+	candidates := conn
+	if alive != nil {
+		candidates = min(conn, 8*len(ids)) // a node has ~6 live neighbours
+	}
+	where := make([]int32, 0, candidates)
+	var nEdges, nOut pairCount
+	for i := range live {
+		edges, out := 0, 0
+		for _, c := range live[i].Conn {
+			if alive != nil && !alive.has(c) {
+				tp.dropped++
+				continue
+			}
+			j := idx.lookup(c)
+			where = append(where, int32(j))
+			if j < 0 {
+				out++
+			} else if j > i {
+				edges++
+			}
+		}
+		if edges > 0 {
+			nEdges.runs, nEdges.pairs = nEdges.runs+1, nEdges.pairs+edges
+		}
+		if out > 0 {
+			nOut.runs, nOut.pairs = nOut.runs+1, nOut.pairs+out
+		}
+	}
+	tp.edges, tp.outPairs = nEdges.alloc(), nOut.alloc()
+	packed := make([]uint64, 0, nEdges.pairs)
+	k := 0
 	for i, id := range ids {
 		for _, c := range live[i].Conn {
-			if j := idx.lookup(c); j < 0 {
+			if alive != nil && !alive.has(c) {
+				continue
+			}
+			j := int(where[k])
+			k++
+			if j < 0 {
 				tp.outPairs.add(id, c)
-			} else if j > i { // count each intra pair once
+			} else if j > i {
 				tp.edges.add(id, c)
 				packed = append(packed, packEdge(i, j))
 			}
 		}
 	}
-	tp.tris = cliques(packed, ids)
+	tris := cliques(packed, ids) // sized for any planar mesh: keep an exact copy
+	tp.tris = append(make([]geom.Triangle, 0, len(tris)), tris...)
+	tp.charge = patchCharge(len(ids), conn, nEdges.pairs, len(tp.tris), nOut.pairs+tp.dropped)
 	return tp, nil
 }
 
@@ -240,9 +300,9 @@ func StitchTilesTraced(r geom.Rect, e float64, tiles []*TilePatch, tr *obs.Trace
 }
 
 // resolve appends to edges, packed, the pairs of p whose both endpoints
-// are indexed. A run's head is probed once: 98-99% of a tile's out-pairs
-// are dead at its LOD, and a head clipped away by the ROI takes its whole
-// run with it. An endpoint no tile lists is simply not live.
+// are indexed. A run's head is probed once: a head clipped away by the ROI
+// takes its whole run with it. An endpoint no tile lists is outside the
+// ROI's cover or — in a patch materialized without a live set — not live.
 func (x *idIndex) resolve(edges []uint64, p pairRuns) []uint64 {
 	lo := 0
 	for _, run := range p.runs {

@@ -13,7 +13,12 @@ import (
 //
 // The wire carries what StitchTiles reads and nothing else: the header,
 // each live node's ID and position, the intra-tile edges and triangles,
-// and the seam out-pairs. The record fields only a store query needs
+// and the seam out-pairs — from a shard whose store was built for the
+// tile's rung (StorePools.Rungs) only the ones a stitch can use, those
+// whose far endpoint is live at E; every out-pair otherwise. The layout is
+// the same either way, so bodies of both kinds decode, re-encode to their
+// own bytes and stitch together: routers and shards of either vintage
+// interoperate. The record fields only a store query needs
 // (ERaw/ELow/EHigh, tree links, wings, MBR, connection lists) stay on the
 // shard. Layout (little endian; every ID is non-negative):
 //
@@ -50,7 +55,10 @@ const (
 // (or DecodeTilePatch) builds it — IDs, edges, triangles and out-pairs
 // ascending, IDs non-negative — so encoding is a straight copy-out.
 func EncodeTilePatch(tp *TilePatch) []byte {
-	buf := make([]byte, 0, 64+27*len(tp.ids)+2*(len(tp.edges.far)+len(tp.outPairs.far))+4*len(tp.tris))
+	// Sized for what the sections measure on terrain tiles: 3 bytes a run
+	// head, 2 a further pair, 5 a triangle; a patch that needs more grows.
+	buf := make([]byte, 0, 64+27*len(tp.ids)+5*len(tp.tris)+
+		3*(len(tp.edges.runs)+len(tp.outPairs.runs))+2*(len(tp.edges.far)+len(tp.outPairs.far)))
 	buf = append(buf, tileWireMagic...)
 	buf = wire.AppendUvarint(buf, tileWireVersion)
 	buf = wire.AppendF64(buf, tp.Rect.MinX, tp.Rect.MinY, tp.Rect.MaxX, tp.Rect.MaxY, tp.E)
@@ -205,5 +213,6 @@ func DecodeTilePatch(b []byte) (*TilePatch, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
+	tp.charge = patchCharge(nNodes, 0, len(tp.edges.far), len(tp.tris), len(tp.outPairs.far))
 	return tp, nil
 }

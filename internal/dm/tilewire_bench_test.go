@@ -21,6 +21,14 @@ var hotTiles struct {
 	wire  [][]byte
 	nodes int
 	bytes int
+	outs  int // out-pairs the four patches hold
+}
+
+// reportCensus puts the fixture's wire bytes and out-pairs per vertex
+// beside the timing, so `make benchsmoke` prints the seam census.
+func reportCensus(b *testing.B) {
+	b.ReportMetric(float64(hotTiles.bytes)/float64(hotTiles.nodes), "B/vertex")
+	b.ReportMetric(float64(hotTiles.outs)/float64(hotTiles.nodes), "outpairs/vertex")
 }
 
 func hotPatchTiles(tb testing.TB) {
@@ -43,6 +51,7 @@ func hotPatchTiles(tb testing.TB) {
 			h.wire = append(h.wire, w)
 			h.nodes += tp.NumNodes()
 			h.bytes += len(w)
+			h.outs += len(tp.outPairs.far)
 		}
 	})
 	if len(h.tiles) == 0 {
@@ -62,7 +71,7 @@ func BenchmarkTilePatchEncode(b *testing.B) {
 			benchSink += len(EncodeTilePatch(tp))
 		}
 	}
-	b.ReportMetric(float64(hotTiles.bytes)/float64(hotTiles.nodes), "B/vertex")
+	reportCensus(b)
 }
 
 func BenchmarkTilePatchDecode(b *testing.B) {
@@ -79,7 +88,7 @@ func BenchmarkTilePatchDecode(b *testing.B) {
 			benchSink += tp.NumNodes()
 		}
 	}
-	b.ReportMetric(float64(hotTiles.bytes)/float64(hotTiles.nodes), "B/vertex")
+	reportCensus(b)
 }
 
 func benchStitch(b *testing.B, tiles []*TilePatch) {
@@ -93,7 +102,7 @@ func benchStitch(b *testing.B, tiles []*TilePatch) {
 		}
 		benchSink += len(res.Vertices)
 	}
-	b.ReportMetric(float64(hotTiles.bytes)/float64(hotTiles.nodes), "B/vertex")
+	reportCensus(b)
 }
 
 // BenchmarkStitchDecodedTiles is the router's stitch: patches off the wire.
@@ -132,6 +141,7 @@ func BenchmarkMaterializeTile(b *testing.B) {
 			benchSink += tp.NumNodes()
 		}
 	}
+	reportCensus(b)
 }
 
 // TestTilePatchDecodeAllocsBounded pins the flat decode: the patch, IDs,

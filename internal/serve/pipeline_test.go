@@ -364,3 +364,38 @@ func TestRoutesDocumented(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheSeriesDocumented is the same guard for the tile cache's
+// series: README.md's Telemetry table lists exactly the tileserver_cache_*
+// series /metrics carries.
+func TestCacheSeriesDocumented(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(tileserver_cache_[a-z_]+)`").FindAllSubmatch(readme, -1) {
+		documented[string(m[1])] = true
+	}
+	s := NewTestServer(t, 33, 0)
+	ts := httptest.NewServer(s.Handler(true))
+	defer ts.Close()
+	_, body := Fetch(t, ts.URL, "/metrics")
+	served := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^(tileserver_cache_[a-z_]+) ").FindAllSubmatch(body, -1) {
+		served[string(m[1])] = true
+	}
+	if len(served) == 0 {
+		t.Fatal("/metrics carries no tileserver_cache_* series")
+	}
+	for name := range served {
+		if !documented[name] {
+			t.Errorf("%s is on /metrics and not in README.md's Telemetry table", name)
+		}
+	}
+	for name := range documented {
+		if !served[name] {
+			t.Errorf("%s is in README.md's Telemetry table and not on /metrics", name)
+		}
+	}
+}

@@ -194,6 +194,8 @@ func New(cfg Config) (*Server, error) {
 		{"invalidations", "cache invalidation calls", func(st cs) int { return int(st.Invalidations) }},
 		{"materialize_disk_accesses", "disk accesses spent materializing tiles", func(st cs) int { return int(st.MaterializeDA) }},
 		{"unretained", "patches served but too large to retain", func(st cs) int { return st.UnretainedOver }},
+		{"outpairs_kept", "seam out-pairs materialized tiles kept", func(st cs) int { return int(st.OutPairsKept) }},
+		{"outpairs_dropped", "seam out-pairs dropped at materialization, far endpoint not live at the rung (0: the store has no rung sets for this ladder)", func(st cs) int { return int(st.OutPairsDropped) }},
 	} {
 		reg.GaugeFunc("tileserver_cache_"+g.name, g.help, func() int64 { return int64(g.read(cache.Stats())) })
 	}

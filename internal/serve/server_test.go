@@ -45,6 +45,8 @@ func TestObsSmoke(t *testing.T) {
 		"tileserver_cache_queries 2", // the nocache tile bypasses the cache
 		"tileserver_cache_hits",
 		"tileserver_cache_materialize_disk_accesses",
+		"tileserver_cache_outpairs_kept",
+		"tileserver_cache_outpairs_dropped",
 		"# TYPE tileserver_store_disk_accesses gauge",
 	} {
 		if !strings.Contains(text, want) {

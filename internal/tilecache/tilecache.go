@@ -34,18 +34,25 @@ type Config struct {
 }
 
 // Stats is a snapshot of the cache's counters.
+//
+// OutPairsKept and OutPairsDropped are the seam census over all
+// materializations. Dropped stays 0 on a ladder the store has no rung sets
+// for (dm.StorePools.Rungs): such a cache holds, ships and stitches every
+// out-pair.
 type Stats struct {
-	Queries        uint64 // Query calls
-	TileLookups    uint64 // tile fetches (several per query)
-	Hits           uint64 // lookups served from a resident patch
-	Misses         uint64 // lookups that materialized the patch
-	DedupedMisses  uint64 // lookups that waited on another's materialization
-	Evictions      uint64 // patches evicted for space
-	Invalidations  uint64 // Invalidate/InvalidateAll calls
-	MaterializeDA  uint64 // disk accesses spent materializing, total
-	Entries        int    // resident patches
-	Bytes          int    // estimated resident bytes
-	UnretainedOver int    // patches served but too large to retain
+	Queries         uint64 // Query calls
+	TileLookups     uint64 // tile fetches (several per query)
+	Hits            uint64 // lookups served from a resident patch
+	Misses          uint64 // lookups that materialized the patch
+	DedupedMisses   uint64 // lookups that waited on another's materialization
+	Evictions       uint64 // patches evicted for space
+	Invalidations   uint64 // Invalidate/InvalidateAll calls
+	MaterializeDA   uint64 // disk accesses spent materializing, total
+	OutPairsKept    uint64 // seam out-pairs the materialized patches hold
+	OutPairsDropped uint64 // out-pairs dropped: far endpoint not live at the tile's rung
+	Entries         int    // resident patches
+	Bytes           int    // estimated resident bytes
+	UnretainedOver  int    // patches served but too large to retain
 }
 
 // TileStat is the per-tile accounting view: how hot a resident tile is
@@ -252,8 +259,13 @@ func (c *Cache) tile(k Key, tr *obs.Trace) (p *dm.TilePatch, wire []byte, st Pat
 		delete(c.flights, k)
 	}
 	c.stats.MaterializeDA += f.da
-	if f.err == nil && f.gen == c.gen {
-		c.insertLocked(k, f.patch, f.da)
+	if f.err == nil {
+		kept, dropped := f.patch.OutPairs()
+		c.stats.OutPairsKept += uint64(kept)
+		c.stats.OutPairsDropped += uint64(dropped)
+		if f.gen == c.gen {
+			c.insertLocked(k, f.patch, f.da)
+		}
 	}
 	c.mu.Unlock()
 	close(f.done)

@@ -494,3 +494,62 @@ func TestTopTilesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestOutPairCensus: the cache counts the seam out-pairs its tiles kept and
+// the ones materialization dropped, once per materialization; a cache whose
+// ladder the store holds no rung sets for shows dropped = 0 — it is
+// serving unfiltered — and the same meshes.
+func TestOutPairCensus(t *testing.T) {
+	tr := terrain(t, "highland")
+	s, err := tr.NewDMStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rungs between the default ladder's: the store has no set for any.
+	own := []float64{tr.LODPercentile(0.6), tr.LODPercentile(0.85), tr.LODPercentile(0.93)}
+	r := geom.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.6, MaxY: 0.6} // four level-1 tiles
+	for _, tc := range []struct {
+		name     string
+		ladder   []float64
+		filtered bool
+	}{
+		{"the store's ladder", tr.DefaultLODLadder(), true},
+		{"a ladder of the caller's own", own, false},
+	} {
+		c, err := tilecache.New(tilecache.Config{Store: s, Ladder: tc.ladder})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ { // the second query hits: nothing more is counted
+			res, qs, err := c.Query(r, tr.LODPercentile(0.85))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := s.ViewpointIndependent(r, qs.SnappedE)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMesh(t, tc.name, res, want)
+		}
+		var kept, dropped uint64
+		for _, ts := range c.TileStats() {
+			p, _, err := c.Patch(ts.Key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, d := p.OutPairs()
+			kept, dropped = kept+uint64(k), dropped+uint64(d)
+		}
+		st := c.Stats()
+		if st.OutPairsKept != kept || st.OutPairsDropped != dropped || kept == 0 {
+			t.Errorf("%s: stats say %d kept, %d dropped; the %d resident patches %d and %d",
+				tc.name, st.OutPairsKept, st.OutPairsDropped, st.Entries, kept, dropped)
+		}
+		if (dropped > 0) != tc.filtered {
+			t.Errorf("%s: %d out-pairs dropped, filtered should be %t", tc.name, dropped, tc.filtered)
+		}
+		if tc.filtered && dropped < 2*kept { // 90 % even on this 17² terrain
+			t.Errorf("%s: kept %d of %d out-pairs; expected a small fraction", tc.name, kept, kept+dropped)
+		}
+	}
+}
