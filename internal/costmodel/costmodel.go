@@ -23,9 +23,42 @@ import (
 	"dmesh/internal/rtree"
 )
 
-// Model holds the normalized node extents of one R*-tree. Building it
-// scans the tree once (a once-off cost, like the paper's index statistics,
-// not charged to queries).
+// moments are the eight sums over a class of nodes that formula (1)
+// needs. Expanding the product,
+//
+//	Σ (qx+w)(qy+h)(qz+d) = N·qx·qy·qz + qx·qy·Σd + qx·qz·Σh + qy·qz·Σw
+//	                       + qx·Σhd + qy·Σwd + qz·Σwh + Σwhd,
+//
+// a polynomial in the query extents whose coefficients do not depend on
+// the query, so an estimate costs eight multiply-adds however many nodes
+// the tree has. The value differs from the node-by-node sum only in
+// rounding (≤ 1e-12 relative; the split test's margin is 1%).
+type moments struct {
+	n                        int
+	w, h, d, wh, wd, hd, whd float64
+}
+
+func (s *moments) add(w, h, d float64) {
+	s.n++
+	s.w += w
+	s.h += h
+	s.d += d
+	s.wh += w * h
+	s.wd += w * d
+	s.hd += h * d
+	s.whd += w * h * d
+}
+
+// da is Σ (qx+w)(qy+h)(qz+d) over the class.
+func (s *moments) da(qx, qy, qz float64) float64 {
+	return float64(s.n)*qx*qy*qz +
+		qx*qy*s.d + qx*qz*s.h + qy*qz*s.w +
+		qx*s.hd + qy*s.wd + qz*s.wh + s.whd
+}
+
+// Model holds formula (1)'s moments of one R*-tree's normalized node
+// extents. Building it scans the tree once (a once-off cost, like the
+// paper's index statistics, not charged to queries).
 //
 // The paper stores DM points directly in the R-tree, so formula (1) covers
 // all I/O. This repository stores records in a heap file clustered on the
@@ -34,10 +67,10 @@ import (
 // page). With DataFactor left at zero the model is exactly formula (1).
 type Model struct {
 	space       geom.Box
-	inner       [][3]float64 // normalized (w, h, d) of directory nodes
-	leaves      [][3]float64 // normalized (w, h, d) of leaf nodes
-	leafEntries int          // total data entries across leaves
-	dataFactor  float64      // extra data pages per visited leaf
+	inner       moments // directory nodes
+	leaves      moments // leaf nodes
+	leafEntries int     // total data entries across leaves
+	dataFactor  float64 // extra data pages per visited leaf
 	// sharedPool declares that the strips of one multi-base query share a
 	// buffer pool, so a node straddling two adjacent strips is read once,
 	// not twice. The paper's formula (2) charges every strip its full
@@ -53,16 +86,14 @@ func FromRTree(t *rtree.Tree, space geom.Box) (*Model, error) {
 	}
 	m := &Model{space: space}
 	err := t.Nodes(func(ni rtree.NodeInfo) bool {
-		dims := [3]float64{
-			ni.Box.Width() / space.Width(),
-			ni.Box.Height() / space.Height(),
-			ni.Box.Depth() / space.Depth(),
-		}
+		w := ni.Box.Width() / space.Width()
+		h := ni.Box.Height() / space.Height()
+		d := ni.Box.Depth() / space.Depth()
 		if ni.Level == 1 {
-			m.leaves = append(m.leaves, dims)
+			m.leaves.add(w, h, d)
 			m.leafEntries += ni.Entries
 		} else {
-			m.inner = append(m.inner, dims)
+			m.inner.add(w, h, d)
 		}
 		return true
 	})
@@ -74,10 +105,10 @@ func FromRTree(t *rtree.Tree, space geom.Box) (*Model, error) {
 
 // AvgLeafEntries returns the average number of data entries per leaf.
 func (m *Model) AvgLeafEntries() float64 {
-	if len(m.leaves) == 0 {
+	if m.leaves.n == 0 {
 		return 0
 	}
-	return float64(m.leafEntries) / float64(len(m.leaves))
+	return float64(m.leafEntries) / float64(m.leaves.n)
 }
 
 // SetDataFactor declares how many clustered data pages accompany each
@@ -99,23 +130,17 @@ func (m *Model) DataFactor() float64 { return m.dataFactor }
 func (m *Model) SetSharedPool(on bool) { m.sharedPool = on }
 
 // NumNodes returns the number of nodes the model covers.
-func (m *Model) NumNodes() int { return len(m.inner) + len(m.leaves) }
+func (m *Model) NumNodes() int { return m.inner.n + m.leaves.n }
 
 // EstimateDA evaluates formula (1) for query box q, with leaf terms scaled
 // by the data factor when one is set.
 func (m *Model) EstimateDA(q geom.Box) float64 {
-	qx := q.Width() / m.space.Width()
-	qy := q.Height() / m.space.Height()
-	qz := q.Depth() / m.space.Depth()
-	var sum float64
-	for _, d := range m.inner {
-		sum += (qx + d[0]) * (qy + d[1]) * (qz + d[2])
-	}
-	leafWeight := 1 + m.dataFactor
-	for _, d := range m.leaves {
-		sum += leafWeight * (qx + d[0]) * (qy + d[1]) * (qz + d[2])
-	}
-	return sum
+	return m.estimate(q.Width()/m.space.Width(), q.Height()/m.space.Height(), q.Depth()/m.space.Depth())
+}
+
+// estimate is formula (1) for a query of normalized extents (qx, qy, qz).
+func (m *Model) estimate(qx, qy, qz float64) float64 {
+	return m.inner.da(qx, qy, qz) + (1+m.dataFactor)*m.leaves.da(qx, qy, qz)
 }
 
 // Strip is one query cube of a multi-base plan: the sub-ROI and the LOD
@@ -140,61 +165,64 @@ func (s Strip) Box() geom.Box { return geom.BoxFromRect(s.R, s.ELow, s.EHigh) }
 // credited back and a minimal gain of one page is required, matching an
 // engine whose strips share a buffer pool.
 func (m *Model) PlanStrips(qp geom.QueryPlane, maxStrips int) []Strip {
+	strips, _ := m.Plan(qp, maxStrips)
+	return strips
+}
+
+// Plan is PlanStrips returning, beside the strips, the plan's estimated
+// disk accesses as the optimizer priced them: the strips' estimates less,
+// under SetSharedPool, the boundary term each accepted split was credited
+// (the single-base estimate minus the accepted gains).
+func (m *Model) Plan(qp geom.QueryPlane, maxStrips int) ([]Strip, float64) {
 	if maxStrips <= 0 {
 		maxStrips = 64
 	}
 	budget := maxStrips
+	single := stripFor(qp, qp.R)
+	// Every split of one plan is credited the same boundary term: no split
+	// changes a strip's extent across the gradient axis.
+	var shared float64
+	if m.sharedPool {
+		shared = m.boundaryShared(single.Box(), qp.Axis)
+	}
 	var out []Strip
-	var rec func(r geom.Rect)
-	rec = func(r geom.Rect) {
-		strip := stripFor(qp, r)
-		if budget <= 1 || tooThin(r, qp.Axis) {
-			out = append(out, strip)
-			return
-		}
-		r1, r2 := splitMid(r, qp.Axis)
-		s1, s2 := stripFor(qp, r1), stripFor(qp, r2)
-		stripDA := m.EstimateDA(strip.Box())
-		gain := stripDA - m.EstimateDA(s1.Box()) - m.EstimateDA(s2.Box())
-		threshold := 0.0
-		if m.sharedPool {
-			gain += m.boundaryShared(strip.Box(), qp.Axis)
-			// Keep splitting while the predicted saving is at least 1% of
-			// the strip's own estimate; as strips shrink toward the plane
-			// the marginal saving vanishes and the recursion stops.
-			threshold = 0.01 * stripDA
-		}
-		if gain > threshold {
-			budget--
-			rec(r1)
-			rec(r2)
-			return
+	var rec func(strip Strip, stripDA float64) float64
+	rec = func(strip Strip, stripDA float64) float64 {
+		if budget > 1 && !tooThin(strip.R, qp.Axis) {
+			r1, r2 := splitMid(strip.R, qp.Axis)
+			s1, s2 := stripFor(qp, r1), stripFor(qp, r2)
+			da1, da2 := m.EstimateDA(s1.Box()), m.EstimateDA(s2.Box())
+			gain := stripDA - da1 - da2 + shared
+			threshold := 0.0
+			if m.sharedPool {
+				// Keep splitting while the predicted saving is at least 1% of
+				// the strip's own estimate; as strips shrink toward the plane
+				// the marginal saving vanishes and the recursion stops.
+				threshold = 0.01 * stripDA
+			}
+			if gain > threshold {
+				budget--
+				return rec(s1, da1) + rec(s2, da2) - shared
+			}
 		}
 		out = append(out, strip)
+		return stripDA
 	}
-	rec(qp.R)
-	return out
+	total := rec(single, m.EstimateDA(single.Box()))
+	return out, total
 }
 
 // boundaryShared estimates the disk accesses double-counted by two
 // adjacent strips of q split across the gradient axis: the nodes
 // straddling the boundary plane, which a shared buffer pool reads once.
+// It is formula (1) for the boundary face itself, which has no extent
+// along the split axis or in e: qy·Σwd + Σwhd for axis 0, qx·Σhd + Σwhd
+// for axis 1.
 func (m *Model) boundaryShared(q geom.Box, axis int) float64 {
-	qx := q.Width() / m.space.Width()
-	qy := q.Height() / m.space.Height()
-	var sum float64
-	visit := func(dims [][3]float64, weight float64) {
-		for _, d := range dims {
-			if axis == 0 {
-				sum += weight * d[0] * (qy + d[1]) * d[2]
-			} else {
-				sum += weight * (qx + d[0]) * d[1] * d[2]
-			}
-		}
+	if axis == 0 {
+		return m.estimate(0, q.Height()/m.space.Height(), 0)
 	}
-	visit(m.inner, 1)
-	visit(m.leaves, 1+m.dataFactor)
-	return sum
+	return m.estimate(q.Width()/m.space.Width(), 0, 0)
 }
 
 // EqualStrips covers qp with exactly k equal strips along the gradient

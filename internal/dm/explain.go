@@ -13,8 +13,10 @@ import (
 // little database.
 type Plan struct {
 	Strips []PlanStrip
-	// EstimatedDA is the cost model's prediction for the whole plan
-	// (boundary-shared pages counted once).
+	// EstimatedDA is the cost model's prediction for the whole plan as
+	// the optimizer priced it: under a shared-pool model the pages two
+	// adjacent cubes share are counted once, so it is the cubes' sum less
+	// one boundary term per split; under the paper's model it is the sum.
 	EstimatedDA float64
 	// SingleBaseDA is the prediction for the unsplit single-base cube,
 	// for comparison.
@@ -32,12 +34,10 @@ func (s *Store) ExplainPlane(qp geom.QueryPlane, model *costmodel.Model, maxStri
 	if model == nil {
 		return nil, fmt.Errorf("dm: ExplainPlane requires a cost model")
 	}
-	strips := model.PlanStrips(qp, maxStrips)
-	p := &Plan{}
+	strips, total := model.Plan(qp, maxStrips)
+	p := &Plan{EstimatedDA: total}
 	for _, st := range strips {
-		da := model.EstimateDA(st.Box())
-		p.Strips = append(p.Strips, PlanStrip{Strip: st, EstimatedDA: da})
-		p.EstimatedDA += da
+		p.Strips = append(p.Strips, PlanStrip{Strip: st, EstimatedDA: model.EstimateDA(st.Box())})
 	}
 	single := geom.BoxFromRect(qp.R, qp.EMin, qp.EMax)
 	p.SingleBaseDA = model.EstimateDA(single)

@@ -1,9 +1,11 @@
 package dm
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"dmesh/internal/costmodel"
 	"dmesh/internal/geom"
 )
 
@@ -151,6 +153,40 @@ func TestExplainPlane(t *testing.T) {
 	}
 	if res.Strips != len(plan.Strips) {
 		t.Fatalf("plan has %d strips, execution used %d", len(plan.Strips), res.Strips)
+	}
+	// The total is the optimizer's own figure. The store's model is
+	// shared-pool, so each of the len-1 accepted splits was credited the
+	// boundary term — formula (1) for the boundary face, which spans the
+	// ROI across the gradient axis and has no extent along it or in e —
+	// and the plan costs the cubes' sum less those credits.
+	planSum := func(p *Plan) float64 {
+		var sum float64
+		for _, st := range p.Strips {
+			sum += st.EstimatedDA
+		}
+		return sum
+	}
+	if len(plan.Strips) < 2 {
+		t.Fatalf("plan did not split: %d strip(s)", len(plan.Strips))
+	}
+	boundary := model.EstimateDA(geom.Box{MinX: qp.R.MinX, MaxX: qp.R.MaxX})
+	want := planSum(plan) - float64(len(plan.Strips)-1)*boundary
+	if math.Abs(plan.EstimatedDA-want) > 1e-9*want {
+		t.Fatalf("shared-pool plan total %g, want cubes' sum %g less %d boundary credits of %g = %g",
+			plan.EstimatedDA, planSum(plan), len(plan.Strips)-1, boundary, want)
+	}
+	// Under the paper's model nothing is credited: the plain sum.
+	paper, err := costmodel.FromRTree(s.RTree(), s.DataSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper.SetDataFactor(model.DataFactor())
+	paperPlan, err := s.ExplainPlane(qp, paper, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := planSum(paperPlan); math.Abs(paperPlan.EstimatedDA-want) > 1e-9*want {
+		t.Fatalf("paper-model plan total %g, want the cubes' sum %g", paperPlan.EstimatedDA, want)
 	}
 	out := plan.String()
 	if !strings.Contains(out, "multi-base plan") || !strings.Contains(out, "cube 0") {

@@ -1,9 +1,10 @@
 package rtree
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/storage/pager"
@@ -132,9 +133,10 @@ func STRLeafOrder(items []Item) []Item {
 }
 
 // sortByCenter sorts entries by box center on the given axis (0=x, 1=y,
-// 2=e), with full-center tie-breaks for determinism.
+// 2=e), with full-center tie-breaks for determinism (refs are unique, so
+// the order is total).
 func sortByCenter(es []entry, axis int) {
-	center := func(e entry, a int) float64 {
+	center := func(e *entry, a int) float64 {
 		switch a {
 		case 0:
 			return e.box.MinX + e.box.MaxX
@@ -144,15 +146,17 @@ func sortByCenter(es []entry, axis int) {
 			return e.box.MinE + e.box.MaxE
 		}
 	}
-	sort.SliceStable(es, func(i, j int) bool {
+	slices.SortStableFunc(es, func(x, y entry) int {
 		for d := 0; d < 3; d++ {
 			a := (axis + d) % 3
-			ci, cj := center(es[i], a), center(es[j], a)
-			if ci != cj {
-				return ci < cj
+			if cx, cy := center(&x, a), center(&y, a); cx != cy {
+				if cx < cy {
+					return -1
+				}
+				return 1
 			}
 		}
-		return es[i].ref < es[j].ref
+		return cmp.Compare(x.ref, y.ref)
 	})
 }
 

@@ -4,53 +4,12 @@ import "dmesh/internal/geom"
 
 // DeltaBoxes returns range-query volumes covering exactly the part of
 // ∪target not already covered by ∪cover. A coherent (frame-to-frame)
-// query fetches only these fragments: every item intersecting a target
-// box either intersects a cover box (and was fetched for it) or
-// intersects a fragment. Fragments share boundary faces with the cover
-// boxes, so an item straddling a boundary can match both; callers
-// deduplicate by item identity.
+// query fetches only these fragments, one Search each: every item
+// intersecting a target box either intersects a cover box (and was
+// fetched for it) or intersects a fragment. Fragments share boundary
+// faces with the cover boxes and with each other, so an item straddling
+// a boundary can match more than one search; callers deduplicate by item
+// identity.
 func DeltaBoxes(target, cover []geom.Box) []geom.Box {
 	return geom.Difference(target, cover)
-}
-
-// SearchBoxes runs one range query per box, visiting each matching
-// entry exactly once even when it intersects several boxes (an entry
-// straddling two fragment boundaries still costs the index descents of
-// both queries — that is the I/O actually paid). The traversal order is
-// deterministic: boxes in order, entries in index order within each.
-// fn returning false stops the whole search.
-func (t *Tree) SearchBoxes(boxes []geom.Box, fn func(ref int64, box geom.Box) bool) error {
-	seen := make(map[int64]bool)
-	for _, q := range boxes {
-		stopped := false
-		err := t.Search(q, func(ref int64, box geom.Box) bool {
-			if seen[ref] {
-				return true
-			}
-			seen[ref] = true
-			if !fn(ref, box) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-	}
-	return nil
-}
-
-// SearchDelta visits the entries newly exposed when the query volume
-// moves from ∪cover to ∪target: it searches only the uncovered
-// fragments (DeltaBoxes), so entries wholly inside the covered volume
-// are never touched. Entries on a cover/fragment boundary may be
-// visited even though they also intersect cover; entries intersecting
-// target only inside the covered volume are skipped — the caller is
-// expected to still hold them from the cover-volume query.
-func (t *Tree) SearchDelta(target, cover []geom.Box, fn func(ref int64, box geom.Box) bool) error {
-	return t.SearchBoxes(DeltaBoxes(target, cover), fn)
 }

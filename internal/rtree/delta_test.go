@@ -7,12 +7,30 @@ import (
 	"dmesh/internal/geom"
 )
 
-// TestSearchDeltaInvariant checks the contract coherent queries rely
+// searchEach runs one Search per box in order, the way a coherent
+// session fetches a frame's fragments, and returns every visit in order
+// (an entry matching several boxes is visited once per box: the caller
+// deduplicates).
+func searchEach(t *testing.T, tr *Tree, boxes []geom.Box) []int64 {
+	t.Helper()
+	var out []int64
+	for _, q := range boxes {
+		if err := tr.Search(q, func(ref int64, _ geom.Box) bool {
+			out = append(out, ref)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestDeltaBoxesInvariant checks the contract coherent queries rely
 // on: for random item sets and random target/cover volumes, every item
-// intersecting a target box is either found by the delta search or
-// intersects a cover box; and the delta search only returns items that
-// intersect a target box.
-func TestSearchDeltaInvariant(t *testing.T) {
+// intersecting a target box is either found by searching the delta
+// fragments or intersects a cover box; and searching the fragments only
+// returns items that intersect a target box.
+func TestDeltaBoxesInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tr, _ := newTree(t, 64)
 	var items []Item
@@ -35,15 +53,8 @@ func TestSearchDeltaInvariant(t *testing.T) {
 		target := []geom.Box{randBox(rng, 0.5), randBox(rng, 0.5)}
 		cover := []geom.Box{randBox(rng, 0.5), randBox(rng, 0.4), randBox(rng, 0.3)}
 		found := make(map[int64]bool)
-		err := tr.SearchDelta(target, cover, func(ref int64, _ geom.Box) bool {
-			if found[ref] {
-				t.Fatalf("iter %d: ref %d visited twice", iter, ref)
-			}
+		for _, ref := range searchEach(t, tr, DeltaBoxes(target, cover)) {
 			found[ref] = true
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 		for _, it := range items {
 			inTarget := intersectsAny(it.Box, target)
@@ -57,68 +68,55 @@ func TestSearchDeltaInvariant(t *testing.T) {
 	}
 }
 
-// TestSearchBoxesDedupAndOrder checks that an entry matching several
-// boxes is visited once, and that the visit order is deterministic.
-func TestSearchBoxesDedupAndOrder(t *testing.T) {
+// TestDeltaFragmentsUnionAndOrder checks what a caller deduplicating a
+// frame's fragment searches sees: over the fragments of two heavily
+// overlapping targets against a cover box inside both, the deduplicated
+// visits are exactly the entries that intersect a fragment, an entry on a
+// shared fragment face is indeed visited more than once (so the
+// deduplication is needed), and the visit order is deterministic.
+func TestDeltaFragmentsUnionAndOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tr, _ := newTree(t, 64)
+	var items []Item
 	for i := 0; i < 200; i++ {
-		if err := tr.Insert(randBox(rng, 0.2), int64(i)); err != nil {
+		it := Item{Box: randBox(rng, 0.2), Ref: int64(i)}
+		items = append(items, it)
+		if err := tr.Insert(it.Box, it.Ref); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Two heavily overlapping boxes: most entries match both.
-	boxes := []geom.Box{
+	target := []geom.Box{
 		{MinX: 0, MinY: 0, MinE: 0, MaxX: 0.8, MaxY: 0.8, MaxE: 0.8},
 		{MinX: 0.1, MinY: 0.1, MinE: 0.1, MaxX: 0.9, MaxY: 0.9, MaxE: 0.9},
 	}
-	run := func() []int64 {
-		var out []int64
-		if err := tr.SearchBoxes(boxes, func(ref int64, _ geom.Box) bool {
-			out = append(out, ref)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
+	cover := []geom.Box{{MinX: 0.3, MinY: 0.3, MinE: 0.3, MaxX: 0.6, MaxY: 0.6, MaxE: 0.6}}
+	frags := DeltaBoxes(target, cover)
+	if len(frags) < 2 {
+		t.Fatalf("expected several fragments, got %d", len(frags))
 	}
-	a := run()
+	a := searchEach(t, tr, frags)
 	seen := make(map[int64]bool, len(a))
+	dups := 0
 	for _, ref := range a {
 		if seen[ref] {
-			t.Fatalf("ref %d visited twice", ref)
+			dups++
 		}
 		seen[ref] = true
 	}
-	union := collect(t, tr, boxes[0])
-	for _, ref := range collect(t, tr, boxes[1]) {
-		if !seen[ref] {
-			t.Fatalf("ref %d in box[1] missing from SearchBoxes result", ref)
+	if dups == 0 {
+		t.Fatal("no entry matched two fragments: the test no longer covers the shared faces")
+	}
+	for _, it := range items {
+		want := false
+		for _, f := range frags {
+			want = want || it.Box.Intersects(f)
+		}
+		if seen[it.Ref] != want {
+			t.Fatalf("ref %d: visited=%v, intersects a fragment=%v", it.Ref, seen[it.Ref], want)
 		}
 	}
-	for _, ref := range union {
-		if !seen[ref] {
-			t.Fatalf("ref %d in box[0] missing from SearchBoxes result", ref)
-		}
-	}
-	b := run()
-	if len(a) != len(b) {
-		t.Fatalf("non-deterministic result count: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("non-deterministic order at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-	// Early stop after 5 entries.
-	count := 0
-	if err := tr.SearchBoxes(boxes, func(int64, geom.Box) bool {
-		count++
-		return count < 5
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 5 {
-		t.Fatalf("early stop visited %d entries, want 5", count)
+	b := searchEach(t, tr, frags)
+	if !equalIDs(a, b) {
+		t.Fatal("non-deterministic visit order over the same fragments")
 	}
 }

@@ -56,6 +56,20 @@ func (n *node) mbr() geom.Box {
 	return b
 }
 
+// pageHeader validates a node page's header and returns its kind and
+// entry count: the one check every reader of a node page shares.
+func pageHeader(id pager.PageID, d []byte) (leaf bool, cnt int, err error) {
+	typ := d[0]
+	if typ != leafType && typ != innerType {
+		return false, 0, fmt.Errorf("%w: page %d is not a node (type %d)", ErrCorrupt, id, typ)
+	}
+	cnt = int(binary.LittleEndian.Uint16(d[1:]))
+	if cnt > MaxEntries+1 {
+		return false, 0, fmt.Errorf("%w: page %d has impossible entry count %d", ErrCorrupt, id, cnt)
+	}
+	return typ == leafType, cnt, nil
+}
+
 // readNode loads a node page. Every call is a (possibly buffered) page
 // access, which is exactly how index I/O is charged in the paper.
 func (t *Tree) readNode(id pager.PageID) (*node, error) {
@@ -65,15 +79,11 @@ func (t *Tree) readNode(id pager.PageID) (*node, error) {
 	}
 	defer fr.Unpin()
 	d := fr.Data()
-	typ := d[0]
-	if typ != leafType && typ != innerType {
-		return nil, fmt.Errorf("%w: page %d is not a node (type %d)", ErrCorrupt, id, typ)
+	leaf, cnt, err := pageHeader(id, d)
+	if err != nil {
+		return nil, err
 	}
-	cnt := int(binary.LittleEndian.Uint16(d[1:]))
-	if cnt > MaxEntries+1 {
-		return nil, fmt.Errorf("%w: page %d has impossible entry count %d", ErrCorrupt, id, cnt)
-	}
-	n := &node{id: id, leaf: typ == leafType, entries: make([]entry, cnt)}
+	n := &node{id: id, leaf: leaf, entries: make([]entry, cnt)}
 	off := nodeHeader
 	for i := 0; i < cnt; i++ {
 		n.entries[i] = decodeEntry(d[off:])
@@ -142,4 +152,13 @@ func decodeEntry(d []byte) entry {
 		},
 		ref: int64(binary.LittleEndian.Uint64(d[48:])),
 	}
+}
+
+// boxIntersectsAt is decodeEntry(d).box.Intersects(*q) without the
+// decode: bounds are read off the page only until one rules the entry out.
+func boxIntersectsAt(d []byte, q *geom.Box) bool {
+	f := func(off int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(d[off:])) }
+	return f(0) <= q.MaxX && q.MinX <= f(24) &&
+		f(8) <= q.MaxY && q.MinY <= f(32) &&
+		f(16) <= q.MaxE && q.MinE <= f(40)
 }

@@ -117,36 +117,63 @@ func (t *Tree) Height() int { return t.height }
 // stopping early if fn returns false. The traversal order is the on-disk
 // entry order (deterministic).
 func (t *Tree) Search(query geom.Box, fn func(ref int64, box geom.Box) bool) error {
-	_, err := t.search(t.root, query, fn, t.height)
+	s := searcher{t: t, query: query, fn: fn}
+	_, err := s.search(t.root, t.height)
 	return err
+}
+
+// searcher is the state of one Search: the query, and a scratch stack
+// holding, for each node on the current root-to-leaf path, the entries of
+// that node that intersect the query and are still to be visited.
+type searcher struct {
+	t     *Tree
+	query geom.Box
+	fn    func(int64, geom.Box) bool
+	stack []entry
 }
 
 // search descends below id; depth is the number of levels that may
 // remain (the guard that turns a corrupted child-pointer cycle into an
-// ErrCorrupt instead of unbounded recursion).
-func (t *Tree) search(id pager.PageID, query geom.Box, fn func(int64, geom.Box) bool, depth int) (bool, error) {
+// ErrCorrupt instead of unbounded recursion). A node is never
+// materialized: its page is pinned, the intersecting entries are copied
+// off it onto the stack, and it is unpinned before any of them is
+// followed — one page access per node and at most one index page pinned
+// at a time, exactly the page traffic of reading the node whole.
+func (s *searcher) search(id pager.PageID, depth int) (bool, error) {
 	if depth < 1 {
-		return false, fmt.Errorf("%w: traversal exceeds height %d at node %d", ErrCorrupt, t.height, id)
+		return false, fmt.Errorf("%w: traversal exceeds height %d at node %d", ErrCorrupt, s.t.height, id)
 	}
-	n, err := t.readNode(id)
+	fr, err := s.t.p.Get(id)
 	if err != nil {
+		return false, fmt.Errorf("rtree: read node %d: %w", id, err)
+	}
+	d := fr.Data()
+	leaf, cnt, err := pageHeader(id, d)
+	if err != nil {
+		fr.Unpin()
 		return false, err
 	}
-	for _, e := range n.entries {
-		if !e.box.Intersects(query) {
-			continue
+	base := len(s.stack)
+	for i := 0; i < cnt; i++ {
+		if e := d[nodeHeader+i*entryBytes:]; boxIntersectsAt(e, &s.query) {
+			s.stack = append(s.stack, decodeEntry(e))
 		}
-		if n.leaf {
-			if !fn(e.ref, e.box) {
+	}
+	fr.Unpin()
+	for i, end := base, len(s.stack); i < end; i++ {
+		e := s.stack[i] // copied: a child's appends may move the stack
+		if leaf {
+			if !s.fn(e.ref, e.box) {
 				return false, nil
 			}
 		} else {
-			cont, err := t.search(pager.PageID(e.ref), query, fn, depth-1)
+			cont, err := s.search(pager.PageID(e.ref), depth-1)
 			if err != nil || !cont {
 				return cont, err
 			}
 		}
 	}
+	s.stack = s.stack[:base]
 	return true, nil
 }
 
