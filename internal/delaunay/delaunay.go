@@ -215,7 +215,11 @@ func (t *triangulator) insert(pi int) error {
 			return fmt.Errorf("delaunay: located ghost does not conflict with point %d", pi)
 		}
 	}
+	// cavity lists the conflict set in discovery order: the fan below is
+	// numbered from it, so ranging over the map instead would hand back the
+	// triangles in a different order on every run.
 	conflict := map[int]bool{start: true}
+	cavity := []int{start}
 	stack := []int{start}
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
@@ -226,6 +230,7 @@ func (t *triangulator) insert(pi int) error {
 			}
 			if t.conflicts(nb, p) {
 				conflict[nb] = true
+				cavity = append(cavity, nb)
 				stack = append(stack, nb)
 			}
 		}
@@ -237,7 +242,7 @@ func (t *triangulator) insert(pi int) error {
 		outside int
 	}
 	var boundary []bedge
-	for ti := range conflict {
+	for _, ti := range cavity {
 		tr := &t.tris[ti]
 		for k := 0; k < 3; k++ {
 			nb := tr.n[k]
@@ -247,7 +252,7 @@ func (t *triangulator) insert(pi int) error {
 			boundary = append(boundary, bedge{a: tr.v[(k+1)%3], b: tr.v[(k+2)%3], outside: nb})
 		}
 	}
-	for ti := range conflict {
+	for _, ti := range cavity {
 		t.tris[ti].alive = false
 	}
 	// Fan around pi: one triangle per boundary edge. The boundary cycle

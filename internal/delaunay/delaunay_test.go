@@ -3,6 +3,7 @@ package delaunay
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dmesh/internal/geom"
@@ -256,6 +257,30 @@ func BenchmarkTriangulate1k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Triangulate(pts); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// The triangle order is part of the output: the simplifier sums quadrics in
+// it, and float addition is not associative. Ranging over the conflict map
+// made it differ between two calls on the same points.
+func TestTriangleOrderDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pts := make([]geom.Point2, 500)
+	for i := range pts {
+		pts[i] = geom.Point2{X: rng.Float64(), Y: rng.Float64()}
+	}
+	first, err := Triangulate(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 5; run++ {
+		again, err := Triangulate(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("run %d returned the triangles in a different order", run)
 		}
 	}
 }
