@@ -2,10 +2,13 @@ package dmesh_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"dmesh"
+	"dmesh/internal/simplify"
 )
 
 func buildTerrain(t *testing.T) *dmesh.Terrain {
@@ -176,6 +179,26 @@ func TestIrregularTerrain(t *testing.T) {
 	}
 	if len(full.Vertices) != 600 {
 		t.Fatalf("full-resolution irregular query returned %d of 600 points", len(full.Vertices))
+	}
+}
+
+// strconv.ParseFloat accepts "nan" and "inf", so the readers hand such
+// heights on; the build must refuse them by name instead of producing a
+// sequence that depends on the heap's internals.
+func TestBuildRejectsNonFiniteHeights(t *testing.T) {
+	g, err := dmesh.ReadASCIIGrid(strings.NewReader("ncols 3\nnrows 3\ncellsize 1\n1 2 3\n4 nan 6\n7 8 9\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dmesh.BuildFromGrid(g, dmesh.Config{}); !errors.Is(err, simplify.ErrNonFinite) {
+		t.Fatalf("grid with a nan height: err = %v, want ErrNonFinite", err)
+	}
+	pts, err := dmesh.ReadXYZ(strings.NewReader("0 0 1\n1 0 2\n0 1 inf\n1 1 4\n0.4 0.6 5\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dmesh.BuildFromPoints(pts, dmesh.Config{}); !errors.Is(err, simplify.ErrNonFinite) {
+		t.Fatalf("points with an inf height: err = %v, want ErrNonFinite", err)
 	}
 }
 

@@ -107,11 +107,12 @@ var pinnedSequences = map[string]string{
 	"irregular/1500/vdist": "d98304706726da904a18c60a6d04e67121a0ebb6af640a73abaa41e7508ef939",
 }
 
+var metricCases = []struct {
+	name string
+	m    Metric
+}{{"qem", QEM}, {"vdist", VerticalDistance}}
+
 func TestSequencePinned(t *testing.T) {
-	metrics := []struct {
-		name string
-		m    Metric
-	}{{"qem", QEM}, {"vdist", VerticalDistance}}
 	check := func(name string, m *mesh.Mesh, metric Metric) {
 		seq, err := Run(m, Options{Metric: metric})
 		if err != nil {
@@ -131,13 +132,13 @@ func TestSequencePinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := mesh.FromGrid(g)
-			for _, mt := range metrics {
+			for _, mt := range metricCases {
 				check(fmt.Sprintf("%s/%d/%s", terrain, size, mt.name), m, mt.m)
 			}
 		}
 	}
 	irr := irregularMesh(t)
-	for _, mt := range metrics {
+	for _, mt := range metricCases {
 		check("irregular/1500/"+mt.name, irr, mt.m)
 	}
 }

@@ -20,9 +20,11 @@
 package simplify
 
 import (
-	"container/heap"
+	"cmp"
+	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/mesh"
@@ -107,86 +109,123 @@ func edgeKey(a, b int64) [2]int64 {
 	return [2]int64{a, b}
 }
 
-type candidate struct {
+// ErrNonFinite rejects a mesh with a NaN or infinite coordinate: its edges
+// would evaluate to err = NaN, under which the candidate order is no order.
+var ErrNonFinite = errors.New("simplify: non-finite position")
+
+// errTooLarge rejects a mesh whose vertex IDs could overflow a heap entry.
+var errTooLarge = errors.New("simplify: mesh too large for 32-bit candidate IDs")
+
+// entry is one candidate collapse, u < v. It carries no target position:
+// evaluate is a pure function of the endpoints' quadrics and positions, all
+// written once when a vertex is created, so the position is recomputed for
+// the one candidate per collapse that is used instead of being carried by
+// every stale one.
+type entry struct {
 	err  float64
-	u, v int64
-	pos  geom.Point3
+	u, v int32
 }
 
-type candHeap []candidate
-
-func (h candHeap) Len() int { return len(h) }
-
-// Less orders by error with a total (u, v) tie-break so that simplification
-// is fully deterministic regardless of map iteration order.
-func (h candHeap) Less(i, j int) bool {
-	if h[i].err != h[j].err {
-		return h[i].err < h[j].err
+// less is the total order (err, u, v). An edge is in the heap at most once,
+// so keys are distinct and the pop sequence is a function of the heap's
+// contents alone — not of its implementation, nor of the order of pushes.
+func (a entry) less(b entry) bool {
+	if a.err != b.err {
+		return a.err < b.err
 	}
-	if h[i].u != h[j].u {
-		return h[i].u < h[j].u
+	if a.u != b.u {
+		return a.u < b.u
 	}
-	return h[i].v < h[j].v
+	return a.v < b.v
 }
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(candidate)) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	*h = old[:n-1]
-	return c
+
+// edgeHeap is a binary min-heap of entries under less.
+type edgeHeap []entry
+
+func (h *edgeHeap) push(e entry) {
+	s := append(*h, e)
+	i := len(s) - 1
+	for i > 0 && e.less(s[(i-1)/2]) {
+		s[i] = s[(i-1)/2]
+		i = (i - 1) / 2
+	}
+	s[i] = e
+	*h = s
+}
+
+func (h *edgeHeap) pop() entry {
+	s := *h
+	top, last := s[0], s[len(s)-1]
+	s = s[:len(s)-1]
+	*h = s
+	for i := 0; len(s) > 0; {
+		c := 2*i + 1
+		if c+1 < len(s) && s[c+1].less(s[c]) {
+			c++
+		}
+		if c >= len(s) || !s[c].less(last) {
+			s[i] = last
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	return top
+}
+
+// work counts what one Run did, for TestWorkPerCollapseDoesNotGrow.
+type work struct {
+	pushes, pops, stale         int // heap traffic; stale = popped with a dead endpoint
+	deferrals, retries, visited int // link-condition failures, their retries, list entries looked at
 }
 
 // Run simplifies m all the way down (or until no collapse satisfies the
 // link condition) and returns the collapse sequence. The input mesh is not
 // modified.
 func Run(m *mesh.Mesh, opts Options) (*Sequence, error) {
+	seq, _, err := run(m, opts)
+	return seq, err
+}
+
+func run(m *mesh.Mesh, opts Options) (*Sequence, work, error) {
+	var wk work
 	if err := m.CheckManifold(); err != nil {
-		return nil, fmt.Errorf("simplify: input mesh invalid: %w", err)
+		return nil, wk, fmt.Errorf("simplify: input mesh invalid: %w", err)
+	}
+	base := len(m.Positions)
+	if 2*base > math.MaxInt32 { // every collapse adds one ID: fewer than 2*base in all
+		return nil, wk, fmt.Errorf("%w: %d vertices", errTooLarge, base)
+	}
+	for i, p := range m.Positions {
+		if p.Sub(p) != (geom.Point3{}) { // x-x is NaN exactly when x is NaN or Inf
+			return nil, wk, fmt.Errorf("%w: vertex %d at %v", ErrNonFinite, i, p)
+		}
 	}
 	if opts.BoundaryWeight == 0 {
 		opts.BoundaryWeight = 100
 	}
-
-	base := len(m.Positions)
 	seq := &Sequence{
 		BaseVertices: base,
 		Positions:    append([]geom.Point3(nil), m.Positions...),
 	}
 
-	// Live adjacency sets, indexed by vertex ID; nil = dead or unused.
-	adj := make([]map[int64]struct{}, base, 2*base)
-	for _, t := range m.Tris {
-		link := func(a, b int64) {
-			if adj[a] == nil {
-				adj[a] = make(map[int64]struct{}, 8)
-			}
-			adj[a][b] = struct{}{}
-		}
-		link(t.A, t.B)
-		link(t.B, t.A)
-		link(t.B, t.C)
-		link(t.C, t.B)
-		link(t.A, t.C)
-		link(t.C, t.A)
-	}
-
-	// Record the full-resolution adjacency for replay and seed the
-	// connection lists with it.
-	seq.InitialAdj = make([][]int64, base)
+	// The full-resolution adjacency is recorded for replay and seeds the
+	// connection lists and adj, the live adjacency: flat lists indexed by
+	// vertex ID, nil = dead or unused, membership a linear scan (degrees stay
+	// near 6). The order inside a list reaches nothing that is recorded:
+	// wings, Child1Adj and ConnLists are sorted before they are stored, and
+	// the heap's pop order does not depend on push order.
+	seq.InitialAdj = m.Adjacency()
 	seq.ConnLists = make([][]int64, base, 2*base)
-	for v := range adj {
-		if adj[v] == nil {
-			continue
+	adj := make([][]int64, base, 2*base)
+	alive := make([]bool, base, 2*base)
+	liveCount := 0
+	for v, l := range seq.InitialAdj {
+		if l != nil {
+			adj[v], seq.ConnLists[v] = slices.Clone(l), slices.Clone(l)
+			alive[v] = true
+			liveCount++
 		}
-		lst := make([]int64, 0, len(adj[v]))
-		for u := range adj[v] {
-			lst = append(lst, u)
-		}
-		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
-		seq.InitialAdj[v] = lst
-		seq.ConnLists[v] = append([]int64(nil), lst...)
 	}
 
 	// Per-vertex quadrics from triangle planes plus boundary constraints.
@@ -197,46 +236,31 @@ func Run(m *mesh.Mesh, opts Options) (*Sequence, error) {
 		quadrics[t.B].Add(q)
 		quadrics[t.C].Add(q)
 	}
-	// Boundary edges get perpendicular penalty planes.
-	edgeTris := make(map[[2]int64]geom.Triangle)
+	// Boundary edges get perpendicular penalty planes, accumulated in sorted
+	// edge order: float addition is not associative, so the order a map
+	// yields them in would make the whole sequence nondeterministic.
+	type boundaryEdge struct {
+		e [2]int64
+		t geom.Triangle // the one triangle using e
+	}
+	var boundary []boundaryEdge
 	edgeUse := m.Edges()
 	for _, t := range m.Tris {
 		for _, e := range [][2]int64{edgeKey(t.A, t.B), edgeKey(t.B, t.C), edgeKey(t.A, t.C)} {
 			if edgeUse[e] == 1 {
-				edgeTris[e] = t
+				boundary = append(boundary, boundaryEdge{e, t})
 			}
 		}
 	}
-	// Accumulate in sorted edge order: float addition is not associative,
-	// so map-iteration order would make the whole sequence nondeterministic.
-	boundary := make([][2]int64, 0)
-	for e, c := range edgeUse {
-		if c == 1 {
-			boundary = append(boundary, e)
-		}
-	}
-	sort.Slice(boundary, func(i, j int) bool {
-		if boundary[i][0] != boundary[j][0] {
-			return boundary[i][0] < boundary[j][0]
-		}
-		return boundary[i][1] < boundary[j][1]
+	slices.SortFunc(boundary, func(a, b boundaryEdge) int {
+		return cmp.Or(cmp.Compare(a.e[0], b.e[0]), cmp.Compare(a.e[1], b.e[1]))
 	})
-	for _, e := range boundary {
-		t := edgeTris[e]
-		pa, pb, pc := m.Positions[t.A], m.Positions[t.B], m.Positions[t.C]
+	for _, b := range boundary {
+		pa, pb, pc := m.Positions[b.t.A], m.Positions[b.t.B], m.Positions[b.t.C]
 		fn := pb.Sub(pa).Cross(pc.Sub(pa))
-		q := BoundaryQuadric(m.Positions[e[0]], m.Positions[e[1]], fn, opts.BoundaryWeight)
-		quadrics[e[0]].Add(q)
-		quadrics[e[1]].Add(q)
-	}
-
-	alive := make([]bool, base, 2*base)
-	liveCount := 0
-	for v := range adj {
-		if adj[v] != nil {
-			alive[v] = true
-			liveCount++
-		}
+		q := BoundaryQuadric(m.Positions[b.e[0]], m.Positions[b.e[1]], fn, opts.BoundaryWeight)
+		quadrics[b.e[0]].Add(q)
+		quadrics[b.e[1]].Add(q)
 	}
 
 	// evaluate returns the collapse target and error for edge (u, v).
@@ -245,8 +269,7 @@ func Run(m *mesh.Mesh, opts Options) (*Sequence, error) {
 		switch opts.Metric {
 		case VerticalDistance:
 			pos := pu.Add(pv).Scale(0.5)
-			du := absF(pu.Z - pos.Z)
-			dv := absF(pv.Z - pos.Z)
+			du, dv := math.Abs(pu.Z-pos.Z), math.Abs(pv.Z-pos.Z)
 			if dv > du {
 				du = dv
 			}
@@ -261,10 +284,8 @@ func Run(m *mesh.Mesh, opts Options) (*Sequence, error) {
 				// the optimum only when it does (with a small margin), else
 				// fall back to the best candidate below.
 				margin := 0.25*pu.XY().Dist(pv.XY()) + 1e-9
-				loX, hiX := minMax(pu.X, pv.X)
-				loY, hiY := minMax(pu.Y, pv.Y)
-				if pos.X >= loX-margin && pos.X <= hiX+margin &&
-					pos.Y >= loY-margin && pos.Y <= hiY+margin {
+				if pos.X >= min(pu.X, pv.X)-margin && pos.X <= max(pu.X, pv.X)+margin &&
+					pos.Y >= min(pu.Y, pv.Y)-margin && pos.Y <= max(pu.Y, pv.Y)+margin {
 					return pos, q.RMS(pos)
 				}
 			}
@@ -281,31 +302,31 @@ func Run(m *mesh.Mesh, opts Options) (*Sequence, error) {
 		}
 	}
 
-	h := &candHeap{}
-	pushed := make(map[[2]int64]bool)
-	pushEdge := func(u, v int64) {
-		k := edgeKey(u, v)
-		if pushed[k] {
-			return
-		}
-		pushed[k] = true
-		pos, err := evaluate(u, v)
-		heap.Push(h, candidate{err: err, u: k[0], v: k[1], pos: pos})
+	// Every undirected edge enters the heap exactly once — the initial ones
+	// here under v < u, later ones only when incident to a just-created
+	// vertex, whose ID is new — so no record of what is in the heap is kept.
+	// The one re-push is of a deferred candidate, which was popped before it
+	// was deferred and leaves the deferred set as it re-enters.
+	var h edgeHeap
+	pushEdge := func(lo, hi int64) {
+		_, err := evaluate(lo, hi)
+		wk.pushes++
+		h.push(entry{err: err, u: int32(lo), v: int32(hi)})
 	}
 	for v := range adj {
-		if adj[v] == nil {
-			continue
-		}
-		for u := range adj[v] {
+		for _, u := range adj[v] {
 			if int64(v) < u {
 				pushEdge(int64(v), u)
 			}
 		}
 	}
 
-	// Edges skipped because of the link condition wait here keyed by edge;
-	// they are retried when a later collapse changes a nearby neighborhood.
-	deferred := make(map[[2]int64]candidate)
+	// Candidates skipped because of the link condition wait in both
+	// endpoints' lists. A deferred edge is retried when a collapse changes a
+	// neighborhood it touches, i.e. when one of its endpoints is among the
+	// new vertex's neighbors — so a collapse visits those few lists, never
+	// the whole set.
+	deferred := make([][]entry, base, 2*base)
 
 	// Recorded errors are clamped to be non-decreasing along the collapse
 	// sequence (the monotone error bound standard in view-dependent LOD,
@@ -316,129 +337,112 @@ func Run(m *mesh.Mesh, opts Options) (*Sequence, error) {
 	// connection-list reconstruction provably exact for uniform-LOD cuts.
 	lastErr := 0.0
 
-	appendConn := func(v, n int64) {
-		seq.ConnLists[v] = append(seq.ConnLists[v], n)
-	}
-
-	for liveCount > 1 && (h.Len() > 0 || len(deferred) > 0) {
-		if h.Len() == 0 {
-			// Only deferred edges remain; no further progress is possible
-			// because nothing will change their neighborhoods.
-			break
-		}
-		c := heap.Pop(h).(candidate)
-		delete(pushed, edgeKey(c.u, c.v))
-		if !alive[c.u] || !alive[c.v] {
-			continue
-		}
-		if _, ok := adj[c.u][c.v]; !ok {
+	// Once the heap is empty only deferred edges remain, and nothing will
+	// change their neighborhoods again.
+	var wingBuf [8]int64
+	for liveCount > 1 && len(h) > 0 {
+		c := h.pop()
+		wk.pops++
+		u, v := int64(c.u), int64(c.v)
+		// An edge between two live vertices is never removed (adjacency
+		// only loses dying children), so liveness is the whole staleness test.
+		if !alive[u] || !alive[v] {
+			wk.stale++
 			continue
 		}
 
 		// Link condition: the children may share at most two neighbors
 		// (the wings); more would pinch the surface.
-		var wings []int64
-		for n := range adj[c.u] {
-			if _, ok := adj[c.v][n]; ok {
+		wings := wingBuf[:0]
+		for _, n := range adj[u] {
+			if slices.Contains(adj[v], n) {
 				wings = append(wings, n)
 			}
 		}
 		if len(wings) > 2 {
-			deferred[edgeKey(c.u, c.v)] = c
+			wk.deferrals++
+			deferred[u] = append(deferred[u], c)
+			deferred[v] = append(deferred[v], c)
 			continue
 		}
-		sort.Slice(wings, func(i, j int) bool { return wings[i] < wings[j] })
+		slices.Sort(wings)
+		wings = append(wings, NoWing, NoWing) // absent wings read NoWing
 
-		// Create the parent point.
-		w := int64(len(seq.Positions))
-		seq.Positions = append(seq.Positions, c.pos)
-		quadrics = append(quadrics, quadrics[c.u].Plus(quadrics[c.v]))
-		alive = append(alive, true)
-		seq.ConnLists = append(seq.ConnLists, nil)
-
-		// Child1's side of the neighbor partition, recorded before the
-		// adjacency mutates (for exact vertex splits on replay).
-		uAdj := make([]int64, 0, len(adj[c.u]))
-		for n := range adj[c.u] {
-			if n != c.v {
+		// Child1's side of the neighbor partition (for exact vertex splits
+		// on replay); absent, not empty, when it has none (codec round trip).
+		var uAdj []int64
+		if len(adj[u]) > 1 {
+			uAdj = make([]int64, 0, len(adj[u])-1)
+		}
+		for _, n := range adj[u] {
+			if n != v {
 				uAdj = append(uAdj, n)
 			}
 		}
-		sort.Slice(uAdj, func(i, j int) bool { return uAdj[i] < uAdj[j] })
-		if len(uAdj) == 0 {
-			uAdj = nil // canonical form: absent, not empty (codec round trip)
-		}
+		slices.Sort(uAdj)
 
 		// New neighborhood: union of children's neighbors minus themselves.
-		nbrs := make(map[int64]struct{}, len(adj[c.u])+len(adj[c.v]))
-		for n := range adj[c.u] {
-			if n != c.v {
-				nbrs[n] = struct{}{}
+		nbrs := append(make([]int64, 0, len(adj[u])+len(adj[v])-2), uAdj...)
+		for _, n := range adj[v] {
+			if n != u && !slices.Contains(wings, n) {
+				nbrs = append(nbrs, n)
 			}
 		}
-		for n := range adj[c.v] {
-			if n != c.u {
-				nbrs[n] = struct{}{}
-			}
-		}
-		adj = append(adj, nbrs)
-		connW := make([]int64, 0, len(nbrs))
-		for n := range nbrs {
-			delete(adj[n], c.u)
-			delete(adj[n], c.v)
-			adj[n][w] = struct{}{}
-			appendConn(n, w)
-			connW = append(connW, n)
-		}
-		sort.Slice(connW, func(i, j int) bool { return connW[i] < connW[j] })
-		seq.ConnLists[w] = connW
+		slices.Sort(nbrs)
 
-		alive[c.u], alive[c.v] = false, false
-		adj[c.u], adj[c.v] = nil, nil
+		// Create the parent point.
+		w := int64(len(seq.Positions))
+		pos, _ := evaluate(u, v)
+		seq.Positions = append(seq.Positions, pos)
+		quadrics = append(quadrics, quadrics[u].Plus(quadrics[v]))
+		alive = append(alive, true)
+		adj = append(adj, nbrs)
+		seq.ConnLists = append(seq.ConnLists, slices.Clone(nbrs))
+		deferred = append(deferred, nil)
+		for _, n := range nbrs {
+			// In n's list w takes the place of whichever children it held.
+			l, k := adj[n], 0
+			for _, x := range l {
+				if x != u && x != v {
+					l[k] = x
+					k++
+				}
+			}
+			adj[n] = append(l[:k], w)
+			seq.ConnLists[n] = append(seq.ConnLists[n], w)
+		}
+		alive[u], alive[v] = false, false
+		adj[u], adj[v] = nil, nil
+		deferred[u], deferred[v] = nil, nil
 		liveCount-- // two die, one is born
 
 		if c.err > lastErr {
 			lastErr = c.err
 		}
-		col := Collapse{
-			New: w, Child1: c.u, Child2: c.v,
-			Wing1: NoWing, Wing2: NoWing,
-			Pos: c.pos, Err: lastErr,
-		}
-		// Capture child1's side of the neighbor partition before the
-		// children die (adj[c.u] was already cleared; reconstruct from
-		// the new vertex's neighbors: n belonged to child1 iff child1 was
-		// in n's pre-collapse adjacency — tracked below via uAdj).
-		col.Child1Adj = uAdj
-		if len(wings) > 0 {
-			col.Wing1 = wings[0]
-		}
-		if len(wings) > 1 {
-			col.Wing2 = wings[1]
-		}
-		seq.Collapses = append(seq.Collapses, col)
+		seq.Collapses = append(seq.Collapses, Collapse{
+			New: w, Child1: u, Child2: v,
+			Wing1: wings[0], Wing2: wings[1],
+			Pos: pos, Err: lastErr, Child1Adj: uAdj,
+		})
 
-		// New candidate edges around w.
-		for n := range nbrs {
-			pushEdge(w, n)
-		}
-		// Retry deferred edges whose neighborhood may have changed.
-		if len(deferred) > 0 {
-			for k, dc := range deferred {
-				if !alive[dc.u] || !alive[dc.v] {
-					delete(deferred, k)
-					continue
+		for _, n := range nbrs {
+			pushEdge(n, w) // w is the newest ID, so n < w
+			// Retry what n had deferred. An entry whose partner is dead is
+			// dropped; the partner died in this very collapse (every neighbor
+			// of a dying child is in nbrs), so no dead entry outlives one.
+			for _, d := range deferred[n] {
+				wk.visited++
+				other := int64(d.u)
+				if other == n {
+					other = int64(d.v)
 				}
-				_, touchU := nbrs[dc.u]
-				_, touchV := nbrs[dc.v]
-				if touchU || touchV {
-					delete(deferred, k)
-					if !pushed[k] {
-						pushed[k] = true
-						heap.Push(h, dc)
-					}
+				if alive[other] {
+					deferred[other] = slices.DeleteFunc(deferred[other], func(b entry) bool { return b.u == d.u && b.v == d.v })
+					wk.pushes, wk.retries = wk.pushes+1, wk.retries+1
+					h.push(d)
 				}
 			}
+			deferred[n] = deferred[n][:0]
 		}
 	}
 
@@ -447,28 +451,23 @@ func Run(m *mesh.Mesh, opts Options) (*Sequence, error) {
 			seq.Roots = append(seq.Roots, v)
 		}
 	}
-	sortConnLists(seq.ConnLists)
-	return seq, nil
-}
-
-func sortConnLists(lists [][]int64) {
-	for _, l := range lists {
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
+	// Every list is already ascending: it starts sorted and each later entry
+	// is the newest vertex ID. Lists grown by append keep their slack for the
+	// life of every Terrain built on them (dm.FromSequence aliases them), so
+	// they are copied into one exact-size arena, each sub-slice capped so an
+	// append to it cannot reach its neighbor.
+	total := 0
+	for _, l := range seq.ConnLists {
+		total += len(l)
 	}
-}
-
-func minMax(a, b float64) (lo, hi float64) {
-	if a <= b {
-		return a, b
+	arena := make([]int64, 0, total)
+	for v, l := range seq.ConnLists {
+		if l != nil {
+			arena = append(arena, l...)
+			seq.ConnLists[v] = arena[len(arena)-len(l) : len(arena) : len(arena)]
+		}
 	}
-	return b, a
-}
-
-func absF(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return seq, wk, nil
 }
 
 // StepForLOD returns the number of leading collapses with error <= e.
@@ -536,7 +535,7 @@ func (s *Sequence) AdjacencyAtStep(step int) (map[int64][]int64, error) {
 		for u := range set {
 			lst = append(lst, u)
 		}
-		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
+		slices.Sort(lst)
 		out[v] = lst
 	}
 	return out, nil
@@ -626,7 +625,7 @@ func (s *Sequence) Stats() ConnStats {
 	if n > 0 {
 		st.AvgSimilarLOD = float64(totalSim) / float64(n)
 		st.AvgTotal = float64(totalAll) / float64(n)
-		sort.Ints(lengths)
+		slices.Sort(lengths)
 		st.MedianSimilarLOD = lengths[len(lengths)/2]
 	}
 	return st

@@ -1,7 +1,12 @@
 package simplify
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"dmesh/internal/heightfield"
@@ -292,14 +297,93 @@ func TestPositionsFinite(t *testing.T) {
 	}
 }
 
-func BenchmarkRunQEM(b *testing.B) {
-	g := heightfield.Highland(33, 5)
-	m := mesh.FromGrid(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(m, Options{}); err != nil {
-			b.Fatal(err)
+// A non-finite height makes every incident edge's error NaN, under which
+// the candidate order is not an order: the output would depend on the heap's
+// internals. Run refuses the mesh instead, naming the vertex.
+func TestRunRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m := mesh.FromGrid(heightfield.Highland(5, 1))
+		m.Positions[7].Z = bad
+		_, err := Run(m, Options{})
+		if !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("height %v: err = %v, want ErrNonFinite", bad, err)
+		}
+		if !strings.Contains(err.Error(), "vertex 7") {
+			t.Errorf("height %v: error %q does not name vertex 7", bad, err)
+		}
+	}
+}
+
+// The work Run does is linear in what the sequence itself contains, shown
+// by counting instead of timing. Pushes, pops and stale pops per collapse
+// are properties of the sequence (they rise slowly with mesh size under QEM,
+// whose flat-region collapses build higher-degree vertices on a larger
+// terrain); the one count the implementation owns is how many deferred
+// entries it looks at, and that is bounded per deferral, not per collapse
+// times the size of the deferred set.
+func TestWorkPerCollapseDoesNotGrow(t *testing.T) {
+	for _, metric := range []Metric{QEM, VerticalDistance} {
+		var per [2][3]float64 // pushes, pops, stale pops per collapse at 65² and at 129²
+		for i, size := range []int{65, 129} {
+			m := mesh.FromGrid(heightfield.Highland(size, 5))
+			seq, wk, err := run(m, Options{Metric: metric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every edge that ever lived sits in both endpoints' connection
+			// lists, and is pushed exactly once; the only other pushes are
+			// retries of deferred candidates.
+			edges := 0
+			for _, l := range seq.ConnLists {
+				edges += len(l)
+			}
+			if edges%2 != 0 || wk.pushes != edges/2+wk.retries {
+				t.Errorf("metric %d size %d: %d pushes, want %d edges + %d retries", metric, size, wk.pushes, edges/2, wk.retries)
+			}
+			// Every pop is a collapse, a deferral or stale.
+			if want := len(seq.Collapses) + wk.deferrals + wk.stale; wk.pops != want {
+				t.Errorf("metric %d size %d: %d pops, want %d", metric, size, wk.pops, want)
+			}
+			// A deferral files two list entries; each is looked at at most
+			// once, and at most one of the two leads to a retry.
+			if wk.visited > 2*wk.deferrals || wk.retries > wk.deferrals || wk.retries > wk.visited {
+				t.Errorf("metric %d size %d: visited %d, retried %d of %d deferrals", metric, size, wk.visited, wk.retries, wk.deferrals)
+			}
+			n := float64(len(seq.Collapses))
+			per[i] = [3]float64{float64(wk.pushes) / n, float64(wk.pops) / n, float64(wk.stale) / n}
+		}
+		for k, name := range []string{"pushes", "pops", "stale pops"} {
+			if per[1][k] > 1.5*per[0][k] {
+				t.Errorf("metric %d: %s per collapse %.2f at 129² against %.2f at 65²", metric, name, per[1][k], per[0][k])
+			}
+		}
+	}
+}
+
+// One whole Run per iteration; ns/collapse is the number that has to stay
+// flat as the terrain grows (allocs/collapse shows what the per-collapse
+// lists cost).
+func BenchmarkRun(b *testing.B) {
+	for _, size := range []int{65, 129, 257} {
+		for _, mt := range metricCases {
+			b.Run(fmt.Sprintf("%d/%s", size, mt.name), func(b *testing.B) {
+				m := mesh.FromGrid(heightfield.Highland(size, 5))
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				mallocs, collapses := ms.Mallocs, 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					seq, err := Run(m, Options{Metric: mt.m})
+					if err != nil {
+						b.Fatal(err)
+					}
+					collapses += len(seq.Collapses)
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(collapses), "ns/collapse")
+				b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(collapses), "allocs/collapse")
+			})
 		}
 	}
 }
