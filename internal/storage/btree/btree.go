@@ -379,7 +379,7 @@ func (t *Tree) put(id pager.PageID, key, value int64, depth int) (promoted int64
 }
 
 // splitLeaf moves the upper half of fr into a new leaf.
-func (t *Tree) splitLeaf(fr *pager.Frame) (int64, pager.PageID, error) {
+func (t *Tree) splitLeaf(fr pager.Frame) (int64, pager.PageID, error) {
 	d := fr.Data()
 	n := nodeCount(d)
 	right, err := t.p.Allocate()
@@ -403,7 +403,7 @@ func (t *Tree) splitLeaf(fr *pager.Frame) (int64, pager.PageID, error) {
 }
 
 // splitInner moves the upper half of fr into a new inner node.
-func (t *Tree) splitInner(fr *pager.Frame) (int64, pager.PageID, error) {
+func (t *Tree) splitInner(fr pager.Frame) (int64, pager.PageID, error) {
 	d := fr.Data()
 	n := nodeCount(d)
 	right, err := t.p.Allocate()

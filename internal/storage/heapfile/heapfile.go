@@ -115,7 +115,7 @@ func (f *File) Append(rec []byte) (RID, error) {
 	}
 	rid := RID(f.num)
 	page, slot := f.locate(rid)
-	var fr *pager.Frame
+	var fr pager.Frame
 	var err error
 	if slot == 0 {
 		fr, err = f.p.Allocate()

@@ -136,7 +136,7 @@ func (f *VarFile) Append(rec []byte) (RID, error) {
 	if len(rec) == 0 || len(rec) > MaxVarRecord {
 		return 0, fmt.Errorf("heapfile: var record length %d out of range (0, %d]", len(rec), MaxVarRecord)
 	}
-	var fr *pager.Frame
+	var fr pager.Frame
 	var err error
 	if f.last != 0 {
 		fr, err = f.p.Get(f.last)
@@ -148,10 +148,9 @@ func (f *VarFile) Append(rec []byte) (RID, error) {
 		freeOff := int(binary.LittleEndian.Uint16(d[2:]))
 		if freeOff+len(rec) > pager.PageSize-varSlotSize*(count+1) || count+1 > 0xffff {
 			fr.Unpin()
-			fr = nil
 		}
 	}
-	if fr == nil {
+	if !fr.Pinned() {
 		fr, err = f.p.Allocate()
 		if err != nil {
 			return 0, err
@@ -238,7 +237,7 @@ func slotEntry(d []byte, slot, count int) (off, length int, err error) {
 // Pager.DropCache.
 type VarCursor struct {
 	f  *VarFile
-	fr *pager.Frame // the pinned data page; nil between runs
+	fr pager.Frame // the pinned data page; not Pinned between runs
 }
 
 // Cursor returns a cursor over f with nothing pinned. Use a session view
@@ -254,7 +253,7 @@ func (c *VarCursor) Record(rid RID) ([]byte, error) {
 	if page < 1 || page > c.f.last || slot < 0 {
 		return nil, fmt.Errorf("%w: var rid %d", ErrNoRecord, rid)
 	}
-	if c.fr == nil || c.fr.ID() != page {
+	if !c.fr.Pinned() || c.fr.ID() != page {
 		c.Release()
 		fr, err := c.f.p.Get(page)
 		if err != nil {
@@ -277,9 +276,8 @@ func (c *VarCursor) Record(rid RID) ([]byte, error) {
 // Release unpins the cursor's page, if it holds one. The cursor can be
 // used again afterwards.
 func (c *VarCursor) Release() {
-	if c.fr != nil {
+	if c.fr.Pinned() {
 		c.fr.Unpin()
-		c.fr = nil
 	}
 }
 

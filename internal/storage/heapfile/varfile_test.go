@@ -384,8 +384,8 @@ func TestVarCursorHoldsOnePin(t *testing.T) {
 	c.Release()
 }
 
-// TestVarCursorAllocsPerPage: a warm sorted run allocates per page
-// touched (the pager's frame handle and LRU element), not per record.
+// TestVarCursorAllocsPerPage: a warm sorted run allocates nothing, per
+// record or per page touched (the pager's pin is a value).
 func TestVarCursorAllocsPerPage(t *testing.T) {
 	f, _ := newVarFile(t)
 	var rids []RID
@@ -409,7 +409,7 @@ func TestVarCursorAllocsPerPage(t *testing.T) {
 		}
 		c.Release()
 	})
-	if allocs > 2*pages {
-		t.Fatalf("1000 records on %v pages allocated %v objects, want <= 2 a page", pages, allocs)
+	if allocs != 0 {
+		t.Fatalf("1000 records on %v pages allocated %v objects, want none", pages, allocs)
 	}
 }

@@ -98,7 +98,7 @@ func TestClockPinnedPagesSurvive(t *testing.T) {
 func TestClockExhaustion(t *testing.T) {
 	p := NewWithPolicy(NewMemBackend(), 4, Clock)
 	defer p.Close()
-	var frames []*Frame
+	var frames []Frame
 	for i := 0; i < 4; i++ {
 		fr, err := p.Allocate()
 		if err != nil {

@@ -92,6 +92,19 @@ func TestEvictionWriteFaultDoesNotLeakCapacity(t *testing.T) {
 			fr.MarkDirty()
 			fr.Unpin()
 		}
+		// And it still has all of its frames: as many distinct pages as
+		// its capacity pin at once.
+		var held []pager.Frame
+		for id := pager.PageID(0); id < 4; id++ {
+			fr, err := p.Get(id)
+			if err != nil {
+				t.Fatalf("policy %v: pinning page %d of 4 after healing: %v", policy, id, err)
+			}
+			held = append(held, fr)
+		}
+		for i := range held {
+			held[i].Unpin()
+		}
 		if err := p.Close(); err != nil {
 			t.Fatalf("policy %v: Close: %v", policy, err)
 		}

@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// faultBackend is a minimal in-package fault injector for the one test
-// that must inspect shard internals. Everything else uses the real
+// faultBackend is a minimal in-package fault injector for the tests that
+// must inspect shard internals. Everything else uses the real
 // injection harness, internal/storage/faultfs (which imports this
 // package, so in-package tests cannot import it back); see
 // faultinject_ext_test.go.
 type faultBackend struct {
 	Backend
-	failReads bool
+	failReads, failWrites bool
 }
 
 var errInjected = errors.New("injected fault")
@@ -22,6 +22,13 @@ func (f *faultBackend) ReadPage(id PageID, buf []byte) error {
 		return errInjected
 	}
 	return f.Backend.ReadPage(id, buf)
+}
+
+func (f *faultBackend) WritePage(id PageID, buf []byte) error {
+	if f.failWrites {
+		return errInjected
+	}
+	return f.Backend.WritePage(id, buf)
 }
 
 func TestClockReadFaultLeavesNoGhostFrame(t *testing.T) {
@@ -58,6 +65,11 @@ func TestClockReadFaultLeavesNoGhostFrame(t *testing.T) {
 		if len(sh.frames) != 0 {
 			t.Fatalf("frame map holds %d stale entries after failed reads", len(sh.frames))
 		}
+	}
+	// Nor may it be lost or duplicated: the eight failures went through
+	// one of the three frames DropCache had put on the free list.
+	if _, free, _ := census(p); free != 3 {
+		t.Fatalf("free list holds %d frames after failed reads, want 3", free)
 	}
 
 	// The pool must still cycle through evictions normally afterwards.

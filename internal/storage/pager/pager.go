@@ -22,7 +22,6 @@
 package pager
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -63,7 +62,7 @@ type Stats struct {
 	Hits        uint64 // buffer-pool hits
 	Misses      uint64 // buffer-pool misses (== Reads)
 	Evictions   uint64 // frames evicted to make room
-	UnpinErrors uint64 // redundant Unpin calls absorbed (see Frame.Unpin)
+	UnpinErrors uint64 // uses of a released or stale pin handle absorbed (see Frame.Unpin)
 }
 
 // counters is the atomic backing store for Stats.
@@ -130,15 +129,31 @@ const (
 	Clock
 )
 
-// frame is one buffered page.
+// frame is one page buffer. A shard allocates at most cap of them, lazily,
+// and keeps them: resident (in sh.frames — pinned, or unpinned and, under
+// LRU, on the LRU list) or on the free list until the next miss. gen counts
+// its trips there, which tells a pin handle that outlived its page.
 type frame struct {
-	id    PageID
-	data  []byte
-	dirty bool
-	pins  int
-	elem  *list.Element // position in the LRU list; nil while pinned
-	ref   bool          // Clock: second-chance bit
-	slot  int           // Clock: position in the ring (-1 when absent)
+	sh         *shard
+	id         PageID
+	gen        uint32
+	data       []byte
+	dirty      bool
+	pins       int
+	prev, next *frame // LRU list while unpinned, nil while pinned; next alone links the free list
+	ref        bool   // Clock: second-chance bit
+	slot       int    // Clock: position in the ring (-1 when absent)
+}
+
+// insertAfter links f into the LRU list behind at; unlink takes it out.
+func (f *frame) insertAfter(at *frame) {
+	f.prev, f.next = at, at.next
+	at.next.prev, at.next = f, f
+}
+
+func (f *frame) unlink() {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
 }
 
 // shard is one independently locked slice of the buffer pool with its own
@@ -148,9 +163,10 @@ type shard struct {
 	mu     sync.Mutex
 	cap    int
 	frames map[PageID]*frame
-	lru    *list.List // LRU: front = most recently used; unpinned frames only
-	ring   []*frame   // Clock: all frames in arrival order
-	hand   int        // Clock: sweep position
+	lru    frame    // LRU: list sentinel; lru.next = most recently used, lru.prev = next victim
+	free   *frame   // frames between pages, linked through next
+	ring   []*frame // Clock: all frames in arrival order
+	hand   int      // Clock: sweep position
 }
 
 // pool is the shared state behind one or more Pager views.
@@ -192,18 +208,8 @@ func NewWithPolicy(backend Backend, capPages int, policy Policy) *Pager {
 // parallel. The shard count is capped so every shard holds at least 4
 // pages.
 func NewSharded(backend Backend, capPages, shards int, policy Policy) *Pager {
-	if capPages < 4 {
-		capPages = 4
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > capPages/4 {
-		shards = capPages / 4
-		if shards < 1 {
-			shards = 1
-		}
-	}
+	capPages = max(capPages, 4)
+	shards = min(max(shards, 1), capPages/4)
 	pl := &pool{backend: backend, policy: policy, shards: make([]*shard, shards)}
 	base, extra := capPages/shards, capPages%shards
 	for i := range pl.shards {
@@ -211,12 +217,9 @@ func NewSharded(backend Backend, capPages, shards int, policy Policy) *Pager {
 		if i < extra {
 			c++
 		}
-		pl.shards[i] = &shard{
-			pl:     pl,
-			cap:    c,
-			frames: make(map[PageID]*frame, c),
-			lru:    list.New(),
-		}
+		sh := &shard{pl: pl, cap: c, frames: make(map[PageID]*frame, c)}
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+		pl.shards[i] = sh
 	}
 	return &Pager{pl: pl}
 }
@@ -242,13 +245,20 @@ func (pl *pool) shardOf(id PageID) *shard {
 	return pl.shards[(h>>32)%uint64(len(pl.shards))]
 }
 
-// Frame is a pinned page. Callers must Unpin it when done and call
-// MarkDirty before Unpin if they modified Data.
+// Frame is a pin on one buffered page, held by value (the zero Frame pins
+// nothing). Callers must Unpin it when done and call MarkDirty before Unpin
+// if they modified Data. It records its frame's generation when pinned, so
+// a copy that outlives the pin cannot reach the page the frame holds next;
+// a handle recycled by pointer would simply be the next holder's.
 type Frame struct {
-	sh       *shard
 	f        *frame
-	released bool // set by Unpin; guarded by sh.mu
+	gen      uint32
+	released bool // set by Unpin
 }
+
+// Pinned reports whether fr came from a successful Get or Allocate and has
+// not been Unpinned through this copy.
+func (fr *Frame) Pinned() bool { return fr.f != nil && !fr.released }
 
 // ID returns the page ID.
 func (fr *Frame) ID() PageID { return fr.f.id }
@@ -256,50 +266,53 @@ func (fr *Frame) ID() PageID { return fr.f.id }
 // Data returns the page content. The slice is valid until Unpin.
 func (fr *Frame) Data() []byte { return fr.f.data }
 
-// MarkDirty records that the page content was modified. It is a no-op on
-// a released handle.
+// live reports whether fr is still a pin on its frame's current page (shard lock held).
+func (fr *Frame) live() bool { return !fr.released && fr.f.gen == fr.gen && fr.f.pins > 0 }
+
+// MarkDirty records that the page content was modified. Through a released
+// or stale handle it changes nothing and is counted in Stats.UnpinErrors.
 func (fr *Frame) MarkDirty() {
-	fr.sh.mu.Lock()
-	if !fr.released {
+	sh := fr.f.sh
+	sh.mu.Lock()
+	if fr.live() {
 		fr.f.dirty = true
+	} else {
+		sh.pl.stats.unpinErrors.Add(1)
 	}
-	fr.sh.mu.Unlock()
+	sh.mu.Unlock()
 }
 
 // Unpin releases the frame. After Unpin the Frame must not be used.
 //
 // Unpin is idempotent per Frame handle: a second call on the same handle
-// — the pattern a caller unwinding through `defer fr.Unpin()` after an
-// explicit release on a mid-query error path produces — is absorbed and
-// counted in Stats.UnpinErrors rather than corrupting the pin count or
-// panicking. A serving process must survive I/O-error unwinding.
+// — what `defer fr.Unpin()` after an explicit release on a mid-query error
+// path produces — or one through a copy whose frame has since gone to
+// another page is absorbed and counted in Stats.UnpinErrors rather than
+// corrupting a pin count or panicking: serving must survive error unwinding.
 func (fr *Frame) Unpin() {
-	sh := fr.sh
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	f := fr.f
-	if fr.released || f.pins <= 0 {
-		fr.released = true
+	sh := f.sh
+	sh.mu.Lock()
+	if !fr.live() {
 		sh.pl.stats.unpinErrors.Add(1)
-		return
-	}
-	fr.released = true
-	f.pins--
-	if f.pins == 0 {
-		switch sh.pl.policy {
-		case LRU:
-			f.elem = sh.lru.PushFront(f)
-		case Clock:
+	} else if f.pins--; f.pins == 0 {
+		if sh.pl.policy == LRU {
+			f.insertAfter(&sh.lru)
+		} else {
 			f.ref = true
 		}
 	}
+	fr.released = true
+	sh.mu.Unlock()
 }
 
-// Get pins page id, reading it from the backend on a buffer-pool miss.
-func (p *Pager) Get(id PageID) (*Frame, error) {
+// Get pins page id, reading it from the backend on a buffer-pool miss. The
+// miss is counted once the pool has made room: a Get refused because every
+// frame is pinned is no disk access, a backend read that failed is one.
+func (p *Pager) Get(id PageID) (Frame, error) {
 	pl := p.pl
 	if pl.closed.Load() {
-		return nil, ErrClosed
+		return Frame{}, ErrClosed
 	}
 	sh := pl.shardOf(id)
 	sh.mu.Lock()
@@ -310,7 +323,11 @@ func (p *Pager) Get(id PageID) (*Frame, error) {
 			p.sess.c.hits.Add(1)
 		}
 		sh.touch(f)
-		return &Frame{sh: sh, f: f}, nil
+		return Frame{f: f, gen: f.gen}, nil
+	}
+	f, err := sh.newFrame(id, p.sess)
+	if err != nil {
+		return Frame{}, err
 	}
 	pl.stats.misses.Add(1)
 	pl.stats.reads.Add(1)
@@ -318,80 +335,84 @@ func (p *Pager) Get(id PageID) (*Frame, error) {
 		p.sess.c.misses.Add(1)
 		p.sess.c.reads.Add(1)
 	}
-	f, err := sh.newFrame(id, p.sess)
-	if err != nil {
-		return nil, err
-	}
 	if err := pl.backend.ReadPage(id, f.data); err != nil {
-		sh.dropFrame(f)
-		return nil, fmt.Errorf("pager: read page %d: %w", id, err)
+		sh.recycle(f) // never registered: no map entry, no Clock ring slot to undo
+		return Frame{}, fmt.Errorf("pager: read page %d: %w", id, err)
 	}
-	return &Frame{sh: sh, f: f}, nil
+	sh.register(f)
+	return Frame{f: f, gen: f.gen}, nil
 }
 
 // Allocate creates a new zeroed page, pinned and marked dirty. No disk
 // read is charged (the page is born in the buffer pool).
-func (p *Pager) Allocate() (*Frame, error) {
+func (p *Pager) Allocate() (Frame, error) {
 	pl := p.pl
 	if pl.closed.Load() {
-		return nil, ErrClosed
+		return Frame{}, ErrClosed
 	}
 	pl.allocMu.Lock()
 	id, err := pl.backend.Allocate()
 	pl.allocMu.Unlock()
 	if err != nil {
-		return nil, fmt.Errorf("pager: allocate: %w", err)
+		return Frame{}, fmt.Errorf("pager: allocate: %w", err)
 	}
 	sh := pl.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	f, err := sh.newFrame(id, p.sess)
 	if err != nil {
-		return nil, err
+		return Frame{}, err
 	}
+	clear(f.data) // a recycled buffer holds its last page
 	f.dirty = true
-	return &Frame{sh: sh, f: f}, nil
+	sh.register(f)
+	return Frame{f: f, gen: f.gen}, nil
 }
 
 // touch pins f, removing it from the LRU list if it was unpinned.
 // Caller holds sh.mu.
 func (sh *shard) touch(f *frame) {
-	switch sh.pl.policy {
-	case LRU:
-		if f.pins == 0 && f.elem != nil {
-			sh.lru.Remove(f.elem)
-			f.elem = nil
-		}
-	case Clock:
+	if sh.pl.policy == Clock {
 		f.ref = true
+	} else if f.pins == 0 {
+		f.unlink()
 	}
 	f.pins++
 }
 
-// newFrame makes room for and registers a pinned frame for page id.
-// Caller holds sh.mu.
+// newFrame makes room for and returns a pinned frame for page id, from the
+// free list or, at most cap times in a shard's life, newly allocated. The
+// caller fills it and registers it, or recycles it. Caller holds sh.mu.
 func (sh *shard) newFrame(id PageID, sess *Session) (*frame, error) {
 	if err := sh.makeRoom(sess); err != nil {
 		return nil, err
 	}
-	f := &frame{id: id, data: make([]byte, PageSize), pins: 1, slot: -1}
-	sh.frames[id] = f
+	f := sh.free
+	if f == nil {
+		f = &frame{sh: sh, data: make([]byte, PageSize)}
+	}
+	sh.free, f.next = f.next, nil
+	f.id, f.pins, f.slot = id, 1, -1
+	return f, nil
+}
+
+// register makes f resident: findable by page ID and, under Clock, in the
+// ring at the arrival end. Caller holds sh.mu.
+func (sh *shard) register(f *frame) {
+	sh.frames[f.id] = f
 	if sh.pl.policy == Clock {
 		f.slot = len(sh.ring)
 		sh.ring = append(sh.ring, f)
 	}
-	return f, nil
 }
 
-// dropFrame unregisters a just-created pinned frame after a failed backend
-// read — including its Clock ring slot, which would otherwise linger as a
-// permanently pinned ghost entry every future sweep must step over.
-// Caller holds sh.mu.
-func (sh *shard) dropFrame(f *frame) {
-	delete(sh.frames, f.id)
-	if sh.pl.policy == Clock && f.slot >= 0 {
-		sh.removeFromRing(f)
-	}
+// recycle puts a frame that is out of sh.frames, the LRU list and the ring
+// on the free list; Get's read or Allocate's clear overwrites its bytes.
+func (sh *shard) recycle(f *frame) {
+	f.gen++
+	f.pins, f.dirty, f.ref = 0, false, false
+	f.prev, f.next = nil, sh.free
+	sh.free = f
 }
 
 // removeFromRing takes f out of the Clock ring (swap with the last entry)
@@ -418,18 +439,15 @@ func (sh *shard) makeRoom(sess *Session) error {
 	var victim *frame
 	switch sh.pl.policy {
 	case LRU:
-		elem := sh.lru.Back()
-		if elem == nil {
-			return fmt.Errorf("pager: buffer pool exhausted: all %d frames pinned", sh.cap)
+		if sh.lru.prev != &sh.lru {
+			victim = sh.lru.prev
+			victim.unlink()
 		}
-		victim = elem.Value.(*frame)
-		sh.lru.Remove(elem)
-		victim.elem = nil
 	case Clock:
 		// Second-chance sweep: clear reference bits until an unpinned,
 		// unreferenced frame comes around. Two full sweeps with no victim
 		// means everything is pinned.
-		for scanned := 0; scanned < 2*len(sh.ring); scanned++ {
+		for scanned, n := 0, 2*len(sh.ring); victim == nil && scanned < n; scanned++ {
 			f := sh.ring[sh.hand]
 			sh.hand = (sh.hand + 1) % len(sh.ring)
 			if f.pins > 0 {
@@ -440,12 +458,11 @@ func (sh *shard) makeRoom(sess *Session) error {
 				continue
 			}
 			victim = f
-			break
+			sh.removeFromRing(f)
 		}
-		if victim == nil {
-			return fmt.Errorf("pager: buffer pool exhausted: all %d frames pinned", sh.cap)
-		}
-		sh.removeFromRing(victim)
+	}
+	if victim == nil {
+		return fmt.Errorf("pager: buffer pool exhausted: all %d frames pinned", sh.cap)
 	}
 	if victim.dirty {
 		sh.pl.stats.writes.Add(1)
@@ -453,14 +470,12 @@ func (sh *shard) makeRoom(sess *Session) error {
 			sess.c.writes.Add(1)
 		}
 		if err := sh.pl.backend.WritePage(victim.id, victim.data); err != nil {
-			// The victim was already taken out of the replacement
-			// structure; put it back or it would sit in the frames map
-			// forever — resident and re-Gettable but never evictable, a
-			// one-frame capacity leak per failed eviction write.
-			switch sh.pl.policy {
-			case LRU:
-				victim.elem = sh.lru.PushBack(victim)
-			case Clock:
+			// The victim is out of the replacement structure; put it back
+			// or it would stay resident and re-Gettable but never evictable,
+			// a one-frame capacity leak per failed eviction write.
+			if sh.pl.policy == LRU {
+				victim.insertAfter(sh.lru.prev)
+			} else {
 				victim.slot = len(sh.ring)
 				sh.ring = append(sh.ring, victim)
 			}
@@ -468,6 +483,7 @@ func (sh *shard) makeRoom(sess *Session) error {
 		}
 	}
 	delete(sh.frames, victim.id)
+	sh.recycle(victim)
 	sh.pl.stats.evictions.Add(1)
 	if sess != nil {
 		sess.c.evictions.Add(1)
@@ -541,10 +557,12 @@ func (p *Pager) DropCache() error {
 		return err
 	}
 	for _, sh := range pl.shards {
-		sh.frames = make(map[PageID]*frame, sh.cap)
-		sh.lru.Init()
-		sh.ring = sh.ring[:0]
-		sh.hand = 0
+		for _, f := range sh.frames {
+			sh.recycle(f)
+		}
+		clear(sh.frames)
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+		sh.ring, sh.hand = sh.ring[:0], 0
 	}
 	return nil
 }

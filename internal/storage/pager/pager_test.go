@@ -124,7 +124,7 @@ func TestPinnedPagesSurviveEvictionPressure(t *testing.T) {
 func TestPoolExhaustion(t *testing.T) {
 	p := New(NewMemBackend(), 4)
 	defer p.Close()
-	var frames []*Frame
+	var frames []Frame
 	for i := 0; i < 4; i++ {
 		fr, err := p.Allocate()
 		if err != nil {
