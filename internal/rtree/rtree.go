@@ -122,6 +122,24 @@ func (t *Tree) Search(query geom.Box, fn func(ref int64, box geom.Box) bool) err
 	return err
 }
 
+// SearchBoxes answers every box of queries at once: fn is called with
+// (q, ref, box) for every data entry whose box intersects queries[q],
+// stopping early if fn returns false. For any one q the entries arrive in
+// Search(queries[q])'s order; how the boxes interleave is unspecified.
+func (t *Tree) SearchBoxes(queries []geom.Box, fn func(q int, ref int64, box geom.Box) bool) error {
+	for q, query := range queries {
+		cont := true
+		err := t.Search(query, func(ref int64, box geom.Box) bool {
+			cont = fn(q, ref, box)
+			return cont
+		})
+		if err != nil || !cont {
+			return err
+		}
+	}
+	return nil
+}
+
 // searcher is the state of one Search: the query, and a scratch stack
 // holding, for each node on the current root-to-leaf path, the entries of
 // that node that intersect the query and are still to be visited.
