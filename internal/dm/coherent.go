@@ -170,7 +170,7 @@ func (c *CoherentSession) frame(qp geom.QueryPlane, target []geom.Box) (*Result,
 		st.Evicted = before - st.Retained
 	}
 	var err error
-	if st.Fetched, err = f.fetchBoxes(fetchBoxes); err != nil {
+	if st.Fetched, err = f.fetchEach(fetchBoxes); err != nil {
 		// The retained state is mid-reconciliation; start clean. The pages
 		// the frame did read are still the frame's.
 		c.Invalidate()
@@ -187,6 +187,32 @@ func (c *CoherentSession) frame(qp geom.QueryPlane, target []geom.Box) (*Result,
 	st.DA = c.sess.DiskAccesses()
 	tr.End() // root; after this the trace accounts for exactly st.DA
 	return res, st, nil
+}
+
+// fetchEach is fetchBoxes with one R*-tree descent per box, for a frame's
+// delta fragments. A one-shot query answers all its boxes in one descent
+// because it starts cold or shares nothing with the next query; a session's
+// frames share their index pages, and one depth-first sweep a frame over an
+// index working set larger than the pool is LRU's cyclic worst case, where
+// a descent per fragment re-touches the upper levels between leaves and
+// keeps them resident. Measured (`dmbench -fig flyover`, highland 129²,
+// pools 64/16/64/16, warm): with one descent a frame the incremental
+// multi-base column rose from 94.1 to 105.5 DA a frame at 0.50 overlap and
+// from 77.1 to 85.5 at 0.90.
+func (f *fetcher) fetchEach(boxes []geom.Box) (int, error) {
+	defer f.rd.release()
+	fetched := 0
+	for i := range boxes {
+		if err := f.search(boxes[i : i+1]); err != nil {
+			return fetched, err
+		}
+		n, err := f.fetchRIDs()
+		fetched += n
+		if err != nil {
+			return fetched, err
+		}
+	}
+	return fetched, nil
 }
 
 func segmentIntersectsAny(seg geom.Box, boxes []geom.Box) bool {

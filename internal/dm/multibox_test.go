@@ -8,6 +8,7 @@ import (
 
 	"dmesh/internal/costmodel"
 	"dmesh/internal/geom"
+	"dmesh/internal/obs"
 	"dmesh/internal/storage/heapfile"
 )
 
@@ -48,7 +49,10 @@ func queryPerBox(s *Store, boxes []geom.Box, need func(x, y float64) float64, li
 // that hold everything and pools that evict, every cube plan answered cold
 // — the cost model's and fixed ones from one strip to more strips than
 // records — returns the per-box loop's canonical mesh, FetchedRecords and
-// Strips, and reads the per-box loop's pages from each file.
+// Strips, and reads the per-box loop's pages from each file; traced, it is
+// one descent and one fetch whose spans account for every page. Only an
+// index pool smaller than one plan's index pages tells the two apart, and
+// then in the descent's favour: it reads no node twice.
 func TestPlanAccountingMatchesPerBoxLoop(t *testing.T) {
 	ds, _ := buildDataset(t, 65, "highland")
 	rng := rand.New(rand.NewSource(28))
@@ -63,8 +67,10 @@ func TestPlanAccountingMatchesPerBoxLoop(t *testing.T) {
 			})
 		}
 	}
+	const tinyIndexPool = 8
+	fewerIndexReads := false
 	for _, layout := range []Layout{LayoutPacked, LayoutSTR} {
-		for _, pools := range []StorePools{{}, {Data: 64, Overflow: 16, Index: 64, IDIndex: 16}} {
+		for _, pools := range []StorePools{{}, {Data: 64, Overflow: 16, Index: 64, IDIndex: 16}, {Data: 64, Overflow: 16, Index: tinyIndexPool, IDIndex: 16}} {
 			pools.Layout = layout
 			s, err := BuildStore(ds, pools)
 			if err != nil {
@@ -93,13 +99,14 @@ func TestPlanAccountingMatchesPerBoxLoop(t *testing.T) {
 						t.Fatalf("%s: reference: %v", label, err)
 					}
 
-					q := cold()
-					var got *Result
-					if name == "planner" {
-						got, err = q.MultiBase(qp, model, 0)
-					} else {
-						got, err = q.ExecuteStrips(qp, strips)
+					run := func(q *Session) (*Result, error) {
+						if name == "planner" {
+							return q.MultiBase(qp, model, 0)
+						}
+						return q.ExecuteStrips(qp, strips)
 					}
+					q := cold()
+					got, err := run(q)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -110,6 +117,21 @@ func TestPlanAccountingMatchesPerBoxLoop(t *testing.T) {
 						t.Errorf("%s: fetched %d records over %d strips, per-box loop %d over %d",
 							label, got.FetchedRecords, got.Strips, want.FetchedRecords, want.Strips)
 					}
+					if pools.Index == tinyIndexPool {
+						// A plan whose index pages outnumber the pool: the
+						// per-box loop re-reads shared nodes it evicted
+						// between boxes, one descent reads each once.
+						got, want := q.Breakdown(), ref.Breakdown()
+						fewerIndexReads = fewerIndexReads || got.Index < want.Index
+						if got.Index > want.Index {
+							t.Errorf("%s: %d index pages read, per-box loop %d", label, got.Index, want.Index)
+						}
+						got.Index, want.Index = 0, 0
+						if got != want {
+							t.Errorf("%s: pages read %+v, per-box loop %+v", label, got, want)
+						}
+						continue
+					}
 					if q.Breakdown() != ref.Breakdown() {
 						t.Errorf("%s: pages read %+v, per-box loop %+v", label, q.Breakdown(), ref.Breakdown())
 					}
@@ -117,12 +139,7 @@ func TestPlanAccountingMatchesPerBoxLoop(t *testing.T) {
 					// Traced: the same pages, every one attributed.
 					q = cold()
 					tr := q.NewTrace()
-					if name == "planner" {
-						_, err = q.MultiBase(qp, model, 0)
-					} else {
-						_, err = q.ExecuteStrips(qp, strips)
-					}
-					if err != nil {
+					if _, err := run(q); err != nil {
 						t.Fatalf("%s traced: %v", label, err)
 					}
 					if q.Breakdown() != ref.Breakdown() {
@@ -130,6 +147,15 @@ func TestPlanAccountingMatchesPerBoxLoop(t *testing.T) {
 					}
 					if err := tr.CheckTotal(q.DiskAccesses()); err != nil {
 						t.Errorf("%s: %v", label, err)
+					}
+					// One query, one descent, one fetch — whatever the plan.
+					spans := map[obs.Phase]int{}
+					for _, sp := range tr.Spans() {
+						spans[sp.Phase]++
+					}
+					if spans[obs.PhaseRTree] != 1 || spans[obs.PhaseFetch] != 1 {
+						t.Errorf("%s: %d rtree_descent and %d dm_fetch spans for one query",
+							label, spans[obs.PhaseRTree], spans[obs.PhaseFetch])
 					}
 				}
 			}
@@ -141,5 +167,8 @@ func TestPlanAccountingMatchesPerBoxLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+	if !fewerIndexReads {
+		t.Errorf("no plan's index pages outnumbered a pool of %d: the case was not tested", tinyIndexPool)
 	}
 }

@@ -11,16 +11,17 @@ import (
 )
 
 // fetcher runs the range queries of one Direct Mesh query, reusing the
-// RID list and the record reader across boxes and appending the
+// RID list and the record reader across searches and appending the
 // decoded records to one slab in arrival order. fetched turns the slab
 // into the record set — a []Node ascending by ID, each ID once — the only
 // form fetched records take: queries assemble it, coherent sessions
 // retain it, tile patches keep it.
 type fetcher struct {
-	s    *Store
-	rids []heapfile.RID
-	rd   recReader
-	recs []Node
+	s     *Store
+	rids  []heapfile.RID
+	boxOf []int32 // boxOf[i] is the query box rids[i] matched, while search regroups
+	rd    recReader
+	recs  []Node
 	// tr carries the owning view's tracer (nil when tracing is off).
 	tr *obs.Trace
 }
@@ -80,41 +81,78 @@ func (f *fetcher) fetched() []Node {
 	return f.recs
 }
 
+// search resolves boxes with one R*-tree descent and leaves their RIDs in
+// f.rids box-major: box 0's in the order a search for box 0 alone reports
+// them, then box 1's, and so on — the list one search per box would build,
+// without the root-to-leaf paths the boxes share being walked once per
+// box. The descent reports (box, RID) in the tree's depth-first order; a
+// stable counting sort on the box number regroups them.
+func (f *fetcher) search(boxes []geom.Box) error {
+	f.rids, f.boxOf = f.rids[:0], f.boxOf[:0]
+	f.tr.Begin(obs.PhaseRTree)
+	defer f.tr.End()
+	one := len(boxes) == 1 // nothing to regroup: the largest RID lists are one box's
+	err := f.s.rt.SearchBoxes(boxes, func(q int, ref int64, _ geom.Box) bool {
+		f.rids = append(f.rids, heapfile.RID(ref))
+		if !one {
+			f.boxOf = append(f.boxOf, int32(q))
+		}
+		return true
+	})
+	if err != nil {
+		return fmt.Errorf("dm: index search: %w", err)
+	}
+	if one {
+		return nil
+	}
+	next := make([]int, len(boxes)+1) // next[q+1] counts box q, then next[q] is its next slot
+	for _, q := range f.boxOf {
+		next[q+1]++
+	}
+	for q := range boxes {
+		next[q+1] += next[q]
+	}
+	grouped := make([]heapfile.RID, len(f.rids))
+	for i, q := range f.boxOf {
+		grouped[next[q]] = f.rids[i]
+		next[q]++
+	}
+	f.rids = grouped
+	return nil
+}
+
+// fetchRIDs reads the records f.rids names, in that order, onto the slab:
+// on a store clustered on the index, leaf after leaf of RIDs that share
+// data pages, which the reader's cursor turns into one pin a page. It
+// returns the number of records read.
+func (f *fetcher) fetchRIDs() (int, error) {
+	f.recs = slices.Grow(f.recs, len(f.rids))
+	f.tr.Begin(obs.PhaseFetch)
+	defer f.tr.End()
+	for i, rid := range f.rids {
+		n, err := f.s.fetchRecord(rid, &f.rd, f.tr)
+		if err != nil {
+			return i, err
+		}
+		f.recs = append(f.recs, n)
+	}
+	return len(f.rids), nil
+}
+
 // fetchBoxes retrieves every node whose vertical segment intersects one
-// of boxes: per box one R*-tree range query plus the data-page reads for
-// the matching records, read in the index's own order — on a store
-// clustered on the index, leaf after leaf of RIDs that share data pages,
-// which the reader's cursor turns into one pin a page. It returns the
-// number of records read (duplicates across boxes are real I/O and
-// count).
+// of boxes: one R*-tree descent for all of them, then the data-page reads
+// for the matching records box by box. Keeping the per-box read order
+// keeps what a search per box paid, page for page: the heap and overflow
+// pools see the same accesses in the same order (so evict the same pages),
+// the slab fetched() sorts is the same slab, and a record on a face two
+// boxes share is still read twice and counted twice. It returns the number
+// of records read (duplicates across boxes are real I/O and count).
 func (f *fetcher) fetchBoxes(boxes []geom.Box) (int, error) {
 	defer f.rd.release()
-	fetched := 0
-	for _, box := range boxes {
-		f.rids = f.rids[:0]
-		f.tr.Begin(obs.PhaseRTree)
-		err := f.s.rt.Search(box, func(ref int64, _ geom.Box) bool {
-			f.rids = append(f.rids, heapfile.RID(ref))
-			return true
-		})
-		f.tr.End()
-		if err != nil {
-			return fetched, fmt.Errorf("dm: index search: %w", err)
-		}
-		f.recs = slices.Grow(f.recs, len(f.rids))
-		f.tr.Begin(obs.PhaseFetch)
-		for _, rid := range f.rids {
-			n, err := f.s.fetchRecord(rid, &f.rd, f.tr)
-			if err != nil {
-				f.tr.End()
-				return fetched, err
-			}
-			fetched++
-			f.recs = append(f.recs, n)
-		}
-		f.tr.End()
+	if err := f.search(boxes); err != nil {
+		return 0, err
 	}
-	return fetched, nil
+	return f.fetchRIDs()
 }
 
 // query is the ending every one-shot query shares: fetch the boxes into

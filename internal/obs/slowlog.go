@@ -10,18 +10,30 @@ import (
 // SlowEntry is one slow-query record: what ran, what it cost, and the
 // full per-phase breakdown of where the cost went.
 type SlowEntry struct {
-	Seq    uint64        `json:"seq"` // monotone intake order
-	Query  string        `json:"query"`
-	When   time.Time     `json:"when"`
-	Dur    time.Duration `json:"nanos"`
-	DA     uint64        `json:"disk_accesses"`
-	Phases []PhaseStat   `json:"phases,omitempty"`
+	Seq   uint64        `json:"seq"` // monotone intake order
+	Query string        `json:"query"`
+	When  time.Time     `json:"when"`
+	Dur   time.Duration `json:"nanos"`
+	DA    uint64        `json:"disk_accesses"`
+	// Size says how big the query was, so that an entry slow because it
+	// was large reads differently from one slow for its size.
+	Size
+	Phases []PhaseStat `json:"phases,omitempty"`
 
 	// TraceWire is the base64 TraceWire encoding of the full span tree,
 	// when the observed trace had one — the drill-down a cluster-merged
 	// slow log carries across process boundaries (DecodeTraceWire on the
 	// decoded bytes recovers every span).
 	TraceWire string `json:"trace_wire,omitempty"`
+}
+
+// Size is the store work behind one query: the node records it fetched and
+// the range queries (the strips of a cube plan, the delta fragments of a
+// coherent frame, the tiles materialized) that fetched them. Zero for a
+// query answered without touching the store.
+type Size struct {
+	RecordsFetched int `json:"records_fetched,omitempty"`
+	Strips         int `json:"strips,omitempty"`
 }
 
 // SlowLog is a fixed-capacity ring buffer of queries slower than a
@@ -54,7 +66,7 @@ func (l *SlowLog) Threshold() time.Duration {
 // Observe records a finished query if it met the threshold. The phase
 // breakdown is copied out of tr (which may be nil or about to be
 // reset), so entries stay valid after the trace is reused.
-func (l *SlowLog) Observe(query string, dur time.Duration, da uint64, tr *Trace) {
+func (l *SlowLog) Observe(query string, dur time.Duration, da uint64, size Size, tr *Trace) {
 	if l == nil {
 		return
 	}
@@ -79,6 +91,7 @@ func (l *SlowLog) Observe(query string, dur time.Duration, da uint64, tr *Trace)
 		When:      time.Now(),
 		Dur:       dur,
 		DA:        da,
+		Size:      size,
 		Phases:    tr.PhaseStats(),
 		TraceWire: wire,
 	}

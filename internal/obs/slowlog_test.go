@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,10 +13,10 @@ import (
 
 func TestSlowLogThresholdAndOrder(t *testing.T) {
 	l := NewSlowLog(4, 10*time.Millisecond)
-	l.Observe("fast", 5*time.Millisecond, 1, nil)
-	l.Observe("slow-a", 20*time.Millisecond, 10, nil)
-	l.Observe("slow-b", 40*time.Millisecond, 20, nil)
-	l.Observe("slow-c", 30*time.Millisecond, 15, nil)
+	l.Observe("fast", 5*time.Millisecond, 1, Size{}, nil)
+	l.Observe("slow-a", 20*time.Millisecond, 10, Size{}, nil)
+	l.Observe("slow-b", 40*time.Millisecond, 20, Size{}, nil)
+	l.Observe("slow-c", 30*time.Millisecond, 15, Size{}, nil)
 
 	got := l.Worst(10)
 	if len(got) != 3 {
@@ -32,7 +33,7 @@ func TestSlowLogThresholdAndOrder(t *testing.T) {
 func TestSlowLogRingEviction(t *testing.T) {
 	l := NewSlowLog(3, 0)
 	for i := 0; i < 10; i++ {
-		l.Observe("q", time.Duration(i)*time.Millisecond, uint64(i), nil)
+		l.Observe("q", time.Duration(i)*time.Millisecond, uint64(i), Size{}, nil)
 	}
 	got := l.Worst(10)
 	if len(got) != 3 {
@@ -48,7 +49,7 @@ func TestSlowLogRingEviction(t *testing.T) {
 func TestSlowLogTieBreakDeterministic(t *testing.T) {
 	l := NewSlowLog(8, 0)
 	for i := 0; i < 5; i++ {
-		l.Observe("same", time.Millisecond, uint64(i), nil)
+		l.Observe("same", time.Millisecond, uint64(i), Size{}, nil)
 	}
 	a, b := l.Worst(5), l.Worst(5)
 	for i := range a {
@@ -74,7 +75,7 @@ func TestSlowLogCapturesPhases(t *testing.T) {
 	tr.End()
 
 	l := NewSlowLog(2, 0)
-	l.Observe("roi", time.Second, 6, tr)
+	l.Observe("roi", time.Second, 6, Size{}, tr)
 	tr.Reset() // entry must not alias the reused trace
 
 	got := l.Worst(1)
@@ -88,7 +89,7 @@ func TestSlowLogCapturesPhases(t *testing.T) {
 
 func TestSlowLogHandler(t *testing.T) {
 	l := NewSlowLog(4, 0)
-	l.Observe("roi", 2*time.Second, 12, nil)
+	l.Observe("roi", 2*time.Second, 12, Size{RecordsFetched: 94, Strips: 64}, nil)
 	rec := httptest.NewRecorder()
 	SlowLogHandler(l).ServeHTTP(rec, httptest.NewRequest("GET", "/slowlog?n=5", nil))
 	if rec.Code != 200 {
@@ -103,6 +104,11 @@ func TestSlowLogHandler(t *testing.T) {
 	}
 	if len(body.Entries) != 1 || body.Entries[0].DA != 12 {
 		t.Errorf("body = %+v", body)
+	}
+	// The size rides at the entry's top level, beside disk_accesses.
+	if !strings.Contains(rec.Body.String(), `"disk_accesses":12,"records_fetched":94,"strips":64`) ||
+		body.Entries[0].Size != (Size{RecordsFetched: 94, Strips: 64}) {
+		t.Errorf("size not on the entry: %s", rec.Body.String())
 	}
 
 	rec = httptest.NewRecorder()
@@ -132,7 +138,7 @@ func TestSlowLogConcurrentObserveWithTraces(t *testing.T) {
 				tr.AddDA(uint64(g + 1))
 				tr.End()
 				tr.End()
-				l.Observe(fmt.Sprintf("q-%d-%d", g, i), time.Duration(i)*time.Microsecond, uint64(g+1), tr)
+				l.Observe(fmt.Sprintf("q-%d-%d", g, i), time.Duration(i)*time.Microsecond, uint64(g+1), Size{}, tr)
 			}
 		}(g)
 	}

@@ -117,51 +117,58 @@ func (t *Tree) Height() int { return t.height }
 // stopping early if fn returns false. The traversal order is the on-disk
 // entry order (deterministic).
 func (t *Tree) Search(query geom.Box, fn func(ref int64, box geom.Box) bool) error {
-	s := searcher{t: t, query: query, fn: fn}
-	_, err := s.search(t.root, t.height)
+	return t.SearchBoxes([]geom.Box{query}, func(_ int, ref int64, box geom.Box) bool { return fn(ref, box) })
+}
+
+// SearchBoxes answers every box of queries in one descent: fn is called
+// with (q, ref, box) for every data entry whose box intersects queries[q],
+// stopping early if fn returns false. For any one q the entries arrive in
+// Search(queries[q])'s order; the boxes interleave in the tree's depth-first
+// order. A node any of the boxes reaches is read once, however many reach
+// it — a cube plan's strips share their root-to-leaf paths.
+func (t *Tree) SearchBoxes(queries []geom.Box, fn func(q int, ref int64, box geom.Box) bool) error {
+	if len(queries) == 0 {
+		return nil
+	}
+	s := searcher{queries: queries, fn: fn, reach: make([]int32, len(queries), 2*len(queries))}
+	hull := queries[0]
+	for q, b := range queries {
+		s.reach[q] = int32(q)
+		hull = hull.Union(b)
+	}
+	_, err := t.search(&s, t.root, t.height, 0, len(queries), hull)
 	return err
 }
 
-// SearchBoxes answers every box of queries at once: fn is called with
-// (q, ref, box) for every data entry whose box intersects queries[q],
-// stopping early if fn returns false. For any one q the entries arrive in
-// Search(queries[q])'s order; how the boxes interleave is unspecified.
-func (t *Tree) SearchBoxes(queries []geom.Box, fn func(q int, ref int64, box geom.Box) bool) error {
-	for q, query := range queries {
-		cont := true
-		err := t.Search(query, func(ref int64, box geom.Box) bool {
-			cont = fn(q, ref, box)
-			return cont
-		})
-		if err != nil || !cont {
-			return err
-		}
-	}
-	return nil
-}
-
-// searcher is the state of one Search: the query, and a scratch stack
-// holding, for each node on the current root-to-leaf path, the entries of
-// that node that intersect the query and are still to be visited.
+// searcher is the state of one search: the query boxes, and two scratch
+// stacks that grow on the way down and are truncated on the way back up.
+// stack holds, for each node on the current root-to-leaf path, the entries
+// of that node still to be visited; reach holds, for each of those nodes,
+// the sub-list of queries (by index, ascending) that reach it.
 type searcher struct {
-	t     *Tree
-	query geom.Box
-	fn    func(int64, geom.Box) bool
-	stack []entry
+	queries []geom.Box
+	fn      func(int, int64, geom.Box) bool
+	stack   []entry
+	reach   []int32
 }
 
-// search descends below id; depth is the number of levels that may
-// remain (the guard that turns a corrupted child-pointer cycle into an
-// ErrCorrupt instead of unbounded recursion). A node is never
-// materialized: its page is pinned, the intersecting entries are copied
-// off it onto the stack, and it is unpinned before any of them is
-// followed — one page access per node and at most one index page pinned
-// at a time, exactly the page traffic of reading the node whole.
-func (s *searcher) search(id pager.PageID, depth int) (bool, error) {
+// search descends below id, which the queries reach[lo:hi] reach; hull is
+// their bounding box (the query itself when there is one). depth is the
+// number of levels that may remain (the guard that turns a corrupted
+// child-pointer cycle into an ErrCorrupt instead of unbounded recursion).
+// A node is never materialized: its page is pinned, the entries that
+// intersect the hull are copied off it onto the stack, and it is unpinned
+// before any of them is followed — one page access per node and at most
+// one index page pinned at a time, exactly the page traffic of reading the
+// node whole. Only then is an entry tested against the queries one by one:
+// a leaf entry is reported to each it intersects, a child is entered with
+// the sub-list of those that do (and not at all when none does, so the
+// hull admits no page a per-box search would not read).
+func (t *Tree) search(s *searcher, id pager.PageID, depth, lo, hi int, hull geom.Box) (bool, error) {
 	if depth < 1 {
-		return false, fmt.Errorf("%w: traversal exceeds height %d at node %d", ErrCorrupt, s.t.height, id)
+		return false, fmt.Errorf("%w: traversal exceeds height %d at node %d", ErrCorrupt, t.height, id)
 	}
-	fr, err := s.t.p.Get(id)
+	fr, err := t.p.Get(id)
 	if err != nil {
 		return false, fmt.Errorf("rtree: read node %d: %w", id, err)
 	}
@@ -173,21 +180,47 @@ func (s *searcher) search(id pager.PageID, depth int) (bool, error) {
 	}
 	base := len(s.stack)
 	for i := 0; i < cnt; i++ {
-		if e := d[nodeHeader+i*entryBytes:]; boxIntersectsAt(e, &s.query) {
+		if e := d[nodeHeader+i*entryBytes:]; boxIntersectsAt(e, &hull) {
 			s.stack = append(s.stack, decodeEntry(e))
 		}
 	}
 	fr.Unpin()
+	one := hi-lo == 1 // the hull is the query: passing it was the test
 	for i, end := base, len(s.stack); i < end; i++ {
 		e := s.stack[i] // copied: a child's appends may move the stack
-		if leaf {
-			if !s.fn(e.ref, e.box) {
-				return false, nil
+		switch {
+		case leaf:
+			for j := lo; j < hi; j++ {
+				if q := int(s.reach[j]); one || e.box.Intersects(s.queries[q]) {
+					if !s.fn(q, e.ref, e.box) {
+						return false, nil
+					}
+				}
 			}
-		} else {
-			cont, err := s.search(pager.PageID(e.ref), depth-1)
+		case one:
+			cont, err := t.search(s, pager.PageID(e.ref), depth-1, lo, hi, hull)
 			if err != nil || !cont {
 				return cont, err
+			}
+		default:
+			var sub geom.Box
+			for j := lo; j < hi; j++ {
+				q := s.reach[j] // by index: the append below may move reach
+				if b := s.queries[q]; e.box.Intersects(b) {
+					if len(s.reach) == hi {
+						sub = b
+					} else {
+						sub = sub.Union(b)
+					}
+					s.reach = append(s.reach, q)
+				}
+			}
+			if len(s.reach) > hi {
+				cont, err := t.search(s, pager.PageID(e.ref), depth-1, hi, len(s.reach), sub)
+				if err != nil || !cont {
+					return cont, err
+				}
+				s.reach = s.reach[:hi]
 			}
 		}
 	}

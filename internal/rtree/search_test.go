@@ -151,10 +151,13 @@ func TestSearchMatchesReference(t *testing.T) {
 }
 
 // TestSearchAllocations: with the pool warm, a search's allocations do not
-// grow with the pages it visits. A pin costs none (the pager hands out a
-// value handle and links the frame itself into its LRU list), so a search
-// allocates only its scratch stack's growth. Measured: 2 allocations for 3
-// pages and 8 for 208.
+// grow with the pages it visits, nor with the boxes it answers. A pin costs
+// none (the pager hands out a value handle and links the frame itself into
+// its LRU list), so a search allocates only its two scratch stacks' growth
+// — entries to visit, and which boxes reach the node — and both double.
+// Measured: 5 allocations for 3 pages, 11 for 208 (3 of each are Search
+// wrapping its one box as a list), and 9 for the 208 pages of the same
+// volume cut into 64 strips.
 func TestSearchAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	items := make([]Item, 50000)
@@ -166,10 +169,17 @@ func TestSearchAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(q geom.Box) (pages uint64, allocs float64) {
+	measure := func(qs ...geom.Box) (pages uint64, allocs float64) {
 		search := func() {
-			if err := tr.Search(q, func(int64, geom.Box) bool { return true }); err != nil {
+			if err := tr.SearchBoxes(qs, func(int, int64, geom.Box) bool { return true }); err != nil {
 				t.Fatal(err)
+			}
+		}
+		if len(qs) == 1 {
+			search = func() {
+				if err := tr.Search(qs[0], func(int64, geom.Box) bool { return true }); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		p.ResetStats()
@@ -180,11 +190,22 @@ func TestSearchAllocations(t *testing.T) {
 		}
 		return st.Hits, testing.AllocsPerRun(20, search)
 	}
+	big := geom.Box{MinX: 0.2, MinY: 0.2, MinE: 0.2, MaxX: 0.7, MaxY: 0.7, MaxE: 0.7}
+	strips := make([]geom.Box, 64)
+	for i := range strips {
+		strips[i] = big
+		strips[i].MinX, strips[i].MaxX = 0.2+0.5*float64(i)/64, 0.2+0.5*float64(i+1)/64
+	}
 	smallPages, smallAllocs := measure(geom.Box{MinX: 0.5, MinY: 0.5, MinE: 0.5, MaxX: 0.51, MaxY: 0.51, MaxE: 0.51})
-	bigPages, bigAllocs := measure(geom.Box{MinX: 0.2, MinY: 0.2, MinE: 0.2, MaxX: 0.7, MaxY: 0.7, MaxE: 0.7})
-	t.Logf("small query: %d pages, %.0f allocs; big query: %d pages, %.0f allocs", smallPages, smallAllocs, bigPages, bigAllocs)
+	bigPages, bigAllocs := measure(big)
+	stripPages, stripAllocs := measure(strips...)
+	t.Logf("small query: %d pages, %.0f allocs; big query: %d pages, %.0f allocs; in 64 strips: %d pages, %.0f allocs",
+		smallPages, smallAllocs, bigPages, bigAllocs, stripPages, stripAllocs)
 	if bigPages < 50 || bigPages < 10*smallPages {
 		t.Fatalf("big query visits %d pages, small %d: not the comparison intended", bigPages, smallPages)
+	}
+	if stripPages < bigPages {
+		t.Fatalf("64 strips visit %d pages, their union %d", stripPages, bigPages)
 	}
 	const stackGrowth = 12
 	for _, m := range []struct {
@@ -194,5 +215,11 @@ func TestSearchAllocations(t *testing.T) {
 		if m.allocs > stackGrowth {
 			t.Errorf("%.0f allocations over %d pages: more than the scratch stack's %d", m.allocs, m.pages, stackGrowth)
 		}
+	}
+	// The box sub-lists stack in one arena: 64 boxes cost its few
+	// doublings, not a term per box.
+	const reachGrowth = 6
+	if stripAllocs > bigAllocs+reachGrowth {
+		t.Errorf("64 strips allocate %.0f, one box %.0f: more than a constant apart", stripAllocs, bigAllocs)
 	}
 }

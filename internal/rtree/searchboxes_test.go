@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"dmesh/internal/geom"
@@ -135,40 +136,48 @@ func bulkBackend(t *testing.T, rng *rand.Rand, n int) (*pager.MemBackend, int) {
 	return be, tr.Height()
 }
 
-// searchBoxesTrees builds the fixture: bulk-loaded and insert-built trees
-// of heights 1, 2 and 3, flushed to their backends so that each case can
-// open them through a pager of its own.
+// searchBoxesTrees is the fixture: bulk-loaded and insert-built trees of
+// heights 1, 2 and 3, flushed to their backends so that each case can open
+// them (read-only) through a pager of its own. Built once.
 func searchBoxesTrees(t *testing.T) map[string]*pager.MemBackend {
 	t.Helper()
-	rng := rand.New(rand.NewSource(28))
-	out := map[string]*pager.MemBackend{}
-	for _, n := range []int{40, 3000, 12000} {
-		be, h := bulkBackend(t, rng, n)
-		out[fmt.Sprintf("bulk/h%d", h)] = be
-	}
-	for _, n := range []int{40, 1500, 7000} {
-		be := pager.NewMemBackend()
-		p := pager.New(be, 1024)
-		tr, err := Create(p)
-		if err != nil {
-			t.Fatal(err)
+	searchBoxesFixture.once.Do(func() {
+		rng := rand.New(rand.NewSource(28))
+		out := map[string]*pager.MemBackend{}
+		for _, n := range []int{40, 3000, 12000} {
+			be, h := bulkBackend(t, rng, n)
+			out[fmt.Sprintf("bulk/h%d", h)] = be
 		}
-		for i := 0; i < n; i++ {
-			if err := tr.Insert(randBox(rng, 0.03), int64(i)); err != nil {
+		for _, n := range []int{40, 1500, 7000} {
+			be := pager.NewMemBackend()
+			p := pager.New(be, 1024)
+			tr, err := Create(p)
+			if err != nil {
 				t.Fatal(err)
 			}
+			for i := 0; i < n; i++ {
+				if err := tr.Insert(randBox(rng, 0.03), int64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("insert/h%d", tr.Height())] = be
 		}
-		if err := p.FlushAll(); err != nil {
-			t.Fatal(err)
-		}
-		out[fmt.Sprintf("insert/h%d", tr.Height())] = be
-	}
+		searchBoxesFixture.trees = out
+	})
 	for _, want := range []string{"bulk/h1", "bulk/h2", "bulk/h3", "insert/h1", "insert/h2", "insert/h3"} {
-		if out[want] == nil {
-			t.Fatalf("fixture has no %s tree (have %d trees)", want, len(out))
+		if searchBoxesFixture.trees[want] == nil {
+			t.Fatalf("fixture has no %s tree (have %d trees)", want, len(searchBoxesFixture.trees))
 		}
 	}
-	return out
+	return searchBoxesFixture.trees
+}
+
+var searchBoxesFixture struct {
+	once  sync.Once
+	trees map[string]*pager.MemBackend
 }
 
 // TestSearchBoxesMatchesSearch holds the multi-box search to the per-box
@@ -239,6 +248,38 @@ func TestSearchBoxesMatchesSearch(t *testing.T) {
 			}
 			if st := p.Stats(); st.UnpinErrors != 0 {
 				t.Errorf("%s: %d unpin errors", label, st.UnpinErrors)
+			}
+		}
+	}
+}
+
+// TestSearchBoxesPinsEachNodeOnce: the property a loop of searches cannot
+// have. However many boxes reach a node it is pinned once — no buffer-pool
+// hit, and through a four-frame pool that keeps nothing, still one read a
+// distinct node.
+func TestSearchBoxesPinsEachNodeOnce(t *testing.T) {
+	for name, be := range searchBoxesTrees(t) {
+		big := pager.New(be, 1024)
+		ref, err := Open(big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := pager.New(be, 4)
+		tr, err := Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for listName, boxes := range boxLists(rand.New(rand.NewSource(7))) {
+			distinct := nodesReached(t, ref, boxes)
+			if err := p.DropCache(); err != nil {
+				t.Fatal(err)
+			}
+			p.ResetStats()
+			if err := tr.SearchBoxes(boxes, func(int, int64, geom.Box) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+			if st := p.Stats(); st.Reads != uint64(distinct) || st.Hits != 0 {
+				t.Errorf("%s/%s: %d reads and %d hits for %d distinct nodes", name, listName, st.Reads, st.Hits, distinct)
 			}
 		}
 	}

@@ -41,6 +41,7 @@ var routes = [...]route{
 type answer struct {
 	label string     // the slow-log entry's text
 	da    uint64     // store disk accesses this request caused
+	size  obs.Size   // records those accesses fetched, over how many range queries
 	trace *obs.Trace // phase spans, or nil; shipped only when the client asked (trace=1)
 	// done, when set, is called once the pipeline has read trace. /frame
 	// lends its session's own trace, which the session's next frame
@@ -104,7 +105,7 @@ func (s *Server) serve(rt *route, m *endpointMetrics, w http.ResponseWriter, r *
 	m.latency.Observe(uint64(dur))
 	if err == nil {
 		m.served.Inc()
-		s.slow.Observe(ans.label, dur, ans.da, ans.trace)
+		s.slow.Observe(ans.label, dur, ans.da, ans.size, ans.trace)
 		if traced && ans.trace != nil {
 			// A header, or for a stream — whose trace is complete only now —
 			// the trailer declared before its first byte. A trace that fails
@@ -274,6 +275,9 @@ func (s *Server) parseTile(q url.Values, traced bool) (func(*answer) error, erro
 			ans.trace = sess.NewTrace()
 			res, err = sess.ViewpointIndependent(roi, lod)
 			ans.da = sess.DiskAccesses()
+			if err == nil {
+				ans.size = obs.Size{RecordsFetched: res.FetchedRecords, Strips: res.Strips}
+			}
 		} else {
 			// The cache snaps the LOD onto its ladder, materializes any cold
 			// tiles (once, however many requests race) and stitches; da is
@@ -283,6 +287,7 @@ func (s *Server) parseTile(q url.Values, traced bool) (func(*answer) error, erro
 			var qs dmesh.TileQueryStats
 			res, qs, err = s.cache.QueryTraced(roi, lod, ans.trace)
 			lod, ans.da = qs.SnappedE, qs.DA
+			ans.size = obs.Size{RecordsFetched: qs.Fetched, Strips: qs.ColdMisses}
 		}
 		if err != nil {
 			return err
@@ -318,6 +323,9 @@ func (s *Server) parsePatch(q url.Values, traced bool) (func(*answer) error, err
 		}
 		body, st, err := s.cache.PatchWire(k, ans.trace)
 		ans.da, ans.cold = st.DA, st.Cold
+		if st.Cold {
+			ans.size = obs.Size{RecordsFetched: st.Fetched, Strips: 1}
+		}
 		ans.label = fmt.Sprintf("patch key=%s cold=%t", k, st.Cold)
 		ans.wire = body
 		return err
@@ -355,6 +363,8 @@ func (s *Server) parseStream(q url.Values, traced bool) (func(*answer) error, er
 		ans.rung = func(level float64) (*dmesh.Result, error) {
 			res, qs, err := s.cache.QueryTraced(roi, level, ans.trace)
 			ans.da += qs.DA
+			ans.size.RecordsFetched += qs.Fetched
+			ans.size.Strips += qs.ColdMisses
 			return res, err
 		}
 		return nil
@@ -402,6 +412,7 @@ func (s *Server) parseFrame(q url.Values, traced bool) (func(*answer) error, err
 		if err != nil {
 			return err
 		}
+		ans.size = obs.Size{RecordsFetched: st.Fetched, Strips: res.Strips}
 		ans.json = frameResponse{
 			Session:      name,
 			Full:         st.Full,

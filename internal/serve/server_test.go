@@ -95,6 +95,71 @@ func TestObsSmoke(t *testing.T) {
 	}
 }
 
+// TestSlowLogSaysHowBigTheQueryWas: the slow log alone explains a latency
+// spread that is a size spread. A 0.16-area cut at the 50th LOD percentile
+// and a 0.01-area cut at the 99th differ by orders of magnitude in time
+// because they differ by orders of magnitude in records fetched, and the
+// entries say so themselves; a cache hit, which fetched nothing, says
+// nothing.
+func TestSlowLogSaysHowBigTheQueryWas(t *testing.T) {
+	s := NewTestServer(t, 65, 0)
+	ts := httptest.NewServer(s.Handler(true))
+	defer ts.Close()
+	type entry struct {
+		Seq     uint64 `json:"seq"`
+		Query   string `json:"query"`
+		Records int    `json:"records_fetched"`
+		Strips  int    `json:"strips"`
+	}
+	// get issues the requests, then returns the slow log by intake order
+	// (seq 1 first) and its worst entry.
+	get := func(paths ...string) (bySeq []entry, worst entry) {
+		t.Helper()
+		for _, path := range paths {
+			if resp, body := Fetch(t, ts.URL, path); resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
+			}
+		}
+		_, body := Fetch(t, ts.URL, "/slowlog?n=10")
+		var slow struct {
+			Entries []entry `json:"entries"`
+		}
+		if err := json.Unmarshal(body, &slow); err != nil {
+			t.Fatalf("/slowlog: %v\n%s", err, body)
+		}
+		bySeq = make([]entry, len(slow.Entries))
+		for _, e := range slow.Entries {
+			bySeq[e.Seq-1] = e
+		}
+		return bySeq, slow.Entries[0]
+	}
+	const large, small = "/tile?x0=0.3&y0=0.3&x1=0.7&y1=0.7&lod=0.5", "/tile?x0=0.45&y0=0.45&x1=0.55&y1=0.55&lod=0.99"
+	log, worst := get(small, large, small+"&nocache=1", large+"&nocache=1")
+	if len(log) != 4 {
+		t.Fatalf("/slowlog: %d entries, want 4", len(log))
+	}
+	for _, i := range []int{0, 2} { // through the cache, then past it
+		small, large := log[i], log[i+1]
+		if small.Strips < 1 || large.Strips < 1 {
+			t.Errorf("%q and %q ran %d and %d range queries", small.Query, large.Query, small.Strips, large.Strips)
+		}
+		if large.Records < 20*max(small.Records, 1) { // at 65² the small cut may well fetch none
+			t.Errorf("%q fetched %d records, %q %d: not the spread intended", small.Query, small.Records, large.Query, large.Records)
+		}
+	}
+	// Slowest first: the worst entry is one of the large cuts, and reads as
+	// one.
+	if worst.Seq != 2 && worst.Seq != 4 {
+		t.Errorf("worst entry is %q, not a large cut", worst.Query)
+	}
+	if worst.Records < max(log[0].Records, log[2].Records) {
+		t.Errorf("worst entry %q fetched %d records, fewer than a small cut", worst.Query, worst.Records)
+	}
+	if log, _ = get(large); log[4].Records != 0 || log[4].Strips != 0 {
+		t.Errorf("cache hit reports %d records over %d range queries", log[4].Records, log[4].Strips)
+	}
+}
+
 // TestMetricsEncodingDeterministic is the regression for the encoding
 // determinism audit, on the one stats surface left: for a fixed server
 // state two back-to-back /metrics pages must be byte-identical — no

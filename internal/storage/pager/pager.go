@@ -177,6 +177,13 @@ type pool struct {
 	allocMu sync.Mutex // serializes backend allocation
 	stats   counters
 	closed  atomic.Bool
+	// unsynced is set when a page is handed to the backend — by a flush
+	// or by an eviction's write-back — and cleared by the Sync that
+	// follows: a pool that only read has nothing to make durable. (A page
+	// Allocate added is born dirty, so it is written, and sets this,
+	// before any Sync that matters to it.) Set under a shard lock, cleared
+	// under all of them.
+	unsynced atomic.Bool
 }
 
 // Pager is a buffer pool over a Backend. It is safe for concurrent use.
@@ -469,6 +476,7 @@ func (sh *shard) makeRoom(sess *Session) error {
 		if sess != nil {
 			sess.c.writes.Add(1)
 		}
+		sh.pl.unsynced.Store(true)
 		if err := sh.pl.backend.WritePage(victim.id, victim.data); err != nil {
 			// The victim is out of the replacement structure; put it back
 			// or it would stay resident and re-Gettable but never evictable,
@@ -506,7 +514,7 @@ func (pl *pool) unlockAll() {
 }
 
 // FlushAll writes every dirty buffered page to the backend (pages stay
-// buffered).
+// buffered) and syncs it, unless no page was written since the last sync.
 func (p *Pager) FlushAll() error {
 	pl := p.pl
 	if pl.closed.Load() {
@@ -525,13 +533,21 @@ func (pl *pool) flushAllLocked() error {
 				continue
 			}
 			pl.stats.writes.Add(1)
+			pl.unsynced.Store(true)
 			if err := pl.backend.WritePage(id, f.data); err != nil {
 				return fmt.Errorf("pager: flush page %d: %w", id, err)
 			}
 			f.dirty = false
 		}
 	}
-	return pl.backend.Sync()
+	if !pl.unsynced.Load() {
+		return nil
+	}
+	if err := pl.backend.Sync(); err != nil {
+		return err // still unsynced: the next flush tries again
+	}
+	pl.unsynced.Store(false)
+	return nil
 }
 
 // DropCache flushes dirty pages and then empties the buffer pool,

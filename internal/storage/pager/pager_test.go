@@ -225,6 +225,81 @@ func TestLRUOrder(t *testing.T) {
 	}
 }
 
+// syncCounter counts the Syncs that reach a backend.
+type syncCounter struct {
+	Backend
+	syncs int
+}
+
+func (b *syncCounter) Sync() error {
+	b.syncs++
+	return b.Backend.Sync()
+}
+
+// TestSyncOnlyAfterWrites: DropCache and FlushAll sync the backend when a
+// page went to it since the last sync — from the flush itself or from an
+// eviction's write-back, whose durability rides on the next flush — and
+// not otherwise: the cold-cache prologue of a measured query is a pool
+// that only read.
+func TestSyncOnlyAfterWrites(t *testing.T) {
+	be := &syncCounter{Backend: NewMemBackend()}
+	p := New(be, 4)
+	var ids []PageID
+	for i := 0; i < 5; i++ { // one more page than frames
+		fr, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, fr.ID())
+		fr.Unpin()
+	}
+	step := func(what string, op func() error, want int) {
+		t.Helper()
+		before := be.syncs
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := be.syncs - before; got != want {
+			t.Fatalf("%s: %d Syncs, want %d", what, got, want)
+		}
+	}
+	touch := func(id PageID, dirty bool) {
+		t.Helper()
+		fr, err := p.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dirty {
+			fr.Data()[0]++
+			fr.MarkDirty()
+		}
+		fr.Unpin()
+	}
+	step("FlushAll of the allocated pages", p.FlushAll, 1)
+	step("FlushAll again", p.FlushAll, 0)
+	step("DropCache of a clean pool", p.DropCache, 0)
+	touch(ids[0], false)
+	step("DropCache after a read", p.DropCache, 0)
+	touch(ids[0], true)
+	step("DropCache with a dirty page", p.DropCache, 1)
+
+	// Evict a dirty page: the write-back happens at the eviction, the sync
+	// it is owed at the next flush, which itself finds nothing dirty.
+	touch(ids[0], true)
+	for _, id := range ids[1:] {
+		touch(id, false)
+	}
+	st := p.Stats()
+	if st.Evictions == 0 {
+		t.Fatal("five pages through four frames evicted nothing")
+	}
+	step("FlushAll after evicting a dirty page", p.FlushAll, 1)
+	if p.Stats().Writes != st.Writes {
+		t.Fatal("the flush wrote a page: the eviction was meant to")
+	}
+	step("FlushAll again", p.FlushAll, 0)
+}
+
 func TestMemBackendBounds(t *testing.T) {
 	b := NewMemBackend()
 	buf := make([]byte, PageSize)

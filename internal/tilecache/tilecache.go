@@ -73,6 +73,7 @@ type QueryStats struct {
 	ColdMisses int     // tiles this query materialized itself
 	Deduped    int     // tiles this query waited on another for
 	DA         uint64  // disk accesses charged to this query
+	Fetched    int     // node records the ColdMisses materializations read
 }
 
 // entry is one resident patch plus its GreedyDual-Size-Frequency state.
@@ -205,6 +206,7 @@ func (c *Cache) QueryTraced(r geom.Rect, e float64, tr *obs.Trace) (*dm.Result, 
 		patches[i] = p
 		if st.Cold {
 			qs.ColdMisses++
+			qs.Fetched += st.Fetched
 		}
 		if st.Deduped {
 			qs.Deduped++
@@ -259,7 +261,9 @@ func (c *Cache) tile(k Key, tr *obs.Trace) (p *dm.TilePatch, wire []byte, st Pat
 		delete(c.flights, k)
 	}
 	c.stats.MaterializeDA += f.da
+	st = PatchStats{DA: f.da, Cold: true}
 	if f.err == nil {
+		st.Fetched = f.patch.FetchedRecords
 		kept, dropped := f.patch.OutPairs()
 		c.stats.OutPairsKept += uint64(kept)
 		c.stats.OutPairsDropped += uint64(dropped)
@@ -269,7 +273,7 @@ func (c *Cache) tile(k Key, tr *obs.Trace) (p *dm.TilePatch, wire []byte, st Pat
 	}
 	c.mu.Unlock()
 	close(f.done)
-	return f.patch, nil, PatchStats{DA: f.da, Cold: true}, f.err
+	return f.patch, nil, st, f.err
 }
 
 // insertLocked adds a materialized patch under the byte budget, evicting
@@ -374,6 +378,8 @@ type PatchStats struct {
 	Cold bool
 	// Deduped is set when this lookup waited on another's materialization.
 	Deduped bool
+	// Fetched is the node records the materialization read (Cold only).
+	Fetched int
 }
 
 // Patch returns the materialized patch for one tile key — the single-tile
