@@ -19,7 +19,6 @@ import (
 
 	"dmesh"
 	"dmesh/internal/costmodel"
-	"dmesh/internal/dm"
 	"dmesh/internal/experiments"
 	"dmesh/internal/workload"
 )
@@ -164,46 +163,6 @@ func BenchmarkConnStats(b *testing.B) {
 }
 
 // --- Ablations (DESIGN.md Section 5) --------------------------------------
-
-// BenchmarkAblationClustering compares heap layouts for the DM store: the
-// default index-clustered (STR) order against pure (x, y) Hilbert order and
-// unclustered creation order.
-func BenchmarkAblationClustering(b *testing.B) {
-	bb := bundle(b, "highland")
-	e := bb.Terrain.LODPercentile(0.9)
-	rois := workload.ROIs(benchCfg(), 0.08)
-	for _, lay := range []struct {
-		name   string
-		layout dm.Layout
-	}{
-		{"STR", dm.LayoutSTR},
-		{"Hilbert", dm.LayoutHilbert},
-		{"RowMajor", dm.LayoutRowMajor},
-	} {
-		b.Run(lay.name, func(b *testing.B) {
-			store, err := dm.BuildStore(bb.Terrain.Dataset, dm.StorePools{Layout: lay.layout})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var da uint64
-			for i := 0; i < b.N; i++ {
-				da = 0
-				for _, roi := range rois {
-					roi := roi
-					qda, err := dmesh.MeasuredRun(store, func() error {
-						_, err := store.ViewpointIndependent(roi, e)
-						return err
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					da += qda
-				}
-			}
-			b.ReportMetric(float64(da)/float64(len(rois)), "DA/query")
-		})
-	}
-}
 
 // BenchmarkAblationMultiBase compares viewpoint-dependent strategies: the
 // cost-model-driven multi-base plan against single-base and fixed strip

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dmbench [-fig all|6a|6b|6c|6d|8a|8b|8c|8d|8e|8f|conn|throughput|flyover|tilecache|faults|dabreakdown|layoutcmp|cluster|stream|obstrace]
-//	        [-size N] [-size2 N] [-seed S] [-locations L] [-layout str|hilbert|rowmajor|connect|packed]
+//	        [-size N] [-size2 N] [-seed S] [-locations L] [-layout str|packed]
 //	        [-resultdir D] [-cpuprofile F] [-memprofile F]
 //
 // -fig throughput is not a paper figure: it measures concurrent query
@@ -34,15 +34,10 @@
 // independently counted session total.
 //
 // -fig layoutcmp is the physical-layout figure: the dabreakdown query
-// mix measured before (the -layout flag's layout) and after (the
-// connectivity-clustered layout) on the same terrain, reported side by
-// side per phase and written to results/BENCH_layout.json. The headline
-// number is the overflow_walk column: the connect layout co-allocates
-// overflow chains with their owners, so those reads become cache hits.
-// The same run then sweeps every layout — the fixed encodings, connect,
-// and the compressed packed encoding — and writes the footprint/density/
-// DA table to results/BENCH_compression.json; its headline is the packed
-// layout's data-heap DA and records-per-page against connect.
+// mix measured under both layouts — str's fixed records and the
+// compressed packed encoding — on the same terrain, with the footprint/
+// density/DA table written to results/BENCH_compression.json. Its
+// headline is packed's records-per-page and data-heap DA against str.
 //
 // -fig cluster is the scale-out figure: the hot-spot workload answered
 // by an in-process sharded tile-serving cluster (consistent-hash
@@ -68,8 +63,9 @@
 // query, including with a shard fail-stopped mid-workload. The legs go
 // to results/BENCH_obstrace.json.
 //
-// -layout selects the DM store's physical record layout for every
-// figure; layoutcmp uses it as the "before" side.
+// -layout selects the DM store's physical record layout (str, the
+// paper's fixed records, or packed) for every figure; layoutcmp measures
+// both layouts whatever it names.
 //
 // -resultdir redirects the results/ JSON outputs (the benchdiff
 // regression gate points it at a scratch directory).
@@ -113,7 +109,7 @@ func main() {
 func mainErr() error {
 	var (
 		fig       = flag.String("fig", "all", "figure to reproduce (6a..6d, 8a..8f, conn, throughput, flyover, tilecache, faults, dabreakdown, layoutcmp, cluster, stream, obstrace, all)")
-		layoutF   = flag.String("layout", "str", "physical DM-store layout: str, hilbert, rowmajor, connect, or packed")
+		layoutF   = flag.String("layout", "str", "physical DM-store layout: str or packed")
 		resultDir = flag.String("resultdir", "results", "directory the BENCH_*.json figure outputs go to")
 		size      = flag.Int("size", 257, "grid side of the highland dataset (the paper's 2M-point terrain)")
 		size2     = flag.Int("size2", 513, "grid side of the crater dataset (the paper's 17M-point terrain)")
@@ -340,24 +336,14 @@ func runners() []figureRunner {
 		}},
 		{"layoutcmp", func(e *benchEnv) error {
 			fracs := map[string]float64{"highland": 0.10, "crater": 0.05}
-			all := []dmesh.Layout{dmesh.LayoutSTR, dmesh.LayoutHilbert,
-				dmesh.LayoutRowMajor, dmesh.LayoutConnect, dmesh.LayoutPacked}
-			var cmps []*experiments.LayoutCompare
+			layouts := []dmesh.Layout{dmesh.LayoutSTR, dmesh.LayoutPacked}
 			var sweeps []*experiments.LayoutSweep
 			for _, name := range []string{"highland", "crater"} {
 				b, err := e.bundle(name)
 				if err != nil {
 					return err
 				}
-				cmp, err := b.CompareLayouts(e.cfg, fracs[name], 24, dmesh.LayoutConnect)
-				if err != nil {
-					return fmt.Errorf("layoutcmp: %w", err)
-				}
-				if err := printLayoutCompare(cmp, fracs[name]); err != nil {
-					return err
-				}
-				cmps = append(cmps, cmp)
-				sweep, err := b.SweepLayouts(e.cfg, fracs[name], 24, all)
+				sweep, err := b.SweepLayouts(e.cfg, fracs[name], 24, layouts)
 				if err != nil {
 					return fmt.Errorf("layoutcmp: %w", err)
 				}
@@ -365,9 +351,6 @@ func runners() []figureRunner {
 					return err
 				}
 				sweeps = append(sweeps, sweep)
-			}
-			if err := writeLayoutJSON(e.resultPath("BENCH_layout.json"), e, cmps); err != nil {
-				return err
 			}
 			return writeCompressionJSON(e.resultPath("BENCH_compression.json"), e, sweeps)
 		}},
@@ -735,112 +718,33 @@ func printDABreakdown(b *experiments.Bundle, cfg workload.Config, roiFrac float6
 	return w.Flush()
 }
 
-// printLayoutCompare prints the before/after physical-layout comparison:
-// per query kind, total DA and the overflow_walk share under each
-// layout, then the store footprints and the headline reductions.
-func printLayoutCompare(c *experiments.LayoutCompare, roiFrac float64) error {
-	fmt.Printf("\nLayout comparison (%s, ROI %.0f%%, %s vs %s, DA per workload):\n",
-		c.Dataset, roiFrac*100, c.Before.Layout, c.After.Layout)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "kind\tqueries\t%s total\toverflow\t%s total\toverflow\ttotal Δ\n",
-		c.Before.Layout, c.After.Layout)
-	after := map[string]experiments.DABreakdownRow{}
-	for _, r := range c.After.Rows {
-		after[r.Kind] = r
-	}
-	ovDA := func(r experiments.DABreakdownRow) uint64 {
-		for _, ps := range r.Phases {
-			if ps.Name == "overflow_walk" {
-				return ps.DA
-			}
-		}
-		return 0
-	}
-	for _, br := range c.Before.Rows {
-		ar, ok := after[br.Kind]
-		if !ok {
-			return fmt.Errorf("layoutcmp: kind %q missing from the %s side", br.Kind, c.After.Layout)
-		}
-		delta := "-"
-		if br.TotalDA > 0 {
-			delta = fmt.Sprintf("%+.1f%%", 100*(float64(ar.TotalDA)-float64(br.TotalDA))/float64(br.TotalDA))
-		}
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%s\n",
-			br.Kind, br.Queries, br.TotalDA, ovDA(br), ar.TotalDA, ovDA(ar), delta)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	bTotal, bOv := c.Before.Totals()
-	aTotal, aOv := c.After.Totals()
-	fmt.Printf("  pages: %d+%d data/overflow (%s) vs %d+%d (%s)\n",
-		c.Before.DataPages, c.Before.OverflowPages, c.Before.Layout,
-		c.After.DataPages, c.After.OverflowPages, c.After.Layout)
-	if bOv > 0 {
-		fmt.Printf("  overflow_walk DA: %d -> %d (%.1f%% reduction)\n",
-			bOv, aOv, 100*(1-float64(aOv)/float64(bOv)))
-	}
-	if bTotal > 0 {
-		fmt.Printf("  total DA: %d -> %d (%+.1f%%)\n",
-			bTotal, aTotal, 100*(float64(aTotal)-float64(bTotal))/float64(bTotal))
-	}
-	return nil
-}
-
-// writeLayoutJSON persists the layout comparison for the repo's
-// layout test tooling and EXPERIMENTS.md tables.
-func writeLayoutJSON(path string, e *benchEnv, cmps []*experiments.LayoutCompare) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	doc := struct {
-		Sizes     [2]int                       `json:"sizes"`
-		Seed      int64                        `json:"seed"`
-		Locations int                          `json:"locations"`
-		Datasets  []*experiments.LayoutCompare `json:"datasets"`
-	}{
-		Sizes: [2]int{e.size, e.size2}, Seed: e.seed,
-		Locations: e.cfg.Locations, Datasets: cmps,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", path)
-	return nil
-}
-
-// printLayoutSweep prints the all-layouts compression table: footprint,
-// realized density, and the workload's data-heap and total DA per
-// layout, with the packed-vs-connect headline underneath.
+// printLayoutSweep prints the layout table: footprint, realized density,
+// and the workload's data-heap and total DA per layout, with the
+// packed-vs-str headline underneath.
 func printLayoutSweep(s *experiments.LayoutSweep, roiFrac float64) error {
 	fmt.Printf("\nLayout sweep (%s, ROI %.0f%%, DA per workload):\n", s.Dataset, roiFrac*100)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "layout\trecords\tdata pages\toverflow pages\trec/page\tdata DA\ttotal DA\n")
 	for i := range s.Sides {
 		side := &s.Sides[i]
-		total, _ := side.Totals()
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.1f\t%d\t%d\n",
 			side.Layout, side.NumRecords, side.DataPages, side.OverflowPages,
-			side.RecordsPerPage(), side.DataDA(), total)
+			side.RecordsPerPage(), side.DataDA(), side.TotalDA())
 	}
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	connect, packed := s.Side("connect"), s.Side("packed")
-	if connect != nil && packed != nil && connect.DataDA() > 0 && connect.RecordsPerPage() > 0 {
-		fmt.Printf("  packed vs connect: %.2fx records/page, data-heap DA %d -> %d (%.1f%% reduction)\n",
-			packed.RecordsPerPage()/connect.RecordsPerPage(),
-			connect.DataDA(), packed.DataDA(),
-			100*(1-float64(packed.DataDA())/float64(connect.DataDA())))
+	str, packed := s.Side("str"), s.Side("packed")
+	if str != nil && packed != nil && str.DataDA() > 0 && str.RecordsPerPage() > 0 {
+		fmt.Printf("  packed vs str: %.2fx records/page, data-heap DA %d -> %d (%.1f%% reduction)\n",
+			packed.RecordsPerPage()/str.RecordsPerPage(),
+			str.DataDA(), packed.DataDA(),
+			100*(1-float64(packed.DataDA())/float64(str.DataDA())))
 	}
 	return nil
 }
 
-// writeCompressionJSON persists the all-layouts sweep for the repo's
+// writeCompressionJSON persists the layout sweep for the repo's
 // packed-codec test tooling and the EXPERIMENTS.md compression table.
 func writeCompressionJSON(path string, e *benchEnv, sweeps []*experiments.LayoutSweep) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -7,7 +7,13 @@
 // Usage:
 //
 //	dmbuild -out ./stores/highland [-dataset highland|crater] [-size N] [-seed S]
-//	        [-layout packed|str|hilbert|rowmajor|connect]
+//	        [-layout packed|str]
+//
+// -layout packed (the default, and what every server runs on) writes
+// compressed records; -layout str writes the fixed-size records the
+// paper's figures are measured on. Both cluster the records in the
+// R*-tree's leaf order. A store directory written by an older build is
+// refused by OpenStore by name; rebuild it here.
 package main
 
 import (
@@ -28,7 +34,7 @@ func main() {
 		demPath = flag.String("dem", "", "build from an ESRI ASCII grid DEM file instead of generating")
 		xyzPath = flag.String("xyz", "", "build from an XYZ survey-point file (Delaunay-triangulated)")
 		mtmPath = flag.String("mtm", "", "also save the collapse sequence in compact MTM format to this path")
-		layoutF = flag.String("layout", "packed", "physical record layout: packed, str, hilbert, rowmajor, or connect")
+		layoutF = flag.String("layout", "packed", "physical record layout: packed or str")
 	)
 	flag.Parse()
 	if *out == "" {

@@ -1,15 +1,18 @@
 // Command dmrepack rewrites an existing Direct Mesh store directory
-// under a different physical layout — the offline re-layout pass. It
-// reads every node record (including overflowed connection lists) out of
-// the source store, recomputes the record order for the target layout,
-// and writes a fresh, independently openable store. Queries against the
-// repacked store return byte-identical answers; only page placement —
-// and therefore disk accesses — changes. The source's rung sets (the
-// live-ID sets tiles are filtered by) are rebuilt for the same rungs.
+// under the other physical layout (packed or str) — the offline
+// re-layout pass. It reads every node record (including overflowed
+// connection lists) out of the source store, re-encodes it for the target
+// layout, and writes a fresh, independently openable store. Queries
+// against the repacked store return byte-identical answers; only page
+// placement — and therefore disk accesses — changes. The source's rung
+// sets (the live-ID sets tiles are filtered by) are rebuilt for the same
+// rungs. The source must be in the current store format; a directory
+// written by an older build is refused and has to be rebuilt with
+// dmbuild.
 //
 // Usage:
 //
-//	dmrepack -src ./stores/highland-str -out ./stores/highland [-layout packed]
+//	dmrepack -src ./stores/highland-str -out ./stores/highland [-layout packed|str]
 package main
 
 import (
@@ -25,7 +28,7 @@ func main() {
 	var (
 		src     = flag.String("src", "", "source store directory (required)")
 		out     = flag.String("out", "", "output directory for the repacked store (required)")
-		layoutF = flag.String("layout", "packed", "target layout: packed, str, hilbert, rowmajor, or connect")
+		layoutF = flag.String("layout", "packed", "target layout: packed or str")
 	)
 	flag.Parse()
 	if *src == "" || *out == "" {

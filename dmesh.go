@@ -293,24 +293,20 @@ func (t *Terrain) MeanLOD() float64 {
 // StorePools re-exports the Direct Mesh store pool configuration.
 type StorePools = dm.StorePools
 
-// Layout selects the physical order of Direct Mesh records on disk.
+// Layout selects the record encoding of Direct Mesh records on disk.
 type Layout = dm.Layout
 
-// Physical record layouts (see dm.Layout). LayoutPacked — compressed
-// delta-varint records in the R*-tree's leaf order — is the zero value and
-// what every store is built in unless a layout is named; LayoutSTR is the
-// same clustering on fixed-size records, the design the paper's figures
-// are measured on; the other three are clustering ablations.
+// Physical record layouts (see dm.Layout), both in the R*-tree's leaf
+// order. LayoutPacked — compressed delta-varint records — is the zero
+// value and what every store is built in unless a layout is named;
+// LayoutSTR is the same clustering on fixed-size records, the design the
+// paper's figures are measured on.
 const (
-	LayoutPacked   = dm.LayoutPacked
-	LayoutSTR      = dm.LayoutSTR
-	LayoutHilbert  = dm.LayoutHilbert
-	LayoutRowMajor = dm.LayoutRowMajor
-	LayoutConnect  = dm.LayoutConnect
+	LayoutPacked = dm.LayoutPacked
+	LayoutSTR    = dm.LayoutSTR
 )
 
-// ParseLayout parses a layout flag value ("packed", "str", "hilbert",
-// "rowmajor", "connect").
+// ParseLayout parses a layout flag value ("packed" or "str").
 func ParseLayout(name string) (Layout, error) { return dm.ParseLayout(name) }
 
 // RepackDMStore rewrites an open store into dir under the layout (and
@@ -354,7 +350,9 @@ func (t *Terrain) withLadder(pools StorePools) StorePools {
 	return pools
 }
 
-// OpenDMStore opens a store directory written by BuildDMStoreAt.
+// OpenDMStore opens a store directory written by BuildDMStoreAt. A
+// directory in an older format is refused with an error that says to
+// rebuild it with dmbuild.
 func OpenDMStore(dir string) (*DMStore, error) {
 	return dm.OpenStore(dir, dm.StorePools{})
 }

@@ -1,7 +1,6 @@
 package dm
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -111,81 +110,5 @@ func TestChecksummedStoreReopenAndVerify(t *testing.T) {
 	f.Close()
 	if _, err := OpenStore(dir, StorePools{}); !errors.Is(err, pager.ErrChecksum) {
 		t.Fatalf("OpenStore on rotted store = %v, want ErrChecksum", err)
-	}
-}
-
-// Version-1 stores (written before the checksum layer existed, the layout
-// an integer in the numbering that had LayoutSTR as 0) must stay readable.
-func TestOpenStoreAcceptsVersion1Meta(t *testing.T) {
-	ds, _ := buildDataset(t, 5, "highland")
-	dir := filepath.Join(t.TempDir(), "store")
-	s, err := BuildStoreAt(ds, StorePools{Layout: LayoutSTR}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	// Rewrite meta.json as a version-1 file (no checksums field).
-	path := filepath.Join(dir, metaFileName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var meta map[string]any
-	if err := json.Unmarshal(raw, &meta); err != nil {
-		t.Fatal(err)
-	}
-	if meta["layout"] != "str" {
-		t.Fatalf("meta layout = %v, want the name \"str\"", meta["layout"])
-	}
-	meta["version"] = 1
-	meta["layout"] = 0
-	delete(meta, "checksums")
-	raw, err = json.Marshal(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := OpenStore(dir, StorePools{})
-	if err != nil {
-		t.Fatalf("OpenStore on version-1 meta: %v", err)
-	}
-	defer s2.Close()
-	if s2.Layout() != LayoutSTR {
-		t.Fatalf("version-1 layout 0 opened as %v, want str", s2.Layout())
-	}
-	if _, err := s2.FetchByID(0); err != nil {
-		t.Fatal(err)
-	}
-
-	// A name is not a version-1 layout, and an integer is not a current one.
-	meta["layout"] = "str"
-	raw, _ = json.Marshal(meta)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenStore(dir, StorePools{}); err == nil {
-		t.Fatal("OpenStore accepted a layout name in a version-1 meta")
-	}
-	meta["version"], meta["layout"] = metaVersion, 0
-	raw, _ = json.Marshal(meta)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenStore(dir, StorePools{}); err == nil {
-		t.Fatal("OpenStore accepted an integer layout in a current meta")
-	}
-
-	// Future versions are rejected.
-	meta["version"] = 99
-	raw, _ = json.Marshal(meta)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenStore(dir, StorePools{}); err == nil {
-		t.Fatal("OpenStore accepted a future meta version")
 	}
 }

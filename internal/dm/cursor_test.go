@@ -54,15 +54,16 @@ func coldFetch(t *testing.T, s *Store, rids []heapfile.RID, perRecord bool) ([]N
 }
 
 // TestCursorFetchMatchesPerRecordReads is the cursor as a storage
-// primitive: for both variable layouts — long lists spilling into
-// co-located overflow records included — a sorted and a shuffled RID list
-// fetched under one cursor decode to exactly the nodes per-record reads
+// primitive: for both layouts — long lists spilling into overflow
+// records included; str's fixed records, read without a cursor, are the
+// control — a sorted and a shuffled RID list fetched under one reader
+// decode to exactly the nodes per-record reads
 // give, and never cost more disk accesses: the same count with a pool
 // that holds the heap, no more with the smallest pool there is, where the
 // cursor's single pin still leaves the pager room to work.
 func TestCursorFetchMatchesPerRecordReads(t *testing.T) {
 	ds := inflateConn(buildDatasetOnly(t, 17, "highland"), overflowLengths...)
-	for _, layout := range []Layout{LayoutPacked, LayoutConnect} {
+	for _, layout := range allLayouts {
 		for _, pool := range []struct {
 			name  string
 			pages int
@@ -95,86 +96,85 @@ func TestCursorFetchMatchesPerRecordReads(t *testing.T) {
 	}
 }
 
-// TestCursorLeavesNoPinBehind: whatever ends a run of fetches early — an
-// injected read error or a corrupt slot directory, both striking pages
-// into the run — the caller gets the error and the store is immediately
-// droppable again: no path out of a range query, a by-ID fetch or a
-// repack scan leaks the cursor's pin.
+// TestCursorLeavesNoPinBehind: whatever ends a packed store's run of
+// fetches early — an injected read error or a corrupt slot directory,
+// both striking pages into the run — the caller gets the error and the
+// store is immediately droppable again: no path out of a range query, a
+// by-ID fetch or a repack scan leaks the cursor's pin.
 func TestCursorLeavesNoPinBehind(t *testing.T) {
 	ds := inflateConn(buildDatasetOnly(t, 17, "highland"), overflowLengths...)
-	for _, layout := range []Layout{LayoutPacked, LayoutConnect} {
-		var heap *faultfs.Backend
-		s, err := BuildStore(ds, StorePools{Layout: layout, WrapBackend: func(b pager.Backend) pager.Backend {
-			fb := faultfs.Wrap(b)
-			if heap == nil { // backends are wrapped heap first
-				heap = fb
+	layout := LayoutPacked
+	var heap *faultfs.Backend
+	s, err := BuildStore(ds, StorePools{Layout: layout, WrapBackend: func(b pager.Backend) pager.Backend {
+		fb := faultfs.Wrap(b)
+		if heap == nil { // backends are wrapped heap first
+			heap = fb
+		}
+		return fb
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.DataPages() < 4 {
+		t.Fatalf("%v: %d data pages, the test wants a fault pages into a run", layout, s.DataPages())
+	}
+	e := eAtPercentile(ds, 0.3)
+	runs := map[string]func() error{
+		"range query": func() error { _, err := s.ViewpointIndependent(fullRect(), e); return err },
+		"tile":        func() error { _, err := s.MaterializeTile(fullRect(), e); return err },
+		"coherent frame": func() error {
+			_, _, err := s.NewCoherentSession(nil).Frame(geom.QueryPlane{R: fullRect(), EMin: e, EMax: ds.MaxE(), Axis: 1})
+			return err
+		},
+		"by-ID fetches": func() error {
+			for id := int64(0); id < s.NumNodes(); id++ {
+				if _, err := s.FetchByID(id); err != nil {
+					return err
+				}
 			}
-			return fb
-		}})
-		if err != nil {
+			return nil
+		},
+		"repack scan": func() error { _, err := RepackOnBackends(s, StorePools{}, memBackends()); return err },
+	}
+	check := func(fault string, isFault func(error) bool) {
+		t.Helper()
+		for name, run := range runs {
+			if err := s.DropCaches(); err != nil {
+				t.Fatalf("%v, %s before %s: %v", layout, fault, name, err)
+			}
+			heap.ResetStats()
+			err := run()
+			if err == nil || !isFault(err) {
+				t.Errorf("%v, %s: %s returned %v, want the fault", layout, fault, name, err)
+			}
+			if err := s.DropCaches(); err != nil {
+				t.Errorf("%v, %s: after the failed %s: %v", layout, fault, name, err)
+			}
+		}
+	}
+
+	heap.SetSchedule(faultfs.Read, faultfs.Schedule{Nth: []uint64{3}})
+	check("read error", func(err error) bool { return errors.Is(err, faultfs.ErrInjected) })
+	heap.Heal()
+
+	// Smash the slot count of every page after the second: every run
+	// reaches one of them with pages already behind it.
+	if err := s.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, pager.PageSize)
+	for id := pager.PageID(3); id <= pager.PageID(s.DataPages()); id++ {
+		if err := heap.ReadPage(id, page); err != nil {
 			t.Fatal(err)
 		}
-		if s.DataPages() < 4 {
-			t.Fatalf("%v: %d data pages, the test wants a fault pages into a run", layout, s.DataPages())
-		}
-		e := eAtPercentile(ds, 0.3)
-		runs := map[string]func() error{
-			"range query": func() error { _, err := s.ViewpointIndependent(fullRect(), e); return err },
-			"tile":        func() error { _, err := s.MaterializeTile(fullRect(), e); return err },
-			"coherent frame": func() error {
-				_, _, err := s.NewCoherentSession(nil).Frame(geom.QueryPlane{R: fullRect(), EMin: e, EMax: ds.MaxE(), Axis: 1})
-				return err
-			},
-			"by-ID fetches": func() error {
-				for id := int64(0); id < s.NumNodes(); id++ {
-					if _, err := s.FetchByID(id); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-			"repack scan": func() error { _, err := RepackOnBackends(s, StorePools{}, memBackends()); return err },
-		}
-		check := func(fault string, isFault func(error) bool) {
-			t.Helper()
-			for name, run := range runs {
-				if err := s.DropCaches(); err != nil {
-					t.Fatalf("%v, %s before %s: %v", layout, fault, name, err)
-				}
-				heap.ResetStats()
-				err := run()
-				if err == nil || !isFault(err) {
-					t.Errorf("%v, %s: %s returned %v, want the fault", layout, fault, name, err)
-				}
-				if err := s.DropCaches(); err != nil {
-					t.Errorf("%v, %s: after the failed %s: %v", layout, fault, name, err)
-				}
-			}
-		}
-
-		heap.SetSchedule(faultfs.Read, faultfs.Schedule{Nth: []uint64{3}})
-		check("read error", func(err error) bool { return errors.Is(err, faultfs.ErrInjected) })
-		heap.Heal()
-
-		// Smash the slot count of every page after the second: every run
-		// reaches one of them with pages already behind it.
-		if err := s.DropCaches(); err != nil {
+		page[0], page[1] = 0xff, 0xff
+		if err := heap.WritePage(id, page); err != nil {
 			t.Fatal(err)
 		}
-		page := make([]byte, pager.PageSize)
-		for id := pager.PageID(3); id <= pager.PageID(s.DataPages()); id++ {
-			if err := heap.ReadPage(id, page); err != nil {
-				t.Fatal(err)
-			}
-			page[0], page[1] = 0xff, 0xff
-			if err := heap.WritePage(id, page); err != nil {
-				t.Fatal(err)
-			}
-		}
-		check("corrupt slot", func(err error) bool { return !errors.Is(err, faultfs.ErrInjected) })
-		if st := s.heapP.Stats(); st.UnpinErrors != 0 {
-			t.Errorf("%v: %d unpin errors", layout, st.UnpinErrors)
-		}
+	}
+	check("corrupt slot", func(err error) bool { return !errors.Is(err, faultfs.ErrInjected) })
+	if st := s.heapP.Stats(); st.UnpinErrors != 0 {
+		t.Errorf("%v: %d unpin errors", layout, st.UnpinErrors)
 	}
 }
 

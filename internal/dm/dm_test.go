@@ -147,7 +147,7 @@ func TestViewpointIndependentExactAgainstReplay(t *testing.T) {
 			stores = append(stores, s)
 			labels = append(labels, l.String())
 		}
-		for _, target := range []Layout{LayoutConnect, LayoutPacked} {
+		for _, target := range allLayouts {
 			rp, err := RepackOnBackends(stores[0], StorePools{Layout: target}, memBackends())
 			if err != nil {
 				t.Fatal(err)

@@ -2,6 +2,7 @@ package dm
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,48 +32,43 @@ type storeMeta struct {
 	Version int      `json:"version"`
 	MaxE    float64  `json:"max_e"`
 	Space   geom.Box `json:"space"`
-	// Layout is the layout's name (Layout.String) from version 5 on, and
-	// an integer in legacyLayouts' numbering before; see layout.
+	// Layout is the layout's name (Layout.String). It stays raw so that a
+	// sidecar holding anything else — the integers versions 1-4 wrote —
+	// is refused as ErrStoreFormat rather than as malformed JSON.
 	Layout json.RawMessage `json:"layout"`
 	// Checksums records whether the page files carry the interleaved
-	// CRC-32C layout of pager.Checksummed (meta version 2+); reading a
-	// checksummed store without the wrapper would misinterpret the page
-	// numbering, so the choice is part of the on-disk format.
+	// CRC-32C layout of pager.Checksummed; reading a checksummed store
+	// without the wrapper would misinterpret the page numbering, so the
+	// choice is part of the on-disk format.
 	Checksums bool `json:"checksums,omitempty"`
 	// RungFile names the rung-set file (rungs.go) and Rungs lists the LODs
-	// it holds sets for; both absent when the store was built for no rungs,
-	// as every directory written before the sets existed is. Version 5+.
+	// it holds sets for; both absent when the store was built for no rungs.
 	RungFile string    `json:"rung_file,omitempty"`
 	Rungs    []float64 `json:"rungs,omitempty"`
 }
 
-// metaVersion is the current on-disk format. Version 5 records the
-// layout by name, so the Layout constants can be renumbered without
-// touching stores on disk, and may name a rung-set file (a version 5
-// directory without one opens as a store built for no rungs); version 4
-// added the compressed packed-record encoding of LayoutPacked; version 3
-// added the variable-record heap encoding of LayoutConnect; versions 1
-// (no checksum support) and 2 (fixed layouts only) remain readable.
+// metaVersion is the on-disk format, and the only one OpenStore reads:
+// the layout recorded by name, one of packed or str, and optionally a
+// rung-set file (a directory without one opens as a store built for no
+// rungs).
 const metaVersion = 5
 
-// legacyLayouts is the numbering meta versions 1-4 wrote the layout in
-// (LayoutSTR was the zero value then).
-var legacyLayouts = [...]Layout{LayoutSTR, LayoutHilbert, LayoutRowMajor, LayoutConnect, LayoutPacked}
+// ErrStoreFormat is what OpenStore returns for a directory this build
+// cannot read: a sidecar of any version but metaVersion, or one naming a
+// layout other than packed or str. Rebuild such a store with dmbuild.
+var ErrStoreFormat = errors.New("dm: unreadable store format")
 
-// layout decodes the sidecar's layout field per its version.
+// layout returns the layout a version-5 sidecar names; anything else is
+// ErrStoreFormat.
 func (m *storeMeta) layout() (Layout, error) {
-	if m.Version >= 5 {
-		var name string
-		if err := json.Unmarshal(m.Layout, &name); err != nil {
-			return 0, fmt.Errorf("dm: store version %d layout %s: want a layout name", m.Version, m.Layout)
+	var name string
+	if m.Version == metaVersion && json.Unmarshal(m.Layout, &name) == nil {
+		if l, err := ParseLayout(name); err == nil {
+			return l, nil
 		}
-		return ParseLayout(name)
 	}
-	var i int
-	if err := json.Unmarshal(m.Layout, &i); err != nil || i < 0 || i >= len(legacyLayouts) {
-		return 0, fmt.Errorf("dm: store version %d layout %s: want an integer in [0, %d)", m.Version, m.Layout, len(legacyLayouts))
-	}
-	return legacyLayouts[i], nil
+	return 0, fmt.Errorf("%w: meta.json version %d, layout %s; this build reads version %d with layout \"packed\" or \"str\" only — rebuild the store with dmbuild",
+		ErrStoreFormat, m.Version, m.Layout, metaVersion)
 }
 
 // BuildStoreAt builds the Direct Mesh store in dir as regular files, so it
@@ -99,42 +95,45 @@ func buildNodesAt(nodes []Node, maxE float64, pools StorePools, dir string) (*St
 	if err != nil {
 		return nil, err
 	}
-	s, err := buildNodes(nodes, maxE, pools, backends)
-	if err != nil {
-		return nil, err
-	}
+	return buildNodes(nodes, maxE, pools, backends, func(s *Store) error {
+		return s.writeSidecars(dir, pools)
+	})
+}
+
+// writeSidecars writes a freshly built store's rung-set file (when it has
+// sets) and meta.json into dir, then flushes its pages.
+func (s *Store) writeSidecars(dir string, pools StorePools) error {
 	meta := storeMeta{Version: metaVersion, MaxE: s.maxE, Space: s.space,
-		Layout:    json.RawMessage(strconv.Quote(pools.Layout.String())),
+		Layout:    json.RawMessage(strconv.Quote(s.layout.String())),
 		Checksums: pools.Checksums}
 	if s.rungs != nil {
 		meta.RungFile, meta.Rungs = rungFileName, s.rungs.rungs
 		b, err := openRungBackend(dir, rungFileName, pools)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		err = writeRungSets(b, s.rungs)
 		if cerr := b.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			return nil, fmt.Errorf("dm: write %s: %w", rungFileName, err)
+			return fmt.Errorf("dm: write %s: %w", rungFileName, err)
 		}
 	}
 	raw, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
-		return nil, fmt.Errorf("dm: %w", err)
+		return fmt.Errorf("dm: %w", err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, metaFileName), raw, 0o644); err != nil {
-		return nil, fmt.Errorf("dm: %w", err)
+		return fmt.Errorf("dm: %w", err)
 	}
-	if err := s.Flush(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return s.Flush()
 }
 
-// OpenStore opens a store previously written by BuildStoreAt.
-func OpenStore(dir string, pools StorePools) (*Store, error) {
+// OpenStore opens a store previously written by BuildStoreAt. A
+// directory in any other format fails with ErrStoreFormat before a page
+// file is opened; any later failure closes every file it opened.
+func OpenStore(dir string, pools StorePools) (_ *Store, err error) {
 	pools.defaults()
 	raw, err := os.ReadFile(filepath.Join(dir, metaFileName))
 	if err != nil {
@@ -144,18 +143,9 @@ func OpenStore(dir string, pools StorePools) (*Store, error) {
 	if err := json.Unmarshal(raw, &meta); err != nil {
 		return nil, fmt.Errorf("dm: open store: %w", err)
 	}
-	if meta.Version < 1 || meta.Version > metaVersion {
-		return nil, fmt.Errorf("dm: store version %d, want 1..%d", meta.Version, metaVersion)
-	}
 	layout, err := meta.layout()
 	if err != nil {
-		return nil, fmt.Errorf("dm: open store: %w", err)
-	}
-	if layout == LayoutConnect && meta.Version < 3 {
-		return nil, fmt.Errorf("dm: connect layout requires store version 3, got %d", meta.Version)
-	}
-	if layout == LayoutPacked && meta.Version < 4 {
-		return nil, fmt.Errorf("dm: packed layout requires store version 4, got %d", meta.Version)
+		return nil, fmt.Errorf("dm: open store %s: %w", dir, err)
 	}
 	// The on-disk layout dictates the checksum setting; the caller's pools
 	// only size the buffers.
@@ -164,13 +154,14 @@ func OpenStore(dir string, pools StorePools) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range backends {
-		b, err := pools.wrap(backends[i])
-		if err != nil {
-			return nil, fmt.Errorf("dm: open store: %w", err)
-		}
-		backends[i] = b
+	if backends, err = pools.wrapAll(backends); err != nil {
+		return nil, fmt.Errorf("dm: open store: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			closeBackends(backends[:])
+		}
+	}()
 	// With checksums on, sweep the whole store before serving so
 	// corruption and torn writes are caught at open, not mid-query. These
 	// reads bypass the pagers and are not counted as disk accesses.
@@ -191,12 +182,12 @@ func OpenStore(dir string, pools StorePools) (*Store, error) {
 		maxE:   meta.MaxE,
 		space:  meta.Space,
 	}
-	if meta.Version >= 5 && meta.RungFile != "" {
+	if meta.RungFile != "" {
 		if s.rungs, err = openRungSets(dir, &meta, pools); err != nil {
 			return nil, fmt.Errorf("dm: open store: %s: %w", meta.RungFile, err)
 		}
 	}
-	if layout.variableRecords() {
+	if layout == LayoutPacked {
 		if s.vheap, err = heapfile.OpenVar(s.heapP); err != nil {
 			return nil, fmt.Errorf("dm: open heap: %w", err)
 		}
@@ -226,9 +217,8 @@ func openRungBackend(dir, name string, pools StorePools) (pager.Backend, error) 
 	if err != nil {
 		return nil, fmt.Errorf("dm: open %s: %w", name, err)
 	}
-	b, err := pools.wrap(raw)
+	b, err := pools.wrap(raw) // closes raw on an error
 	if err != nil {
-		raw.Close()
 		return nil, fmt.Errorf("dm: open %s: %w", name, err)
 	}
 	return b, nil
@@ -267,22 +257,24 @@ func openRungSets(dir string, meta *storeMeta, pools StorePools) (*rungSets, err
 }
 
 // openBackends opens the four page files of a store directory. With
-// mustExist, missing files are an error.
+// mustExist, missing files are an error. On an error the files already
+// opened are closed again.
 func openBackends(dir string, mustExist bool) ([4]pager.Backend, error) {
 	var out [4]pager.Backend
 	names := [4]string{heapFileName, overFileName, rtFileName, idxFileName}
 	for i, name := range names {
 		path := filepath.Join(dir, name)
+		var err error
 		if mustExist {
-			if _, err := os.Stat(path); err != nil {
-				return out, fmt.Errorf("dm: %w", err)
-			}
+			_, err = os.Stat(path)
 		}
-		b, err := pager.OpenFile(path)
+		if err == nil {
+			out[i], err = pager.OpenFile(path)
+		}
 		if err != nil {
+			closeBackends(out[:i])
 			return out, fmt.Errorf("dm: open %s: %w", name, err)
 		}
-		out[i] = b
 	}
 	return out, nil
 }

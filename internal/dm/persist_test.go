@@ -1,10 +1,16 @@
 package dm
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dmesh/internal/geom"
+	"dmesh/internal/storage/pager"
 )
 
 func TestBuildStoreAtAndReopen(t *testing.T) {
@@ -94,5 +100,183 @@ func TestOpenStoreColdQueriesCount(t *testing.T) {
 	}
 	if s2.DiskAccesses() == 0 {
 		t.Fatal("file-backed cold query reported zero disk accesses")
+	}
+}
+
+// closeCounter is a backend wrapper that counts its Close calls.
+type closeCounter struct {
+	pager.Backend
+	closes int
+}
+
+func (c *closeCounter) Close() error {
+	c.closes++
+	return c.Backend.Close()
+}
+
+// countingPools returns pools whose WrapBackend hook hands out
+// closeCounters, and the list every one of them is appended to.
+func countingPools(pools StorePools) (StorePools, *[]*closeCounter) {
+	handed := new([]*closeCounter)
+	pools.WrapBackend = func(b pager.Backend) pager.Backend {
+		c := &closeCounter{Backend: b}
+		*handed = append(*handed, c)
+		return c
+	}
+	return pools, handed
+}
+
+// rewriteMeta applies edit to dir's meta.json.
+func rewriteMeta(t *testing.T, dir string, edit func(m map[string]any)) {
+	t.Helper()
+	path := filepath.Join(dir, metaFileName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	edit(m)
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedOpenOrBuildClosesEveryFile: whatever makes OpenStore or
+// BuildStoreAt fail — a page checksum, a damaged rung file, a page file
+// with no header, a sidecar of an older format, a build that cannot lay
+// the nodes out — every backend the call handed out is closed exactly
+// once by the time the error returns.
+func TestFailedOpenOrBuildClosesEveryFile(t *testing.T) {
+	ds, _ := buildDataset(t, 17, "highland")
+	build := func(t *testing.T, pools StorePools) string {
+		t.Helper()
+		dir := filepath.Join(t.TempDir(), "store")
+		s, err := BuildStoreAt(ds, pools, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	cases := []struct {
+		name   string
+		opened int // backends the failing call must have handed out first
+		run    func(t *testing.T, pools StorePools) error
+	}{
+		{"checksummed store, one bit flipped", 4, func(t *testing.T, pools StorePools) error {
+			dir := build(t, StorePools{Checksums: true})
+			path := filepath.Join(dir, heapFileName)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[pager.PageSize+100] ^= 0x01 // page 0 holds the checksums
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = OpenStore(dir, pools)
+			return err
+		}},
+		{"truncated rungs.live", 5, func(t *testing.T, pools StorePools) error {
+			dir := build(t, StorePools{Rungs: testLadder(ds)})
+			if err := os.Truncate(filepath.Join(dir, rungFileName), 0); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenStore(dir, pools)
+			return err
+		}},
+		{"emptied points.heap", 4, func(t *testing.T, pools StorePools) error {
+			dir := build(t, StorePools{})
+			if err := os.Truncate(filepath.Join(dir, heapFileName), 0); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenStore(dir, pools)
+			return err
+		}},
+		{"version-4 sidecar", 0, func(t *testing.T, pools StorePools) error {
+			dir := build(t, StorePools{})
+			rewriteMeta(t, dir, func(m map[string]any) { m["version"], m["layout"] = 4, 4 })
+			_, err := OpenStore(dir, pools)
+			return err
+		}},
+		{"build with an unknown layout", 4, func(t *testing.T, pools StorePools) error {
+			pools.Layout = Layout(99)
+			_, err := BuildStoreAt(ds, pools, filepath.Join(t.TempDir(), "store"))
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pools, handed := countingPools(StorePools{})
+			if err := c.run(t, pools); err == nil {
+				t.Fatal("the call succeeded; the case wants it to fail")
+			} else {
+				t.Log(err)
+			}
+			if len(*handed) < c.opened {
+				t.Fatalf("%d backends handed out, the case wants the failure after %d", len(*handed), c.opened)
+			}
+			for i, b := range *handed {
+				if b.closes != 1 {
+					t.Errorf("backend %d of %d closed %d times, want once", i, len(*handed), b.closes)
+				}
+			}
+		})
+	}
+}
+
+// TestOldStoreVersionsRefused: OpenStore reads meta version 5 naming
+// packed or str and nothing else. Every other version, an integer layout
+// (what versions 1-4 wrote) and the names of the deleted layouts are
+// refused with ErrStoreFormat — naming the version and dmbuild — before
+// any page file is opened.
+func TestOldStoreVersionsRefused(t *testing.T) {
+	ds, _ := buildDataset(t, 9, "highland")
+	dir := filepath.Join(t.TempDir(), "store")
+	s, err := BuildStoreAt(ds, StorePools{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		version int
+		layout  any
+	}{
+		{0, 0}, {1, 0}, {2, 0}, {3, 3}, {4, 4}, {6, "packed"},
+		{5, 0}, {5, "connect"}, {5, "hilbert"}, {5, "rowmajor"},
+	}
+	for _, c := range cases {
+		rewriteMeta(t, dir, func(m map[string]any) { m["version"], m["layout"] = c.version, c.layout })
+		pools, handed := countingPools(StorePools{})
+		s, err := OpenStore(dir, pools)
+		if err == nil {
+			s.Close()
+		}
+		if !errors.Is(err, ErrStoreFormat) {
+			t.Errorf("version %d, layout %v: OpenStore = %v, want ErrStoreFormat", c.version, c.layout, err)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", c.version)) || !strings.Contains(msg, "dmbuild") {
+			t.Errorf("version %d, layout %v: %q does not name the version and dmbuild", c.version, c.layout, msg)
+		}
+		if len(*handed) != 0 {
+			t.Errorf("version %d, layout %v: %d page files opened before the refusal", c.version, c.layout, len(*handed))
+		}
+	}
+	rewriteMeta(t, dir, func(m map[string]any) { m["version"], m["layout"] = 5, "packed" })
+	if s, err := OpenStore(dir, StorePools{}); err != nil {
+		t.Fatalf("the restored sidecar: %v", err)
+	} else {
+		s.Close()
 	}
 }

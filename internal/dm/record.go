@@ -2,7 +2,6 @@ package dm
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"dmesh/internal/geom"
@@ -11,20 +10,18 @@ import (
 
 // On-disk Direct Mesh record: exactly the paper's node tuple
 // (ID, x, y, z, e_low, e_high, parent, child1, child2, wing1, wing2)
-// followed by the connection list. Two physical encodings share the same
-// field layout (fixed part, connection count, overflow chain head, inline
-// connection IDs) and differ only in how many IDs are inline:
+// followed by the connection list. Two physical encodings carry it:
 //
-//   - Fixed records (LayoutSTR/Hilbert/RowMajor): exactly ConnInline
-//     inline slots, lists beyond that chain through fixed-size overflow
-//     records in a separate heap file. The paper reports an average
-//     similar-LOD list length of 12, so ConnInline=12 makes overflow
-//     uncommon — but the overflow file has no locality to the owners,
-//     which `dmbench -fig dabreakdown` shows as the largest DA phase.
+//   - Fixed records (LayoutSTR): exactly ConnInline inline slots, lists
+//     beyond that chain through fixed-size overflow records in a separate
+//     heap file. The paper reports an average similar-LOD list length of
+//     12, so ConnInline=12 makes overflow uncommon — but the overflow file
+//     has no locality to the owners, which `dmbench -fig dabreakdown`
+//     shows as the largest DA phase.
 //
-//   - Variable records (LayoutConnect): the record is exactly as long as
-//     its list, so the common case is wholly inline; only lists that
-//     cannot fit one slotted page spill, into variable-length overflow
+//   - Packed records (LayoutPacked, packed.go): compressed and variable
+//     length, so the whole list is inline unless its encoding cannot fit
+//     one slotted page; the rest spills into raw variable overflow
 //     records co-allocated immediately before the owner in the same file.
 const (
 	// dmFixed is the fixed (non-connection) part of the record.
@@ -42,21 +39,21 @@ const (
 	// reference, a count, and the IDs.
 	OverflowRecordSize = 8 + 2 + OverflowFanout*8
 
-	// ConnectInlineMax is the largest fully-inline connection list of a
-	// variable (LayoutConnect) record: bounded by the slotted page.
-	ConnectInlineMax = (heapfile.MaxVarRecord - recHeaderSize) / 8
-	// connectOverflowFanout is how many IDs one variable overflow record
-	// holds at most (also bounded by the slotted page).
-	connectOverflowFanout = (heapfile.MaxVarRecord - 10) / 8
+	// varOverflowFanout is how many IDs one variable overflow record of a
+	// packed store holds at most (bounded by the slotted page).
+	varOverflowFanout = (heapfile.MaxVarRecord - 10) / 8
 
 	// noOverflow marks the end of an overflow chain.
 	noOverflow = int64(-1)
 )
 
-// encodeRecordInline writes n's record into buf (len >= recHeaderSize +
-// 8*inline), with the first inline connection IDs stored in place and
-// overflowRef chaining the rest. inline must not exceed len(n.Conn).
-func encodeRecordInline(n *Node, overflowRef int64, inline int, buf []byte) {
+// encodeRecord writes n's fixed-size record into buf (len >= RecordSize):
+// up to ConnInline IDs inline, the rest behind overflowRef. Unlike the PM
+// record, the DM record omits the raw error, footprint MBR, and anything
+// derivable from other rows: Direct Mesh queries never chase the tree, so
+// nodes only carry what reconstruction reads.
+func encodeRecord(n *Node, overflowRef int64, buf []byte) {
+	inline := min(len(n.Conn), ConnInline)
 	le := binary.LittleEndian
 	off := 0
 	putI := func(v int64) { le.PutUint64(buf[off:], uint64(v)); off += 8 }
@@ -80,53 +77,13 @@ func encodeRecordInline(n *Node, overflowRef int64, inline int, buf []byte) {
 	}
 }
 
-// encodeRecord writes n's fixed-size record into buf (len >= RecordSize):
-// up to ConnInline IDs inline, the rest behind overflowRef. Unlike the PM
-// record, the DM record omits the raw error, footprint MBR, and anything
-// derivable from other rows: Direct Mesh queries never chase the tree, so
-// nodes only carry what reconstruction reads.
-func encodeRecord(n *Node, overflowRef int64, buf []byte) {
-	inline := len(n.Conn)
-	if inline > ConnInline {
-		inline = ConnInline
-	}
-	encodeRecordInline(n, overflowRef, inline, buf)
-}
-
-// connectRecordLen is the variable-record length for a connection list of
-// total IDs, of which inline are stored in the record.
-func connectRecordLen(inline int) int { return recHeaderSize + inline*8 }
-
-// connectInline is how many of a total-length connection list a variable
-// record stores inline (the whole list unless it cannot fit a page).
-func connectInline(total int) int {
-	if total > ConnectInlineMax {
-		return ConnectInlineMax
-	}
-	return total
-}
-
-// encodeConnectRecord appends n's variable-length record to buf[:0]:
-// wholly inline up to ConnectInlineMax IDs, the rest behind overflowRef.
-func encodeConnectRecord(n *Node, overflowRef int64, buf []byte) []byte {
-	inline := connectInline(len(n.Conn))
-	need := connectRecordLen(inline)
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	buf = buf[:need]
-	encodeRecordInline(n, overflowRef, inline, buf)
-	return buf
-}
-
 // decodeRecordHeader decodes everything except overflowed connection IDs,
 // returning the node (with the inline portion of Conn), the total
 // connection count, and the overflow chain head. The buffer length is the
-// record: its inline capacity is (len(buf)-recHeaderSize)/8, which covers
-// both the fixed encoding (buf[:RecordSize], capacity ConnInline) and the
-// exact-length variable encoding. Fields the DM record does not store
-// (raw error, footprint) stay zero. The Conn slice is drawn from arena
-// (which may be nil) so one query's fetches share chunked allocations.
+// record: its inline capacity is (len(buf)-recHeaderSize)/8, ConnInline
+// for buf[:RecordSize]. Fields the DM record does not store (raw error,
+// footprint) stay zero. The Conn slice is drawn from arena (which may be
+// nil) so one query's fetches share chunked allocations.
 func decodeRecordHeader(buf []byte, arena *connArena) (n Node, connTotal int, overflowRef int64) {
 	le := binary.LittleEndian
 	off := 0
@@ -155,15 +112,6 @@ func decodeRecordHeader(buf []byte, arena *connArena) (n Node, connTotal int, ov
 	return n, connTotal, overflowRef
 }
 
-// checkConnectRecord validates a variable record's physical length before
-// decoding: corrupted slot directories surface as errors, not panics.
-func checkConnectRecord(buf []byte) error {
-	if len(buf) < recHeaderSize || (len(buf)-recHeaderSize)%8 != 0 {
-		return fmt.Errorf("dm: malformed %d-byte connect record", len(buf))
-	}
-	return nil
-}
-
 // encodeOverflow writes one fixed overflow record holding ids (len <=
 // OverflowFanout) chaining to next.
 func encodeOverflow(ids []int64, next int64, buf []byte) {
@@ -175,9 +123,9 @@ func encodeOverflow(ids []int64, next int64, buf []byte) {
 	}
 }
 
-// encodeConnectOverflow appends one variable overflow record to buf[:0]:
+// encodeVarOverflow appends one variable overflow record to buf[:0]:
 // the same next/count/IDs layout at exactly the needed length.
-func encodeConnectOverflow(ids []int64, next int64, buf []byte) []byte {
+func encodeVarOverflow(ids []int64, next int64, buf []byte) []byte {
 	need := 10 + len(ids)*8
 	if cap(buf) < need {
 		buf = make([]byte, need)

@@ -76,5 +76,5 @@ func RepackOnBackends(src *Store, pools StorePools, backends [4]pager.Backend) (
 	if err != nil {
 		return nil, err
 	}
-	return buildNodes(nodes, src.maxE, src.carryRungs(pools), backends)
+	return buildNodes(nodes, src.maxE, src.carryRungs(pools), backends, nil)
 }

@@ -2,7 +2,6 @@ package dm
 
 import (
 	"errors"
-	"sort"
 	"testing"
 
 	"dmesh/internal/geom"
@@ -23,76 +22,9 @@ func memBackends() [4]pager.Backend {
 	}
 }
 
-func sortedEdgeSet(es [][2]int64) [][2]int64 {
-	out := append([][2]int64(nil), es...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
-func sortedTriSet(ts []geom.Triangle) []geom.Triangle {
-	out := make([]geom.Triangle, len(ts))
-	for i, tr := range ts {
-		out[i] = tr.Canon()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		return a.C < b.C
-	})
-	return out
-}
-
-// requireSameResult asserts two query results describe the same mesh:
-// identical vertex sets (IDs and positions), identical edge sets, and
-// identical triangle sets. Slice order is not compared — it depends on
-// map iteration — but the sets must match element for element.
-func requireSameResult(t *testing.T, ctx string, want, got *Result) {
-	t.Helper()
-	if len(got.Vertices) != len(want.Vertices) {
-		t.Fatalf("%s: %d vertices, want %d", ctx, len(got.Vertices), len(want.Vertices))
-	}
-	for id, p := range want.Vertices {
-		q, ok := got.Vertices[id]
-		if !ok {
-			t.Fatalf("%s: vertex %d missing", ctx, id)
-		}
-		if q != p {
-			t.Fatalf("%s: vertex %d at %v, want %v", ctx, id, q, p)
-		}
-	}
-	we, ge := sortedEdgeSet(want.Edges), sortedEdgeSet(got.Edges)
-	if len(we) != len(ge) {
-		t.Fatalf("%s: %d edges, want %d", ctx, len(ge), len(we))
-	}
-	for i := range we {
-		if we[i] != ge[i] {
-			t.Fatalf("%s: edge[%d] = %v, want %v", ctx, i, ge[i], we[i])
-		}
-	}
-	wt, gt := sortedTriSet(want.Triangles), sortedTriSet(got.Triangles)
-	if len(wt) != len(gt) {
-		t.Fatalf("%s: %d triangles, want %d", ctx, len(gt), len(wt))
-	}
-	for i := range wt {
-		if wt[i] != gt[i] {
-			t.Fatalf("%s: triangle[%d] = %v, want %v", ctx, i, gt[i], wt[i])
-		}
-	}
-}
-
 // TestRepackAnswersIdentically is the repack correctness property: a
-// store repacked into ANY layout answers every query kind exactly like
-// its source — uniform (several ROIs and LODs), single-base, explicit
+// store repacked into either layout answers every query kind exactly like
+// its source — the same mesh, in the same ascending Result order — uniform (several ROIs and LODs), single-base, explicit
 // multi-base strip plans, radial, temporally coherent frame sequences,
 // and tile materialization + stitching — on both datasets. Plans come
 // from the SOURCE store's cost model and run on both stores explicitly:
@@ -146,7 +78,7 @@ func TestRepackAnswersIdentically(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", ctx, err)
 					}
-					requireSameResult(t, ctx+" uniform", want, got)
+					requireSameMesh(t, ctx+" uniform", got, want)
 				}
 			}
 
@@ -159,7 +91,7 @@ func TestRepackAnswersIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
-			requireSameResult(t, ctx+" single-base", want, got)
+			requireSameMesh(t, ctx+" single-base", got, want)
 
 			// Multi-base, same explicit plan on both stores.
 			want, err = src.ExecuteStrips(qp, strips)
@@ -170,7 +102,7 @@ func TestRepackAnswersIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
-			requireSameResult(t, ctx+" strips", want, got)
+			requireSameMesh(t, ctx+" strips", got, want)
 
 			// Radial.
 			want, err = src.Radial(rois[1], viewer, scale, 4)
@@ -181,7 +113,7 @@ func TestRepackAnswersIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
-			requireSameResult(t, ctx+" radial", want, got)
+			requireSameMesh(t, ctx+" radial", got, want)
 
 			// Coherent frame sequence (a small pan), frame by frame.
 			csSrc := src.NewCoherentSession(nil)
@@ -200,7 +132,7 @@ func TestRepackAnswersIdentically(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
-				requireSameResult(t, ctx+" coherent", want, got)
+				requireSameMesh(t, ctx+" coherent", got, want)
 			}
 
 			// Tile materialization + stitching over a 2x2 grid.
@@ -232,7 +164,7 @@ func TestRepackAnswersIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
-			requireSameResult(t, ctx+" tiles", want, got)
+			requireSameMesh(t, ctx+" tiles", got, want)
 		}
 	}
 }
@@ -247,7 +179,7 @@ func TestRepackPersisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := Repack(src, StorePools{Layout: LayoutConnect}, outDir)
+	rp, err := Repack(src, StorePools{Layout: LayoutPacked}, outDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +190,8 @@ func TestRepackPersisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Layout() != LayoutConnect {
-		t.Fatalf("repacked store reopened as %v, want connect", re.Layout())
+	if re.Layout() != LayoutPacked {
+		t.Fatalf("repacked store reopened as %v, want packed", re.Layout())
 	}
 	e := eAtPercentile(ds, 0.5)
 	want, err := src.ViewpointIndependent(fullRect(), e)
@@ -270,7 +202,7 @@ func TestRepackPersisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "reopened repacked store", want, got)
+	requireSameMesh(t, "reopened repacked store", got, want)
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,13 +215,13 @@ func TestRepackPersisted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src2.Close()
-	if _, err := Repack(src2, StorePools{Layout: LayoutHilbert}, outDir); err == nil {
+	if _, err := Repack(src2, StorePools{Layout: LayoutSTR}, outDir); err == nil {
 		t.Fatal("repack over an existing store directory must fail")
 	}
 }
 
 // TestRepackFaultInjection covers the failure paths of the offline pass
-// and of queries against a faulted connect store: injected read faults
+// and of queries against a faulted packed store: injected read faults
 // surface as errors (never panics, never silently wrong answers), and a
 // healed store answers correctly again.
 func TestRepackFaultInjection(t *testing.T) {
@@ -314,7 +246,7 @@ func TestRepackFaultInjection(t *testing.T) {
 	for _, fb := range srcFaults {
 		fb.SetSchedule(faultfs.Read, faultfs.Schedule{Every: 7})
 	}
-	if _, err := RepackOnBackends(src, StorePools{Layout: LayoutConnect}, memBackends()); err == nil {
+	if _, err := RepackOnBackends(src, StorePools{Layout: LayoutPacked}, memBackends()); err == nil {
 		t.Fatal("repack from a faulted source must fail")
 	} else if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("repack error should wrap the injected fault, got: %v", err)
@@ -323,11 +255,11 @@ func TestRepackFaultInjection(t *testing.T) {
 		fb.Heal()
 	}
 
-	// 2. A healed source repacks; a faulted repacked connect store
+	// 2. A healed source repacks; a faulted store repacked into packed
 	// errors on queries, then answers correctly after healing.
 	var rpFaults []*faultfs.Backend
 	rp, err := RepackOnBackends(src, StorePools{
-		Layout: LayoutConnect,
+		Layout: LayoutPacked,
 		WrapBackend: func(b pager.Backend) pager.Backend {
 			fb := faultfs.Wrap(b)
 			rpFaults = append(rpFaults, fb)
@@ -363,5 +295,5 @@ func TestRepackFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "healed repacked store", want, got)
+	requireSameMesh(t, "healed repacked store", got, want)
 }

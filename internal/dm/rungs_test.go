@@ -479,12 +479,5 @@ func TestDamagedRungFileFailsOpen(t *testing.T) {
 		requireOpenFails(t, dir, StorePools{}, wire.ErrCorrupt)
 		rewrite(func(m map[string]any) { m["rung_file"] = "../store/" + rungFileName })
 		requireOpenFails(t, dir, StorePools{}, nil)
-		// A version below 5 never had rung sets: the fields are not read.
-		rewrite(func(m map[string]any) { m["version"], m["layout"], m["rungs"] = 4, 4, nil })
-		s, err := OpenStore(dir, StorePools{})
-		if err != nil || s.Rungs() != nil {
-			t.Fatalf("version-4 meta: %v, rungs %v; want it opened without sets", err, s.Rungs())
-		}
-		s.Close()
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"dmesh/internal/costmodel"
 	"dmesh/internal/geom"
@@ -19,16 +18,15 @@ import (
 // Store is the disk-resident Direct Mesh: node records in a heap file
 // clustered on the spatial index (Section 6: "terrain data is arranged on
 // the disk in such a way that their (x, y) clustering is preserved as much
-// as possible" — by default compressed records in the R*-tree's STR leaf
-// order; see Layout for alternatives), a 3D R*-tree over the nodes'
-// vertical segments in (x, y, e) space, a B+-tree from node ID to record,
-// and an overflow file for the fixed layouts' long connection lists.
+// as possible" — records in the R*-tree's STR leaf order, compressed
+// unless LayoutSTR is asked for), a 3D R*-tree over the nodes' vertical
+// segments in (x, y, e) space, a B+-tree from node ID to record, and an
+// overflow file for the fixed records' long connection lists.
 //
-// Exactly one of heap (fixed records; LayoutSTR/Hilbert/RowMajor) and
-// vheap (variable records; LayoutPacked/LayoutConnect) is non-nil, per
-// layout. Both live on heapP; the variable layouts keep their overflow
-// records in vheap too, co-located with their owners, so their
-// conn.overflow file stays empty.
+// Exactly one of heap (fixed records; LayoutSTR) and vheap (packed
+// records; LayoutPacked) is non-nil, per layout. Both live on heapP; a
+// packed store keeps its overflow records in vheap too, co-located with
+// their owners, so its conn.overflow file stays empty.
 type Store struct {
 	heap  *heapfile.File
 	vheap *heapfile.VarFile
@@ -63,7 +61,8 @@ func (s *Store) SetTrace(tr *obs.Trace) { s.tr = tr }
 // Trace returns the attached phase tracer (nil when tracing is off).
 func (s *Store) Trace() *obs.Trace { return s.tr }
 
-// Layout selects the physical order of node records in the heap file.
+// Layout selects the record encoding of the heap file. Both layouts
+// store the records in the R*-tree's STR leaf order.
 type Layout int
 
 const (
@@ -81,55 +80,28 @@ const (
 	// design the paper's figures are measured on (experiments.BuildBundle
 	// asks for it by name).
 	LayoutSTR
-	// LayoutHilbert orders records by the Hilbert curve over (x, y) only
-	// (pure spatial clustering, all LOD levels interleaved). Kept for the
-	// clustering ablation.
-	LayoutHilbert
-	// LayoutRowMajor orders records by node ID (creation order); the
-	// un-clustered baseline for the ablation.
-	LayoutRowMajor
-	// LayoutConnect is the connectivity-clustered layout: uncompressed
-	// variable-length records (whole connection lists inline in the common
-	// case, overflow records co-located with their owners otherwise),
-	// packed by Hilbert order within LOD bands and refined so
-	// connection-list neighbors share pages. Kept for the clustering
-	// ablation: its blocking is worse than the index's own leaf order.
-	LayoutConnect
 )
-
-// variableRecords reports whether the layout stores variable-length
-// records in the slotted-page heap (heapfile.VarFile) rather than the
-// fixed-stride heap.
-func (l Layout) variableRecords() bool {
-	return l == LayoutConnect || l == LayoutPacked
-}
 
 // String returns the layout's flag spelling (see ParseLayout).
 func (l Layout) String() string {
 	switch l {
-	case LayoutSTR:
-		return "str"
-	case LayoutHilbert:
-		return "hilbert"
-	case LayoutRowMajor:
-		return "rowmajor"
-	case LayoutConnect:
-		return "connect"
 	case LayoutPacked:
 		return "packed"
+	case LayoutSTR:
+		return "str"
 	}
 	return fmt.Sprintf("layout(%d)", int(l))
 }
 
 // ParseLayout parses a layout name as spelled by String — the form the
-// command-line tools accept.
+// command-line tools accept and meta.json records.
 func ParseLayout(name string) (Layout, error) {
-	for _, l := range []Layout{LayoutPacked, LayoutSTR, LayoutHilbert, LayoutRowMajor, LayoutConnect} {
+	for _, l := range []Layout{LayoutPacked, LayoutSTR} {
 		if name == l.String() {
 			return l, nil
 		}
 	}
-	return 0, fmt.Errorf("dm: unknown layout %q (want packed, str, hilbert, rowmajor, or connect)", name)
+	return 0, fmt.Errorf("dm: unknown layout %q (want packed or str)", name)
 }
 
 // StorePools sizes the buffer pools (in pages) of the store's four files
@@ -197,15 +169,46 @@ func (sp *StorePools) newPager(backend pager.Backend, capPages int) *pager.Pager
 
 // wrap layers the configured backend wrappers over one raw backend: the
 // WrapBackend hook innermost (so injected faults model the disk), then
-// the checksum layer on top.
+// the checksum layer on top. On an error b is closed, through the hook's
+// wrapper when there is one.
 func (sp *StorePools) wrap(b pager.Backend) (pager.Backend, error) {
 	if sp.WrapBackend != nil {
 		b = sp.WrapBackend(b)
 	}
 	if sp.Checksums {
-		return pager.Checksummed(b)
+		cb, err := pager.Checksummed(b)
+		if err != nil {
+			b.Close()
+			return nil, err
+		}
+		return cb, nil
 	}
 	return b, nil
+}
+
+// wrapAll wraps the store's four raw backends (see wrap). On an error
+// every one of them, wrapped or not, is closed.
+func (sp *StorePools) wrapAll(bs [4]pager.Backend) ([4]pager.Backend, error) {
+	for i := range bs {
+		b, err := sp.wrap(bs[i])
+		if err != nil {
+			bs[i] = nil // wrap closed it
+			closeBackends(bs[:])
+			return bs, err
+		}
+		bs[i] = b
+	}
+	return bs, nil
+}
+
+// closeBackends closes every non-nil backend: the error paths of a build
+// or an open, which leave no store behind to close them.
+func closeBackends(bs []pager.Backend) {
+	for _, b := range bs {
+		if b != nil {
+			b.Close()
+		}
+	}
 }
 
 // BuildStore lays ds out on fresh in-memory pagers. Use BuildStoreAt for
@@ -233,20 +236,27 @@ func buildStore(ds *Dataset, pools StorePools, backends [4]pager.Backend) (*Stor
 	for i := range nodes {
 		nodes[i] = ds.Node(int64(i))
 	}
-	return buildNodes(nodes, ds.Tree.MaxE, pools, backends)
+	return buildNodes(nodes, ds.Tree.MaxE, pools, backends, nil)
 }
 
 // buildNodes lays the materialized nodes (indexed by ID, dense 0..N-1)
-// out on the given backends. buildStore enters here from a Dataset;
-// Repack enters from an existing store's records.
-func buildNodes(nodes []Node, maxE float64, pools StorePools, backends [4]pager.Backend) (*Store, error) {
+// out on the given backends, then runs finish (when non-nil) on the
+// result. buildStore enters here from a Dataset, Repack from an existing
+// store's records, and buildNodesAt with the sidecar writes as finish.
+// The backends are the store's from the call on: when anything fails,
+// finish included, every one of them is closed before the error returns.
+func buildNodes(nodes []Node, maxE float64, pools StorePools, backends [4]pager.Backend, finish func(*Store) error) (_ *Store, err error) {
 	pools.defaults()
-	for i := range backends {
-		b, err := pools.wrap(backends[i])
+	if backends, err = pools.wrapAll(backends); err != nil {
+		return nil, fmt.Errorf("dm: wrap backend: %w", err)
+	}
+	defer func() {
 		if err != nil {
-			return nil, fmt.Errorf("dm: wrap backend: %w", err)
+			closeBackends(backends[:])
 		}
-		backends[i] = b
+	}()
+	if pools.Layout != LayoutPacked && pools.Layout != LayoutSTR {
+		return nil, fmt.Errorf("dm: unknown layout %d", pools.Layout)
 	}
 	s := &Store{
 		heapP:  pools.newPager(backends[0], pools.Data),
@@ -256,11 +266,10 @@ func buildNodes(nodes []Node, maxE float64, pools StorePools, backends [4]pager.
 		layout: pools.Layout,
 		maxE:   maxE,
 	}
-	var err error
 	if s.rungs, err = newRungSets(nodes, pools.Rungs); err != nil {
 		return nil, err
 	}
-	if pools.Layout.variableRecords() {
+	if pools.Layout == LayoutPacked {
 		if s.vheap, err = heapfile.CreateVar(s.heapP); err != nil {
 			return nil, fmt.Errorf("dm: create heap: %w", err)
 		}
@@ -269,8 +278,8 @@ func buildNodes(nodes []Node, maxE float64, pools StorePools, backends [4]pager.
 			return nil, fmt.Errorf("dm: create heap: %w", err)
 		}
 	}
-	// The overflow file exists for every layout so the store directory has
-	// one shape; the variable layouts simply never write to it.
+	// The overflow file exists for both layouts so the store directory has
+	// one shape; a packed store simply never writes to it.
 	if s.over, err = heapfile.Create(s.overP, OverflowRecordSize); err != nil {
 		return nil, fmt.Errorf("dm: create overflow: %w", err)
 	}
@@ -278,57 +287,31 @@ func buildNodes(nodes []Node, maxE float64, pools StorePools, backends [4]pager.
 		return nil, fmt.Errorf("dm: create id index: %w", err)
 	}
 
-	// Choose the physical record order ("terrain data is arranged on the
-	// disk in such a way that their (x, y) clustering is preserved as much
-	// as possible", Section 6 — with the index available, clustering the
-	// table on the index preserves it best).
-	order := make([]int64, len(nodes))
-	for i := range order {
-		order[i] = int64(i)
+	// The physical record order ("terrain data is arranged on the disk in
+	// such a way that their (x, y) clustering is preserved as much as
+	// possible", Section 6 — with the index available, clustering the
+	// table on the index preserves it best): the R*-tree's STR leaf order.
+	order := make([]rtree.Item, len(nodes))
+	for id := range nodes {
+		order[id] = rtree.Item{Box: segmentOf(&nodes[id].Node, maxE), Ref: int64(id)}
 	}
-	switch pools.Layout {
-	case LayoutPacked, LayoutSTR:
-		segs := make([]rtree.Item, len(order))
-		for i, id := range order {
-			segs[i] = rtree.Item{Box: segmentOf(&nodes[id].Node, maxE), Ref: id}
-		}
-		for i, it := range rtree.STRLeafOrder(segs) {
-			order[i] = it.Ref
-		}
-	case LayoutHilbert:
-		sort.SliceStable(order, func(a, b int) bool {
-			ka := geom.HilbertKey(nodes[order[a]].Pos.XY())
-			kb := geom.HilbertKey(nodes[order[b]].Pos.XY())
-			if ka != kb {
-				return ka < kb
-			}
-			return order[a] < order[b]
-		})
-	case LayoutRowMajor:
-		// IDs are already in creation order.
-	case LayoutConnect:
-		order = connectOrder(nodes)
-	default:
-		return nil, fmt.Errorf("dm: unknown layout %d", pools.Layout)
-	}
+	order = rtree.STRLeafOrder(order)
 
-	// Capacity covers the largest variable record, so the connect path
-	// never reallocates either buffer while building.
+	// Capacity covers the largest packed record, so neither buffer is
+	// reallocated while building.
 	buf := make([]byte, RecordSize, heapfile.MaxVarRecord)
 	obuf := make([]byte, OverflowRecordSize, heapfile.MaxVarRecord)
 	items := make([]rtree.Item, 0, len(order))
 	space := geom.Box{MinX: math.Inf(1), MinY: math.Inf(1), MinE: 0,
 		MaxX: math.Inf(-1), MaxY: math.Inf(-1), MaxE: s.maxE}
-	for _, id := range order {
+	for _, it := range order {
+		id := it.Ref
 		n := &nodes[id]
 		var rid heapfile.RID
 		var err error
-		switch pools.Layout {
-		case LayoutConnect:
-			rid, err = s.appendConnect(n, buf, obuf)
-		case LayoutPacked:
+		if pools.Layout == LayoutPacked {
 			rid, err = s.appendPacked(n, buf, obuf)
-		default:
+		} else {
 			rid, err = s.appendFixed(n, buf, obuf)
 		}
 		if err != nil {
@@ -349,6 +332,11 @@ func buildNodes(nodes []Node, maxE float64, pools StorePools, backends [4]pager.
 	s.space = space
 	if s.rt, err = rtree.BulkLoad(s.rtP, items); err != nil {
 		return nil, fmt.Errorf("dm: bulk load r*-tree: %w", err)
+	}
+	if finish != nil {
+		if err = finish(s); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -381,53 +369,23 @@ func (s *Store) appendFixed(n *Node, buf, obuf []byte) (heapfile.RID, error) {
 	return rid, nil
 }
 
-// appendConnect writes one variable-length record: the whole connection
-// list inline when it fits a page (the common case), otherwise the rest
-// spills to variable overflow records appended — tail-first — into the
-// SAME file immediately before the owner, so the chain shares the
-// owner's page (or the one just before it) and walking it costs no extra
-// disk accesses.
-func (s *Store) appendConnect(n *Node, buf, obuf []byte) (heapfile.RID, error) {
-	overflowRef := noOverflow
-	inline := connectInline(len(n.Conn))
-	if rest := n.Conn[inline:]; len(rest) > 0 {
-		for start := ((len(rest) - 1) / connectOverflowFanout) * connectOverflowFanout; start >= 0; start -= connectOverflowFanout {
-			end := start + connectOverflowFanout
-			if end > len(rest) {
-				end = len(rest)
-			}
-			obuf = encodeConnectOverflow(rest[start:end], overflowRef, obuf)
-			rid, err := s.vheap.Append(obuf)
-			if err != nil {
-				return 0, fmt.Errorf("dm: overflow append: %w", err)
-			}
-			overflowRef = int64(rid)
-		}
-	}
-	buf = encodeConnectRecord(n, overflowRef, buf)
-	rid, err := s.vheap.Append(buf)
-	if err != nil {
-		return 0, fmt.Errorf("dm: heap append: %w", err)
-	}
-	return rid, nil
-}
-
 // appendPacked writes one compressed variable-length record: the whole
 // connection list inline as zigzag-varint deltas when the encoding fits
 // a page (virtually always — packed lists cost 1-2 bytes per ID), else
-// the longest fitting prefix with the rest spilling to the same raw
-// variable overflow records the connect layout uses, co-allocated
-// tail-first immediately before the owner.
+// the longest fitting prefix with the rest spilling to raw variable
+// overflow records appended — tail-first — into the SAME file
+// immediately before the owner, so the chain shares the owner's page (or
+// the one just before it) and walking it costs no extra disk accesses.
 func (s *Store) appendPacked(n *Node, buf, obuf []byte) (heapfile.RID, error) {
 	overflowRef := noOverflow
 	inline := packedSplit(n)
 	if rest := n.Conn[inline:]; len(rest) > 0 {
-		for start := ((len(rest) - 1) / connectOverflowFanout) * connectOverflowFanout; start >= 0; start -= connectOverflowFanout {
-			end := start + connectOverflowFanout
+		for start := ((len(rest) - 1) / varOverflowFanout) * varOverflowFanout; start >= 0; start -= varOverflowFanout {
+			end := start + varOverflowFanout
 			if end > len(rest) {
 				end = len(rest)
 			}
-			obuf = encodeConnectOverflow(rest[start:end], overflowRef, obuf)
+			obuf = encodeVarOverflow(rest[start:end], overflowRef, obuf)
 			rid, err := s.vheap.Append(obuf)
 			if err != nil {
 				return 0, fmt.Errorf("dm: overflow append: %w", err)
@@ -474,7 +432,7 @@ func (s *Store) Rungs() []float64 {
 // DataPages returns how many data pages the node heap occupies —
 // the footprint the layouts trade against disk accesses.
 func (s *Store) DataPages() int64 {
-	if s.layout.variableRecords() {
+	if s.layout == LayoutPacked {
 		return s.vheap.DataPages()
 	}
 	perPage := int64(s.heap.PerPage())
@@ -482,7 +440,7 @@ func (s *Store) DataPages() int64 {
 }
 
 // OverflowPages returns how many pages the separate overflow file uses
-// (always 0 for the variable layouts, whose chains live among the node
+// (always 0 for a packed store, whose chains live among the node
 // records).
 func (s *Store) OverflowPages() int64 {
 	perPage := int64((pager.PageSize - 2) / OverflowRecordSize)
@@ -500,26 +458,24 @@ func (s *Store) RTree() *rtree.Tree { return s.rt }
 // formula (1) over the R*-tree's nodes, with leaf terms scaled by the
 // data pages each visited leaf implies — entries per leaf over realized
 // records per page, which is what a leaf's records span when the heap is
-// clustered on the index (the default layout and LayoutSTR; for the
-// ablation layouts it understates). Building it scans the index once (a
-// once-off cost, not charged to queries).
+// clustered on the index, as both layouts' heaps are. Building it scans
+// the index once (a once-off cost, not charged to queries).
 func (s *Store) CostModel() (*costmodel.Model, error) {
 	m, err := costmodel.FromRTree(s.rt, s.space)
 	if err != nil {
 		return nil, err
 	}
 	recsPerPage := float64((pager.PageSize - 2) / RecordSize)
-	if s.layout.variableRecords() {
-		// Variable records have no static per-page count; use the realized
+	if s.layout == LayoutPacked {
+		// Packed records have no static per-page count; use the realized
 		// density (node records over slotted data pages, overflow included).
 		if dp := s.vheap.DataPages(); dp > 0 {
 			recsPerPage = float64(s.idx.Len()) / float64(dp)
 		} else {
 			// No data pages to measure (an empty store): fall back to a
-			// layout-aware static estimate rather than the fixed record
-			// stride, which would understate how densely variable — and
-			// especially packed — records fill a page.
-			recsPerPage = heapfile.VarRecordsPerPage(estVarRecordBytes(s.layout))
+			// static estimate rather than the fixed record stride, which
+			// would understate how densely packed records fill a page.
+			recsPerPage = heapfile.VarRecordsPerPage(estPackedRecordBytes)
 		}
 	}
 	m.SetDataFactor(m.AvgLeafEntries() / recsPerPage)
@@ -527,19 +483,12 @@ func (s *Store) CostModel() (*costmodel.Model, error) {
 	return m, nil
 }
 
-// estVarRecordBytes is the static average record length the cost model
-// assumes for a variable layout when no realized pages exist yet. The
-// connect estimate is the exact record length at the paper's average
-// similar-LOD list of 12 IDs; the packed estimate reflects the measured
-// average of the compressed encoding on both benchmark datasets (~60 B:
-// varint ID + bitmap + delta-coded refs and list, one or two raw
+// estPackedRecordBytes is the static average record length the cost
+// model assumes for a packed store when no realized pages exist yet: the
+// measured average of the compressed encoding on both benchmark datasets
+// (~60 B: varint ID + bitmap + delta-coded refs and list, one or two raw
 // floats).
-func estVarRecordBytes(l Layout) float64 {
-	if l == LayoutPacked {
-		return 60
-	}
-	return float64(connectRecordLen(12))
-}
+const estPackedRecordBytes = 60
 
 // DropCaches flushes and empties all buffer pools (the paper's cold-cache
 // methodology).
@@ -574,7 +523,7 @@ func (s *Store) pagers() []*pager.Pager {
 }
 
 // AccessBreakdown itemizes the disk accesses since the last ResetStats by
-// file: where a query's I/O actually went. LayoutConnect stores keep
+// file: where a query's I/O actually went. LayoutPacked stores keep
 // their (rare) overflow chains inside the node heap, so their Overflow
 // count is always 0 and chain reads — virtually all buffer-pool hits —
 // fold into Data.
@@ -602,15 +551,15 @@ func (s *Store) Breakdown() AccessBreakdown {
 // decoded nodes' Conn allocations. Whoever makes one releases it when the
 // run of fetches ends, on every path.
 type recReader struct {
-	cur       heapfile.VarCursor // variable layouts
-	rec, over []byte             // fixed layouts
+	cur       heapfile.VarCursor // LayoutPacked
+	rec, over []byte             // LayoutSTR
 	arena     connArena
 }
 
 // newRecReader returns a reader over this view's heap, so a session's
 // reads are attributed to the session.
 func (s *Store) newRecReader() recReader {
-	if s.layout.variableRecords() {
+	if s.layout == LayoutPacked {
 		return recReader{cur: s.vheap.Cursor()}
 	}
 	return recReader{
@@ -630,8 +579,8 @@ func (rd *recReader) release() { rd.cur.Release() }
 func (s *Store) fetchRecord(rid heapfile.RID, rd *recReader, tr *obs.Trace) (Node, error) {
 	var n Node
 	var err error
-	if s.layout.variableRecords() {
-		n, err = s.fetchVarRecord(rid, rd, tr)
+	if s.layout == LayoutPacked {
+		n, err = s.fetchPackedRecord(rid, rd, tr)
 	} else {
 		n, err = s.fetchFixedRecord(rid, rd, tr)
 	}
@@ -641,7 +590,7 @@ func (s *Store) fetchRecord(rid heapfile.RID, rd *recReader, tr *obs.Trace) (Nod
 	return n, err
 }
 
-// fetchFixedRecord is fetchRecord for the fixed layouts: a RecordSize
+// fetchFixedRecord is fetchRecord for LayoutSTR: a RecordSize
 // main record, lists beyond ConnInline chained through the overflow file.
 func (s *Store) fetchFixedRecord(rid heapfile.RID, rd *recReader, tr *obs.Trace) (Node, error) {
 	buf := rd.rec[:RecordSize]
@@ -678,32 +627,22 @@ func (s *Store) fetchFixedRecord(rid heapfile.RID, rd *recReader, tr *obs.Trace)
 	return n, nil
 }
 
-// fetchVarRecord is fetchRecord for the variable layouts (packed and
-// connect), decoding straight from the page the cursor has pinned: one
-// variable record holds the whole list in the common case; spilled
+// fetchPackedRecord is fetchRecord for LayoutPacked, decoding straight
+// from the page the cursor has pinned: one packed record holds the whole
+// list in the common case; spilled
 // chains live on the owner's own (or immediately preceding) pages and
 // are walked with the same cursor, so the overflow span below measures
 // page reads the buffer pool almost always absorbs. Every decoder copies
 // what it keeps, so nothing of the node aliases the page once the cursor
 // moves on.
-func (s *Store) fetchVarRecord(rid heapfile.RID, rd *recReader, tr *obs.Trace) (Node, error) {
+func (s *Store) fetchPackedRecord(rid heapfile.RID, rd *recReader, tr *obs.Trace) (Node, error) {
 	rec, err := rd.cur.Record(rid)
 	if err != nil {
 		return Node{}, err
 	}
-	var n Node
-	var total int
-	var overflowRef int64
-	if s.layout == LayoutPacked {
-		n, total, overflowRef, err = DecodePackedRecord(rec, &rd.arena)
-		if err != nil {
-			return Node{}, err
-		}
-	} else {
-		if err := checkConnectRecord(rec); err != nil {
-			return Node{}, err
-		}
-		n, total, overflowRef = decodeRecordHeader(rec, &rd.arena)
+	n, total, overflowRef, err := DecodePackedRecord(rec, &rd.arena)
+	if err != nil {
+		return Node{}, err
 	}
 	if overflowRef != noOverflow {
 		tr.Begin(obs.PhaseOverflow)

@@ -7,9 +7,9 @@ import (
 	"dmesh/internal/workload"
 )
 
-// LayoutSide is one physical layout's half of a before/after comparison:
-// the store's page footprint plus the full per-phase DA decomposition of
-// the paper's query mix against it.
+// LayoutSide is one physical layout's measurement: the store's page
+// footprint plus the full per-phase DA decomposition of the paper's query
+// mix against it.
 type LayoutSide struct {
 	Layout        string
 	DataPages     int64
@@ -28,27 +28,13 @@ func (s *LayoutSide) RecordsPerPage() float64 {
 	return float64(s.NumRecords) / float64(s.DataPages)
 }
 
-// LayoutCompare is one dataset's before/after layout comparison — the
-// same workload, the same terrain, the same logical answers; only the
-// physical page placement differs.
-type LayoutCompare struct {
-	Dataset string
-	Before  LayoutSide
-	After   LayoutSide
-}
-
-// Totals sums a side's per-kind DA into (total, overflow-walk) —
-// the two numbers the connect layout is judged on.
-func (s *LayoutSide) Totals() (total, overflow uint64) {
+// TotalDA sums the side's per-kind DA.
+func (s *LayoutSide) TotalDA() uint64 {
+	var total uint64
 	for _, r := range s.Rows {
 		total += r.TotalDA
-		for _, ps := range r.Phases {
-			if ps.Name == "overflow_walk" {
-				overflow += ps.DA
-			}
-		}
 	}
-	return total, overflow
+	return total
 }
 
 // DataDA sums the side's data-heap disk accesses — the record-fetch loop
@@ -66,32 +52,6 @@ func (s *LayoutSide) DataDA() uint64 {
 	return da
 }
 
-// CompareLayouts runs the DABreakdown query mix against the bundle's own
-// DM store and against a shadow store on the target layout, built from
-// the same dataset. The shadow bundle shares the terrain and baselines
-// but carries its own DM store and cost model — plans legitimately
-// differ between layouts (each R*-tree calibrates its own model); the
-// figure compares what each layout pays for the same workload, which is
-// exactly what an operator choosing a layout sees.
-func (b *Bundle) CompareLayouts(cfg workload.Config, roiFrac float64, frames int, target dmesh.Layout) (*LayoutCompare, error) {
-	before, err := b.layoutSide(cfg, roiFrac, frames)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: layout compare (%s): %w", b.DM.Layout(), err)
-	}
-	shadow := &Bundle{Name: b.Name, Terrain: b.Terrain, PM: b.PM, HDoV: b.HDoV}
-	if shadow.DM, err = b.Terrain.NewDMStoreWithPools(dmesh.StorePools{Layout: target}); err != nil {
-		return nil, fmt.Errorf("experiments: layout compare: shadow store: %w", err)
-	}
-	if shadow.Model, err = dmesh.NewCostModel(shadow.DM); err != nil {
-		return nil, fmt.Errorf("experiments: layout compare: shadow model: %w", err)
-	}
-	after, err := shadow.layoutSide(cfg, roiFrac, frames)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: layout compare (%s): %w", target, err)
-	}
-	return &LayoutCompare{Dataset: b.Name, Before: before, After: after}, nil
-}
-
 func (b *Bundle) layoutSide(cfg workload.Config, roiFrac float64, frames int) (LayoutSide, error) {
 	rows, err := b.DABreakdown(cfg, roiFrac, frames)
 	if err != nil {
@@ -107,10 +67,9 @@ func (b *Bundle) layoutSide(cfg workload.Config, roiFrac float64, frames int) (L
 }
 
 // LayoutSweep is one dataset's measurement of the same workload under
-// every physical layout: footprint, realized page density, and the full
-// per-phase DA decomposition per layout. The compression figure reads
-// the packed-vs-connect pair out of it; the rest of the sweep puts the
-// encodings in context against the fixed layouts.
+// each physical layout: footprint, realized page density, and the full
+// per-phase DA decomposition per layout — the same terrain and the same
+// logical answers; only the record encoding and page placement differ.
 type LayoutSweep struct {
 	Dataset string
 	Sides   []LayoutSide
@@ -128,8 +87,12 @@ func (s *LayoutSweep) Side(layout string) *LayoutSide {
 
 // SweepLayouts measures the DABreakdown query mix under each target
 // layout in order, reusing the bundle's own store when its layout is in
-// the list and building a shadow store (with its own calibrated cost
-// model, as in CompareLayouts) for the rest.
+// the list and building a shadow store for the rest. A shadow bundle
+// shares the terrain and baselines but carries its own DM store and cost
+// model — plans legitimately differ between layouts (each R*-tree
+// calibrates its own model); the figure compares what each layout pays
+// for the same workload, which is exactly what an operator choosing a
+// layout sees.
 func (b *Bundle) SweepLayouts(cfg workload.Config, roiFrac float64, frames int, targets []dmesh.Layout) (*LayoutSweep, error) {
 	sweep := &LayoutSweep{Dataset: b.Name}
 	for _, target := range targets {
