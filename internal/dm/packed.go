@@ -286,12 +286,18 @@ func DecodePackedRecord(buf []byte, arena *connArena) (n Node, connTotal int, ov
 // connArena batch-allocates the Conn slices decoded nodes retain: the
 // assembly maps hold fetched nodes for the life of one query, so their
 // list allocations are batched into chunks instead of one make per
-// record. The arena never recycles memory — each alloc hands out a
-// fresh, capacity-clamped window, so a slice stays valid as long as its
-// node does (coherent sessions retain nodes across frames) and appends
-// past the window reallocate instead of clobbering a neighbor.
+// record. Each alloc hands out a fresh, capacity-clamped window, so a
+// slice stays valid as long as its node does (coherent sessions retain
+// nodes across frames) and appends past the window reallocate instead of
+// clobbering a neighbor. Only a recycling arena (a one-shot query's, see
+// oneShot) reuses memory: it keeps its chunks and, once fetcher.recycle
+// has rewound it (every node it served is dead by then), hands them out
+// again.
 type connArena struct {
-	free []int64
+	free    []int64
+	recycle bool
+	chunks  [][]int64 // a recycling arena's chunks; chunks[next:] are unused
+	next    int
 }
 
 // connArenaChunk is the chunk size in IDs (32 KiB); lists longer than a
@@ -303,7 +309,15 @@ func (a *connArena) alloc(c int) []int64 {
 		return make([]int64, 0, c)
 	}
 	if len(a.free) < c {
-		a.free = make([]int64, connArenaChunk)
+		if a.recycle && a.next == len(a.chunks) {
+			a.chunks = append(a.chunks, make([]int64, connArenaChunk))
+		}
+		if a.next < len(a.chunks) {
+			a.free = a.chunks[a.next]
+			a.next++
+		} else {
+			a.free = make([]int64, connArenaChunk)
+		}
 	}
 	out := a.free[0:0:c]
 	a.free = a.free[c:]

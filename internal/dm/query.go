@@ -3,6 +3,7 @@ package dm
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"dmesh/internal/costmodel"
 	"dmesh/internal/geom"
@@ -22,6 +23,7 @@ type fetcher struct {
 	boxOf []int32 // boxOf[i] is the query box rids[i] matched, while search regroups
 	rd    recReader
 	recs  []Node
+	keys  []uint64 // fetched's sort keys
 	// tr carries the owning view's tracer (nil when tracing is off).
 	tr *obs.Trace
 }
@@ -32,6 +34,23 @@ func (s *Store) newFetcher() *fetcher {
 		rd: s.newRecReader(),
 		tr: s.tr,
 	}
+}
+
+// oneShot recycles the fetchers of one-shot queries, whose records die
+// with the query (assemble copies out all the Result keeps): the next
+// query reuses the slab, RID list, sort keys and arena chunks instead of
+// allocating them. Coherent sessions and tile patches keep their records
+// and use newFetcher. Idle fetchers go at the second GC.
+var oneShot = sync.Pool{New: func() any { return &fetcher{rd: recReader{arena: connArena{recycle: true}}} }}
+
+// recycle hands a oneShot fetcher back: the slab cleared, so that no
+// stale Conn pins a list allocated outside the arena, the arena rewound.
+func (f *fetcher) recycle() {
+	clear(f.recs)
+	f.recs, f.rids, f.boxOf = f.recs[:0], f.rids[:0], f.boxOf[:0]
+	f.rd.arena.free, f.rd.arena.next = nil, 0
+	f.s, f.rd.cur, f.tr = nil, heapfile.VarCursor{}, nil
+	oneShot.Put(f)
 }
 
 // fetched makes the slab a record set in place and returns it: ascending
@@ -53,7 +72,8 @@ func (f *fetcher) fetched() []Node {
 	if sorted {
 		return recs
 	}
-	keys := make([]uint64, len(recs))
+	f.keys = slices.Grow(f.keys[:0], len(recs))[:len(recs)]
+	keys := f.keys
 	for i := range recs {
 		keys[i] = uint64(recs[i].ID)<<32 | uint64(i)
 	}
@@ -159,7 +179,11 @@ func (f *fetcher) fetchBoxes(boxes []geom.Box) (int, error) {
 // one record set, assemble it, stamp the retrieval statistics. It runs
 // under the caller's root span.
 func (s *Store) query(boxes []geom.Box, need func(x, y float64) float64, lift bool) (*Result, error) {
-	f := s.newFetcher()
+	f := oneShot.Get().(*fetcher)
+	arena := f.rd.arena
+	f.s, f.rd, f.tr = s, s.newRecReader(), s.tr
+	f.rd.arena = arena
+	defer f.recycle()
 	nf, err := f.fetchBoxes(boxes)
 	if err != nil {
 		return nil, err

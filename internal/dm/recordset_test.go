@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/pm"
@@ -193,6 +195,97 @@ func TestRecordSetIsFlat(t *testing.T) {
 	storage := storageAllocs(s, rtree.DeltaBoxes(boxA, boxB)) + storageAllocs(s, rtree.DeltaBoxes(boxB, boxA))
 	if over := (got - storage) / 2; over >= float64(n)/4 {
 		t.Errorf("coherent frame over %d records allocates %.0f objects beyond the storage reads, want < %d", n, over, n/4)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes
+// f allocates over runs calls after a warm-up call, on one P.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
+}
+
+// TestOneShotQueryRecyclesItsFetcher: a one-shot query's records die with
+// it, so its fetcher goes back to oneShot and carries the next query. A
+// warm uniform query over N >= 2000 records allocates, beyond assembling
+// its mesh, less than a quarter of its record slab — a fresh fetcher
+// allocates the slab, the connection-list chunks and the RID list again.
+// Queries of alternating size through the recycled buffers answer exactly
+// what a fresh fetcher's records assemble to.
+func TestOneShotQueryRecyclesItsFetcher(t *testing.T) {
+	ds, _ := buildDataset(t, 65, "highland")
+	s := newTestStore(t, ds)
+	e := eAtPercentile(ds, 0.3)
+	need := func(float64, float64) float64 { return e }
+	freshRecords := func(roi geom.Rect) []Node {
+		f := s.newFetcher()
+		if _, err := f.fetchBoxes([]geom.Box{s.cube(roi, e, e)}); err != nil {
+			t.Fatal(err)
+		}
+		return f.fetched()
+	}
+
+	big, small := fullRect(), geom.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.55, MaxY: 0.5}
+	for i, roi := range []geom.Rect{big, small, big, small, small, big} {
+		got, err := s.ViewpointIndependent(roi, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameMesh(t, fmt.Sprintf("query %d over %v", i, roi), got, s.assemble(freshRecords(roi), need, false))
+	}
+
+	if raceEnabled {
+		t.Skip("-race: sync.Pool drops fetchers at random")
+	}
+	recs := freshRecords(big)
+	if len(recs) < 2000 {
+		t.Fatalf("only %d records fetched; the test wants >= 2000", len(recs))
+	}
+	query := bytesPerRun(5, func() {
+		if _, err := s.ViewpointIndependent(big, e); err != nil {
+			panic(err)
+		}
+	})
+	assemble := bytesPerRun(5, func() { s.assemble(recs, need, false) })
+	slab := float64(len(recs)) * float64(unsafe.Sizeof(Node{}))
+	if over := query - assemble; over >= slab/4 {
+		t.Errorf("warm query over %d records allocates %.0f bytes beyond its assembly, want < %.0f (a quarter of the slab)",
+			len(recs), over, slab/4)
+	}
+}
+
+// TestNewSessionIsOneAllocation: a session holds its four attribution
+// counters and every handle bound to them, so making one — once per
+// request — is a single allocation, and its queries still charge it
+// exactly the pages they read.
+func TestNewSessionIsOneAllocation(t *testing.T) {
+	ds, _ := buildDataset(t, 17, "highland")
+	for _, layout := range []Layout{LayoutPacked, LayoutSTR} {
+		s, err := BuildStore(ds, StorePools{Layout: layout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(10, func() { s.NewSession() }); n != 1 {
+			t.Errorf("%v: NewSession allocates %.0f objects, want 1", layout, n)
+		}
+		if err := s.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		s.ResetStats()
+		q := s.NewSession()
+		if _, err := q.ViewpointIndependent(fullRect(), eAtPercentile(ds, 0.5)); err != nil {
+			t.Fatal(err)
+		}
+		if da := q.DiskAccesses(); da == 0 || da != s.DiskAccesses() {
+			t.Errorf("%v: session charged %d page reads, the store counted %d", layout, da, s.DiskAccesses())
+		}
 	}
 }
 

@@ -8,6 +8,9 @@ import (
 	"dmesh/internal/costmodel"
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
+	"dmesh/internal/rtree"
+	"dmesh/internal/storage/btree"
+	"dmesh/internal/storage/heapfile"
 	"dmesh/internal/storage/pager"
 )
 
@@ -27,32 +30,33 @@ import (
 // parent Store.
 type Session struct {
 	Store
-	heapS, overS, rtS, idxS *pager.Session
+	heapS, overS, rtS, idxS pager.Session
+	// What the embedded Store points at in place of its parent's handles,
+	// held here so that a session is one allocation.
+	pagers       [4]pager.Pager
+	heapV, overV heapfile.File
+	vheapV       heapfile.VarFile
+	rtV          rtree.Tree
+	idxV         btree.Tree
 }
 
 // NewSession returns a view of the store whose queries attribute their
 // disk accesses to the returned session.
 func (s *Store) NewSession() *Session {
-	q := &Session{
-		Store: *s,
-		heapS: pager.NewSession(),
-		overS: pager.NewSession(),
-		rtS:   pager.NewSession(),
-		idxS:  pager.NewSession(),
-	}
-	q.heapP = s.heapP.WithSession(q.heapS)
-	q.overP = s.overP.WithSession(q.overS)
-	q.rtP = s.rtP.WithSession(q.rtS)
-	q.idxP = s.idxP.WithSession(q.idxS)
+	q := &Session{Store: *s}
+	q.pagers = [4]pager.Pager{*s.heapP.WithSession(&q.heapS), *s.overP.WithSession(&q.overS),
+		*s.rtP.WithSession(&q.rtS), *s.idxP.WithSession(&q.idxS)}
+	q.heapP, q.overP, q.rtP, q.idxP = &q.pagers[0], &q.pagers[1], &q.pagers[2], &q.pagers[3]
 	if s.heap != nil {
-		q.heap = s.heap.WithSession(q.heapS)
+		q.heapV = s.heap.On(q.heapP)
+		q.heap = &q.heapV
 	}
 	if s.vheap != nil {
-		q.vheap = s.vheap.WithSession(q.heapS)
+		q.vheapV = s.vheap.On(q.heapP)
+		q.vheap = &q.vheapV
 	}
-	q.over = s.over.WithSession(q.overS)
-	q.rt = s.rt.WithSession(q.rtS)
-	q.idx = s.idx.WithSession(q.idxS)
+	q.overV, q.rtV, q.idxV = s.over.On(q.overP), s.rt.On(q.rtP), s.idx.On(q.idxP)
+	q.over, q.rt, q.idx = &q.overV, &q.rtV, &q.idxV
 	// A trace is single-goroutine; a session spawned from a traced store
 	// starts untraced (attach its own with NewTrace/SetTrace).
 	q.tr = nil

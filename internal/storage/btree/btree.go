@@ -131,13 +131,13 @@ func (t *Tree) syncMeta() error {
 	return nil
 }
 
-// WithSession returns a read-only view of the tree whose page accesses
-// are additionally attributed to s (per-query disk-access accounting).
-// The view shares the underlying pager pool; do not Put/Delete through it.
-func (t *Tree) WithSession(s *pager.Session) *Tree {
+// On returns a read-only copy of the tree that reads through p, a view of
+// the tree's own pager (Pager.WithSession), so that its page accesses are
+// also attributed to the view's session. Do not Put/Delete through it.
+func (t *Tree) On(p *pager.Pager) Tree {
 	cp := *t
-	cp.p = t.p.WithSession(s)
-	return &cp
+	cp.p = p
+	return cp
 }
 
 // Len returns the number of keys stored.

@@ -83,13 +83,13 @@ func (f *File) writeHeader(d []byte) {
 	binary.LittleEndian.PutUint64(d[8:], uint64(f.num))
 }
 
-// WithSession returns a read-only view of the file whose page accesses
-// are additionally attributed to s (per-query disk-access accounting).
-// The view shares the underlying pager pool; do not Append through it.
-func (f *File) WithSession(s *pager.Session) *File {
+// On returns a read-only copy of the file that reads through p, a view of
+// the file's own pager (Pager.WithSession), so that its page accesses are
+// also attributed to the view's session. Do not Append through it.
+func (f *File) On(p *pager.Pager) File {
 	cp := *f
-	cp.p = f.p.WithSession(s)
-	return &cp
+	cp.p = p
+	return cp
 }
 
 // RecordSize returns the fixed record size in bytes.

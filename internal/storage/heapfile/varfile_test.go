@@ -300,9 +300,9 @@ func TestVarFileSessionAttribution(t *testing.T) {
 	}
 	p.ResetStats()
 	s := pager.NewSession()
-	view := f.WithSession(s)
+	view := f.On(p.WithSession(s))
 	for _, rid := range rids {
-		if _, err := readVar(view, rid); err != nil {
+		if _, err := readVar(&view, rid); err != nil {
 			t.Fatal(err)
 		}
 	}
