@@ -41,14 +41,18 @@ chaos:
 # bytes; the three per-codec targets keep their checked-in corpora, and
 # FuzzStitchDecoded goes one layer up: whatever tile bodies decode must
 # stitch without panicking, within an allocation bound, into an ascending
-# mesh. New coverage is minimized on a short leash so the seconds go to
-# fuzzing. Longer explorations just raise -fuzztime.
+# mesh. FuzzReadDEM covers the two parsers of outside files, the ASCII
+# grid and XYZ readers dmbuild -dem/-xyz use: no panic, allocation bounded
+# by the input whatever a header claims, finite coordinates out. New
+# coverage is minimized on a short leash so the seconds go to fuzzing.
+# Longer explorations just raise -fuzztime.
 fuzzsmoke:
 	$(GO) test -fuzz 'FuzzDecoders' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzDecoders$$' ./internal/wire/
 	$(GO) test -fuzz 'FuzzTraceWireDecode' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzTraceWireDecode$$' ./internal/obs/
 	$(GO) test -fuzz 'FuzzPackedRecordDecode' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzPackedRecordDecode$$' ./internal/dm/
 	$(GO) test -fuzz 'FuzzTilePatchDecode' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzTilePatchDecode$$' ./internal/dm/
 	$(GO) test -fuzz 'FuzzStitchDecoded' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzStitchDecoded$$' ./internal/dm/
+	$(GO) test -fuzz 'FuzzReadDEM' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzReadDEM$$' ./internal/demio/
 
 # Benchmark regression gate: regenerate the tracing figure at the gate
 # scale (129-point grids keep it under CI budgets) into results/gate and

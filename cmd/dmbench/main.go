@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dmbench [-fig all|6a|6b|6c|6d|8a|8b|8c|8d|8e|8f|conn|throughput|flyover|tilecache|faults|dabreakdown|layoutcmp|cluster|stream|obstrace]
-//	        [-size N] [-size2 N] [-seed S] [-locations L] [-layout str|packed]
+//	        [-size N] [-size2 N] [-seed S] [-locations L]
 //	        [-resultdir D] [-cpuprofile F] [-memprofile F]
 //
 // -fig throughput is not a paper figure: it measures concurrent query
@@ -63,9 +63,8 @@
 // query, including with a shard fail-stopped mid-workload. The legs go
 // to results/BENCH_obstrace.json.
 //
-// -layout selects the DM store's physical record layout (str, the
-// paper's fixed records, or packed) for every figure; layoutcmp measures
-// both layouts whatever it names.
+// Every figure runs on the str layout, the paper's fixed records;
+// layoutcmp builds a packed store beside it.
 //
 // -resultdir redirects the results/ JSON outputs (the benchdiff
 // regression gate points it at a scratch directory).
@@ -109,7 +108,6 @@ func main() {
 func mainErr() error {
 	var (
 		fig       = flag.String("fig", "all", "figure to reproduce (6a..6d, 8a..8f, conn, throughput, flyover, tilecache, faults, dabreakdown, layoutcmp, cluster, stream, obstrace, all)")
-		layoutF   = flag.String("layout", "str", "physical DM-store layout: str or packed")
 		resultDir = flag.String("resultdir", "results", "directory the BENCH_*.json figure outputs go to")
 		size      = flag.Int("size", 257, "grid side of the highland dataset (the paper's 2M-point terrain)")
 		size2     = flag.Int("size2", 513, "grid side of the crater dataset (the paper's 17M-point terrain)")
@@ -120,10 +118,6 @@ func mainErr() error {
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	layout, err := dmesh.ParseLayout(*layoutF)
-	if err != nil {
-		return err
-	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -156,7 +150,6 @@ func mainErr() error {
 		size2:     *size2,
 		seed:      *seed,
 		csv:       *csvOut,
-		layout:    layout,
 		resultDir: *resultDir,
 	}
 	return run(env, strings.ToLower(*fig))
@@ -170,15 +163,37 @@ type benchEnv struct {
 	size, size2 int
 	seed        int64
 	csv         bool
-	layout      dmesh.Layout
 	resultDir   string
 
 	bundles map[string]*experiments.Bundle
 }
 
-// resultPath places one BENCH_*.json output under -resultdir.
-func (e *benchEnv) resultPath(name string) string {
-	return filepath.Join(e.resultDir, name)
+// writeJSON persists one figure's series as resultDir/name for the
+// EXPERIMENTS.md tables and the benchdiff gate. locations is written only
+// when given (the layout sweep records it).
+func (e *benchEnv) writeJSON(name string, locations *int, datasets any) error {
+	if err := os.MkdirAll(e.resultDir, 0o755); err != nil {
+		return err
+	}
+	doc := struct {
+		Sizes     [2]int `json:"sizes"`
+		Seed      int64  `json:"seed"`
+		Locations *int   `json:"locations,omitempty"`
+		Datasets  any    `json:"datasets"`
+	}{
+		Sizes: [2]int{e.size, e.size2}, Seed: e.seed,
+		Locations: locations, Datasets: datasets,
+	}
+	buf, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	path := filepath.Join(e.resultDir, name)
+	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("\nwrote %s\n", path)
+	return nil
 }
 
 // bundle builds (once) and returns the named dataset bundle.
@@ -190,8 +205,8 @@ func (e *benchEnv) bundle(name string) (*experiments.Bundle, error) {
 	if name == "crater" {
 		size = e.size2
 	}
-	fmt.Fprintf(os.Stderr, "building %s dataset (%dx%d points, %s layout)...\n", name, size, size, e.layout)
-	b, err := experiments.BuildBundleLayout(name, size, e.seed, e.layout)
+	fmt.Fprintf(os.Stderr, "building %s dataset (%dx%d points, str layout)...\n", name, size, size)
+	b, err := experiments.BuildBundle(name, size, e.seed)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +367,7 @@ func runners() []figureRunner {
 				}
 				sweeps = append(sweeps, sweep)
 			}
-			return writeCompressionJSON(e.resultPath("BENCH_compression.json"), e, sweeps)
+			return e.writeJSON("BENCH_compression.json", &e.cfg.Locations, sweeps)
 		}},
 		{"cluster", func(e *benchEnv) error {
 			b, err := e.bundle("highland")
@@ -366,7 +381,7 @@ func runners() []figureRunner {
 			if err := printCluster(fig); err != nil {
 				return err
 			}
-			return writeClusterJSON(e.resultPath("BENCH_cluster.json"), e, []*experiments.ClusterFigure{fig})
+			return e.writeJSON("BENCH_cluster.json", nil, []*experiments.ClusterFigure{fig})
 		}},
 		{"stream", func(e *benchEnv) error {
 			var figs []*experiments.StreamFigure
@@ -384,7 +399,7 @@ func runners() []figureRunner {
 				}
 				figs = append(figs, fig)
 			}
-			return writeStreamJSON(e.resultPath("BENCH_stream.json"), e, figs)
+			return e.writeJSON("BENCH_stream.json", nil, figs)
 		}},
 		{"obstrace", func(e *benchEnv) error {
 			var figs []*experiments.ObsTraceFigure
@@ -402,7 +417,7 @@ func runners() []figureRunner {
 				}
 				figs = append(figs, fig)
 			}
-			return writeObsTraceJSON(e.resultPath("BENCH_obstrace.json"), e, figs)
+			return e.writeJSON("BENCH_obstrace.json", nil, figs)
 		}},
 	}
 }
@@ -547,30 +562,6 @@ func printCluster(fig *experiments.ClusterFigure) error {
 	return w.Flush()
 }
 
-// writeClusterJSON persists the scale-out series for the repo's
-// cluster test tooling and the EXPERIMENTS.md cluster table.
-func writeClusterJSON(path string, e *benchEnv, figs []*experiments.ClusterFigure) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	doc := struct {
-		Sizes    [2]int                       `json:"sizes"`
-		Seed     int64                        `json:"seed"`
-		Datasets []*experiments.ClusterFigure `json:"datasets"`
-	}{
-		Sizes: [2]int{e.size, e.size2}, Seed: e.seed, Datasets: figs,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", path)
-	return nil
-}
-
 // printStream prints the progressive-streaming wire-cost table: bytes
 // to the first renderable frame vs bytes to the exact answer per
 // flyover frame, the per-batch byte schedule, and the progressivity
@@ -591,30 +582,6 @@ func printStream(fig *experiments.StreamFigure) error {
 		fmt.Printf(" %.0f", b)
 	}
 	fmt.Println()
-	return nil
-}
-
-// writeStreamJSON persists the streaming series for the repo's
-// stream test tooling and the EXPERIMENTS.md stream table.
-func writeStreamJSON(path string, e *benchEnv, figs []*experiments.StreamFigure) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	doc := struct {
-		Sizes    [2]int                      `json:"sizes"`
-		Seed     int64                       `json:"seed"`
-		Datasets []*experiments.StreamFigure `json:"datasets"`
-	}{
-		Sizes: [2]int{e.size, e.size2}, Seed: e.seed, Datasets: figs,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", path)
 	return nil
 }
 
@@ -744,32 +711,6 @@ func printLayoutSweep(s *experiments.LayoutSweep, roiFrac float64) error {
 	return nil
 }
 
-// writeCompressionJSON persists the layout sweep for the repo's
-// packed-codec test tooling and the EXPERIMENTS.md compression table.
-func writeCompressionJSON(path string, e *benchEnv, sweeps []*experiments.LayoutSweep) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	doc := struct {
-		Sizes     [2]int                     `json:"sizes"`
-		Seed      int64                      `json:"seed"`
-		Locations int                        `json:"locations"`
-		Datasets  []*experiments.LayoutSweep `json:"datasets"`
-	}{
-		Sizes: [2]int{e.size, e.size2}, Seed: e.seed,
-		Locations: e.cfg.Locations, Datasets: sweeps,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", path)
-	return nil
-}
-
 // printObsTrace prints the distributed-tracing decomposition: one row
 // per workload leg (cold, steady, resumed streams, shard killed), DA
 // and latency totals plus the per-phase exclusive-DA columns recovered
@@ -815,30 +756,6 @@ func printObsTrace(fig *experiments.ObsTraceFigure) error {
 		fmt.Fprintln(w)
 	}
 	return w.Flush()
-}
-
-// writeObsTraceJSON persists the tracing decomposition for the
-// benchdiff regression gate and the EXPERIMENTS.md obstrace table.
-func writeObsTraceJSON(path string, e *benchEnv, figs []*experiments.ObsTraceFigure) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	doc := struct {
-		Sizes    [2]int                        `json:"sizes"`
-		Seed     int64                         `json:"seed"`
-		Datasets []*experiments.ObsTraceFigure `json:"datasets"`
-	}{
-		Sizes: [2]int{e.size, e.size2}, Seed: e.seed, Datasets: figs,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", path)
-	return nil
 }
 
 func printConn(b *experiments.Bundle) {

@@ -33,7 +33,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "generation seed")
 		demPath = flag.String("dem", "", "build from an ESRI ASCII grid DEM file instead of generating")
 		xyzPath = flag.String("xyz", "", "build from an XYZ survey-point file (Delaunay-triangulated)")
-		mtmPath = flag.String("mtm", "", "also save the collapse sequence in compact MTM format to this path")
 		layoutF = flag.String("layout", "packed", "physical record layout: packed or str")
 	)
 	flag.Parse()
@@ -47,13 +46,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dmbuild:", err)
 		os.Exit(2)
 	}
-	if err := run(*out, *dataset, *size, *seed, *demPath, *xyzPath, *mtmPath, layout); err != nil {
+	if err := run(*out, *dataset, *size, *seed, *demPath, *xyzPath, layout); err != nil {
 		fmt.Fprintln(os.Stderr, "dmbuild:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out, dataset string, size int, seed int64, demPath, xyzPath, mtmPath string, layout dmesh.Layout) error {
+func run(out, dataset string, size int, seed int64, demPath, xyzPath string, layout dmesh.Layout) error {
 	start := time.Now()
 	var t *dmesh.Terrain
 	var err error
@@ -104,29 +103,8 @@ func run(out, dataset string, size int, seed int64, demPath, xyzPath, mtmPath st
 	if err != nil {
 		return err
 	}
-	defer store.Close()
 	fmt.Printf("  done (%.1fs); LOD percentiles: p50=%.4g p90=%.4g p99=%.4g; rung sets for %d LODs\n",
 		time.Since(start).Seconds(),
 		t.LODPercentile(0.5), t.LODPercentile(0.9), t.LODPercentile(0.99), len(store.Rungs()))
-
-	if mtmPath != "" {
-		f, err := os.Create(mtmPath)
-		if err != nil {
-			return err
-		}
-		if err := t.SaveSequence(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		st, err := os.Stat(mtmPath)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote compact MTM %s (%d bytes, %.1f bytes/point)\n",
-			mtmPath, st.Size(), float64(st.Size())/float64(t.NumPoints()))
-	}
-	return nil
+	return store.Close()
 }

@@ -32,11 +32,9 @@ import (
 	"dmesh/internal/hdov"
 	"dmesh/internal/heightfield"
 	"dmesh/internal/mesh"
-	"dmesh/internal/mtmcodec"
 	"dmesh/internal/obs"
 	"dmesh/internal/pm"
 	"dmesh/internal/simplify"
-	"dmesh/internal/temporal"
 	"dmesh/internal/tilecache"
 )
 
@@ -94,11 +92,6 @@ type (
 	// CostModel estimates range-query disk accesses for the multi-base
 	// optimizer.
 	CostModel = costmodel.Model
-	// Series holds multiple terrain versions for spatiotemporal change
-	// analysis.
-	Series = temporal.Series
-	// DiffResult summarizes elevation change between two versions.
-	DiffResult = temporal.DiffResult
 )
 
 // ColdMeasurable is the store-side contract of a paper-style measured
@@ -309,13 +302,6 @@ const (
 // ParseLayout parses a layout flag value ("packed" or "str").
 func ParseLayout(name string) (Layout, error) { return dm.ParseLayout(name) }
 
-// RepackDMStore rewrites an open store into dir under the layout (and
-// pools) given — the offline re-layout pass behind cmd/dmrepack. The
-// source store is only read.
-func RepackDMStore(src *DMStore, pools StorePools, dir string) (*DMStore, error) {
-	return dm.Repack(src, pools, dir)
-}
-
 // NewDMStore lays the Direct Mesh out on paged storage: packed records
 // clustered on a 3D R*-tree over vertical segments (its STR leaf order),
 // and a B+-tree by ID. Like every store constructor here it builds the
@@ -412,38 +398,6 @@ func (t *Terrain) NewHDoVStore() (*HDoVStore, error) {
 		return nil, fmt.Errorf("dmesh: HDoV store needs a heightfield terrain (built from a grid)")
 	}
 	return hdov.Build(t.Dataset.Tree, t.Grid, hdov.Options{})
-}
-
-// SaveSequence writes the terrain's multiresolution collapse sequence in
-// the compact MTM format (varint/delta coded, DEFLATE compressed) —
-// simplification is the expensive step, so preprocessed terrains ship
-// this way.
-func (t *Terrain) SaveSequence(w io.Writer) error {
-	return mtmcodec.Write(w, t.Sequence)
-}
-
-// LoadSequence reads a compact MTM stream written by SaveSequence and
-// rebuilds the terrain's query structures. The source heightfield and
-// full-resolution mesh are not part of the stream, so Grid and Mesh are
-// nil on the returned terrain (the HDoV baseline, which needs the grid,
-// is unavailable).
-func LoadSequence(r io.Reader) (*Terrain, error) {
-	seq, err := mtmcodec.Read(r)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := dm.FromSequence(seq)
-	if err != nil {
-		return nil, err
-	}
-	t := &Terrain{Sequence: seq, Dataset: ds}
-	for i := range ds.Tree.Nodes {
-		if !ds.Tree.Nodes[i].IsLeaf() {
-			t.sortedLODs = append(t.sortedLODs, ds.Tree.Nodes[i].ELow)
-		}
-	}
-	sort.Float64s(t.sortedLODs)
-	return t, nil
 }
 
 // ReadASCIIGrid parses an ESRI/Arc-Info ASCII grid DEM (the format USGS

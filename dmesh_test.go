@@ -1,7 +1,6 @@
 package dmesh_test
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"strings"
@@ -199,47 +198,6 @@ func TestBuildRejectsNonFiniteHeights(t *testing.T) {
 	}
 	if _, err := dmesh.BuildFromPoints(pts, dmesh.Config{}); !errors.Is(err, simplify.ErrNonFinite) {
 		t.Fatalf("points with an inf height: err = %v, want ErrNonFinite", err)
-	}
-}
-
-func TestSequenceSaveLoad(t *testing.T) {
-	tr := buildTerrain(t)
-	var buf bytes.Buffer
-	if err := tr.SaveSequence(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := dmesh.LoadSequence(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumPoints() != tr.NumPoints() || loaded.MaxLOD() != tr.MaxLOD() {
-		t.Fatalf("loaded terrain differs: %d points, maxLOD %g", loaded.NumPoints(), loaded.MaxLOD())
-	}
-	// Queries against a store built from the loaded sequence match the
-	// original.
-	a, err := tr.NewDMStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := loaded.NewDMStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	roi := dmesh.NewRect(0.1, 0.1, 0.9, 0.9)
-	e := tr.LODPercentile(0.5)
-	ra, err := a.ViewpointIndependent(roi, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := b.ViewpointIndependent(roi, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ra.Vertices) != len(rb.Vertices) || len(ra.Edges) != len(rb.Edges) {
-		t.Fatalf("loaded store answers differently: %d/%d vertices", len(rb.Vertices), len(ra.Vertices))
-	}
-	if _, err := loaded.NewHDoVStore(); err == nil {
-		t.Fatal("HDoV store must be unavailable without a grid")
 	}
 }
 

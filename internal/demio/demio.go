@@ -18,6 +18,9 @@ import (
 	"dmesh/internal/heightfield"
 )
 
+// maxLine bounds one line of either format.
+const maxLine = 1 << 20
+
 // ASCIIGridHeader carries the georeferencing of an ESRI ASCII grid.
 type ASCIIGridHeader struct {
 	Cols, Rows           int
@@ -34,7 +37,7 @@ type ASCIIGridHeader struct {
 // original georeferencing.
 func ReadASCIIGrid(r io.Reader) (*heightfield.Grid, ASCIIGridHeader, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, maxLine)
 	var hdr ASCIIGridHeader
 	hdr.NoDataValue = math.NaN()
 
@@ -93,8 +96,14 @@ func ReadASCIIGrid(r io.Reader) (*heightfield.Grid, ASCIIGridHeader, error) {
 	if hdr.Cols < 2 || hdr.Rows < 2 {
 		return nil, hdr, fmt.Errorf("demio: grid %dx%d too small (need ncols/nrows >= 2)", hdr.Cols, hdr.Rows)
 	}
+	if hdr.Cols > math.MaxInt/hdr.Rows {
+		return nil, hdr, fmt.Errorf("demio: grid %dx%d has more cells than an int counts", hdr.Cols, hdr.Rows)
+	}
+	cells := hdr.Cols * hdr.Rows
 
-	values := make([]float64, 0, hdr.Cols*hdr.Rows)
+	// The header is not trusted with an allocation: heights are kept as
+	// they arrive, and their count is checked against it at the end.
+	var values []float64
 	consume := func(fields []string) error {
 		for _, f := range fields {
 			v, err := strconv.ParseFloat(f, 64)
@@ -116,8 +125,8 @@ func ReadASCIIGrid(r io.Reader) (*heightfield.Grid, ASCIIGridHeader, error) {
 	if err := sc.Err(); err != nil {
 		return nil, hdr, fmt.Errorf("demio: %w", err)
 	}
-	if len(values) != hdr.Cols*hdr.Rows {
-		return nil, hdr, fmt.Errorf("demio: got %d heights, want %d", len(values), hdr.Cols*hdr.Rows)
+	if len(values) != cells {
+		return nil, hdr, fmt.Errorf("demio: got %d heights, want %d", len(values), cells)
 	}
 
 	// No-data handling: replace with the minimum valid height.
@@ -187,10 +196,12 @@ func WriteASCIIGrid(w io.Writer, g *heightfield.Grid, hdr ASCIIGridHeader) error
 
 // ReadXYZ parses whitespace-separated "x y z" lines (comments start with
 // '#'), normalizing x and y into the unit square and returning the
-// original bounding rectangle. At least three points are required.
+// original bounding rectangle. At least three points are required, and x
+// and y must be finite (one NaN would make every normalized coordinate
+// NaN); heights are passed on as read.
 func ReadXYZ(r io.Reader) ([]geom.Point3, geom.Rect, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, maxLine)
 	var pts []geom.Point3
 	lineNo := 0
 	for sc.Scan() {
@@ -209,6 +220,9 @@ func ReadXYZ(r io.Reader) ([]geom.Point3, geom.Rect, error) {
 			if err != nil {
 				return nil, geom.Rect{}, fmt.Errorf("demio: line %d: %w", lineNo, err)
 			}
+			if i < 2 && (math.IsNaN(f) || math.IsInf(f, 0)) {
+				return nil, geom.Rect{}, fmt.Errorf("demio: line %d: non-finite coordinate %q", lineNo, fields[i])
+			}
 			v[i] = f
 		}
 		pts = append(pts, geom.Point3{X: v[0], Y: v[1], Z: v[2]})
@@ -226,6 +240,9 @@ func ReadXYZ(r io.Reader) ([]geom.Point3, geom.Rect, error) {
 	w, h := bounds.Width(), bounds.Height()
 	if w == 0 || h == 0 {
 		return nil, bounds, errors.New("demio: points are collinear along an axis")
+	}
+	if math.IsInf(w, 0) || math.IsInf(h, 0) {
+		return nil, bounds, errors.New("demio: point extent overflows a float64")
 	}
 	for i := range pts {
 		pts[i].X = (pts[i].X - bounds.MinX) / w

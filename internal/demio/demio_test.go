@@ -2,6 +2,7 @@ package demio
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -80,16 +81,42 @@ cellsize 1
 	}
 }
 
+var gridErrors = []string{
+	"ncols 1\nnrows 4\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3 4\n",
+	"ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n", // short data
+	"ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3 oops\n",
+	"ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -1\n-1 -1 -1 -1\n",
+}
+
+// hostileHeaders claim far more cells than the bytes after them hold. The
+// reader used to allocate what the header claimed before reading a height:
+// the first panicked (makeslice: cap out of range), the second asked for
+// 80 GB, and the third claims more cells than an int counts.
+var hostileHeaders = []string{
+	"ncols 2147483648\nnrows 2147483648\n1\n",
+	"ncols 100000\nnrows 100000\n1 2 3 4\n",
+	"ncols 4611686018427387904\nnrows 4\n1\n",
+}
+
 func TestReadASCIIGridErrors(t *testing.T) {
-	cases := []string{
-		"ncols 1\nnrows 4\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3 4\n",
-		"ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n", // short data
-		"ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3 oops\n",
-		"ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -1\n-1 -1 -1 -1\n",
-	}
-	for i, src := range cases {
+	for i, src := range gridErrors {
 		if _, _, err := ReadASCIIGrid(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d: expected error", i)
+		}
+	}
+}
+
+func TestReadASCIIGridDistrustsItsHeader(t *testing.T) {
+	for _, src := range hostileHeaders {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadASCIIGrid(strings.NewReader(src))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%q: accepted", src)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("%q: allocated %d bytes reading %d", src, got, len(src))
 		}
 	}
 }
@@ -121,15 +148,16 @@ func TestASCIIGridRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadXYZ(t *testing.T) {
-	src := `# survey points
+const sampleXYZ = `# survey points
 100 200 5
 300 200 7
 
 100 400 9
 300 400 11
 `
-	pts, bounds, err := ReadXYZ(strings.NewReader(src))
+
+func TestReadXYZ(t *testing.T) {
+	pts, bounds, err := ReadXYZ(strings.NewReader(sampleXYZ))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,16 +176,39 @@ func TestReadXYZ(t *testing.T) {
 	}
 }
 
+var xyzErrors = []string{
+	"1 2 3\n4 5 6\n",        // too few
+	"1 2\n3 4 5\n6 7 8\n",   // short line
+	"a b c\n1 2 3\n4 5 6\n", // parse error
+	"1 5 0\n2 5 1\n3 5 2\n", // collinear along y
+}
+
+// badCoordinates each hold one coordinate that would make every
+// normalized x or y NaN: a non-finite one on line 3, or an extent beyond
+// the largest float64.
+var badCoordinates = []string{
+	"0 0 1\n1 0 2\nnan 1 3\n1 1 4\n",
+	"0 0 1\n1 0 2\n0 -Inf 3\n1 1 4\n",
+	"0 0 1\n-1e308 0 2\n1e308 1 3\n",
+}
+
 func TestReadXYZErrors(t *testing.T) {
-	cases := []string{
-		"1 2 3\n4 5 6\n",        // too few
-		"1 2\n3 4 5\n6 7 8\n",   // short line
-		"a b c\n1 2 3\n4 5 6\n", // parse error
-		"1 5 0\n2 5 1\n3 5 2\n", // collinear along y
-	}
-	for i, src := range cases {
+	for i, src := range xyzErrors {
 		if _, _, err := ReadXYZ(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d: expected error", i)
+		}
+	}
+}
+
+// TestReadXYZRejectsBadCoordinates: one bad x or y is an error naming its
+// line, not a point set whose every normalized coordinate is NaN.
+func TestReadXYZRejectsBadCoordinates(t *testing.T) {
+	for i, src := range badCoordinates {
+		_, _, err := ReadXYZ(strings.NewReader(src))
+		if err == nil {
+			t.Errorf("case %d: accepted", i)
+		} else if i < 2 && !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("case %d: %v does not name line 3", i, err)
 		}
 	}
 }

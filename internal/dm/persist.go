@@ -75,16 +75,6 @@ func (m *storeMeta) layout() (Layout, error) {
 // can be reopened later with OpenStore. The directory is created if
 // needed; it must not already contain a store.
 func BuildStoreAt(ds *Dataset, pools StorePools, dir string) (*Store, error) {
-	nodes := make([]Node, len(ds.Tree.Nodes))
-	for i := range nodes {
-		nodes[i] = ds.Node(int64(i))
-	}
-	return buildNodesAt(nodes, ds.Tree.MaxE, pools, dir)
-}
-
-// buildNodesAt lays materialized nodes out in dir as regular files (see
-// BuildStoreAt); Repack enters here with nodes read from another store.
-func buildNodesAt(nodes []Node, maxE float64, pools StorePools, dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dm: %w", err)
 	}
@@ -95,7 +85,7 @@ func buildNodesAt(nodes []Node, maxE float64, pools StorePools, dir string) (*St
 	if err != nil {
 		return nil, err
 	}
-	return buildNodes(nodes, maxE, pools, backends, func(s *Store) error {
+	return buildStore(ds, pools, backends, func(s *Store) error {
 		return s.writeSidecars(dir, pools)
 	})
 }

@@ -179,8 +179,8 @@ func TestStitchMixedFilteredTiles(t *testing.T) {
 }
 
 // TestRungSetsSurviveTheStoreLifecycle: a store built in memory, one built
-// into a directory and reopened, and repacks of either (into a directory,
-// onto backends, into another layout) hold identical sets; a directory
+// into a directory and reopened, and one built in the other layout hold
+// identical sets; a directory
 // built for no rungs has no rung file and opens unfiltered; and the sets
 // cost a session's materialization no disk access.
 func TestRungSetsSurviveTheStoreLifecycle(t *testing.T) {
@@ -215,22 +215,16 @@ func TestRungSetsSurviveTheStoreLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	repacked, err := Repack(reopened, StorePools{Layout: LayoutSTR}, filepath.Join(tmp, "b"))
+	strRungs := withRungs
+	strRungs.Layout = LayoutSTR
+	str, err := BuildStore(ds, strRungs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer repacked.Close()
-	onBackends, err := RepackOnBackends(built, pools, memBackends())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, s := range map[string]*Store{"built": built, "reopened": reopened, "repacked": repacked, "repacked on backends": onBackends} {
+	for name, s := range map[string]*Store{"built": built, "reopened": reopened, "str": str} {
 		if !reflect.DeepEqual(s.rungs, want) {
 			t.Errorf("%s store: rung sets differ from the dataset's", name)
 		}
-	}
-	if other, err := RepackOnBackends(built, StorePools{Rungs: ladder[:2]}, memBackends()); err != nil || !slices.Equal(other.Rungs(), ladder[:2]) {
-		t.Errorf("repack told its rungs: %v, %v, want %v", other.Rungs(), err, ladder[:2])
 	}
 
 	// No rungs: the directory is what the previous release wrote.

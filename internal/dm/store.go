@@ -133,8 +133,7 @@ func ParseLayout(name string) (Layout, error) {
 // endpoint is live there, the only ones a stitch can ever use. At any
 // other LOD, or on a store built with no rungs, it keeps them all: more
 // bytes, the same answers. The facade's store constructors fill it from
-// Terrain.DefaultLODLadder; OpenStore reads the directory's and Repack
-// carries the source's unless told otherwise.
+// Terrain.DefaultLODLadder; OpenStore reads the directory's.
 type StorePools struct {
 	Data, Overflow, Index, IDIndex int
 	Layout                         Layout
@@ -217,7 +216,7 @@ func BuildStore(ds *Dataset, pools StorePools) (*Store, error) {
 	return buildStore(ds, pools, [4]pager.Backend{
 		pager.NewMemBackend(), pager.NewMemBackend(),
 		pager.NewMemBackend(), pager.NewMemBackend(),
-	})
+	}, nil)
 }
 
 // BuildStoreOnBackends lays ds out on caller-supplied backends (heap,
@@ -226,26 +225,15 @@ func BuildStore(ds *Dataset, pools StorePools) (*Store, error) {
 // tests and the chaos experiment use it to interpose faultfs wrappers
 // below the store.
 func BuildStoreOnBackends(ds *Dataset, pools StorePools, backends [4]pager.Backend) (*Store, error) {
-	return buildStore(ds, pools, backends)
+	return buildStore(ds, pools, backends, nil)
 }
 
 // buildStore lays ds out on the given backends (heap, overflow, r*-tree,
-// id index).
-func buildStore(ds *Dataset, pools StorePools, backends [4]pager.Backend) (*Store, error) {
-	nodes := make([]Node, len(ds.Tree.Nodes))
-	for i := range nodes {
-		nodes[i] = ds.Node(int64(i))
-	}
-	return buildNodes(nodes, ds.Tree.MaxE, pools, backends, nil)
-}
-
-// buildNodes lays the materialized nodes (indexed by ID, dense 0..N-1)
-// out on the given backends, then runs finish (when non-nil) on the
-// result. buildStore enters here from a Dataset, Repack from an existing
-// store's records, and buildNodesAt with the sidecar writes as finish.
-// The backends are the store's from the call on: when anything fails,
-// finish included, every one of them is closed before the error returns.
-func buildNodes(nodes []Node, maxE float64, pools StorePools, backends [4]pager.Backend, finish func(*Store) error) (_ *Store, err error) {
+// id index), then runs finish (when non-nil) on the result: BuildStoreAt
+// passes the sidecar writes. The backends are the store's from the call
+// on: when anything fails, finish included, every one of them is closed
+// before the error returns.
+func buildStore(ds *Dataset, pools StorePools, backends [4]pager.Backend, finish func(*Store) error) (_ *Store, err error) {
 	pools.defaults()
 	if backends, err = pools.wrapAll(backends); err != nil {
 		return nil, fmt.Errorf("dm: wrap backend: %w", err)
@@ -258,6 +246,11 @@ func buildNodes(nodes []Node, maxE float64, pools StorePools, backends [4]pager.
 	if pools.Layout != LayoutPacked && pools.Layout != LayoutSTR {
 		return nil, fmt.Errorf("dm: unknown layout %d", pools.Layout)
 	}
+	nodes := make([]Node, len(ds.Tree.Nodes))
+	for i := range nodes {
+		nodes[i] = ds.Node(int64(i))
+	}
+	maxE := ds.Tree.MaxE
 	s := &Store{
 		heapP:  pools.newPager(backends[0], pools.Data),
 		overP:  pools.newPager(backends[1], pools.Overflow),

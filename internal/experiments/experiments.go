@@ -38,18 +38,12 @@ type Bundle struct {
 // DM store on LayoutSTR — fixed-size records, the physical design the
 // paper figures are measured on; the library's own default is packed.
 func BuildBundle(name string, size int, seed int64) (*Bundle, error) {
-	return BuildBundleLayout(name, size, seed, dmesh.LayoutSTR)
-}
-
-// BuildBundleLayout is BuildBundle with an explicit physical layout for
-// the DM store (the -layout flag of cmd/dmbench).
-func BuildBundleLayout(name string, size int, seed int64, layout dmesh.Layout) (*Bundle, error) {
 	t, err := dmesh.Build(dmesh.Config{Dataset: name, Size: size, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
 	b := &Bundle{Name: name, Terrain: t}
-	if b.DM, err = t.NewDMStoreWithPools(dmesh.StorePools{Layout: layout}); err != nil {
+	if b.DM, err = t.NewDMStoreWithPools(dmesh.StorePools{Layout: dmesh.LayoutSTR}); err != nil {
 		return nil, fmt.Errorf("experiments: dm store: %w", err)
 	}
 	if b.Model, err = dmesh.NewCostModel(b.DM); err != nil {

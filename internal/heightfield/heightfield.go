@@ -261,24 +261,6 @@ func Crater(size int, seed int64) *Grid {
 	return g
 }
 
-// Excavate digs a smooth circular depression centered at (cx, cy) (unit
-// coordinates) with the given radius and depth — a synthetic terrain
-// change (mining cut, crater, landslide scar) for multi-version analysis.
-func (g *Grid) Excavate(cx, cy, radius, depth float64) {
-	for j := 0; j < g.Size; j++ {
-		for i := 0; i < g.Size; i++ {
-			x, y := g.XY(i, j)
-			d := math.Hypot(x-cx, y-cy)
-			if d >= radius {
-				continue
-			}
-			// Smooth bowl: full depth at the center, zero at the rim.
-			t := d / radius
-			g.Set(i, j, g.At(i, j)-depth*(1-t*t)*(1-t*t))
-		}
-	}
-}
-
 // Named builds one of the two benchmark datasets by name: "highland" (the
 // 2M-point stand-in) or "crater" (the 17M-point stand-in).
 func Named(name string, size int, seed int64) (*Grid, error) {

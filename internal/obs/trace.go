@@ -20,7 +20,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -92,7 +94,9 @@ func (p Phase) String() string {
 }
 
 // Span is one recorded trace span. DA is inclusive of children (like the
-// wall-time Dur); SelfDA and SelfDur subtract the children.
+// wall-time Dur); SelfDA subtracts the children's DA and SelfDur the time
+// they cover — the union of their intervals, since spliced shard hops run
+// concurrently.
 type Span struct {
 	Phase  Phase
 	Parent int32 // index into Trace.Spans(); -1 for a root span
@@ -108,8 +112,12 @@ type Span struct {
 	startDA  uint64
 	charged  uint64
 	childDA  uint64
-	childDur time.Duration
+	childDur time.Duration // the union of the children's intervals
 	open     bool
+	// spliced marks a span with SpliceRemote hops among its children.
+	// Those may overlap each other, so End covers the children's
+	// intervals exactly (cover) instead of adding up their durations.
+	spliced bool
 }
 
 // SelfDA is the span's exclusive disk-access cost: DA minus the children's.
@@ -133,6 +141,7 @@ type Trace struct {
 	epoch time.Time
 	spans []Span
 	stack []int32
+	ivals [][2]time.Duration // cover's scratch, kept across Reset
 }
 
 // arenaSpans is the span capacity preallocated per trace; a query deeper
@@ -227,7 +236,11 @@ func (t *Trace) End() {
 	sp.Dur = time.Since(t.epoch) - sp.Start
 	sp.DA = (t.sample() - sp.startDA) + sp.charged
 	sp.open = false
+	if sp.spliced {
+		sp.childDur = t.cover(i)
+	}
 	if sp.Parent >= 0 {
+		// Begin/End children are sequential, so their durations add up.
 		par := &t.spans[sp.Parent]
 		par.childDA += sp.DA
 		par.childDur += sp.Dur
@@ -236,6 +249,31 @@ func (t *Trace) End() {
 		// child-before-parent, so this propagates transitively).
 		par.charged += sp.charged
 	}
+}
+
+// cover returns the length of the union of span i's children's
+// [Start, Start+Dur) intervals, clipped to span i's own. Every span after
+// i in the arena was recorded while i was open, so its children are
+// found there.
+func (t *Trace) cover(i int32) time.Duration {
+	lo, hi := t.spans[i].Start, t.spans[i].Start+t.spans[i].Dur
+	iv := t.ivals[:0]
+	for j := int(i) + 1; j < len(t.spans); j++ {
+		if c := &t.spans[j]; c.Parent == i {
+			iv = append(iv, [2]time.Duration{max(c.Start, lo), min(c.Start+c.Dur, hi)})
+		}
+	}
+	t.ivals = iv
+	slices.SortFunc(iv, func(a, b [2]time.Duration) int { return cmp.Compare(a[0], b[0]) })
+	var total time.Duration
+	end := lo
+	for _, v := range iv {
+		if from := max(v[0], end); v[1] > from {
+			total += v[1] - from
+			end = v[1]
+		}
+	}
+	return total
 }
 
 // Spans returns the recorded spans in Begin order. The slice aliases the

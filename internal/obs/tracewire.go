@@ -19,7 +19,7 @@ import (
 //	  parent   uvarint  (0 = root, else 1 + parent index; parent < own index)
 //	  start    uvarint  (nanoseconds from the trace epoch)
 //	  dur      uvarint  (nanoseconds)
-//	  childDur uvarint  (nanoseconds, <= dur)
+//	  childDur uvarint  (nanoseconds the children cover, <= dur)
 //	  da       uvarint  (inclusive disk accesses)
 //	  childDA  uvarint  (<= da)
 //
@@ -86,17 +86,6 @@ func (wt *WireTrace) TotalDA() uint64 {
 	for i := range wt.Spans {
 		if wt.Spans[i].Parent < 0 {
 			total += wt.Spans[i].DA
-		}
-	}
-	return total
-}
-
-// rootDur sums the root spans' inclusive durations.
-func (wt *WireTrace) rootDur() time.Duration {
-	var total time.Duration
-	for i := range wt.Spans {
-		if wt.Spans[i].Parent < 0 {
-			total += wt.Spans[i].Dur
 		}
 	}
 	return total
@@ -185,7 +174,6 @@ func (t *Trace) SpliceRemote(p Phase, start, dur time.Duration, da uint64, wt *W
 	}
 	if wt != nil {
 		hop.childDA = wt.TotalDA()
-		hop.childDur = wt.rootDur()
 	}
 	t.spans = append(t.spans, hop)
 	hopIdx := int32(len(t.spans) - 1)
@@ -201,12 +189,14 @@ func (t *Trace) SpliceRemote(p Phase, start, dur time.Duration, da uint64, wt *W
 			sp.Start += start
 			t.spans = append(t.spans, sp)
 		}
+		t.spans[hopIdx].childDur = t.cover(hopIdx)
 	}
 	// Roll the hop into its parent the way End would: the parent's
 	// children now include the hop (inclusive of the remote spans), and
-	// the whole hop DA is charged — the local sampler never saw it.
+	// the whole hop DA is charged — the local sampler never saw it. Hops
+	// ran concurrently, so the parent's End covers their time exactly.
 	par := &t.spans[parent]
 	par.childDA += da
-	par.childDur += dur
+	par.spliced = true
 	par.charged += da
 }

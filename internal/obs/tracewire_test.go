@@ -218,6 +218,50 @@ func TestSpliceRemoteInvariant(t *testing.T) {
 	}
 }
 
+// TestSpliceRemoteOverlappingHops: a router's shard hops run concurrently
+// and are spliced in cover-key order, so their intervals overlap and do
+// not arrive in start order. A span's self time is its duration minus the
+// time its children cover, never negative — a remote trace that outlasts
+// the hop as the router timed it is clipped to the hop — and the trace
+// still encodes to a wire its own decoder accepts. DA is untouched.
+func TestSpliceRemoteOverlappingHops(t *testing.T) {
+	tr := NewTrace(nil)
+	tr.Begin(PhaseQuery)
+	a := tr.Now()
+	time.Sleep(time.Millisecond)
+	b := tr.Now()
+	time.Sleep(time.Millisecond)
+	c := tr.Now()
+	long := &WireTrace{Spans: []Span{{Phase: PhaseQuery, Parent: -1, Dur: time.Hour, DA: 3}}}
+	tr.SpliceRemote(PhaseShardHop, b, c-b, 1, nil)
+	tr.SpliceRemote(PhaseShardHop, a, b-a, 2, nil)
+	tr.SpliceRemote(PhaseShardHop, a, c-a, 3, long)
+	tr.End()
+
+	if err := tr.CheckTotal(6); err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Spans()
+	if got, want := spans[0].SelfDur(), spans[0].Dur-(c-a); got != want {
+		t.Errorf("query self time %v, want %v: its %v minus the %v its hops cover", got, want, spans[0].Dur, c-a)
+	}
+	if hop := spans[3]; hop.Phase != PhaseShardHop || hop.SelfDur() != 0 {
+		t.Errorf("hop under an hour-long shard trace: %v self time, want 0", hop.SelfDur())
+	}
+	for _, ps := range tr.PhaseStats() {
+		if ps.Dur < 0 {
+			t.Errorf("phase %s: self time %v", ps.Name, ps.Dur)
+		}
+	}
+	enc, err := tr.EncodeWire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeTraceWire(enc); err != nil {
+		t.Errorf("the trace's own wire is refused: %v", err)
+	}
+}
+
 // TestSpliceRemoteNoOpPaths: splicing into a nil trace or outside any
 // open span must be a silent no-op, like every other nil-receiver path.
 func TestSpliceRemoteNoOpPaths(t *testing.T) {

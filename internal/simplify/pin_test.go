@@ -15,8 +15,8 @@ import (
 )
 
 // hashSequence is SHA-256 over every field of a Sequence: floats by bit
-// pattern, and a nil list distinguished from an empty one (mtmcodec's round
-// trip keeps that difference, so it is part of the output).
+// pattern, and a nil list distinguished from an empty one (the hashes were
+// pinned with that difference in them, so it stays part of the output).
 func hashSequence(s *Sequence) string {
 	h := sha256.New()
 	var buf [8]byte
