@@ -1,14 +1,16 @@
 GO ?= go
 
-.PHONY: verify fmt build vet test race chaos fuzzsmoke benchdiff bench benchsmoke benchrepo figures
+.PHONY: verify fmt build vet test race fuzzsmoke bench benchsmoke benchrepo figures
 
 # The CI gate: formatting, build, vet, the whole test suite under the
 # race detector (no test in the repo is short-mode gated: `grep -rn
-# 'testing.Short()'` is empty), the small-scale chaos run, a few seconds of live fuzzing
-# over every decoder, and the benchmark regression gate. Gates that were
-# -run subsets of `race` are gone; to iterate on one area, run its
-# package: `go test -race ./internal/cluster/`.
-verify: fmt build vet race chaos fuzzsmoke benchdiff
+# 'testing.Short()'` is empty) and a few seconds of live fuzzing over
+# every decoder. The suite includes TestFigureTablePinned, which runs
+# every dmbench figure at 65² — the fault-tolerance figure among them —
+# and fails on any moved disk-access, byte, page or cache count. Gates
+# that were -run subsets of `race` are gone; to iterate on one area, run
+# its package: `go test -race ./internal/cluster/`.
+verify: fmt build vet race fuzzsmoke
 
 # gofmt cleanliness: fails listing the offending files, fixes nothing.
 fmt:
@@ -26,12 +28,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Chaos gate: the fault-tolerance figure at small scale. dmbench exits
-# nonzero if any query under injected read failures / bit flips panics
-# or returns an answer that differs from the clean oracle store.
-chaos:
-	$(GO) run ./cmd/dmbench -fig faults -size 65 -size2 65
 
 # Fuzz smoke: a few seconds of live fuzzing over every decoder. The
 # shared harness (FuzzDecoders: DMTW, DMTP, DMPS and packed records behind
@@ -53,22 +49,6 @@ fuzzsmoke:
 	$(GO) test -fuzz 'FuzzTilePatchDecode' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzTilePatchDecode$$' ./internal/dm/
 	$(GO) test -fuzz 'FuzzStitchDecoded' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzStitchDecoded$$' ./internal/dm/
 	$(GO) test -fuzz 'FuzzReadDEM' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzReadDEM$$' ./internal/demio/
-
-# Benchmark regression gate: regenerate the tracing figure at the gate
-# scale (129-point grids keep it under CI budgets) into results/gate and
-# diff it against the checked-in baselines under results/baselines.
-# dmbenchdiff exits nonzero when a disk-access or byte metric drifts
-# beyond tolerance; timing metrics are ignored (they measure the
-# machine). The full-scale baselines for the other figures live in the
-# same directory and are compared whenever their BENCH_*.json is
-# regenerated into the gate directory at the baseline's scale. The gate
-# directory is emptied first: it is git-ignored, and a BENCH_*.json left
-# there by an earlier run at another scale fails the diff on a sizes
-# mismatch that has nothing to do with the change under test.
-benchdiff:
-	rm -rf results/gate
-	$(GO) run ./cmd/dmbench -fig obstrace -size 129 -size2 129 -resultdir results/gate
-	$(GO) run ./cmd/dmbenchdiff -baseline results/baselines -current results/gate
 
 # The paper's metric: custom DA/... counters, not ns/op. Runs the unit
 # suite first (a benchmark of broken code measures nothing); -run '^$$'

@@ -1,13 +1,12 @@
-// Benchmarks reproducing the paper's evaluation, one per figure, plus
-// ablations of the design decisions in DESIGN.md. The interesting output
-// is the custom metric disk-accesses/op (the paper's y axis), not ns/op.
+// Ablations of the design decisions in DESIGN.md §5, the concurrent-
+// serving benchmark and the build pipeline. The ablations' interesting
+// output is the custom metric DA/query (the paper's y axis), not ns/op.
 // Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Full-scale figure series are produced by cmd/dmbench; these benchmarks
-// run a representative middle point of each sweep at a laptop-friendly
-// scale so the whole suite stays fast.
+// The figures themselves come from cmd/dmbench, and every exact column of
+// every one is pinned by TestFigureTablePinned in internal/experiments.
 package dmesh_test
 
 import (
@@ -24,143 +23,31 @@ import (
 )
 
 const (
-	benchSizeHighland = 129
-	benchSizeCrater   = 161
-	benchSeed         = 1
+	benchSize = 129
+	benchSeed = 1
 )
 
 var (
-	benchMu      sync.Mutex
-	benchBundles = map[string]*experiments.Bundle{}
+	benchMu       sync.Mutex
+	benchHighland *experiments.Bundle
 )
 
-func bundle(b *testing.B, name string) *experiments.Bundle {
+// highland builds (once) the bundle every benchmark runs on.
+func highland(b *testing.B) *experiments.Bundle {
 	b.Helper()
 	benchMu.Lock()
 	defer benchMu.Unlock()
-	if bb, ok := benchBundles[name]; ok {
-		return bb
-	}
-	size := benchSizeHighland
-	if name == "crater" {
-		size = benchSizeCrater
-	}
-	bb, err := experiments.BuildBundle(name, size, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchBundles[name] = bb
-	return bb
-}
-
-func benchCfg() workload.Config { return workload.Config{Locations: 5, Seed: benchSeed} }
-
-// reportSeries runs one figure and reports each method's average disk
-// accesses as custom metrics.
-func reportSeries(b *testing.B, run func() (*experiments.Figure, error)) {
-	b.Helper()
-	var fig *experiments.Figure
-	var err error
-	for i := 0; i < b.N; i++ {
-		fig, err = run()
+	if benchHighland == nil {
+		bb, err := experiments.BuildBundle("highland", benchSize, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
+		benchHighland = bb
 	}
-	for _, s := range fig.Series {
-		var sum float64
-		for _, p := range s.Points {
-			sum += p.DA
-		}
-		b.ReportMetric(sum/float64(len(s.Points)), "DA/"+string(s.Method))
-	}
+	return benchHighland
 }
 
-// --- Figure 6: viewpoint-independent (uniform mesh) ------------------------
-
-func BenchmarkFig6aUniformROIHighland(b *testing.B) {
-	bb := bundle(b, "highland")
-	reportSeries(b, func() (*experiments.Figure, error) {
-		return bb.Fig6ROI(benchCfg(), []float64{0.06})
-	})
-}
-
-func BenchmarkFig6bUniformLODHighland(b *testing.B) {
-	bb := bundle(b, "highland")
-	reportSeries(b, func() (*experiments.Figure, error) {
-		return bb.Fig6LOD(benchCfg(), 0.10, []float64{0.9})
-	})
-}
-
-func BenchmarkFig6cUniformROICrater(b *testing.B) {
-	bb := bundle(b, "crater")
-	reportSeries(b, func() (*experiments.Figure, error) {
-		return bb.Fig6ROI(benchCfg(), []float64{0.03})
-	})
-}
-
-func BenchmarkFig6dUniformLODCrater(b *testing.B) {
-	bb := bundle(b, "crater")
-	reportSeries(b, func() (*experiments.Figure, error) {
-		return bb.Fig6LOD(benchCfg(), 0.05, []float64{0.9})
-	})
-}
-
-// --- Figure 8: viewpoint-dependent --------------------------------------
-
-func BenchmarkFig8aViewROIHighland(b *testing.B) {
-	bb := bundle(b, "highland")
-	reportSeries(b, func() (*experiments.Figure, error) {
-		return bb.Fig8ROI(benchCfg(), []float64{0.06})
-	})
-}
-
-func BenchmarkFig8bViewLODHighland(b *testing.B) {
-	bb := bundle(b, "highland")
-	reportSeries(b, func() (*experiments.Figure, error) {
-		return bb.Fig8LOD(benchCfg(), 0.10, []float64{0.9})
-	})
-}
-
-func BenchmarkFig8cViewAngleHighland(b *testing.B) {
-	bb := bundle(b, "highland")
-	reportSeries(b, func() (*experiments.Figure, error) {
-		return bb.Fig8Angle(benchCfg(), 0.10, []float64{0.5})
-	})
-}
-
-func BenchmarkFig8dViewROICrater(b *testing.B) {
-	bb := bundle(b, "crater")
-	reportSeries(b, func() (*experiments.Figure, error) {
-		return bb.Fig8ROI(benchCfg(), []float64{0.03})
-	})
-}
-
-func BenchmarkFig8eViewLODCrater(b *testing.B) {
-	bb := bundle(b, "crater")
-	reportSeries(b, func() (*experiments.Figure, error) {
-		return bb.Fig8LOD(benchCfg(), 0.05, []float64{0.9})
-	})
-}
-
-func BenchmarkFig8fViewAngleCrater(b *testing.B) {
-	bb := bundle(b, "crater")
-	reportSeries(b, func() (*experiments.Figure, error) {
-		return bb.Fig8Angle(benchCfg(), 0.05, []float64{0.5})
-	})
-}
-
-// --- Section 4 in-text numbers -------------------------------------------
-
-func BenchmarkConnStats(b *testing.B) {
-	bb := bundle(b, "highland")
-	var avgSim, avgTotal float64
-	for i := 0; i < b.N; i++ {
-		avgSim, avgTotal, _ = bb.ConnStats()
-	}
-	b.ReportMetric(avgSim, "avg-similar-conn")
-	b.ReportMetric(avgTotal, "avg-total-conn")
-}
+func benchCfg() workload.Config { return workload.Config{Locations: 5, Seed: benchSeed} }
 
 // --- Ablations (DESIGN.md Section 5) --------------------------------------
 
@@ -168,7 +55,7 @@ func BenchmarkConnStats(b *testing.B) {
 // cost-model-driven multi-base plan against single-base and fixed strip
 // counts, isolating the value of the optimizer of Section 5.3.
 func BenchmarkAblationMultiBase(b *testing.B) {
-	bb := bundle(b, "highland")
+	bb := highland(b)
 	emin := bb.Terrain.LODPercentile(0.85)
 	rois := workload.ROIs(benchCfg(), 0.10)
 	cases := []struct {
@@ -205,7 +92,7 @@ func BenchmarkAblationMultiBase(b *testing.B) {
 // BenchmarkAblationWarmCache quantifies the cold-cache methodology: the
 // same query without flushing buffers between runs.
 func BenchmarkAblationWarmCache(b *testing.B) {
-	bb := bundle(b, "highland")
+	bb := highland(b)
 	e := bb.Terrain.LODPercentile(0.9)
 	roi := workload.ROIs(benchCfg(), 0.08)[0]
 	b.Run("Cold", func(b *testing.B) {
@@ -244,7 +131,7 @@ func BenchmarkAblationWarmCache(b *testing.B) {
 // query and the disk-access count rises above the cold minimum. Like the
 // other ablations it runs on the figures' fixed-record layout, by name.
 func BenchmarkAblationPoolSize(b *testing.B) {
-	bb := bundle(b, "highland")
+	bb := highland(b)
 	e := bb.Terrain.LODPercentile(0.8)
 	roi := workload.ROIs(benchCfg(), 0.10)[0]
 	for _, pool := range []int{8, 64, 4096} {
@@ -272,27 +159,6 @@ func BenchmarkAblationPoolSize(b *testing.B) {
 	}
 }
 
-// BenchmarkFlyoverCoherent runs one point of the temporal-coherence
-// experiment (90% frame overlap on a memory-constrained store) and
-// reports each engine's mean disk accesses per frame — the incremental
-// engine's DA/IncSB is the headline number against DA/FullWarm.
-func BenchmarkFlyoverCoherent(b *testing.B) {
-	bb := bundle(b, "highland")
-	var fig *experiments.FlyoverFigure
-	var err error
-	for i := 0; i < b.N; i++ {
-		fig, err = bb.Flyover(benchCfg(), []float64{0.9}, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	p := fig.Points[0]
-	b.ReportMetric(p.FullColdDA, "DA/FullCold")
-	b.ReportMetric(p.FullWarmDA, "DA/FullWarm")
-	b.ReportMetric(p.IncSBDA, "DA/IncSB")
-	b.ReportMetric(p.IncMBDA, "DA/IncMB")
-}
-
 // BenchmarkBuildPipeline measures end-to-end dataset construction (terrain
 // generation, simplification, store building) — the once-off cost the
 // paper excludes from query measurements.
@@ -313,7 +179,7 @@ func BenchmarkBuildPipeline(b *testing.B) {
 // visibility-blind LOD-R-tree mode, reproducing the paper's note that
 // visibility selection helps little on open terrain.
 func BenchmarkAblationVisibility(b *testing.B) {
-	bb := bundle(b, "highland")
+	bb := highland(b)
 	emin := bb.Terrain.LODPercentile(0.85)
 	rois := workload.ROIs(benchCfg(), 0.10)
 	for _, c := range []struct {
@@ -358,7 +224,7 @@ func BenchmarkAblationVisibility(b *testing.B) {
 // so parallelism must leave the paper's metric untouched (serial and
 // parallel DA/query are both reported; they must match).
 func BenchmarkParallelThroughput(b *testing.B) {
-	bb := bundle(b, "highland")
+	bb := highland(b)
 	workers := runtime.GOMAXPROCS(0)
 	store, err := bb.Terrain.NewDMStoreWithPools(dmesh.StorePools{Shards: workers})
 	if err != nil {
@@ -412,25 +278,4 @@ func BenchmarkParallelThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(qs))*n/parSecs, "queries/sec")
 	b.ReportMetric(float64(parDA)/(float64(len(qs))*n), "DA/query")
 	b.ReportMetric(float64(serialDA)/float64(len(qs)), "serial-DA/query")
-}
-
-// BenchmarkTileCacheSharing measures the shared mesh-tile cache on the
-// skewed multi-client workload: mean disk accesses per query for the
-// direct engine (cold cache per query) vs the cache-served engine cold
-// and at steady state, plus the sharing counters.
-func BenchmarkTileCacheSharing(b *testing.B) {
-	bb := bundle(b, "highland")
-	var fig *experiments.TileCacheFigure
-	var err error
-	for i := 0; i < b.N; i++ {
-		fig, err = bb.TileCacheSharing(benchSeed, 8, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(fig.UncachedDA, "DA/uncached")
-	b.ReportMetric(fig.CachedColdDA, "DA/cached-cold")
-	b.ReportMetric(fig.CachedSteadyDA, "DA/cached-steady")
-	b.ReportMetric(float64(fig.ColdMisses), "tiles-materialized")
-	b.ReportMetric(float64(fig.DedupedMisses), "deduped-misses")
 }

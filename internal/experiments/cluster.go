@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -312,18 +311,10 @@ func (b *Bundle) measureClusterPoint(lc *cluster.LocalCluster, n int, epoch1, ep
 			queries += len(results[ci].latencies)
 		}
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) float64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lats)-1))
-		return float64(lats[i]) / float64(time.Microsecond)
-	}
 	pt.Queries = queries
 	pt.Rounds = rounds
 	pt.QPS = float64(queries) / elapsed.Seconds()
-	pt.P50Micros = pct(0.50)
-	pt.P99Micros = pct(0.99)
+	pt.P50Micros = latPct(lats, 0.50)
+	pt.P99Micros = latPct(lats, 0.99)
 	return pt, nil
 }

@@ -47,8 +47,8 @@ type FaultsFigure struct {
 // rate schedules independent read failures and read bit-flips with that
 // probability. A failed query is retried once; a query that panics is
 // recovered and counted. Every successful answer is cross-checked
-// against a clean oracle store, so silent corruption shows up as Wrong
-// instead of skewing the curve.
+// against a clean oracle store. A wrong answer or a panic at any rate
+// fails the measurement: the point of the figure is that there are none.
 func (b *Bundle) FaultTolerance(seed int64, rates []float64, clients, perClient int) (*FaultsFigure, error) {
 	if clients <= 0 {
 		clients = 8
@@ -179,6 +179,10 @@ func (b *Bundle) FaultTolerance(seed int64, rates []float64, clients, perClient 
 		}
 		if okAttempts > 0 {
 			pt.MeanDA = float64(okDA) / float64(okAttempts)
+		}
+		if pt.Wrong != 0 || pt.Panics != 0 {
+			return nil, fmt.Errorf("experiments: faults: %d wrong answers and %d panics at fault rate %g",
+				pt.Wrong, pt.Panics, rate)
 		}
 		fig.Points = append(fig.Points, pt)
 	}

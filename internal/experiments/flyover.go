@@ -35,7 +35,7 @@ type FlyoverPoint struct {
 type FlyoverFigure struct {
 	Name       string
 	Frames     int
-	Pools      dmesh.StorePools
+	Pools      dmesh.StorePools `json:"-"` // flyoverPools(); its backend hook has no JSON form
 	EMin, EMax float64
 	Points     []FlyoverPoint
 }

@@ -1,56 +1,131 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"encoding/json"
+	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"dmesh/internal/workload"
 )
 
-// TestPaperFigureTablesPinned pins the disk-access tables of Fig 6a, 8a,
-// 8b and 8c — every DM-MB, DM-SB, PM and HDoV count — at the dmbench
-// defaults (highland, LayoutSTR, seed 1, 20 locations, the figures' own
-// sweeps) on a 65² grid. DA is exactly deterministic, so a change that
-// moves a hash moved a reproduced figure: that is a finding, never a
-// reason to re-pin. The hashes were captured at the parent of the PR
-// that added this test (810bd09).
-func TestPaperFigureTablesPinned(t *testing.T) {
-	b, err := BuildBundle("highland", 65, 1)
+// figureHashes pins every row of Table at 65² (highland and crater, seed
+// 1, 20 locations, each row's own sweeps): the SHA-256 of pinnedJSON of
+// its result. The hashes were captured at the parent of the change that
+// introduced this test, and a moved hash is a moved figure — a finding,
+// never a reason to re-pin.
+var figureHashes = map[string]string{
+	"conn":        "d37e1d4ace7aa9d6b2557864f2fb59fff16e2d3f3efb735b0a523217e164f5c2",
+	"throughput":  "91f31ecc1ee999c6d144f6e12e5fb32d230a42e5a0ba5892e0849f2d50f2e4fa",
+	"flyover":     "675a2e0504aa4fbce2a0fe1a48fff764444d79d4692b27956a8017dda0a49ccc",
+	"6a":          "2810427c819faae117170afc771f89d28a9e9411d4e7e7765a9a2fbbbd62bd57",
+	"6b":          "9f09b3397c528dad5ce581bd30262f02319b929adb85516bf2ffa1ec1fcb4ad2",
+	"6c":          "bf17e28496b4492a9cc45c9d7eef1957621bbf4050749c7b0a33c0c8f53ed0b6",
+	"6d":          "d8392b5bf70914b7f3553e4485d3efdbd6b33fe810732db5ce7cc7abbb4753ae",
+	"8a":          "98efc92015240414022d7bc8badd78245af4bcd0496781127501d1fbbb6c6cca",
+	"8b":          "77699638bb20a219f5492b4c4a858828894e7594f3b04fc77ae0e364007ea6db",
+	"8c":          "56b0b5da8e355c6cbe8bab8c075f0b540396f36c5b385b44ba4e66ca45b50ec4",
+	"8d":          "2a992da8f749b0c3e057fe19f56c60679333fcee66000f8148f3d2f22fd579ba",
+	"8e":          "ba8e58f5a91aa9fdeedc3560b19738ef0ef8a1abc6e2427a0a21fddcd0cd1f94",
+	"8f":          "01e8fec4016d4dbbd18ef7b225491104b5f3278dddaa1130aa2bbd624d677ab2",
+	"tilecache":   "96e6beff6a8c506f2551880683d2d165d425d11ce9f7585aedb1e073b4b6a546",
+	"faults":      "c5d5acae59ae00ac51733331d70e707f68df5fd651026f613ab07f4aa21ab7a1",
+	"dabreakdown": "1c39c33ed8c9ad0ebe960cb5a0cc4e996fd6b9d21e9c639384ea91fbfda0371b",
+	"layoutcmp":   "b87cf7b3898d2ff18353622b48e6b6dbc1e554b7ebdd78542bd0203b65332970",
+	"cluster":     "e2c8786516782b334d32c36f7a54e2c7c48439e915a090d527cc850ebe92b10e",
+	"stream":      "40612d924e390e70ae25efccacd4a5802e4e064f82569fd62d6523cc0c9d2b3a",
+	"obstrace":    "32912b79c0c56754bda73fbe4a244f1994d284868f1a090c1b49297bc7f20a2c",
+}
+
+// timingKeys mark the result leaves that measure the machine, not the
+// code: a key containing any of them (ignoring case) is left out of the
+// hash.
+var timingKeys = []string{"micros", "nanos", "qps", "speedup", "seconds"}
+
+// pinnedJSON is the pinned form of a row's result: its JSON, numbers
+// kept exactly as marshalled, with every timing key and every key of
+// unpinned dropped at any depth. encoding/json writes map keys sorted,
+// so the bytes are canonical.
+func pinnedJSON(t *testing.T, res any, unpinned []string) []byte {
+	t.Helper()
+	raw, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := workload.Config{Locations: 20, Seed: 1}
-	roiFracs := []float64{0.02, 0.04, 0.06, 0.08, 0.10, 0.12}
-	lodPcts := []float64{0.70, 0.80, 0.90, 0.95, 0.99}
-	angleFracs := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	for _, tc := range []struct {
-		id   string
-		run  func() (*Figure, error)
-		want string
-	}{
-		{"6a", func() (*Figure, error) { return b.Fig6ROI(cfg, roiFracs) }, "7e1425fd70f948886b20cc83b6308070e86f26ef17c4eb398149d89ae09e4dab"},
-		{"8a", func() (*Figure, error) { return b.Fig8ROI(cfg, roiFracs) }, "f5572ba35e87606f257b343df7b2c78cd08bd2113abd54053a4498f929cd2e04"},
-		{"8b", func() (*Figure, error) { return b.Fig8LOD(cfg, 0.10, lodPcts) }, "0840d3cbec088edb61ba089f6cc67b46bed4c1186196246dfd182b0a611fbb4f"},
-		{"8c", func() (*Figure, error) { return b.Fig8Angle(cfg, 0.10, angleFracs) }, "b0e8dc434237eaffd692966accb810755d3d549722d739a508c8c8c8aab2cb49"},
-	} {
-		fig, err := tc.run()
-		if err != nil {
-			t.Fatalf("figure %s: %v", tc.id, err)
-		}
-		// One row per point, figure,x,method,da with every digit: the
-		// table dmbench -csv prints.
-		var sb strings.Builder
-		for _, s := range fig.Series {
-			for _, p := range s.Points {
-				fmt.Fprintf(&sb, "%s,%g,%s,%g\n", tc.id, p.X, s.Method, p.DA)
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var doc any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var drop func(v any)
+	drop = func(v any) {
+		switch x := v.(type) {
+		case map[string]any:
+			for k, e := range x {
+				lk := strings.ToLower(k)
+				if slices.Contains(unpinned, k) || slices.ContainsFunc(timingKeys, func(tk string) bool {
+					return strings.Contains(lk, tk)
+				}) {
+					delete(x, k)
+					continue
+				}
+				drop(e)
+			}
+		case []any:
+			for _, e := range x {
+				drop(e)
 			}
 		}
-		sum := sha256.Sum256([]byte(sb.String()))
-		if got := hex.EncodeToString(sum[:]); got != tc.want {
-			t.Errorf("figure %s DA table moved: sha256 %s, pinned %s\n%s", tc.id, got, tc.want, sb.String())
+	}
+	drop(doc)
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestFigureTablePinned runs every row dmbench -fig accepts and compares
+// the hash of its exact columns — disk accesses, records, pages, bytes,
+// cache hit, miss and eviction counts, wrong-answer and panic counts —
+// with figureHashes. It fails on a row without a hash and on a hash that
+// names no row. Rows share one Env and run in table order, one at a time.
+func TestFigureTablePinned(t *testing.T) {
+	// throughput's worker list and pool shard count follow GOMAXPROCS;
+	// fixing it keeps the hash independent of the host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rows := Table()
+	for id := range figureHashes {
+		if !slices.ContainsFunc(rows, func(r Row) bool { return r.ID == id }) {
+			t.Errorf("pinned hash for %q names no row of the figure table", id)
 		}
+	}
+	env := &Env{Cfg: workload.Config{Locations: 20, Seed: 1}, Size: 65, Size2: 65}
+	for _, r := range rows {
+		t.Run(r.ID, func(t *testing.T) {
+			res, err := r.Run(env)
+			if err != nil {
+				t.Fatalf("figure %s: %v", r.ID, err)
+			}
+			if err := r.Print(io.Discard, res); err != nil {
+				t.Fatalf("figure %s: print: %v", r.ID, err)
+			}
+			pinned := pinnedJSON(t, res, r.Unpinned)
+			sum := sha256.Sum256(pinned)
+			got := hex.EncodeToString(sum[:])
+			want, ok := figureHashes[r.ID]
+			if !ok {
+				t.Fatalf("figure %s has no pinned hash (sha256 %s)", r.ID, got)
+			}
+			if got != want {
+				t.Errorf("figure %s moved: sha256 %s, pinned %s\n%s", r.ID, got, want, pinned)
+			}
+		})
 	}
 }

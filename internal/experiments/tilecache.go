@@ -34,6 +34,7 @@ type TileCacheFigure struct {
 	Speedup float64
 
 	// Cache counters over both epochs.
+	Lookups       uint64 // tile lookups: ColdMisses + DedupedMisses + Hits
 	ColdMisses    uint64 // tiles materialized
 	DedupedMisses uint64 // concurrent lookups that waited on a flight
 	Hits          uint64 // lookups served from resident tiles
@@ -162,6 +163,7 @@ func (b *Bundle) TileCacheSharing(seed int64, clients, perClient int) (*TileCach
 	}
 
 	st := cache.Stats()
+	fig.Lookups = st.TileLookups
 	fig.ColdMisses = st.Misses
 	fig.DedupedMisses = st.DedupedMisses
 	fig.Hits = st.Hits
