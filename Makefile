@@ -39,8 +39,11 @@ race:
 # stitch without panicking, within an allocation bound, into an ascending
 # mesh. FuzzReadDEM covers the two parsers of outside files, the ASCII
 # grid and XYZ readers dmbuild -dem/-xyz use: no panic, allocation bounded
-# by the input whatever a header claims, finite coordinates out. New
-# coverage is minimized on a short leash so the seconds go to fuzzing.
+# by the input whatever a header claims, finite coordinates out.
+# FuzzMeshJSON is the one encoder target: the /tile and /frame bodies
+# serve writes by hand must be json.Marshal's bytes, or its error, for any
+# IDs, floats and session name. New coverage is minimized on a short
+# leash so the seconds go to fuzzing.
 # Longer explorations just raise -fuzztime.
 fuzzsmoke:
 	$(GO) test -fuzz 'FuzzDecoders' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzDecoders$$' ./internal/wire/
@@ -49,6 +52,7 @@ fuzzsmoke:
 	$(GO) test -fuzz 'FuzzTilePatchDecode' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzTilePatchDecode$$' ./internal/dm/
 	$(GO) test -fuzz 'FuzzStitchDecoded' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzStitchDecoded$$' ./internal/dm/
 	$(GO) test -fuzz 'FuzzReadDEM' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzReadDEM$$' ./internal/demio/
+	$(GO) test -fuzz 'FuzzMeshJSON' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzMeshJSON$$' ./internal/serve/
 
 # The paper's metric: custom DA/... counters, not ns/op. Runs the unit
 # suite first (a benchmark of broken code measures nothing); -run '^$$'

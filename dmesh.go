@@ -255,13 +255,14 @@ func (t *Terrain) NumPoints() int { return t.Sequence.BaseVertices }
 func (t *Terrain) MaxLOD() float64 { return t.Dataset.MaxE() }
 
 // LODPercentile maps p in [0, 1] to the p-th percentile of the internal
-// nodes' LOD values. Raw quadric errors are extremely skewed, so
-// percentiles are how meaningful LOD sweeps are expressed.
+// nodes' LOD values; p below 0, and NaN, read as 0, and p above 1 as 1.
+// Raw quadric errors are extremely skewed, so percentiles are how
+// meaningful LOD sweeps are expressed.
 func (t *Terrain) LODPercentile(p float64) float64 {
 	if len(t.sortedLODs) == 0 {
 		return 0
 	}
-	if p < 0 {
+	if !(p >= 0) {
 		p = 0
 	}
 	if p > 1 {

@@ -54,6 +54,11 @@ func TestLODPercentileMonotone(t *testing.T) {
 	if tr.LODPercentile(1) != tr.MaxLOD() {
 		t.Fatalf("LODPercentile(1) = %g, MaxLOD = %g", tr.LODPercentile(1), tr.MaxLOD())
 	}
+	for _, c := range []struct{ p, as float64 }{{math.NaN(), 0}, {math.Inf(-1), 0}, {math.Inf(1), 1}} {
+		if got := tr.LODPercentile(c.p); got != tr.LODPercentile(c.as) {
+			t.Errorf("LODPercentile(%g) = %g, want LODPercentile(%g) = %g", c.p, got, c.as, tr.LODPercentile(c.as))
+		}
+	}
 	if tr.MeanLOD() <= 0 {
 		t.Fatal("MeanLOD must be positive")
 	}

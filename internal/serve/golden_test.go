@@ -31,6 +31,15 @@ var goldenBodies = []struct {
 	{"/readyz", 200, "682c055ddf7d0afe32b7b2646e1635ab3c83f65884a37aecdc8549e7031a3417"},
 	{"/tile?x0=abc", 400, "f69bbfd9ef6f433e12ffd4d82b5bdb30436f0dc2f307d87b9e14a09ff6231ae0"},
 	{"/patch?level=99&ix=0&iy=0&band=0", 400, "4a8d3eafb4af6e9fbc1fd25b157d96f80fa5ce12b970b44869d5496b1f465eb8"},
+	// Captured at the commit before the mesh bodies stopped going through
+	// json.Marshal, as the corners its escaping and empty-collection rules
+	// reach: a session name holding <, >, &, ", \, control bytes, DEL,
+	// invalid UTF-8, U+2028/9 and a valid two-byte rune; an uncached tile;
+	// an ROI between grid points ({} and []). Appended, so /hottiles above
+	// still sees the cache it was pinned against.
+	{"/frame?session=c%3C%3E%26%22%5C%01%0A%1F%7F%FF%E2%80%A8%E2%80%A9%C3%A9&x0=0.3&y0=0.2&x1=0.8&y1=0.6&near=0.3&far=0.7", 200, "9ebef8fdf0374ca17781a41efb1b00fef7b49c912b3929e51a073d080138fb0e"},
+	{"/tile?x0=0.1&y0=0.3&x1=0.5&y1=0.9&lod=0.7&nocache=1", 200, "fbfccc75d98ae579650fdcb537066d8ea773f2c82943da60957686a6051c5fac"},
+	{"/tile?x0=0.01&y0=0.01&x1=0.02&y1=0.02&lod=0.5", 200, "f8f989f34f4f72d6cd78ba591b91e46c010c3a16b5f8712f091ae1e2911995d7"},
 }
 
 func TestGoldenBodies(t *testing.T) {

@@ -88,9 +88,11 @@ func scrape(t *testing.T, baseURL string) *obs.PromSnapshot {
 }
 
 // TestRouteErrors is the one table over the route table: every query
-// route × {malformed parameter, out-of-range percentile or key, injected
-// read fault} fails the same way, because one pipeline answers them all.
-// A route added to the table without cases here fails the test.
+// route × {malformed parameter, out-of-range percentile or key, non-finite
+// coordinate or percentile, injected read fault} fails the same way,
+// because one pipeline answers them all, and the server answers a plain
+// /tile after them all. A route added to the table without cases here
+// fails the test.
 func TestRouteErrors(t *testing.T) {
 	const roi = "x0=0.1&y0=0.1&x1=0.8&y1=0.8"
 	cases := map[string][]struct {
@@ -102,6 +104,10 @@ func TestRouteErrors(t *testing.T) {
 		"tile": {
 			{"/tile?x0=abc", 400, false, false},
 			{"/tile?lod=1.5", 400, false, false},
+			{"/tile?lod=NaN", 400, false, false},
+			{"/tile?lod=NaN&nocache=1", 400, false, false},
+			{"/tile?x0=NaN", 400, false, false},
+			{"/tile?x0=-Inf&x1=Inf", 400, false, false},
 			{"/tile?lod=0.5&" + roi, 500, true, true},
 			{"/tile?nocache=1&lod=0.5&" + roi, 500, true, true},
 		},
@@ -109,6 +115,8 @@ func TestRouteErrors(t *testing.T) {
 			{"/frame?near=0.5", 400, false, false}, // no session
 			{"/frame?session=c&near=x", 400, false, false},
 			{"/frame?session=c&far=2", 400, false, false},
+			{"/frame?session=c&near=NaN", 400, false, false},
+			{"/frame?session=c&y1=%2BInf", 400, false, false},
 			{"/frame?session=c&near=0.2&far=0.6&" + roi, 500, true, true},
 		},
 		"patch": {
@@ -120,6 +128,8 @@ func TestRouteErrors(t *testing.T) {
 			{"/stream?x0=abc", 400, false, false},
 			{"/stream?lod=1.5", 400, false, false},
 			{"/stream?resume=99", 400, false, false},
+			{"/stream?lod=NaN", 400, false, false},
+			{"/stream?y0=-Inf", 400, false, false},
 			{"/stream?lod=0.5&" + roi, 200, true, true},
 		},
 	}
@@ -193,6 +203,9 @@ func TestRouteErrors(t *testing.T) {
 				t.Errorf("GET %s: the pages the failed request read were not accounted", c.path)
 			}
 		}
+	}
+	if resp, body := Fetch(t, ts.URL, "/tile?lod=0.5&"+roi); resp.StatusCode != http.StatusOK {
+		t.Errorf("plain /tile after the error cases: status %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -2,10 +2,10 @@ package serve
 
 import (
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -48,12 +48,15 @@ type answer struct {
 	// resets, and so holds the camera until then.
 	done func()
 
-	// The body, one of three. A JSON value carries its statistics inside;
-	// wire bytes (/patch) are sent as they are, da and cold riding in
-	// X-DM-DA and X-DM-Cold; a planned stream (/stream) is written
-	// progressively, one flush per rung, each rung answered by rung.
-	json any
-	wire []byte
+	// The body, one of two. Bytes the route rendered are sent as they
+	// are: a JSON body (/tile, /frame) carries its statistics inside, and
+	// /patch's wire bytes — the cache's memoized encoding, shared with
+	// every other reader — travel with da and cold in X-DM-DA and
+	// X-DM-Cold. A planned stream (/stream) is written progressively, one
+	// flush per rung, each rung answered by rung.
+	body []byte
+	mesh *meshBody // the pooled writer holding a JSON body; back to the pool once body is out
+	wire bool
 	cold bool
 	enc  *stream.Encoder
 	rung func(level float64) (*dmesh.Result, error)
@@ -75,7 +78,6 @@ func (s *Server) serve(rt *route, m *endpointMetrics, w http.ResponseWriter, r *
 	h := w.Header()
 	var (
 		ans    answer
-		body   []byte
 		ctype  = "application/json"
 		status = http.StatusBadRequest
 	)
@@ -90,14 +92,10 @@ func (s *Server) serve(rt *route, m *endpointMetrics, w http.ResponseWriter, r *
 		case err != nil:
 		case ans.enc != nil:
 			err = s.stream(w, &ans, traced)
-		case ans.wire != nil:
-			body, ctype = ans.wire, "application/octet-stream"
+		case ans.wire:
+			ctype = "application/octet-stream"
 			h.Set("X-DM-DA", strconv.FormatUint(ans.da, 10))
 			h.Set("X-DM-Cold", strconv.FormatBool(ans.cold))
-		default:
-			if body, err = json.Marshal(ans.json); err == nil {
-				body = append(body, '\n')
-			}
 		}
 		m.da.Observe(ans.da)
 	}
@@ -121,7 +119,7 @@ func (s *Server) serve(rt *route, m *endpointMetrics, w http.ResponseWriter, r *
 	switch {
 	case err == nil && ans.enc != nil: // already out
 	case err == nil:
-		err = obs.WriteBody(w, http.StatusOK, ctype, body)
+		err = obs.WriteBody(w, http.StatusOK, ctype, ans.body)
 	default:
 		s.reqErrors.Inc()
 		// A stream that fails has its header (and possibly earlier frames)
@@ -131,6 +129,9 @@ func (s *Server) serve(rt *route, m *endpointMetrics, w http.ResponseWriter, r *
 		if ans.enc == nil {
 			err = obs.WriteError(w, status, err)
 		}
+	}
+	if ans.mesh != nil {
+		meshBodies.Put(ans.mesh)
 	}
 	if err != nil {
 		log.Printf("serve: %s: %v", r.URL.RequestURI(), err)
@@ -176,12 +177,18 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// queryFloat reads a finite float parameter: strconv accepts "NaN" and
+// "Inf", and no coordinate or percentile means anything as either.
 func queryFloat(q url.Values, name string, def float64) (float64, error) {
 	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}
-	return strconv.ParseFloat(v, 64)
+	f, err := strconv.ParseFloat(v, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("%s must be finite, got %q", name, v)
+	}
+	return f, err
 }
 
 func queryInt(q url.Values, name string, def int) (int, error) {
@@ -199,7 +206,8 @@ type lodParam struct {
 }
 
 // parseROILOD reads the x0/y0/x1/y1 rectangle (default: the unit square)
-// and each named LOD percentile, which must lie in [0,1].
+// and each named LOD percentile, which must lie in [0,1]. Every value is
+// finite: a NaN percentile once reached Terrain.LODPercentile's index.
 func parseROILOD(q url.Values, lods ...lodParam) (geom.Rect, []float64, error) {
 	var c [4]float64
 	for i, name := range [4]string{"x0", "y0", "x1", "y1"} {
@@ -226,33 +234,6 @@ func parseROILOD(q url.Values, lods ...lodParam) (geom.Rect, []float64, error) {
 // roiLabel renders a rectangle for slow-log entries.
 func roiLabel(r geom.Rect) string {
 	return fmt.Sprintf("roi=[%g,%g,%g,%g]", r.MinX, r.MinY, r.MaxX, r.MaxY)
-}
-
-// meshJSON is a query answer's JSON shape, embedded in the /tile and
-// /frame responses.
-type meshJSON struct {
-	Vertices  map[string][3]float64 `json:"vertices"`
-	Triangles [][3]int64            `json:"triangles"`
-}
-
-func meshJSONOf(res *dmesh.Result) meshJSON {
-	m := meshJSON{
-		Vertices:  make(map[string][3]float64, len(res.Vertices)),
-		Triangles: make([][3]int64, 0, len(res.Triangles)),
-	}
-	for id, p := range res.Vertices {
-		m.Vertices[strconv.FormatInt(id, 10)] = [3]float64{p.X, p.Y, p.Z}
-	}
-	for _, t := range res.Triangles {
-		m.Triangles = append(m.Triangles, [3]int64{t.A, t.B, t.C})
-	}
-	return m
-}
-
-type tileResponse struct {
-	LOD float64 `json:"lod"`
-	meshJSON
-	DiskAccesses uint64 `json:"disk_accesses"`
 }
 
 // parseTile: /tile answers one ROI at one LOD as JSON.
@@ -292,8 +273,9 @@ func (s *Server) parseTile(q url.Values, traced bool) (func(*answer) error, erro
 		if err != nil {
 			return err
 		}
-		ans.json = tileResponse{LOD: lod, meshJSON: meshJSONOf(res), DiskAccesses: ans.da}
-		return nil
+		ans.mesh = meshBodies.Get().(*meshBody)
+		ans.body, err = ans.mesh.tile(lod, res, ans.da)
+		return err
 	}, nil
 }
 
@@ -327,7 +309,7 @@ func (s *Server) parsePatch(q url.Values, traced bool) (func(*answer) error, err
 			ans.size = obs.Size{RecordsFetched: st.Fetched, Strips: 1}
 		}
 		ans.label = fmt.Sprintf("patch key=%s cold=%t", k, st.Cold)
-		ans.wire = body
+		ans.body, ans.wire = body, true
 		return err
 	}, nil
 }
@@ -371,16 +353,6 @@ func (s *Server) parseStream(q url.Values, traced bool) (func(*answer) error, er
 	}, nil
 }
 
-type frameResponse struct {
-	Session  string `json:"session"`
-	Full     bool   `json:"full"`
-	Retained int    `json:"retained"`
-	Fetched  int    `json:"fetched"`
-	Evicted  int    `json:"evicted"`
-	meshJSON
-	DiskAccesses uint64 `json:"disk_accesses"`
-}
-
 // parseFrame: /frame answers one frame of a named client's camera
 // animation through its retained coherent session. near and far are LOD
 // percentiles at the low- and high-y edges of the view (equal values
@@ -413,15 +385,8 @@ func (s *Server) parseFrame(q url.Values, traced bool) (func(*answer) error, err
 			return err
 		}
 		ans.size = obs.Size{RecordsFetched: st.Fetched, Strips: res.Strips}
-		ans.json = frameResponse{
-			Session:      name,
-			Full:         st.Full,
-			Retained:     st.Retained,
-			Fetched:      st.Fetched,
-			Evicted:      st.Evicted,
-			meshJSON:     meshJSONOf(res),
-			DiskAccesses: st.DA,
-		}
-		return nil
+		ans.mesh = meshBodies.Get().(*meshBody)
+		ans.body, err = ans.mesh.frame(name, st, res)
+		return err
 	}, nil
 }
