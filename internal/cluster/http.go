@@ -26,13 +26,17 @@ const (
 
 // readBody consumes and closes a shard response, returning the whole
 // body of a 200 and an error for anything else. It reads what the shard
-// declared, once: the buffer is sized from Content-Length (bounded by
+// declared, once: the body is sized from Content-Length (bounded by
 // maxShardBody) and filled exactly. A body that ends early is the
 // transport's io.ErrUnexpectedEOF; one that lies about its length —
 // above the limit, or longer than declared — is wire.ErrCorrupt. Either
 // way it is one failed attempt. Only a response without a declared
 // length falls back to a (bounded) read-to-EOF.
-func readBody(resp *http.Response, url string) ([]byte, error) {
+//
+// A declared body is read into *buf (a fresh buffer when buf is nil),
+// which is replaced by a larger array first if it is too small, so the
+// returned body aliases *buf. A body read to EOF never does.
+func readBody(resp *http.Response, url string, buf *[]byte) ([]byte, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		// The excerpt is best effort: a read error just shortens it.
@@ -54,7 +58,13 @@ func readBody(resp *http.Response, url string) ([]byte, error) {
 		}
 		return body, nil
 	}
-	body := make([]byte, n)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	body := (*buf)[:n]
 	if got, err := io.ReadFull(resp.Body, body); err != nil {
 		return nil, fmt.Errorf("cluster: %s: truncated body (%d of %d declared bytes): %w", url, got, n, err)
 	}
@@ -76,7 +86,7 @@ func (rt *Router) scrape(url string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readBody(resp, url)
+	return readBody(resp, url, nil)
 }
 
 // Handler mounts the router's cluster-wide observability surface:

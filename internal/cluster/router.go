@@ -88,6 +88,7 @@ type Router struct {
 	mReplica   *obs.Counter
 	hQueryDA   *obs.Histogram
 	hQueryNs   *obs.Histogram
+	hStreamNs  *obs.Histogram
 
 	// hot is the replicated tile set from the last Rebalance: key ->
 	// replica count R. Reads of a hot key rotate across its R ring
@@ -161,6 +162,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	rt.mReplica = reg.Counter("cluster_router_replicated_tiles_total", "hot-tile replica warm-ups issued by Rebalance")
 	rt.hQueryDA = reg.Histogram("cluster_router_query_disk_accesses", "shard disk accesses per fan-out query")
 	rt.hQueryNs = reg.Histogram("cluster_router_query_latency_nanos", "fan-out query latency in nanoseconds")
+	rt.hStreamNs = reg.Histogram("cluster_router_stream_latency_nanos", "progressive stream latency in nanoseconds, all rungs")
 	return rt, nil
 }
 
@@ -258,6 +260,16 @@ func (rt *Router) fetchTile(k tilecache.Key, tr *obs.Trace) (f tileFetch) {
 	return f
 }
 
+// patchBodies recycles the buffers getPatch reads /patch bodies into: a
+// body is dead once DecodeTilePatch has copied out what the patch keeps.
+// Only bodies with a declared length land in them (readBody), and a
+// buffer goes back only once its body has decoded: a failed attempt's was
+// sized by a length nothing verified. The pool holds about one buffer per
+// getPatch that ran at once — a query's tiles times the queries in flight,
+// two rungs' worth on a stream — each as large as the largest body it has
+// held (at most maxShardBody), until two GC cycles pass without its use.
+var patchBodies = sync.Pool{New: func() any { return new([]byte) }}
+
 // getPatch issues one /patch request and decodes the body. Any
 // transport error, non-200 status, truncated, over-long or over-limit
 // body (readBody), or undecodable body is a failed attempt — the
@@ -282,7 +294,8 @@ func (rt *Router) getPatch(base string, k tilecache.Key, traced bool) (*dm.TileP
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	body, err := readBody(resp, url)
+	buf := patchBodies.Get().(*[]byte)
+	body, err := readBody(resp, url, buf)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -290,6 +303,7 @@ func (rt *Router) getPatch(base string, k tilecache.Key, traced bool) (*dm.TileP
 	if err != nil {
 		return nil, 0, nil, err
 	}
+	patchBodies.Put(buf) // tp holds copies: nothing points into the body
 	want, wantE := rt.grid.RectFor(k), rt.ladder[k.Band]
 	got := [5]float64{tp.Rect.MinX, tp.Rect.MinY, tp.Rect.MaxX, tp.Rect.MaxY, tp.E}
 	for i, w := range [5]float64{want.MinX, want.MinY, want.MaxX, want.MaxY, wantE} {
@@ -334,31 +348,68 @@ func (rt *Router) Query(r geom.Rect, e float64) (*dm.Result, QueryStats, error) 
 // than in its header, and st.TraceDA == st.DA exactly when every shard
 // accounts for all of it.
 func (rt *Router) QueryTraced(r geom.Rect, e float64, tr *obs.Trace) (*dm.Result, QueryStats, error) {
-	start := time.Now()
-	tr.Begin(obs.PhaseQuery)
-	defer tr.End()
+	return rt.finish(rt.launch(r, e, tr), tr, nil)
+}
+
+// fanOut is one query's tile fetches, launched and not yet finished.
+type fanOut struct {
+	r     geom.Rect
+	start time.Time
+	st    QueryStats
+	slots []tileFetch
+	wg    sync.WaitGroup
+}
+
+// launch snaps e, covers r and starts one fetch goroutine per tile. The
+// goroutines call only tr.Now, so the caller may go on using tr; it must
+// finish or wait for the fan-out before it resets or reads tr.
+func (rt *Router) launch(r geom.Rect, e float64, tr *obs.Trace) *fanOut {
 	band, snapped := rt.grid.SnapE(e)
 	level := rt.grid.LevelFor(r)
 	keys := rt.grid.Cover(r, level, band)
-	st := QueryStats{SnappedE: snapped, Level: level, Tiles: len(keys)}
-
-	slots := make([]tileFetch, len(keys))
-	var wg sync.WaitGroup
-	for i, k := range keys {
-		wg.Add(1)
-		go func(i int, k tilecache.Key) {
-			defer wg.Done()
-			slots[i] = rt.fetchTile(k, tr)
-		}(i, k)
+	f := &fanOut{
+		r:     r,
+		start: time.Now(),
+		st:    QueryStats{SnappedE: snapped, Level: level, Tiles: len(keys)},
+		slots: make([]tileFetch, len(keys)),
 	}
-	wg.Wait()
+	f.wg.Add(len(keys))
+	for i, k := range keys {
+		go func() {
+			defer f.wg.Done()
+			f.slots[i] = rt.fetchTile(k, tr)
+		}()
+	}
+	return f
+}
+
+// wait blocks until every fetch of f has returned; a nil f has none.
+func (f *fanOut) wait() {
+	if f != nil {
+		f.wg.Wait()
+	}
+}
+
+// finish answers a launched fan-out under one query span: it waits for
+// the tiles, calls arrived (if not nil) — a stream launches its next rung
+// there, so that the fetch overlaps this stitch — then splices the hops
+// and stitches. A lookahead's hops may begin before the span does; the
+// span's self time clips them (obs.Trace.cover).
+func (rt *Router) finish(f *fanOut, tr *obs.Trace, arrived func()) (*dm.Result, QueryStats, error) {
+	tr.Begin(obs.PhaseQuery)
+	defer tr.End()
+	f.wait()
+	if arrived != nil {
+		arrived()
+	}
 
 	// Splice after the barrier, in cover-key order: Trace methods other
 	// than Now are not goroutine-safe, and the deterministic order keeps
 	// traced span sequences reproducible however the fan-out raced.
-	tiles := make([]*dm.TilePatch, len(keys))
-	for i := range slots {
-		s := &slots[i]
+	st := f.st
+	tiles := make([]*dm.TilePatch, len(f.slots))
+	for i := range f.slots {
+		s := &f.slots[i]
 		st.DA += s.da
 		st.Attempts += s.attempts
 		st.Redirected += s.redirected
@@ -369,13 +420,13 @@ func (rt *Router) QueryTraced(r geom.Rect, e float64, tr *obs.Trace) (*dm.Result
 		tr.SpliceRemote(obs.PhaseShardHop, s.start, s.dur, s.da, s.wt)
 		tiles[i] = s.tp
 	}
-	res, err := dm.StitchTilesTraced(r, snapped, tiles, tr)
+	res, err := dm.StitchTilesTraced(f.r, st.SnappedE, tiles, tr)
 	if err != nil {
 		return nil, st, err
 	}
 	rt.mQueries.Inc()
 	rt.hQueryDA.Observe(st.DA)
-	rt.hQueryNs.Observe(uint64(time.Since(start)))
+	rt.hQueryNs.Observe(uint64(time.Since(f.start)))
 	return res, st, nil
 }
 

@@ -56,17 +56,33 @@ func (rt *Router) Stream(r geom.Rect, e float64, resume int, w io.Writer) (*dm.R
 // the whole stream, the rung queries' fan-out hops beneath it, encode
 // spans for the codec work, and PhaseStreamReplay spans wrapping the
 // rungs a resumed stream re-runs only to rebuild delta state.
+//
+// The next rung's fan-out is launched as soon as a rung's tiles have
+// arrived, so it runs while that rung is stitched, encoded and written.
+// The lookahead is one rung: more fan-outs in flight make the first rung's
+// own fetches wait behind them, and the first mesh arrives later. Every
+// return waits for the rung still in flight.
 func (rt *Router) StreamTraced(r geom.Rect, e float64, resume int, w io.Writer, tr *obs.Trace) (*dm.Result, StreamStats, error) {
 	band, snapped := rt.grid.SnapE(e)
 	st := StreamStats{SnappedE: snapped}
-	enc, err := stream.Plan(r, rt.grid.Ladder(), band, resume)
+	enc, err := stream.Plan(r, rt.ladder, band, resume)
 	if err != nil {
 		return nil, st, fmt.Errorf("cluster: %w", err)
 	}
+	levels, _ := stream.LevelsFor(rt.ladder, band) // Plan checked band
 	st.Batches = enc.NumBatches()
 	start := time.Now()
-	res, sent, err := enc.Run(w, tr, func(level float64) (*dm.Result, error) {
-		res, qs, err := rt.QueryTraced(r, level, tr)
+	ahead, next := rt.launch(r, levels[0], tr), 1
+	defer func() { ahead.wait() }()
+	res, sent, err := enc.Run(w, tr, func(float64) (*dm.Result, error) {
+		f := ahead
+		ahead = nil
+		res, qs, err := rt.finish(f, tr, func() {
+			if next < len(levels) {
+				ahead = rt.launch(r, levels[next], tr)
+				next++
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -82,6 +98,6 @@ func (rt *Router) StreamTraced(r geom.Rect, e float64, resume int, w io.Writer, 
 	if err != nil {
 		return nil, st, fmt.Errorf("cluster: %w", err)
 	}
-	rt.hQueryNs.Observe(uint64(time.Since(start)))
+	rt.hStreamNs.Observe(uint64(time.Since(start)))
 	return res, st, nil
 }

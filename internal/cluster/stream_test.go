@@ -3,11 +3,15 @@ package cluster_test
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dmesh/internal/cluster"
 	"dmesh/internal/dm"
@@ -446,5 +450,190 @@ func TestFailoverLyingShards(t *testing.T) {
 	}
 	if st, err := rt.Rebalance(4, 2); err != nil || st.Failed == 0 {
 		t.Fatalf("Rebalance over a shard reporting an out-of-grid hot tile: %+v, %v; want failed warm-ups", st, err)
+	}
+}
+
+// TestStreamLatencyHistograms: a stream's rung queries each record their
+// latency in the query histogram, as a Query does, and the whole stream
+// records its own in the stream histogram — once, and not in the query
+// histogram, whose count would otherwise run ahead of queries_total.
+func TestStreamLatencyHistograms(t *testing.T) {
+	lc := startLocal(t, terrain(t, "highland"), 2)
+	reg := lc.Router.Registry()
+	queries := reg.Counter("cluster_router_queries_total", "")
+	queryNs := reg.Histogram("cluster_router_query_latency_nanos", "")
+	streamNs := reg.Histogram("cluster_router_stream_latency_nanos", "")
+	ladder := lc.Router.Grid().Ladder()
+	if len(ladder) < 6 {
+		t.Fatalf("ladder of %d rungs; the test needs six", len(ladder))
+	}
+	q0, h0, s0 := queries.Value(), queryNs.Snapshot().Count, streamNs.Snapshot().Count
+	roi := geom.Rect{MinX: 0.15, MinY: 0.1, MaxX: 0.8, MaxY: 0.75}
+	_, st, err := lc.Router.Stream(roi, ladder[len(ladder)-6], -1, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Batches != 6 {
+		t.Fatalf("%d batches, want 6", st.Batches)
+	}
+	q, h, s := queries.Value()-q0, queryNs.Snapshot().Count-h0, streamNs.Snapshot().Count-s0
+	if q != 6 || h != q || s != 1 {
+		t.Fatalf("one six-batch stream: queries_total +%d, query histogram +%d, stream histogram +%d; want 6, 6, 1", q, h, s)
+	}
+}
+
+// slowPatches delays every shard request and notes when the last one
+// ended: its body closed, or its round trip failed. A fetch that Stream
+// left running ends after Stream returned.
+type slowPatches struct {
+	base  *http.Transport
+	delay time.Duration
+	ended atomic.Int64 // UnixNano of the latest end
+}
+
+func (s *slowPatches) end() {
+	now := time.Now().UnixNano()
+	for old := s.ended.Load(); now > old && !s.ended.CompareAndSwap(old, now); old = s.ended.Load() {
+	}
+}
+
+func (s *slowPatches) RoundTrip(r *http.Request) (*http.Response, error) {
+	time.Sleep(s.delay)
+	resp, err := s.base.RoundTrip(r)
+	if err != nil {
+		s.end()
+		return nil, err
+	}
+	resp.Body = &endingBody{ReadCloser: resp.Body, s: s}
+	return resp, nil
+}
+
+type endingBody struct {
+	io.ReadCloser
+	s *slowPatches
+}
+
+func (b *endingBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.s.end()
+	return err
+}
+
+// scriptedWriter passes the stream header and its batch frames on to w,
+// and before batch frame `at` either fails (kill < 0) or kills shard kill.
+type scriptedWriter struct {
+	w      io.Writer
+	writes int
+	at     int
+	kill   int
+	lc     *cluster.LocalCluster
+}
+
+var errClientGone = errors.New("client went away")
+
+func (s *scriptedWriter) Write(p []byte) (int, error) {
+	if s.at >= 0 && s.writes-1 == s.at { // write 0 is the header
+		if s.kill < 0 {
+			return 0, errClientGone
+		}
+		s.lc.KillShard(s.kill)
+	}
+	s.writes++
+	return s.w.Write(p)
+}
+
+// TestStreamLookaheadExits drives every way out of a stream while the next
+// rung's fetch is in flight — the writer failing on the first, third or
+// last frame, a shard killed between rungs, a resumed stream — and wants
+// each to return with no fetch left running and no goroutine left behind,
+// the fan-out accounting intact, and the traced stream's DA attributed
+// exactly, although a prefetched rung's hops begin before its query span.
+func TestStreamLookaheadExits(t *testing.T) {
+	tr := terrain(t, "highland")
+	single := singleNode(t, tr)
+	ladder := single.Ladder()
+	roi := geom.Rect{MinX: 0.15, MinY: 0.1, MaxX: 0.8, MaxY: 0.75}
+	e := ladder[0]
+	last := len(ladder) - 1
+	want := localStream(t, single, roi, e)
+
+	type exit struct {
+		name   string
+		resume int
+		at     int // batch frame the writer acts before; -1 never
+		kill   int // shard it kills there; -1 fails instead
+	}
+	exits := []exit{
+		{"fails on frame 0", -1, 0, -1},
+		{"fails on frame 2", -1, 2, -1},
+		{"fails on the last frame", -1, last, -1},
+		{"shard killed between rungs", -1, 1, 1},
+		{"resumed", 2, -1, -1},
+	}
+	for _, x := range exits {
+		fails := x.at >= 0 && x.kill < 0
+		t.Run(x.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			lc := startLocal(t, tr, 3)
+			urls := make([]string, len(lc.HTTP))
+			for i, ts := range lc.HTTP {
+				urls[i] = ts.URL
+			}
+			slow := &slowPatches{base: http.DefaultTransport.(*http.Transport).Clone(), delay: 20 * time.Millisecond}
+			rt, err := cluster.NewRouter(cluster.Config{
+				Shards: urls, IDs: lc.Router.Ring().IDs(), Grid: lc.Router.Grid(),
+				Client: &http.Client{Transport: slow},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var got bytes.Buffer
+			trace := obs.NewTrace(nil)
+			_, st, err := rt.StreamTraced(roi, e, x.resume, &scriptedWriter{w: &got, at: x.at, kill: x.kill, lc: lc}, trace)
+			returned := time.Now()
+			switch {
+			case fails && !errors.Is(err, errClientGone):
+				t.Fatalf("err = %v, want the writer's", err)
+			case !fails && err != nil:
+				t.Fatal(err)
+			case fails && st.Sent != x.at:
+				t.Errorf("sent %d frames before the writer failed on frame %d", st.Sent, x.at)
+			}
+			if !fails {
+				var wantBody bytes.Buffer
+				if _, err := want.WriteTo(&wantBody, x.resume); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), wantBody.Bytes()) {
+					t.Errorf("stream (%d B) differs from single node (%d B)", got.Len(), wantBody.Len())
+				}
+			}
+			if x.kill >= 0 && st.Redirected == 0 {
+				t.Error("no tile was redirected after the kill; the kill was not exercised")
+			}
+			if st.Attempts != st.Tiles+st.Redirected {
+				t.Errorf("attempts %d != tiles %d + redirected %d", st.Attempts, st.Tiles, st.Redirected)
+			}
+			checkTracedQuery(t, trace, st.DA, st.TraceDA)
+			for i, sp := range trace.Spans() {
+				if sp.SelfDur() < 0 {
+					t.Errorf("span %d (%s): self time %v", i, sp.Phase, sp.SelfDur())
+				}
+			}
+
+			lc.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				slow.base.CloseIdleConnections()
+				time.Sleep(5 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%d goroutines 5 s after the stream returned, %d before it", n, base)
+			}
+			if late := time.Unix(0, slow.ended.Load()).Sub(returned); late > 0 {
+				t.Errorf("a shard request ended %v after Stream returned", late)
+			}
+		})
 	}
 }

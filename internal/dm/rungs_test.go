@@ -83,7 +83,7 @@ func TestRungFilterExact(t *testing.T) {
 						t.Fatalf("%s: census %d kept + %d dropped, unfiltered %d + %d", label, k, d, uk, ud)
 					}
 					gridKept, gridNodes = gridKept+k, gridNodes+fp.NumNodes()
-					if fp.Bytes() != up.Bytes() || fp.Bytes() != patchCharge(len(fp.ids), connOf(fp), len(fp.edges.far), len(fp.tris), k+d) {
+					if fp.Bytes() != up.Bytes() || fp.Bytes() != patchCharge(len(fp.ids), connOf(fp), len(fp.edges.far), trianglesOf(fp), k+d) {
 						t.Fatalf("%s: charge %d, unfiltered %d: the eviction charge moved", label, fp.Bytes(), up.Bytes())
 					}
 					fp.outPairs, up.outPairs = pairRuns{}, pairRuns{}
@@ -107,6 +107,17 @@ func connOf(tp *TilePatch) (n int) {
 	return n
 }
 
+// trianglesOf counts the 3-cliques of a patch's intra-tile edges: the
+// triangles a patch held and DMTP v2 shipped, which Bytes still charges.
+func trianglesOf(tp *TilePatch) int {
+	idx := newIDIndex(tp.ids)
+	var packed []uint64
+	for _, pr := range pairsOf(tp.edges) {
+		packed = append(packed, packEdge(idx.lookup(pr[0]), idx.lookup(pr[1])))
+	}
+	return len(cliques(packed, tp.ids))
+}
+
 // TestMaterializedPatchHoldsNoSlack: a patch the cache may keep for hours
 // is exact-size, filtered or not.
 func TestMaterializedPatchHoldsNoSlack(t *testing.T) {
@@ -119,7 +130,7 @@ func TestMaterializedPatchHoldsNoSlack(t *testing.T) {
 				t.Fatal(err)
 			}
 			for name, slack := range map[string]int{
-				"ids": cap(tp.ids) - len(tp.ids), "pos": cap(tp.pos) - len(tp.pos), "tris": cap(tp.tris) - len(tp.tris),
+				"ids": cap(tp.ids) - len(tp.ids), "pos": cap(tp.pos) - len(tp.pos),
 				"edges.far": cap(tp.edges.far) - len(tp.edges.far), "edges.runs": cap(tp.edges.runs) - len(tp.edges.runs),
 				"outPairs.far":  cap(tp.outPairs.far) - len(tp.outPairs.far),
 				"outPairs.runs": cap(tp.outPairs.runs) - len(tp.outPairs.runs),

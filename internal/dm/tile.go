@@ -13,10 +13,11 @@ import (
 // answer to the uniform query Q(Rect, E) restricted to the tile footprint,
 // stored in a form that lets StitchTiles assemble the answer to any ROI
 // covered by a set of patches at the same E without touching the store
-// again. It holds the live nodes, the intra-tile mesh (edges and triangles
-// whose endpoints all lie inside the tile), and the out-going connection
+// again. It holds the live nodes, the intra-tile edges (connection pairs
+// whose endpoints both lie inside the tile), and the out-going connection
 // pairs that can become seam edges: those whose far endpoint is live at E
-// in some other tile.
+// in some other tile. Triangles are not kept: they are the 3-cliques of the
+// edges, and StitchTiles derives them from the merged edge list.
 //
 // The stitch surface is flat and sorted, in the shape the wire ships it:
 // ascending ids with parallel pos, and both pair lists as runs of equal
@@ -41,13 +42,9 @@ type TilePatch struct {
 	// ids lists the live node IDs ascending; pos[i] is ids[i]'s position.
 	ids []int64
 	pos []geom.Point3
-	// edges and tris are the intra-tile mesh: connection pairs (a, b),
-	// a < b, and the 3-cliques they close, with every endpoint in ids.
-	// Both ascending. StitchTiles recomputes triangles from the merged edge
-	// list and does not read tris; they stay because Bytes and the wire
-	// format count them.
+	// edges are the intra-tile connection pairs (a, b), a < b, with both
+	// endpoints in ids, ascending.
 	edges pairRuns
-	tris  []geom.Triangle
 	// outPairs are the seam candidates: connection pairs (a, c) with a in
 	// ids and c not. Materialized at a rung the store has a live set for
 	// (StorePools.Rungs), only the pairs whose c is live at E — it then lies
@@ -99,13 +96,14 @@ func (p *pairRuns) add(head, far int64) {
 }
 
 // Bytes is the patch's size in the unit the tile cache budgets: node
-// header + connection IDs + mesh slices at 16 bytes a pair, over the
-// census MaterializeTile took before it filtered — every out-pair, the
-// dropped ones included (a decoded patch charges the arrays it has). It is
-// the input of every eviction decision, so it is frozen at this formula
-// (see DESIGN.md §9) although the run form holds a pair in 8 bytes and a
-// filtered patch holds a fraction of the out-pairs: real residency is
-// below the estimate.
+// header + connection IDs + mesh slices at 16 bytes a pair and 24 a
+// triangle, over the census MaterializeTile took before it filtered —
+// every out-pair, the dropped ones included, and the intra-tile triangles,
+// which the patch does not hold (a decoded patch charges the arrays it has).
+// It is the input of every eviction decision, so it is frozen at this
+// formula (see DESIGN.md §9) although the run form holds a pair in 8
+// bytes, a filtered patch holds a fraction of the out-pairs and no
+// triangle is resident: real residency is below the estimate.
 func (tp *TilePatch) Bytes() int { return tp.charge }
 
 // patchCharge is the frozen formula behind Bytes.
@@ -124,7 +122,7 @@ func (tp *TilePatch) NumNodes() int { return len(tp.ids) }
 func (tp *TilePatch) OutPairs() (kept, dropped int) { return len(tp.outPairs.far), tp.dropped }
 
 // MaterializeTile answers Q(r, e) like ViewpointIndependent but returns
-// the result as a TilePatch: live nodes plus the intra-tile mesh and the
+// the result as a TilePatch: live nodes plus the intra-tile edges and the
 // out-going connection pairs needed to stitch the patch against its
 // neighbors. One range query, same I/O as the direct uniform query over r.
 func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
@@ -153,7 +151,7 @@ func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 	// the first looks every candidate up once, remembers where, and sizes
 	// both pair lists; the second fills them. Ascending IDs x their
 	// ascending connection lists emit both (and the packed edges the
-	// triangles come from) in order.
+	// charge's triangle count comes from) in order.
 	alive := s.rungs.at(e)
 	candidates := conn
 	if alive != nil {
@@ -201,9 +199,8 @@ func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 			}
 		}
 	}
-	tris := cliques(packed, ids) // sized for any planar mesh: keep an exact copy
-	tp.tris = append(make([]geom.Triangle, 0, len(tris)), tris...)
-	tp.charge = patchCharge(len(ids), conn, nEdges.pairs, len(tp.tris), nOut.pairs+tp.dropped)
+	// The charge still counts the intra-tile triangles: Bytes is frozen.
+	tp.charge = patchCharge(len(ids), conn, nEdges.pairs, len(cliques(packed, ids)), nOut.pairs+tp.dropped)
 	return tp, nil
 }
 
@@ -219,10 +216,10 @@ func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 // resolves against that list through one ID index — a pair survives when
 // both ends are vertices of the answer, whichever tile each came from —
 // into packed edges, sorted and deduplicated (a cross-tile pair is recorded
-// by both sides). The triangles are the 3-cliques of that edge list,
-// recomputed rather than merged from the tiles' own: a triangle spanning
-// two or three tiles is in no tile's set, and enumerating all of them costs
-// less than telling the two kinds apart.
+// by both sides). The triangles are the 3-cliques of that edge list; a
+// tile carries none, since a triangle spanning two or three tiles would be
+// in no tile's set, and enumerating all of them costs less than telling
+// the two kinds apart.
 func StitchTiles(r geom.Rect, e float64, tiles []*TilePatch) (*Result, error) {
 	return StitchTilesTraced(r, e, tiles, nil)
 }

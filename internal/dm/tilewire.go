@@ -7,29 +7,28 @@ import (
 	"dmesh/internal/wire"
 )
 
-// Wire format for TilePatch (DMTP v2) — the unit a cluster shard ships to
+// Wire format for TilePatch (DMTP v3) — the unit a cluster shard ships to
 // the router, which stitches the decoded patches with StitchTiles exactly
 // as it would stitch locally materialized ones.
 //
 // The wire carries what StitchTiles reads and nothing else: the header,
-// each live node's ID and position, the intra-tile edges and triangles,
-// and the seam out-pairs — from a shard whose store was built for the
-// tile's rung (StorePools.Rungs) only the ones a stitch can use, those
-// whose far endpoint is live at E; every out-pair otherwise. The layout is
-// the same either way, so bodies of both kinds decode, re-encode to their
-// own bytes and stitch together: routers and shards of either vintage
-// interoperate. The record fields only a store query needs
-// (ERaw/ELow/EHigh, tree links, wings, MBR, connection lists) stay on the
-// shard. Layout (little endian; every ID is non-negative):
+// each live node's ID and position, the intra-tile edges, and the seam
+// out-pairs — from a shard whose store was built for the tile's rung
+// (StorePools.Rungs) only the ones a stitch can use, those whose far
+// endpoint is live at E; every out-pair otherwise. The layout is the same
+// either way, so bodies of both kinds decode, re-encode to their own bytes
+// and stitch together. Triangles do not travel: they are the 3-cliques of
+// the edges, which the stitch recomputes over the merged edge list. The
+// record fields only a store query needs (ERaw/ELow/EHigh, tree links,
+// wings, MBR, connection lists) stay on the shard. Layout (little endian;
+// every ID is non-negative):
 //
-//	magic "DMTP", version uvarint (2)
+//	magic "DMTP", version uvarint (3)
 //	Rect (4 x float64 bits), E (float64 bits), FetchedRecords uvarint
 //	node count uvarint, then per node in ascending ID order:
 //	  ID - previous ID uvarint (>= 1; the first is taken against -1)
 //	  Pos x, y, z (float64 bits)
 //	edges, as pair runs (below)
-//	triangle count uvarint, then per triangle in ascending (A, B, C) order:
-//	  A - previous A uvarint (first against 0); B - A; C - B uvarints (>= 1)
 //	out-pairs, as pair runs
 //
 // A pair list sorted by (a, b) is coded as runs of equal a:
@@ -42,22 +41,22 @@ import (
 //
 // Positions travel as raw IEEE-754 bits and round-trip bit-exactly. The
 // encoding is deterministic and the decoder accepts only what the encoder
-// emits — minimal varints, strictly ascending IDs, pairs and triangles —
-// so byte equality is value equality: a body that decodes re-encodes to
-// the identical bytes, and responses are byte-comparable across shards.
+// emits — minimal varints, strictly ascending IDs and pairs — so byte
+// equality is value equality: a body that decodes re-encodes to the
+// identical bytes, and responses are byte-comparable across shards.
 const (
 	tileWireMagic   = "DMTP"
-	tileWireVersion = 2
+	tileWireVersion = 3
 )
 
 // EncodeTilePatch serializes tp into the deterministic binary wire form
 // decodable with DecodeTilePatch. tp must be a patch as MaterializeTile
-// (or DecodeTilePatch) builds it — IDs, edges, triangles and out-pairs
-// ascending, IDs non-negative — so encoding is a straight copy-out.
+// (or DecodeTilePatch) builds it — IDs, edges and out-pairs ascending, IDs
+// non-negative — so encoding is a straight copy-out.
 func EncodeTilePatch(tp *TilePatch) []byte {
 	// Sized for what the sections measure on terrain tiles: 3 bytes a run
-	// head, 2 a further pair, 5 a triangle; a patch that needs more grows.
-	buf := make([]byte, 0, 64+27*len(tp.ids)+5*len(tp.tris)+
+	// head, 2 a further pair; a patch that needs more grows.
+	buf := make([]byte, 0, 64+27*len(tp.ids)+
 		3*(len(tp.edges.runs)+len(tp.outPairs.runs))+2*(len(tp.edges.far)+len(tp.outPairs.far)))
 	buf = append(buf, tileWireMagic...)
 	buf = wire.AppendUvarint(buf, tileWireVersion)
@@ -74,45 +73,7 @@ func EncodeTilePatch(tp *TilePatch) []byte {
 	}
 
 	buf = tp.edges.appendWire(buf)
-	buf = AppendTriangleSet(buf, tp.tris)
 	return tp.outPairs.appendWire(buf)
-}
-
-// AppendTriangleSet codes canonical triangles (A < B < C) sorted by
-// (A, B, C) as the DMTP layout above describes. DMPS frames code their
-// triangle sets the same way.
-func AppendTriangleSet(buf []byte, ts []geom.Triangle) []byte {
-	buf = wire.AppendUvarint(buf, uint64(len(ts)))
-	prevA := int64(0)
-	for _, t := range ts {
-		buf = wire.AppendUvarint(buf, uint64(t.A-prevA))
-		buf = wire.AppendUvarint(buf, uint64(t.B-t.A))
-		buf = wire.AppendUvarint(buf, uint64(t.C-t.B))
-		prevA = t.A
-	}
-	return buf
-}
-
-// ReadTriangleSet reads what AppendTriangleSet wrote into one backing
-// array, accepting only canonical triangles in strictly ascending order.
-func ReadTriangleSet(r *wire.Reader, section string) []geom.Triangle {
-	n := r.Count(section, 3)
-	if n == 0 {
-		return nil
-	}
-	ts := make([]geom.Triangle, n)
-	var prev geom.Triangle
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var t geom.Triangle
-		t.A = r.Step(prev.A, 0)
-		t.B = r.Step(t.A, 1)
-		t.C = r.Step(t.B, 1)
-		if i > 0 && t.A == prev.A && (t.B < prev.B || (t.B == prev.B && t.C <= prev.C)) {
-			r.Corruptf("out of order")
-		}
-		ts[i], prev = t, t
-	}
-	return ts
 }
 
 // appendWire codes the pair list as runs of equal a.
@@ -169,18 +130,19 @@ func readRuns(r *wire.Reader, section string, maxRuns int) pairRuns {
 }
 
 // DecodeTilePatch parses a patch encoded by EncodeTilePatch. The decode
-// is panic-free on arbitrary input: corruption — a v1 body included —
-// surfaces as an error wrapping wire.ErrCorrupt, and any input that decodes
-// re-encodes to the identical bytes.
+// is panic-free on arbitrary input: corruption — a body of an earlier
+// version included — surfaces as an error wrapping wire.ErrCorrupt, and
+// any input that decodes re-encodes to the identical bytes.
 //
 // A decoded patch is stitch-ready, not re-materializable: it carries the
-// flat stitch surface (IDs, positions, pair runs, triangles) and no Nodes
-// — no LOD interval, tree links, MBR or connection list — which is all
-// StitchTiles and EncodeTilePatch read. It must not be used where a
-// store-materialized patch's records are expected.
+// flat stitch surface (IDs, positions, pair runs) and no Nodes — no LOD
+// interval, tree links, MBR or connection list — which is all StitchTiles
+// and EncodeTilePatch read. It must not be used where a store-materialized
+// patch's records are expected. It copies everything it keeps out of b,
+// so b may be reused once it returns.
 //
-// The sections are read straight into the patch's own arrays, seven
-// allocations whatever its size.
+// The sections are read straight into the patch's own arrays, a fixed
+// number of allocations whatever its size.
 func DecodeTilePatch(b []byte) (*TilePatch, error) {
 	r := wire.NewReader("dm: tile patch wire", b)
 	r.Magic(tileWireMagic)
@@ -208,11 +170,10 @@ func DecodeTilePatch(b []byte) (*TilePatch, error) {
 	}
 
 	tp.edges = readRuns(&r, "edges", nNodes)
-	tp.tris = ReadTriangleSet(&r, "triangles")
 	tp.outPairs = readRuns(&r, "out-pairs", nNodes)
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	tp.charge = patchCharge(nNodes, 0, len(tp.edges.far), len(tp.tris), len(tp.outPairs.far))
+	tp.charge = patchCharge(nNodes, 0, len(tp.edges.far), 0, len(tp.outPairs.far))
 	return tp, nil
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -21,13 +23,14 @@ import (
 //
 // The seed corpus is a real encoded patch cut at every byte offset, so
 // the fuzzer starts at every field boundary of the format (header,
-// counts, node records, pair runs, triangles) rather than having to
-// discover the framing from scratch — plus trailing garbage, non-minimal
-// and out-of-order spellings, and a genuine v1 body.
+// counts, node records, pair runs) rather than having to discover the
+// framing from scratch — plus trailing garbage, non-minimal and
+// out-of-order spellings, and genuine v1 and v2 bodies.
 func FuzzTilePatchDecode(f *testing.F) {
 	ds, _ := buildDataset(f, 17, "highland")
 	s := newTestStore(f, ds)
-	tp, err := s.MaterializeTile(geom.Rect{MinX: 0.1, MinY: 0.2, MaxX: 0.7, MaxY: 0.8}, eAtPercentile(ds, 0.9))
+	// Seven nodes with edges and out-pairs: every section non-empty.
+	tp, err := s.MaterializeTile(fullRect(), eAtPercentile(ds, 0.98))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -40,6 +43,7 @@ func FuzzTilePatchDecode(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add(v1PatchBody())
+	f.Add(v2PatchBody(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeTilePatch(data)
@@ -55,7 +59,7 @@ func FuzzTilePatchDecode(f *testing.F) {
 	})
 }
 
-// patchBody assembles a DMTP v2 body from a header and raw section bytes.
+// patchBody assembles a DMTP body from a header and raw section bytes.
 func patchBody(sections ...[]byte) []byte {
 	b := append([]byte(tileWireMagic), tileWireVersion)
 	b = append(b, make([]byte, 5*8)...) // Rect, E: zero
@@ -76,32 +80,25 @@ func nonCanonicalPatches() [][]byte {
 	nodes := append(append([]byte{2}, node(1)...), node(3)...) // IDs 0, 3
 	none := []byte{0}
 	edges := []byte{1, 1, 1, 6} // one run: a=0, one pair, b = a+3
-	tris := []byte{0}
 	return [][]byte{
-		patchBody(nodes, edges, tris, none), // baseline: valid
+		patchBody(nodes, edges, none), // baseline: valid
 		// non-minimal uvarint: node count 2 spelled in two bytes
-		patchBody(append([]byte{0x82, 0x00}, nodes[1:]...), edges, tris, none),
+		patchBody(append([]byte{0x82, 0x00}, nodes[1:]...), edges, none),
 		// zero ID delta: the second node repeats the first
-		patchBody(append(append([]byte{2}, node(1)...), node(0)...), edges, tris, none),
+		patchBody(append(append([]byte{2}, node(1)...), node(0)...), edges, none),
 		// ID delta overflowing int64: 1 + MaxInt64
 		patchBody(append(append([]byte{2}, node(2)...),
-			node(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)...), none, tris, none),
+			node(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)...), none, none),
 		// a run of length zero
-		patchBody(nodes, []byte{1, 1, 0, 6}, tris, none),
+		patchBody(nodes, []byte{1, 1, 0, 6}, none),
 		// a run longer than the pairs left
-		patchBody(nodes, []byte{1, 1, 2, 6, 1}, tris, none),
+		patchBody(nodes, []byte{1, 1, 2, 6, 1}, none),
 		// duplicate pair: second b repeats the first (delta 0)
-		patchBody(nodes, []byte{2, 1, 2, 6, 0}, tris, none),
+		patchBody(nodes, []byte{2, 1, 2, 6, 0}, none),
 		// two runs with the same a (delta 0): the encoder would merge them
-		patchBody(nodes, []byte{2, 1, 1, 6, 0, 1, 8}, tris, none),
+		patchBody(nodes, []byte{2, 1, 1, 6, 0, 1, 8}, none),
 		// first b offset landing below zero
-		patchBody(nodes, []byte{1, 1, 1, 1}, tris, none),
-		// triangles out of order: (0,1,2) after (0,1,3)
-		patchBody(nodes, none, []byte{2, 0, 1, 2, 0, 1, 1}, none),
-		// duplicate triangle
-		patchBody(nodes, none, []byte{2, 0, 1, 1, 0, 1, 1}, none),
-		// degenerate triangle: B == A
-		patchBody(nodes, none, []byte{1, 0, 0, 1}, none),
+		patchBody(nodes, []byte{1, 1, 1, 1}, none),
 	}
 }
 
@@ -119,6 +116,18 @@ func v1PatchBody() []byte {
 	b = append(b, make([]byte, 4*8)...) // MBR
 	b = append(b, 0)                    // conn count
 	return append(b, 0, 0, 0)           // edges, tris, outPairs
+}
+
+// v2PatchBody is a genuine DMTP v2 body — a 7-node tile of highland 17²
+// with edges, four triangles and out-pairs — captured from the encoder
+// before the triangle section was dropped.
+func v2PatchBody(tb testing.TB) []byte {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "dmtp-v2.bin"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
 }
 
 // stitchFuzzInput frames a FuzzStitchDecoded input: a body count, the ROI

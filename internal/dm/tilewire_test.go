@@ -26,8 +26,8 @@ func materializeWirePatches(t *testing.T, s *Store, r geom.Rect, e float64, leve
 }
 
 // requireSamePatch asserts got carries want's flat stitch surface —
-// header, ascending IDs, positions bit for bit, edge runs, triangles,
-// out-pair runs — which is everything the wire ships, and that got
+// header, ascending IDs, positions bit for bit, edge runs, out-pair
+// runs — which is everything the wire ships, and that got
 // re-encodes to want's bytes.
 func requireSamePatch(t *testing.T, label string, got, want *TilePatch) {
 	t.Helper()
@@ -47,9 +47,6 @@ func requireSamePatch(t *testing.T, label string, got, want *TilePatch) {
 	sameRuns := func(g, w pairRuns) bool { return slices.Equal(g.runs, w.runs) && slices.Equal(g.far, w.far) }
 	if !sameRuns(got.edges, want.edges) {
 		t.Fatalf("%s: edges mismatch", label)
-	}
-	if !slices.Equal(got.tris, want.tris) {
-		t.Fatalf("%s: triangles mismatch", label)
 	}
 	if !sameRuns(got.outPairs, want.outPairs) {
 		t.Fatalf("%s: outPairs mismatch", label)
@@ -133,7 +130,7 @@ func TestStitchDecodedTiles(t *testing.T) {
 
 // TestTilePatchWireCorruption: the DMTP-specific violations — wrong magic
 // or version, a count the body cannot hold, every non-canonical spelling,
-// a v1 body — fail with wire.ErrCorrupt. (Truncation, trailing bytes and
+// a v1 or v2 body — fail with wire.ErrCorrupt. (Truncation, trailing bytes and
 // non-minimal varints in a real patch are the shared harness's,
 // internal/wire TestDecoders.)
 func TestTilePatchWireCorruption(t *testing.T) {
@@ -158,6 +155,7 @@ func TestTilePatchWireCorruption(t *testing.T) {
 	for i, b := range nc[1:] {
 		requireCorrupt(fmt.Sprintf("non-canonical #%d", i+1), b)
 	}
-	// A body from the previous codec version is foreign bytes like any other.
+	// A body from an earlier codec version is foreign bytes like any other.
 	requireCorrupt("v1 body", v1PatchBody())
+	requireCorrupt("v2 body", v2PatchBody(t))
 }

@@ -20,10 +20,11 @@ var goldenBodies = []struct {
 	{"/frame?session=cam1&x0=0.2&y0=0.0&x1=0.7&y1=0.4&near=0.2&far=0.6", 200, "f68f0ef69a43dd88a96f23411694fd5bc42f47340bf32088f2af8905169c660b"},
 	{"/frame?session=cam1&x0=0.2&y0=0.1&x1=0.7&y1=0.5&near=0.2&far=0.6", 200, "44b33554833bf25216447d0b2f6fcbd20573021711654f623a40f400a0b0eba3"},
 	// Re-pinned when tiles began to keep only the out-pairs whose far
-	// endpoint is live at their rung (1 570 -> 988 B): the one body whose
-	// bytes that changes, being the one that ships out-pairs. The ten
+	// endpoint is live at their rung (1 570 -> 988 B), and again when DMTP
+	// v3 dropped the triangle section (988 -> 900 B): the one body whose
+	// bytes either changes, being the one that ships a tile patch. The ten
 	// others, /tile and /stream included, are still the original capture.
-	{"/patch?level=1&ix=0&iy=1&band=3", 200, "0171755a822b96c600bfc9bf58924c2f41df4bb19a04e0a326113d9fa7686bf1"},
+	{"/patch?level=1&ix=0&iy=1&band=3", 200, "40cda57303a9b0553246ee594fc08125bbfd88386a89331b9e89cbd9d31f4d53"},
 	{"/stream?x0=0.1&y0=0.2&x1=0.8&y1=0.85&lod=0.55", 200, "c4db89d25cb9c5b4b0f8cb1917d9e9730e0151a1cecef1f1ae227959b9cdffe4"},
 	{"/hottiles?n=5", 200, "c8e4612bd1aa847c86f1d413b22db51a7c6a2f8f6ea76db62a47d588a34186a3"},
 	{"/gridinfo", 200, "dd2348fd431649092caf72a1af86698593c2f85259643ecbfd3be2b5ee04cae2"},

@@ -274,6 +274,28 @@ func pairSet(r *wire.Reader, what string) [][2]int64 {
 	return ps
 }
 
+// triangleSet reads canonical triangles (A < B < C) in strictly
+// ascending (A, B, C) order.
+func triangleSet(r *wire.Reader, what string) []geom.Triangle {
+	n := r.Count(what, 3)
+	if n == 0 {
+		return nil
+	}
+	ts := make([]geom.Triangle, n)
+	var prev geom.Triangle
+	for i := 0; i < n && r.Err() == nil; i++ {
+		var t geom.Triangle
+		t.A = r.Step(prev.A, 0)
+		t.B = r.Step(t.A, 1)
+		t.C = r.Step(t.B, 1)
+		if i > 0 && t.A == prev.A && (t.B < prev.B || (t.B == prev.B && t.C <= prev.C)) {
+			r.Corruptf("out of order")
+		}
+		ts[i], prev = t, t
+	}
+	return ts
+}
+
 // applyBatch parses one frame payload and applies it to the state,
 // returning the batch's LOD: next = (state − removed) ∪ added, one merge
 // per element kind. Membership violations (removing what was never sent,
@@ -299,7 +321,7 @@ func (d *Decoder) applyBatch(payload []byte) (float64, error) {
 		r.Corruptf("final batch E %g, header target %g", e, d.targetE)
 	}
 
-	remTris := dm.ReadTriangleSet(&r, "removed triangles")
+	remTris := triangleSet(&r, "removed triangles")
 	remEdges := pairSet(&r, "removed edges")
 	remVerts := idSet(&r, "removed vertices")
 
@@ -317,7 +339,7 @@ func (d *Decoder) applyBatch(payload []byte) (float64, error) {
 	}
 
 	addEdges := pairSet(&r, "added edges")
-	addTris := dm.ReadTriangleSet(&r, "added triangles")
+	addTris := triangleSet(&r, "added triangles")
 	if err := r.Done(); err != nil {
 		return 0, fmt.Errorf("stream: batch %d: %w", d.next, err)
 	}

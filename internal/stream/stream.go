@@ -40,8 +40,7 @@
 //	              b as uvarint(b-a)
 //	triangle set: count uvarint; canonical triangles (A < B < C) in
 //	              ascending order; A as uvarint delta vs the previous
-//	              A, then uvarint(B-A), uvarint(C-B) — the DMTP coding,
-//	              dm.AppendTriangleSet
+//	              A, then uvarint(B-A), uvarint(C-B)
 //
 // Every frame is length-prefixed, so a connection cut mid-frame is
 // detectable: the decoder keeps the last complete batch and the client
@@ -362,7 +361,7 @@ func (e *Encoder) encodeBatch(next mesh) error {
 		(len(e.remEdges)+len(e.addEdges))*6+(len(e.remTris)+len(e.addTris))*9)
 	buf = wire.AppendUvarint(buf, uint64(e.idx))
 	buf = wire.AppendF64(buf, e.levels[e.idx])
-	buf = dm.AppendTriangleSet(buf, e.remTris)
+	buf = appendTriangleSet(buf, e.remTris)
 	buf = appendPairSet(buf, e.remEdges)
 	buf = appendIDSet(buf, e.remIDs)
 
@@ -391,7 +390,7 @@ func (e *Encoder) encodeBatch(next mesh) error {
 	}
 
 	buf = appendPairSet(buf, e.addEdges)
-	e.payload = dm.AppendTriangleSet(buf, e.addTris)
+	e.payload = appendTriangleSet(buf, e.addTris)
 	return nil
 }
 
@@ -412,6 +411,18 @@ func appendPairSet(buf []byte, ps [][2]int64) []byte {
 		buf = wire.AppendUvarint(buf, uint64(p[0]-prevA))
 		buf = wire.AppendUvarint(buf, uint64(p[1]-p[0]))
 		prevA = p[0]
+	}
+	return buf
+}
+
+func appendTriangleSet(buf []byte, ts []geom.Triangle) []byte {
+	buf = wire.AppendUvarint(buf, uint64(len(ts)))
+	prevA := int64(0)
+	for _, t := range ts {
+		buf = wire.AppendUvarint(buf, uint64(t.A-prevA))
+		buf = wire.AppendUvarint(buf, uint64(t.B-t.A))
+		buf = wire.AppendUvarint(buf, uint64(t.C-t.B))
+		prevA = t.A
 	}
 	return buf
 }

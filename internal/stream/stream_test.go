@@ -435,6 +435,20 @@ func TestStreamCanonicalOnly(t *testing.T) {
 			return append(wire.AppendUvarint(nil, uint64(len(p))), p...)
 		}()},
 	}
+	// A triangle set's spelling: batch 1 joins vertex 4 to the triangle's
+	// corners and adds (1,2,4) and (1,3,4) — out of order, twice, or with
+	// B == A.
+	addTris := func(ts ...geom.Triangle) []byte {
+		return hostileStream(t, delta{addVerts: []int64{4}, pos: map[int64]geom.Point3{4: {}},
+			addEdges: [][2]int64{{1, 4}, {2, 4}, {3, 4}}, addTris: ts})
+	}
+	t124, t134 := geom.Triangle{A: 1, B: 2, C: 4}, geom.Triangle{A: 1, B: 3, C: 4}
+	if err := decode(addTris(t124, t134)); err != nil {
+		t.Fatalf("hand-built triangle batch does not decode: %v", err)
+	}
+	cases["triangles out of order"] = [][]byte{addTris(t134, t124)}
+	cases["triangle repeated"] = [][]byte{addTris(t124, t124)}
+	cases["degenerate triangle"] = [][]byte{addTris(geom.Triangle{A: 1, B: 1, C: 4})}
 	for name, body := range cases {
 		err := decode(body...)
 		if !errors.Is(err, wire.ErrCorrupt) {
@@ -515,13 +529,25 @@ func appendPairs(p []byte, ps [][2]int64) []byte {
 	return p
 }
 
+func appendTris(p []byte, ts []geom.Triangle) []byte {
+	p = wire.AppendUvarint(p, uint64(len(ts)))
+	prevA := int64(0)
+	for _, t := range ts {
+		p = wire.AppendUvarint(p, uint64(t.A-prevA))
+		p = wire.AppendUvarint(p, uint64(t.B-t.A))
+		p = wire.AppendUvarint(p, uint64(t.C-t.B))
+		prevA = t.A
+	}
+	return p
+}
+
 // frame spells the delta as DMPS batch idx at LOD e, sets in the order
 // given (the decoder must reject unsorted ones; the spelling does not
 // care).
 func (d delta) frame(idx int, e float64) []byte {
 	p := wire.AppendUvarint(nil, uint64(idx))
 	p = wire.AppendF64(p, e)
-	p = dm.AppendTriangleSet(p, d.remTris)
+	p = appendTris(p, d.remTris)
 	p = appendPairs(p, d.remEdges)
 	p = wire.AppendUvarint(p, uint64(len(d.remVerts)))
 	prev := int64(0)
@@ -548,7 +574,7 @@ func (d delta) frame(idx int, e float64) []byte {
 		p = append(append(p, flags), coords...)
 	}
 	p = appendPairs(p, d.addEdges)
-	p = dm.AppendTriangleSet(p, d.addTris)
+	p = appendTris(p, d.addTris)
 	return append(wire.AppendUvarint(nil, uint64(len(p))), p...)
 }
 

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -30,6 +32,9 @@ type decoderRow struct {
 	// varints are offsets of varints in fixture that can be respelled
 	// non-minimally without fixing up a length elsewhere.
 	varints []int
+	// older are genuine bodies of earlier versions of the format, captured
+	// from the encoder that wrote them: each must fail with wire.ErrCorrupt.
+	older [][]byte
 	// cut is what a strict prefix fails with: wire.ErrCorrupt for the
 	// slice decoders, stream.ErrTruncated for the resumable DMPS stream.
 	cut error
@@ -157,6 +162,9 @@ func decoderRows() []decoderRow {
 			dmps = append(dmps, f...)
 		}
 
+		dmtpV2, err := os.ReadFile(filepath.Join("..", "dm", "testdata", "dmtp-v2.bin"))
+		must(err)
+
 		node := packedFixture()
 		rows = []decoderRow{{
 			name:    "DMTW",
@@ -174,8 +182,11 @@ func decoderRows() []decoderRow {
 		}, {
 			name:    "DMTP",
 			fixture: dm.EncodeTilePatch(tp),
-			golden:  "d122b6a787cddc2fd4e88dfbf9d24d659ae55b8070b0bc8b6a48f135000d3881",
+			// Re-pinned when DMTP v3 dropped the triangle section (this
+			// fixture's v2 encoding hashed d122b6a7…).
+			golden:  "52d7f8a5e4da68e1af37018228d523354232a02db638467ef0b7f90a9920e34f",
 			varints: []int{4, 45},
+			older:   [][]byte{dmtpV2},
 			cut:     wire.ErrCorrupt,
 			roundTrip: func(b []byte) ([]byte, error) {
 				tp, err := dm.DecodeTilePatch(b)
@@ -220,7 +231,7 @@ func respell(b []byte, off int) []byte {
 // row's cut error and never panics; (ii) a non-minimal varint is
 // rejected; (iii) appended garbage is rejected; (iv) what decodes
 // re-encodes to the identical bytes — plus the golden hash pinning the
-// encoder's output.
+// encoder's output, and the rejection of the format's earlier versions.
 func TestDecoders(t *testing.T) {
 	for _, row := range decoderRows() {
 		t.Run(row.name, func(t *testing.T) {
@@ -248,6 +259,11 @@ func TestDecoders(t *testing.T) {
 			for _, tail := range [][]byte{{0x00}, {0xff}, row.fixture} {
 				if _, err := row.roundTrip(append(append([]byte{}, row.fixture...), tail...)); !errors.Is(err, wire.ErrCorrupt) {
 					t.Errorf("%d trailing bytes: err = %v, want wire.ErrCorrupt", len(tail), err)
+				}
+			}
+			for i, b := range row.older {
+				if _, err := row.roundTrip(b); !errors.Is(err, wire.ErrCorrupt) {
+					t.Errorf("earlier-version body %d: err = %v, want wire.ErrCorrupt", i, err)
 				}
 			}
 		})
@@ -327,6 +343,9 @@ func FuzzDecoders(f *testing.F) {
 		f.Add(seed[:len(seed)/2])
 		for _, off := range row.varints {
 			f.Add(append([]byte{byte(i)}, respell(row.fixture, off)...))
+		}
+		for _, b := range row.older {
+			f.Add(append([]byte{byte(i)}, b...))
 		}
 	}
 	f.Add(append([]byte{byte(len(rows) - 1)}, spilledFixture()...))
