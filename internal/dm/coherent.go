@@ -125,8 +125,12 @@ func (c *CoherentSession) FrameStrips(qp geom.QueryPlane, strips []costmodel.Str
 
 // frame is the engine: decide delta vs full, reconcile the fetched set
 // with the new target volume, then assemble the mesh over it exactly as
-// a one-shot query would.
+// a one-shot query would. An inverted plane is refused (ErrInvertedPlane)
+// before anything, the retained state included, changes.
 func (c *CoherentSession) frame(qp geom.QueryPlane, target []geom.Box) (*Result, FrameStats, error) {
+	if err := checkPlane(qp); err != nil {
+		return nil, FrameStats{}, err
+	}
 	c.sess.ResetStats()
 	// The counters just went to zero, so the trace restarts here: a span
 	// held open across the reset would see its sampler go backwards.
@@ -160,13 +164,15 @@ func (c *CoherentSession) frame(qp geom.QueryPlane, target []geom.Box) (*Result,
 		// Evict records whose stored segments no longer intersect the
 		// target volume: the same closed-box intersection the R-tree
 		// applies, so retention and (re)fetching agree bit for bit. The
-		// newly exposed records land behind the retained ones in the same
-		// slab, and the fetcher's own sort reconciles the two.
+		// compaction keeps the survivors ascending and zeroes the slab
+		// behind them; the newly exposed records land there, and fetched
+		// sorts only those and merges them in.
 		before := len(c.fetched)
 		f.recs = slices.DeleteFunc(c.fetched, func(n Node) bool {
-			return !segmentIntersectsAny(segmentOf(&n.Node, c.sess.maxE), target)
+			return !segmentIntersectsAny(segmentOf(&n, c.sess.maxE), target)
 		})
-		st.Retained = len(f.recs)
+		f.kept = len(f.recs)
+		st.Retained = f.kept
 		st.Evicted = before - st.Retained
 	}
 	var err error

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dmesh/internal/geom"
+	"dmesh/internal/rtree"
 	"dmesh/internal/storage/faultfs"
 	"dmesh/internal/storage/pager"
 )
@@ -45,6 +47,34 @@ func requireSameMesh(t *testing.T, label string, got, want *Result) {
 	}
 	if !bytes.Equal(CanonicalMesh(got), CanonicalMesh(want)) {
 		t.Fatalf("%s: CanonicalMesh bytes differ", label)
+	}
+}
+
+// requireReconciled pins fetched-set equality itself, not through a mesh:
+// after a frame the session's record set is, field by field, a fresh
+// fetch of the frame's target volume, and the slab behind it is zero, so
+// no stale Conn pins an arena chunk.
+func requireReconciled(t *testing.T, label string, s *Store, cs *CoherentSession, target []geom.Box) {
+	t.Helper()
+	f := s.newFetcher()
+	if _, err := f.fetchBoxes(target); err != nil {
+		t.Fatal(err)
+	}
+	want, got := f.fetched(), cs.fetched
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records retained, a fresh fetch of the target has %d", label, len(got), len(want))
+	}
+	for i := range want {
+		g, w := &got[i], &want[i]
+		if g.ID != w.ID || g.Pos != w.Pos || g.ELow != w.ELow || g.EHigh != w.EHigh || g.Parent != w.Parent ||
+			!slices.Equal(g.Conn, w.Conn) {
+			t.Fatalf("%s: record %d is %+v, a fresh fetch has %+v", label, i, *g, *w)
+		}
+	}
+	for i, n := range got[len(got):cap(got)] {
+		if !zeroNode(&n) {
+			t.Fatalf("%s: slab slot %d past the record set holds %+v", label, len(got)+i, n)
+		}
 	}
 }
 
@@ -108,7 +138,9 @@ func TestCoherentSingleBaseExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameMesh(t, fmt.Sprintf("%s SB frame %d (full=%v)", name, i, st.Full), got, want)
+			label := fmt.Sprintf("%s SB frame %d (full=%v)", name, i, st.Full)
+			requireSameMesh(t, label, got, want)
+			requireReconciled(t, label, s, cs, []geom.Box{s.cube(qp.R, qp.EMin, qp.EMax)})
 		}
 	}
 }
@@ -141,7 +173,9 @@ func TestCoherentMultiBaseExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameMesh(t, fmt.Sprintf("%s MB frame %d (full=%v strips=%d)", name, i, st.Full, len(strips)), got, want)
+			label := fmt.Sprintf("%s MB frame %d (full=%v strips=%d)", name, i, st.Full, len(strips))
+			requireSameMesh(t, label, got, want)
+			requireReconciled(t, label, s, cs, stripBoxes(strips))
 		}
 	}
 }
@@ -176,7 +210,9 @@ func TestCoherentUniformExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameMesh(t, fmt.Sprintf("%s uniform frame %d (full=%v e=%g)", name, i, st.Full, e), got, want)
+			label := fmt.Sprintf("%s uniform frame %d (full=%v e=%g)", name, i, st.Full, e)
+			requireSameMesh(t, label, got, want)
+			requireReconciled(t, label, s, cs, []geom.Box{s.cube(roi, e, e)})
 		}
 	}
 }
@@ -199,6 +235,7 @@ func TestCoherentMixedModesExact(t *testing.T) {
 		roi := walk.next(i == 11)
 		qp := geom.QueryPlane{R: roi, EMin: emin, EMax: emax, Axis: 1}
 		label := fmt.Sprintf("mixed frame %d mode %d", i, i%3)
+		var target []geom.Box
 		switch i % 3 {
 		case 0:
 			got, _, err := cs.FrameUniform(roi, emax)
@@ -210,6 +247,7 @@ func TestCoherentMixedModesExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameMesh(t, label, got, want)
+			target = []geom.Box{s.cube(roi, emax, emax)}
 		case 1:
 			got, _, err := cs.Frame(qp)
 			if err != nil {
@@ -220,6 +258,7 @@ func TestCoherentMixedModesExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameMesh(t, label, got, want)
+			target = []geom.Box{s.cube(qp.R, qp.EMin, qp.EMax)}
 		default:
 			got, _, err := cs.FrameMultiBase(qp, 6)
 			if err != nil {
@@ -230,7 +269,90 @@ func TestCoherentMixedModesExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameMesh(t, label, got, want)
+			target = stripBoxes(model.PlanStrips(qp, 6))
 		}
+		requireReconciled(t, label, s, cs, target)
+	}
+}
+
+// TestCoherentReconcileTies drives the two ways a delta frame's arrivals
+// repeat IDs. Fragments share faces with the retained cover, so records on
+// those faces are fetched again; an L-shaped delta is two fragments that
+// share a face, so records on it arrive twice. At 9² the grid points sit
+// on multiples of 1/8, which every face here is. Each tie keeps the
+// retained copy, or the first arrival, and the set must still be a fresh
+// fetch of the target: the frame drops exactly the repeats a fresh fetch
+// of the fragments reports, and answers like the one-shot query.
+func TestCoherentReconcileTies(t *testing.T) {
+	ds, _ := buildDataset(t, 9, "highland")
+	s := newTestStore(t, ds)
+	emin, emax := eAtPercentile(ds, 0.3), eAtPercentile(ds, 0.95)
+	plane := func(maxX, maxY float64) geom.QueryPlane {
+		return geom.QueryPlane{R: geom.Rect{MinX: 0.25, MinY: 0.25, MaxX: maxX, MaxY: maxY}, EMin: emin, EMax: emax, Axis: 1}
+	}
+	cases := []struct {
+		name       string
+		from, to   geom.QueryPlane
+		shareFaces bool // two fragments share a face
+	}{
+		{"fragment re-fetches the retained face", plane(0.75, 0.5), plane(0.75, 0.75), false},
+		{"two fragments share a face", plane(0.5, 0.5), plane(0.75, 0.75), true},
+	}
+	for _, c := range cases {
+		cs := s.NewCoherentSession(nil) // no model: the second frame is a delta
+		if _, _, err := cs.Frame(c.from); err != nil {
+			t.Fatal(err)
+		}
+		got, st, err := cs.Frame(c.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cover, target := []geom.Box{s.cube(c.from.R, emin, emax)}, []geom.Box{s.cube(c.to.R, emin, emax)}
+		frags := rtree.DeltaBoxes(target, cover)
+		if st.Full || st.Fragments != len(frags) {
+			t.Fatalf("%s: frame %+v, want a delta over %d fragments", c.name, st, len(frags))
+		}
+		if shared := len(frags) == 2 && frags[0].Intersects(frags[1]); shared != c.shareFaces {
+			t.Fatalf("%s: fragments %v share a face: %v, want %v", c.name, frags, shared, c.shareFaces)
+		}
+
+		// What the fragments deliver, fetched fresh: arrivals in all, and
+		// the distinct ones the cover already held.
+		f := s.newFetcher()
+		arrivals, err := f.fetchEach(frags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := f.fetched()
+		held := s.newFetcher()
+		if _, err := held.fetchBoxes(cover); err != nil {
+			t.Fatal(err)
+		}
+		ties := 0
+		for _, n := range held.fetched() {
+			if _, found := slices.BinarySearchFunc(distinct, n.ID, func(m Node, id int64) int { return int(m.ID - id) }); found {
+				ties++
+			}
+		}
+		if ties == 0 {
+			t.Fatalf("%s: no fragment re-fetched a retained record", c.name)
+		}
+		if c.shareFaces && arrivals == len(distinct) {
+			t.Fatalf("%s: no record arrived twice", c.name)
+		}
+		if st.Evicted != 0 || st.Fetched != arrivals {
+			t.Fatalf("%s: frame %+v, want no eviction and %d arrivals", c.name, st, arrivals)
+		}
+		if dropped, want := st.Retained+st.Fetched-len(cs.fetched), arrivals-len(distinct)+ties; dropped != want {
+			t.Errorf("%s: reconcile dropped %d repeats, want %d (%d within the arrivals, %d retained)",
+				c.name, dropped, want, arrivals-len(distinct), ties)
+		}
+		requireReconciled(t, c.name, s, cs, target)
+		want, err := s.SingleBase(c.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameMesh(t, c.name, got, want)
 	}
 }
 

@@ -4,9 +4,11 @@
 // purpose spatial index, instead of traversing the MTM tree.
 //
 // A Direct Mesh node is a Progressive Mesh node (point, LOD interval,
-// parent/children/wings, footprint) extended with its connection list: the
-// IDs of the points with a similar LOD (overlapping LOD intervals) that it
-// can be connected to in some approximation. In (x, y, e) space each node
+// parent/children/wings) extended with its connection list: the IDs of the
+// points with a similar LOD (overlapping LOD intervals) that it can be
+// connected to in some approximation. The store records that whole tuple; a
+// fetched Node holds only what reconstruction reads — point, interval,
+// parent and list. In (x, y, e) space each node
 // is the vertical segment <(x, y, eLow), (x, y, eHigh)>; a 3D R*-tree over
 // those segments turns a viewpoint-independent query Q(M, r, e) into a
 // single range query with the degenerate box r x [e, e] (Section 5.1), and
@@ -22,6 +24,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
@@ -29,13 +32,29 @@ import (
 	"dmesh/internal/simplify"
 )
 
-// Node is one Direct Mesh node: a PM node plus its connection list.
+// Node is one Direct Mesh node as queries hold it: what reconstruction
+// reads and nothing else — 80 bytes. The store record also carries the
+// node's children and wings (the paper's tuple): the writers take them
+// from the PM tree (Dataset.links) and the decoders read and validate them
+// and keep none, like the PM node's raw error and footprint, which the
+// record does not store at all.
 type Node struct {
-	pm.Node
+	ID  int64
+	Pos geom.Point3
+	// ELow and EHigh bound the LOD interval: the node is in the
+	// approximation at LOD e exactly when ELow <= e < EHigh (+Inf for
+	// roots).
+	ELow, EHigh float64
+	// Parent is the parent's ID, pm.None for a root: the lifted assembler
+	// walks it to a cut node's live representative.
+	Parent int64
 	// Conn lists the IDs of this node's similar-LOD connection points,
 	// sorted ascending.
 	Conn []int64
 }
+
+// Interval returns the node's LOD interval.
+func (n *Node) Interval() geom.Interval { return geom.Interval{Low: n.ELow, High: n.EHigh} }
 
 // Dataset is the in-memory Direct Mesh: the normalized PM tree plus the
 // connection lists gathered during simplification.
@@ -58,7 +77,15 @@ func FromSequence(seq *simplify.Sequence) (*Dataset, error) {
 
 // Node materializes node id with its connection list.
 func (d *Dataset) Node(id int64) Node {
-	return Node{Node: d.Tree.Nodes[id], Conn: d.Conn[id]}
+	p := &d.Tree.Nodes[id]
+	return Node{ID: p.ID, Pos: p.Pos, ELow: p.ELow, EHigh: p.EHigh, Parent: p.Parent, Conn: d.Conn[id]}
+}
+
+// links returns the references node id's store record carries beyond
+// Node: Child1, Child2, Wing1, Wing2, in record order.
+func (d *Dataset) links(id int64) [4]int64 {
+	p := &d.Tree.Nodes[id]
+	return [4]int64{p.Child1, p.Child2, p.Wing1, p.Wing2}
 }
 
 // MaxE returns the dataset's maximum LOD value.
@@ -115,58 +142,50 @@ type Result struct {
 // cut) a record off the cut represents nothing, so edges are the pairs
 // with both ends live, and ascending records x their ascending connection
 // lists emit them already sorted.
+//
+// Everything but the Result is pooled scratch, so a warm assemble
+// allocates only what it returns.
 func (s *Store) assemble(recs []Node, need func(x, y float64) float64, lift bool) *Result {
 	s.tr.Begin(obs.PhaseTriangulate)
 	defer s.tr.End()
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	// reps holds, per record, the position in ids of its live
 	// representative: itself when live, memoized by rep otherwise.
-	const isLive, unknown, unresolved, none = -4, -3, -2, -1
-	reps := make([]int32, len(recs))
-	fids := make([]int64, len(recs))
+	l := lifter{recs: recs, reps: resize(sc.reps, len(recs))}
+	sc.reps = l.reps
+	fids := resize(sc.fids, len(recs))
+	sc.fids = fids
 	n := 0
 	for p := range recs {
 		r := &recs[p]
 		fids[p] = r.ID
 		switch {
 		case r.Interval().Contains(need(r.Pos.X, r.Pos.Y)):
-			reps[p] = isLive
+			l.reps[p] = repLive
 			n++
 		case lift:
-			reps[p] = unknown
+			l.reps[p] = repUnknown
 		default:
-			reps[p] = none
+			l.reps[p] = repNone
 		}
 	}
-	ids := make([]int64, 0, n)
+	ids := resize(sc.ids, n)[:0]
 	res := &Result{Vertices: make(map[int64]geom.Point3, n)}
 	for p := range recs {
-		if reps[p] == isLive {
-			reps[p] = int32(len(ids))
+		if l.reps[p] == repLive {
+			l.reps[p] = int32(len(ids))
 			ids = append(ids, recs[p].ID)
 			res.Vertices[recs[p].ID] = recs[p].Pos
 		}
 	}
-	fidx := newIDIndex(fids)
-	var rep func(p int) int32
-	rep = func(p int) int32 {
-		if r := reps[p]; r != unknown {
-			return r
-		}
-		reps[p] = unresolved // cycle guard; overwritten below
-		r := int32(none)
-		if parent := recs[p].Parent; parent != pm.None {
-			if pp := fidx.lookup(parent); pp >= 0 {
-				r = rep(pp)
-			}
-		}
-		reps[p] = r
-		return r
-	}
+	sc.ids = ids
+	l.fidx = sc.indexIDs(fids)
 	// Connection lists are symmetric, so each pair is visited from its
 	// lower endpoint only.
-	edges := make([]uint64, 0, 3*n)
+	edges := resize(sc.pairs, 3*n)[:0]
 	for p := range recs {
-		ra := rep(p)
+		ra := l.rep(p)
 		if ra < 0 {
 			continue
 		}
@@ -174,22 +193,81 @@ func (s *Store) assemble(recs []Node, need func(x, y float64) float64, lift bool
 			if c <= recs[p].ID {
 				continue
 			}
-			q := fidx.lookup(c)
+			q := l.fidx.lookup(c)
 			if q < 0 {
 				continue
 			}
-			if rb := rep(q); rb >= 0 && rb != ra {
+			if rb := l.rep(q); rb >= 0 && rb != ra {
 				edges = append(edges, packEdge(int(ra), int(rb)))
 			}
 		}
 	}
+	sc.pairs = edges
 	if lift {
 		// Many pairs lift to the same edge, in no particular order.
-		edges = sortEdges(edges, n)
+		edges = sc.sortEdges(edges, n)
 	}
 	res.Edges = unpackEdges(edges, ids)
-	res.Triangles = cliques(edges, ids)
+	res.Triangles = sc.cliques(edges, ids)
 	return res
+}
+
+// A record's entry in lifter.reps: the position of its live representative
+// in the cut's ID list, or one of these.
+const repLive, repUnknown, repUnresolved, repNone = -4, -3, -2, -1
+
+// lifter resolves records to their live representatives for assemble.
+type lifter struct {
+	recs []Node
+	reps []int32
+	fidx idIndex
+}
+
+// rep returns the representative of recs[p], memoized: the nearest live
+// ancestor in the record set, repNone (or repUnresolved, on a parent cycle
+// only a corrupt store holds) when the chain leaves the set first.
+func (l *lifter) rep(p int) int32 {
+	if r := l.reps[p]; r != repUnknown {
+		return r
+	}
+	l.reps[p] = repUnresolved // cycle guard; overwritten below
+	r := int32(repNone)
+	if parent := l.recs[p].Parent; parent != pm.None {
+		if pp := l.fidx.lookup(parent); pp >= 0 {
+			r = l.rep(pp)
+		}
+	}
+	l.reps[p] = r
+	return r
+}
+
+// scratch is the working memory of one assemble or one fetched: every
+// buffer either needs that the Result and the record set do not keep. It
+// comes from scratchPool and goes back when the call returns, holding no
+// pointer into a record set (merge is cleared first). A coherent session
+// keeps none of its own — 64 cameras would hold ≈ 300 KB each between
+// frames for what the pool lends for the length of a call.
+type scratch struct {
+	reps  []int32  // assemble's live representatives, per record
+	fids  []int64  // assemble's record IDs, indexed by slots
+	ids   []int64  // assemble's cut, ascending
+	slots []int32  // indexIDs' table
+	pairs []uint64 // assemble's raw, possibly lifted, pairs
+	edges []uint64 // sortEdges' output
+	off   []int    // sortEdges' and cliques' run offsets
+	keys  []uint64 // fetched's sort keys over the arrivals
+	merge []Node   // fetched's arrivals, gathered in ID order
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// resize returns s with length n, reusing its memory when it can; the
+// contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // sortedIDs returns the keys of m in ascending order.
@@ -220,12 +298,18 @@ var idIndexSeed = rand.Uint64()
 // held (here and in packed edges) as 32-bit halves, so len(ids) must not
 // exceed MaxInt32: callers fed by untrusted input check before calling,
 // and a store query cannot hold that many records in memory.
-func newIDIndex(ids []int64) idIndex {
+func newIDIndex(ids []int64) idIndex { return new(scratch).indexIDs(ids) }
+
+// indexIDs is newIDIndex with the table in sc's memory: valid until sc
+// indexes again.
+func (sc *scratch) indexIDs(ids []int64) idIndex {
 	if len(ids) > math.MaxInt32 {
 		panic("dm: more than MaxInt32 live vertices in one mesh")
 	}
 	bitsN := bits.Len(uint(2*len(ids)) | 1)
-	x := idIndex{ids: ids, slots: make([]int32, 1<<bitsN), shift: uint(64 - bitsN)}
+	sc.slots = resize(sc.slots, 1<<bitsN)
+	clear(sc.slots)
+	x := idIndex{ids: ids, slots: sc.slots, shift: uint(64 - bitsN)}
 	for i, id := range ids {
 		s := x.home(id)
 		for x.slots[s] != 0 {
@@ -272,10 +356,11 @@ func unpackEdges(edges []uint64, ids []int64) [][2]int64 {
 	return out
 }
 
-// edgeOffsets counts packed edges over n vertices by first endpoint:
-// once the edges are sorted, u's run is edges[off[u]:off[u+1]].
-func edgeOffsets(edges []uint64, n int) []int {
-	off := make([]int, n+1)
+// edgeOffsets counts packed edges over n vertices by first endpoint into
+// off's memory: once the edges are sorted, u's run is edges[off[u]:off[u+1]].
+func edgeOffsets(edges []uint64, n int, off []int) []int {
+	off = resize(off, n+1)
+	clear(off)
 	for _, e := range edges {
 		off[e>>32+1]++
 	}
@@ -289,9 +374,14 @@ func edgeOffsets(edges []uint64, n int) []int {
 // duplicates, in O(len(edges) + n): a counting sort on the first endpoint
 // leaves each vertex's handful of forward neighbours contiguous, and those
 // short runs are sorted in place.
-func sortEdges(edges []uint64, n int) []uint64 {
-	off := edgeOffsets(edges, n)
-	out := make([]uint64, len(edges))
+func sortEdges(edges []uint64, n int) []uint64 { return new(scratch).sortEdges(edges, n) }
+
+// sortEdges is the package's sortEdges writing into sc's memory: the
+// result is valid until sc sorts again.
+func (sc *scratch) sortEdges(edges []uint64, n int) []uint64 {
+	off := edgeOffsets(edges, n, sc.off)
+	out := resize(sc.edges, len(edges))
+	sc.off, sc.edges = off, out
 	for _, e := range edges {
 		out[off[e>>32]] = e
 		off[e>>32]++
@@ -319,8 +409,12 @@ func sortEdges(edges []uint64, n int) []uint64 {
 // edges starting with u, so the triangles u < v < w on edge (u, v) are the
 // merge-intersection of the rest of u's run with v's run. Triangles come
 // out as ID triples in ascending (A, B, C) order.
-func cliques(edges []uint64, ids []int64) []geom.Triangle {
-	off := edgeOffsets(edges, len(ids))
+func cliques(edges []uint64, ids []int64) []geom.Triangle { return new(scratch).cliques(edges, ids) }
+
+// cliques is the package's cliques with its run offsets in sc's memory.
+func (sc *scratch) cliques(edges []uint64, ids []int64) []geom.Triangle {
+	off := edgeOffsets(edges, len(ids), sc.off)
+	sc.off = off
 	tris := make([]geom.Triangle, 0, 2*len(ids)) // a planar mesh has < 2V faces
 	for i, e := range edges {
 		u, v := e>>32, uint64(uint32(e))

@@ -1,6 +1,7 @@
 package dm
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"sort"
@@ -76,14 +77,13 @@ func TestRecordRoundTrip(t *testing.T) {
 		if len(n.Conn) > ConnInline {
 			continue // overflow covered by the store tests
 		}
-		encodeRecord(&n, noOverflow, buf)
-		got, total, ref := decodeRecordHeader(buf, nil)
+		encodeRecord(&n, ds.links(int64(i)), noOverflow, buf)
+		got, links, total, ref := decodeRecordHeader(buf, nil)
 		if total != len(n.Conn) || ref != noOverflow {
 			t.Fatalf("round trip header mismatch for node %d", i)
 		}
 		if got.ID != n.ID || got.Pos != n.Pos || got.ELow != n.ELow || got.EHigh != n.EHigh ||
-			got.Parent != n.Parent || got.Child1 != n.Child1 || got.Child2 != n.Child2 ||
-			got.Wing1 != n.Wing1 || got.Wing2 != n.Wing2 {
+			got.Parent != n.Parent || links != ds.links(int64(i)) {
 			t.Fatalf("round trip mismatch for node %d", i)
 		}
 		for k := range n.Conn {
@@ -332,6 +332,74 @@ func TestSingleBasePlaneLiveSet(t *testing.T) {
 	}
 	if nearN > 0 && farN > 0 && nearSum/float64(nearN) > farSum/float64(farN) {
 		t.Fatal("near half coarser than far half")
+	}
+}
+
+// TestInvertedPlaneRefused: a plane with EMin > EMax (its near edge
+// coarser than its far edge) has a well-defined in-memory cut, but its
+// cube r x [EMin, EMax] is inverted in e and the R*-tree returns only the
+// segments spanning the whole range — on this plane 107 of the cut's 130
+// vertices, with no error. Every viewpoint-dependent entry point refuses
+// the plane with ErrInvertedPlane instead, and a coherent session keeps
+// its retained state through the refusal.
+func TestInvertedPlaneRefused(t *testing.T) {
+	ds, _ := buildDataset(t, 33, "highland")
+	s := newTestStore(t, ds)
+	model, err := s.CostModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	upright := geom.QueryPlane{R: geom.Rect{MinX: 0.2, MinY: 0, MaxX: 0.7, MaxY: 0.4},
+		EMin: eAtPercentile(ds, 0.2), EMax: eAtPercentile(ds, 0.6), Axis: 1}
+	inverted := upright
+	inverted.EMin, inverted.EMax = upright.EMax, upright.EMin
+	if inverted.EMin <= inverted.EMax {
+		t.Fatalf("plane %+v is not inverted", inverted)
+	}
+	cut := 0
+	for i := range ds.Tree.Nodes {
+		n := &ds.Tree.Nodes[i]
+		if inverted.R.ContainsPoint(n.Pos.XY()) && n.Interval().Contains(inverted.EAt(n.Pos.X, n.Pos.Y)) {
+			cut++
+		}
+	}
+	if cut == 0 {
+		t.Fatal("the inverted plane's in-memory cut is empty")
+	}
+
+	cs := s.NewCoherentSession(model)
+	if _, _, err := cs.Frame(upright); err != nil {
+		t.Fatal(err)
+	}
+	strips := model.PlanStrips(upright, 4)
+	entries := map[string]func() (*Result, error){
+		"SingleBase":    func() (*Result, error) { return s.SingleBase(inverted) },
+		"MultiBase":     func() (*Result, error) { return s.MultiBase(inverted, model, 4) },
+		"ExecuteStrips": func() (*Result, error) { return s.ExecuteStrips(inverted, strips) },
+		"Frame": func() (*Result, error) {
+			res, _, err := cs.Frame(inverted)
+			return res, err
+		},
+		"FrameMultiBase": func() (*Result, error) {
+			res, _, err := cs.FrameMultiBase(inverted, 4)
+			return res, err
+		},
+		"FrameStrips": func() (*Result, error) {
+			res, _, err := cs.FrameStrips(inverted, strips)
+			return res, err
+		},
+	}
+	for name, run := range entries {
+		if res, err := run(); !errors.Is(err, ErrInvertedPlane) {
+			n := -1
+			if res != nil {
+				n = len(res.Vertices)
+			}
+			t.Errorf("%s on an inverted plane: %d vertices of the cut's %d, err = %v; want ErrInvertedPlane", name, n, cut, err)
+		}
+	}
+	if _, st, err := cs.Frame(upright); err != nil || st.Full || st.Fetched != 0 {
+		t.Errorf("frame after the refusals: %+v, %v; want the retained state, nothing fetched", st, err)
 	}
 }
 

@@ -15,7 +15,10 @@ import (
 // paper's own cost metric. The encoding is exact: a decoded Node is
 // byte-for-byte equal (IEEE bit patterns included) to what the other
 // encodings produce, which the reconstruction anchor
-// (TestViewpointIndependentExactAgainstReplay) depends on.
+// (TestViewpointIndependentExactAgainstReplay) depends on. Like the fixed
+// record it carries Child1, Child2, Wing1 and Wing2, which no query reads:
+// the decoder holds them to the same canonical spelling and hands them to
+// its caller, and the fetch path drops them.
 //
 // Wire format, in order:
 //
@@ -68,12 +71,17 @@ const (
 // a corrupt count.
 const maxPackedConn = 1 << 32
 
+// packedRefs lists the record's five topology references in wire order:
+// Parent, then the links (Child1, Child2, Wing1, Wing2).
+func packedRefs(n *Node, links [4]int64) [5]int64 {
+	return [5]int64{n.Parent, links[0], links[1], links[2], links[3]}
+}
+
 // packedFlags computes the record's presence bitmap and, alongside it,
 // the dyadic indices of the float fields that have one. Encoding and
 // length computation share it so they can never disagree.
-func packedFlags(n *Node, overflow bool) (flags uint16, dy [5]int64) {
-	refs := [5]int64{n.Parent, n.Child1, n.Child2, n.Wing1, n.Wing2}
-	for i, r := range refs {
+func packedFlags(n *Node, links [4]int64, overflow bool) (flags uint16, dy [5]int64) {
+	for i, r := range packedRefs(n, links) {
 		if r != pm.None {
 			flags |= 1 << i
 		}
@@ -103,8 +111,8 @@ func packedFlags(n *Node, overflow bool) (flags uint16, dy [5]int64) {
 // packedRecordLen returns the encoded byte length of n's record with the
 // given inline connection prefix, without materializing it. It mirrors
 // EncodePackedRecord exactly; the spill split relies on that.
-func packedRecordLen(n *Node, inline int, overflow bool) int {
-	flags, dy := packedFlags(n, overflow)
+func packedRecordLen(n *Node, links [4]int64, inline int, overflow bool) int {
+	flags, dy := packedFlags(n, links, overflow)
 	size := wire.UvarintLen(uint64(n.ID)) + 2
 	if overflow {
 		size += 8
@@ -119,8 +127,7 @@ func packedRecordLen(n *Node, inline int, overflow bool) int {
 			size += 8
 		}
 	}
-	refs := [5]int64{n.Parent, n.Child1, n.Child2, n.Wing1, n.Wing2}
-	for i, r := range refs {
+	for i, r := range packedRefs(n, links) {
 		if flags&(1<<i) != 0 {
 			size += wire.VarintLen(r - n.ID)
 		}
@@ -138,11 +145,11 @@ func packedRecordLen(n *Node, inline int, overflow bool) int {
 // inline: the whole list when the record fits a slotted page (the
 // overwhelmingly common case — packed lists cost 1-2 bytes per ID), else
 // the longest prefix that fits once the 8-byte overflow head is added.
-func packedSplit(n *Node) int {
-	if packedRecordLen(n, len(n.Conn), false) <= heapfile.MaxVarRecord {
+func packedSplit(n *Node, links [4]int64) int {
+	if packedRecordLen(n, links, len(n.Conn), false) <= heapfile.MaxVarRecord {
 		return len(n.Conn)
 	}
-	size := packedRecordLen(n, 0, true)
+	size := packedRecordLen(n, links, 0, true)
 	inline := 0
 	prev := n.ID
 	for _, c := range n.Conn {
@@ -159,10 +166,11 @@ func packedSplit(n *Node) int {
 
 // EncodePackedRecord appends n's compressed record to buf[:0] with the
 // first inline connection IDs stored in place and overflowRef chaining
-// the rest (noOverflow, -1, when the list is wholly inline).
-func EncodePackedRecord(n *Node, overflowRef int64, inline int, buf []byte) []byte {
+// the rest (noOverflow, -1, when the list is wholly inline). links are the
+// node's Child1, Child2, Wing1 and Wing2, which Node does not hold.
+func EncodePackedRecord(n *Node, links [4]int64, overflowRef int64, inline int, buf []byte) []byte {
 	buf = wire.AppendUvarint(buf[:0], uint64(n.ID))
-	flags, dy := packedFlags(n, overflowRef != noOverflow)
+	flags, dy := packedFlags(n, links, overflowRef != noOverflow)
 	buf = wire.AppendU16(buf, flags)
 	if overflowRef != noOverflow {
 		buf = wire.AppendU64(buf, uint64(overflowRef))
@@ -178,8 +186,7 @@ func EncodePackedRecord(n *Node, overflowRef int64, inline int, buf []byte) []by
 			buf = wire.AppendF64(buf, v)
 		}
 	}
-	refs := [5]int64{n.Parent, n.Child1, n.Child2, n.Wing1, n.Wing2}
-	for i, r := range refs {
+	for i, r := range packedRefs(n, links) {
 		if flags&(1<<i) != 0 {
 			buf = wire.AppendVarint(buf, r-n.ID)
 		}
@@ -194,12 +201,14 @@ func EncodePackedRecord(n *Node, overflowRef int64, inline int, buf []byte) []by
 }
 
 // DecodePackedRecord decodes one packed record: the node with the inline
-// portion of its connection list, the total connection count, and the
-// overflow chain head (noOverflow when wholly inline). Malformed or
-// non-canonical bytes surface as errors wrapping wire.ErrCorrupt, never
-// panics, and never unbounded allocations — the Conn capacity is bounded
-// by the record's own physical length. arena may be nil.
-func DecodePackedRecord(buf []byte, arena *connArena) (n Node, connTotal int, overflowRef int64, err error) {
+// portion of its connection list, the links no Node field holds (Child1,
+// Child2, Wing1, Wing2; read and checked like Parent, for the caller to
+// drop or re-encode), the total connection count, and the overflow chain
+// head (noOverflow when wholly inline). Malformed or non-canonical bytes
+// surface as errors wrapping wire.ErrCorrupt, never panics, and never
+// unbounded allocations — the Conn capacity is bounded by the record's own
+// physical length. arena may be nil.
+func DecodePackedRecord(buf []byte, arena *connArena) (n Node, links [4]int64, connTotal int, overflowRef int64, err error) {
 	r := wire.NewReader("dm: packed record", buf)
 	id := r.Uvarint()
 	if id > math.MaxInt64 {
@@ -248,8 +257,7 @@ func DecodePackedRecord(buf []byte, arena *connArena) (n Node, connTotal int, ov
 			}
 		}
 	}
-	n.Parent, n.Child1, n.Child2 = refs[0], refs[1], refs[2]
-	n.Wing1, n.Wing2 = refs[3], refs[4]
+	n.Parent, links = refs[0], [4]int64(refs[1:])
 
 	r.Section("connections")
 	total := r.Uvarint()
@@ -257,7 +265,7 @@ func DecodePackedRecord(buf []byte, arena *connArena) (n Node, connTotal int, ov
 		r.Corruptf("connection count %d out of range", total)
 	}
 	if r.Err() != nil {
-		return Node{}, 0, 0, r.Err()
+		return Node{}, [4]int64{}, 0, 0, r.Err()
 	}
 	connTotal = int(total)
 	// Inline deltas run to the record's physical end. Capacity is exact
@@ -278,9 +286,9 @@ func DecodePackedRecord(buf []byte, arena *connArena) (n Node, connTotal int, ov
 		r.Corruptf("truncated inline connection list")
 	}
 	if err := r.Done(); err != nil {
-		return Node{}, 0, 0, err
+		return Node{}, [4]int64{}, 0, 0, err
 	}
-	return n, connTotal, overflowRef, nil
+	return n, links, connTotal, overflowRef, nil
 }
 
 // connArena batch-allocates the Conn slices decoded nodes retain: the

@@ -9,6 +9,7 @@ import (
 	"dmesh/internal/geom"
 	"dmesh/internal/pm"
 	"dmesh/internal/storage/faultfs"
+	"dmesh/internal/storage/heapfile"
 	"dmesh/internal/storage/pager"
 	"dmesh/internal/wire"
 )
@@ -18,20 +19,19 @@ import (
 // patterns (NaN payloads, -0.0, denormals, extremes), every topology-ref
 // shape (all None, mixed, far deltas), and connection lists from empty
 // to max valence with negative first deltas.
-func packedFixtures() []Node {
+func packedFixtures() []linkedNode {
 	nan1 := math.Float64frombits(0x7ff8dead_beef0001) // NaN, custom payload
 	nan2 := math.Float64frombits(0xfff00000_00000001) // negative signaling-style NaN
-	mk := func(id int64, x, y, z, elo, ehi float64, refs [5]int64, conn []int64) Node {
-		return Node{Node: pm.Node{ID: id, Pos: geom.Point3{X: x, Y: y, Z: z},
-			ELow: elo, EHigh: ehi, Parent: refs[0], Child1: refs[1], Child2: refs[2],
-			Wing1: refs[3], Wing2: refs[4]}, Conn: conn}
+	mk := func(id int64, x, y, z, elo, ehi float64, refs [5]int64, conn []int64) linkedNode {
+		return linkedNode{Node{ID: id, Pos: geom.Point3{X: x, Y: y, Z: z},
+			ELow: elo, EHigh: ehi, Parent: refs[0], Conn: conn}, [4]int64(refs[1:])}
 	}
 	none := [5]int64{pm.None, pm.None, pm.None, pm.None, pm.None}
 	longConn := make([]int64, 3000)
 	for i := range longConn {
 		longConn[i] = int64(100 + i)
 	}
-	return []Node{
+	return []linkedNode{
 		// A typical leaf: dyadic grid coordinates, ELow +0, near refs.
 		mk(7, 0.5, 0.25, 3.0/4096, 0, 0.125, [5]int64{9, pm.None, pm.None, 5, 11}, []int64{3, 5, 9, 11}),
 		// A root: EHigh +Inf, children, no parent.
@@ -61,16 +61,22 @@ func packedFixtures() []Node {
 	}
 }
 
-func requireNodeBitsEqual(t *testing.T, ctx string, want, got *Node) {
+// linkedNode is a record's whole tuple: the Node a query holds plus the
+// links (Child1, Child2, Wing1, Wing2) only the encoders take.
+type linkedNode struct {
+	Node
+	links [4]int64
+}
+
+func requireNodeBitsEqual(t *testing.T, ctx string, want, got linkedNode) {
 	t.Helper()
 	fb := math.Float64bits
 	if got.ID != want.ID ||
 		fb(got.Pos.X) != fb(want.Pos.X) || fb(got.Pos.Y) != fb(want.Pos.Y) ||
 		fb(got.Pos.Z) != fb(want.Pos.Z) ||
 		fb(got.ELow) != fb(want.ELow) || fb(got.EHigh) != fb(want.EHigh) ||
-		got.Parent != want.Parent || got.Child1 != want.Child1 || got.Child2 != want.Child2 ||
-		got.Wing1 != want.Wing1 || got.Wing2 != want.Wing2 {
-		t.Fatalf("%s: decoded node differs\nwant %+v\ngot  %+v", ctx, want.Node, got.Node)
+		got.Parent != want.Parent || got.links != want.links {
+		t.Fatalf("%s: decoded node differs\nwant %+v\ngot  %+v", ctx, want, got)
 	}
 	if len(got.Conn) != len(want.Conn) {
 		t.Fatalf("%s: %d conn IDs, want %d", ctx, len(got.Conn), len(want.Conn))
@@ -89,18 +95,18 @@ func requireNodeBitsEqual(t *testing.T, ctx string, want, got *Node) {
 func TestPackedRecordRoundTripBitExact(t *testing.T) {
 	var buf []byte
 	for fi, n := range packedFixtures() {
-		buf = EncodePackedRecord(&n, noOverflow, len(n.Conn), buf)
-		if want := packedRecordLen(&n, len(n.Conn), false); len(buf) != want {
+		buf = EncodePackedRecord(&n.Node, n.links, noOverflow, len(n.Conn), buf)
+		if want := packedRecordLen(&n.Node, n.links, len(n.Conn), false); len(buf) != want {
 			t.Fatalf("fixture %d: encoded %d bytes, packedRecordLen says %d", fi, len(buf), want)
 		}
-		got, total, ref, err := DecodePackedRecord(buf, nil)
+		got, links, total, ref, err := DecodePackedRecord(buf, nil)
 		if err != nil {
 			t.Fatalf("fixture %d: %v", fi, err)
 		}
 		if total != len(n.Conn) || ref != noOverflow {
 			t.Fatalf("fixture %d: total %d ref %d, want %d %d", fi, total, ref, len(n.Conn), noOverflow)
 		}
-		requireNodeBitsEqual(t, "fixture", &n, &got)
+		requireNodeBitsEqual(t, "fixture", n, linkedNode{got, links})
 	}
 }
 
@@ -114,11 +120,11 @@ func TestPackedRecordSpillRoundTrip(t *testing.T) {
 			if inline >= len(n.Conn) {
 				continue
 			}
-			buf = EncodePackedRecord(&n, 4242, inline, buf)
-			if want := packedRecordLen(&n, inline, true); len(buf) != want {
+			buf = EncodePackedRecord(&n.Node, n.links, 4242, inline, buf)
+			if want := packedRecordLen(&n.Node, n.links, inline, true); len(buf) != want {
 				t.Fatalf("fixture %d/%d: encoded %d bytes, want %d", fi, inline, len(buf), want)
 			}
-			got, total, ref, err := DecodePackedRecord(buf, nil)
+			got, _, total, ref, err := DecodePackedRecord(buf, nil)
 			if err != nil {
 				t.Fatalf("fixture %d/%d: %v", fi, inline, err)
 			}
@@ -392,9 +398,9 @@ func TestPackedDecodeRejectsCorruption(t *testing.T) {
 	// ID 7 is one byte, so the bitmap is bytes 1-2 and the floats start at 3.
 	leaf := packedFixtures()[0]
 	encode := func(edit func(n *Node)) []byte {
-		n := leaf
+		n := leaf.Node
 		edit(&n)
-		return EncodePackedRecord(&n, noOverflow, len(n.Conn), nil)
+		return EncodePackedRecord(&n, leaf.links, noOverflow, len(n.Conn), nil)
 	}
 	valid := encode(func(*Node) {})
 	flip := func(b []byte, hi, lo byte) []byte {
@@ -421,11 +427,11 @@ func TestPackedDecodeRejectsCorruption(t *testing.T) {
 		"dyadic value sent raw":     rawInsteadOfDyadic(valid),
 		"inline IDs past the count": append(append([]byte{}, valid...), 0x02),
 	}
-	if _, _, _, err := DecodePackedRecord(valid, nil); err != nil {
+	if _, _, _, _, err := DecodePackedRecord(valid, nil); err != nil {
 		t.Fatalf("baseline record does not decode: %v", err)
 	}
 	for name, buf := range cases {
-		_, _, _, err := DecodePackedRecord(buf, nil)
+		_, _, _, _, err := DecodePackedRecord(buf, nil)
 		if !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want wire.ErrCorrupt", name, err)
 		}
@@ -442,6 +448,129 @@ func rawInsteadOfDyadic(valid []byte) []byte {
 	return append(out, valid[5:]...)
 }
 
+// The fields of a packed record, as the census attributes its bytes.
+var censusFields = []string{"connection deltas", "x/y", "z", "EHigh", "ELow", "ID",
+	"parent", "children", "wings", "bitmap", "connection count", "overflow"}
+
+// packedCensus attributes every byte of every packed record s stores to the
+// field that spells it, walking each record with the reader and in the
+// order DecodePackedRecord uses; overflow counts both chain heads and the
+// overflow records they name. It returns the bytes per field
+// (censusFields' order) and the records' total length.
+func packedCensus(t *testing.T, s *Store) (bytes []int, total int) {
+	t.Helper()
+	const (
+		deltas = iota
+		xy
+		z
+		eHigh
+		eLow
+		id
+		parent
+		children
+		wings
+		bitmap
+		count
+		overflow
+	)
+	bytes = make([]int, len(censusFields))
+	cur := s.vheap.Cursor()
+	defer cur.Release()
+	for node := int64(0); node < s.NumNodes(); node++ {
+		rid, err := s.idx.Get(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := cur.Record(heapfile.RID(rid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(rec)
+		r := wire.NewReader("census", rec)
+		read := 0
+		charge := func(field int) {
+			bytes[field] += len(rec) - r.Len() - read
+			read = len(rec) - r.Len()
+		}
+		r.Uvarint()
+		charge(id)
+		flags := r.U16()
+		charge(bitmap)
+		head := noOverflow
+		if flags&pkOverflow != 0 {
+			head = int64(r.U64())
+			charge(overflow)
+		}
+		dyBits := [5]uint16{pkXDyadic, pkYDyadic, pkZDyadic, pkELowDyadic, pkEHighDyadic}
+		for i, field := range []int{xy, xy, z, eLow, eHigh} {
+			if !(i == 3 && flags&pkELowZero != 0) && !(i == 4 && flags&pkEHighInf != 0) {
+				r.Float(flags&dyBits[i] != 0)
+			}
+			charge(field)
+		}
+		for i, field := range []int{parent, children, children, wings, wings} {
+			if flags&(1<<i) != 0 {
+				r.Varint()
+			}
+			charge(field)
+		}
+		r.Uvarint()
+		charge(count)
+		for r.Len() > 0 && r.Err() == nil {
+			r.Varint()
+		}
+		charge(deltas)
+		if err := r.Done(); err != nil {
+			t.Fatalf("node %d: %v", node, err)
+		}
+		for head != noOverflow {
+			ob, err := cur.Record(heapfile.RID(head))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes[overflow] += len(ob)
+			total += len(ob)
+			_, head = decodeOverflow(ob)
+		}
+	}
+	return bytes, total
+}
+
+// TestPackedRecordCensus is ROADMAP item 13's census as a test: at 65²
+// every byte of every packed record is charged to one field, the fields
+// add up to the records' bytes, and those fit the heap's data pages (the
+// difference is page and slot overhead). The log prints the table in
+// bytes per terrain point, the unit of store_data_bytes_per_point. What
+// a format without the four links would save is the children and wings
+// rows.
+func TestPackedRecordCensus(t *testing.T) {
+	const size = 65
+	ds := buildDatasetOnly(t, size, "highland")
+	s, err := BuildStore(ds, StorePools{Layout: LayoutPacked})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes, total := packedCensus(t, s)
+	sum := 0
+	for i, b := range bytes {
+		sum += b
+		t.Logf("%-18s %7.2f B/pt", censusFields[i], float64(b)/(size*size))
+	}
+	stored := int(s.DataPages()) * pager.PageSize
+	t.Logf("%-18s %7.2f B/pt of %.2f stored", "records", float64(total)/(size*size), float64(stored)/(size*size))
+	if sum != total {
+		t.Errorf("the fields hold %d bytes, the records %d", sum, total)
+	}
+	if total > stored {
+		t.Errorf("the records hold %d bytes, more than the %d of the heap's data pages", total, stored)
+	}
+	for i, b := range bytes {
+		if b == 0 && censusFields[i] != "overflow" {
+			t.Errorf("no byte charged to %s", censusFields[i])
+		}
+	}
+}
+
 // FuzzPackedRecordDecode feeds arbitrary bytes to the packed decoder:
 // it must never panic, never allocate unboundedly, and classify every
 // failure as wire.ErrCorrupt. Valid decodes must satisfy the encoding's
@@ -449,9 +578,9 @@ func rawInsteadOfDyadic(valid []byte) []byte {
 // reconstructed consistently).
 func FuzzPackedRecordDecode(f *testing.F) {
 	for _, n := range packedFixtures() {
-		f.Add(EncodePackedRecord(&n, noOverflow, len(n.Conn), nil))
+		f.Add(EncodePackedRecord(&n.Node, n.links, noOverflow, len(n.Conn), nil))
 		if len(n.Conn) > 1 {
-			f.Add(EncodePackedRecord(&n, 99, 1, nil))
+			f.Add(EncodePackedRecord(&n.Node, n.links, 99, 1, nil))
 		}
 	}
 	f.Add([]byte{})
@@ -459,7 +588,7 @@ func FuzzPackedRecordDecode(f *testing.F) {
 	f.Add([]byte{0x00, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var arena connArena
-		n, total, ref, err := DecodePackedRecord(data, &arena)
+		n, _, total, ref, err := DecodePackedRecord(data, &arena)
 		if err != nil {
 			if !errors.Is(err, wire.ErrCorrupt) {
 				t.Fatalf("error %v does not wrap wire.ErrCorrupt", err)

@@ -1,6 +1,8 @@
 package dm
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -23,7 +25,9 @@ type fetcher struct {
 	boxOf []int32 // boxOf[i] is the query box rids[i] matched, while search regroups
 	rd    recReader
 	recs  []Node
-	keys  []uint64 // fetched's sort keys
+	// kept is how many records at the head of recs already form a record
+	// set: a coherent frame's retained records, none for a fresh fetcher.
+	kept int
 	// tr carries the owning view's tracer (nil when tracing is off).
 	tr *obs.Trace
 }
@@ -38,7 +42,7 @@ func (s *Store) newFetcher() *fetcher {
 
 // oneShot recycles the fetchers of one-shot queries, whose records die
 // with the query (assemble copies out all the Result keeps): the next
-// query reuses the slab, RID list, sort keys and arena chunks instead of
+// query reuses the slab, RID list and arena chunks instead of
 // allocating them. Coherent sessions and tile patches keep their records
 // and use newFetcher. Idle fetchers go at the second GC.
 var oneShot = sync.Pool{New: func() any { return &fetcher{rd: recReader{arena: connArena{recycle: true}}} }}
@@ -47,7 +51,7 @@ var oneShot = sync.Pool{New: func() any { return &fetcher{rd: recReader{arena: c
 // stale Conn pins a list allocated outside the arena, the arena rewound.
 func (f *fetcher) recycle() {
 	clear(f.recs)
-	f.recs, f.rids, f.boxOf = f.recs[:0], f.rids[:0], f.boxOf[:0]
+	f.recs, f.rids, f.boxOf, f.kept = f.recs[:0], f.rids[:0], f.boxOf[:0], 0
 	f.rd.arena.free, f.rd.arena.next = nil, 0
 	f.s, f.rd.cur, f.tr = nil, heapfile.VarCursor{}, nil
 	oneShot.Put(f)
@@ -58,46 +62,64 @@ func (f *fetcher) recycle() {
 // boundary two boxes share, or fetched again behind the retained set a
 // coherent frame seeded the slab with) dropped, the vacated tail zeroed so
 // that no stale Conn pins an arena chunk. A slab already strictly
-// ascending returns after one scan. Otherwise the sort runs over packed
+// ascending returns after one scan.
+//
+// Only the arrivals behind the f.kept head are sorted, so a coherent frame
+// pays for what it fetched, not for what it kept. They sort as packed
 // ID<<32 | position keys — fetchRecord holds IDs to [0, NumNodes()), below
-// 2^32 for any store whose records fit in memory — and each record then
-// moves once along the permutation's cycles: sorting the 152-byte records
-// themselves costs more than the map this replaced (DESIGN.md §5 item 11).
+// 2^32 for any store whose records fit in memory — and are gathered once,
+// in ID order, into scratch, dropping repeats and the IDs the head already
+// holds (the head arrived first). A backward merge then writes head and
+// arrivals into the slab: each head record moves at most once, and none
+// below the first arrival's ID moves at all.
 func (f *fetcher) fetched() []Node {
-	recs := f.recs
+	recs, kept := f.recs, f.kept
 	sorted := true
-	for i := 1; i < len(recs) && sorted; i++ {
+	for i := max(kept, 1); i < len(recs) && sorted; i++ {
 		sorted = recs[i-1].ID < recs[i].ID
 	}
 	if sorted {
+		f.kept = len(recs)
 		return recs
 	}
-	f.keys = slices.Grow(f.keys[:0], len(recs))[:len(recs)]
-	keys := f.keys
-	for i := range recs {
-		keys[i] = uint64(recs[i].ID)<<32 | uint64(i)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	head, tail := recs[:kept], recs[kept:]
+	keys := resize(sc.keys, len(tail))
+	sc.keys = keys
+	for i := range tail {
+		keys[i] = uint64(tail[i].ID)<<32 | uint64(i)
 	}
 	slices.Sort(keys)
-	// keys[i] names the record that belongs at i: gather along each cycle,
-	// marking a slot done by pointing its key at itself.
-	for start := range keys {
-		if int(uint32(keys[start])) == start {
+	merge := sc.merge[:0]
+	lo := 0 // head[:lo] lies below every ID still to come
+	for i, k := range keys {
+		id := int64(k >> 32)
+		if i > 0 && id == int64(keys[i-1]>>32) {
 			continue
 		}
-		moved := recs[start]
-		i := start
-		for {
-			src := int(uint32(keys[i]))
-			keys[i] = uint64(i)
-			if src == start {
-				recs[i] = moved
-				break
-			}
-			recs[i] = recs[src]
-			i = src
+		at, found := slices.BinarySearchFunc(head[lo:], id, func(n Node, id int64) int { return cmp.Compare(n.ID, id) })
+		if lo += at; !found {
+			merge = append(merge, tail[uint32(k)])
 		}
 	}
-	f.recs = slices.CompactFunc(recs, func(a, b Node) bool { return a.ID == b.ID })
+	// Writing from the end, slot w never passes the head record still to
+	// be read (w > i while arrivals remain), and the arrivals are read from
+	// scratch.
+	n := kept + len(merge)
+	for w, i, j := n-1, kept-1, len(merge)-1; j >= 0; w-- {
+		if i >= 0 && recs[i].ID > merge[j].ID {
+			recs[w] = recs[i]
+			i--
+		} else {
+			recs[w] = merge[j]
+			j--
+		}
+	}
+	clear(recs[n:])
+	clear(merge)
+	sc.merge = merge[:0]
+	f.recs, f.kept = recs[:n], n
 	return f.recs
 }
 
@@ -194,9 +216,27 @@ func (s *Store) query(boxes []geom.Box, need func(x, y float64) float64, lift bo
 	return res, nil
 }
 
+// ErrInvertedPlane is what every viewpoint-dependent query and coherent
+// frame returns for a query plane with EMin > EMax. Its cube would be
+// inverted in e, and the R*-tree would return only the segments spanning
+// the whole range — a wrong mesh, not an empty one.
+var ErrInvertedPlane = errors.New("dm: query plane has EMin > EMax")
+
+// checkPlane refuses an inverted plane (see ErrInvertedPlane).
+func checkPlane(qp geom.QueryPlane) error {
+	if qp.EMin > qp.EMax {
+		return fmt.Errorf("%w (%g > %g)", ErrInvertedPlane, qp.EMin, qp.EMax)
+	}
+	return nil
+}
+
 // queryPlane answers a query plane from the given cubes. A degenerate
-// plane (EMin == EMax) is a uniform cut and does not lift.
+// plane (EMin == EMax) is a uniform cut and does not lift; an inverted one
+// is refused.
 func (s *Store) queryPlane(qp geom.QueryPlane, boxes []geom.Box) (*Result, error) {
+	if err := checkPlane(qp); err != nil {
+		return nil, err
+	}
 	return s.query(boxes, qp.EAt, qp.EMin != qp.EMax)
 }
 

@@ -48,11 +48,11 @@ const (
 )
 
 // encodeRecord writes n's fixed-size record into buf (len >= RecordSize):
-// up to ConnInline IDs inline, the rest behind overflowRef. Unlike the PM
+// up to ConnInline IDs inline, the rest behind overflowRef; links are the
+// node's Child1, Child2, Wing1, Wing2 (Dataset.links). Unlike the PM
 // record, the DM record omits the raw error, footprint MBR, and anything
-// derivable from other rows: Direct Mesh queries never chase the tree, so
-// nodes only carry what reconstruction reads.
-func encodeRecord(n *Node, overflowRef int64, buf []byte) {
+// derivable from other rows: Direct Mesh queries never chase the tree.
+func encodeRecord(n *Node, links [4]int64, overflowRef int64, buf []byte) {
 	inline := min(len(n.Conn), ConnInline)
 	le := binary.LittleEndian
 	off := 0
@@ -65,10 +65,9 @@ func encodeRecord(n *Node, overflowRef int64, buf []byte) {
 	putF(n.ELow)
 	putF(n.EHigh)
 	putI(n.Parent)
-	putI(n.Child1)
-	putI(n.Child2)
-	putI(n.Wing1)
-	putI(n.Wing2)
+	for _, r := range links {
+		putI(r)
+	}
 	le.PutUint16(buf[off:], uint16(len(n.Conn)))
 	le.PutUint64(buf[off+2:], uint64(overflowRef))
 	off += 10
@@ -78,13 +77,13 @@ func encodeRecord(n *Node, overflowRef int64, buf []byte) {
 }
 
 // decodeRecordHeader decodes everything except overflowed connection IDs,
-// returning the node (with the inline portion of Conn), the total
-// connection count, and the overflow chain head. The buffer length is the
-// record: its inline capacity is (len(buf)-recHeaderSize)/8, ConnInline
-// for buf[:RecordSize]. Fields the DM record does not store (raw error,
-// footprint) stay zero. The Conn slice is drawn from arena (which may be
-// nil) so one query's fetches share chunked allocations.
-func decodeRecordHeader(buf []byte, arena *connArena) (n Node, connTotal int, overflowRef int64) {
+// returning the node (with the inline portion of Conn), the links it read
+// past Parent (Child1, Child2, Wing1, Wing2: no Node field holds them), the
+// total connection count, and the overflow chain head. The buffer length
+// is the record: its inline capacity is (len(buf)-recHeaderSize)/8,
+// ConnInline for buf[:RecordSize]. The Conn slice is drawn from arena
+// (which may be nil) so one query's fetches share chunked allocations.
+func decodeRecordHeader(buf []byte, arena *connArena) (n Node, links [4]int64, connTotal int, overflowRef int64) {
 	le := binary.LittleEndian
 	off := 0
 	getI := func() int64 { v := int64(le.Uint64(buf[off:])); off += 8; return v }
@@ -94,10 +93,9 @@ func decodeRecordHeader(buf []byte, arena *connArena) (n Node, connTotal int, ov
 	n.ELow = getF()
 	n.EHigh = getF()
 	n.Parent = getI()
-	n.Child1 = getI()
-	n.Child2 = getI()
-	n.Wing1 = getI()
-	n.Wing2 = getI()
+	for i := range links {
+		links[i] = getI()
+	}
 	connTotal = int(le.Uint16(buf[off:]))
 	overflowRef = int64(le.Uint64(buf[off+2:]))
 	off += 10
@@ -109,7 +107,7 @@ func decodeRecordHeader(buf []byte, arena *connArena) (n Node, connTotal int, ov
 	for i := 0; i < inline; i++ {
 		n.Conn = append(n.Conn, int64(le.Uint64(buf[off+i*8:])))
 	}
-	return n, connTotal, overflowRef
+	return n, links, connTotal, overflowRef
 }
 
 // encodeOverflow writes one fixed overflow record holding ids (len <=

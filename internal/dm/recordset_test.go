@@ -13,7 +13,6 @@ import (
 	"unsafe"
 
 	"dmesh/internal/geom"
-	"dmesh/internal/pm"
 	"dmesh/internal/rtree"
 	"dmesh/internal/storage/faultfs"
 	"dmesh/internal/storage/heapfile"
@@ -79,10 +78,8 @@ func TestRecordSetAgainstMapOracle(t *testing.T) {
 			recs := make([]Node, len(ids), len(ids)+rng.Intn(4))
 			oracle := make(map[int64]int) // ID -> first arrival
 			for i, id := range ids {
-				recs[i] = Node{
-					Node: pm.Node{ID: id, Pos: geom.Point3{X: float64(id), Z: float64(i)}, Parent: id * 7},
-					Conn: []int64{id, int64(i)},
-				}
+				recs[i] = Node{ID: id, Pos: geom.Point3{X: float64(id), Z: float64(i)}, Parent: id * 7,
+					Conn: []int64{id, int64(i)}}
 				if _, seen := oracle[id]; !seen {
 					oracle[id] = i
 				}
@@ -106,7 +103,7 @@ func TestRecordSetAgainstMapOracle(t *testing.T) {
 				}
 			}
 			for i, n := range recs[len(set):] {
-				if n.Conn != nil || n.Node != (pm.Node{}) {
+				if !zeroNode(&n) {
 					t.Fatalf("%s: stale record %+v left %d past the set", name, n, i)
 				}
 			}
@@ -117,27 +114,57 @@ func TestRecordSetAgainstMapOracle(t *testing.T) {
 	}
 }
 
-// storageAllocs is what reading the records of boxes allocates below the
-// record set — index search, page gets, record decode — with the records
-// dropped: the baseline TestRecordSetIsFlat subtracts.
-func storageAllocs(s *Store, boxes []geom.Box) float64 {
-	return testing.AllocsPerRun(5, func() {
-		rd := s.newRecReader()
-		defer rd.release()
-		for _, box := range boxes {
-			var rids []heapfile.RID
-			if err := s.rt.Search(box, func(ref int64, _ geom.Box) bool {
-				rids = append(rids, heapfile.RID(ref))
-				return true
-			}); err != nil {
+// zeroNode reports whether n is the zero Node: a slab slot past a record
+// set, which must pin nothing.
+func zeroNode(n *Node) bool {
+	return n.Conn == nil && n.ID == 0 && n.Pos == (geom.Point3{}) && n.ELow == 0 && n.EHigh == 0 && n.Parent == 0
+}
+
+// readStorage reads the records of boxes below the record set — index
+// search, page gets, record decode — and drops them.
+func readStorage(s *Store, boxes []geom.Box) {
+	rd := s.newRecReader()
+	defer rd.release()
+	for _, box := range boxes {
+		var rids []heapfile.RID
+		if err := s.rt.Search(box, func(ref int64, _ geom.Box) bool {
+			rids = append(rids, heapfile.RID(ref))
+			return true
+		}); err != nil {
+			panic(err)
+		}
+		for _, rid := range rids {
+			if _, err := s.fetchRecord(rid, &rd, nil); err != nil {
 				panic(err)
 			}
-			for _, rid := range rids {
-				if _, err := s.fetchRecord(rid, &rd, nil); err != nil {
-					panic(err)
-				}
-			}
 		}
+	}
+}
+
+// storageAllocs is what readStorage allocates: the baseline
+// TestRecordSetIsFlat subtracts.
+func storageAllocs(s *Store, boxes []geom.Box) float64 {
+	return testing.AllocsPerRun(5, func() { readStorage(s, boxes) })
+}
+
+// storageBytes is storageAllocs in bytes, the new records' connection
+// lists included.
+func storageBytes(s *Store, boxes []geom.Box) float64 {
+	return bytesPerRun(5, func() { readStorage(s, boxes) })
+}
+
+var resultSink *Result
+
+// resultBytes is what res holds: the bytes of building its vertex map and
+// its edge and triangle slices (at their capacities) again.
+func resultBytes(res *Result) float64 {
+	return bytesPerRun(5, func() {
+		v := make(map[int64]geom.Point3, len(res.Vertices))
+		for id, p := range res.Vertices {
+			v[id] = p
+		}
+		resultSink = &Result{Vertices: v, Edges: make([][2]int64, len(res.Edges), cap(res.Edges)),
+			Triangles: make([]geom.Triangle, len(res.Triangles), cap(res.Triangles))}
 	})
 }
 
@@ -146,7 +173,12 @@ func storageAllocs(s *Store, boxes []geom.Box) float64 {
 // storage layers allocate to read them, a one-box fetch of N >= 2000
 // records and a steady-state coherent frame (half its records retained,
 // half newly fetched, mesh included) allocate fewer than N/4 objects; a
-// heap Node per record behind a map allocates more than N.
+// heap Node per record behind a map allocates more than N. In bytes, the
+// steady frame allocates beyond those reads and the mesh it returns less
+// than an eighth of its record slab — a few hundred bytes, measured: the
+// reconcile's sort keys and merge buffer and the assembler's working memory
+// come from the scratch pool. Re-sorting the whole set over fresh keys and
+// assembling in fresh buffers cost ≈ 245 KB a frame here, 1.2 slabs.
 func TestRecordSetIsFlat(t *testing.T) {
 	ds, _ := buildDataset(t, 65, "highland")
 	s := newTestStore(t, ds)
@@ -177,10 +209,11 @@ func TestRecordSetIsFlat(t *testing.T) {
 	a, b := plane(0.1), plane(0.35)
 	cs := s.NewCoherentSession(nil)
 	var st FrameStats
+	var res [2]*Result
 	frames := func() {
-		for _, qp := range []geom.QueryPlane{a, b} {
+		for i, qp := range []geom.QueryPlane{a, b} {
 			var err error
-			if _, st, err = cs.Frame(qp); err != nil {
+			if res[i], st, err = cs.Frame(qp); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -192,9 +225,21 @@ func TestRecordSetIsFlat(t *testing.T) {
 		t.Fatalf("frame is not the steady-state shape the test wants: %+v", st)
 	}
 	boxA, boxB := []geom.Box{s.cube(a.R, a.EMin, a.EMax)}, []geom.Box{s.cube(b.R, b.EMin, b.EMax)}
-	storage := storageAllocs(s, rtree.DeltaBoxes(boxA, boxB)) + storageAllocs(s, rtree.DeltaBoxes(boxB, boxA))
+	deltaA, deltaB := rtree.DeltaBoxes(boxA, boxB), rtree.DeltaBoxes(boxB, boxA)
+	storage := storageAllocs(s, deltaA) + storageAllocs(s, deltaB)
 	if over := (got - storage) / 2; over >= float64(n)/4 {
 		t.Errorf("coherent frame over %d records allocates %.0f objects beyond the storage reads, want < %d", n, over, n/4)
+	}
+
+	if raceEnabled {
+		t.Skip("-race: sync.Pool drops scratch at random")
+	}
+	gotBytes := bytesPerRun(5, frames)
+	beyond := gotBytes - storageBytes(s, deltaA) - storageBytes(s, deltaB) - resultBytes(res[0]) - resultBytes(res[1])
+	slab := float64(n) * float64(unsafe.Sizeof(Node{}))
+	if over := beyond / 2; over >= slab/8 {
+		t.Errorf("coherent frame over %d records allocates %.0f bytes beyond the storage reads and its mesh, want < %.0f (an eighth of the slab)",
+			n, over, slab/8)
 	}
 }
 
@@ -244,6 +289,10 @@ func TestOneShotQueryRecyclesItsFetcher(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race: sync.Pool drops fetchers at random")
 	}
+	// The bound below is a quarter of the slab: 80 bytes a record.
+	if size := unsafe.Sizeof(Node{}); size != 80 {
+		t.Fatalf("a Node is %d bytes, want 80", size)
+	}
 	recs := freshRecords(big)
 	if len(recs) < 2000 {
 		t.Fatalf("only %d records fetched; the test wants >= 2000", len(recs))
@@ -258,6 +307,38 @@ func TestOneShotQueryRecyclesItsFetcher(t *testing.T) {
 	if over := query - assemble; over >= slab/4 {
 		t.Errorf("warm query over %d records allocates %.0f bytes beyond its assembly, want < %.0f (a quarter of the slab)",
 			len(recs), over, slab/4)
+	}
+}
+
+// TestAssembleAllocatesOnlyItsResult: every buffer assemble works in —
+// the representative table, the ID index, the raw lifted pairs and their
+// sorted copy, the run offsets — comes from the scratch pool, so a warm
+// lifted assemble over N >= 2000 records allocates what its Result holds
+// and at most a few hundred bytes more (none, measured). Allocating them
+// afresh cost as much again as the Result.
+func TestAssembleAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race: sync.Pool drops scratch at random")
+	}
+	ds, _ := buildDataset(t, 65, "highland")
+	s := newTestStore(t, ds)
+	qp := geom.QueryPlane{R: geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9},
+		EMin: eAtPercentile(ds, 0.3), EMax: eAtPercentile(ds, 0.9), Axis: 1}
+	f := s.newFetcher()
+	if _, err := f.fetchBoxes([]geom.Box{s.cube(qp.R, qp.EMin, qp.EMax)}); err != nil {
+		t.Fatal(err)
+	}
+	recs := f.fetched()
+	if len(recs) < 2000 {
+		t.Fatalf("only %d records fetched; the test wants >= 2000", len(recs))
+	}
+	var res *Result
+	got := bytesPerRun(5, func() { res = s.assemble(recs, qp.EAt, true) })
+	held := resultBytes(res)
+	const slack = 512
+	if got > held+slack {
+		t.Errorf("warm lifted assemble over %d records allocates %.0f bytes, its Result holds %.0f: want at most %d more",
+			len(recs), got, held, slack)
 	}
 }
 
@@ -398,7 +479,7 @@ func TestRecordIDOutOfRangeIsCorruption(t *testing.T) {
 		rec := make([]byte, RecordSize)
 		n := victim
 		n.ID = from
-		encodeRecord(&n, noOverflow, rec)
+		encodeRecord(&n, ds.links(victim.ID), noOverflow, rec)
 		page := make([]byte, pager.PageSize)
 		for id := pager.PageID(0); id < fbs[0].NumPages(); id++ {
 			if err := fbs[0].ReadPage(id, page); err != nil {

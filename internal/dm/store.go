@@ -8,7 +8,6 @@ import (
 	"dmesh/internal/costmodel"
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
-	"dmesh/internal/pm"
 	"dmesh/internal/rtree"
 	"dmesh/internal/storage/btree"
 	"dmesh/internal/storage/heapfile"
@@ -286,7 +285,7 @@ func buildStore(ds *Dataset, pools StorePools, backends [4]pager.Backend, finish
 	// table on the index preserves it best): the R*-tree's STR leaf order.
 	order := make([]rtree.Item, len(nodes))
 	for id := range nodes {
-		order[id] = rtree.Item{Box: segmentOf(&nodes[id].Node, maxE), Ref: int64(id)}
+		order[id] = rtree.Item{Box: segmentOf(&nodes[id], maxE), Ref: int64(id)}
 	}
 	order = rtree.STRLeafOrder(order)
 
@@ -303,9 +302,9 @@ func buildStore(ds *Dataset, pools StorePools, backends [4]pager.Backend, finish
 		var rid heapfile.RID
 		var err error
 		if pools.Layout == LayoutPacked {
-			rid, err = s.appendPacked(n, buf, obuf)
+			rid, err = s.appendPacked(n, ds.links(id), buf, obuf)
 		} else {
-			rid, err = s.appendFixed(n, buf, obuf)
+			rid, err = s.appendFixed(n, ds.links(id), buf, obuf)
 		}
 		if err != nil {
 			return nil, err
@@ -314,7 +313,7 @@ func buildStore(ds *Dataset, pools StorePools, backends [4]pager.Backend, finish
 			return nil, fmt.Errorf("dm: id index: %w", err)
 		}
 		items = append(items, rtree.Item{
-			Box: segmentOf(&n.Node, s.maxE),
+			Box: segmentOf(n, s.maxE),
 			Ref: int64(rid),
 		})
 		space.MinX = math.Min(space.MinX, n.Pos.X)
@@ -336,8 +335,9 @@ func buildStore(ds *Dataset, pools StorePools, backends [4]pager.Backend, finish
 
 // appendFixed writes one fixed-size record, spilling conn IDs beyond the
 // inline capacity into an overflow chain in the separate overflow file,
-// written tail-first so each record knows its successor.
-func (s *Store) appendFixed(n *Node, buf, obuf []byte) (heapfile.RID, error) {
+// written tail-first so each record knows its successor. links are the
+// node's children and wings (Dataset.links).
+func (s *Store) appendFixed(n *Node, links [4]int64, buf, obuf []byte) (heapfile.RID, error) {
 	overflowRef := noOverflow
 	if len(n.Conn) > ConnInline {
 		rest := n.Conn[ConnInline:]
@@ -354,7 +354,7 @@ func (s *Store) appendFixed(n *Node, buf, obuf []byte) (heapfile.RID, error) {
 			overflowRef = int64(rid)
 		}
 	}
-	encodeRecord(n, overflowRef, buf[:RecordSize])
+	encodeRecord(n, links, overflowRef, buf[:RecordSize])
 	rid, err := s.heap.Append(buf[:RecordSize])
 	if err != nil {
 		return 0, fmt.Errorf("dm: heap append: %w", err)
@@ -369,9 +369,9 @@ func (s *Store) appendFixed(n *Node, buf, obuf []byte) (heapfile.RID, error) {
 // overflow records appended — tail-first — into the SAME file
 // immediately before the owner, so the chain shares the owner's page (or
 // the one just before it) and walking it costs no extra disk accesses.
-func (s *Store) appendPacked(n *Node, buf, obuf []byte) (heapfile.RID, error) {
+func (s *Store) appendPacked(n *Node, links [4]int64, buf, obuf []byte) (heapfile.RID, error) {
 	overflowRef := noOverflow
-	inline := packedSplit(n)
+	inline := packedSplit(n, links)
 	if rest := n.Conn[inline:]; len(rest) > 0 {
 		for start := ((len(rest) - 1) / varOverflowFanout) * varOverflowFanout; start >= 0; start -= varOverflowFanout {
 			end := start + varOverflowFanout
@@ -386,7 +386,7 @@ func (s *Store) appendPacked(n *Node, buf, obuf []byte) (heapfile.RID, error) {
 			overflowRef = int64(rid)
 		}
 	}
-	buf = EncodePackedRecord(n, overflowRef, inline, buf)
+	buf = EncodePackedRecord(n, links, overflowRef, inline, buf)
 	rid, err := s.vheap.Append(buf)
 	if err != nil {
 		return 0, fmt.Errorf("dm: heap append: %w", err)
@@ -396,7 +396,7 @@ func (s *Store) appendPacked(n *Node, buf, obuf []byte) (heapfile.RID, error) {
 
 // segmentOf returns the node's vertical segment in (x, y, e) space; the
 // root's infinite top is clamped to the dataset maximum.
-func segmentOf(n *pm.Node, maxE float64) geom.Box {
+func segmentOf(n *Node, maxE float64) geom.Box {
 	hi := n.EHigh
 	if math.IsInf(hi, 1) {
 		hi = maxE
@@ -590,7 +590,7 @@ func (s *Store) fetchFixedRecord(rid heapfile.RID, rd *recReader, tr *obs.Trace)
 	if err := s.heap.Read(rid, buf); err != nil {
 		return Node{}, err
 	}
-	n, total, overflowRef := decodeRecordHeader(buf, &rd.arena)
+	n, _, total, overflowRef := decodeRecordHeader(buf, &rd.arena)
 	if overflowRef != noOverflow {
 		tr.Begin(obs.PhaseOverflow)
 	}
@@ -633,7 +633,7 @@ func (s *Store) fetchPackedRecord(rid heapfile.RID, rd *recReader, tr *obs.Trace
 	if err != nil {
 		return Node{}, err
 	}
-	n, total, overflowRef, err := DecodePackedRecord(rec, &rd.arena)
+	n, _, total, overflowRef, err := DecodePackedRecord(rec, &rd.arena)
 	if err != nil {
 		return Node{}, err
 	}

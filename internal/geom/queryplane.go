@@ -7,7 +7,8 @@ import "math"
 // EMax at the far edge ("the region closer to the viewer can have a higher
 // LOD, i.e. a smaller approximation error value"). The paper's experiments
 // use planes parallel to an axis (Section 5.2 presents the method on the
-// (y, e) projection); Axis selects which.
+// (y, e) projection); Axis selects which. EMin <= EMax: the query cube
+// spans [EMin, EMax] in e, and the store refuses an inverted plane.
 type QueryPlane struct {
 	R          Rect
 	EMin, EMax float64

@@ -117,6 +117,7 @@ func TestRouteErrors(t *testing.T) {
 			{"/frame?session=c&far=2", 400, false, false},
 			{"/frame?session=c&near=NaN", 400, false, false},
 			{"/frame?session=c&y1=%2BInf", 400, false, false},
+			{"/frame?session=c&near=0.6&far=0.2&" + roi, 400, false, false}, // inverted plane
 			{"/frame?session=c&near=0.2&far=0.6&" + roi, 500, true, true},
 		},
 		"patch": {

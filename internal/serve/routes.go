@@ -356,8 +356,8 @@ func (s *Server) parseStream(q url.Values, traced bool) (func(*answer) error, er
 // parseFrame: /frame answers one frame of a named client's camera
 // animation through its retained coherent session. near and far are LOD
 // percentiles at the low- and high-y edges of the view (equal values
-// give a uniform frame); overlapping consecutive frames are answered
-// incrementally.
+// give a uniform frame, and near may not exceed far: the plane would be
+// inverted); overlapping consecutive frames are answered incrementally.
 func (s *Server) parseFrame(q url.Values, traced bool) (func(*answer) error, error) {
 	name := q.Get("session")
 	if name == "" {
@@ -366,6 +366,9 @@ func (s *Server) parseFrame(q url.Values, traced bool) (func(*answer) error, err
 	roi, pcts, err := parseROILOD(q, lodParam{"near", 0.75}, lodParam{"far", 0.99})
 	if err != nil {
 		return nil, err
+	}
+	if pcts[0] > pcts[1] {
+		return nil, fmt.Errorf("near (%g) must not exceed far (%g)", pcts[0], pcts[1])
 	}
 	return func(ans *answer) error {
 		plane := dmesh.QueryPlane{

@@ -58,12 +58,12 @@ const traceFixture = "DMTW\x01\x04" +
 	"\a\x01\xa0\x1f\xb0\xda0\xe0\xa7\x12\n\x03" +
 	"\x02\x03\x88'\xe0\xa7\x12\x00\x03\x00"
 
-func packedFixture() dm.Node {
-	return dm.Node{
-		Node: pm.Node{ID: 300, Pos: geom.Point3{X: 0.5, Y: math.Pi, Z: 3.0 / 4096},
-			ELow: 0, EHigh: 0.125, Parent: 9, Child1: pm.None, Child2: pm.None, Wing1: 5, Wing2: 1 << 33},
-		Conn: []int64{3, 5, 9, 299, 301, 4000},
-	}
+// packedFixture is a leaf record: its links (Child1, Child2, Wing1, Wing2)
+// travel beside the node, which does not hold them.
+func packedFixture() (dm.Node, [4]int64) {
+	return dm.Node{ID: 300, Pos: geom.Point3{X: 0.5, Y: math.Pi, Z: 3.0 / 4096},
+			ELow: 0, EHigh: 0.125, Parent: 9, Conn: []int64{3, 5, 9, 299, 301, 4000}},
+		[4]int64{pm.None, pm.None, 5, 1 << 33}
 }
 
 // spilledFixture is the same node with two IDs inline and the rest on an
@@ -71,12 +71,12 @@ func packedFixture() dm.Node {
 // does, so it is not self-delimiting — a shorter or longer tail is another
 // valid record — and only the round-trip property applies to it.
 func spilledFixture() []byte {
-	node := packedFixture()
-	return dm.EncodePackedRecord(&node, 99, 2, nil)
+	node, links := packedFixture()
+	return dm.EncodePackedRecord(&node, links, 99, 2, nil)
 }
 
 func packedRoundTrip(b []byte) ([]byte, error) {
-	n, total, ref, err := dm.DecodePackedRecord(b, nil)
+	n, links, total, ref, err := dm.DecodePackedRecord(b, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func packedRoundTrip(b []byte) ([]byte, error) {
 		return b, nil
 	}
 	n.Conn = append(n.Conn, make([]int64, total-inline)...)
-	return dm.EncodePackedRecord(&n, ref, inline, nil), nil
+	return dm.EncodePackedRecord(&n, links, ref, inline, nil), nil
 }
 
 // streamRoundTrip decodes a whole DMPS stream and re-encodes every batch
@@ -165,7 +165,7 @@ func decoderRows() []decoderRow {
 		dmtpV2, err := os.ReadFile(filepath.Join("..", "dm", "testdata", "dmtp-v2.bin"))
 		must(err)
 
-		node := packedFixture()
+		node, links := packedFixture()
 		rows = []decoderRow{{
 			name:    "DMTW",
 			fixture: []byte(traceFixture),
@@ -204,7 +204,7 @@ func decoderRows() []decoderRow {
 			roundTrip: streamRoundTrip,
 		}, {
 			name:      "packed",
-			fixture:   dm.EncodePackedRecord(&node, -1, len(node.Conn), nil),
+			fixture:   dm.EncodePackedRecord(&node, links, -1, len(node.Conn), nil),
 			golden:    "d0fcf408f0c4a914a047c50c332dcb483923baa8fd863068a9b88fb117ff969f",
 			varints:   []int{0},
 			cut:       wire.ErrCorrupt,
