@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"dmesh"
 	"dmesh/internal/cluster"
 	"dmesh/internal/geom"
+	"dmesh/internal/stream"
 )
 
 // byteCounter sums the declared lengths of the responses its client reads
@@ -102,9 +104,12 @@ func BenchmarkRouterQuery(b *testing.B) {
 	b.ReportMetric(float64(f.wire.bytes.Load())/float64(verts), "wireB/vertex")
 }
 
-// BenchmarkRouterStream is one warm six-batch progressive stream: six
-// fan-outs, stitches and batch encodings. wireB/vertex is the /patch bytes
-// of all six rungs per vertex of the final mesh.
+// BenchmarkRouterStream is one warm six-batch progressive stream read to
+// the exact mesh, as the repository benchmark's progressive_stream op is:
+// six fan-outs, stitches and batch encodings written into an io.Pipe, and
+// a client-side stream.Decoder applying every batch at the other end.
+// wireB/vertex is the /patch bytes of all six rungs per vertex of the
+// final mesh.
 func BenchmarkRouterStream(b *testing.B) {
 	f := routerFixture(b)
 	b.ReportAllocs()
@@ -112,14 +117,29 @@ func BenchmarkRouterStream(b *testing.B) {
 	verts := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, st, err := f.rt.Stream(f.roi, f.eS, -1, io.Discard)
+		pr, pw := io.Pipe()
+		done := make(chan error, 1)
+		go func() {
+			_, st, err := f.rt.Stream(f.roi, f.eS, -1, pw)
+			if err == nil && st.Batches != 6 {
+				err = fmt.Errorf("%d batches, want 6", st.Batches)
+			}
+			pw.CloseWithError(err)
+			done <- err
+		}()
+		dec := stream.NewDecoder()
+		err := dec.Attach(pr)
+		for err == nil && !dec.Done() {
+			_, _, err = dec.Next()
+		}
+		pr.Close() // unblocks the writer if the decoder gave up early
+		if serr := <-done; serr != nil {
+			b.Fatal(serr)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st.Batches != 6 {
-			b.Fatalf("%d batches, want 6", st.Batches)
-		}
-		verts += len(res.Vertices)
+		verts += len(dec.Mesh().Vertices)
 	}
 	b.ReportMetric(float64(f.wire.bytes.Load())/float64(verts), "wireB/vertex")
 }

@@ -261,14 +261,23 @@ func (rt *Router) fetchTile(k tilecache.Key, tr *obs.Trace) (f tileFetch) {
 }
 
 // patchBodies recycles the buffers getPatch reads /patch bodies into: a
-// body is dead once DecodeTilePatch has copied out what the patch keeps.
-// Only bodies with a declared length land in them (readBody), and a
+// body is dead once DecodeTilePatchInto has copied out what the patch
+// keeps. Only bodies with a declared length land in them (readBody), and a
 // buffer goes back only once its body has decoded: a failed attempt's was
 // sized by a length nothing verified. The pool holds about one buffer per
 // getPatch that ran at once — a query's tiles times the queries in flight,
 // two rungs' worth on a stream — each as large as the largest body it has
 // held (at most maxShardBody), until two GC cycles pass without its use.
 var patchBodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// decodedPatches recycles the patches getPatch decodes into. A patch
+// belongs to its tileFetch until the query's stitch has returned — the
+// Result copies every ID and position it keeps — and finish then hands it
+// back (release); Rebalance hands its warm-up patches back at once. A
+// failed attempt's patch is dropped, not returned, like its body. The pool
+// holds about one patch per fetch in flight, its arrays as large as the
+// largest tile decoded into them, until two GC cycles pass without use.
+var decodedPatches = sync.Pool{New: func() any { return new(dm.TilePatch) }}
 
 // getPatch issues one /patch request and decodes the body. Any
 // transport error, non-200 status, truncated, over-long or over-limit
@@ -299,8 +308,8 @@ func (rt *Router) getPatch(base string, k tilecache.Key, traced bool) (*dm.TileP
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	tp, err := dm.DecodeTilePatch(body)
-	if err != nil {
+	tp := decodedPatches.Get().(*dm.TilePatch)
+	if err := dm.DecodeTilePatchInto(body, tp); err != nil {
 		return nil, 0, nil, err
 	}
 	patchBodies.Put(buf) // tp holds copies: nothing points into the body
@@ -390,15 +399,31 @@ func (f *fanOut) wait() {
 	}
 }
 
+// release hands f's decoded patches back to decodedPatches once nothing
+// reads them any more; f must have been waited for. A nil f has none.
+func (f *fanOut) release() {
+	if f == nil {
+		return
+	}
+	for i := range f.slots {
+		if tp := f.slots[i].tp; tp != nil {
+			f.slots[i].tp = nil
+			decodedPatches.Put(tp)
+		}
+	}
+}
+
 // finish answers a launched fan-out under one query span: it waits for
 // the tiles, calls arrived (if not nil) — a stream launches its next rung
 // there, so that the fetch overlaps this stitch — then splices the hops
 // and stitches. A lookahead's hops may begin before the span does; the
-// span's self time clips them (obs.Trace.cover).
+// span's self time clips them (obs.Trace.cover). The tiles go back to
+// decodedPatches on every return: the Result shares no memory with them.
 func (rt *Router) finish(f *fanOut, tr *obs.Trace, arrived func()) (*dm.Result, QueryStats, error) {
 	tr.Begin(obs.PhaseQuery)
 	defer tr.End()
 	f.wait()
+	defer f.release()
 	if arrived != nil {
 		arrived()
 	}
@@ -490,9 +515,10 @@ func (rt *Router) Rebalance(topK, replicas int) (RebalanceStats, error) {
 		order := rt.ring.Order(k.String())
 		warmed := 1 // the primary already has it (it is where the hits happened)
 		for _, shard := range order[1:replicas] {
-			if _, da, _, err := rt.getPatch(rt.shards[shard], k, false); err != nil {
+			if tp, da, _, err := rt.getPatch(rt.shards[shard], k, false); err != nil {
 				st.Failed++
 			} else {
+				decodedPatches.Put(tp) // the warm-up was the point, not the patch
 				st.WarmDA += da
 				st.Replicated++
 				rt.mReplica.Inc()

@@ -61,7 +61,7 @@ func (rt *Router) Stream(r geom.Rect, e float64, resume int, w io.Writer) (*dm.R
 // arrived, so it runs while that rung is stitched, encoded and written.
 // The lookahead is one rung: more fan-outs in flight make the first rung's
 // own fetches wait behind them, and the first mesh arrives later. Every
-// return waits for the rung still in flight.
+// return waits for the rung still in flight and recycles its patches.
 func (rt *Router) StreamTraced(r geom.Rect, e float64, resume int, w io.Writer, tr *obs.Trace) (*dm.Result, StreamStats, error) {
 	band, snapped := rt.grid.SnapE(e)
 	st := StreamStats{SnappedE: snapped}
@@ -73,7 +73,7 @@ func (rt *Router) StreamTraced(r geom.Rect, e float64, resume int, w io.Writer, 
 	st.Batches = enc.NumBatches()
 	start := time.Now()
 	ahead, next := rt.launch(r, levels[0], tr), 1
-	defer func() { ahead.wait() }()
+	defer func() { ahead.wait(); ahead.release() }()
 	res, sent, err := enc.Run(w, tr, func(float64) (*dm.Result, error) {
 		f := ahead
 		ahead = nil

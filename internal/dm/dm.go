@@ -208,7 +208,7 @@ func (s *Store) assemble(recs []Node, need func(x, y float64) float64, lift bool
 		edges = sc.sortEdges(edges, n)
 	}
 	res.Edges = unpackEdges(edges, ids)
-	res.Triangles = sc.cliques(edges, ids)
+	res.Triangles = sc.cliques(make([]geom.Triangle, 0, 2*len(ids)), edges, ids) // a planar mesh has < 2V faces
 	return res
 }
 
@@ -241,22 +241,26 @@ func (l *lifter) rep(p int) int32 {
 	return r
 }
 
-// scratch is the working memory of one assemble or one fetched: every
-// buffer either needs that the Result and the record set do not keep. It
-// comes from scratchPool and goes back when the call returns, holding no
-// pointer into a record set (merge is cleared first). A coherent session
-// keeps none of its own — 64 cameras would hold ≈ 300 KB each between
-// frames for what the pool lends for the length of a call.
+// scratch is the working memory of one assemble, fetched, MaterializeTile
+// or StitchTiles call: every buffer each needs that the Result, the record
+// set or the patch does not keep. It comes from scratchPool and goes back
+// when the call returns, holding no pointer into a record set (merge is
+// cleared first). A coherent session keeps none of its own — 64 cameras
+// would hold ≈ 300 KB each between frames for what the pool lends for the
+// length of a call.
 type scratch struct {
-	reps  []int32  // assemble's live representatives, per record
-	fids  []int64  // assemble's record IDs, indexed by slots
-	ids   []int64  // assemble's cut, ascending
-	slots []int32  // indexIDs' table
-	pairs []uint64 // assemble's raw, possibly lifted, pairs
-	edges []uint64 // sortEdges' output
-	off   []int    // sortEdges' and cliques' run offsets
-	keys  []uint64 // fetched's sort keys over the arrivals
-	merge []Node   // fetched's arrivals, gathered in ID order
+	reps  []int32         // assemble's live representatives, per record
+	fids  []int64         // assemble's record IDs, indexed by slots
+	ids   []int64         // assemble's cut and the stitch's vertex list, ascending
+	cur   []int           // the stitch's merge cursors, one per tile
+	slots []int32         // indexIDs' table
+	where []int32         // MaterializeTile's lookup of every candidate pair
+	pairs []uint64        // raw pairs: assemble's, possibly lifted, the stitch's and MaterializeTile's
+	edges []uint64        // sortEdges' output
+	off   []int           // sortEdges' and cliques' run offsets
+	tris  []geom.Triangle // MaterializeTile's triangles, only counted
+	keys  []uint64        // fetched's sort keys over the arrivals
+	merge []Node          // fetched's arrivals, gathered in ID order
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -294,14 +298,11 @@ type idIndex struct {
 
 var idIndexSeed = rand.Uint64()
 
-// newIDIndex indexes ids, which must be strictly ascending. Positions are
-// held (here and in packed edges) as 32-bit halves, so len(ids) must not
-// exceed MaxInt32: callers fed by untrusted input check before calling,
-// and a store query cannot hold that many records in memory.
-func newIDIndex(ids []int64) idIndex { return new(scratch).indexIDs(ids) }
-
-// indexIDs is newIDIndex with the table in sc's memory: valid until sc
-// indexes again.
+// indexIDs indexes ids, which must be strictly ascending, with the table
+// in sc's memory: valid until sc indexes again. Positions are held (here
+// and in packed edges) as 32-bit halves, so len(ids) must not exceed
+// MaxInt32: callers fed by untrusted input check before calling, and a
+// store query cannot hold that many records in memory.
 func (sc *scratch) indexIDs(ids []int64) idIndex {
 	if len(ids) > math.MaxInt32 {
 		panic("dm: more than MaxInt32 live vertices in one mesh")
@@ -373,11 +374,8 @@ func edgeOffsets(edges []uint64, n int, off []int) []int {
 // sortEdges sorts packed edges over n vertices ascending and drops
 // duplicates, in O(len(edges) + n): a counting sort on the first endpoint
 // leaves each vertex's handful of forward neighbours contiguous, and those
-// short runs are sorted in place.
-func sortEdges(edges []uint64, n int) []uint64 { return new(scratch).sortEdges(edges, n) }
-
-// sortEdges is the package's sortEdges writing into sc's memory: the
-// result is valid until sc sorts again.
+// short runs are sorted in place. The result is in sc's memory, valid
+// until sc sorts again.
 func (sc *scratch) sortEdges(edges []uint64, n int) []uint64 {
 	off := edgeOffsets(edges, n, sc.off)
 	out := resize(sc.edges, len(edges))
@@ -407,15 +405,12 @@ func (sc *scratch) sortEdges(edges []uint64, n int) []uint64 {
 // ascending, over the ascending vertex list ids. The sorted edge list is
 // its own forward adjacency: the neighbours v > u of u are the run of
 // edges starting with u, so the triangles u < v < w on edge (u, v) are the
-// merge-intersection of the rest of u's run with v's run. Triangles come
-// out as ID triples in ascending (A, B, C) order.
-func cliques(edges []uint64, ids []int64) []geom.Triangle { return new(scratch).cliques(edges, ids) }
-
-// cliques is the package's cliques with its run offsets in sc's memory.
-func (sc *scratch) cliques(edges []uint64, ids []int64) []geom.Triangle {
+// merge-intersection of the rest of u's run with v's run. Triangles are
+// appended to tris as ID triples in ascending (A, B, C) order; the run
+// offsets live in sc's memory.
+func (sc *scratch) cliques(tris []geom.Triangle, edges []uint64, ids []int64) []geom.Triangle {
 	off := edgeOffsets(edges, len(ids), sc.off)
 	sc.off = off
-	tris := make([]geom.Triangle, 0, 2*len(ids)) // a planar mesh has < 2V faces
 	for i, e := range edges {
 		u, v := e>>32, uint64(uint32(e))
 		us, vs := edges[i+1:off[u+1]], edges[off[v]:off[v+1]]

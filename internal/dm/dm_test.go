@@ -566,11 +566,12 @@ func TestCliques(t *testing.T) {
 			pack([2]int{0, 1}, [2]int{0, 2}, [2]int{0, 4}, [2]int{1, 2}, [2]int{1, 4}, [2]int{2, 4}),
 			[]geom.Triangle{tri(10, 20, 30), tri(10, 20, 55), tri(10, 30, 55), tri(20, 30, 55)}},
 	} {
-		sorted := sortEdges(tc.edges, len(ids))
+		sc := new(scratch)
+		sorted := sc.sortEdges(tc.edges, len(ids))
 		if !slices.IsSorted(sorted) || len(slices.Compact(slices.Clone(sorted))) != len(sorted) {
 			t.Fatalf("%s: sortEdges left %x", tc.name, sorted)
 		}
-		if got := cliques(sorted, ids); !slices.Equal(got, tc.want) {
+		if got := sc.cliques(nil, sorted, ids); !slices.Equal(got, tc.want) {
 			t.Errorf("%s: cliques = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -588,7 +589,7 @@ func TestIDIndex(t *testing.T) {
 		if n > 2 {
 			ids[n-2], ids[n-1] = math.MaxInt64-1, math.MaxInt64
 		}
-		idx := newIDIndex(ids)
+		idx := new(scratch).indexIDs(ids)
 		if len(idx.slots) < 2*n || len(idx.slots) > 4*n+2 {
 			t.Fatalf("%d IDs: %d slots", n, len(idx.slots))
 		}

@@ -110,12 +110,13 @@ func connOf(tp *TilePatch) (n int) {
 // trianglesOf counts the 3-cliques of a patch's intra-tile edges: the
 // triangles a patch held and DMTP v2 shipped, which Bytes still charges.
 func trianglesOf(tp *TilePatch) int {
-	idx := newIDIndex(tp.ids)
+	sc := new(scratch)
+	idx := sc.indexIDs(tp.ids)
 	var packed []uint64
 	for _, pr := range pairsOf(tp.edges) {
 		packed = append(packed, packEdge(idx.lookup(pr[0]), idx.lookup(pr[1])))
 	}
-	return len(cliques(packed, tp.ids))
+	return len(sc.cliques(nil, packed, tp.ids))
 }
 
 // TestMaterializedPatchHoldsNoSlack: a patch the cache may keep for hours

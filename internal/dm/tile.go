@@ -143,7 +143,10 @@ func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 		conn += len(live[i].Conn)
 	}
 	tp := &TilePatch{Rect: r, E: e, Nodes: live, FetchedRecords: nf, ids: ids, pos: pos}
-	idx := newIDIndex(ids)
+	// Everything but the patch itself is pooled scratch.
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	idx := sc.indexIDs(ids)
 	// A pair's far end is another node of the tile (an edge, counted from
 	// its lower end), live at e elsewhere (an out-pair), or not live at e —
 	// which one bit of the rung's live set says before any lookup. Two
@@ -157,7 +160,7 @@ func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 	if alive != nil {
 		candidates = min(conn, 8*len(ids)) // a node has ~6 live neighbours
 	}
-	where := make([]int32, 0, candidates)
+	where := resize(sc.where, candidates)[:0]
 	var nEdges, nOut pairCount
 	for i := range live {
 		edges, out := 0, 0
@@ -181,8 +184,9 @@ func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 			nOut.runs, nOut.pairs = nOut.runs+1, nOut.pairs+out
 		}
 	}
+	sc.where = where
 	tp.edges, tp.outPairs = nEdges.alloc(), nOut.alloc()
-	packed := make([]uint64, 0, nEdges.pairs)
+	packed := resize(sc.pairs, nEdges.pairs)[:0]
 	k := 0
 	for i, id := range ids {
 		for _, c := range live[i].Conn {
@@ -199,8 +203,11 @@ func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 			}
 		}
 	}
-	// The charge still counts the intra-tile triangles: Bytes is frozen.
-	tp.charge = patchCharge(len(ids), conn, nEdges.pairs, len(cliques(packed, ids)), nOut.pairs+tp.dropped)
+	sc.pairs = packed
+	// The charge still counts the intra-tile triangles, enumerated into
+	// scratch only to be counted: Bytes is frozen.
+	sc.tris = sc.cliques(sc.tris[:0], packed, ids)
+	tp.charge = patchCharge(len(ids), conn, nEdges.pairs, len(sc.tris), nOut.pairs+tp.dropped)
 	return tp, nil
 }
 
@@ -220,6 +227,11 @@ func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 // tile carries none, since a triangle spanning two or three tiles would be
 // in no tile's set, and enumerating all of them costs less than telling
 // the two kinds apart.
+//
+// The working arrays — vertex list, merge cursors, ID index, raw and
+// sorted edges — come from scratchPool for the length of the call, so a
+// warm stitch allocates only the Result, which holds no tile's memory:
+// the tiles may be recycled as soon as it returns.
 func StitchTiles(r geom.Rect, e float64, tiles []*TilePatch) (*Result, error) {
 	return StitchTilesTraced(r, e, tiles, nil)
 }
@@ -249,10 +261,14 @@ func StitchTilesTraced(r geom.Rect, e float64, tiles []*TilePatch, tr *obs.Trace
 		return nil, fmt.Errorf("dm: stitch: %d vertices exceed the mesh index range", nVerts)
 	}
 
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+
 	// Pass 1: k-way merge of the ID lists, clipped to the true ROI.
 	res := &Result{Vertices: make(map[int64]geom.Point3, nVerts), Strips: len(tiles)}
-	ids := make([]int64, 0, nVerts)
-	cur := make([]int, len(tiles))
+	ids := resize(sc.ids, nVerts)[:0]
+	cur := resize(sc.cur, len(tiles))
+	clear(cur)
 	for {
 		next, from := int64(math.MaxInt64), -1
 		for t, tp := range tiles {
@@ -277,9 +293,11 @@ func StitchTilesTraced(r geom.Rect, e float64, tiles []*TilePatch, tr *obs.Trace
 		}
 	}
 
+	sc.ids, sc.cur = ids, cur
+
 	// Pass 2: every pair list against the merged vertex list.
-	idx := newIDIndex(ids)
-	edges := make([]uint64, 0, 4*len(ids))
+	idx := sc.indexIDs(ids)
+	edges := resize(sc.pairs, 4*len(ids))[:0]
 	for _, tp := range tiles {
 		edges = idx.resolve(edges, tp.edges)
 	}
@@ -287,12 +305,13 @@ func StitchTilesTraced(r geom.Rect, e float64, tiles []*TilePatch, tr *obs.Trace
 	for _, tp := range tiles {
 		edges = idx.resolve(edges, tp.outPairs)
 	}
-	edges = sortEdges(edges, len(ids))
+	sc.pairs = edges
+	edges = sc.sortEdges(edges, len(ids))
 	tr.End()
 
 	// Pass 3: the sorted edge list is the mesh.
 	res.Edges = unpackEdges(edges, ids)
-	res.Triangles = cliques(edges, ids)
+	res.Triangles = sc.cliques(make([]geom.Triangle, 0, 2*len(ids)), edges, ids) // a planar mesh has < 2V faces
 	return res, nil
 }
 

@@ -94,16 +94,21 @@ func (p pairRuns) appendWire(buf []byte) []byte {
 	return buf
 }
 
-// readRuns reads a run-coded pair list: one backing array for the far
-// endpoints, and the runs appended into room for maxRuns — what an honest
-// encoder needs, every head being a node of the tile. A body with more
-// grows the slice, each run having cost it three bytes or more.
-func readRuns(r *wire.Reader, section string, maxRuns int) pairRuns {
+// readRuns reads a run-coded pair list into p's arrays, reusing their
+// memory: the far endpoints in one backing array, and the runs appended
+// into room for maxRuns — what an honest encoder needs, every head being a
+// node of the tile. A body with more grows the slice, each run having cost
+// it three bytes or more.
+func readRuns(r *wire.Reader, section string, maxRuns int, p *pairRuns) {
 	n := r.Count(section, 1)
+	p.far = resize(p.far, n)
+	p.runs = p.runs[:0]
 	if n == 0 {
-		return pairRuns{}
+		return
 	}
-	p := pairRuns{runs: make([]pairRun, 0, min(n, maxRuns)), far: make([]int64, n)}
+	if cap(p.runs) < min(n, maxRuns) {
+		p.runs = make([]pairRun, 0, min(n, maxRuns))
+	}
 	a := int64(-1)
 	for i := 0; i < n && r.Err() == nil; {
 		a = r.Step(a, 1)
@@ -126,30 +131,46 @@ func readRuns(r *wire.Reader, section string, maxRuns int) pairRuns {
 		}
 		p.runs = append(p.runs, pairRun{a, end})
 	}
-	return p
 }
 
-// DecodeTilePatch parses a patch encoded by EncodeTilePatch. The decode
-// is panic-free on arbitrary input: corruption — a body of an earlier
-// version included — surfaces as an error wrapping wire.ErrCorrupt, and
-// any input that decodes re-encodes to the identical bytes.
+// DecodeTilePatch parses a patch encoded by EncodeTilePatch into a new
+// patch: DecodeTilePatchInto on a zero TilePatch.
+func DecodeTilePatch(b []byte) (*TilePatch, error) {
+	tp := new(TilePatch)
+	if err := DecodeTilePatchInto(b, tp); err != nil {
+		return nil, err
+	}
+	return tp, nil
+}
+
+// DecodeTilePatchInto parses a patch encoded by EncodeTilePatch into tp,
+// reusing tp's arrays: a patch recycled from an earlier decode is
+// overwritten whole — every field, Nodes and the census included — and
+// indistinguishable afterwards from one decoded fresh. The decode is
+// panic-free on arbitrary input: corruption — a body of an earlier version
+// included — surfaces as an error wrapping wire.ErrCorrupt (tp's contents
+// are then unspecified until it is decoded into again), and any input that
+// decodes re-encodes to the identical bytes.
 //
 // A decoded patch is stitch-ready, not re-materializable: it carries the
 // flat stitch surface (IDs, positions, pair runs) and no Nodes — no LOD
 // interval, tree links, MBR or connection list — which is all StitchTiles
 // and EncodeTilePatch read. It must not be used where a store-materialized
 // patch's records are expected. It copies everything it keeps out of b,
-// so b may be reused once it returns.
+// so b may be reused once it returns; the caller owns tp and decides when
+// its arrays may be decoded into again (a Result of StitchTiles holds none
+// of them).
 //
-// The sections are read straight into the patch's own arrays, a fixed
-// number of allocations whatever its size.
-func DecodeTilePatch(b []byte) (*TilePatch, error) {
+// The sections are read straight into the patch's own arrays: a fixed
+// number of allocations whatever its size, none once tp's arrays have held
+// a patch as large.
+func DecodeTilePatchInto(b []byte, tp *TilePatch) error {
 	r := wire.NewReader("dm: tile patch wire", b)
 	r.Magic(tileWireMagic)
 	if v := r.Uvarint(); v != tileWireVersion {
 		r.Corruptf("unsupported version %d", v)
 	}
-	tp := &TilePatch{}
+	*tp = TilePatch{ids: tp.ids, pos: tp.pos, edges: tp.edges, outPairs: tp.outPairs}
 	tp.Rect.MinX, tp.Rect.MinY = r.F64(), r.F64()
 	tp.Rect.MaxX, tp.Rect.MaxY = r.F64(), r.F64()
 	tp.E = r.F64()
@@ -160,8 +181,7 @@ func DecodeTilePatch(b []byte) (*TilePatch, error) {
 	}
 
 	nNodes := r.Count("nodes", 1+3*8)
-	tp.ids = make([]int64, nNodes)
-	tp.pos = make([]geom.Point3, nNodes)
+	tp.ids, tp.pos = resize(tp.ids, nNodes), resize(tp.pos, nNodes)
 	id := int64(-1)
 	for i := 0; i < nNodes && r.Err() == nil; i++ {
 		id = r.Step(id, 1)
@@ -169,11 +189,11 @@ func DecodeTilePatch(b []byte) (*TilePatch, error) {
 		tp.pos[i] = geom.Point3{X: r.F64(), Y: r.F64(), Z: r.F64()}
 	}
 
-	tp.edges = readRuns(&r, "edges", nNodes)
-	tp.outPairs = readRuns(&r, "out-pairs", nNodes)
+	readRuns(&r, "edges", nNodes, &tp.edges)
+	readRuns(&r, "out-pairs", nNodes, &tp.outPairs)
 	if err := r.Done(); err != nil {
-		return nil, err
+		return err
 	}
 	tp.charge = patchCharge(nNodes, 0, len(tp.edges.far), 0, len(tp.outPairs.far))
-	return tp, nil
+	return nil
 }

@@ -20,6 +20,9 @@ import (
 // rejection must wrap wire.ErrCorrupt so the router's failover classifies it
 // as a failed attempt, and the decode is canonical: whatever decodes
 // re-encodes to the identical bytes, so byte equality is value equality.
+// Every input is also decoded into a patch an earlier, larger real body has
+// dirtied, as the router recycles them: the outcome must be the fresh
+// decode's — the same error or none, and then the same patch.
 //
 // The seed corpus is a real encoded patch cut at every byte offset, so
 // the fuzzer starts at every field boundary of the format (header,
@@ -44,9 +47,19 @@ func FuzzTilePatchDecode(f *testing.F) {
 	}
 	f.Add(v1PatchBody())
 	f.Add(v2PatchBody(f))
+	big, err := s.MaterializeTile(fullRect(), eAtPercentile(ds, 0.5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	bigBody := EncodeTilePatch(big)
+	reused := new(TilePatch)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeTilePatch(data)
+		if err := DecodeTilePatchInto(bigBody, reused); err != nil {
+			t.Fatal(err)
+		}
+		requireSameDecode(t, reused, DecodeTilePatchInto(data, reused), got, err)
 		if err != nil {
 			if !errors.Is(err, wire.ErrCorrupt) {
 				t.Fatalf("error %v does not wrap wire.ErrCorrupt", err)
@@ -57,6 +70,32 @@ func FuzzTilePatchDecode(f *testing.F) {
 			t.Fatalf("decoded input re-encodes to different bytes:\n in  %x\n out %x", data, re)
 		}
 	})
+}
+
+// requireSameDecode fails unless decoding into the recycled patch reused
+// (with error err) came out as the fresh decode want (with error wantErr):
+// the same error or none, and then a patch that reads the same through
+// every accessor and re-encodes to the same bytes (header included).
+func requireSameDecode(t *testing.T, reused *TilePatch, err error, want *TilePatch, wantErr error) {
+	t.Helper()
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("decode into a recycled patch: error %v, fresh decode: %v", err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	gk, gd := reused.OutPairs()
+	wk, wd := want.OutPairs()
+	switch {
+	case reused.Nodes != nil:
+		t.Fatalf("recycled patch kept %d records", len(reused.Nodes))
+	case reused.NumNodes() != want.NumNodes() || gk != wk || gd != wd || reused.Bytes() != want.Bytes():
+		t.Fatalf("recycled patch: %d nodes, out-pairs %d/%d, %d bytes; fresh: %d, %d/%d, %d",
+			reused.NumNodes(), gk, gd, reused.Bytes(), want.NumNodes(), wk, wd, want.Bytes())
+	}
+	if got, fresh := EncodeTilePatch(reused), EncodeTilePatch(want); !bytes.Equal(got, fresh) {
+		t.Fatalf("recycled patch re-encodes to different bytes:\n got   %x\n fresh %x", got, fresh)
+	}
 }
 
 // patchBody assembles a DMTP body from a header and raw section bytes.

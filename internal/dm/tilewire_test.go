@@ -128,6 +128,38 @@ func TestStitchDecodedTiles(t *testing.T) {
 	}
 }
 
+// TestDecodeIntoRecycledPatch: a patch decoded into again and again — a
+// 65² body after a 9² one and the reverse, a corrupt body between them,
+// a store-materialized patch's records and census underneath — comes out
+// each time exactly as a fresh decode of the same bytes.
+func TestDecodeIntoRecycledPatch(t *testing.T) {
+	var bodies [][]byte
+	var resident []*TilePatch
+	for _, size := range []int{9, 65} {
+		ds, _ := buildDataset(t, size, "highland")
+		tp, err := newTestStore(t, ds).MaterializeTile(fullRect(), eAtPercentile(ds, 0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies, resident = append(bodies, EncodeTilePatch(tp)), append(resident, tp)
+	}
+	corrupt := bodies[1][:len(bodies[1])/2]
+	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+		src := resident[order[1]]
+		if _, dropped := src.OutPairs(); dropped == 0 || src.Nodes == nil {
+			t.Fatalf("%d-node patch: %d records, %d out-pairs dropped: not dirty enough", src.NumNodes(), len(src.Nodes), dropped)
+		}
+		clone := func(p pairRuns) pairRuns { return pairRuns{slices.Clone(p.runs), slices.Clone(p.far)} }
+		reused := &TilePatch{Rect: src.Rect, E: src.E, Nodes: slices.Clone(src.Nodes), ids: slices.Clone(src.ids),
+			pos: slices.Clone(src.pos), edges: clone(src.edges), outPairs: clone(src.outPairs),
+			dropped: src.dropped, charge: src.charge, FetchedRecords: src.FetchedRecords}
+		for _, b := range [][]byte{bodies[order[0]], corrupt, bodies[order[1]]} {
+			want, wantErr := DecodeTilePatch(b)
+			requireSameDecode(t, reused, DecodeTilePatchInto(b, reused), want, wantErr)
+		}
+	}
+}
+
 // TestTilePatchWireCorruption: the DMTP-specific violations — wrong magic
 // or version, a count the body cannot hold, every non-canonical spelling,
 // a v1 or v2 body — fail with wire.ErrCorrupt. (Truncation, trailing bytes and

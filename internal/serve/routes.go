@@ -332,7 +332,7 @@ func (s *Server) parseStream(q url.Values, traced bool) (func(*answer) error, er
 		return nil, err
 	}
 	band, _ := s.cache.Grid().SnapE(s.terrain.LODPercentile(pcts[0]))
-	enc, err := stream.Plan(roi, s.cache.Grid().Ladder(), band, resume)
+	enc, err := stream.Plan(roi, s.ladder, band, resume)
 	if err != nil {
 		return nil, err
 	}

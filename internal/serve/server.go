@@ -87,6 +87,7 @@ type Server struct {
 	store   *dmesh.DMStore
 	model   *dmesh.CostModel
 	cache   *dmesh.DMTileCache
+	ladder  []float64 // cache.Grid().Ladder(), held once: the accessor copies
 
 	inflight atomic.Int64
 
@@ -151,6 +152,7 @@ func New(cfg Config) (*Server, error) {
 	reg := obs.NewRegistry()
 	s := &Server{
 		terrain: cfg.Terrain, store: store, model: model, cache: cache,
+		ladder:        cache.Grid().Ladder(),
 		cameras:       make(map[string]*camera),
 		reg:           reg,
 		slow:          obs.NewSlowLog(slowLogSize, cfg.SlowThreshold),

@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"testing"
 
@@ -123,9 +124,12 @@ func BenchmarkStreamDecode(b *testing.B) {
 // several times the small one's elements and must fit the same constant
 // (8 and 12 per batch measured, about 15 and 17 under the race detector,
 // whose build heap-allocates what escape analysis otherwise keeps on the
-// stack; one allocation per element would be hundreds).
+// stack; one allocation per element would be hundreds). A warm Run, which
+// borrows its buffers for the stream and writes every frame from one of
+// them, allocates a bounded number of times per stream — the encoder and
+// its header — however many batches it has.
 func TestCodecAllocationsBounded(t *testing.T) {
-	const perBatch = 24
+	const perBatch, perRun = 24, 4
 	sets := benchFixture(t)
 	small, large := sets[0].meshes[5], sets[1].meshes[5]
 	if len(large.Triangles) < 4*len(small.Triangles) || len(small.Triangles) < 100 {
@@ -155,7 +159,23 @@ func TestCodecAllocationsBounded(t *testing.T) {
 		if got := dec / n; got > perBatch {
 			t.Errorf("ROI %d: Next allocates %.1f times per batch, bound %d", i, got, perBatch)
 		}
-		t.Logf("ROI %d (%d triangles at the target): %.1f allocations per EncodeNext, %.1f per Next",
-			i, len(rs.meshes[len(rs.meshes)-1].Triangles), (enc-5)/n, dec/n)
+		run := testing.AllocsPerRun(10, func() {
+			e, err := stream.NewEncoder(rs.roi, rs.levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rung := 0
+			if _, _, err := e.Run(io.Discard, nil, func(float64) (*dm.Result, error) {
+				rung++
+				return rs.meshes[rung-1], nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if run > perRun && !raceEnabled {
+			t.Errorf("ROI %d: a warm Run allocates %.1f times per stream, bound %d", i, run, perRun)
+		}
+		t.Logf("ROI %d (%d triangles at the target): %.1f allocations per EncodeNext, %.1f per Next, %.1f per Run",
+			i, len(rs.meshes[len(rs.meshes)-1].Triangles), (enc-5)/n, dec/n, run)
 	}
 }

@@ -54,6 +54,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 
 	"dmesh/internal/dm"
 	"dmesh/internal/geom"
@@ -101,18 +102,32 @@ type Encoder struct {
 	idx    int
 	resume int // last batch the client already holds; Run skips through it
 
-	// prev is the last rung encoded: ids and pos in the encoder's own
-	// buffers, edges and tris borrowed from that rung's Result. spare holds
-	// the ids/pos buffers of the rung before it, which the next one reuses.
+	// b is the encoder's working memory: borrowed from encoderBuffers for
+	// the length of a Run, made by the first EncodeNext otherwise.
+	b *buffers
+}
+
+// buffers is what an encoder works in across batches, so that
+// steady-state encoding allocates nothing per element.
+type buffers struct {
+	// prev is the last rung encoded: ids and pos in these buffers, edges
+	// and tris borrowed from that rung's Result. spare holds the ids/pos
+	// buffers of the rung before it, which the next one reuses.
 	prev, spare mesh
-	// Scratch the batches share, so that steady-state encoding allocates
-	// the returned frame and nothing per element.
+	// Scratch the batches share.
 	remIDs             []int64
 	addVerts           []int // positions in the new rung's ids
 	remEdges, addEdges [][2]int64
 	remTris, addTris   []geom.Triangle
 	payload            []byte
+	frame              []byte // length prefix + payload
 }
+
+// encoderBuffers lends Run its buffers: a stream's batch state dies with
+// the stream, so nothing is kept per encoder between streams. A set goes
+// back on every return of Run, holding no Result's slices, as large as the
+// largest mesh it has encoded, until two GC cycles pass without its use.
+var encoderBuffers = sync.Pool{New: func() any { return new(buffers) }}
 
 // NewEncoder prepares an encoder for a stream of len(levels) batches.
 // levels must be strictly descending (coarse to fine); the last one is
@@ -181,6 +196,10 @@ type Sent struct {
 func (e *Encoder) Run(w io.Writer, tr *obs.Trace, query func(level float64) (*dm.Result, error)) (*dm.Result, Sent, error) {
 	tr.Begin(obs.PhaseQuery)
 	defer tr.End()
+	if e.b == nil {
+		e.b = encoderBuffers.Get().(*buffers)
+		defer e.returnBuffers()
+	}
 	hdr := e.Header()
 	sent := Sent{BytesToFirst: len(hdr), BytesToExact: len(hdr)}
 	n, err := w.Write(hdr)
@@ -202,7 +221,7 @@ func (e *Encoder) Run(w io.Writer, tr *obs.Trace, query func(level float64) (*dm
 		if replay {
 			continue
 		}
-		n, err := w.Write(frame)
+		n, err := w.Write(frame) // an io.Writer keeps no reference to frame
 		sent.Bytes += n
 		if err != nil {
 			return nil, sent, err
@@ -212,8 +231,22 @@ func (e *Encoder) Run(w io.Writer, tr *obs.Trace, query func(level float64) (*dm
 	return res, sent, nil
 }
 
+// returnBuffers hands Run's buffers back to encoderBuffers, emptied for
+// the next stream's first batch (which diffs against the empty mesh) and
+// without the last rung's Result slices.
+func (e *Encoder) returnBuffers() {
+	b := e.b
+	e.b = nil
+	b.prev = mesh{ids: b.prev.ids[:0], pos: b.prev.pos[:0]}
+	b.spare = mesh{ids: b.spare.ids[:0], pos: b.spare.pos[:0]}
+	encoderBuffers.Put(b)
+}
+
 // rung answers and encodes one level, inside a replay span when the
-// frame will not be transmitted.
+// frame will not be transmitted. The encode sits in a PhaseStreamEncode
+// span — pure CPU, so the span carries wall time and zero DA, keeping a
+// traced stream's encode cost visible next to the rung queries that feed
+// it. The frame is e's, valid until the next batch.
 func (e *Encoder) rung(level float64, replay bool, tr *obs.Trace, query func(float64) (*dm.Result, error)) (*dm.Result, []byte, error) {
 	if replay {
 		tr.Begin(obs.PhaseStreamReplay)
@@ -223,8 +256,13 @@ func (e *Encoder) rung(level float64, replay bool, tr *obs.Trace, query func(flo
 	if err != nil {
 		return nil, nil, err
 	}
-	frame, err := e.EncodeNextTraced(res, tr)
-	return res, frame, err
+	tr.Begin(obs.PhaseStreamEncode)
+	defer tr.End()
+	if err := e.encode(res); err != nil {
+		return nil, nil, err
+	}
+	e.b.frame = e.b.appendFrame(e.b.frame[:0])
+	return res, e.b.frame, nil
 }
 
 // NumBatches returns the stream's batch count.
@@ -256,39 +294,47 @@ func (e *Encoder) Header() []byte {
 // diffs against: the caller must leave both slices unmodified until the
 // next EncodeNext on this encoder has returned (or the encoder is dropped).
 func (e *Encoder) EncodeNext(res *dm.Result) ([]byte, error) {
-	if e.idx >= len(e.levels) {
-		return nil, fmt.Errorf("stream: EncodeNext past the %d scheduled batches", len(e.levels))
+	if e.b == nil {
+		e.b = new(buffers)
 	}
-	next, err := e.flatten(res)
-	if err != nil {
+	if err := e.encode(res); err != nil {
 		return nil, err
 	}
-	if err := e.encodeBatch(next); err != nil {
-		return nil, err
-	}
-	e.prev, e.spare = next, mesh{ids: e.prev.ids, pos: e.prev.pos}
-	e.idx++
-	n := uint64(len(e.payload))
-	frame := make([]byte, 0, wire.UvarintLen(n)+len(e.payload))
-	return append(wire.AppendUvarint(frame, n), e.payload...), nil
+	return e.b.appendFrame(nil), nil
 }
 
-// EncodeNextTraced is EncodeNext inside a PhaseStreamEncode span on tr
-// (which may be nil) — pure CPU, so the span carries wall time and zero
-// DA, keeping a traced stream's encode cost visible next to the rung
-// queries that feed it.
-func (e *Encoder) EncodeNextTraced(res *dm.Result, tr *obs.Trace) ([]byte, error) {
-	tr.Begin(obs.PhaseStreamEncode)
-	defer tr.End()
-	return e.EncodeNext(res)
+// encode is EncodeNext leaving the batch's payload in e's buffers.
+func (e *Encoder) encode(res *dm.Result) error {
+	if e.idx >= len(e.levels) {
+		return fmt.Errorf("stream: EncodeNext past the %d scheduled batches", len(e.levels))
+	}
+	b := e.b
+	next, err := b.flatten(res)
+	if err != nil {
+		return err
+	}
+	if err := b.encodeBatch(next, e.idx, e.levels[e.idx]); err != nil {
+		return err
+	}
+	b.prev, b.spare = next, mesh{ids: b.prev.ids, pos: b.prev.pos}
+	e.idx++
+	return nil
+}
+
+// appendFrame appends the last encoded batch's frame — length prefix and
+// payload — to dst, growing it at most once.
+func (b *buffers) appendFrame(dst []byte) []byte {
+	n := uint64(len(b.payload))
+	dst = slices.Grow(dst, wire.UvarintLen(n)+len(b.payload))
+	return append(wire.AppendUvarint(dst, n), b.payload...)
 }
 
 // flatten checks a rung's answer against the shape dm.Result documents
 // and returns it as flat state: the vertex IDs sorted into the spare
 // buffers (a map has no order to rely on), edges and triangles as they
 // are.
-func (e *Encoder) flatten(res *dm.Result) (mesh, error) {
-	ids := slices.Grow(e.spare.ids[:0], len(res.Vertices))
+func (b *buffers) flatten(res *dm.Result) (mesh, error) {
+	ids := slices.Grow(b.spare.ids[:0], len(res.Vertices))
 	for id := range res.Vertices {
 		ids = append(ids, id)
 	}
@@ -296,7 +342,7 @@ func (e *Encoder) flatten(res *dm.Result) (mesh, error) {
 	if len(ids) > 0 && ids[0] < 0 {
 		return mesh{}, fmt.Errorf("stream: negative vertex ID %d", ids[0])
 	}
-	pos := slices.Grow(e.spare.pos[:0], len(ids))
+	pos := slices.Grow(b.spare.pos[:0], len(ids))
 	for _, id := range ids {
 		pos = append(pos, res.Vertices[id])
 	}
@@ -323,22 +369,22 @@ func (e *Encoder) flatten(res *dm.Result) (mesh, error) {
 	return mesh{ids: ids, pos: pos, edges: res.Edges, tris: res.Triangles}, nil
 }
 
-// encodeBatch serializes the e.prev -> next delta as one frame payload
-// into e.payload.
-func (e *Encoder) encodeBatch(next mesh) error {
-	prev := e.prev
+// encodeBatch serializes the b.prev -> next delta as batch idx at level
+// as one frame payload into b.payload.
+func (b *buffers) encodeBatch(next mesh, idx int, level float64) error {
+	prev := b.prev
 	// The vertex diff carries positions, so it is spelled out: removed IDs,
 	// added vertices as positions in next, and the moved check on the rest.
-	e.remIDs = slices.Grow(e.remIDs[:0], len(prev.ids))
-	e.addVerts = slices.Grow(e.addVerts[:0], len(next.ids))
+	b.remIDs = slices.Grow(b.remIDs[:0], len(prev.ids))
+	b.addVerts = slices.Grow(b.addVerts[:0], len(next.ids))
 	i, j := 0, 0
 	for i < len(prev.ids) || j < len(next.ids) {
 		switch {
 		case j == len(next.ids) || i < len(prev.ids) && prev.ids[i] < next.ids[j]:
-			e.remIDs = append(e.remIDs, prev.ids[i])
+			b.remIDs = append(b.remIDs, prev.ids[i])
 			i++
 		case i == len(prev.ids) || next.ids[j] < prev.ids[i]:
-			e.addVerts = append(e.addVerts, j)
+			b.addVerts = append(b.addVerts, j)
 			j++
 		default:
 			// A refinement only splits vertices; the codec has no "move"
@@ -352,22 +398,22 @@ func (e *Encoder) encodeBatch(next mesh) error {
 			j++
 		}
 	}
-	e.remEdges, e.addEdges = diff(e.remEdges[:0], e.addEdges[:0], prev.edges, next.edges, dm.CompareEdges)
-	e.remTris, e.addTris = diff(e.remTris[:0], e.addTris[:0], prev.tris, next.tris, dm.CompareTriangles)
+	b.remEdges, b.addEdges = diff(b.remEdges[:0], b.addEdges[:0], prev.edges, next.edges, dm.CompareEdges)
+	b.remTris, b.addTris = diff(b.remTris[:0], b.addTris[:0], prev.tris, next.tris, dm.CompareTriangles)
 
 	// Room for three-byte ID deltas and raw coordinates; longer spellings
 	// grow the buffer like any append.
-	buf := slices.Grow(e.payload[:0], 16+len(e.remIDs)*3+len(e.addVerts)*28+
-		(len(e.remEdges)+len(e.addEdges))*6+(len(e.remTris)+len(e.addTris))*9)
-	buf = wire.AppendUvarint(buf, uint64(e.idx))
-	buf = wire.AppendF64(buf, e.levels[e.idx])
-	buf = appendTriangleSet(buf, e.remTris)
-	buf = appendPairSet(buf, e.remEdges)
-	buf = appendIDSet(buf, e.remIDs)
+	buf := slices.Grow(b.payload[:0], 16+len(b.remIDs)*3+len(b.addVerts)*28+
+		(len(b.remEdges)+len(b.addEdges))*6+(len(b.remTris)+len(b.addTris))*9)
+	buf = wire.AppendUvarint(buf, uint64(idx))
+	buf = wire.AppendF64(buf, level)
+	buf = appendTriangleSet(buf, b.remTris)
+	buf = appendPairSet(buf, b.remEdges)
+	buf = appendIDSet(buf, b.remIDs)
 
-	buf = wire.AppendUvarint(buf, uint64(len(e.addVerts)))
+	buf = wire.AppendUvarint(buf, uint64(len(b.addVerts)))
 	prevID := int64(0)
-	for _, k := range e.addVerts {
+	for _, k := range b.addVerts {
 		id, p := next.ids[k], next.pos[k]
 		buf = wire.AppendUvarint(buf, uint64(id-prevID))
 		prevID = id
@@ -389,8 +435,8 @@ func (e *Encoder) encodeBatch(next mesh) error {
 		}
 	}
 
-	buf = appendPairSet(buf, e.addEdges)
-	e.payload = appendTriangleSet(buf, e.addTris)
+	buf = appendPairSet(buf, b.addEdges)
+	b.payload = appendTriangleSet(buf, b.addTris)
 	return nil
 }
 
