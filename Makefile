@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt build vet test race fuzzsmoke bench benchsmoke benchrepo figures
+.PHONY: verify fmt build vet test race fuzzsmoke bench benchsmoke benchrepo figures loc
 
 # The CI gate: formatting, build, vet, the whole test suite under the
 # race detector (no test in the repo is short-mode gated: `grep -rn
@@ -94,3 +94,11 @@ benchrepo:
 # Full-scale figure reproduction (several minutes); output under results/.
 figures:
 	$(GO) run ./cmd/dmbench -fig all
+
+# The three line totals ROADMAP.md and CHANGES.md quote: non-test Go
+# outside bench/, test Go outside bench/, and the Go under bench/. A
+# report, not a gate.
+loc:
+	@printf 'non-test Go outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@printf 'test Go outside bench/:     '; find . -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@printf 'bench/:                     '; find ./bench -name '*.go' | xargs cat | wc -l

@@ -7,7 +7,6 @@ import (
 	"dmesh/internal/costmodel"
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
-	"dmesh/internal/rtree"
 )
 
 var errFrameNeedsModel = errors.New("dm: FrameMultiBase requires a cost model")
@@ -143,7 +142,7 @@ func (c *CoherentSession) frame(qp geom.QueryPlane, target []geom.Box) (*Result,
 	var frags []geom.Box
 	if !full {
 		tr.Begin(obs.PhasePlan)
-		frags = rtree.DeltaBoxes(target, c.cover)
+		frags = geom.Difference(target, c.cover)
 		st.Fragments = len(frags)
 		if c.model != nil {
 			useDelta, fullDA, deltaDA := c.model.DeltaDecision(target, frags)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"dmesh/internal/geom"
-	"dmesh/internal/rtree"
 	"dmesh/internal/storage/faultfs"
 	"dmesh/internal/storage/pager"
 )
@@ -308,7 +307,7 @@ func TestCoherentReconcileTies(t *testing.T) {
 			t.Fatal(err)
 		}
 		cover, target := []geom.Box{s.cube(c.from.R, emin, emax)}, []geom.Box{s.cube(c.to.R, emin, emax)}
-		frags := rtree.DeltaBoxes(target, cover)
+		frags := geom.Difference(target, cover)
 		if st.Full || st.Fragments != len(frags) {
 			t.Fatalf("%s: frame %+v, want a delta over %d fragments", c.name, st, len(frags))
 		}

@@ -13,7 +13,6 @@ import (
 	"unsafe"
 
 	"dmesh/internal/geom"
-	"dmesh/internal/rtree"
 	"dmesh/internal/storage/faultfs"
 	"dmesh/internal/storage/heapfile"
 	"dmesh/internal/storage/pager"
@@ -225,7 +224,7 @@ func TestRecordSetIsFlat(t *testing.T) {
 		t.Fatalf("frame is not the steady-state shape the test wants: %+v", st)
 	}
 	boxA, boxB := []geom.Box{s.cube(a.R, a.EMin, a.EMax)}, []geom.Box{s.cube(b.R, b.EMin, b.EMax)}
-	deltaA, deltaB := rtree.DeltaBoxes(boxA, boxB), rtree.DeltaBoxes(boxB, boxA)
+	deltaA, deltaB := geom.Difference(boxA, boxB), geom.Difference(boxB, boxA)
 	storage := storageAllocs(s, deltaA) + storageAllocs(s, deltaB)
 	if over := (got - storage) / 2; over >= float64(n)/4 {
 		t.Errorf("coherent frame over %d records allocates %.0f objects beyond the storage reads, want < %d", n, over, n/4)

@@ -201,15 +201,6 @@ func (b Box) Depth() float64 { return b.MaxE - b.MinE }
 // Volume returns the volume of b.
 func (b Box) Volume() float64 { return b.Width() * b.Height() * b.Depth() }
 
-// Margin returns the sum of b's edge lengths on the three axes, the
-// "margin" quantity minimized by the R*-tree split heuristic.
-func (b Box) Margin() float64 { return b.Width() + b.Height() + b.Depth() }
-
-// Center returns the center point of b, with Z holding the e coordinate.
-func (b Box) Center() Point3 {
-	return Point3{(b.MinX + b.MaxX) / 2, (b.MinY + b.MaxY) / 2, (b.MinE + b.MaxE) / 2}
-}
-
 // Intersects reports whether b and c share at least one point.
 func (b Box) Intersects(c Box) bool {
 	return b.MinX <= c.MaxX && c.MinX <= b.MaxX &&
@@ -254,12 +245,6 @@ func (b Box) OverlapVolume(c Box) float64 {
 		return 0
 	}
 	return i.Volume()
-}
-
-// EnlargementVolume returns how much b's volume grows when extended to
-// contain c.
-func (b Box) EnlargementVolume(c Box) float64 {
-	return b.Union(c).Volume() - b.Volume()
 }
 
 func (b Box) String() string {

@@ -87,12 +87,6 @@ func TestBoxBasics(t *testing.T) {
 	if b.Volume() != 24 {
 		t.Errorf("Volume = %g, want 24", b.Volume())
 	}
-	if b.Margin() != 9 {
-		t.Errorf("Margin = %g, want 9", b.Margin())
-	}
-	if got := b.Center(); got != (Point3{1, 1.5, 3}) {
-		t.Errorf("Center = %v", got)
-	}
 	if !b.ContainsPoint(2, 3, 5) {
 		t.Error("boundary point must be contained")
 	}
@@ -113,9 +107,6 @@ func TestBoxIntersectUnion(t *testing.T) {
 	u := a.Union(b)
 	if !u.Contains(a) || !u.Contains(b) {
 		t.Errorf("union must contain inputs: %v", u)
-	}
-	if got := a.EnlargementVolume(b); got != u.Volume()-a.Volume() {
-		t.Errorf("EnlargementVolume = %g", got)
 	}
 	c := Box{10, 10, 10, 11, 11, 11}
 	if a.Intersects(c) {

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -9,26 +10,33 @@ import (
 	"dmesh/internal/storage/pager"
 )
 
-// buildTree inserts n random boxes (fixed seed) and returns the tree.
+// buildCorruptibleTree bulk-loads n random boxes (fixed seed) and returns
+// the tree.
 func buildCorruptibleTree(t *testing.T, n int) *Tree {
 	t.Helper()
-	p := pager.New(pager.NewMemBackend(), 4096)
-	tr, err := Create(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := rand.New(rand.NewSource(11))
-	for i := 0; i < n; i++ {
+	items := make([]Item, n)
+	for i := range items {
 		x, y, e := r.Float64(), r.Float64(), r.Float64()
-		b := geom.Box{MinX: x, MinY: y, MinE: e, MaxX: x + 0.01, MaxY: y + 0.01, MaxE: e + 0.01}
-		if err := tr.Insert(b, int64(i)); err != nil {
-			t.Fatal(err)
-		}
+		items[i] = Item{Box: geom.Box{MinX: x, MinY: y, MinE: e, MaxX: x + 0.01, MaxY: y + 0.01, MaxE: e + 0.01}, Ref: int64(i)}
 	}
+	tr := newTree(t, 4096, items)
 	if tr.Height() < 2 {
 		t.Fatalf("tree too small to corrupt meaningfully (height %d)", tr.Height())
 	}
 	return tr
+}
+
+// rewriteNode encodes n over its page in place: how a test corrupts a node.
+func rewriteNode(t *testing.T, tr *Tree, n *node) {
+	t.Helper()
+	fr, err := tr.p.Get(n.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.encodeNode(fr.Data(), n)
+	fr.MarkDirty()
+	fr.Unpin()
 }
 
 func searchAll(tr *Tree) error {
@@ -58,23 +66,30 @@ func TestSearchCorruptTypeByte(t *testing.T) {
 	}
 }
 
+// An entry count no writer puts on a page is ErrCorrupt on every reader:
+// one that cannot fit the page, and MaxEntries+1, which fits (a page has
+// room for one entry more than a node holds) and would otherwise decode
+// the page's unused last slot as an entry.
 func TestSearchCorruptEntryCount(t *testing.T) {
-	tr := buildCorruptibleTree(t, 500)
-	root, err := tr.readNode(tr.root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	child := pager.PageID(root.entries[0].ref)
-	fr, err := tr.p.Get(child)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr.Data()[1] = 0xFF // count low byte
-	fr.Data()[2] = 0x7F // count high byte: 32767 entries cannot fit a page
-	fr.MarkDirty()
-	fr.Unpin()
-	if err := searchAll(tr); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Search over corrupt count = %v, want ErrCorrupt", err)
+	for _, cnt := range []uint16{0x7FFF, MaxEntries + 1} {
+		tr := buildCorruptibleTree(t, 500)
+		root, err := tr.readNode(tr.root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := tr.p.Get(pager.PageID(root.entries[0].ref))
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(fr.Data()[1:], cnt)
+		fr.MarkDirty()
+		fr.Unpin()
+		if err := searchAll(tr); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("count %d: Search = %v, want ErrCorrupt", cnt, err)
+		}
+		if err := tr.Nodes(func(NodeInfo) bool { return true }); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("count %d: Nodes = %v, want ErrCorrupt", cnt, err)
+		}
 	}
 }
 
@@ -87,67 +102,11 @@ func TestSearchCorruptChildCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.entries[0].ref = int64(tr.root)
-	if err := tr.writeNode(root); err != nil {
-		t.Fatal(err)
-	}
+	rewriteNode(t, tr, root)
 	if err := searchAll(tr); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Search over child cycle = %v, want ErrCorrupt", err)
 	}
 	if err := tr.Nodes(func(NodeInfo) bool { return true }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Nodes over child cycle = %v, want ErrCorrupt", err)
 	}
-}
-
-// A parent without an entry for its child — the inconsistency that used
-// to panic at parentEntryIndex — is reported as ErrCorrupt.
-func TestParentEntryIndexMismatch(t *testing.T) {
-	parent := &node{id: 7, entries: []entry{{ref: 3}, {ref: 4}}}
-	if _, err := parentEntryIndex(parent, 9); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("parentEntryIndex = %v, want ErrCorrupt", err)
-	}
-	i, err := parentEntryIndex(parent, 4)
-	if err != nil || i != 1 {
-		t.Fatalf("parentEntryIndex = (%d, %v), want (1, nil)", i, err)
-	}
-}
-
-// Insert into a tree whose parent/child entries were made inconsistent
-// must error out, not panic (the old behavior at rtree.go:298).
-func TestInsertOverCorruptParentChildErrors(t *testing.T) {
-	tr := buildCorruptibleTree(t, 900)
-	// Redirect the root's first child entry at a fresh page that no parent
-	// entry describes correctly, then force splits through it.
-	root, err := tr.readNode(tr.root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Swap the first child ref for the second child's page: now two entries
-	// point at one child and none at the other, so any split of the orphan
-	// or double-referenced child can hit a parent-entry mismatch. Whatever
-	// path the inserts take, they must never panic.
-	if len(root.entries) < 2 {
-		t.Skip("root too small")
-	}
-	root.entries[0].ref = root.entries[1].ref
-	if err := tr.writeNode(root); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("Insert panicked over corrupt structure: %v", r)
-		}
-	}()
-	r := rand.New(rand.NewSource(12))
-	for i := 0; i < 2000; i++ {
-		x, y, e := r.Float64(), r.Float64(), r.Float64()
-		b := geom.Box{MinX: x, MinY: y, MinE: e, MaxX: x + 0.01, MaxY: y + 0.01, MaxE: e + 0.01}
-		if err := tr.Insert(b, int64(10_000+i)); err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Insert error = %v, want ErrCorrupt", err)
-			}
-			return // reported cleanly
-		}
-	}
-	// The inserts may also all succeed (the corruption stays latent on the
-	// untouched path); surviving without a panic is the contract.
 }

@@ -28,19 +28,16 @@ func searchEach(t *testing.T, tr *Tree, boxes []geom.Box) []int64 {
 // TestDeltaBoxesInvariant checks the contract coherent queries rely
 // on: for random item sets and random target/cover volumes, every item
 // intersecting a target box is either found by searching the delta
-// fragments or intersects a cover box; and searching the fragments only
-// returns items that intersect a target box.
+// fragments (geom.Difference of target and cover) or intersects a cover
+// box; and searching the fragments only returns items that intersect a
+// target box.
 func TestDeltaBoxesInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	tr, _ := newTree(t, 64)
 	var items []Item
 	for i := 0; i < 400; i++ {
-		b := randBox(rng, 0.1)
-		items = append(items, Item{Box: b, Ref: int64(i)})
-		if err := tr.Insert(b, int64(i)); err != nil {
-			t.Fatal(err)
-		}
+		items = append(items, Item{Box: randBox(rng, 0.1), Ref: int64(i)})
 	}
+	tr := newTree(t, 64, items)
 	intersectsAny := func(b geom.Box, boxes []geom.Box) bool {
 		for _, q := range boxes {
 			if b.Intersects(q) {
@@ -53,7 +50,7 @@ func TestDeltaBoxesInvariant(t *testing.T) {
 		target := []geom.Box{randBox(rng, 0.5), randBox(rng, 0.5)}
 		cover := []geom.Box{randBox(rng, 0.5), randBox(rng, 0.4), randBox(rng, 0.3)}
 		found := make(map[int64]bool)
-		for _, ref := range searchEach(t, tr, DeltaBoxes(target, cover)) {
+		for _, ref := range searchEach(t, tr, geom.Difference(target, cover)) {
 			found[ref] = true
 		}
 		for _, it := range items {
@@ -76,21 +73,17 @@ func TestDeltaBoxesInvariant(t *testing.T) {
 // deduplication is needed), and the visit order is deterministic.
 func TestDeltaFragmentsUnionAndOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	tr, _ := newTree(t, 64)
 	var items []Item
 	for i := 0; i < 200; i++ {
-		it := Item{Box: randBox(rng, 0.2), Ref: int64(i)}
-		items = append(items, it)
-		if err := tr.Insert(it.Box, it.Ref); err != nil {
-			t.Fatal(err)
-		}
+		items = append(items, Item{Box: randBox(rng, 0.2), Ref: int64(i)})
 	}
+	tr := newTree(t, 64, items)
 	target := []geom.Box{
 		{MinX: 0, MinY: 0, MinE: 0, MaxX: 0.8, MaxY: 0.8, MaxE: 0.8},
 		{MinX: 0.1, MinY: 0.1, MinE: 0.1, MaxX: 0.9, MaxY: 0.9, MaxE: 0.9},
 	}
 	cover := []geom.Box{{MinX: 0.3, MinY: 0.3, MinE: 0.3, MaxX: 0.6, MaxY: 0.6, MaxE: 0.6}}
-	frags := DeltaBoxes(target, cover)
+	frags := geom.Difference(target, cover)
 	if len(frags) < 2 {
 		t.Fatalf("expected several fragments, got %d", len(frags))
 	}

@@ -16,22 +16,19 @@ import (
 //	bytes 3-7: reserved
 //	entries:   6 float64 box bounds + int64 ref = 56 bytes each
 //
-// Fanout: (4096-8)/56 = 73 entries per node, in line with the node sizes
-// R*-tree papers assume for 4 KiB pages.
+// A page has room for (4096-8)/56 = 73 entries; a node holds at most
+// MaxEntries of them, in line with the node sizes R*-tree papers assume for
+// 4 KiB pages.
 const (
 	nodeHeader = 8
 	entryBytes = 56
 	leafType   = 1
 	innerType  = 2
 
-	// MaxEntries keeps one slot spare so a node can temporarily hold
-	// MaxEntries+1 entries between insert and split/reinsert.
+	// MaxEntries is the fanout BulkLoad packs to, one below what a page
+	// holds. No node uses the last slot; the fanout stays 72 because every
+	// pinned figure's disk-access count was measured at it.
 	MaxEntries = (pager.PageSize-nodeHeader)/entryBytes - 1
-	// MinEntries is the R*-tree minimum fill (40% of capacity).
-	MinEntries = MaxEntries * 2 / 5
-	// reinsertCount is the number of entries re-inserted on first overflow
-	// (30% of capacity, the p parameter of Beckmann et al.).
-	reinsertCount = MaxEntries * 3 / 10
 )
 
 // entry is one slot of a node: a box plus either a child page ID (inner
@@ -64,7 +61,7 @@ func pageHeader(id pager.PageID, d []byte) (leaf bool, cnt int, err error) {
 		return false, 0, fmt.Errorf("%w: page %d is not a node (type %d)", ErrCorrupt, id, typ)
 	}
 	cnt = int(binary.LittleEndian.Uint16(d[1:]))
-	if cnt > MaxEntries+1 {
+	if cnt > MaxEntries {
 		return false, 0, fmt.Errorf("%w: page %d has impossible entry count %d", ErrCorrupt, id, cnt)
 	}
 	return typ == leafType, cnt, nil
@@ -90,18 +87,6 @@ func (t *Tree) readNode(id pager.PageID) (*node, error) {
 		off += entryBytes
 	}
 	return n, nil
-}
-
-// writeNode stores a node to its page.
-func (t *Tree) writeNode(n *node) error {
-	fr, err := t.p.Get(n.id)
-	if err != nil {
-		return fmt.Errorf("rtree: write node %d: %w", n.id, err)
-	}
-	defer fr.Unpin()
-	t.encodeNode(fr.Data(), n)
-	fr.MarkDirty()
-	return nil
 }
 
 // allocNode allocates a fresh page for n and assigns its ID.

@@ -1,16 +1,18 @@
-// Package rtree implements a disk-resident 3D R*-tree (Beckmann, Kriegel,
-// Schneider, Seeger; SIGMOD 1990) over (x, y, e) boxes — the index the
-// paper builds Direct Mesh on ("we use R*-tree in this paper"). It supports
-// dynamic insertion with forced reinsert and the R* split, Sort-Tile-
-// Recursive bulk loading, range queries, and node-geometry enumeration for
-// the disk-access cost model of Section 5.3.
+// Package rtree implements a disk-resident 3D R*-tree over (x, y, e) boxes,
+// the index the paper builds Direct Mesh on ("we use R*-tree in this
+// paper"). Every tree indexes a static terrain: BulkLoad writes it once,
+// Sort-Tile-Recursive packed, and from then on it is only read — range
+// queries, and node-geometry enumeration for the disk-access cost model of
+// Section 5.3. The R*-tree's insertion heuristics (Beckmann, Kriegel,
+// Schneider, Seeger; SIGMOD 1990: ChooseSubtree, forced reinsert and the
+// topological split) shape only trees built by insertion, so the package
+// has none.
 package rtree
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/storage/pager"
@@ -22,42 +24,20 @@ const (
 )
 
 // ErrCorrupt is the sentinel wrapped by every structural-inconsistency
-// error: a page that is not a valid node, an impossible entry count, a
-// parent/child mismatch, or a traversal deeper than the tree's height
-// (a child-pointer cycle). A corrupted index page — which checksummed
-// backends turn into a read error but plain backends deliver verbatim —
-// surfaces as an error wrapping ErrCorrupt on query paths, never a
-// panic or an endless descent.
+// error: a page that is not a valid node, an impossible entry count, or a
+// traversal deeper than the tree's height (a child-pointer cycle). A
+// corrupted index page — which checksummed backends turn into a read error
+// but plain backends deliver verbatim — surfaces as an error wrapping
+// ErrCorrupt on query paths, never a panic or an endless descent.
 var ErrCorrupt = errors.New("rtree: corrupt structure")
 
-// Tree is a paged 3D R*-tree. All node accesses go through the pager, so
-// the pager's Stats.Reads is the number of index disk accesses.
+// Tree is a paged, read-only 3D R*-tree. All node accesses go through the
+// pager, so the pager's Stats.Reads is the number of index disk accesses.
 type Tree struct {
 	p      *pager.Pager
 	root   pager.PageID
 	height int // 1 = root is a leaf
 	count  int64
-}
-
-// Create initializes an empty tree on an empty pager.
-func Create(p *pager.Pager) (*Tree, error) {
-	if p.NumPages() != 0 {
-		return nil, errors.New("rtree: Create requires an empty pager")
-	}
-	meta, err := p.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	defer meta.Unpin()
-	t := &Tree{p: p, height: 1}
-	root := &node{leaf: true}
-	if err := t.allocNode(root); err != nil {
-		return nil, err
-	}
-	t.root = root.id
-	t.writeMeta(meta.Data())
-	meta.MarkDirty()
-	return t, nil
 }
 
 // Open attaches to an existing tree.
@@ -86,20 +66,9 @@ func (t *Tree) writeMeta(d []byte) {
 	binary.LittleEndian.PutUint64(d[12:], uint64(t.count))
 }
 
-func (t *Tree) syncMeta() error {
-	meta, err := t.p.Get(metaPage)
-	if err != nil {
-		return err
-	}
-	t.writeMeta(meta.Data())
-	meta.MarkDirty()
-	meta.Unpin()
-	return nil
-}
-
 // On returns a read-only copy of the tree that reads through p, a view of
 // the tree's own pager (Pager.WithSession), so that its page accesses are
-// also attributed to the view's session. Do not Insert/Delete through it.
+// also attributed to the view's session.
 func (t *Tree) On(p *pager.Pager) Tree {
 	cp := *t
 	cp.p = p
@@ -225,309 +194,6 @@ func (t *Tree) search(s *searcher, id pager.PageID, depth, lo, hi int, hull geom
 	}
 	s.stack = s.stack[:base]
 	return true, nil
-}
-
-// Insert adds a data entry with the given box and reference.
-func (t *Tree) Insert(box geom.Box, ref int64) error {
-	if !box.Valid() {
-		return fmt.Errorf("rtree: invalid box %v", box)
-	}
-	// reinserted tracks the levels that already did a forced reinsert
-	// during this insertion (R* does it at most once per level).
-	reinserted := make(map[int]bool)
-	if err := t.insert(entry{box: box, ref: ref}, 1, reinserted); err != nil {
-		return err
-	}
-	t.count++
-	return t.syncMeta()
-}
-
-// insert places e at the given target level (1 = leaf). Levels count from
-// the leaves up, so data entries go to level 1 and a subtree of height h
-// reinserts at level h+1... The root is at level t.height.
-func (t *Tree) insert(e entry, level int, reinserted map[int]bool) error {
-	path, err := t.choosePath(e.box, level)
-	if err != nil {
-		return err
-	}
-	n := path[len(path)-1]
-	n.entries = append(n.entries, e)
-	return t.handleOverflow(path, reinserted)
-}
-
-// choosePath descends from the root to the node at the target level using
-// the R* ChooseSubtree criteria, returning the node chain.
-func (t *Tree) choosePath(box geom.Box, targetLevel int) ([]*node, error) {
-	var path []*node
-	id := t.root
-	for level := t.height; ; level-- {
-		n, err := t.readNode(id)
-		if err != nil {
-			return nil, err
-		}
-		path = append(path, n)
-		if level == targetLevel || n.leaf {
-			return path, nil
-		}
-		if level <= 1 {
-			// An inner node where a leaf belongs: descending further would
-			// never terminate.
-			return nil, fmt.Errorf("%w: inner node %d at leaf level", ErrCorrupt, n.id)
-		}
-		childLeaf := level-1 == 1
-		id = pager.PageID(n.entries[t.chooseSubtree(n, box, childLeaf)].ref)
-	}
-}
-
-// chooseSubtree picks the entry of n to descend into for box. When the
-// children are leaves, R* minimizes overlap enlargement; otherwise volume
-// enlargement. Ties break by volume enlargement, then volume, then entry
-// order (deterministic).
-func (t *Tree) chooseSubtree(n *node, box geom.Box, childrenAreLeaves bool) int {
-	best := 0
-	bestOverlap := 0.0
-	bestEnlarge := 0.0
-	bestVol := 0.0
-	for i, e := range n.entries {
-		enlarged := e.box.Union(box)
-		enlarge := enlarged.Volume() - e.box.Volume()
-		vol := e.box.Volume()
-		overlap := 0.0
-		if childrenAreLeaves {
-			// Overlap enlargement of entry i against its siblings.
-			for j, s := range n.entries {
-				if j == i {
-					continue
-				}
-				overlap += enlarged.OverlapVolume(s.box) - e.box.OverlapVolume(s.box)
-			}
-		}
-		better := false
-		if i == 0 {
-			better = true
-		} else if childrenAreLeaves && overlap != bestOverlap {
-			better = overlap < bestOverlap
-		} else if enlarge != bestEnlarge {
-			better = enlarge < bestEnlarge
-		} else if vol != bestVol {
-			better = vol < bestVol
-		}
-		if better {
-			best, bestOverlap, bestEnlarge, bestVol = i, overlap, enlarge, vol
-		}
-	}
-	return best
-}
-
-// handleOverflow writes back the modified tail node of path, splitting or
-// force-reinserting as needed, and propagates MBR updates and splits
-// upward.
-func (t *Tree) handleOverflow(path []*node, reinserted map[int]bool) error {
-	for i := len(path) - 1; i >= 0; i-- {
-		n := path[i]
-		level := t.height - i
-		if len(n.entries) <= MaxEntries {
-			if err := t.writeNode(n); err != nil {
-				return err
-			}
-			if err := t.adjustParentBox(path, i); err != nil {
-				return err
-			}
-			continue
-		}
-		isRoot := i == 0
-		if !isRoot && !reinserted[level] {
-			reinserted[level] = true
-			removed, err := t.forceReinsertPrep(n)
-			if err != nil {
-				return err
-			}
-			if err := t.adjustParentBox(path, i); err != nil {
-				return err
-			}
-			// Write back ancestors before reinserting through them.
-			for j := i - 1; j >= 0; j-- {
-				if err := t.writeNode(path[j]); err != nil {
-					return err
-				}
-				if err := t.adjustParentBox(path, j); err != nil {
-					return err
-				}
-			}
-			for _, e := range removed {
-				if err := t.insert(e, level, reinserted); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// Split.
-		left, right := t.split(n)
-		if err := t.writeNode(left); err != nil {
-			return err
-		}
-		if err := t.allocNode(right); err != nil {
-			return err
-		}
-		if isRoot {
-			newRoot := &node{leaf: false, entries: []entry{
-				{box: left.mbr(), ref: int64(left.id)},
-				{box: right.mbr(), ref: int64(right.id)},
-			}}
-			if err := t.allocNode(newRoot); err != nil {
-				return err
-			}
-			t.root = newRoot.id
-			t.height++
-			return t.syncMeta()
-		}
-		parent := path[i-1]
-		// Update the parent entry for the (reused) left node and add the
-		// right node.
-		pi, err := parentEntryIndex(parent, left.id)
-		if err != nil {
-			return err
-		}
-		parent.entries[pi].box = left.mbr()
-		parent.entries = append(parent.entries, entry{box: right.mbr(), ref: int64(right.id)})
-	}
-	return t.syncMeta()
-}
-
-// parentEntryIndex finds the entry of parent pointing at child id. A
-// parent without such an entry is a structural inconsistency a corrupted
-// index page can produce; it is reported, not panicked on.
-func parentEntryIndex(parent *node, id pager.PageID) (int, error) {
-	for i, e := range parent.entries {
-		if pager.PageID(e.ref) == id {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: parent %d has no entry for child %d", ErrCorrupt, parent.id, id)
-}
-
-// adjustParentBox refreshes the MBR of path[i] inside its parent entry
-// (in memory; the parent is written back later in the loop).
-func (t *Tree) adjustParentBox(path []*node, i int) error {
-	if i == 0 {
-		return nil
-	}
-	parent := path[i-1]
-	pi, err := parentEntryIndex(parent, path[i].id)
-	if err != nil {
-		return err
-	}
-	parent.entries[pi].box = path[i].mbr()
-	return nil
-}
-
-// forceReinsertPrep removes the reinsertCount entries of n farthest from
-// its MBR center (R* forced reinsert), writes n back, and returns the
-// removed entries sorted closest-first for reinsertion.
-func (t *Tree) forceReinsertPrep(n *node) ([]entry, error) {
-	c := n.mbr().Center()
-	type de struct {
-		e entry
-		d float64
-	}
-	ds := make([]de, len(n.entries))
-	for i, e := range n.entries {
-		ds[i] = de{e, e.box.Center().Sub(c).Norm()}
-	}
-	sort.SliceStable(ds, func(i, j int) bool { return ds[i].d > ds[j].d }) // farthest first
-	removed := make([]entry, reinsertCount)
-	for i := 0; i < reinsertCount; i++ {
-		removed[i] = ds[i].e
-	}
-	keep := make([]entry, 0, len(ds)-reinsertCount)
-	for _, x := range ds[reinsertCount:] {
-		keep = append(keep, x.e)
-	}
-	n.entries = keep
-	if err := t.writeNode(n); err != nil {
-		return nil, err
-	}
-	// Reinsert closest-first ("close reinsert" of Beckmann et al.).
-	for i, j := 0, len(removed)-1; i < j; i, j = i+1, j-1 {
-		removed[i], removed[j] = removed[j], removed[i]
-	}
-	return removed, nil
-}
-
-// split applies the R* topological split: choose the axis with minimum
-// total margin over all distributions, then the distribution on that axis
-// with minimum overlap (ties: minimum total volume). The left node reuses
-// n's page; the right node is new (caller allocates).
-func (t *Tree) split(n *node) (left, right *node) {
-	entries := n.entries
-	m := MinEntries
-	if m < 1 {
-		m = 1
-	}
-	type axisSort struct {
-		byLower func(i, j int) bool
-		byUpper func(i, j int) bool
-	}
-	lower := []func(e entry) float64{
-		func(e entry) float64 { return e.box.MinX },
-		func(e entry) float64 { return e.box.MinY },
-		func(e entry) float64 { return e.box.MinE },
-	}
-	upper := []func(e entry) float64{
-		func(e entry) float64 { return e.box.MaxX },
-		func(e entry) float64 { return e.box.MaxY },
-		func(e entry) float64 { return e.box.MaxE },
-	}
-
-	bestMargin := -1.0
-	var bestSorted []entry
-	for axis := 0; axis < 3; axis++ {
-		for pass := 0; pass < 2; pass++ {
-			s := append([]entry(nil), entries...)
-			key := lower[axis]
-			tie := upper[axis]
-			if pass == 1 {
-				key, tie = upper[axis], lower[axis]
-			}
-			sort.SliceStable(s, func(i, j int) bool {
-				if key(s[i]) != key(s[j]) {
-					return key(s[i]) < key(s[j])
-				}
-				return tie(s[i]) < tie(s[j])
-			})
-			margin := 0.0
-			for k := m; k <= len(s)-m; k++ {
-				margin += mbrOf(s[:k]).Margin() + mbrOf(s[k:]).Margin()
-			}
-			if bestMargin < 0 || margin < bestMargin {
-				bestMargin, bestSorted = margin, s
-			}
-		}
-	}
-
-	// Choose the distribution with minimum overlap, then minimum volume.
-	s := bestSorted
-	bestK := m
-	bestOverlap, bestVol := 0.0, 0.0
-	for k := m; k <= len(s)-m; k++ {
-		lb, rb := mbrOf(s[:k]), mbrOf(s[k:])
-		ov := lb.OverlapVolume(rb)
-		vol := lb.Volume() + rb.Volume()
-		if k == m || ov < bestOverlap || (ov == bestOverlap && vol < bestVol) {
-			bestK, bestOverlap, bestVol = k, ov, vol
-		}
-	}
-	left = &node{id: n.id, leaf: n.leaf, entries: append([]entry(nil), s[:bestK]...)}
-	right = &node{leaf: n.leaf, entries: append([]entry(nil), s[bestK:]...)}
-	return left, right
-}
-
-func mbrOf(es []entry) geom.Box {
-	b := es[0].box
-	for _, e := range es[1:] {
-		b = b.Union(e.box)
-	}
-	return b
 }
 
 // NodeInfo describes one tree node for the cost model and for diagnostics.

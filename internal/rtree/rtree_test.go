@@ -9,14 +9,15 @@ import (
 	"dmesh/internal/storage/pager"
 )
 
-func newTree(t testing.TB, pool int) (*Tree, *pager.Pager) {
+// newTree bulk-loads items into a fresh in-memory tree with a pool of the
+// given size.
+func newTree(t testing.TB, pool int, items []Item) *Tree {
 	t.Helper()
-	p := pager.New(pager.NewMemBackend(), pool)
-	tr, err := Create(p)
+	tr, err := BulkLoad(pager.New(pager.NewMemBackend(), pool), items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, p
+	return tr
 }
 
 func randBox(rng *rand.Rand, maxSize float64) geom.Box {
@@ -69,7 +70,7 @@ func equalIDs(a, b []int64) bool {
 }
 
 func TestEmptyTreeSearch(t *testing.T) {
-	tr, _ := newTree(t, 16)
+	tr := newTree(t, 16, nil)
 	got := collect(t, tr, geom.Box{MaxX: 1, MaxY: 1, MaxE: 1})
 	if len(got) != 0 {
 		t.Fatalf("empty tree returned %v", got)
@@ -79,87 +80,25 @@ func TestEmptyTreeSearch(t *testing.T) {
 	}
 }
 
-func TestInsertRejectsInvalidBox(t *testing.T) {
-	tr, _ := newTree(t, 16)
-	if err := tr.Insert(geom.Box{MinX: 1, MaxX: 0, MaxY: 1, MaxE: 1}, 1); err == nil {
+func TestBulkLoadRejectsInvalidBox(t *testing.T) {
+	p := pager.New(pager.NewMemBackend(), 16)
+	if _, err := BulkLoad(p, []Item{{Box: geom.Box{MinX: 1, MaxX: 0, MaxY: 1, MaxE: 1}, Ref: 1}}); err == nil {
 		t.Fatal("invalid box accepted")
-	}
-}
-
-func TestInsertSearchSmall(t *testing.T) {
-	tr, _ := newTree(t, 64)
-	rng := rand.New(rand.NewSource(1))
-	var items []Item
-	for i := 0; i < 200; i++ {
-		it := Item{Box: randBox(rng, 0.05), Ref: int64(i)}
-		items = append(items, it)
-		if err := tr.Insert(it.Box, it.Ref); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tr.Len() != 200 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		q := randBox(rng, 0.3)
-		if got, want := collect(t, tr, q), bruteForce(items, q); !equalIDs(got, want) {
-			t.Fatalf("query %v: got %d refs, want %d", q, len(got), len(want))
-		}
-	}
-}
-
-func TestInsertManyAgainstBruteForce(t *testing.T) {
-	tr, _ := newTree(t, 512)
-	rng := rand.New(rand.NewSource(2))
-	var items []Item
-	for i := 0; i < 5000; i++ {
-		it := Item{Box: randBox(rng, 0.01), Ref: int64(i)}
-		items = append(items, it)
-		if err := tr.Insert(it.Box, it.Ref); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Height() < 2 {
-		t.Fatalf("height = %d, expected splits", tr.Height())
-	}
-	for i := 0; i < 30; i++ {
-		q := randBox(rng, 0.2)
-		if got, want := collect(t, tr, q), bruteForce(items, q); !equalIDs(got, want) {
-			t.Fatalf("query %d mismatch: got %d want %d", i, len(got), len(want))
-		}
-	}
-	// Point (degenerate) queries.
-	for i := 0; i < 30; i++ {
-		p := geom.Box{MinX: rng.Float64(), MinY: rng.Float64(), MinE: rng.Float64()}
-		p.MaxX, p.MaxY, p.MaxE = p.MinX, p.MinY, p.MinE
-		if got, want := collect(t, tr, p), bruteForce(items, p); !equalIDs(got, want) {
-			t.Fatalf("point query mismatch")
-		}
 	}
 }
 
 func TestVerticalSegmentWorkload(t *testing.T) {
 	// The DM workload: degenerate boxes (vertical segments) queried with
 	// horizontal planes.
-	tr, _ := newTree(t, 512)
 	rng := rand.New(rand.NewSource(3))
 	var items []Item
 	for i := 0; i < 3000; i++ {
 		x, y := rng.Float64(), rng.Float64()
 		lo := rng.Float64() * 0.8
 		hi := lo + rng.Float64()*0.2
-		it := Item{Box: geom.VerticalSegment(x, y, lo, hi), Ref: int64(i)}
-		items = append(items, it)
-		if err := tr.Insert(it.Box, it.Ref); err != nil {
-			t.Fatal(err)
-		}
+		items = append(items, Item{Box: geom.VerticalSegment(x, y, lo, hi), Ref: int64(i)})
 	}
+	tr := newTree(t, 512, items)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +134,14 @@ func TestBulkLoadMatchesBruteForce(t *testing.T) {
 			t.Fatalf("query %d mismatch", i)
 		}
 	}
+	// Point (degenerate) queries, each on an item's corner: boundaries count.
+	for i := 0; i < 30; i++ {
+		b := items[rng.Intn(len(items))].Box
+		p := geom.Box{MinX: b.MaxX, MinY: b.MinY, MinE: b.MaxE, MaxX: b.MaxX, MaxY: b.MinY, MaxE: b.MaxE}
+		if got, want := collect(t, tr, p), bruteForce(items, p); len(want) == 0 || !equalIDs(got, want) {
+			t.Fatalf("point query %d: got %d refs, want %d (at least 1)", i, len(got), len(want))
+		}
+	}
 }
 
 func TestBulkLoadEmptyAndTiny(t *testing.T) {
@@ -218,6 +165,37 @@ func TestBulkLoadEmptyAndTiny(t *testing.T) {
 	}
 	if tr2.Height() != 1 {
 		t.Fatalf("tiny tree height = %d", tr2.Height())
+	}
+
+	// The sizes around the fanout: empty, one entry, one full leaf, one
+	// entry more than a leaf holds, one more than two full levels hold.
+	rng := rand.New(rand.NewSource(13))
+	for _, c := range []struct{ n, height int }{
+		{0, 1}, {1, 1}, {MaxEntries, 1}, {MaxEntries + 1, 2}, {MaxEntries*MaxEntries + 1, 3},
+	} {
+		items := make([]Item, c.n)
+		for i := range items {
+			items[i] = Item{Box: randBox(rng, 0.05), Ref: int64(i)}
+		}
+		tr := newTree(t, 256, items)
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("n=%d: %v", c.n, err)
+		}
+		if tr.Len() != int64(c.n) || tr.Height() != c.height {
+			t.Fatalf("n=%d: Len = %d, Height = %d, want height %d", c.n, tr.Len(), tr.Height(), c.height)
+		}
+		seen := make([]int, c.n)
+		if err := tr.Search(geom.Box{MinX: -1, MinY: -1, MinE: -1, MaxX: 2, MaxY: 2, MaxE: 2}, func(ref int64, _ geom.Box) bool {
+			seen[ref]++
+			return true
+		}); err != nil {
+			t.Fatalf("n=%d: %v", c.n, err)
+		}
+		for ref, k := range seen {
+			if k != 1 {
+				t.Fatalf("n=%d: whole-space search found ref %d %d times", c.n, ref, k)
+			}
+		}
 	}
 }
 
@@ -251,19 +229,15 @@ func TestBulkLoadPacking(t *testing.T) {
 }
 
 func TestPersistence(t *testing.T) {
-	p := pager.New(pager.NewMemBackend(), 256)
-	tr, err := Create(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(6))
 	var items []Item
 	for i := 0; i < 2000; i++ {
-		it := Item{Box: randBox(rng, 0.02), Ref: int64(i)}
-		items = append(items, it)
-		if err := tr.Insert(it.Box, it.Ref); err != nil {
-			t.Fatal(err)
-		}
+		items = append(items, Item{Box: randBox(rng, 0.02), Ref: int64(i)})
+	}
+	p := pager.New(pager.NewMemBackend(), 256)
+	tr, err := BulkLoad(p, items)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := p.DropCache(); err != nil {
 		t.Fatal(err)
@@ -282,13 +256,12 @@ func TestPersistence(t *testing.T) {
 }
 
 func TestSearchEarlyStop(t *testing.T) {
-	tr, _ := newTree(t, 256)
-	for i := 0; i < 1000; i++ {
+	items := make([]Item, 1000)
+	for i := range items {
 		x := float64(i) / 1000
-		if err := tr.Insert(geom.VerticalSegment(x, x, 0, 1), int64(i)); err != nil {
-			t.Fatal(err)
-		}
+		items[i] = Item{Box: geom.VerticalSegment(x, x, 0, 1), Ref: int64(i)}
 	}
+	tr := newTree(t, 256, items)
 	count := 0
 	err := tr.Search(geom.Box{MaxX: 1, MaxY: 1, MaxE: 1}, func(int64, geom.Box) bool {
 		count++

@@ -61,7 +61,7 @@ func coldVisits(t *testing.T, p *pager.Pager, stopAt int, search func(fn func(in
 	return out, p.Stats()
 }
 
-// TestSearchMatchesReference: on bulk-loaded and insert-built trees, for
+// TestSearchMatchesReference: on trees of small and of wide boxes, for
 // random, empty and whole-space queries, the in-place descent makes the
 // callbacks the node-reading descent makes, in the same order, stops
 // where it stops when fn returns false, and costs the same page reads,
@@ -86,21 +86,19 @@ func TestSearchMatchesReference(t *testing.T) {
 		backends["bulk"] = be
 	}
 	{
+		items := make([]Item, 3000)
+		for i := range items {
+			items[i] = Item{Box: randBox(rng, 0.2), Ref: int64(i)}
+		}
 		be := pager.NewMemBackend()
 		p := pager.New(be, 1024)
-		tr, err := Create(p)
-		if err != nil {
+		if _, err := BulkLoad(p, items); err != nil {
 			t.Fatal(err)
-		}
-		for i := 0; i < 3000; i++ {
-			if err := tr.Insert(randBox(rng, 0.05), int64(i)); err != nil {
-				t.Fatal(err)
-			}
 		}
 		if err := p.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
-		backends["insert"] = be
+		backends["wide"] = be
 	}
 	queries := []geom.Box{
 		{MinX: -1, MinY: -1, MinE: -1, MaxX: 3, MaxY: 3, MaxE: 3}, // whole space

@@ -116,13 +116,13 @@ func perBoxRefs(t *testing.T, p *pager.Pager, tr *Tree, boxes []geom.Box) ([][]i
 	return out, reads
 }
 
-// bulkBackend bulk-loads n random boxes and returns the flushed backend and
-// the tree's height.
-func bulkBackend(t *testing.T, rng *rand.Rand, n int) (*pager.MemBackend, int) {
+// bulkBackend bulk-loads n random boxes of sides up to size and returns the
+// flushed backend and the tree's height.
+func bulkBackend(t *testing.T, rng *rand.Rand, n int, size float64) (*pager.MemBackend, int) {
 	t.Helper()
 	items := make([]Item, n)
 	for i := range items {
-		items[i] = Item{Box: randBox(rng, 0.02), Ref: int64(i)}
+		items[i] = Item{Box: randBox(rng, size), Ref: int64(i)}
 	}
 	be := pager.NewMemBackend()
 	p := pager.New(be, 1024)
@@ -136,38 +136,27 @@ func bulkBackend(t *testing.T, rng *rand.Rand, n int) (*pager.MemBackend, int) {
 	return be, tr.Height()
 }
 
-// searchBoxesTrees is the fixture: bulk-loaded and insert-built trees of
-// heights 1, 2 and 3, flushed to their backends so that each case can open
-// them (read-only) through a pager of its own. Built once.
+// searchBoxesTrees is the fixture: trees of heights 1, 2 and 3 over small
+// boxes ("bulk") and over wide ones ("wide"), whose inner nodes' MBRs
+// overlap so that a box reaches a node through some of its parent's
+// entries and not others. Flushed to their backends so that each case can
+// open them (read-only) through a pager of its own. Built once.
 func searchBoxesTrees(t *testing.T) map[string]*pager.MemBackend {
 	t.Helper()
 	searchBoxesFixture.once.Do(func() {
 		rng := rand.New(rand.NewSource(28))
 		out := map[string]*pager.MemBackend{}
 		for _, n := range []int{40, 3000, 12000} {
-			be, h := bulkBackend(t, rng, n)
+			be, h := bulkBackend(t, rng, n, 0.02)
 			out[fmt.Sprintf("bulk/h%d", h)] = be
 		}
 		for _, n := range []int{40, 1500, 7000} {
-			be := pager.NewMemBackend()
-			p := pager.New(be, 1024)
-			tr, err := Create(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				if err := tr.Insert(randBox(rng, 0.03), int64(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := p.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
-			out[fmt.Sprintf("insert/h%d", tr.Height())] = be
+			be, h := bulkBackend(t, rng, n, 0.2)
+			out[fmt.Sprintf("wide/h%d", h)] = be
 		}
 		searchBoxesFixture.trees = out
 	})
-	for _, want := range []string{"bulk/h1", "bulk/h2", "bulk/h3", "insert/h1", "insert/h2", "insert/h3"} {
+	for _, want := range []string{"bulk/h1", "bulk/h2", "bulk/h3", "wide/h1", "wide/h2", "wide/h3"} {
 		if searchBoxesFixture.trees[want] == nil {
 			t.Fatalf("fixture has no %s tree (have %d trees)", want, len(searchBoxesFixture.trees))
 		}
@@ -294,9 +283,7 @@ func TestSearchBoxesCorruptChildCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.entries[0].ref = int64(tr.root)
-	if err := tr.writeNode(root); err != nil {
-		t.Fatal(err)
-	}
+	rewriteNode(t, tr, root)
 	all := geom.Box{MinX: -1, MinY: -1, MinE: -1, MaxX: 2, MaxY: 2, MaxE: 2}
 	err = tr.SearchBoxes([]geom.Box{all, all, all}, func(int, int64, geom.Box) bool { return true })
 	if !errors.Is(err, ErrCorrupt) {
@@ -311,7 +298,7 @@ func TestSearchBoxesCorruptChildCycle(t *testing.T) {
 // back as the search's error, with every pin the descent took released
 // exactly once — the pool can be dropped and has counted no stray Unpin.
 func TestSearchBoxesReadFault(t *testing.T) {
-	be, _ := bulkBackend(t, rand.New(rand.NewSource(28)), 12000)
+	be, _ := bulkBackend(t, rand.New(rand.NewSource(28)), 12000, 0.02)
 	boxes := boxLists(rand.New(rand.NewSource(7)))["strips16"]
 	fb := faultfs.Wrap(be)
 	p := pager.New(fb, 1024)

@@ -4,9 +4,8 @@
 // hold them, so that a by-ID fetch costs the same page accesses it would in
 // the paper's Oracle setup.
 //
-// Deletion is tolerated-underflow style (keys are removed from leaves, but
-// nodes are not merged), which matches how the structure is used in this
-// repository: bulk build once, then read-mostly workloads.
+// Keys are only ever added or overwritten: a store's index is built once
+// and then read, so the tree has no deletion.
 package btree
 
 import (
@@ -133,7 +132,7 @@ func (t *Tree) syncMeta() error {
 
 // On returns a read-only copy of the tree that reads through p, a view of
 // the tree's own pager (Pager.WithSession), so that its page accesses are
-// also attributed to the view's session. Do not Put/Delete through it.
+// also attributed to the view's session. Do not Put through it.
 func (t *Tree) On(p *pager.Pager) Tree {
 	cp := *t
 	cp.p = p
@@ -177,13 +176,6 @@ func insertAt(d []byte, i, n int, k, v int64) {
 		d[nodeHeader+i*entrySize:nodeHeader+n*entrySize])
 	setEntry(d, i, k, v)
 	setCount(d, n+1)
-}
-
-// removeAt shifts entries left over index i.
-func removeAt(d []byte, i, n int) {
-	copy(d[nodeHeader+i*entrySize:nodeHeader+(n-1)*entrySize],
-		d[nodeHeader+(i+1)*entrySize:nodeHeader+n*entrySize])
-	setCount(d, n-1)
 }
 
 // lowerBound returns the first index with entryKey >= k.
@@ -422,40 +414,6 @@ func (t *Tree) splitInner(fr pager.Frame) (int64, pager.PageID, error) {
 	id := right.ID()
 	right.Unpin()
 	return promoted, id, nil
-}
-
-// Delete removes key if present and reports whether it was found. Nodes
-// are allowed to underflow (no merging).
-func (t *Tree) Delete(key int64) (bool, error) {
-	id := t.root
-	for depth := 0; ; depth++ {
-		if depth >= maxDepth {
-			return false, fmt.Errorf("%w: descent exceeds %d levels at page %d", ErrCorrupt, maxDepth, id)
-		}
-		fr, err := t.p.Get(id)
-		if err != nil {
-			return false, err
-		}
-		d := fr.Data()
-		if err := checkNode(d, id); err != nil {
-			fr.Unpin()
-			return false, err
-		}
-		if nodeType(d) == leafType {
-			i := lowerBound(d, key)
-			if i >= nodeCount(d) || entryKey(d, i) != key {
-				fr.Unpin()
-				return false, nil
-			}
-			removeAt(d, i, nodeCount(d))
-			fr.MarkDirty()
-			fr.Unpin()
-			t.size--
-			return true, t.syncMeta()
-		}
-		id = pager.PageID(entryVal(d, childFor(d, key)))
-		fr.Unpin()
-	}
 }
 
 // Range calls fn for every (key, value) with lo <= key <= hi in ascending

@@ -25,22 +25,18 @@ func TestModelEquivalence(t *testing.T) {
 		for op := 0; op < 1500; op++ {
 			k := int64(rng.Intn(keySpace))
 			switch rng.Intn(3) {
-			case 0, 1: // insert/overwrite twice as often as delete
+			case 0, 1: // insert/overwrite twice as often as a lookup
 				v := rng.Int63()
 				if err := tr.Put(k, v); err != nil {
 					t.Fatal(err)
 				}
 				model[k] = v
 			case 2:
-				ok, err := tr.Delete(k)
-				if err != nil {
-					t.Fatal(err)
+				got, err := tr.Get(k)
+				want, inModel := model[k]
+				if inModel && (err != nil || got != want) || !inModel && !errors.Is(err, ErrNotFound) {
+					t.Fatalf("Get(%d) = %d, %v mid-sequence; model has %d, %v", k, got, err, want, inModel)
 				}
-				_, inModel := model[k]
-				if ok != inModel {
-					t.Fatalf("Delete(%d) = %v, model has it: %v", k, ok, inModel)
-				}
-				delete(model, k)
 			}
 		}
 		if tr.Len() != int64(len(model)) {

@@ -173,34 +173,6 @@ func TestRangeIsSorted(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tr, _ := newTree(t, 64)
-	for i := int64(0); i < 1000; i++ {
-		tr.Put(i, i)
-	}
-	ok, err := tr.Delete(500)
-	if err != nil || !ok {
-		t.Fatalf("Delete(500) = %v, %v", ok, err)
-	}
-	if _, err := tr.Get(500); !errors.Is(err, ErrNotFound) {
-		t.Fatal("deleted key still present")
-	}
-	if tr.Len() != 999 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	ok, err = tr.Delete(500)
-	if err != nil || ok {
-		t.Fatalf("second Delete = %v, %v", ok, err)
-	}
-	// Neighbors unaffected.
-	if v, err := tr.Get(499); err != nil || v != 499 {
-		t.Fatalf("Get(499) = %d, %v", v, err)
-	}
-	if v, err := tr.Get(501); err != nil || v != 501 {
-		t.Fatalf("Get(501) = %d, %v", v, err)
-	}
-}
-
 func TestPersistence(t *testing.T) {
 	p := pager.New(pager.NewMemBackend(), 64)
 	tr, err := Create(p)
