@@ -71,9 +71,6 @@ type (
 	// overlapping ROIs from many clients cost one materialization
 	// (Terrain.NewTileCache, tilecache.New).
 	DMTileCache = tilecache.Cache
-	// TileCacheConfig parameterizes a DMTileCache (store, LOD ladder,
-	// grid depth, byte budget).
-	TileCacheConfig = tilecache.Config
 	// TileCacheStats is a DMTileCache counter snapshot (hits, misses,
 	// singleflight dedups, evictions, bytes).
 	TileCacheStats = tilecache.Stats
@@ -305,16 +302,16 @@ func ParseLayout(name string) (Layout, error) { return dm.ParseLayout(name) }
 
 // NewDMStore lays the Direct Mesh out on paged storage: packed records
 // clustered on a 3D R*-tree over vertical segments (its STR leaf order),
-// and a B+-tree by ID. Like every store constructor here it builds the
-// store for the rungs of DefaultLODLadder (StorePools.Rungs), the LODs
-// NewTileCache materializes tiles at.
+// and a B+-tree by ID. Every store holds live-ID sets for the rungs of its
+// LOD ladder (DefaultLODLadder), the LODs NewTileCache materializes tiles
+// at.
 func (t *Terrain) NewDMStore() (*DMStore, error) {
 	return t.NewDMStoreWithPools(StorePools{})
 }
 
 // NewDMStoreWithPools is NewDMStore with explicit buffer-pool sizes.
 func (t *Terrain) NewDMStoreWithPools(pools StorePools) (*DMStore, error) {
-	return dm.BuildStore(t.Dataset, t.withLadder(pools))
+	return dm.BuildStore(t.Dataset, pools)
 }
 
 // BuildDMStoreAt builds the Direct Mesh store as files in dir, reopenable
@@ -326,15 +323,7 @@ func (t *Terrain) BuildDMStoreAt(dir string) (*DMStore, error) {
 // BuildDMStoreAtWithPools is BuildDMStoreAt with explicit pool
 // configuration (layout, buffer sizes, checksums).
 func (t *Terrain) BuildDMStoreAtWithPools(pools StorePools, dir string) (*DMStore, error) {
-	return dm.BuildStoreAt(t.Dataset, t.withLadder(pools), dir)
-}
-
-// withLadder fills an unset pools.Rungs with the default LOD ladder.
-func (t *Terrain) withLadder(pools StorePools) StorePools {
-	if pools.Rungs == nil {
-		pools.Rungs = t.DefaultLODLadder()
-	}
-	return pools
+	return dm.BuildStoreAt(t.Dataset, pools, dir)
 }
 
 // OpenDMStore opens a store directory written by BuildDMStoreAt. A
@@ -344,39 +333,16 @@ func OpenDMStore(dir string) (*DMStore, error) {
 	return dm.OpenStore(dir, dm.StorePools{})
 }
 
-// DefaultLODLadder returns the discrete LOD rungs a tile cache
-// materializes at by default: a spread of the terrain's LOD percentiles
-// from mid-detail to the coarse end, deduplicated and ascending.
-func (t *Terrain) DefaultLODLadder() []float64 {
-	pcts := []float64{0.50, 0.70, 0.80, 0.90, 0.95, 0.97, 0.99, 0.995}
-	var ladder []float64
-	for _, p := range pcts {
-		e := t.LODPercentile(p)
-		if len(ladder) == 0 || e > ladder[len(ladder)-1] {
-			ladder = append(ladder, e)
-		}
-	}
-	return ladder
-}
+// DefaultLODLadder returns the LOD ladder of every store built from this
+// terrain (dm.LODLadder): the discrete LODs tiles are materialized at, a
+// spread of the terrain's LOD percentiles from mid-detail to the coarse
+// end, deduplicated and ascending.
+func (t *Terrain) DefaultLODLadder() []float64 { return dm.LODLadder(t.Dataset) }
 
-// NewTileCache builds a shared mesh-tile cache over a DM store built from
-// this terrain, using the default LOD ladder. maxBytes <= 0 selects the
-// default byte budget.
+// NewTileCache builds a shared mesh-tile cache over a DM store, on the
+// store's LOD ladder. maxBytes <= 0 selects the default byte budget.
 func (t *Terrain) NewTileCache(s *DMStore, maxBytes int) (*DMTileCache, error) {
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
-	return tilecache.New(tilecache.Config{
-		Store:    s,
-		Ladder:   t.DefaultLODLadder(),
-		MaxBytes: maxBytes,
-	})
-}
-
-// NewTileCacheWithConfig builds a tile cache with explicit configuration
-// (custom LOD ladder, grid depth, byte budget).
-func NewTileCacheWithConfig(cfg TileCacheConfig) (*DMTileCache, error) {
-	return tilecache.New(cfg)
+	return tilecache.New(tilecache.Config{Store: s, MaxBytes: max(maxBytes, 0)})
 }
 
 // NewCostModel scans a DM store's R*-tree into the cost model driving the

@@ -3,6 +3,7 @@ package dmesh_test
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -264,15 +265,11 @@ func TestTileCacheFacade(t *testing.T) {
 	if st := cache.Stats(); st.Queries != 1 || st.Misses == 0 {
 		t.Fatalf("unexpected stats %+v", st)
 	}
-
-	// Explicit-config constructor.
-	c2, err := dmesh.NewTileCacheWithConfig(dmesh.TileCacheConfig{
-		Store: store, Ladder: []float64{e}, MaxLevel: 2, MaxBytes: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// One ladder: the terrain's, the store's and the cache's.
+	if !slices.Equal(store.Rungs(), ladder) || !slices.Equal(cache.Ladder(), ladder) {
+		t.Fatalf("store rungs %v, cache ladder %v, want the terrain's %v", store.Rungs(), cache.Ladder(), ladder)
 	}
-	if got := c2.SnapE(e * 3); got != e {
-		t.Fatalf("SnapE = %g, want %g", got, e)
+	if got, top := cache.SnapE(tr.MaxLOD()), ladder[len(ladder)-1]; got != top {
+		t.Fatalf("SnapE = %g, want the top rung %g", got, top)
 	}
 }

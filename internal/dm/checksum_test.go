@@ -16,10 +16,7 @@ import (
 func TestChecksummedStoreDAIdentical(t *testing.T) {
 	ds, _ := buildDataset(t, 8, "highland")
 	plain := newTestStore(t, ds)
-	sums, err := BuildStoreOnBackends(ds, StorePools{Checksums: true}, [4]pager.Backend{
-		pager.NewMemBackend(), pager.NewMemBackend(),
-		pager.NewMemBackend(), pager.NewMemBackend(),
-	})
+	sums, err := BuildStore(ds, StorePools{Checksums: true})
 	if err != nil {
 		t.Fatal(err)
 	}

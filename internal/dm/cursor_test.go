@@ -121,7 +121,7 @@ func TestCursorLeavesNoPinBehind(t *testing.T) {
 	e := eAtPercentile(ds, 0.3)
 	runs := map[string]func() error{
 		"range query": func() error { _, err := s.ViewpointIndependent(fullRect(), e); return err },
-		"tile":        func() error { _, err := s.MaterializeTile(fullRect(), e); return err },
+		"tile":        func() error { _, err := s.MaterializeTile(fullRect(), s.Rungs()[0]); return err },
 		"coherent frame": func() error {
 			_, _, err := s.NewCoherentSession(nil).Frame(geom.QueryPlane{R: fullRect(), EMin: e, EMax: ds.MaxE(), Axis: 1})
 			return err

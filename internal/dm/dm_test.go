@@ -32,27 +32,16 @@ func buildDataset(t testing.TB, size int, dataset string) (*Dataset, *simplify.S
 	return ds, seq
 }
 
-// newTestStore builds the default store the way the facade does: for the
-// rungs of the default LOD ladder, so tiles materialized at one of those
-// percentiles are filtered and tiles at any other LOD are not.
+// newTestStore builds the default store, the way the facade does. Its
+// ladder is LODLadder(ds): eAtPercentile of 0.5, 0.7, 0.8, 0.9, 0.95,
+// 0.97, 0.99 and 0.995, the LODs tiles materialize at.
 func newTestStore(t testing.TB, ds *Dataset) *Store {
 	t.Helper()
-	s, err := BuildStore(ds, StorePools{Rungs: testLadder(ds)})
+	s, err := BuildStore(ds, StorePools{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// testLadder is dmesh.Terrain.DefaultLODLadder over ds.
-func testLadder(ds *Dataset) []float64 {
-	var ladder []float64
-	for _, p := range []float64{0.50, 0.70, 0.80, 0.90, 0.95, 0.97, 0.99, 0.995} {
-		if e := eAtPercentile(ds, p); len(ladder) == 0 || e > ladder[len(ladder)-1] {
-			ladder = append(ladder, e)
-		}
-	}
-	return ladder
 }
 
 func fullRect() geom.Rect { return geom.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2} }

@@ -23,7 +23,7 @@ const (
 	overFileName = "conn.overflow"
 	rtFileName   = "segments.rtree"
 	idxFileName  = "id.btree"
-	rungFileName = "rungs.live" // written only when the store has rung sets
+	rungFileName = "rungs.live"
 	metaFileName = "meta.json"
 )
 
@@ -42,33 +42,33 @@ type storeMeta struct {
 	// choice is part of the on-disk format.
 	Checksums bool `json:"checksums,omitempty"`
 	// RungFile names the rung-set file (rungs.go) and Rungs lists the LODs
-	// it holds sets for; both absent when the store was built for no rungs.
+	// it holds sets for: the store's ladder. A directory without them is
+	// ErrStoreFormat.
 	RungFile string    `json:"rung_file,omitempty"`
 	Rungs    []float64 `json:"rungs,omitempty"`
 }
 
 // metaVersion is the on-disk format, and the only one OpenStore reads:
-// the layout recorded by name, one of packed or str, and optionally a
-// rung-set file (a directory without one opens as a store built for no
-// rungs).
+// the layout recorded by name, one of packed or str, and a rung-set file.
 const metaVersion = 5
 
 // ErrStoreFormat is what OpenStore returns for a directory this build
-// cannot read: a sidecar of any version but metaVersion, or one naming a
-// layout other than packed or str. Rebuild such a store with dmbuild.
+// cannot read: a sidecar of any version but metaVersion, one naming a
+// layout other than packed or str, or one naming no rung-set file.
+// Rebuild such a store with dmbuild.
 var ErrStoreFormat = errors.New("dm: unreadable store format")
 
-// layout returns the layout a version-5 sidecar names; anything else is
-// ErrStoreFormat.
+// layout returns the layout a version-5 sidecar with a rung-set file
+// names; anything else is ErrStoreFormat.
 func (m *storeMeta) layout() (Layout, error) {
 	var name string
 	if m.Version == metaVersion && json.Unmarshal(m.Layout, &name) == nil {
-		if l, err := ParseLayout(name); err == nil {
+		if l, err := ParseLayout(name); err == nil && m.RungFile != "" {
 			return l, nil
 		}
 	}
-	return 0, fmt.Errorf("%w: meta.json version %d, layout %s; this build reads version %d with layout \"packed\" or \"str\" only — rebuild the store with dmbuild",
-		ErrStoreFormat, m.Version, m.Layout, metaVersion)
+	return 0, fmt.Errorf("%w: meta.json version %d, layout %s, rung file %q; this build reads version %d with layout \"packed\" or \"str\" and a rung file only — rebuild the store with dmbuild",
+		ErrStoreFormat, m.Version, m.Layout, m.RungFile, metaVersion)
 }
 
 // BuildStoreAt builds the Direct Mesh store in dir as regular files, so it
@@ -90,25 +90,22 @@ func BuildStoreAt(ds *Dataset, pools StorePools, dir string) (*Store, error) {
 	})
 }
 
-// writeSidecars writes a freshly built store's rung-set file (when it has
-// sets) and meta.json into dir, then flushes its pages.
+// writeSidecars writes a freshly built store's rung-set file and
+// meta.json into dir, then flushes its pages.
 func (s *Store) writeSidecars(dir string, pools StorePools) error {
 	meta := storeMeta{Version: metaVersion, MaxE: s.maxE, Space: s.space,
 		Layout:    json.RawMessage(strconv.Quote(s.layout.String())),
-		Checksums: pools.Checksums}
-	if s.rungs != nil {
-		meta.RungFile, meta.Rungs = rungFileName, s.rungs.rungs
-		b, err := openRungBackend(dir, rungFileName, pools)
-		if err != nil {
-			return err
-		}
-		err = writeRungSets(b, s.rungs)
-		if cerr := b.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("dm: write %s: %w", rungFileName, err)
-		}
+		Checksums: pools.Checksums, RungFile: rungFileName, Rungs: s.rungs.rungs}
+	b, err := openRungBackend(dir, rungFileName, pools)
+	if err != nil {
+		return err
+	}
+	err = writeRungSets(b, s.rungs)
+	if cerr := b.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("dm: write %s: %w", rungFileName, err)
 	}
 	raw, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
@@ -172,10 +169,8 @@ func OpenStore(dir string, pools StorePools) (_ *Store, err error) {
 		maxE:   meta.MaxE,
 		space:  meta.Space,
 	}
-	if meta.RungFile != "" {
-		if s.rungs, err = openRungSets(dir, &meta, pools); err != nil {
-			return nil, fmt.Errorf("dm: open store: %s: %w", meta.RungFile, err)
-		}
+	if s.rungs, err = openRungSets(dir, &meta, pools); err != nil {
+		return nil, fmt.Errorf("dm: open store: %s: %w", meta.RungFile, err)
 	}
 	if layout == LayoutPacked {
 		if s.vheap, err = heapfile.OpenVar(s.heapP); err != nil {
@@ -193,7 +188,7 @@ func OpenStore(dir string, pools StorePools) (_ *Store, err error) {
 	if s.idx, err = btree.Open(s.idxP); err != nil {
 		return nil, fmt.Errorf("dm: open id index: %w", err)
 	}
-	if s.rungs != nil && s.rungs.nodes != s.idx.Len() {
+	if s.rungs.nodes != s.idx.Len() {
 		return nil, fmt.Errorf("dm: open store: %s covers %d nodes, the store holds %d: %w",
 			meta.RungFile, s.rungs.nodes, s.idx.Len(), wire.ErrCorrupt)
 	}

@@ -186,7 +186,7 @@ func TestFailedOpenOrBuildClosesEveryFile(t *testing.T) {
 			return err
 		}},
 		{"truncated rungs.live", 5, func(t *testing.T, pools StorePools) error {
-			dir := build(t, StorePools{Rungs: testLadder(ds)})
+			dir := build(t, StorePools{})
 			if err := os.Truncate(filepath.Join(dir, rungFileName), 0); err != nil {
 				t.Fatal(err)
 			}

@@ -370,10 +370,10 @@ func TestNewSessionIsOneAllocation(t *testing.T) {
 }
 
 // TestDegeneratePlaneIsUniform: at any LOD — zero, in range, the dataset
-// maximum, one ulp above it, far above it, +Inf — the four ways to ask for
-// a uniform cut give the same mesh from the same records: the uniform
-// query, a uniform coherent frame, a single-base query on the degenerate
-// plane, and a stitched tile.
+// maximum, one ulp above it, far above it, +Inf — the ways to ask for a
+// uniform cut give the same mesh from the same records: the uniform query,
+// a uniform coherent frame, a single-base query on the degenerate plane,
+// and, at the LODs that are rungs of the store's ladder, a stitched tile.
 func TestDegeneratePlaneIsUniform(t *testing.T) {
 	for _, name := range []string{"highland", "crater"} {
 		ds, _ := buildDataset(t, 17, name)
@@ -407,16 +407,18 @@ func TestDegeneratePlaneIsUniform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tp, err := s.MaterializeTile(roi, e)
-			if err != nil {
-				t.Fatal(err)
+			kinds := map[string]*Result{"FrameUniform": frame, "SingleBase": sb}
+			if slices.Contains(s.Rungs(), e) {
+				tp, err := s.MaterializeTile(roi, e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kinds["StitchTiles"], err = StitchTiles(roi, e, []*TilePatch{tp}); err != nil {
+					t.Fatal(err)
+				}
+				kinds["StitchTiles"].FetchedRecords = tp.FetchedRecords
 			}
-			stitched, err := StitchTiles(roi, e, []*TilePatch{tp})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stitched.FetchedRecords = tp.FetchedRecords
-			for kind, got := range map[string]*Result{"FrameUniform": frame, "SingleBase": sb, "StitchTiles": stitched} {
+			for kind, got := range kinds {
 				if !bytes.Equal(CanonicalMesh(got), CanonicalMesh(want)) {
 					t.Errorf("%s e=%g: %s differs from ViewpointIndependent (%d vs %d vertices)",
 						name, e, kind, len(got.Vertices), len(want.Vertices))
@@ -459,10 +461,21 @@ func TestRecordIDOutOfRangeIsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The victim is a vertex of the plane's own cut, so that every plan for
-	// the plane has to fetch it. Its record starts with its ID and position;
-	// rewriteID finds those bytes in the heap file and rewrites the ID.
+	// the plane has to fetch it, live at a rung of the store's ladder, so
+	// that a tile at that rung does too. Its record starts with its ID and
+	// position; rewriteID finds those bytes in the heap file and rewrites
+	// the ID.
 	ids := sortedIDs(clean.Vertices)
-	victim := ds.Node(ids[len(ids)/2])
+	rungs := s.Rungs()
+	k := slices.IndexFunc(ids[len(ids)/2:], func(id int64) bool {
+		n := ds.Node(id)
+		return slices.ContainsFunc(rungs, n.Interval().Contains)
+	})
+	if k < 0 {
+		t.Fatal("no vertex of the cut's upper half is live at a rung")
+	}
+	victim := ds.Node(ids[len(ids)/2+k])
+	rung := rungs[slices.IndexFunc(rungs, victim.Interval().Contains)]
 	// A frame over the half of the terrain the victim is not in: the frame
 	// that follows it over qp is a delta whose fragments fetch the victim.
 	away := geom.QueryPlane{R: geom.Rect{MinX: -1, MinY: -1, MaxX: 0.5, MaxY: 2}, EMin: 0, EMax: ds.MaxE(), Axis: 1}
@@ -505,7 +518,7 @@ func TestRecordIDOutOfRangeIsCorruption(t *testing.T) {
 			"SingleBase":           func() error { _, err := s.SingleBase(qp); return err },
 			"MultiBase":            func() error { _, err := s.MultiBase(qp, model, 4); return err },
 			"Radial":               func() error { _, err := s.Radial(roi, geom.Point2{X: 0.5, Y: 0.5}, ds.MaxE(), 1); return err },
-			"MaterializeTile":      func() error { _, err := s.MaterializeTile(roi, victim.ELow); return err },
+			"MaterializeTile":      func() error { _, err := s.MaterializeTile(roi, rung); return err },
 			"coherent Frame":       func() error { _, _, err := cs.Frame(qp); return err },
 		}
 		for kind, run := range queries {

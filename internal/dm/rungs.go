@@ -10,13 +10,38 @@ import (
 	"dmesh/internal/wire"
 )
 
-// rungSets answers "is node id live at LOD e" for the LOD rungs a store was
-// built for (StorePools.Rungs): one bitset over the dense node IDs per
-// rung, bit id set iff node id's LOD interval contains the rung. A tile
-// exists at exactly one rung, so MaterializeTile drops the out-pairs whose
-// far endpoint cannot be live there with one bit test each.
+// LODLadder returns the LOD ladder of a store built from ds: the discrete
+// LODs its tiles are materialized at, and the ladder every tile cache over
+// it snaps requests to. The rungs are the internal nodes' LOD values at a
+// spread of percentiles from mid-detail to the coarse end, deduplicated
+// and ascending; {0} when ds has no internal node.
+func LODLadder(ds *Dataset) []float64 {
+	var lods []float64
+	for i := range ds.Tree.Nodes {
+		if !ds.Tree.Nodes[i].IsLeaf() {
+			lods = append(lods, ds.Tree.Nodes[i].ELow)
+		}
+	}
+	if len(lods) == 0 {
+		return []float64{0}
+	}
+	slices.Sort(lods)
+	var ladder []float64
+	for _, p := range []float64{0.50, 0.70, 0.80, 0.90, 0.95, 0.97, 0.99, 0.995} {
+		if e := lods[int(p*float64(len(lods)-1))]; len(ladder) == 0 || e > ladder[len(ladder)-1] {
+			ladder = append(ladder, e)
+		}
+	}
+	return ladder
+}
+
+// rungSets answers "is node id live at LOD e" for the rungs of the store's
+// LOD ladder: one bitset over the dense node IDs per rung, bit id set iff
+// node id's LOD interval contains the rung. A tile exists at exactly one
+// rung, so MaterializeTile drops the out-pairs whose far endpoint cannot
+// be live there with one bit test each.
 //
-// The sets are built where every node is already in memory (buildNodes),
+// The sets are built where every node is already in memory (buildStore),
 // persisted beside the heap by BuildStoreAt and loaded by OpenStore; they
 // are immutable from then on, so every Session shares its store's.
 type rungSets struct {
@@ -38,11 +63,8 @@ func (rs *rungSets) allocSets() []uint64 {
 }
 
 // newRungSets builds the sets of the given rungs (any order, repeats
-// dropped) over nodes indexed by ID. No rungs, no sets: nil.
+// dropped; a ladder, so never none) over nodes indexed by ID.
 func newRungSets(nodes []Node, rungs []float64) (*rungSets, error) {
-	if len(rungs) == 0 {
-		return nil, nil
-	}
 	rs := &rungSets{rungs: slices.Clone(rungs), nodes: int64(len(nodes))}
 	for _, e := range rs.rungs {
 		if math.IsNaN(e) {
@@ -63,17 +85,14 @@ func newRungSets(nodes []Node, rungs []float64) (*rungSets, error) {
 	return rs, nil
 }
 
-// at returns the live set of rung e, nil when the store has none for it
-// (rs may be nil): the caller then keeps every out-pair.
-func (rs *rungSets) at(e float64) liveSet {
-	if rs == nil {
-		return nil
-	}
+// at returns the live set of rung e, or an error when e is not a rung
+// (NaN never is: the rungs hold none).
+func (rs *rungSets) at(e float64) (liveSet, error) {
 	k, ok := slices.BinarySearch(rs.rungs, e)
 	if !ok {
-		return nil
+		return nil, fmt.Errorf("dm: LOD %g is not a rung of the store's ladder %v", e, rs.rungs)
 	}
-	return rs.live[k]
+	return rs.live[k], nil
 }
 
 // liveSet is one rung's bitset.

@@ -1,18 +1,19 @@
 package dm
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"dmesh/internal/geom"
+	"dmesh/internal/pm"
 	"dmesh/internal/storage/faultfs"
 	"dmesh/internal/storage/pager"
 	"dmesh/internal/wire"
@@ -34,60 +35,78 @@ func pairsOf(p pairRuns) [][2]int64 {
 // outPairFloor bounds the out-pairs the tiles of one grid keep at one rung,
 // per live node. A kept pair is a mesh edge at the rung seen from one of
 // its two tiles, and a planar mesh has fewer than 3V edges, so a filtered
-// grid can never reach 6 a node (measured: 0.1-2.4); an unfiltered one
-// holds 7-58 a node on these stores. Exactness cannot tell the two apart —
-// unfiltered is exact too — so this is what fails when the filter is lost.
+// grid can never reach 6 a node (measured: 0.1-2.4); keeping every pair
+// whose far end is outside the tile holds 7-58 a node on these stores.
+// Exactness cannot tell the two apart — the stitch drops dead pairs
+// itself — so this is what fails when the filter is lost.
 const outPairFloor = 6
 
+// oraclePatch is what MaterializeTile(r, e) must return, worked out from
+// the dataset's nodes alone: the nodes in r live at e, ascending, their
+// connection pairs inside the tile as edges and, as out-pairs, the pairs
+// whose far end is outside the tile and live at e. outside counts the
+// pairs whose far end is outside the tile, live or not: the census the
+// charge is taken over.
+func oraclePatch(nodes []Node, r geom.Rect, e float64) (tp *TilePatch, outside int) {
+	tp = &TilePatch{Rect: r, E: e}
+	in := make(map[int64]bool)
+	for i := range nodes {
+		if n := &nodes[i]; r.ContainsPoint(n.Pos.XY()) && n.Interval().Contains(e) {
+			tp.ids, tp.pos = append(tp.ids, n.ID), append(tp.pos, n.Pos)
+			in[n.ID] = true
+		}
+	}
+	for _, a := range tp.ids {
+		for _, c := range nodes[a].Conn {
+			switch {
+			case in[c]:
+				if c > a {
+					tp.edges.add(a, c)
+				}
+			case nodes[c].Interval().Contains(e):
+				outside++
+				tp.outPairs.add(a, c)
+			default:
+				outside++
+			}
+		}
+	}
+	return tp, outside
+}
+
 // TestRungFilterExact is the filter's oracle, for every ladder rung x every
-// tile of a 65² and a 129² store: the out-pairs a store built for the rung
-// keeps are exactly the unfiltered patch's whose far endpoint the dataset
-// says is live at the rung, everything else about the two patches (the
-// eviction charge included) is identical, and the kept arrays are exact-size.
+// tile of a 65² and a 129² store: the patch is exactly the one oraclePatch
+// works out from the dataset, its census and eviction charge are taken over
+// every out-pair, dropped ones included, and the store's ladder is the
+// dataset's.
 func TestRungFilterExact(t *testing.T) {
 	for _, size := range []int{65, 129} {
 		ds, _ := buildDataset(t, size, "highland")
-		filtered := newTestStore(t, ds)
-		plain, err := BuildStore(ds, StorePools{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := filtered.Rungs(), testLadder(ds); !slices.Equal(got, want) || plain.Rungs() != nil {
-			t.Fatalf("%d²: Rungs() = %v and %v, want %v and none", size, got, plain.Rungs(), want)
+		s, recs := newTestStore(t, ds), datasetNodes(ds)
+		if got, want := s.Rungs(), LODLadder(ds); !slices.Equal(got, want) {
+			t.Fatalf("%d²: Rungs() = %v, want %v", size, got, want)
 		}
 		kept, dropped, nodes := 0, 0, 0
-		for band, e := range testLadder(ds) {
+		for band, e := range s.Rungs() {
 			for level := 0; level <= 2; level++ {
 				gridKept, gridNodes := 0, 0
-				for ti, r := range tileCover(filtered, fullRect(), level) {
+				for ti, r := range tileCover(s, fullRect(), level) {
 					label := fmt.Sprintf("%d² band %d level %d tile %d", size, band, level, ti)
-					fp, err := filtered.MaterializeTile(r, e)
+					fp, err := s.MaterializeTile(r, e)
 					if err != nil {
 						t.Fatal(err)
 					}
-					up, err := plain.MaterializeTile(r, e)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var want [][2]int64
-					for _, pr := range pairsOf(up.outPairs) {
-						if n := ds.Node(pr[1]); n.Interval().Contains(e) {
-							want = append(want, pr)
-						}
-					}
-					if got := pairsOf(fp.outPairs); !slices.Equal(got, want) {
-						t.Fatalf("%s: kept %d out-pairs, the oracle keeps %d of %d", label, len(got), len(want), len(up.outPairs.far))
-					}
+					want, outside := oraclePatch(recs, r, e)
+					want.FetchedRecords = fp.FetchedRecords
+					requireSamePatch(t, label, fp, want)
 					k, d := fp.OutPairs()
-					if uk, ud := up.OutPairs(); k+d != uk || ud != 0 {
-						t.Fatalf("%s: census %d kept + %d dropped, unfiltered %d + %d", label, k, d, uk, ud)
+					if k+d != outside {
+						t.Fatalf("%s: census %d kept + %d dropped, the tile has %d pairs leaving it", label, k, d, outside)
+					}
+					if fp.Bytes() != patchCharge(len(fp.ids), connOf(fp), len(fp.edges.far), trianglesOf(fp), outside) {
+						t.Fatalf("%s: charge %d: the eviction charge moved", label, fp.Bytes())
 					}
 					gridKept, gridNodes = gridKept+k, gridNodes+fp.NumNodes()
-					if fp.Bytes() != up.Bytes() || fp.Bytes() != patchCharge(len(fp.ids), connOf(fp), len(fp.edges.far), trianglesOf(fp), k+d) {
-						t.Fatalf("%s: charge %d, unfiltered %d: the eviction charge moved", label, fp.Bytes(), up.Bytes())
-					}
-					fp.outPairs, up.outPairs = pairRuns{}, pairRuns{}
-					requireSamePatch(t, label, fp, up)
 					kept, dropped, nodes = kept+k, dropped+d, nodes+fp.NumNodes()
 				}
 				if gridKept >= outPairFloor*gridNodes {
@@ -97,6 +116,48 @@ func TestRungFilterExact(t *testing.T) {
 		}
 		t.Logf("%d²: %d nodes over all tiles, %d out-pairs kept (%.2f a node), %d dropped (%.1f%%)",
 			size, nodes, kept, float64(kept)/float64(nodes), dropped, 100*float64(dropped)/float64(kept+dropped))
+	}
+}
+
+// TestLODLadder: a store's ladder is its dataset's internal LOD values at
+// the eight percentiles, deduplicated and ascending; {0} without an
+// internal node.
+func TestLODLadder(t *testing.T) {
+	for _, size := range []int{9, 65} {
+		ds, _ := buildDataset(t, size, "crater")
+		var want []float64
+		for _, p := range []float64{0.50, 0.70, 0.80, 0.90, 0.95, 0.97, 0.99, 0.995} {
+			if e := eAtPercentile(ds, p); !slices.Contains(want, e) {
+				want = append(want, e)
+			}
+		}
+		if got := LODLadder(ds); !slices.Equal(got, want) || !slices.IsSorted(got) {
+			t.Fatalf("%d²: LODLadder = %v, want %v", size, got, want)
+		}
+	}
+	if got := LODLadder(&Dataset{Tree: &pm.Tree{}}); !slices.Equal(got, []float64{0}) {
+		t.Fatalf("no internal node: LODLadder = %v, want [0]", got)
+	}
+}
+
+// TestMaterializeTileOffLadder: a LOD that is not a rung of the store's
+// ladder — between two rungs, above the coarsest, NaN — is an error before
+// any page is read.
+func TestMaterializeTileOffLadder(t *testing.T) {
+	ds, _ := buildDataset(t, 33, "highland")
+	s := newTestStore(t, ds)
+	rungs := s.Rungs()
+	for _, e := range []float64{(rungs[0] + rungs[1]) / 2, eAtPercentile(ds, 0.6), -1, s.MaxE() * 2, math.Inf(1), math.NaN()} {
+		if err := s.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		sess := s.NewSession()
+		if tp, err := sess.MaterializeTile(fullRect(), e); err == nil {
+			t.Fatalf("LOD %g, not a rung of %v: materialized %d nodes", e, rungs, tp.NumNodes())
+		}
+		if da := sess.DiskAccesses(); da != 0 {
+			t.Fatalf("LOD %g: the refusal cost %d disk accesses", e, da)
+		}
 	}
 }
 
@@ -120,11 +181,11 @@ func trianglesOf(tp *TilePatch) int {
 }
 
 // TestMaterializedPatchHoldsNoSlack: a patch the cache may keep for hours
-// is exact-size, filtered or not.
+// is exact-size.
 func TestMaterializedPatchHoldsNoSlack(t *testing.T) {
 	ds, _ := buildDataset(t, 33, "crater")
 	s := newTestStore(t, ds)
-	for _, e := range []float64{eAtPercentile(ds, 0.9), eAtPercentile(ds, 0.6)} { // a rung, and not
+	for _, e := range []float64{eAtPercentile(ds, 0.9), eAtPercentile(ds, 0.5)} {
 		for _, r := range tileCover(s, fullRect(), 1) {
 			tp, err := s.MaterializeTile(r, e)
 			if err != nil {
@@ -144,66 +205,17 @@ func TestMaterializedPatchHoldsNoSlack(t *testing.T) {
 	}
 }
 
-// TestStitchMixedFilteredTiles: filtered patches, unfiltered ones and any
-// mix of the two (straight from the store or through the wire) stitch to
-// the direct answer byte for byte — an unfiltered patch is a superset.
-func TestStitchMixedFilteredTiles(t *testing.T) {
-	for _, size := range []int{65, 129} {
-		ds, _ := buildDataset(t, size, "highland")
-		filtered := newTestStore(t, ds)
-		plain, err := BuildStore(ds, StorePools{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ladder := testLadder(ds)
-		rng := rand.New(rand.NewSource(int64(size)))
-		for trial := 0; trial < 24; trial++ {
-			x0, y0 := rng.Float64()*0.7, rng.Float64()*0.7
-			r := geom.Rect{MinX: x0, MinY: y0, MaxX: x0 + 0.05 + rng.Float64()*0.3, MaxY: y0 + 0.05 + rng.Float64()*0.3}
-			e, level := ladder[rng.Intn(len(ladder))], 1+rng.Intn(2)
-			want, err := plain.ViewpointIndependent(r, e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fts := materializeWirePatches(t, filtered, r, e, level)
-			uts := materializeWirePatches(t, plain, r, e, level)
-			mixed := make([]*TilePatch, len(fts))
-			for i := range mixed {
-				mixed[i] = []*TilePatch{fts[i], uts[i]}[rng.Intn(2)]
-				if rng.Intn(2) == 0 {
-					if mixed[i], err = DecodeTilePatch(EncodeTilePatch(mixed[i])); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			for kind, tiles := range map[string][]*TilePatch{"filtered": fts, "unfiltered": uts, "mixed": mixed} {
-				got, err := StitchTiles(r, e, tiles)
-				if err != nil {
-					t.Fatalf("%d² trial %d %s: %v", size, trial, kind, err)
-				}
-				if !bytes.Equal(CanonicalMesh(got), CanonicalMesh(want)) {
-					requireSameMesh(t, kind, got, want)
-					t.Fatalf("%d² trial %d: %s tiles stitch to a different mesh than the direct query", size, trial, kind)
-				}
-			}
-		}
-	}
-}
-
 // TestRungSetsSurviveTheStoreLifecycle: a store built in memory, one built
 // into a directory and reopened, and one built in the other layout hold
-// identical sets; a directory
-// built for no rungs has no rung file and opens unfiltered; and the sets
-// cost a session's materialization no disk access.
+// identical sets; a directory without a rung file is ErrStoreFormat; and
+// the sets cost a session's materialization no disk access.
 func TestRungSetsSurviveTheStoreLifecycle(t *testing.T) {
 	ds, _ := buildDataset(t, 33, "highland")
-	ladder := testLadder(ds)
+	ladder := LODLadder(ds)
 	pools := StorePools{Data: 8, Overflow: 4, Index: 8, IDIndex: 4}
-	withRungs := pools
-	withRungs.Rungs = ladder
 	tmp := t.TempDir()
 
-	built, err := BuildStore(ds, withRungs)
+	built, err := BuildStore(ds, pools)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +227,7 @@ func TestRungSetsSurviveTheStoreLifecycle(t *testing.T) {
 		t.Fatalf("sets: %d rungs x %d words over %d nodes; want %d x %d over %d: one bit per node per rung",
 			len(want.live), len(want.live[0]), want.nodes, len(ladder), words, built.NumNodes())
 	}
-	onDisk, err := BuildStoreAt(ds, withRungs, filepath.Join(tmp, "a"))
+	onDisk, err := BuildStoreAt(ds, pools, filepath.Join(tmp, "a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +239,9 @@ func TestRungSetsSurviveTheStoreLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	strRungs := withRungs
-	strRungs.Layout = LayoutSTR
-	str, err := BuildStore(ds, strRungs)
+	strPools := pools
+	strPools.Layout = LayoutSTR
+	str, err := BuildStore(ds, strPools)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +251,8 @@ func TestRungSetsSurviveTheStoreLifecycle(t *testing.T) {
 		}
 	}
 
-	// No rungs: the directory is what the previous release wrote.
+	// No rung file: refused before a page file opens, like any format this
+	// build does not write.
 	bare, err := BuildStoreAt(ds, pools, filepath.Join(tmp, "c"))
 	if err != nil {
 		t.Fatal(err)
@@ -247,44 +260,46 @@ func TestRungSetsSurviveTheStoreLifecycle(t *testing.T) {
 	if err := bare.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(tmp, "c", rungFileName)); !os.IsNotExist(err) {
-		t.Fatalf("a store built for no rungs has a rung file (stat: %v)", err)
-	}
-	if meta, _ := os.ReadFile(filepath.Join(tmp, "c", metaFileName)); bytes.Contains(meta, []byte("rung")) {
-		t.Fatalf("a store built for no rungs names them in meta.json: %s", meta)
-	}
-	unfiltered, err := OpenStore(filepath.Join(tmp, "c"), pools)
-	if err != nil {
+	if err := os.Remove(filepath.Join(tmp, "c", rungFileName)); err != nil {
 		t.Fatal(err)
 	}
-	defer unfiltered.Close()
-	if unfiltered.Rungs() != nil {
-		t.Fatalf("a directory without a rung file opened with rungs %v", unfiltered.Rungs())
+	rewriteMeta(t, filepath.Join(tmp, "c"), func(m map[string]any) { delete(m, "rung_file"); delete(m, "rungs") })
+	counting, handed := countingPools(pools)
+	if s, err := OpenStore(filepath.Join(tmp, "c"), counting); !errors.Is(err, ErrStoreFormat) || !strings.Contains(err.Error(), "dmbuild") {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("a directory without a rung file: OpenStore = %v, want ErrStoreFormat naming dmbuild", err)
+	}
+	if len(*handed) != 0 {
+		t.Fatalf("%d page files opened before the refusal", len(*handed))
 	}
 
-	// Same pages read with and without the sets, tile by tile, cold.
+	// A tile reads the pages of the direct query over its footprint, cold.
 	for _, e := range ladder {
 		for _, r := range tileCover(reopened, fullRect(), 1) {
 			var da [2]uint64
-			var tps [2]*TilePatch
-			for i, s := range []*Store{reopened, unfiltered} {
-				if err := s.DropCaches(); err != nil {
+			var tp *TilePatch
+			for i := range da {
+				if err := reopened.DropCaches(); err != nil {
 					t.Fatal(err)
 				}
-				sess := s.NewSession()
-				if tps[i], err = sess.MaterializeTile(r, e); err != nil {
+				sess := reopened.NewSession()
+				if i == 0 {
+					tp, err = sess.MaterializeTile(r, e)
+				} else {
+					_, err = sess.ViewpointIndependent(r, e)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 				da[i] = sess.DiskAccesses()
 			}
 			if da[0] != da[1] || da[0] == 0 {
-				t.Fatalf("tile %v at %g: %d DA with rung sets, %d without", r, e, da[0], da[1])
+				t.Fatalf("tile %v at %g: %d DA, the direct query %d", r, e, da[0], da[1])
 			}
-			if _, dropped := tps[0].OutPairs(); dropped == 0 {
+			if _, dropped := tp.OutPairs(); dropped == 0 {
 				t.Fatalf("tile %v at %g: the reopened store's session dropped no out-pair", r, e)
-			}
-			if _, dropped := tps[1].OutPairs(); dropped != 0 {
-				t.Fatalf("tile %v at %g: a store without sets dropped %d out-pairs", r, e, dropped)
 			}
 		}
 	}
@@ -348,10 +363,10 @@ func TestRungSetsDecodeRejectsDamage(t *testing.T) {
 // an injected read failure up, rather than serve a quietly different mesh.
 func TestDamagedRungFileFailsOpen(t *testing.T) {
 	ds, _ := buildDataset(t, 65, "highland")
-	ladder := testLadder(ds)
+	ladder := LODLadder(ds)
 	build := func(t *testing.T, checksums bool) (dir, rungPath string) {
 		dir = filepath.Join(t.TempDir(), "store")
-		s, err := BuildStoreAt(ds, StorePools{Rungs: ladder, Checksums: checksums}, dir)
+		s, err := BuildStoreAt(ds, StorePools{Checksums: checksums}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}

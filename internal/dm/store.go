@@ -40,8 +40,8 @@ type Store struct {
 	layout Layout
 	maxE   float64
 	space  geom.Box
-	// rungs holds the live-ID set of every LOD rung the store was built
-	// for; nil when it was built for none (see StorePools.Rungs).
+	// rungs holds the live-ID set of every rung of the store's LOD ladder
+	// (LODLadder), the only LODs MaterializeTile answers at.
 	rungs *rungSets
 
 	// tr, when non-nil, receives phase-attributed spans from every query
@@ -124,19 +124,9 @@ func ParseLayout(name string) (Layout, error) {
 // layer (raw → WrapBackend → checksums → pager): the hook fault-
 // injection tests and the chaos experiment use to interpose
 // faultfs-style wrappers underneath the integrity layer.
-//
-// Rungs is a build input like Layout: the LOD values tiles will be
-// materialized at (the tile cache's ladder). The build records which
-// nodes are live at each — one bit per node per rung — and
-// MaterializeTile at one of them then keeps only the out-pairs whose far
-// endpoint is live there, the only ones a stitch can ever use. At any
-// other LOD, or on a store built with no rungs, it keeps them all: more
-// bytes, the same answers. The facade's store constructors fill it from
-// Terrain.DefaultLODLadder; OpenStore reads the directory's.
 type StorePools struct {
 	Data, Overflow, Index, IDIndex int
 	Layout                         Layout
-	Rungs                          []float64
 	Shards                         int
 	Checksums                      bool
 	WrapBackend                    func(pager.Backend) pager.Backend
@@ -218,15 +208,6 @@ func BuildStore(ds *Dataset, pools StorePools) (*Store, error) {
 	}, nil)
 }
 
-// BuildStoreOnBackends lays ds out on caller-supplied backends (heap,
-// overflow, r*-tree, id index), applying the pool configuration's
-// wrappers (WrapBackend hook, checksums) on top of each. Fault-injection
-// tests and the chaos experiment use it to interpose faultfs wrappers
-// below the store.
-func BuildStoreOnBackends(ds *Dataset, pools StorePools, backends [4]pager.Backend) (*Store, error) {
-	return buildStore(ds, pools, backends, nil)
-}
-
 // buildStore lays ds out on the given backends (heap, overflow, r*-tree,
 // id index), then runs finish (when non-nil) on the result: BuildStoreAt
 // passes the sidecar writes. The backends are the store's from the call
@@ -258,7 +239,7 @@ func buildStore(ds *Dataset, pools StorePools, backends [4]pager.Backend, finish
 		layout: pools.Layout,
 		maxE:   maxE,
 	}
-	if s.rungs, err = newRungSets(nodes, pools.Rungs); err != nil {
+	if s.rungs, err = newRungSets(nodes, LODLadder(ds)); err != nil {
 		return nil, err
 	}
 	if pools.Layout == LayoutPacked {
@@ -413,14 +394,10 @@ func (s *Store) Layout() Layout { return s.layout }
 // NumNodes returns how many node records the store holds.
 func (s *Store) NumNodes() int64 { return s.idx.Len() }
 
-// Rungs returns the LOD rungs the store holds live-ID sets for, ascending
-// (see StorePools.Rungs); none when it was built for none.
-func (s *Store) Rungs() []float64 {
-	if s.rungs == nil {
-		return nil
-	}
-	return slices.Clone(s.rungs.rungs)
-}
+// Rungs returns the store's LOD ladder, ascending: the rungs it holds
+// live-ID sets for, chosen at build by LODLadder and the only LODs
+// MaterializeTile answers at.
+func (s *Store) Rungs() []float64 { return slices.Clone(s.rungs.rungs) }
 
 // DataPages returns how many data pages the node heap occupies —
 // the footprint the layouts trade against disk accesses.

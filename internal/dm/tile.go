@@ -46,13 +46,10 @@ type TilePatch struct {
 	// endpoints in ids, ascending.
 	edges pairRuns
 	// outPairs are the seam candidates: connection pairs (a, c) with a in
-	// ids and c not. Materialized at a rung the store has a live set for
-	// (StorePools.Rungs), only the pairs whose c is live at E — it then lies
-	// in another tile — are kept: a stitch keeps a pair only when both ends
-	// are vertices of an answer at E, so the rest (98-99 % of them, c being
-	// live at some other LOD of a's interval) can never become an edge.
-	// Without a set every pair is kept; the stitch drops the dead ones
-	// itself, and filtered and unfiltered patches stitch together.
+	// ids and c not, kept only when c is live at E — it then lies in
+	// another tile. A stitch keeps a pair only when both ends are vertices
+	// of an answer at E, so the rest (98-99 % of them, c being live at some
+	// other LOD of a's interval) can never become an edge.
 	outPairs pairRuns
 	// dropped counts the out-pairs the live set filtered away.
 	dropped int
@@ -102,8 +99,8 @@ func (p *pairRuns) add(head, far int64) {
 // which the patch does not hold (a decoded patch charges the arrays it has).
 // It is the input of every eviction decision, so it is frozen at this
 // formula (see DESIGN.md §9) although the run form holds a pair in 8
-// bytes, a filtered patch holds a fraction of the out-pairs and no
-// triangle is resident: real residency is below the estimate.
+// bytes, a patch holds a fraction of the out-pairs and no triangle is
+// resident: real residency is below the estimate.
 func (tp *TilePatch) Bytes() int { return tp.charge }
 
 // patchCharge is the frozen formula behind Bytes.
@@ -118,14 +115,20 @@ func (tp *TilePatch) NumNodes() int { return len(tp.ids) }
 
 // OutPairs reports the seam census: the out-pairs the patch holds, and how
 // many more materialization dropped because their far endpoint is not live
-// at E (0 when the store has no live set for E, and on a decoded patch).
+// at E (0 on a decoded patch, which does not carry the count).
 func (tp *TilePatch) OutPairs() (kept, dropped int) { return len(tp.outPairs.far), tp.dropped }
 
 // MaterializeTile answers Q(r, e) like ViewpointIndependent but returns
 // the result as a TilePatch: live nodes plus the intra-tile edges and the
 // out-going connection pairs needed to stitch the patch against its
 // neighbors. One range query, same I/O as the direct uniform query over r.
+// e must be a rung of the store's ladder (Rungs); any other LOD is an
+// error before a page is read.
 func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
+	alive, err := s.rungs.at(e)
+	if err != nil {
+		return nil, err
+	}
 	s.tr.Begin(obs.PhaseMaterialize)
 	defer s.tr.End()
 	f := s.newFetcher()
@@ -151,21 +154,16 @@ func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 	// its lower end), live at e elsewhere (an out-pair), or not live at e —
 	// which one bit of the rung's live set says before any lookup. Two
 	// passes, so that a patch the cache may hold for hours holds no slack:
-	// the first looks every candidate up once, remembers where, and sizes
-	// both pair lists; the second fills them. Ascending IDs x their
+	// the first looks every live far end up once, remembers where, and
+	// sizes both pair lists; the second fills them. Ascending IDs x their
 	// ascending connection lists emit both (and the packed edges the
 	// charge's triangle count comes from) in order.
-	alive := s.rungs.at(e)
-	candidates := conn
-	if alive != nil {
-		candidates = min(conn, 8*len(ids)) // a node has ~6 live neighbours
-	}
-	where := resize(sc.where, candidates)[:0]
+	where := resize(sc.where, min(conn, 8*len(ids)))[:0] // a node has ~6 live neighbours
 	var nEdges, nOut pairCount
 	for i := range live {
 		edges, out := 0, 0
 		for _, c := range live[i].Conn {
-			if alive != nil && !alive.has(c) {
+			if !alive.has(c) {
 				tp.dropped++
 				continue
 			}
@@ -190,7 +188,7 @@ func (s *Store) MaterializeTile(r geom.Rect, e float64) (*TilePatch, error) {
 	k := 0
 	for i, id := range ids {
 		for _, c := range live[i].Conn {
-			if alive != nil && !alive.has(c) {
+			if !alive.has(c) {
 				continue
 			}
 			j := int(where[k])
@@ -318,7 +316,7 @@ func StitchTilesTraced(r geom.Rect, e float64, tiles []*TilePatch, tr *obs.Trace
 // resolve appends to edges, packed, the pairs of p whose both endpoints
 // are indexed. A run's head is probed once: a head clipped away by the ROI
 // takes its whole run with it. An endpoint no tile lists is outside the
-// ROI's cover or — in a patch materialized without a live set — not live.
+// ROI's cover.
 func (x *idIndex) resolve(edges []uint64, p pairRuns) []uint64 {
 	lo := 0
 	for _, run := range p.runs {

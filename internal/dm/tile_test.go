@@ -85,8 +85,9 @@ func requireAscendingMesh(t testing.TB, label string, res *Result) {
 }
 
 // stitchAgainstDirect covers r with tiles at the given level and requires
-// the stitch of the resident patches, and of the same patches through the
-// wire, to equal the direct query as canonical bytes.
+// the stitch of the resident patches, of the same patches through the
+// wire, and of the two kinds alternating, to equal the direct query as
+// canonical bytes.
 func stitchAgainstDirect(t *testing.T, s *Store, label string, r geom.Rect, e float64, level int) {
 	t.Helper()
 	want, err := s.ViewpointIndependent(r, e)
@@ -95,12 +96,16 @@ func stitchAgainstDirect(t *testing.T, s *Store, label string, r geom.Rect, e fl
 	}
 	resident := materializeWirePatches(t, s, r, e, level)
 	decoded := make([]*TilePatch, len(resident))
+	mixed := slices.Clone(resident)
 	for i, tp := range resident {
 		if decoded[i], err = DecodeTilePatch(EncodeTilePatch(tp)); err != nil {
 			t.Fatalf("%s: tile %d through the wire: %v", label, i, err)
 		}
+		if i%2 == 1 {
+			mixed[i] = decoded[i]
+		}
 	}
-	for kind, tiles := range map[string][]*TilePatch{"resident": resident, "decoded": decoded} {
+	for kind, tiles := range map[string][]*TilePatch{"resident": resident, "decoded": decoded, "mixed": mixed} {
 		got, err := StitchTiles(r, e, tiles)
 		if err != nil {
 			t.Fatalf("%s: stitch %s: %v", label, kind, err)
@@ -198,14 +203,6 @@ func TestStitchTilesExact(t *testing.T) {
 			t.Fatalf("%s: duplicated, reordered tiles changed the stitch", name)
 		}
 	}
-}
-
-// TestStitchTilesAboveMaxLOD covers the clamp path: a query coarser than
-// the whole dataset still stitches to the root approximation.
-func TestStitchTilesAboveMaxLOD(t *testing.T) {
-	ds, _ := buildDataset(t, 8, "highland")
-	s := newTestStore(t, ds)
-	stitchAgainstDirect(t, s, "above max", geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, s.MaxE()*2, 1)
 }
 
 func TestStitchTilesLODMismatch(t *testing.T) {

@@ -13,15 +13,12 @@ import (
 //
 // The wire carries what StitchTiles reads and nothing else: the header,
 // each live node's ID and position, the intra-tile edges, and the seam
-// out-pairs — from a shard whose store was built for the tile's rung
-// (StorePools.Rungs) only the ones a stitch can use, those whose far
-// endpoint is live at E; every out-pair otherwise. The layout is the same
-// either way, so bodies of both kinds decode, re-encode to their own bytes
-// and stitch together. Triangles do not travel: they are the 3-cliques of
-// the edges, which the stitch recomputes over the merged edge list. The
-// record fields only a store query needs (ERaw/ELow/EHigh, tree links,
-// wings, MBR, connection lists) stay on the shard. Layout (little endian;
-// every ID is non-negative):
+// out-pairs a stitch can use, those whose far endpoint is live at E (the
+// tile's rung of the store's ladder). Triangles do not travel: they are
+// the 3-cliques of the edges, which the stitch recomputes over the merged
+// edge list. The record fields only a store query needs (ERaw/ELow/EHigh,
+// tree links, wings, MBR, connection lists) stay on the shard. Layout
+// (little endian; every ID is non-negative):
 //
 //	magic "DMTP", version uvarint (3)
 //	Rect (4 x float64 bits), E (float64 bits), FetchedRecords uvarint

@@ -33,7 +33,7 @@ func FuzzTilePatchDecode(f *testing.F) {
 	ds, _ := buildDataset(f, 17, "highland")
 	s := newTestStore(f, ds)
 	// Seven nodes with edges and out-pairs: every section non-empty.
-	tp, err := s.MaterializeTile(fullRect(), eAtPercentile(ds, 0.98))
+	tp, err := s.MaterializeTile(tileCover(s, fullRect(), 2)[11], eAtPercentile(ds, 0.5))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -82,14 +82,15 @@ func TestTilePatchWireRoundTrip(t *testing.T) {
 			check(fmt.Sprintf("pct %g tile %d", pct, i), tp)
 		}
 	}
-	// The coarsest query keeps only root nodes live, and an ROI off the
+	// The coarsest rung keeps the fewest nodes live, and an ROI off the
 	// terrain materializes an empty patch: both ends of the size range.
-	tp, err := s.MaterializeTile(r, s.MaxE()*2)
+	rungs := s.Rungs()
+	tp, err := s.MaterializeTile(r, rungs[len(rungs)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("root patch", tp)
-	if tp, err = s.MaterializeTile(geom.Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, 0); err != nil {
+	check("coarsest patch", tp)
+	if tp, err = s.MaterializeTile(geom.Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, rungs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if tp.NumNodes() != 0 {

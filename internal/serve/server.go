@@ -197,7 +197,7 @@ func New(cfg Config) (*Server, error) {
 		{"materialize_disk_accesses", "disk accesses spent materializing tiles", func(st cs) int { return int(st.MaterializeDA) }},
 		{"unretained", "patches served but too large to retain", func(st cs) int { return st.UnretainedOver }},
 		{"outpairs_kept", "seam out-pairs materialized tiles kept", func(st cs) int { return int(st.OutPairsKept) }},
-		{"outpairs_dropped", "seam out-pairs dropped at materialization, far endpoint not live at the rung (0: the store has no rung sets for this ladder)", func(st cs) int { return int(st.OutPairsDropped) }},
+		{"outpairs_dropped", "seam out-pairs dropped at materialization, far endpoint not live at the tile's rung of the store's ladder", func(st cs) int { return int(st.OutPairsDropped) }},
 	} {
 		reg.GaugeFunc("tileserver_cache_"+g.name, g.help, func() int64 { return int64(g.read(cache.Stats())) })
 	}
@@ -329,14 +329,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // ReadyError reports why the server cannot serve queries yet, nil when
-// it can: the store is opened and the tile cache is warm-capable (a
-// grid with LOD rungs over a non-empty dataset).
+// it can: the store is opened over a non-empty dataset.
 func (s *Server) ReadyError() error {
 	if s.store == nil {
 		return fmt.Errorf("store not opened")
-	}
-	if s.cache == nil || len(s.cache.Ladder()) == 0 {
-		return fmt.Errorf("tile cache has no LOD ladder")
 	}
 	if s.terrain.NumPoints() == 0 {
 		return fmt.Errorf("terrain has no points")
@@ -344,8 +340,8 @@ func (s *Server) ReadyError() error {
 	return nil
 }
 
-// handleReadyz is the readiness probe: 200 once the store is opened and
-// the tile cache can warm, 503 (with the reason) until then.
+// handleReadyz is the readiness probe: 200 once ReadyError is nil, 503
+// (with the reason) until then.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if err := s.ReadyError(); err != nil {
 		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "unready", Error: err.Error()})

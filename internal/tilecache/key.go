@@ -73,25 +73,36 @@ type Grid struct {
 	ladder   []float64 // ascending discrete LODs
 }
 
+// Grid depths: the default, which every Cache uses, and the deepest a
+// grid addresses, the level up to which a cell boundary ix·2^-level is an
+// exact float64 (RectFor).
+const (
+	defaultMaxLevel = 4
+	deepestLevel    = 52
+)
+
 // NewGrid validates and builds a quantization grid. The ladder is copied,
-// sorted ascending, and must be non-empty without duplicate rungs;
-// maxLevel < 0 is rejected and maxLevel == 0 selects the default depth 4.
+// sorted ascending, and must be non-empty, finite and without duplicate
+// rungs; maxLevel must lie in [0, 52], and 0 selects the default depth 4.
 func NewGrid(dataRect geom.Rect, maxLevel int, ladder []float64) (*Grid, error) {
 	if len(ladder) == 0 {
 		return nil, fmt.Errorf("tilecache: empty LOD ladder")
 	}
 	l := append([]float64(nil), ladder...)
 	sort.Float64s(l)
-	for i := 1; i < len(l); i++ {
-		if l[i] == l[i-1] {
-			return nil, fmt.Errorf("tilecache: duplicate ladder rung %g", l[i])
+	for i, e := range l {
+		if math.IsNaN(e) || math.IsInf(e, 0) {
+			return nil, fmt.Errorf("tilecache: ladder rung %g is not finite", e)
+		}
+		if i > 0 && e == l[i-1] {
+			return nil, fmt.Errorf("tilecache: duplicate ladder rung %g", e)
 		}
 	}
 	if maxLevel == 0 {
-		maxLevel = 4
+		maxLevel = defaultMaxLevel
 	}
-	if maxLevel < 0 {
-		return nil, fmt.Errorf("tilecache: negative MaxLevel")
+	if maxLevel < 0 || maxLevel > deepestLevel {
+		return nil, fmt.Errorf("tilecache: grid depth %d outside [0, %d]", maxLevel, deepestLevel)
 	}
 	return &Grid{dataRect: dataRect, maxLevel: maxLevel, ladder: l}, nil
 }

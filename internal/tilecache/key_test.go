@@ -1,6 +1,7 @@
 package tilecache
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -178,6 +179,54 @@ func TestValidKey(t *testing.T) {
 	for _, k := range invalid {
 		if g.ValidKey(k) {
 			t.Errorf("ValidKey(%v) = true, want false", k)
+		}
+	}
+}
+
+// TestNewGridRejectsWhatItCannotAddress: a ladder that is empty, repeats
+// a rung or holds a NaN or an infinite one, and a depth outside [0, 52],
+// are refused; at depth 52, the deepest, Cover's keys are valid and their
+// footprints exact, and depth 0 selects 4.
+func TestNewGridRejectsWhatItCannotAddress(t *testing.T) {
+	unit := geom.Rect{MaxX: 1, MaxY: 1}
+	for _, tc := range []struct {
+		name     string
+		maxLevel int
+		ladder   []float64
+	}{
+		{"empty ladder", 4, nil},
+		{"duplicate rung", 4, []float64{1, 1}},
+		{"NaN rungs", 4, []float64{math.NaN(), 1, math.NaN()}},
+		{"one NaN rung", 4, []float64{math.NaN()}},
+		{"+Inf rung", 4, []float64{1, math.Inf(1)}},
+		{"-Inf rung", 4, []float64{math.Inf(-1), 1}},
+		{"negative depth", -1, []float64{1}},
+		{"depth 53", 53, []float64{1}},
+		{"depth 63", 63, []float64{1}},
+		{"depth 64", 64, []float64{1}},
+	} {
+		if g, err := NewGrid(unit, tc.maxLevel, tc.ladder); err == nil {
+			t.Errorf("%s: NewGrid accepted it, ladder %v, depth %d", tc.name, g.Ladder(), g.MaxLevel())
+		}
+	}
+	if g, err := NewGrid(unit, 0, []float64{1}); err != nil || g.MaxLevel() != 4 {
+		t.Fatalf("depth 0: %v, %v; want the default depth 4", g, err)
+	}
+	g, err := NewGrid(unit, 52, []float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []geom.Rect{unit, {MinX: 1, MinY: 1, MaxX: 1, MaxY: 1}, {MinX: 0.5, MinY: 0.25, MaxX: 0.5, MaxY: 0.25}} {
+		for _, k := range g.Cover(r, g.LevelFor(r), 0) {
+			if !g.ValidKey(k) {
+				t.Fatalf("Cover(%v) at depth 52 gave key %v, which the grid rejects", r, k)
+			}
+			side := math.Ldexp(1, -k.Level)
+			want := geom.Rect{MinX: float64(k.IX) * side, MinY: float64(k.IY) * side,
+				MaxX: float64(k.IX+1) * side, MaxY: float64(k.IY+1) * side}
+			if got := g.RectFor(k); got != want || got.MaxX-got.MinX != side {
+				t.Fatalf("RectFor(%v) = %v, want %v", k, got, want)
+			}
 		}
 	}
 }

@@ -16,16 +16,12 @@ import (
 // retryable server fault.
 var ErrInvalidKey = errors.New("tilecache: invalid tile key")
 
-// Config parameterizes a Cache.
+// Config parameterizes a Cache. The grid is the store's: its LOD ladder
+// (dm.Store.Rungs), onto which requested LODs snap down, crossed with a
+// quadtree of depth 4.
 type Config struct {
 	// Store is the Direct Mesh store tiles are materialized from.
 	Store *dm.Store
-	// Ladder is the ascending list of discrete LOD values tiles are
-	// materialized at; requested LODs snap down onto it. Required.
-	Ladder []float64
-	// MaxLevel caps the quadtree depth (grid is at most 2^MaxLevel cells
-	// per side). Default 4.
-	MaxLevel int
 	// MaxBytes is the byte budget for resident patches (estimated with
 	// TilePatch.Bytes) and the encoded bodies memoized beside them (see
 	// PatchWire). Default 64 MiB. Patches larger than the whole budget
@@ -36,9 +32,8 @@ type Config struct {
 // Stats is a snapshot of the cache's counters.
 //
 // OutPairsKept and OutPairsDropped are the seam census over all
-// materializations. Dropped stays 0 on a ladder the store has no rung sets
-// for (dm.StorePools.Rungs): such a cache holds, ships and stitches every
-// out-pair.
+// materializations: a tile keeps only the out-pairs whose far endpoint is
+// live at its rung of the store's ladder, and drops the rest.
 type Stats struct {
 	Queries         uint64 // Query calls
 	TileLookups     uint64 // tile fetches (several per query)
@@ -139,7 +134,7 @@ func New(cfg Config) (*Cache, error) {
 	}
 	ds := cfg.Store.DataSpace()
 	g, err := NewGrid(geom.Rect{MinX: ds.MinX, MinY: ds.MinY, MaxX: ds.MaxX, MaxY: ds.MaxY},
-		cfg.MaxLevel, cfg.Ladder)
+		defaultMaxLevel, cfg.Store.Rungs())
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ package tilecache_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -378,23 +379,15 @@ func mustStore(t *testing.T, tr *dmesh.Terrain) *dmesh.DMStore {
 	return s
 }
 
-// TestConfigValidation covers New's error paths.
+// TestConfigValidation covers New's error paths; the grid's are NewGrid's
+// (TestNewGridRejectsWhatItCannotAddress).
 func TestConfigValidation(t *testing.T) {
 	tr := terrain(t, "highland")
 	s := mustStore(t, tr)
-	if _, err := tilecache.New(tilecache.Config{Store: nil, Ladder: []float64{1}}); err == nil {
+	if _, err := tilecache.New(tilecache.Config{Store: nil}); err == nil {
 		t.Error("nil store accepted")
 	}
-	if _, err := tilecache.New(tilecache.Config{Store: s}); err == nil {
-		t.Error("empty ladder accepted")
-	}
-	if _, err := tilecache.New(tilecache.Config{Store: s, Ladder: []float64{1, 1}}); err == nil {
-		t.Error("duplicate ladder rungs accepted")
-	}
-	if _, err := tilecache.New(tilecache.Config{Store: s, Ladder: []float64{1}, MaxLevel: -1}); err == nil {
-		t.Error("negative MaxLevel accepted")
-	}
-	if _, err := tilecache.New(tilecache.Config{Store: s, Ladder: []float64{1}, MaxBytes: -1}); err == nil {
+	if _, err := tilecache.New(tilecache.Config{Store: s, MaxBytes: -1}); err == nil {
 		t.Error("negative MaxBytes accepted")
 	}
 }
@@ -496,60 +489,42 @@ func TestTopTilesDeterministic(t *testing.T) {
 }
 
 // TestOutPairCensus: the cache counts the seam out-pairs its tiles kept and
-// the ones materialization dropped, once per materialization; a cache whose
-// ladder the store holds no rung sets for shows dropped = 0 — it is
-// serving unfiltered — and the same meshes.
+// the ones materialization dropped, once per materialization, and the
+// tiles, on the store's ladder, drop most of them.
 func TestOutPairCensus(t *testing.T) {
 	tr := terrain(t, "highland")
-	s, err := tr.NewDMStore()
-	if err != nil {
-		t.Fatal(err)
+	c, s := newCache(t, tr, 0)
+	if !slices.Equal(c.Ladder(), s.Rungs()) || !slices.Equal(c.Ladder(), tr.DefaultLODLadder()) {
+		t.Fatalf("cache ladder %v, store's %v, terrain's %v: want one ladder", c.Ladder(), s.Rungs(), tr.DefaultLODLadder())
 	}
-	// Rungs between the default ladder's: the store has no set for any.
-	own := []float64{tr.LODPercentile(0.6), tr.LODPercentile(0.85), tr.LODPercentile(0.93)}
 	r := geom.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.6, MaxY: 0.6} // four level-1 tiles
-	for _, tc := range []struct {
-		name     string
-		ladder   []float64
-		filtered bool
-	}{
-		{"the store's ladder", tr.DefaultLODLadder(), true},
-		{"a ladder of the caller's own", own, false},
-	} {
-		c, err := tilecache.New(tilecache.Config{Store: s, Ladder: tc.ladder})
+	// The second query hits: nothing more is counted.
+	for i := 0; i < 2; i++ {
+		res, qs, err := c.Query(r, tr.LODPercentile(0.85))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 2; i++ { // the second query hits: nothing more is counted
-			res, qs, err := c.Query(r, tr.LODPercentile(0.85))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := s.ViewpointIndependent(r, qs.SnappedE)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameMesh(t, tc.name, res, want)
+		want, err := s.ViewpointIndependent(r, qs.SnappedE)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var kept, dropped uint64
-		for _, ts := range c.TileStats() {
-			p, _, err := c.Patch(ts.Key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			k, d := p.OutPairs()
-			kept, dropped = kept+uint64(k), dropped+uint64(d)
+		sameMesh(t, "query", res, want)
+	}
+	var kept, dropped uint64
+	for _, ts := range c.TileStats() {
+		p, _, err := c.Patch(ts.Key)
+		if err != nil {
+			t.Fatal(err)
 		}
-		st := c.Stats()
-		if st.OutPairsKept != kept || st.OutPairsDropped != dropped || kept == 0 {
-			t.Errorf("%s: stats say %d kept, %d dropped; the %d resident patches %d and %d",
-				tc.name, st.OutPairsKept, st.OutPairsDropped, st.Entries, kept, dropped)
-		}
-		if (dropped > 0) != tc.filtered {
-			t.Errorf("%s: %d out-pairs dropped, filtered should be %t", tc.name, dropped, tc.filtered)
-		}
-		if tc.filtered && dropped < 2*kept { // 90 % even on this 17² terrain
-			t.Errorf("%s: kept %d of %d out-pairs; expected a small fraction", tc.name, kept, kept+dropped)
-		}
+		k, d := p.OutPairs()
+		kept, dropped = kept+uint64(k), dropped+uint64(d)
+	}
+	st := c.Stats()
+	if st.OutPairsKept != kept || st.OutPairsDropped != dropped || kept == 0 {
+		t.Errorf("stats say %d kept, %d dropped; the %d resident patches %d and %d",
+			st.OutPairsKept, st.OutPairsDropped, st.Entries, kept, dropped)
+	}
+	if dropped < 2*kept { // 90 % even on this 17² terrain
+		t.Errorf("kept %d of %d out-pairs; expected a small fraction", kept, kept+dropped)
 	}
 }
