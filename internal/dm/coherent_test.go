@@ -530,7 +530,7 @@ func TestCoherentSavesDiskAccesses(t *testing.T) {
 
 // TestCoherentSurvivesReadFault injects a data-page read fault in the
 // middle of a camera walk, on a pool small enough that frames really
-// read pages. The failing frame must return the injected error and
+// read pages, at a read a dry pass of the walk saw the frame make. The failing frame must return the injected error and
 // still report every page it read (FrameStats.DA equals the backend
 // reads the wrappers saw, the failed one included, and the trace agrees);
 // the session must come out clean: the next frame runs Full, and it and
@@ -559,22 +559,50 @@ func TestCoherentSurvivesReadFault(t *testing.T) {
 		return n
 	}
 
+	emin, emax := eAtPercentile(ds, 0.5), eAtPercentile(ds, 0.95)
+	planeAt := func(i int) geom.QueryPlane {
+		y := 0.03 * float64(i)
+		return geom.QueryPlane{R: geom.Rect{MinX: 0.1, MinY: y, MaxX: 0.7, MaxY: y + 0.45}, EMin: emin, EMax: emax, Axis: 1}
+	}
+	const faultAt = 6
+
+	// A dry pass of the same walk from the same cold pools counts the
+	// data pages frame faultAt reads; the faulted pass fails the middle
+	// one of them, a read that really happens however densely the
+	// records pack.
+	if err := s.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	dry := s.NewCoherentSession(model)
+	var dataReads uint64
+	for i := 0; i <= faultAt; i++ {
+		before := fbs[0].Stats().Ops[faultfs.Read]
+		if _, _, err := dry.Frame(planeAt(i)); err != nil {
+			t.Fatalf("dry frame %d: %v", i, err)
+		}
+		dataReads = fbs[0].Stats().Ops[faultfs.Read] - before
+		if i < faultAt {
+			if _, err := oracle.SingleBase(planeAt(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if dataReads == 0 {
+		t.Fatalf("dry frame %d read no data page", faultAt)
+	}
+	faultNth := (dataReads + 1) / 2
+
 	if err := s.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
 	cs := s.NewCoherentSession(model)
 	tr := cs.EnableTrace()
-	emin, emax := eAtPercentile(ds, 0.5), eAtPercentile(ds, 0.95)
-	const faultAt = 6
 	sawDelta := false
 	for i := 0; i < 14; i++ {
-		y := 0.03 * float64(i)
-		qp := geom.QueryPlane{R: geom.Rect{MinX: 0.1, MinY: y, MaxX: 0.7, MaxY: y + 0.45}, EMin: emin, EMax: emax, Axis: 1}
+		qp := planeAt(i)
 		if i == faultAt {
-			// The second data page this frame reads fails (a delta frame
-			// over packed records reads only two or three).
 			fbs[0].ResetStats()
-			fbs[0].SetSchedule(faultfs.Read, faultfs.Schedule{Nth: []uint64{2}})
+			fbs[0].SetSchedule(faultfs.Read, faultfs.Schedule{Nth: []uint64{faultNth}})
 		}
 		before := backendReads()
 		got, st, err := cs.Frame(qp)
@@ -589,7 +617,7 @@ func TestCoherentSurvivesReadFault(t *testing.T) {
 			if !errors.Is(err, faultfs.ErrInjected) {
 				t.Fatalf("faulted frame returned %v, want the injected error", err)
 			}
-			if got != nil || st.DA < 2 {
+			if got != nil || st.DA < faultNth {
 				t.Fatalf("faulted frame: result %v, stats %+v", got, st)
 			}
 			if cs.fetched != nil || cs.cover != nil {

@@ -33,11 +33,11 @@ import (
 )
 
 // Node is one Direct Mesh node as queries hold it: what reconstruction
-// reads and nothing else — 80 bytes. The store record also carries the
-// node's children and wings (the paper's tuple): the writers take them
-// from the PM tree (Dataset.links) and the decoders read and validate them
-// and keep none, like the PM node's raw error and footprint, which the
-// record does not store at all.
+// reads and nothing else — 80 bytes. The packed record holds exactly
+// this. The fixed record (LayoutSTR) also carries the node's children and
+// wings, the paper's tuple: its writer takes them from the PM tree
+// (Dataset.links) and its decoder reads them and keeps none. Neither
+// record stores the PM node's raw error or footprint.
 type Node struct {
 	ID  int64
 	Pos geom.Point3
@@ -81,8 +81,8 @@ func (d *Dataset) Node(id int64) Node {
 	return Node{ID: p.ID, Pos: p.Pos, ELow: p.ELow, EHigh: p.EHigh, Parent: p.Parent, Conn: d.Conn[id]}
 }
 
-// links returns the references node id's store record carries beyond
-// Node: Child1, Child2, Wing1, Wing2, in record order.
+// links returns the references node id's fixed record (LayoutSTR)
+// carries beyond Node: Child1, Child2, Wing1, Wing2, in record order.
 func (d *Dataset) links(id int64) [4]int64 {
 	p := &d.Tree.Nodes[id]
 	return [4]int64{p.Child1, p.Child2, p.Wing1, p.Wing2}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"dmesh/internal/geom"
@@ -16,66 +17,57 @@ import (
 
 // packedFixtures covers the encoding's whole value space: every float
 // escape (dyadic, +0 ELow, +Inf EHigh, raw), adversarial IEEE bit
-// patterns (NaN payloads, -0.0, denormals, extremes), every topology-ref
-// shape (all None, mixed, far deltas), and connection lists from empty
-// to max valence with negative first deltas.
-func packedFixtures() []linkedNode {
+// patterns (NaN payloads, -0.0, denormals, extremes), parents near, far
+// and absent, and connection lists from empty to max valence with
+// negative first deltas.
+func packedFixtures() []Node {
 	nan1 := math.Float64frombits(0x7ff8dead_beef0001) // NaN, custom payload
 	nan2 := math.Float64frombits(0xfff00000_00000001) // negative signaling-style NaN
-	mk := func(id int64, x, y, z, elo, ehi float64, refs [5]int64, conn []int64) linkedNode {
-		return linkedNode{Node{ID: id, Pos: geom.Point3{X: x, Y: y, Z: z},
-			ELow: elo, EHigh: ehi, Parent: refs[0], Conn: conn}, [4]int64(refs[1:])}
+	mk := func(id int64, x, y, z, elo, ehi float64, parent int64, conn []int64) Node {
+		return Node{ID: id, Pos: geom.Point3{X: x, Y: y, Z: z},
+			ELow: elo, EHigh: ehi, Parent: parent, Conn: conn}
 	}
-	none := [5]int64{pm.None, pm.None, pm.None, pm.None, pm.None}
 	longConn := make([]int64, 3000)
 	for i := range longConn {
 		longConn[i] = int64(100 + i)
 	}
-	return []linkedNode{
-		// A typical leaf: dyadic grid coordinates, ELow +0, near refs.
-		mk(7, 0.5, 0.25, 3.0/4096, 0, 0.125, [5]int64{9, pm.None, pm.None, 5, 11}, []int64{3, 5, 9, 11}),
-		// A root: EHigh +Inf, children, no parent.
-		mk(100, 0.5, 0.5, 1, 0.25, math.Inf(1), [5]int64{pm.None, 40, 60, pm.None, pm.None}, []int64{98, 99, 101}),
+	return []Node{
+		// A typical leaf: dyadic grid coordinates, ELow +0, a near parent.
+		mk(7, 0.5, 0.25, 3.0/4096, 0, 0.125, 9, []int64{3, 5, 9, 11}),
+		// A root: EHigh +Inf, no parent.
+		mk(100, 0.5, 0.5, 1, 0.25, math.Inf(1), pm.None, []int64{98, 99, 101}),
 		// NaN payloads and -0.0 must take the raw path bit-for-bit.
-		mk(1, nan1, math.Copysign(0, -1), nan2, math.Copysign(0, -1), nan1, none, nil),
+		mk(1, nan1, math.Copysign(0, -1), nan2, math.Copysign(0, -1), nan1, pm.None, nil),
 		// Denormals, extremes, and -Inf.
 		mk(2, math.SmallestNonzeroFloat64, -math.MaxFloat64, math.Inf(-1),
-			math.SmallestNonzeroFloat64, math.Inf(-1), none, []int64{2}),
+			math.SmallestNonzeroFloat64, math.Inf(-1), pm.None, []int64{2}),
 		// Non-dyadic irrationals alongside dyadic negatives.
-		mk(3, 0.1, -3.75, math.Pi, 1e-9, 2.5, [5]int64{0, 1, 2, pm.None, 4}, []int64{0, 1, 2, 3}),
+		mk(3, 0.1, -3.75, math.Pi, 1e-9, 2.5, 0, []int64{0, 1, 2, 3}),
 		// Huge ID with a connection list entirely below it (negative first
-		// delta) and refs far away in both directions.
-		mk(1<<40, 0.5, 0.5, 0.5, 0, math.Inf(1),
-			[5]int64{0, 1 << 41, pm.None, 3, pm.None}, []int64{-5, 0, 3, 1 << 39}),
+		// delta) and a parent far away.
+		mk(1<<40, 0.5, 0.5, 0.5, 0, math.Inf(1), 0, []int64{-5, 0, 3, 1 << 39}),
 		// ID 0, empty everything.
-		mk(0, 0, 0, 0, 0, math.Inf(1), none, nil),
+		mk(0, 0, 0, 0, 0, math.Inf(1), pm.None, nil),
 		// ELow exactly -0.0: must NOT take the pkELowZero escape (which
 		// restores +0.0) — the raw path preserves the sign bit.
-		mk(12, 1, 1, 1, math.Copysign(0, -1), 1, none, []int64{10, 11, 13}),
+		mk(12, 1, 1, 1, math.Copysign(0, -1), 1, pm.None, []int64{10, 11, 13}),
 		// Dyadic boundary: the largest index that still round-trips, and
 		// one past it (falls back to raw).
 		mk(13, float64(int64(1)<<41)/4096, float64(int64(1)<<41+4096)/4096, -float64(int64(1)<<41)/4096,
-			0, math.Inf(1), none, nil),
+			0, math.Inf(1), pm.None, nil),
 		// Max valence with dense deltas.
-		mk(50, 0.5, 0.5, 0.5, 0.25, 0.5, [5]int64{49, 51, 52, pm.None, 48}, longConn),
+		mk(50, 0.5, 0.5, 0.5, 0.25, 0.5, 49, longConn),
 	}
 }
 
-// linkedNode is a record's whole tuple: the Node a query holds plus the
-// links (Child1, Child2, Wing1, Wing2) only the encoders take.
-type linkedNode struct {
-	Node
-	links [4]int64
-}
-
-func requireNodeBitsEqual(t *testing.T, ctx string, want, got linkedNode) {
+func requireNodeBitsEqual(t *testing.T, ctx string, want, got Node) {
 	t.Helper()
 	fb := math.Float64bits
 	if got.ID != want.ID ||
 		fb(got.Pos.X) != fb(want.Pos.X) || fb(got.Pos.Y) != fb(want.Pos.Y) ||
 		fb(got.Pos.Z) != fb(want.Pos.Z) ||
 		fb(got.ELow) != fb(want.ELow) || fb(got.EHigh) != fb(want.EHigh) ||
-		got.Parent != want.Parent || got.links != want.links {
+		got.Parent != want.Parent {
 		t.Fatalf("%s: decoded node differs\nwant %+v\ngot  %+v", ctx, want, got)
 	}
 	if len(got.Conn) != len(want.Conn) {
@@ -95,24 +87,25 @@ func requireNodeBitsEqual(t *testing.T, ctx string, want, got linkedNode) {
 func TestPackedRecordRoundTripBitExact(t *testing.T) {
 	var buf []byte
 	for fi, n := range packedFixtures() {
-		buf = EncodePackedRecord(&n.Node, n.links, noOverflow, len(n.Conn), buf)
-		if want := packedRecordLen(&n.Node, n.links, len(n.Conn), false); len(buf) != want {
+		buf = EncodePackedRecord(&n, noOverflow, len(n.Conn), buf)
+		if want := packedRecordLen(&n, len(n.Conn), false); len(buf) != want {
 			t.Fatalf("fixture %d: encoded %d bytes, packedRecordLen says %d", fi, len(buf), want)
 		}
-		got, links, total, ref, err := DecodePackedRecord(buf, nil)
+		got, total, ref, err := DecodePackedRecord(buf, nil)
 		if err != nil {
 			t.Fatalf("fixture %d: %v", fi, err)
 		}
 		if total != len(n.Conn) || ref != noOverflow {
 			t.Fatalf("fixture %d: total %d ref %d, want %d %d", fi, total, ref, len(n.Conn), noOverflow)
 		}
-		requireNodeBitsEqual(t, "fixture", n, linkedNode{got, links})
+		requireNodeBitsEqual(t, "fixture", n, got)
 	}
 }
 
 // TestPackedRecordSpillRoundTrip exercises the overflow split: a record
 // encoded with a partial inline prefix decodes to exactly that prefix
-// plus the chain head, and packedSplit never overruns a page.
+// plus the chain head and the whole list's count, and packedSplit never
+// overruns a page.
 func TestPackedRecordSpillRoundTrip(t *testing.T) {
 	var buf []byte
 	for fi, n := range packedFixtures() {
@@ -120,11 +113,11 @@ func TestPackedRecordSpillRoundTrip(t *testing.T) {
 			if inline >= len(n.Conn) {
 				continue
 			}
-			buf = EncodePackedRecord(&n.Node, n.links, 4242, inline, buf)
-			if want := packedRecordLen(&n.Node, n.links, inline, true); len(buf) != want {
+			buf = EncodePackedRecord(&n, 4242, inline, buf)
+			if want := packedRecordLen(&n, inline, true); len(buf) != want {
 				t.Fatalf("fixture %d/%d: encoded %d bytes, want %d", fi, inline, len(buf), want)
 			}
-			got, _, total, ref, err := DecodePackedRecord(buf, nil)
+			got, total, ref, err := DecodePackedRecord(buf, nil)
 			if err != nil {
 				t.Fatalf("fixture %d/%d: %v", fi, inline, err)
 			}
@@ -294,7 +287,10 @@ func TestPackedDirectoryAnswersLikeSTRDirectory(t *testing.T) {
 // files fail reads, in each layout: a full by-ID scan and a range query
 // surface the injected fault as an error (never a panic, never a silently
 // wrong answer), and once healed the store answers exactly like a
-// fault-free str store.
+// fault-free str store. Each file the run reads is faulted in turn, at
+// the middle one of the reads a dry pass of the same run, from the same
+// cold pools, makes of it: a read that really happens however densely the
+// layout packs.
 func TestFaultedStoreErrsThenHeals(t *testing.T) {
 	ds := inflateConn(buildDatasetOnly(t, 8, "crater"), overflowLengths...)
 	ref, err := BuildStore(ds, StorePools{Layout: LayoutSTR})
@@ -307,7 +303,7 @@ func TestFaultedStoreErrsThenHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, layout := range allLayouts {
-		var faults []*faultfs.Backend
+		var faults []*faultfs.Backend // heap, overflow, r*-tree, id index
 		s, err := BuildStore(ds, StorePools{Layout: layout, WrapBackend: func(b pager.Backend) pager.Backend {
 			fb := faultfs.Wrap(b)
 			faults = append(faults, fb)
@@ -315,6 +311,14 @@ func TestFaultedStoreErrsThenHeals(t *testing.T) {
 		}})
 		if err != nil {
 			t.Fatal(err)
+		}
+		coldStart := func() {
+			if err := s.DropCaches(); err != nil {
+				t.Fatal(err)
+			}
+			for _, fb := range faults {
+				fb.ResetStats()
+			}
 		}
 		runs := map[string]func() error{
 			"by-ID scan": func() error {
@@ -328,18 +332,29 @@ func TestFaultedStoreErrsThenHeals(t *testing.T) {
 			"range query": func() error { _, err := s.ViewpointIndependent(fullRect(), e); return err },
 		}
 		for name, run := range runs {
-			if err := s.DropCaches(); err != nil {
-				t.Fatal(err)
+			coldStart()
+			if err := run(); err != nil {
+				t.Fatalf("%v: %s dry pass: %v", layout, name, err)
 			}
-			for _, fb := range faults {
-				fb.SetSchedule(faultfs.Read, faultfs.Schedule{Every: 5})
+			var reads [4]uint64
+			for i, fb := range faults {
+				reads[i] = fb.Stats().Ops[faultfs.Read]
 			}
-			if err := run(); err == nil {
-				t.Fatalf("%v: %s against a faulted store must fail", layout, name)
-			} else if !errors.Is(err, faultfs.ErrInjected) {
-				t.Fatalf("%v: %s error should wrap the injected fault, got: %v", layout, name, err)
+			if reads[0] == 0 {
+				t.Fatalf("%v: %s read no data page", layout, name)
 			}
-			for _, fb := range faults {
+			for i, fb := range faults {
+				if reads[i] == 0 {
+					continue
+				}
+				coldStart()
+				nth := (reads[i] + 1) / 2
+				fb.SetSchedule(faultfs.Read, faultfs.Schedule{Nth: []uint64{nth}})
+				if err := run(); err == nil {
+					t.Fatalf("%v: %s against a faulted store must fail (file %d, read %d of %d)", layout, name, i, nth, reads[i])
+				} else if !errors.Is(err, faultfs.ErrInjected) {
+					t.Fatalf("%v: %s error should wrap the injected fault, got: %v", layout, name, err)
+				}
 				fb.Heal()
 			}
 		}
@@ -355,9 +370,9 @@ func TestFaultedStoreErrsThenHeals(t *testing.T) {
 }
 
 // TestPackedLayoutVersionGate: a packed store whose sidecar claims the
-// version-4 format packed was introduced under must be refused by name
-// before a page file is opened — this build reads version 5 only — and
-// reopens once the sidecar says version 5 again.
+// version-5 format, the last with links in its records, must be refused
+// by name before a page file is opened — this build reads version 6 only
+// — and reopens once the sidecar says version 6 again.
 func TestPackedLayoutVersionGate(t *testing.T) {
 	ds := buildDatasetOnly(t, 6, "highland")
 	dir := filepath.Join(t.TempDir(), "store")
@@ -368,13 +383,13 @@ func TestPackedLayoutVersionGate(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rewriteMeta(t, dir, func(m map[string]any) { m["version"] = 4 })
+	rewriteMeta(t, dir, func(m map[string]any) { m["version"] = 5 })
 	pools, handed := countingPools(StorePools{})
 	if s, err := OpenStore(dir, pools); !errors.Is(err, ErrStoreFormat) {
 		if err == nil {
 			s.Close()
 		}
-		t.Fatalf("version-4 packed store: OpenStore = %v, want ErrStoreFormat", err)
+		t.Fatalf("version-5 packed store: OpenStore = %v, want ErrStoreFormat", err)
 	}
 	if len(*handed) != 0 {
 		t.Fatalf("%d page files opened before the refusal", len(*handed))
@@ -382,7 +397,7 @@ func TestPackedLayoutVersionGate(t *testing.T) {
 	rewriteMeta(t, dir, func(m map[string]any) { m["version"] = metaVersion })
 	re, err := OpenStore(dir, StorePools{})
 	if err != nil {
-		t.Fatalf("version-5 packed store: %v", err)
+		t.Fatalf("version-6 packed store: %v", err)
 	}
 	defer re.Close()
 	if re.Layout() != LayoutPacked {
@@ -395,43 +410,50 @@ func TestPackedLayoutVersionGate(t *testing.T) {
 // surface as wire.ErrCorrupt. (Truncation and non-minimal varints are the
 // shared harness's, internal/wire TestDecoders.)
 func TestPackedDecodeRejectsCorruption(t *testing.T) {
-	// ID 7 is one byte, so the bitmap is bytes 1-2 and the floats start at 3.
+	// The leaf fixture's ID 7 and bitmap are one byte each, so the floats
+	// start at 2: X and Y are 2-byte indices, Z one byte, ELow +0 none,
+	// EHigh a 2-byte index at 7; the parent delta is byte 9 and the four
+	// connection deltas are bytes 10-13.
 	leaf := packedFixtures()[0]
 	encode := func(edit func(n *Node)) []byte {
-		n := leaf.Node
+		n := leaf
 		edit(&n)
-		return EncodePackedRecord(&n, leaf.links, noOverflow, len(n.Conn), nil)
+		return EncodePackedRecord(&n, noOverflow, len(n.Conn), nil)
 	}
 	valid := encode(func(*Node) {})
-	flip := func(b []byte, hi, lo byte) []byte {
-		out := append([]byte{}, b...)
-		out[1] ^= lo
-		out[2] ^= hi
-		return out
+	flags := uint64(valid[1])
+	// respell swaps the bitmap for f and the bytes from..to for mid.
+	respell := func(f uint64, from, to int, mid ...byte) []byte {
+		out := wire.AppendUvarint(append([]byte{}, valid[0]), f)
+		out = append(append(out, valid[2:from]...), mid...)
+		return append(out, valid[to:]...)
 	}
 	// The same record with ELow -0.0 carries ELow as 8 raw bytes; clearing
 	// the sign bit leaves +0.0 spelled raw instead of by its escape bit.
 	rawZero := encode(func(n *Node) { n.ELow = math.Copysign(0, -1) })
-	rawZero[3+2+2+1+7] &^= 0x80 // X, Y are 2-byte indices, Z one byte; last byte of ELow
+	rawZero[2+2+2+1+7] &^= 0x80 // last byte of ELow
 	// Likewise EHigh -Inf travels raw, and clearing its sign leaves +Inf.
 	rawInf := encode(func(n *Node) { n.EHigh = math.Inf(-1) })
-	rawInf[3+2+2+1+7] &^= 0x80 // ELow +0 takes no bytes here; last byte of EHigh
+	rawInf[2+2+2+1+7] &^= 0x80 // ELow +0 takes no bytes here; last byte of EHigh
+	ff := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 	cases := map[string][]byte{
-		"escapable EHigh sent raw":  rawInf,
-		"escapable ELow as index 0": append(append(flip(valid, 0x03, 0)[:8:8], 0x00), valid[8:]...),
-		"reserved bit":              flip(valid, 0xE0, 0),
-		"ELow zero and dyadic":      flip(valid, 0x02, 0),
-		"escapable ELow sent raw":   rawZero,
-		"overflow bit, no head":     append(append(flip(valid, 0x10, 0)[:3:3], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), valid[3:]...),
-		"presence bit on None":      append(append(flip(valid, 0, pkChild1)[:11:11], 0x0f), valid[11:]...), // Child1 = ID-8 = pm.None
-		"dyadic value sent raw":     rawInsteadOfDyadic(valid),
-		"inline IDs past the count": append(append([]byte{}, valid...), 0x02),
+		"escapable EHigh sent raw":   rawInf,
+		"escapable ELow as index 0":  respell(flags^(pkELowZero|pkELowDyadic), 7, 7, 0x00),
+		"reserved bit":               respell(flags|pkBits, 2, 2),
+		"ELow zero and dyadic":       respell(flags|pkELowDyadic, 2, 2),
+		"escapable ELow sent raw":    rawZero,
+		"overflow bit, no head":      respell(flags|pkOverflow, 2, 2, ff...),
+		"presence bit on None":       respell(flags, 9, 10, 0x0f), // parent = ID-8 = pm.None
+		"dyadic value sent raw":      respell(flags&^pkXDyadic, 2, 4, wire.AppendF64(nil, 0.5)...),
+		"repeated connection ID":     append(append([]byte{}, valid...), 0x00),
+		"descending connection ID":   append(append([]byte{}, valid...), 0x01),
+		"spill with every ID inline": EncodePackedRecord(&leaf, 99, len(leaf.Conn), nil),
 	}
-	if _, _, _, _, err := DecodePackedRecord(valid, nil); err != nil {
+	if _, _, _, err := DecodePackedRecord(valid, nil); err != nil {
 		t.Fatalf("baseline record does not decode: %v", err)
 	}
 	for name, buf := range cases {
-		_, _, _, _, err := DecodePackedRecord(buf, nil)
+		_, _, _, err := DecodePackedRecord(buf, nil)
 		if !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want wire.ErrCorrupt", name, err)
 		}
@@ -439,25 +461,19 @@ func TestPackedDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// rawInsteadOfDyadic respells the leaf fixture's X (0.5, dyadic index
-// 2048, two bytes at offset 3) as raw IEEE bits with its dyadic bit clear.
-func rawInsteadOfDyadic(valid []byte) []byte {
-	out := append([]byte{}, valid[:3]...)
-	out[1] &^= pkXDyadic
-	out = wire.AppendF64(out, 0.5)
-	return append(out, valid[5:]...)
-}
-
 // The fields of a packed record, as the census attributes its bytes.
 var censusFields = []string{"connection deltas", "x/y", "z", "EHigh", "ELow", "ID",
-	"parent", "children", "wings", "bitmap", "connection count", "overflow"}
+	"parent", "bitmap", "connection count", "overflow"}
 
 // packedCensus attributes every byte of every packed record s stores to the
 // field that spells it, walking each record with the reader and in the
 // order DecodePackedRecord uses; overflow counts both chain heads and the
 // overflow records they name. It returns the bytes per field
-// (censusFields' order) and the records' total length.
-func packedCensus(t *testing.T, s *Store) (bytes []int, total int) {
+// (censusFields' order), the records' total length and how many of them
+// spill. Along the way it holds every record to the format's two size
+// promises: the bitmap is one byte unless the record is a root or spills
+// (then two), and only a spilled record spends a byte on its count.
+func packedCensus(t *testing.T, s *Store) (bytes []int, total, spilled int) {
 	t.Helper()
 	const (
 		deltas = iota
@@ -467,8 +483,6 @@ func packedCensus(t *testing.T, s *Store) (bytes []int, total int) {
 		eLow
 		id
 		parent
-		children
-		wings
 		bitmap
 		count
 		overflow
@@ -488,34 +502,44 @@ func packedCensus(t *testing.T, s *Store) (bytes []int, total int) {
 		total += len(rec)
 		r := wire.NewReader("census", rec)
 		read := 0
-		charge := func(field int) {
-			bytes[field] += len(rec) - r.Len() - read
-			read = len(rec) - r.Len()
+		charge := func(field int) int {
+			n := len(rec) - r.Len() - read
+			bytes[field] += n
+			read += n
+			return n
 		}
 		r.Uvarint()
 		charge(id)
-		flags := r.U16()
-		charge(bitmap)
+		flags := r.Uvarint()
+		wantBitmap := 1
+		if flags&(pkEHighInf|pkOverflow) != 0 {
+			wantBitmap = 2
+		}
+		if got := charge(bitmap); got != wantBitmap {
+			t.Errorf("node %d: %d-byte bitmap %#x, want %d", node, got, flags, wantBitmap)
+		}
 		head := noOverflow
 		if flags&pkOverflow != 0 {
 			head = int64(r.U64())
 			charge(overflow)
+			spilled++
 		}
-		dyBits := [5]uint16{pkXDyadic, pkYDyadic, pkZDyadic, pkELowDyadic, pkEHighDyadic}
 		for i, field := range []int{xy, xy, z, eLow, eHigh} {
 			if !(i == 3 && flags&pkELowZero != 0) && !(i == 4 && flags&pkEHighInf != 0) {
-				r.Float(flags&dyBits[i] != 0)
+				r.Float(flags&packedDyBits[i] != 0)
 			}
 			charge(field)
 		}
-		for i, field := range []int{parent, children, children, wings, wings} {
-			if flags&(1<<i) != 0 {
-				r.Varint()
-			}
-			charge(field)
+		if flags&pkParent != 0 {
+			r.Varint()
 		}
-		r.Uvarint()
-		charge(count)
+		charge(parent)
+		if head != noOverflow {
+			r.Uvarint()
+		}
+		if got := charge(count); (got > 0) != (head != noOverflow) {
+			t.Errorf("node %d: %d count bytes, spilled %v", node, got, head != noOverflow)
+		}
 		for r.Len() > 0 && r.Err() == nil {
 			r.Varint()
 		}
@@ -533,16 +557,16 @@ func packedCensus(t *testing.T, s *Store) (bytes []int, total int) {
 			_, head = decodeOverflow(ob)
 		}
 	}
-	return bytes, total
+	return bytes, total, spilled
 }
 
 // TestPackedRecordCensus is ROADMAP item 13's census as a test: at 65²
 // every byte of every packed record is charged to one field, the fields
 // add up to the records' bytes, and those fit the heap's data pages (the
 // difference is page and slot overhead). The log prints the table in
-// bytes per terrain point, the unit of store_data_bytes_per_point. What
-// a format without the four links would save is the children and wings
-// rows.
+// bytes per terrain point, the unit of store_data_bytes_per_point. No
+// list spills at 65², so no byte goes to a count; a store whose inflated
+// lists do spill charges its counts and chains to exactly those records.
 func TestPackedRecordCensus(t *testing.T) {
 	const size = 65
 	ds := buildDatasetOnly(t, size, "highland")
@@ -550,7 +574,7 @@ func TestPackedRecordCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bytes, total := packedCensus(t, s)
+	bytes, total, spilled := packedCensus(t, s)
 	sum := 0
 	for i, b := range bytes {
 		sum += b
@@ -564,23 +588,38 @@ func TestPackedRecordCensus(t *testing.T) {
 	if total > stored {
 		t.Errorf("the records hold %d bytes, more than the %d of the heap's data pages", total, stored)
 	}
+	if spilled != 0 {
+		t.Errorf("%d records spill at %d²", spilled, size)
+	}
 	for i, b := range bytes {
-		if b == 0 && censusFields[i] != "overflow" {
-			t.Errorf("no byte charged to %s", censusFields[i])
+		if spare := censusFields[i] == "overflow" || censusFields[i] == "connection count"; (b == 0) != spare {
+			t.Errorf("%d bytes charged to %s", b, censusFields[i])
 		}
+	}
+
+	inflated, err := BuildStore(inflateConn(buildDatasetOnly(t, 9, "highland"), overflowLengths...), StorePools{Layout: LayoutPacked})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes, _, spilled = packedCensus(t, inflated)
+	count, chains := bytes[slices.Index(censusFields, "connection count")], bytes[slices.Index(censusFields, "overflow")]
+	if spilled == 0 || count == 0 || chains == 0 {
+		t.Errorf("inflated store: %d records spill, %d count bytes, %d overflow bytes; want all three above 0", spilled, count, chains)
 	}
 }
 
 // FuzzPackedRecordDecode feeds arbitrary bytes to the packed decoder:
 // it must never panic, never allocate unboundedly, and classify every
 // failure as wire.ErrCorrupt. Valid decodes must satisfy the encoding's
-// invariants (inline list within the declared total, sorted deltas
-// reconstructed consistently).
+// invariants (a wholly inline list is the whole list, a spilled one holds
+// fewer IDs than its count). The seeds spell every fixture wholly inline
+// and, where the list allows, spilled — so the corpus holds a root's
+// two-byte bitmap and a spilled record's count.
 func FuzzPackedRecordDecode(f *testing.F) {
 	for _, n := range packedFixtures() {
-		f.Add(EncodePackedRecord(&n.Node, n.links, noOverflow, len(n.Conn), nil))
+		f.Add(EncodePackedRecord(&n, noOverflow, len(n.Conn), nil))
 		if len(n.Conn) > 1 {
-			f.Add(EncodePackedRecord(&n.Node, n.links, 99, 1, nil))
+			f.Add(EncodePackedRecord(&n, 99, 1, nil))
 		}
 	}
 	f.Add([]byte{})
@@ -588,18 +627,18 @@ func FuzzPackedRecordDecode(f *testing.F) {
 	f.Add([]byte{0x00, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var arena connArena
-		n, _, total, ref, err := DecodePackedRecord(data, &arena)
+		n, total, ref, err := DecodePackedRecord(data, &arena)
 		if err != nil {
 			if !errors.Is(err, wire.ErrCorrupt) {
 				t.Fatalf("error %v does not wrap wire.ErrCorrupt", err)
 			}
 			return
 		}
-		if len(n.Conn) > total {
-			t.Fatalf("decoded %d inline IDs but total is %d", len(n.Conn), total)
-		}
 		if ref == noOverflow && len(n.Conn) != total {
 			t.Fatalf("no overflow but %d of %d IDs inline", len(n.Conn), total)
+		}
+		if ref != noOverflow && len(n.Conn) >= total {
+			t.Fatalf("spilled, but %d of %d IDs inline", len(n.Conn), total)
 		}
 	})
 }

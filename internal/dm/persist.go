@@ -27,14 +27,19 @@ const (
 	metaFileName = "meta.json"
 )
 
-// storeMeta is the sidecar metadata a store directory carries.
+// storeMeta is the sidecar metadata a store directory carries. Every key
+// is required but checksums, which is written only when true; decodeMeta
+// refuses any other key.
 type storeMeta struct {
-	Version int      `json:"version"`
-	MaxE    float64  `json:"max_e"`
-	Space   geom.Box `json:"space"`
+	Version int `json:"version"`
+	// MaxE and Space repeat what the R*-tree's root box says (OpenStore
+	// checks that they do): the dataset's largest LOD value and the
+	// (x, y, e) box of the stored segments.
+	MaxE  float64  `json:"max_e"`
+	Space geom.Box `json:"space"`
 	// Layout is the layout's name (Layout.String). It stays raw so that a
-	// sidecar holding anything else — the integers versions 1-4 wrote —
-	// is refused as ErrStoreFormat rather than as malformed JSON.
+	// sidecar holding anything else is refused as ErrStoreFormat, naming
+	// what it holds, rather than as malformed JSON.
 	Layout json.RawMessage `json:"layout"`
 	// Checksums records whether the page files carry the interleaved
 	// CRC-32C layout of pager.Checksummed; reading a checksummed store
@@ -42,33 +47,80 @@ type storeMeta struct {
 	// choice is part of the on-disk format.
 	Checksums bool `json:"checksums,omitempty"`
 	// RungFile names the rung-set file (rungs.go) and Rungs lists the LODs
-	// it holds sets for: the store's ladder. A directory without them is
-	// ErrStoreFormat.
-	RungFile string    `json:"rung_file,omitempty"`
-	Rungs    []float64 `json:"rungs,omitempty"`
+	// it holds sets for: the store's ladder.
+	RungFile string    `json:"rung_file"`
+	Rungs    []float64 `json:"rungs"`
 }
 
 // metaVersion is the on-disk format, and the only one OpenStore reads:
-// the layout recorded by name, one of packed or str, and a rung-set file.
-const metaVersion = 5
+// packed records without links (packed.go), the layout recorded by name,
+// one of packed or str, and a rung-set file.
+const metaVersion = 6
 
 // ErrStoreFormat is what OpenStore returns for a directory this build
 // cannot read: a sidecar of any version but metaVersion, one naming a
-// layout other than packed or str, or one naming no rung-set file.
-// Rebuild such a store with dmbuild.
+// layout other than packed or str, or one with a key missing, unknown or
+// malformed. Rebuild such a store with dmbuild.
 var ErrStoreFormat = errors.New("dm: unreadable store format")
 
-// layout returns the layout a version-5 sidecar with a rung-set file
-// names; anything else is ErrStoreFormat.
-func (m *storeMeta) layout() (Layout, error) {
+// decodeMeta decodes a meta.json sidecar strictly. The version comes
+// first, so a sidecar of another version is refused as that version
+// whatever else it holds; then the keys of the sidecar and of its space
+// must be exactly the ones metaVersion writes (checksums may be absent),
+// spelled exactly, and the layout must be packed or str. Every failure
+// is ErrStoreFormat.
+func decodeMeta(raw []byte) (*storeMeta, Layout, error) {
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		return nil, 0, fmt.Errorf("%w: meta.json: %v", ErrStoreFormat, err)
+	}
+	var m storeMeta
+	if json.Unmarshal(keys["version"], &m.Version) != nil || m.Version != metaVersion {
+		version, ok := keys["version"]
+		if !ok {
+			version = json.RawMessage("missing")
+		}
+		return nil, 0, fmt.Errorf("%w: meta.json version %s; this build reads version %d only — rebuild the store with dmbuild",
+			ErrStoreFormat, version, metaVersion)
+	}
+	var space map[string]json.RawMessage
+	err := exactKeys(keys, []string{"version", "max_e", "space", "layout", "rung_file", "rungs"}, "checksums")
+	if err == nil {
+		err = json.Unmarshal(keys["space"], &space)
+	}
+	if err == nil {
+		err = exactKeys(space, []string{"MinX", "MinY", "MinE", "MaxX", "MaxY", "MaxE"})
+	}
+	if err == nil {
+		err = json.Unmarshal(raw, &m)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: meta.json version %d: %v — rebuild the store with dmbuild", ErrStoreFormat, m.Version, err)
+	}
 	var name string
-	if m.Version == metaVersion && json.Unmarshal(m.Layout, &name) == nil {
-		if l, err := ParseLayout(name); err == nil && m.RungFile != "" {
-			return l, nil
+	if json.Unmarshal(m.Layout, &name) == nil {
+		if l, err := ParseLayout(name); err == nil {
+			return &m, l, nil
 		}
 	}
-	return 0, fmt.Errorf("%w: meta.json version %d, layout %s, rung file %q; this build reads version %d with layout \"packed\" or \"str\" and a rung file only — rebuild the store with dmbuild",
-		ErrStoreFormat, m.Version, m.Layout, m.RungFile, metaVersion)
+	return nil, 0, fmt.Errorf("%w: meta.json version %d names layout %s; this build reads layout \"packed\" or \"str\" only — rebuild the store with dmbuild",
+		ErrStoreFormat, m.Version, m.Layout)
+}
+
+// exactKeys checks that keys holds every name in required and nothing
+// else but the names in optional.
+func exactKeys(keys map[string]json.RawMessage, required []string, optional ...string) error {
+	for _, k := range required {
+		if _, ok := keys[k]; !ok {
+			return fmt.Errorf("no %q key", k)
+		}
+	}
+	for k := range keys {
+		if !slices.Contains(required, k) && !slices.Contains(optional, k) {
+			return fmt.Errorf("unknown key %q", k)
+		}
+	}
+	return nil
 }
 
 // BuildStoreAt builds the Direct Mesh store in dir as regular files, so it
@@ -126,11 +178,7 @@ func OpenStore(dir string, pools StorePools) (_ *Store, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("dm: open store: %w", err)
 	}
-	var meta storeMeta
-	if err := json.Unmarshal(raw, &meta); err != nil {
-		return nil, fmt.Errorf("dm: open store: %w", err)
-	}
-	layout, err := meta.layout()
+	meta, layout, err := decodeMeta(raw)
 	if err != nil {
 		return nil, fmt.Errorf("dm: open store %s: %w", dir, err)
 	}
@@ -160,6 +208,9 @@ func OpenStore(dir string, pools StorePools) (_ *Store, err error) {
 			}
 		}
 	}
+	if err := checkMetaBox(meta, backends[2]); err != nil {
+		return nil, fmt.Errorf("dm: open store: %w", err)
+	}
 	s := &Store{
 		heapP:  pools.newPager(backends[0], pools.Data),
 		overP:  pools.newPager(backends[1], pools.Overflow),
@@ -169,7 +220,7 @@ func OpenStore(dir string, pools StorePools) (_ *Store, err error) {
 		maxE:   meta.MaxE,
 		space:  meta.Space,
 	}
-	if s.rungs, err = openRungSets(dir, &meta, pools); err != nil {
+	if s.rungs, err = openRungSets(dir, meta, pools); err != nil {
 		return nil, fmt.Errorf("dm: open store: %s: %w", meta.RungFile, err)
 	}
 	if layout == LayoutPacked {
@@ -193,6 +244,23 @@ func OpenStore(dir string, pools StorePools) (_ *Store, err error) {
 			meta.RungFile, s.rungs.nodes, s.idx.Len(), wire.ErrCorrupt)
 	}
 	return s, nil
+}
+
+// checkMetaBox holds meta.json's max_e and space to the box the R*-tree
+// on rt says its segments span: a sidecar that disagrees would answer a
+// different mesh, since max_e clamps every root's segment and space
+// normalizes the cost model. The root is read below the pager (see
+// rtree.RootBox), so the check moves no disk-access count.
+func checkMetaBox(meta *storeMeta, rt pager.Backend) error {
+	box, err := rtree.RootBox(rt)
+	if err != nil {
+		return fmt.Errorf("%s: %w", rtFileName, err)
+	}
+	if meta.Space != box || meta.MaxE != box.MaxE {
+		return fmt.Errorf("meta.json says max_e %v and space %+v, %s's root spans %+v: %w",
+			meta.MaxE, meta.Space, rtFileName, box, wire.ErrCorrupt)
+	}
+	return nil
 }
 
 // openRungBackend opens the rung-set page file under the same wrappers as

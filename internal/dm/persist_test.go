@@ -11,6 +11,7 @@ import (
 
 	"dmesh/internal/geom"
 	"dmesh/internal/storage/pager"
+	"dmesh/internal/wire"
 )
 
 func TestBuildStoreAtAndReopen(t *testing.T) {
@@ -149,8 +150,8 @@ func rewriteMeta(t *testing.T, dir string, edit func(m map[string]any)) {
 
 // TestFailedOpenOrBuildClosesEveryFile: whatever makes OpenStore or
 // BuildStoreAt fail — a page checksum, a damaged rung file, a page file
-// with no header, a sidecar of an older format, a build that cannot lay
-// the nodes out — every backend the call handed out is closed exactly
+// with no header, a sidecar of an older format, a sidecar the R*-tree
+// contradicts, a build that cannot lay the nodes out — every backend the call handed out is closed exactly
 // once by the time the error returns.
 func TestFailedOpenOrBuildClosesEveryFile(t *testing.T) {
 	ds, _ := buildDataset(t, 17, "highland")
@@ -207,6 +208,12 @@ func TestFailedOpenOrBuildClosesEveryFile(t *testing.T) {
 			_, err := OpenStore(dir, pools)
 			return err
 		}},
+		{"max_e off the r*-tree's root box", 4, func(t *testing.T, pools StorePools) error {
+			dir := build(t, StorePools{})
+			rewriteMeta(t, dir, func(m map[string]any) { m["max_e"] = m["max_e"].(float64) / 2 })
+			_, err := OpenStore(dir, pools)
+			return err
+		}},
 		{"build with an unknown layout", 4, func(t *testing.T, pools StorePools) error {
 			pools.Layout = Layout(99)
 			_, err := BuildStoreAt(ds, pools, filepath.Join(t.TempDir(), "store"))
@@ -233,11 +240,12 @@ func TestFailedOpenOrBuildClosesEveryFile(t *testing.T) {
 	}
 }
 
-// TestOldStoreVersionsRefused: OpenStore reads meta version 5 naming
-// packed or str and nothing else. Every other version, an integer layout
-// (what versions 1-4 wrote) and the names of the deleted layouts are
-// refused with ErrStoreFormat — naming the version and dmbuild — before
-// any page file is opened.
+// TestOldStoreVersionsRefused: OpenStore reads meta version 6 naming
+// packed or str and nothing else. Every other version — version 5 too,
+// whose packed records carried links — an integer layout (what versions
+// 1-4 wrote) and the names of the deleted layouts are refused with
+// ErrStoreFormat — naming the version and dmbuild — before any page file
+// is opened.
 func TestOldStoreVersionsRefused(t *testing.T) {
 	ds, _ := buildDataset(t, 9, "highland")
 	dir := filepath.Join(t.TempDir(), "store")
@@ -252,8 +260,9 @@ func TestOldStoreVersionsRefused(t *testing.T) {
 		version int
 		layout  any
 	}{
-		{0, 0}, {1, 0}, {2, 0}, {3, 3}, {4, 4}, {6, "packed"},
+		{0, 0}, {1, 0}, {2, 0}, {3, 3}, {4, 4}, {7, "packed"},
 		{5, 0}, {5, "connect"}, {5, "hilbert"}, {5, "rowmajor"},
+		{5, "packed"}, {5, "str"}, {6, 0}, {6, "connect"},
 	}
 	for _, c := range cases {
 		rewriteMeta(t, dir, func(m map[string]any) { m["version"], m["layout"] = c.version, c.layout })
@@ -273,10 +282,72 @@ func TestOldStoreVersionsRefused(t *testing.T) {
 			t.Errorf("version %d, layout %v: %d page files opened before the refusal", c.version, c.layout, len(*handed))
 		}
 	}
-	rewriteMeta(t, dir, func(m map[string]any) { m["version"], m["layout"] = 5, "packed" })
+	rewriteMeta(t, dir, func(m map[string]any) { m["version"], m["layout"] = 6, "packed" })
 	if s, err := OpenStore(dir, StorePools{}); err != nil {
 		t.Fatalf("the restored sidecar: %v", err)
 	} else {
 		s.Close()
 	}
+}
+
+// TestMetaSidecarIsStrict: meta.json is the one file of a store no
+// checksum covers, so OpenStore holds it to exactly what BuildStoreAt
+// writes. A key renamed, dropped or added is ErrStoreFormat, and a max_e
+// or space that disagrees with the R*-tree's root box is wire.ErrCorrupt
+// — each before a query could answer a different mesh. Renaming "max_e"
+// (which then decoded as 0) and halving its value both used to open a
+// checksummed store that answered wrong.
+func TestMetaSidecarIsStrict(t *testing.T) {
+	ds, _ := buildDataset(t, 9, "highland")
+	dir := filepath.Join(t.TempDir(), "store")
+	s, err := BuildStoreAt(ds, StorePools{Checksums: true}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, metaFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rename := func(m map[string]any, from, to string) { m[to] = m[from]; delete(m, from) }
+	space := func(m map[string]any) map[string]any { return m["space"].(map[string]any) }
+	cases := []struct {
+		name string
+		edit func(m map[string]any)
+		want error
+	}{
+		{"max_e renamed", func(m map[string]any) { rename(m, "max_e", "max_f") }, ErrStoreFormat},
+		{"max_e halved", func(m map[string]any) { m["max_e"] = m["max_e"].(float64) / 2 }, wire.ErrCorrupt},
+		{"max_e respelled in capitals", func(m map[string]any) { rename(m, "max_e", "MAX_E") }, ErrStoreFormat},
+		{"rungs dropped", func(m map[string]any) { delete(m, "rungs") }, ErrStoreFormat},
+		{"unknown key", func(m map[string]any) { m["links"] = true }, ErrStoreFormat},
+		{"space key renamed", func(m map[string]any) { rename(space(m), "MaxX", "MaxZ") }, ErrStoreFormat},
+		{"space key dropped", func(m map[string]any) { delete(space(m), "MinE") }, ErrStoreFormat},
+		{"space moved", func(m map[string]any) { space(m)["MaxX"] = space(m)["MaxX"].(float64) + 1 }, wire.ErrCorrupt},
+		{"space MaxE off max_e", func(m map[string]any) { space(m)["MaxE"] = m["max_e"].(float64) * 2 }, wire.ErrCorrupt},
+	}
+	for _, c := range cases {
+		if err := os.WriteFile(filepath.Join(dir, metaFileName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rewriteMeta(t, dir, c.edit)
+		s, err := OpenStore(dir, StorePools{})
+		if err == nil {
+			s.Close()
+		}
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: OpenStore = %v, want %v", c.name, err, c.want)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, metaFileName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rewriteMeta(t, dir, func(map[string]any) {})
+	re, err := OpenStore(dir, StorePools{})
+	if err != nil {
+		t.Fatalf("the sidecar as built, re-marshalled: %v", err)
+	}
+	re.Close()
 }

@@ -8,21 +8,23 @@ import (
 	"dmesh/internal/storage/heapfile"
 )
 
-// On-disk Direct Mesh record: exactly the paper's node tuple
-// (ID, x, y, z, e_low, e_high, parent, child1, child2, wing1, wing2)
-// followed by the connection list. Two physical encodings carry it:
+// On-disk Direct Mesh record: the node and its connection list, in one
+// of two physical encodings:
 //
-//   - Fixed records (LayoutSTR): exactly ConnInline inline slots, lists
-//     beyond that chain through fixed-size overflow records in a separate
-//     heap file. The paper reports an average similar-LOD list length of
-//     12, so ConnInline=12 makes overflow uncommon — but the overflow file
-//     has no locality to the owners, which `dmbench -fig dabreakdown`
-//     shows as the largest DA phase.
+//   - Fixed records (LayoutSTR): exactly the paper's node tuple (ID, x,
+//     y, z, e_low, e_high, parent, child1, child2, wing1, wing2), whose
+//     size the paper's figures depend on, then ConnInline inline slots.
+//     Lists beyond that chain through fixed-size overflow records in a
+//     separate heap file. The paper reports an average similar-LOD list
+//     length of 12, so ConnInline=12 makes overflow uncommon — but the
+//     overflow file has no locality to the owners, which `dmbench -fig
+//     dabreakdown` shows as the largest DA phase.
 //
-//   - Packed records (LayoutPacked, packed.go): compressed and variable
-//     length, so the whole list is inline unless its encoding cannot fit
-//     one slotted page; the rest spills into raw variable overflow
-//     records co-allocated immediately before the owner in the same file.
+//   - Packed records (LayoutPacked, packed.go): only the fields a query
+//     reads, compressed and variable length, so the whole list is inline
+//     unless its encoding cannot fit one slotted page; the rest spills
+//     into raw variable overflow records co-allocated immediately before
+//     the owner in the same file.
 const (
 	// dmFixed is the fixed (non-connection) part of the record.
 	dmFixed = 8 + 24 + 8 + 8 + 5*8

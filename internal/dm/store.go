@@ -66,9 +66,9 @@ type Layout int
 
 const (
 	// LayoutPacked is the default and the serving layout: compressed
-	// variable-length records (zigzag-varint connection deltas, delta-coded
-	// topology references, a field-presence bitmap and a lossless dyadic
-	// fast path for floats; see packed.go) laid out in the R*-tree's STR
+	// variable-length records (zigzag-varint connection deltas, a
+	// delta-coded parent, a field-presence bitmap and a lossless dyadic
+	// fast path for floats; no child or wing links; see packed.go) laid out in the R*-tree's STR
 	// leaf order, so the records of one index leaf share data pages — the
 	// table is clustered on the index. Records shrink to under a quarter
 	// of the fixed encoding, whole connection lists are inline (no
@@ -283,7 +283,7 @@ func buildStore(ds *Dataset, pools StorePools, backends [4]pager.Backend, finish
 		var rid heapfile.RID
 		var err error
 		if pools.Layout == LayoutPacked {
-			rid, err = s.appendPacked(n, ds.links(id), buf, obuf)
+			rid, err = s.appendPacked(n, buf, obuf)
 		} else {
 			rid, err = s.appendFixed(n, ds.links(id), buf, obuf)
 		}
@@ -350,9 +350,9 @@ func (s *Store) appendFixed(n *Node, links [4]int64, buf, obuf []byte) (heapfile
 // overflow records appended — tail-first — into the SAME file
 // immediately before the owner, so the chain shares the owner's page (or
 // the one just before it) and walking it costs no extra disk accesses.
-func (s *Store) appendPacked(n *Node, links [4]int64, buf, obuf []byte) (heapfile.RID, error) {
+func (s *Store) appendPacked(n *Node, buf, obuf []byte) (heapfile.RID, error) {
 	overflowRef := noOverflow
-	inline := packedSplit(n, links)
+	inline := packedSplit(n)
 	if rest := n.Conn[inline:]; len(rest) > 0 {
 		for start := ((len(rest) - 1) / varOverflowFanout) * varOverflowFanout; start >= 0; start -= varOverflowFanout {
 			end := start + varOverflowFanout
@@ -367,7 +367,7 @@ func (s *Store) appendPacked(n *Node, links [4]int64, buf, obuf []byte) (heapfil
 			overflowRef = int64(rid)
 		}
 	}
-	buf = EncodePackedRecord(n, links, overflowRef, inline, buf)
+	buf = EncodePackedRecord(n, overflowRef, inline, buf)
 	rid, err := s.vheap.Append(buf)
 	if err != nil {
 		return 0, fmt.Errorf("dm: heap append: %w", err)
@@ -610,7 +610,7 @@ func (s *Store) fetchPackedRecord(rid heapfile.RID, rd *recReader, tr *obs.Trace
 	if err != nil {
 		return Node{}, err
 	}
-	n, _, total, overflowRef, err := DecodePackedRecord(rec, &rd.arena)
+	n, total, overflowRef, err := DecodePackedRecord(rec, &rd.arena)
 	if err != nil {
 		return Node{}, err
 	}

@@ -110,3 +110,55 @@ func TestSearchCorruptChildCycle(t *testing.T) {
 		t.Fatalf("Nodes over child cycle = %v, want ErrCorrupt", err)
 	}
 }
+
+// TestRootBox: read straight from the backend, a flushed tree's root box
+// is the union of every item's box, and a meta page with a bad magic or a
+// root pointer off the file, or an empty tree, is ErrCorrupt.
+func TestRootBox(t *testing.T) {
+	build := func(items []Item) pager.Backend {
+		b := pager.NewMemBackend()
+		p := pager.New(b, 16)
+		if _, err := BulkLoad(p, items); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	r := rand.New(rand.NewSource(3))
+	items := make([]Item, 700)
+	for i := range items {
+		items[i] = Item{Box: randBox(r, 0.05), Ref: int64(i)}
+	}
+	want := items[0].Box
+	for _, it := range items[1:] {
+		want = want.Union(it.Box)
+	}
+	b := build(items)
+	if got, err := RootBox(b); err != nil || got != want {
+		t.Fatalf("RootBox = %+v, %v; want %+v", got, err, want)
+	}
+
+	meta := make([]byte, pager.PageSize)
+	if err := b.ReadPage(metaPage, meta); err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(d []byte){
+		"bad magic":        func(d []byte) { d[0] ^= 0xff },
+		"root off the end": func(d []byte) { binary.LittleEndian.PutUint32(d[4:], uint32(b.NumPages())) },
+		"root on the meta": func(d []byte) { binary.LittleEndian.PutUint32(d[4:], uint32(metaPage)) },
+	} {
+		d := append([]byte{}, meta...)
+		edit(d)
+		if err := b.WritePage(metaPage, d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RootBox(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	if _, err := RootBox(build(nil)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("empty tree: err = %v, want ErrCorrupt", err)
+	}
+}

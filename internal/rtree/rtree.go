@@ -59,6 +59,41 @@ func Open(p *pager.Pager) (*Tree, error) {
 	}, nil
 }
 
+// RootBox returns the bounding box of the tree stored on b: the union of
+// its root's entries. It reads the meta page and the root page from b
+// itself, below any pager, so no disk access is counted and no buffer
+// pool changes — a check made when a store opens. An empty tree has no
+// box and is an error, like a bad magic or a root that is not a node;
+// each wraps ErrCorrupt.
+func RootBox(b pager.Backend) (geom.Box, error) {
+	d := make([]byte, pager.PageSize)
+	if err := b.ReadPage(metaPage, d); err != nil {
+		return geom.Box{}, fmt.Errorf("rtree: read meta: %w", err)
+	}
+	if binary.LittleEndian.Uint32(d[0:]) != magic {
+		return geom.Box{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	root := pager.PageID(binary.LittleEndian.Uint32(d[4:]))
+	if root == metaPage || root >= b.NumPages() {
+		return geom.Box{}, fmt.Errorf("%w: root page %d out of range", ErrCorrupt, root)
+	}
+	if err := b.ReadPage(root, d); err != nil {
+		return geom.Box{}, fmt.Errorf("rtree: read root %d: %w", root, err)
+	}
+	_, cnt, err := pageHeader(root, d)
+	if err != nil {
+		return geom.Box{}, err
+	}
+	if cnt == 0 {
+		return geom.Box{}, fmt.Errorf("%w: empty root %d", ErrCorrupt, root)
+	}
+	n := node{entries: make([]entry, cnt)}
+	for i := range n.entries {
+		n.entries[i] = decodeEntry(d[nodeHeader+i*entryBytes:])
+	}
+	return n.mbr(), nil
+}
+
 func (t *Tree) writeMeta(d []byte) {
 	binary.LittleEndian.PutUint32(d[0:], magic)
 	binary.LittleEndian.PutUint32(d[4:], uint32(t.root))

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -35,6 +36,12 @@ type decoderRow struct {
 	// older are genuine bodies of earlier versions of the format, captured
 	// from the encoder that wrote them: each must fail with wire.ErrCorrupt.
 	older [][]byte
+	// cutOK lists the strict prefix lengths of fixture that are valid
+	// encodings of their own, which must round-trip like it. A packed
+	// record is not self-delimiting (its page slot supplies the length):
+	// cut where a connection delta ends, it is the same node with a
+	// shorter list.
+	cutOK []int
 	// cut is what a strict prefix fails with: wire.ErrCorrupt for the
 	// slice decoders, stream.ErrTruncated for the resumable DMPS stream.
 	cut error
@@ -58,25 +65,36 @@ const traceFixture = "DMTW\x01\x04" +
 	"\a\x01\xa0\x1f\xb0\xda0\xe0\xa7\x12\n\x03" +
 	"\x02\x03\x88'\xe0\xa7\x12\x00\x03\x00"
 
-// packedFixture is a leaf record: its links (Child1, Child2, Wing1, Wing2)
-// travel beside the node, which does not hold them.
-func packedFixture() (dm.Node, [4]int64) {
+// packedFixture is a leaf record.
+func packedFixture() dm.Node {
 	return dm.Node{ID: 300, Pos: geom.Point3{X: 0.5, Y: math.Pi, Z: 3.0 / 4096},
-			ELow: 0, EHigh: 0.125, Parent: 9, Conn: []int64{3, 5, 9, 299, 301, 4000}},
-		[4]int64{pm.None, pm.None, 5, 1 << 33}
+		ELow: 0, EHigh: 0.125, Parent: 9, Conn: []int64{3, 5, 9, 299, 301, 4000}}
 }
 
+// packedV5 is packedFixture as store format v5 spelled it, with the
+// links Child1 None, Child2 None, Wing1 5, Wing2 1<<33 and a two-byte
+// bitmap.
+const packedV5 = "\xac\x02\xb9\t\x80 \x18-DT\xfb!\t@\x06\x80\b\xc5\x04\xcd\x04\xa8\xfb\xff\xff?\x06\xd1\x04\x04\b\xc4\x04\x04\xe69"
+
 // spilledFixture is the same node with two IDs inline and the rest on an
-// overflow chain. A spilled record's inline run ends where the record
-// does, so it is not self-delimiting — a shorter or longer tail is another
-// valid record — and only the round-trip property applies to it.
+// overflow chain, so its record holds the count. A spilled record's
+// inline run ends where the record does, so a shorter or longer tail is
+// another valid record, and only the round-trip property applies to it.
 func spilledFixture() []byte {
-	node, links := packedFixture()
-	return dm.EncodePackedRecord(&node, links, 99, 2, nil)
+	node := packedFixture()
+	return dm.EncodePackedRecord(&node, 99, 2, nil)
+}
+
+// rootFixture is the same node as a root: no parent and EHigh +Inf, the
+// one kind of wholly inline record whose bitmap takes two bytes.
+func rootFixture() []byte {
+	node := packedFixture()
+	node.Parent, node.EHigh = pm.None, math.Inf(1)
+	return dm.EncodePackedRecord(&node, -1, len(node.Conn), nil)
 }
 
 func packedRoundTrip(b []byte) ([]byte, error) {
-	n, links, total, ref, err := dm.DecodePackedRecord(b, nil)
+	n, total, ref, err := dm.DecodePackedRecord(b, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +106,7 @@ func packedRoundTrip(b []byte) ([]byte, error) {
 		return b, nil
 	}
 	n.Conn = append(n.Conn, make([]int64, total-inline)...)
-	return dm.EncodePackedRecord(&n, links, ref, inline, nil), nil
+	return dm.EncodePackedRecord(&n, ref, inline, nil), nil
 }
 
 // streamRoundTrip decodes a whole DMPS stream and re-encodes every batch
@@ -165,7 +183,13 @@ func decoderRows() []decoderRow {
 		dmtpV2, err := os.ReadFile(filepath.Join("..", "dm", "testdata", "dmtp-v2.bin"))
 		must(err)
 
-		node, links := packedFixture()
+		node := packedFixture()
+		var listCuts []int
+		for k := range node.Conn {
+			short := node
+			short.Conn = node.Conn[:k]
+			listCuts = append(listCuts, len(dm.EncodePackedRecord(&short, -1, k, nil)))
+		}
 		rows = []decoderRow{{
 			name:    "DMTW",
 			fixture: []byte(traceFixture),
@@ -203,10 +227,14 @@ func decoderRows() []decoderRow {
 			cut:       stream.ErrTruncated,
 			roundTrip: streamRoundTrip,
 		}, {
-			name:      "packed",
-			fixture:   dm.EncodePackedRecord(&node, links, -1, len(node.Conn), nil),
-			golden:    "d0fcf408f0c4a914a047c50c332dcb483923baa8fd863068a9b88fb117ff969f",
-			varints:   []int{0},
+			name:    "packed",
+			fixture: dm.EncodePackedRecord(&node, -1, len(node.Conn), nil),
+			// Re-pinned when store format v6 dropped the links, the
+			// two-byte bitmap and the inline count (v5 hashed d0fcf408…).
+			golden:    "ee444251edc41839b79d37e470a1ac93e4eb455379a1fec0b418ca1f2e5df7aa",
+			varints:   []int{0, 2},
+			older:     [][]byte{[]byte(packedV5)},
+			cutOK:     listCuts,
 			cut:       wire.ErrCorrupt,
 			roundTrip: packedRoundTrip,
 		}}
@@ -228,7 +256,8 @@ func respell(b []byte, off int) []byte {
 
 // TestDecoders drives every wire decoder through the same four
 // properties: (i) every strict prefix of a valid encoding fails with the
-// row's cut error and never panics; (ii) a non-minimal varint is
+// row's cut error and never panics, unless the row lists it as a valid
+// encoding of its own, which must then round-trip; (ii) a non-minimal varint is
 // rejected; (iii) appended garbage is rejected; (iv) what decodes
 // re-encodes to the identical bytes — plus the golden hash pinning the
 // encoder's output, and the rejection of the format's earlier versions.
@@ -247,7 +276,12 @@ func TestDecoders(t *testing.T) {
 				t.Fatalf("fixture re-encodes to different bytes:\n in  %x\n out %x", row.fixture, out)
 			}
 			for cut := 0; cut < len(row.fixture); cut++ {
-				if _, err := row.roundTrip(row.fixture[:cut:cut]); !errors.Is(err, row.cut) {
+				out, err := row.roundTrip(row.fixture[:cut:cut])
+				if slices.Contains(row.cutOK, cut) {
+					if err != nil || !bytes.Equal(out, row.fixture[:cut]) {
+						t.Fatalf("prefix of %d bytes, a valid encoding: %x, %v", cut, out, err)
+					}
+				} else if !errors.Is(err, row.cut) {
 					t.Fatalf("prefix of %d bytes: err = %v, want %v", cut, err, row.cut)
 				}
 			}
@@ -272,7 +306,8 @@ func TestDecoders(t *testing.T) {
 
 func TestPackedSpilledRoundTrip(t *testing.T) {
 	in := spilledFixture()
-	const golden = "24e9d979e531ba19b145d8592358cb6c5528561c2fc39f6d6d0b32aa10cbb5e3"
+	// Re-pinned with store format v6 (v5 hashed 24e9d979…).
+	const golden = "05bca95278cd4c2702161da6e8df197da137678736ed47446f0c192247d79780"
 	if sum := sha256.Sum256(in); hex.EncodeToString(sum[:]) != golden {
 		t.Errorf("encoder output changed: sha256 %x, golden %s", sum, golden)
 	}
@@ -349,6 +384,7 @@ func FuzzDecoders(f *testing.F) {
 		}
 	}
 	f.Add(append([]byte{byte(len(rows) - 1)}, spilledFixture()...))
+	f.Add(append([]byte{byte(len(rows) - 1)}, rootFixture()...))
 	for _, s := range hostileDMPS() {
 		f.Add(append([]byte{2}, s...)) // rows[2] is DMPS
 	}

@@ -131,16 +131,6 @@ func (r *Reader) Byte() byte {
 	return r.b[r.off-1]
 }
 
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	if r.err != nil || r.Len() < 2 {
-		r.Corruptf("truncated 2-byte field")
-		return 0
-	}
-	r.off += 2
-	return binary.LittleEndian.Uint16(r.b[r.off-2:])
-}
-
 // U64 reads a little-endian uint64.
 func (r *Reader) U64() uint64 {
 	if r.err != nil || r.Len() < 8 {
@@ -214,9 +204,6 @@ func AppendUvarint(buf []byte, v uint64) []byte { return binary.AppendUvarint(bu
 
 // AppendVarint appends v zigzag-coded, as Varint reads it.
 func AppendVarint(buf []byte, v int64) []byte { return binary.AppendUvarint(buf, zigzag(v)) }
-
-// AppendU16 appends v little-endian.
-func AppendU16(buf []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(buf, v) }
 
 // AppendU64 appends v little-endian.
 func AppendU64(buf []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(buf, v) }
