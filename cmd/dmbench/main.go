@@ -51,7 +51,7 @@ func main() {
 // mainErr holds the flag parsing and profile lifecycle; keeping the
 // deferred profile flushes out of main lets them run even when the
 // selected figure fails.
-func mainErr() error {
+func mainErr() (err error) {
 	var ids []string
 	for _, r := range experiments.Table() {
 		ids = append(ids, r.ID)
@@ -67,29 +67,28 @@ func mainErr() error {
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	// A profile that fails to reach its file fails the run, unless the
+	// figure failed first.
 	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
+		f, cerr := os.Create(*cpuProf)
+		if cerr != nil {
+			return cerr
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		if cerr := pprof.StartCPUProfile(f); cerr != nil {
 			f.Close()
-			return err
+			return cerr
 		}
-		defer f.Close()
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 	if *memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dmbench:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the final live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "dmbench:", err)
+			if merr := writeHeapProfile(*memProf); err == nil {
+				err = merr
 			}
 		}()
 	}
@@ -99,6 +98,20 @@ func mainErr() error {
 		Log: os.Stderr,
 	}
 	return run(env, strings.ToLower(*fig), *csvOut)
+}
+
+// writeHeapProfile writes the final live set's heap profile to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // materialize the final live set
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // run measures and prints every selected row, one after another: rows

@@ -171,6 +171,9 @@ func writeOBJ(res *dmesh.Result, path string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return m.WriteOBJ(f)
+	if err := m.WriteOBJ(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close() // a failed close is a short file, not "wrote"
 }

@@ -119,16 +119,6 @@ func MeasuredRun(s ColdMeasurable, fn func() error) (uint64, error) {
 // NewRect returns the rectangle spanning two corners given in any order.
 func NewRect(x0, y0, x1, y1 float64) Rect { return geom.NewRect(x0, y0, x1, y1) }
 
-// PlaneForAngle builds a viewpoint-dependent query plane over r from a
-// start LOD and an angle in radians (Figure 7 of the paper).
-func PlaneForAngle(r Rect, emin, angle float64, axis int) QueryPlane {
-	return geom.PlaneForAngle(r, emin, angle, axis)
-}
-
-// MaxAngle returns the paper's θmax for a dataset maximum LOD over a ROI
-// extent.
-func MaxAngle(lodMax, roiExtent float64) float64 { return geom.MaxAngle(lodMax, roiExtent) }
-
 // Config selects a terrain and its preprocessing.
 type Config struct {
 	// Dataset is "highland" (the stand-in for the paper's 2M-point mining
@@ -266,19 +256,6 @@ func (t *Terrain) LODPercentile(p float64) float64 {
 		p = 1
 	}
 	return t.sortedLODs[int(p*float64(len(t.sortedLODs)-1))]
-}
-
-// MeanLOD returns the arithmetic mean of the internal nodes' LOD values
-// (the paper's "average LOD value of the dataset").
-func (t *Terrain) MeanLOD() float64 {
-	if len(t.sortedLODs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, e := range t.sortedLODs {
-		sum += e
-	}
-	return sum / float64(len(t.sortedLODs))
 }
 
 // StorePools re-exports the Direct Mesh store pool configuration.

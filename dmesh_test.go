@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dmesh"
+	"dmesh/internal/geom"
 	"dmesh/internal/simplify"
 )
 
@@ -60,9 +61,6 @@ func TestLODPercentileMonotone(t *testing.T) {
 			t.Errorf("LODPercentile(%g) = %g, want LODPercentile(%g) = %g", c.p, got, c.as, tr.LODPercentile(c.as))
 		}
 	}
-	if tr.MeanLOD() <= 0 {
-		t.Fatal("MeanLOD must be positive")
-	}
 }
 
 func TestEndToEndQuery(t *testing.T) {
@@ -100,7 +98,7 @@ func TestEndToEndViewpointDependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	roi := dmesh.NewRect(0.1, 0.1, 0.9, 0.9)
-	qp := dmesh.PlaneForAngle(roi, tr.LODPercentile(0.3), 0.01, 1)
+	qp := geom.PlaneForAngle(roi, tr.LODPercentile(0.3), 0.01, 1)
 	sb, err := store.SingleBase(qp)
 	if err != nil {
 		t.Fatal(err)
@@ -136,15 +134,6 @@ func TestBaselineStores(t *testing.T) {
 	}
 	if len(pres.Frontier) == 0 || len(hres.Points) == 0 {
 		t.Fatal("baseline queries returned nothing")
-	}
-}
-
-func TestMaxAngle(t *testing.T) {
-	if got := dmesh.MaxAngle(1, 1); math.Abs(got-math.Pi/4) > 1e-12 {
-		t.Fatalf("MaxAngle(1,1) = %g", got)
-	}
-	if got := dmesh.MaxAngle(1, 0); got != math.Pi/2 {
-		t.Fatalf("MaxAngle(1,0) = %g", got)
 	}
 }
 
@@ -266,8 +255,8 @@ func TestTileCacheFacade(t *testing.T) {
 		t.Fatalf("unexpected stats %+v", st)
 	}
 	// One ladder: the terrain's, the store's and the cache's.
-	if !slices.Equal(store.Rungs(), ladder) || !slices.Equal(cache.Ladder(), ladder) {
-		t.Fatalf("store rungs %v, cache ladder %v, want the terrain's %v", store.Rungs(), cache.Ladder(), ladder)
+	if !slices.Equal(store.Rungs(), ladder) || !slices.Equal(cache.Grid().Ladder(), ladder) {
+		t.Fatalf("store rungs %v, cache ladder %v, want the terrain's %v", store.Rungs(), cache.Grid().Ladder(), ladder)
 	}
 	if got, top := cache.SnapE(tr.MaxLOD()), ladder[len(ladder)-1]; got != top {
 		t.Fatalf("SnapE = %g, want the top rung %g", got, top)

@@ -76,7 +76,7 @@ func routerFixture(b *testing.B) *routerFix {
 			_, _, f.err = f.rt.Query(f.roi, f.eQ)
 		}
 		if f.err == nil {
-			_, _, f.err = f.rt.Stream(f.roi, f.eS, -1, io.Discard)
+			_, _, f.err = f.rt.StreamTraced(f.roi, f.eS, -1, io.Discard, nil)
 		}
 	})
 	if f.err != nil {
@@ -120,7 +120,7 @@ func BenchmarkRouterStream(b *testing.B) {
 		pr, pw := io.Pipe()
 		done := make(chan error, 1)
 		go func() {
-			_, st, err := f.rt.Stream(f.roi, f.eS, -1, pw)
+			_, st, err := f.rt.StreamTraced(f.roi, f.eS, -1, pw, nil)
 			if err == nil && st.Batches != 6 {
 				err = fmt.Errorf("%d batches, want 6", st.Batches)
 			}

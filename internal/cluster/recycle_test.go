@@ -28,7 +28,7 @@ func TestRouterResultsOutliveRecycledPatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := lc.Router.Stream(roi, ladder[0], -1, io.Discard)
+	s, _, err := lc.Router.StreamTraced(roi, ladder[0], -1, io.Discard, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRouterResultsOutliveRecycledPatches(t *testing.T) {
 		if _, _, err := lc.Router.Query(r, ladder[rng.Intn(len(ladder))]); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := lc.Router.Stream(r, ladder[rng.Intn(len(ladder))], -1, io.Discard); err != nil {
+		if _, _, err := lc.Router.StreamTraced(r, ladder[rng.Intn(len(ladder))], -1, io.Discard, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func TestRouterResultsOutliveRecycledPatches(t *testing.T) {
 }
 
 // TestConcurrentStreamsMatchSerial: eight goroutines stream distinct ROIs
-// at once, each through Router.Stream and through a shard's /stream, so
+// at once, each through Router.StreamTraced and through a shard's /stream, so
 // that patches, stitch scratch and encoder buffers pass between requests
 // in flight. Every body must be byte-identical to the ROI's stream taken
 // serially before.
@@ -65,7 +65,7 @@ func TestConcurrentStreamsMatchSerial(t *testing.T) {
 	want := make([][]byte, len(rois))
 	for i, r := range rois {
 		var body bytes.Buffer
-		if _, _, err := lc.Router.Stream(r, tr.LODPercentile(pcts[i]), -1, &body); err != nil {
+		if _, _, err := lc.Router.StreamTraced(r, tr.LODPercentile(pcts[i]), -1, &body, nil); err != nil {
 			t.Fatal(err)
 		}
 		want[i] = body.Bytes()
@@ -80,12 +80,12 @@ func TestConcurrentStreamsMatchSerial(t *testing.T) {
 				lc.HTTP[i%len(lc.HTTP)].URL, r.MinX, r.MinY, r.MaxX, r.MaxY, pcts[i])
 			for round := 0; round < 3; round++ {
 				var body bytes.Buffer
-				if _, _, err := lc.Router.Stream(r, tr.LODPercentile(pcts[i]), -1, &body); err != nil {
-					t.Errorf("ROI %d: Router.Stream: %v", i, err)
+				if _, _, err := lc.Router.StreamTraced(r, tr.LODPercentile(pcts[i]), -1, &body, nil); err != nil {
+					t.Errorf("ROI %d: Router.StreamTraced: %v", i, err)
 					return
 				}
 				if !bytes.Equal(body.Bytes(), want[i]) {
-					t.Errorf("ROI %d round %d: Router.Stream body (%d B) differs from the serial one (%d B)",
+					t.Errorf("ROI %d round %d: Router.StreamTraced body (%d B) differs from the serial one (%d B)",
 						i, round, body.Len(), len(want[i]))
 				}
 				resp, err := http.Get(url)

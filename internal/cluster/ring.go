@@ -135,10 +135,3 @@ func (r *Ring) Order(key string) []int {
 	}
 	return out
 }
-
-// Primary returns the key's owning shard index.
-func (r *Ring) Primary(key string) int {
-	h := hash64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	return r.points[i%len(r.points)].shard
-}

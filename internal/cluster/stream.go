@@ -34,7 +34,7 @@ type StreamStats struct {
 	TraceDA uint64
 }
 
-// Stream assembles the progressive answer for Q(r, e) from per-shard
+// StreamTraced assembles the progressive answer for Q(r, e) from per-shard
 // patch fetches and writes it to w: for each LOD-ladder rung from the
 // coarsest down to the rung e snaps to, it fans the rung's tile cover
 // out across the cluster, stitches exactly, and encodes the delta
@@ -47,15 +47,12 @@ type StreamStats struct {
 // everything). Earlier rungs are still queried — the delta state needs
 // them — but not transmitted. The returned Result is the full-stream
 // mesh (the direct answer at the snapped rung).
-func (rt *Router) Stream(r geom.Rect, e float64, resume int, w io.Writer) (*dm.Result, StreamStats, error) {
-	return rt.StreamTraced(r, e, resume, w, nil)
-}
-
-// StreamTraced is Stream recording phase spans on tr (which may be
-// nil, and must be charge-based like QueryTraced's): one root span over
-// the whole stream, the rung queries' fan-out hops beneath it, encode
-// spans for the codec work, and PhaseStreamReplay spans wrapping the
-// rungs a resumed stream re-runs only to rebuild delta state.
+//
+// It records phase spans on tr (which may be nil, and must be
+// charge-based like QueryTraced's): one root span over the whole stream,
+// the rung queries' fan-out hops beneath it, encode spans for the codec
+// work, and PhaseStreamReplay spans wrapping the rungs a resumed stream
+// re-runs only to rebuild delta state.
 //
 // The next rung's fan-out is launched as soon as a rung's tiles have
 // arrived, so it runs while that rung is stitched, encoded and written.

@@ -24,7 +24,7 @@ import (
 )
 
 // localStream encodes, over the single-node reference cache, the stream
-// Router.Stream must produce for Q(r, e).
+// Router.StreamTraced must produce for Q(r, e).
 func localStream(t *testing.T, c *tilecache.Cache, r geom.Rect, e float64) *stream.Stream {
 	t.Helper()
 	band, _ := c.Grid().SnapE(e)
@@ -56,7 +56,7 @@ func TestRouterStreamMatchesSingleNode(t *testing.T) {
 	single := singleNode(t, tr)
 	lc := startLocal(t, tr, 3)
 	rng := rand.New(rand.NewSource(23))
-	ladder := single.Ladder()
+	ladder := single.Grid().Ladder()
 
 	check := func(roi geom.Rect, e float64, resume int) {
 		t.Helper()
@@ -66,7 +66,7 @@ func TestRouterStreamMatchesSingleNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
-		res, st, err := lc.Router.Stream(roi, e, resume, &got)
+		res, st, err := lc.Router.StreamTraced(roi, e, resume, &got, nil)
 		if err != nil {
 			t.Fatalf("Stream(%v, %g, %d): %v", roi, e, resume, err)
 		}
@@ -87,7 +87,7 @@ func TestRouterStreamMatchesSingleNode(t *testing.T) {
 			t.Fatal(derr)
 		}
 		if !bytes.Equal(canonicalMesh(res), canonicalMesh(direct)) {
-			t.Fatal("Stream's returned mesh differs from the direct query answer")
+			t.Fatal("StreamTraced's returned mesh differs from the direct query answer")
 		}
 	}
 
@@ -102,7 +102,7 @@ func TestRouterStreamMatchesSingleNode(t *testing.T) {
 	lc.KillShard(1)
 	check(roi, ladder[0], -1)
 
-	if _, st, err := lc.Router.Stream(roi, ladder[0], 99, &bytes.Buffer{}); err == nil {
+	if _, st, err := lc.Router.StreamTraced(roi, ladder[0], 99, &bytes.Buffer{}, nil); err == nil {
 		t.Fatalf("resume past the schedule succeeded (stats %+v)", st)
 	}
 }
@@ -187,7 +187,7 @@ func TestFailoverTruncatedBodies(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(41))
-	ladder := single.Ladder()
+	ladder := single.Grid().Ladder()
 	maxRedirect := 0
 	for _, roi := range randRects(rng, 12) {
 		e := ladder[rng.Intn(len(ladder))]
@@ -232,7 +232,7 @@ func TestFailoverTruncatedBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if _, _, err := rt.Stream(roi, ladder[0], -1, &got); err != nil {
+	if _, _, err := rt.StreamTraced(roi, ladder[0], -1, &got, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), wantBody.Bytes()) {
@@ -285,7 +285,7 @@ func TestFailoverHostileBodies(t *testing.T) {
 		return rt
 	}
 	roi := geom.Rect{MinX: 0.1, MinY: 0.15, MaxX: 0.85, MaxY: 0.8}
-	ladder := single.Ladder()
+	ladder := single.Grid().Ladder()
 
 	// Alone, each hostile shard fails the query with a short error.
 	for name, ts := range map[string]*httptest.Server{"loud": loud, "huge": huge} {
@@ -412,7 +412,7 @@ func TestFailoverLyingShards(t *testing.T) {
 		}
 		return rt
 	}
-	ladder := single.Ladder()
+	ladder := single.Grid().Ladder()
 	rng := rand.New(rand.NewSource(47))
 	rects := append(randRects(rng, 12), geom.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}) // the last is level 0
 
@@ -469,7 +469,7 @@ func TestStreamLatencyHistograms(t *testing.T) {
 	}
 	q0, h0, s0 := queries.Value(), queryNs.Snapshot().Count, streamNs.Snapshot().Count
 	roi := geom.Rect{MinX: 0.15, MinY: 0.1, MaxX: 0.8, MaxY: 0.75}
-	_, st, err := lc.Router.Stream(roi, ladder[len(ladder)-6], -1, io.Discard)
+	_, st, err := lc.Router.StreamTraced(roi, ladder[len(ladder)-6], -1, io.Discard, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +551,7 @@ func (s *scriptedWriter) Write(p []byte) (int, error) {
 func TestStreamLookaheadExits(t *testing.T) {
 	tr := terrain(t, "highland")
 	single := singleNode(t, tr)
-	ladder := single.Ladder()
+	ladder := single.Grid().Ladder()
 	roi := geom.Rect{MinX: 0.15, MinY: 0.1, MaxX: 0.8, MaxY: 0.75}
 	e := ladder[0]
 	last := len(ladder) - 1

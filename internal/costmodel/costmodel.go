@@ -129,9 +129,6 @@ func (m *Model) DataFactor() float64 { return m.dataFactor }
 // (see the sharedPool field). Off by default: the paper's formula (7).
 func (m *Model) SetSharedPool(on bool) { m.sharedPool = on }
 
-// NumNodes returns the number of nodes the model covers.
-func (m *Model) NumNodes() int { return m.inner.n + m.leaves.n }
-
 // EstimateDA evaluates formula (1) for query box q, with leaf terms scaled
 // by the data factor when one is set.
 func (m *Model) EstimateDA(q geom.Box) float64 {

@@ -165,35 +165,6 @@ func ReadASCIIGrid(r io.Reader) (*heightfield.Grid, ASCIIGridHeader, error) {
 	return g, hdr, nil
 }
 
-// WriteASCIIGrid writes g as an ESRI ASCII grid with the given
-// georeferencing (zero-value header writes a unit-cell grid at the
-// origin).
-func WriteASCIIGrid(w io.Writer, g *heightfield.Grid, hdr ASCIIGridHeader) error {
-	bw := bufio.NewWriter(w)
-	cell := hdr.CellSize
-	if cell == 0 {
-		cell = 1
-	}
-	fmt.Fprintf(bw, "ncols %d\n", g.Size)
-	fmt.Fprintf(bw, "nrows %d\n", g.Size)
-	fmt.Fprintf(bw, "xllcorner %g\n", hdr.XLLCorner)
-	fmt.Fprintf(bw, "yllcorner %g\n", hdr.YLLCorner)
-	fmt.Fprintf(bw, "cellsize %g\n", cell)
-	if hdr.HasNoData {
-		fmt.Fprintf(bw, "NODATA_value %g\n", hdr.NoDataValue)
-	}
-	for j := g.Size - 1; j >= 0; j-- { // north to south
-		for i := 0; i < g.Size; i++ {
-			if i > 0 {
-				bw.WriteByte(' ')
-			}
-			fmt.Fprintf(bw, "%g", g.At(i, j))
-		}
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
-}
-
 // ReadXYZ parses whitespace-separated "x y z" lines (comments start with
 // '#'), normalizing x and y into the unit square and returning the
 // original bounding rectangle. At least three points are required, and x

@@ -121,33 +121,6 @@ func TestReadASCIIGridDistrustsItsHeader(t *testing.T) {
 	}
 }
 
-func TestASCIIGridRoundTrip(t *testing.T) {
-	g := heightfield.Crater(17, 3)
-	hdr := ASCIIGridHeader{XLLCorner: 5, YLLCorner: 6, CellSize: 10, NoDataValue: -1, HasNoData: true}
-	var buf bytes.Buffer
-	if err := WriteASCIIGrid(&buf, g, hdr); err != nil {
-		t.Fatal(err)
-	}
-	g2, hdr2, err := ReadASCIIGrid(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr2.CellSize != 10 || hdr2.XLLCorner != 5 {
-		t.Fatalf("header round trip: %+v", hdr2)
-	}
-	if g2.Size != g.Size {
-		t.Fatalf("size round trip: %d vs %d", g2.Size, g.Size)
-	}
-	for j := 0; j < g.Size; j++ {
-		for i := 0; i < g.Size; i++ {
-			a, b := g.At(i, j), g2.At(i, j)
-			if d := a - b; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("cell (%d,%d): %g vs %g", i, j, a, b)
-			}
-		}
-	}
-}
-
 const sampleXYZ = `# survey points
 100 200 5
 300 200 7

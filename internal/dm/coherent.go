@@ -89,9 +89,6 @@ func (c *CoherentSession) EnableTrace() *obs.Trace {
 	return c.sess.NewTrace()
 }
 
-// Trace returns the attached phase tracer (nil when tracing is off).
-func (c *CoherentSession) Trace() *obs.Trace { return c.sess.tr }
-
 // FrameUniform answers a viewpoint-independent frame Q(M, r, e),
 // incrementally when the previous frame's volume overlaps. It matches
 // Store.ViewpointIndependent exactly, including the fetch clamp to the

@@ -237,7 +237,7 @@ func TestTrianglesTileTheDomain(t *testing.T) {
 			a := res.Vertices[tri.A].XY()
 			b := res.Vertices[tri.B].XY()
 			c := res.Vertices[tri.C].XY()
-			cr := b.Sub(a).Cross(c.Sub(a))
+			cr := (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
 			if cr < 0 {
 				cr = -cr
 			}

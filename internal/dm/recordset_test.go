@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"dmesh/internal/geom"
+	"dmesh/internal/simplify"
 	"dmesh/internal/storage/faultfs"
 	"dmesh/internal/storage/heapfile"
 	"dmesh/internal/storage/pager"
@@ -291,6 +292,10 @@ func TestOneShotQueryRecyclesItsFetcher(t *testing.T) {
 	// The bound below is a quarter of the slab: 80 bytes a record.
 	if size := unsafe.Sizeof(Node{}); size != 80 {
 		t.Fatalf("a Node is %d bytes, want 80", size)
+	}
+	// The build retains one Collapse per collapse, with no neighbor list.
+	if size := unsafe.Sizeof(simplify.Collapse{}); size != 72 {
+		t.Fatalf("a simplify.Collapse is %d bytes, want 72", size)
 	}
 	recs := freshRecords(big)
 	if len(recs) < 2000 {

@@ -57,9 +57,6 @@ type Store struct {
 // never inherits the parent store's trace). Pass nil to detach.
 func (s *Store) SetTrace(tr *obs.Trace) { s.tr = tr }
 
-// Trace returns the attached phase tracer (nil when tracing is off).
-func (s *Store) Trace() *obs.Trace { return s.tr }
-
 // Layout selects the record encoding of the heap file. Both layouts
 // store the records in the R*-tree's STR leaf order.
 type Layout int

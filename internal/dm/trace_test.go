@@ -166,7 +166,7 @@ func TestSessionTraceIsolation(t *testing.T) {
 	storeTr := obs.NewTrace(s.DiskAccesses)
 	s.SetTrace(storeTr)
 	sess := s.NewSession()
-	if sess.Trace() != nil {
+	if sess.tr != nil {
 		t.Fatal("session inherited the store's trace")
 	}
 	tr := sess.NewTrace()

@@ -79,8 +79,8 @@ func TestSubtractProperty(t *testing.T) {
 				t.Fatalf("iter %d: fragment %v escapes %v", iter, f, b)
 			}
 			vol += f.Volume()
-			if ov := f.OverlapVolume(c); ov != 0 {
-				t.Fatalf("iter %d: fragment %v overlaps %v by %g", iter, f, c, ov)
+			if ov := f.Intersect(c); ov.Valid() && ov.Volume() != 0 {
+				t.Fatalf("iter %d: fragment %v overlaps %v in %v", iter, f, c, ov)
 			}
 		}
 		// Volume conservation implies the fragments are interior-disjoint.

@@ -22,18 +22,8 @@ type Point2 struct {
 // Sub returns the vector p - q.
 func (p Point2) Sub(q Point2) Point2 { return Point2{p.X - q.X, p.Y - q.Y} }
 
-// Add returns the vector p + q.
-func (p Point2) Add(q Point2) Point2 { return Point2{p.X + q.X, p.Y + q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point2) Scale(s float64) Point2 { return Point2{p.X * s, p.Y * s} }
-
 // Dot returns the dot product of p and q viewed as vectors.
 func (p Point2) Dot(q Point2) float64 { return p.X*q.X + p.Y*q.Y }
-
-// Cross returns the z component of the cross product of p and q viewed as
-// vectors, i.e. the signed parallelogram area.
-func (p Point2) Cross(q Point2) float64 { return p.X*q.Y - p.Y*q.X }
 
 // Dist returns the Euclidean distance between p and q.
 func (p Point2) Dist(q Point2) float64 {
@@ -111,17 +101,9 @@ func (r Rect) Height() float64 { return r.MaxY - r.MinY }
 // Area returns the area of r.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Center returns the center point of r.
-func (r Rect) Center() Point2 { return Point2{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2} }
-
 // ContainsPoint reports whether p lies inside r (boundary inclusive).
 func (r Rect) ContainsPoint(p Point2) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
-
-// ContainsRect reports whether s lies entirely inside r.
-func (r Rect) ContainsRect(s Rect) bool {
-	return s.MinX >= r.MinX && s.MaxX <= r.MaxX && s.MinY >= r.MinY && s.MaxY <= r.MaxY
 }
 
 // Intersects reports whether r and s share at least one point.
@@ -186,9 +168,6 @@ func (b Box) Valid() bool {
 	return b.MinX <= b.MaxX && b.MinY <= b.MaxY && b.MinE <= b.MaxE
 }
 
-// Rect projects b onto the (x, y) plane.
-func (b Box) Rect() Rect { return Rect{b.MinX, b.MinY, b.MaxX, b.MaxY} }
-
 // Width returns the x extent of b.
 func (b Box) Width() float64 { return b.MaxX - b.MinX }
 
@@ -238,15 +217,6 @@ func (b Box) Intersect(c Box) Box {
 	}
 }
 
-// OverlapVolume returns the volume shared by b and c (zero when disjoint).
-func (b Box) OverlapVolume(c Box) float64 {
-	i := b.Intersect(c)
-	if !i.Valid() {
-		return 0
-	}
-	return i.Volume()
-}
-
 func (b Box) String() string {
 	return fmt.Sprintf("[%g,%g]x[%g,%g]x[%g,%g]", b.MinX, b.MaxX, b.MinY, b.MaxY, b.MinE, b.MaxE)
 }
@@ -260,20 +230,6 @@ type Interval struct {
 
 // Contains reports whether e lies in the half-open interval [Low, High).
 func (iv Interval) Contains(e float64) bool { return e >= iv.Low && e < iv.High }
-
-// Overlaps reports whether iv and jv share any LOD value. Two points whose
-// intervals overlap have "similar LOD" in the paper's terminology.
-func (iv Interval) Overlaps(jv Interval) bool {
-	return iv.Low < jv.High && jv.Low < iv.High
-}
-
-// Empty reports whether the interval contains no LOD value.
-func (iv Interval) Empty() bool { return iv.High <= iv.Low }
-
-// Intersect returns the overlap of iv and jv (possibly empty).
-func (iv Interval) Intersect(jv Interval) Interval {
-	return Interval{math.Max(iv.Low, jv.Low), math.Min(iv.High, jv.High)}
-}
 
 func (iv Interval) String() string { return fmt.Sprintf("[%g,%g)", iv.Low, iv.High) }
 

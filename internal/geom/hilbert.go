@@ -1,6 +1,6 @@
 package geom
 
-// HilbertD2XY and HilbertXY2D implement the 2D Hilbert curve used to lay
+// HilbertXY2D implements the 2D Hilbert curve used to lay
 // terrain point records out on disk in an (x, y)-clustered order, as the
 // paper requires ("terrain data is arranged on the disk in such a way that
 // their (x, y) clustering is preserved as much as possible").
@@ -21,21 +21,6 @@ func HilbertXY2D(order uint, x, y uint32) uint64 {
 		x, y = hilbertRot(s, x, y, rx, ry)
 	}
 	return d
-}
-
-// HilbertD2XY is the inverse of HilbertXY2D: it maps a curve distance back
-// to grid coordinates.
-func HilbertD2XY(order uint, d uint64) (x, y uint32) {
-	t := d
-	for s := uint32(1); s < uint32(1)<<order; s <<= 1 {
-		rx := uint32(1) & uint32(t/2)
-		ry := uint32(1) & uint32(t^uint64(rx))
-		x, y = hilbertRot(s, x, y, rx, ry)
-		x += s * rx
-		y += s * ry
-		t /= 4
-	}
-	return x, y
 }
 
 func hilbertRot(s, x, y, rx, ry uint32) (uint32, uint32) {

@@ -56,19 +56,6 @@ func (qp QueryPlane) MinOver(rect Rect) float64 {
 	return qp.EAt(rect.MinX, rect.MinY)
 }
 
-// Angle returns the angle in radians between the query plane and the
-// bottom plane (Figure 7 of the paper): atan of LOD rise over ROI run.
-func (qp QueryPlane) Angle() float64 {
-	run := qp.R.Height()
-	if qp.Axis == 0 {
-		run = qp.R.Width()
-	}
-	if run == 0 {
-		return math.Pi / 2
-	}
-	return math.Atan((qp.EMax - qp.EMin) / run)
-}
-
 // MaxAngle returns the paper's θmax for a dataset with the given maximum
 // LOD over a ROI of the given extent: arctan(LODmax / roiExtent).
 func MaxAngle(lodMax, roiExtent float64) float64 {

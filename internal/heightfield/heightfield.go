@@ -87,63 +87,6 @@ func (g *Grid) Normalize(scale float64) {
 	}
 }
 
-// DiamondSquare fills a grid of side 2^k+1 with plasma-fractal terrain.
-// roughness in (0, 1] controls how fast the displacement amplitude decays;
-// larger values give more rugged terrain.
-func DiamondSquare(k uint, roughness float64, seed int64) *Grid {
-	size := (1 << k) + 1
-	g := NewGrid(size)
-	rng := rand.New(rand.NewSource(seed))
-
-	// Seed corners.
-	g.Set(0, 0, rng.Float64())
-	g.Set(size-1, 0, rng.Float64())
-	g.Set(0, size-1, rng.Float64())
-	g.Set(size-1, size-1, rng.Float64())
-
-	amp := 1.0
-	for step := size - 1; step > 1; step /= 2 {
-		half := step / 2
-		// Diamond step.
-		for j := half; j < size; j += step {
-			for i := half; i < size; i += step {
-				avg := (g.At(i-half, j-half) + g.At(i+half, j-half) +
-					g.At(i-half, j+half) + g.At(i+half, j+half)) / 4
-				g.Set(i, j, avg+(rng.Float64()*2-1)*amp)
-			}
-		}
-		// Square step.
-		for j := 0; j < size; j += half {
-			start := half
-			if (j/half)%2 == 1 {
-				start = 0
-			}
-			for i := start; i < size; i += step {
-				sum, n := 0.0, 0
-				if i-half >= 0 {
-					sum += g.At(i-half, j)
-					n++
-				}
-				if i+half < size {
-					sum += g.At(i+half, j)
-					n++
-				}
-				if j-half >= 0 {
-					sum += g.At(i, j-half)
-					n++
-				}
-				if j+half < size {
-					sum += g.At(i, j+half)
-					n++
-				}
-				g.Set(i, j, sum/float64(n)+(rng.Float64()*2-1)*amp)
-			}
-		}
-		amp *= roughness
-	}
-	return g
-}
-
 // valueNoise is smooth deterministic 2D noise built from a hashed integer
 // lattice with bicubic-ish (smoothstep) interpolation. It avoids importing
 // anything beyond the stdlib while giving usable fBm octaves.
@@ -327,37 +270,4 @@ func (g *Grid) SampleIrregular(n int, seed int64) []geom.Point3 {
 		pts = append(pts, geom.Point3{X: x, Y: y, Z: g.HeightAt(x, y)})
 	}
 	return pts
-}
-
-// Stats summarizes a grid for reporting.
-type Stats struct {
-	Points   int
-	MinZ     float64
-	MaxZ     float64
-	MeanZ    float64
-	StddevZ  float64
-	RimIndex float64 // fraction of mass above 0.5, a crude shape signature
-}
-
-// Summarize computes summary statistics over the grid heights.
-func Summarize(g *Grid) Stats {
-	var s Stats
-	s.Points = len(g.Z)
-	s.MinZ, s.MaxZ = g.MinMax()
-	var sum, sq float64
-	above := 0
-	for _, z := range g.Z {
-		sum += z
-		if z > 0.5 {
-			above++
-		}
-	}
-	s.MeanZ = sum / float64(s.Points)
-	for _, z := range g.Z {
-		d := z - s.MeanZ
-		sq += d * d
-	}
-	s.StddevZ = math.Sqrt(sq / float64(s.Points))
-	s.RimIndex = float64(above) / float64(s.Points)
-	return s
 }

@@ -49,9 +49,6 @@ func FromGrid(g *heightfield.Grid) *Mesh {
 	return m
 }
 
-// NumVertices returns the number of vertex slots (including unused ones).
-func (m *Mesh) NumVertices() int { return len(m.Positions) }
-
 // NumTriangles returns the number of triangles.
 func (m *Mesh) NumTriangles() int { return len(m.Tris) }
 
@@ -133,19 +130,6 @@ func (m *Mesh) CheckManifold() error {
 	return nil
 }
 
-// BoundaryVertices returns the set of vertices incident to a boundary edge
-// (an edge used by exactly one triangle).
-func (m *Mesh) BoundaryVertices() map[int64]bool {
-	b := make(map[int64]bool)
-	for e, c := range m.Edges() {
-		if c == 1 {
-			b[e[0]] = true
-			b[e[1]] = true
-		}
-	}
-	return b
-}
-
 // UsedVertices returns the set of vertex IDs referenced by at least one
 // triangle.
 func (m *Mesh) UsedVertices() map[int64]bool {
@@ -156,41 +140,4 @@ func (m *Mesh) UsedVertices() map[int64]bool {
 		used[t.C] = true
 	}
 	return used
-}
-
-// EulerCharacteristic returns V - E + F computed over used vertices. A
-// triangulated disk (such as a rectangular terrain patch) has Euler
-// characteristic 1.
-func (m *Mesh) EulerCharacteristic() int {
-	v := len(m.UsedVertices())
-	e := len(m.Edges())
-	f := len(m.Tris)
-	return v - e + f
-}
-
-// SurfaceArea returns the total 3D area of all triangles.
-func (m *Mesh) SurfaceArea() float64 {
-	var sum float64
-	for _, t := range m.Tris {
-		a, b, c := m.Positions[t.A], m.Positions[t.B], m.Positions[t.C]
-		sum += b.Sub(a).Cross(c.Sub(a)).Norm() / 2
-	}
-	return sum
-}
-
-// BBox returns the (x, y) bounding rectangle of the used vertices, or a
-// zero rect for an empty mesh.
-func (m *Mesh) BBox() geom.Rect {
-	first := true
-	var r geom.Rect
-	for v := range m.UsedVertices() {
-		p := m.Positions[v].XY()
-		if first {
-			r = geom.PointRect(p)
-			first = false
-		} else {
-			r = r.ExpandPoint(p)
-		}
-	}
-	return r
 }

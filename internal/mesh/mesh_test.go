@@ -19,8 +19,8 @@ func TestFromGridCounts(t *testing.T) {
 		m := gridMesh(t, size)
 		wantV := size * size
 		wantT := 2 * (size - 1) * (size - 1)
-		if m.NumVertices() != wantV {
-			t.Errorf("size %d: vertices = %d, want %d", size, m.NumVertices(), wantV)
+		if len(m.Positions) != wantV {
+			t.Errorf("size %d: vertices = %d, want %d", size, len(m.Positions), wantV)
 		}
 		if m.NumTriangles() != wantT {
 			t.Errorf("size %d: triangles = %d, want %d", size, m.NumTriangles(), wantT)
@@ -39,7 +39,7 @@ func TestEulerCharacteristicOfDisk(t *testing.T) {
 	// A rectangular terrain patch is topologically a disk: V - E + F = 1.
 	for _, size := range []int{2, 4, 8} {
 		m := gridMesh(t, size)
-		if chi := m.EulerCharacteristic(); chi != 1 {
+		if chi := len(m.UsedVertices()) - len(m.Edges()) + len(m.Tris); chi != 1 {
 			t.Errorf("size %d: Euler characteristic = %d, want 1", size, chi)
 		}
 	}
@@ -84,7 +84,12 @@ func TestEdgesUseCounts(t *testing.T) {
 func TestBoundaryVertices(t *testing.T) {
 	size := 5
 	m := gridMesh(t, size)
-	b := m.BoundaryVertices()
+	b := map[int64]bool{} // ends of the edges only one triangle uses
+	for e, c := range m.Edges() {
+		if c == 1 {
+			b[e[0]], b[e[1]] = true, true
+		}
+	}
 	// A size x size grid has 4*(size-1) boundary vertices.
 	want := 4 * (size - 1)
 	if len(b) != want {
@@ -125,26 +130,6 @@ func TestCheckManifoldCatchesViolations(t *testing.T) {
 	}
 	if err := tripled.CheckManifold(); err == nil {
 		t.Error("edge shared by 3 triangles not caught")
-	}
-}
-
-func TestSurfaceAreaFlatGrid(t *testing.T) {
-	g := heightfield.NewGrid(3)
-	m := FromGrid(g) // all heights zero: area must equal the unit square
-	if got := m.SurfaceArea(); got < 0.999 || got > 1.001 {
-		t.Fatalf("flat surface area = %g, want 1", got)
-	}
-}
-
-func TestBBox(t *testing.T) {
-	m := gridMesh(t, 4)
-	r := m.BBox()
-	if r != (geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}) {
-		t.Fatalf("BBox = %v, want unit square", r)
-	}
-	empty := &Mesh{}
-	if r := empty.BBox(); r != (geom.Rect{}) {
-		t.Fatalf("empty BBox = %v", r)
 	}
 }
 

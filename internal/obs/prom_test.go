@@ -11,8 +11,7 @@ func promRegistry(scale uint64) *Registry {
 	reg := NewRegistry()
 	c := reg.Counter("test_requests_total", "requests served")
 	c.Add(3 * scale)
-	g := reg.Gauge("test_entries", "entries resident")
-	g.Set(int64(7 * scale))
+	reg.GaugeFunc("test_entries", "entries resident", func() int64 { return int64(7 * scale) })
 	h := reg.Histogram("test_latency_nanos", "request latency")
 	h.Observe(100 * scale)
 	h.Observe(2000 * scale)

@@ -23,20 +23,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value reads the counter.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is an atomic instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // histBuckets is the number of finite histogram buckets: bucket i counts
 // observations with value <= 2^i, covering [0, 2^39] before the overflow
 // bucket — plenty for both DA counts and nanosecond latencies up to ~9m.
@@ -98,7 +84,6 @@ type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -109,7 +94,6 @@ type metric struct {
 	kind metricKind
 
 	counter *Counter
-	gauge   *Gauge
 	fn      func() int64
 	hist    *Histogram
 }
@@ -141,8 +125,6 @@ func (r *Registry) getOrCreate(name, help string, kind metricKind) *metric {
 	switch kind {
 	case kindCounter:
 		m.counter = &Counter{}
-	case kindGauge:
-		m.gauge = &Gauge{}
 	case kindHistogram:
 		m.hist = &Histogram{}
 	}
@@ -155,11 +137,6 @@ func (r *Registry) getOrCreate(name, help string, kind metricKind) *metric {
 // _total suffix for counters).
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.getOrCreate(name, help, kindCounter).counter
-}
-
-// Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.getOrCreate(name, help, kindGauge).gauge
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at export
@@ -209,8 +186,6 @@ func (r *Registry) Snapshot() *PromSnapshot {
 		switch m.kind {
 		case kindCounter:
 			pm.Kind, pm.Value = "counter", int64(m.counter.Value())
-		case kindGauge:
-			pm.Value = m.gauge.Value()
 		case kindGaugeFunc:
 			pm.Value = r.fnValue(m)
 		case kindHistogram:

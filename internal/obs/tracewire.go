@@ -72,10 +72,6 @@ type WireTrace struct {
 	Spans []Span
 }
 
-// Encode re-serializes the decoded spans; for any wire DecodeTraceWire
-// accepts it returns the identical bytes.
-func (wt *WireTrace) Encode() []byte { return encodeWireSpans(wt.Spans) }
-
 // TotalDA sums the root spans' inclusive disk accesses — the remote
 // trace's view of what the traced request cost. Zero on nil.
 func (wt *WireTrace) TotalDA() uint64 {

@@ -104,9 +104,6 @@ func FromSequence(seq *simplify.Sequence) (*Tree, error) {
 	return t, nil
 }
 
-// Node returns the node with the given ID.
-func (t *Tree) Node(id int64) *Node { return &t.Nodes[id] }
-
 // Len returns the total number of nodes.
 func (t *Tree) Len() int { return len(t.Nodes) }
 
@@ -141,7 +138,7 @@ func (t *Tree) CheckInvariants() error {
 		if n.EHigh != p.ELow {
 			return fmt.Errorf("pm: node %d EHigh %g != parent ELow %g", n.ID, n.EHigh, p.ELow)
 		}
-		if !p.MBR.ContainsRect(n.MBR) {
+		if p.MBR.Union(n.MBR) != p.MBR {
 			return fmt.Errorf("pm: footprint of %d not inside parent %d", n.ID, n.Parent)
 		}
 	}

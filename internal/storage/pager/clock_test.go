@@ -3,7 +3,7 @@ package pager
 import "testing"
 
 func TestClockEvictionPreservesData(t *testing.T) {
-	p := NewWithPolicy(NewMemBackend(), 4, Clock)
+	p := NewSharded(NewMemBackend(), 4, 1, Clock)
 	defer p.Close()
 	var ids []PageID
 	for i := 0; i < 12; i++ {
@@ -32,7 +32,7 @@ func TestClockEvictionPreservesData(t *testing.T) {
 }
 
 func TestClockSecondChance(t *testing.T) {
-	p := NewWithPolicy(NewMemBackend(), 4, Clock)
+	p := NewSharded(NewMemBackend(), 4, 1, Clock)
 	defer p.Close()
 	var ids []PageID
 	for i := 0; i < 4; i++ {
@@ -77,7 +77,7 @@ func TestClockSecondChance(t *testing.T) {
 }
 
 func TestClockPinnedPagesSurvive(t *testing.T) {
-	p := NewWithPolicy(NewMemBackend(), 4, Clock)
+	p := NewSharded(NewMemBackend(), 4, 1, Clock)
 	defer p.Close()
 	pinned, _ := p.Allocate()
 	pinned.Data()[0] = 42
@@ -96,7 +96,7 @@ func TestClockPinnedPagesSurvive(t *testing.T) {
 }
 
 func TestClockExhaustion(t *testing.T) {
-	p := NewWithPolicy(NewMemBackend(), 4, Clock)
+	p := NewSharded(NewMemBackend(), 4, 1, Clock)
 	defer p.Close()
 	var frames []Frame
 	for i := 0; i < 4; i++ {
@@ -118,7 +118,7 @@ func TestClockExhaustion(t *testing.T) {
 }
 
 func TestClockDropCache(t *testing.T) {
-	p := NewWithPolicy(NewMemBackend(), 8, Clock)
+	p := NewSharded(NewMemBackend(), 8, 1, Clock)
 	defer p.Close()
 	var ids []PageID
 	for i := 0; i < 6; i++ {
@@ -152,7 +152,7 @@ func TestClockScanResistanceVsLRU(t *testing.T) {
 	// both policies; this pins down that Clock's ref bits actually work
 	// under scan pressure.
 	for _, policy := range []Policy{LRU, Clock} {
-		p := NewWithPolicy(NewMemBackend(), 8, policy)
+		p := NewSharded(NewMemBackend(), 8, 1, policy)
 		hot, _ := p.Allocate()
 		hotID := hot.ID()
 		hot.MarkDirty()

@@ -82,7 +82,7 @@ func TestSessionAttribution(t *testing.T) {
 	defer p.Close()
 	ids := prepPages(t, p, 40)
 
-	sa, sb := NewSession(), NewSession()
+	sa, sb := &Session{}, &Session{}
 	va, vb := p.WithSession(sa), p.WithSession(sb)
 	var wg sync.WaitGroup
 	run := func(v *Pager, pages []PageID) {
@@ -116,7 +116,7 @@ func TestSessionAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr.Unpin()
-	if s := sa.Stats(); s.Reads != 25 || s.Hits != 1 {
+	if s := sa.c.snapshot(); s.Reads != 25 || s.Hits != 1 {
 		t.Errorf("after warm re-access: %+v", s)
 	}
 }
@@ -195,7 +195,7 @@ func TestShardedColdReadsMatchSingleShard(t *testing.T) {
 func TestShardCapacityDistribution(t *testing.T) {
 	p := NewSharded(NewMemBackend(), 10, 3, LRU)
 	defer p.Close()
-	if got := p.Shards(); got != 2 {
+	if got := len(p.pl.shards); got != 2 {
 		t.Fatalf("shards = %d, want clamp to 2", got)
 	}
 	var total int

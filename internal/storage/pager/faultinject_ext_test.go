@@ -65,7 +65,7 @@ func TestEvictionWriteFaultPropagates(t *testing.T) {
 func TestEvictionWriteFaultDoesNotLeakCapacity(t *testing.T) {
 	for _, policy := range []pager.Policy{pager.LRU, pager.Clock} {
 		fb := faultfs.Wrap(pager.NewMemBackend())
-		p := pager.NewWithPolicy(fb, 4, policy)
+		p := pager.NewSharded(fb, 4, 1, policy)
 		for i := 0; i < 4; i++ {
 			fr, err := p.Allocate()
 			if err != nil {

@@ -33,7 +33,7 @@ func (f *faultBackend) WritePage(id PageID, buf []byte) error {
 
 func TestClockReadFaultLeavesNoGhostFrame(t *testing.T) {
 	fb := &faultBackend{Backend: NewMemBackend()}
-	p := NewWithPolicy(fb, 4, Clock)
+	p := NewSharded(fb, 4, 1, Clock)
 	defer p.Close()
 	var ids []PageID
 	for i := 0; i < 3; i++ {

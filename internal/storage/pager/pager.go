@@ -12,10 +12,10 @@
 //
 // The buffer pool is split into independently locked shards (page ID
 // hashed to shard, each shard with its own replacement state and capacity
-// slice) so concurrent queries scale across cores. New and NewWithPolicy
-// create a single shard, which preserves the exact replacement behavior —
-// and therefore the exact disk-access counts — of a monolithic pool; the
-// experiment harness relies on that. NewSharded opts into P shards for
+// slice) so concurrent queries scale across cores. New creates a single
+// shard, which preserves the exact replacement behavior — and therefore
+// the exact disk-access counts — of a monolithic pool; the experiment
+// harness relies on that. NewSharded opts into P shards for
 // serving workloads. Statistics are atomic counters, and a Session can be
 // attached (WithSession) to additionally attribute accesses to one query
 // while other queries run.
@@ -104,12 +104,6 @@ func (c *counters) reset() {
 type Session struct {
 	c counters
 }
-
-// NewSession returns a zeroed attribution handle.
-func NewSession() *Session { return &Session{} }
-
-// Stats returns a snapshot of the session's counters.
-func (s *Session) Stats() Stats { return s.c.snapshot() }
 
 // Reads returns the disk accesses attributed to this session — the paper's
 // cost metric, scoped to one query.
@@ -201,12 +195,6 @@ func New(backend Backend, capPages int) *Pager {
 	return NewSharded(backend, capPages, 1, LRU)
 }
 
-// NewWithPolicy creates a single-shard pager with an explicit replacement
-// policy.
-func NewWithPolicy(backend Backend, capPages int, policy Policy) *Pager {
-	return NewSharded(backend, capPages, 1, policy)
-}
-
 // NewSharded creates a pager whose buffer pool is split into shards
 // independently locked shards; page IDs hash to shards, and each shard
 // runs the replacement policy over its own slice of the capacity. One
@@ -238,9 +226,6 @@ func NewSharded(backend Backend, capPages, shards int, policy Policy) *Pager {
 func (p *Pager) WithSession(s *Session) *Pager {
 	return &Pager{pl: p.pl, sess: s}
 }
-
-// Shards returns the number of buffer-pool shards.
-func (p *Pager) Shards() int { return len(p.pl.shards) }
 
 // shardOf maps a page ID to its shard (Fibonacci hashing; any fixed
 // deterministic map works, the requirement is an even spread).

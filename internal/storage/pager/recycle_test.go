@@ -43,7 +43,7 @@ func backendWithPages(t testing.TB, n int) *MemBackend {
 // must hand out zeroes all the same.
 func TestAllocateAfterEvictionIsZeroed(t *testing.T) {
 	for _, policy := range []Policy{LRU, Clock} {
-		p := NewWithPolicy(backendWithPages(t, 4), 4, policy)
+		p := NewSharded(backendWithPages(t, 4), 4, 1, policy)
 		for id := PageID(0); id < 4; id++ {
 			fr, err := p.Get(id)
 			if err != nil {
@@ -75,7 +75,7 @@ func TestFaultsLeaveEveryFrameAccountedFor(t *testing.T) {
 	const capPages, faults = 4, 9
 	for _, policy := range []Policy{LRU, Clock} {
 		fb := &faultBackend{Backend: backendWithPages(t, 8)}
-		p := NewWithPolicy(fb, capPages, policy)
+		p := NewSharded(fb, capPages, 1, policy)
 		for id := PageID(0); id < capPages; id++ {
 			fr, err := p.Get(id)
 			if err != nil {
@@ -220,8 +220,8 @@ func TestDropCacheRefusedLeavesFramesResident(t *testing.T) {
 // disk access.
 func TestExhaustedGetChargesNoDiskAccess(t *testing.T) {
 	for _, policy := range []Policy{LRU, Clock} {
-		sess := NewSession()
-		p := NewWithPolicy(backendWithPages(t, 5), 4, policy).WithSession(sess)
+		sess := &Session{}
+		p := NewSharded(backendWithPages(t, 5), 4, 1, policy).WithSession(sess)
 		var held []Frame
 		for id := PageID(0); id < 4; id++ {
 			fr, err := p.Get(id)
@@ -230,14 +230,14 @@ func TestExhaustedGetChargesNoDiskAccess(t *testing.T) {
 			}
 			held = append(held, fr)
 		}
-		before, sessBefore := p.Stats(), sess.Stats()
+		before, sessBefore := p.Stats(), sess.c.snapshot()
 		if _, err := p.Get(4); err == nil {
 			t.Fatalf("policy %v: Get on an all-pinned pool succeeded", policy)
 		}
 		if got := p.Stats(); got != before {
 			t.Fatalf("policy %v: pool stats moved on a refused Get: %+v -> %+v", policy, before, got)
 		}
-		if got := sess.Stats(); got != sessBefore {
+		if got := sess.c.snapshot(); got != sessBefore {
 			t.Fatalf("policy %v: session stats moved on a refused Get: %+v -> %+v", policy, sessBefore, got)
 		}
 		for i := range held {
@@ -253,7 +253,7 @@ func TestExhaustedGetChargesNoDiskAccess(t *testing.T) {
 func TestPinPathAllocatesNothing(t *testing.T) {
 	const capPages = 8
 	for _, policy := range []Policy{LRU, Clock} {
-		p := NewWithPolicy(backendWithPages(t, 2*capPages), capPages, policy).WithSession(NewSession())
+		p := NewSharded(backendWithPages(t, 2*capPages), capPages, 1, policy).WithSession(&Session{})
 		pin := func(id PageID) {
 			fr, err := p.Get(id)
 			if err != nil {

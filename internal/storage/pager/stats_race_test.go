@@ -152,7 +152,7 @@ func TestSessionStatsConcurrentAttribution(t *testing.T) {
 	sess := make([]*Session, sessions)
 	var wg sync.WaitGroup
 	for i := range sess {
-		sess[i] = NewSession()
+		sess[i] = &Session{}
 		view := p.WithSession(sess[i])
 		wg.Add(1)
 		go func(v *Pager, seed uint64) {
@@ -173,7 +173,7 @@ func TestSessionStatsConcurrentAttribution(t *testing.T) {
 
 	var sumReads, sumHits uint64
 	for _, s := range sess {
-		st := s.Stats()
+		st := s.c.snapshot()
 		sumReads += st.Reads
 		sumHits += st.Hits
 	}

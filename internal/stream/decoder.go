@@ -144,16 +144,6 @@ func (d *Decoder) LastApplied() int { return d.next - 1 }
 // NumBatches returns the announced batch count (0 before Attach).
 func (d *Decoder) NumBatches() int { return d.nBatches }
 
-// Rect returns the stream's ROI.
-func (d *Decoder) Rect() geom.Rect { return d.rect }
-
-// TargetE returns the LOD the full stream decodes to.
-func (d *Decoder) TargetE() float64 { return d.targetE }
-
-// LastE returns the LOD of the last applied batch — the LOD Mesh() is
-// exact at. Zero before the first batch.
-func (d *Decoder) LastE() float64 { return d.lastE }
-
 // BytesRead returns the bytes consumed so far, summed across Attaches.
 func (d *Decoder) BytesRead() int64 { return d.bytesRead }
 

@@ -126,6 +126,7 @@ func TestStreamPrefixExactness(t *testing.T) {
 				if err := dec.Attach(bytes.NewReader(flatten(st))); err != nil {
 					t.Fatal(err)
 				}
+				var lastE float64
 				for !dec.Done() {
 					idx, e, err := dec.Next()
 					if err != nil {
@@ -138,12 +139,13 @@ func TestStreamPrefixExactness(t *testing.T) {
 					if !bytes.Equal(dm.CanonicalMesh(dec.Mesh()), dm.CanonicalMesh(direct)) {
 						t.Fatalf("query %d: prefix through batch %d (E %g) differs from direct query", qi, idx, e)
 					}
+					lastE = e
 				}
 				if _, _, err := dec.Next(); err != io.EOF {
 					t.Fatalf("Next after completion: %v, want io.EOF", err)
 				}
-				if dec.LastE() != ladder[band] {
-					t.Fatalf("final E %g, want rung %g", dec.LastE(), ladder[band])
+				if lastE != ladder[band] {
+					t.Fatalf("final E %g, want rung %g", lastE, ladder[band])
 				}
 				if dec.BytesRead() != int64(st.BytesToExact()) {
 					t.Fatalf("decoder consumed %d B, stream is %d B", dec.BytesRead(), st.BytesToExact())

@@ -128,7 +128,7 @@ func TestRectForBorderWidening(t *testing.T) {
 
 	// Level-0 cover is a single tile spanning the whole data space.
 	whole := g.RectFor(Key{Level: 0, IX: 0, IY: 0})
-	if !whole.ContainsRect(g.DataRect()) {
+	if whole.Union(g.DataRect()) != whole {
 		t.Errorf("level-0 tile %v does not contain data space %v", whole, g.DataRect())
 	}
 }

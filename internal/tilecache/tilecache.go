@@ -41,7 +41,7 @@ type Stats struct {
 	Misses          uint64 // lookups that materialized the patch
 	DedupedMisses   uint64 // lookups that waited on another's materialization
 	Evictions       uint64 // patches evicted for space
-	Invalidations   uint64 // Invalidate/InvalidateAll calls
+	Invalidations   uint64 // InvalidateAll calls
 	MaterializeDA   uint64 // disk accesses spent materializing, total
 	OutPairsKept    uint64 // seam out-pairs the materialized patches hold
 	OutPairsDropped uint64 // out-pairs dropped: far endpoint not live at the tile's rung
@@ -152,11 +152,6 @@ func New(cfg Config) (*Cache, error) {
 // cache's key space builds its own Grid from the same parameters; the
 // accessor is what in-process callers (and tests) compare against.
 func (c *Cache) Grid() *Grid { return c.grid }
-
-// Ladder returns the cache's LOD ladder (ascending copy).
-func (c *Cache) Ladder() []float64 {
-	return c.grid.Ladder()
-}
 
 // SnapE maps a requested LOD to the ladder rung Query would serve.
 func (c *Cache) SnapE(e float64) float64 {
@@ -312,23 +307,8 @@ func (c *Cache) makeRoomLocked(need int) {
 	}
 }
 
-// Invalidate drops every resident tile whose footprint intersects r and
-// prevents in-flight materializations started before the call from being
-// retained. Call it after mutating the underlying terrain region.
-func (c *Cache) Invalidate(r geom.Rect) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	c.stats.Invalidations++
-	for k, ent := range c.entries {
-		if ent.patch.Rect.Intersects(r) {
-			c.bytes -= ent.bytes
-			delete(c.entries, k)
-		}
-	}
-}
-
-// InvalidateAll drops every resident tile.
+// InvalidateAll drops every resident tile and prevents in-flight
+// materializations started before the call from being retained.
 func (c *Cache) InvalidateAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -261,7 +261,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 					return
 				}
 				if i%7 == 3 {
-					c.Invalidate(r)
+					c.InvalidateAll()
 				}
 			}
 		}(g)
@@ -279,8 +279,8 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	sameMesh(t, "after races", res, want)
 }
 
-// TestInvalidate drops tiles and verifies re-materialization stays exact
-// and the counters move.
+// TestInvalidate drops every tile and verifies re-materialization stays
+// exact and the counters move.
 func TestInvalidate(t *testing.T) {
 	tr := terrain(t, "highland")
 	c, s := newCache(t, tr, 0)
@@ -293,10 +293,9 @@ func TestInvalidate(t *testing.T) {
 	if before.Entries == 0 {
 		t.Fatal("nothing cached")
 	}
-	c.Invalidate(geom.Rect{MinX: 0, MinY: 0, MaxX: 0.5, MaxY: 0.5})
-	mid := c.Stats()
-	if mid.Entries >= before.Entries {
-		t.Fatalf("invalidate dropped nothing: %d -> %d entries", before.Entries, mid.Entries)
+	c.InvalidateAll()
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Invalidations != before.Invalidations+1 {
+		t.Fatalf("InvalidateAll left %d entries / %d bytes, %d invalidations", st.Entries, st.Bytes, st.Invalidations)
 	}
 	res, qs, err := c.Query(r, e)
 	if err != nil {
@@ -310,11 +309,6 @@ func TestInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMesh(t, "after invalidate", res, want)
-
-	c.InvalidateAll()
-	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("InvalidateAll left %d entries / %d bytes", st.Entries, st.Bytes)
-	}
 }
 
 // TestTileStatsDeterministic checks the accounting view: sorted keys,
@@ -494,8 +488,8 @@ func TestTopTilesDeterministic(t *testing.T) {
 func TestOutPairCensus(t *testing.T) {
 	tr := terrain(t, "highland")
 	c, s := newCache(t, tr, 0)
-	if !slices.Equal(c.Ladder(), s.Rungs()) || !slices.Equal(c.Ladder(), tr.DefaultLODLadder()) {
-		t.Fatalf("cache ladder %v, store's %v, terrain's %v: want one ladder", c.Ladder(), s.Rungs(), tr.DefaultLODLadder())
+	if !slices.Equal(c.Grid().Ladder(), s.Rungs()) || !slices.Equal(c.Grid().Ladder(), tr.DefaultLODLadder()) {
+		t.Fatalf("cache ladder %v, store's %v, terrain's %v: want one ladder", c.Grid().Ladder(), s.Rungs(), tr.DefaultLODLadder())
 	}
 	r := geom.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.6, MaxY: 0.6} // four level-1 tiles
 	// The second query hits: nothing more is counted.

@@ -93,6 +93,25 @@ func rootFixture() []byte {
 	return dm.EncodePackedRecord(&node, -1, len(node.Conn), nil)
 }
 
+// traceRoundTrip decodes a DMTW wire and writes its spans back out field
+// by field, the children's cover and DA recovered as Dur − SelfDur and
+// DA − SelfDA.
+func traceRoundTrip(b []byte) ([]byte, error) {
+	wt, err := obs.DecodeTraceWire(b)
+	if err != nil {
+		return nil, err
+	}
+	out := wire.AppendUvarint(append([]byte(nil), "DMTW\x01"...), uint64(len(wt.Spans)))
+	for i := range wt.Spans {
+		sp := &wt.Spans[i]
+		for _, v := range [...]uint64{uint64(sp.Phase), uint64(sp.Parent + 1), uint64(sp.Start),
+			uint64(sp.Dur), uint64(sp.Dur - sp.SelfDur()), sp.DA, sp.DA - sp.SelfDA()} {
+			out = wire.AppendUvarint(out, v)
+		}
+	}
+	return out, nil
+}
+
 func packedRoundTrip(b []byte) ([]byte, error) {
 	n, total, ref, err := dm.DecodePackedRecord(b, nil)
 	if err != nil {
@@ -119,9 +138,12 @@ func streamRoundTrip(b []byte) ([]byte, error) {
 	if err := dec.Attach(rd); err != nil {
 		return nil, err
 	}
-	rect := dec.Rect()
+	// Attach accepted the header: magic, version, the ROI's four corners
+	// and the target E as raw floats, then the batch count.
+	hdr := wire.NewReader("DMPS", b[5:])
+	rect := geom.Rect{MinX: hdr.F64(), MinY: hdr.F64(), MaxX: hdr.F64(), MaxY: hdr.F64()}
 	out := append([]byte("DMPS"), 1)
-	out = wire.AppendF64(out, rect.MinX, rect.MinY, rect.MaxX, rect.MaxY, dec.TargetE())
+	out = wire.AppendF64(out, rect.MinX, rect.MinY, rect.MaxX, rect.MaxY, hdr.F64())
 	out = wire.AppendUvarint(out, uint64(dec.NumBatches()))
 	var levels []float64
 	var meshes []*dm.Result
@@ -191,18 +213,12 @@ func decoderRows() []decoderRow {
 			listCuts = append(listCuts, len(dm.EncodePackedRecord(&short, -1, k, nil)))
 		}
 		rows = []decoderRow{{
-			name:    "DMTW",
-			fixture: []byte(traceFixture),
-			golden:  "24fb7fd972eb035b983300d0509619bf983003eb59829ad90cf2c32cdb0f1783",
-			varints: []int{4, 5, 9},
-			cut:     wire.ErrCorrupt,
-			roundTrip: func(b []byte) ([]byte, error) {
-				wt, err := obs.DecodeTraceWire(b)
-				if err != nil {
-					return nil, err
-				}
-				return wt.Encode(), nil
-			},
+			name:      "DMTW",
+			fixture:   []byte(traceFixture),
+			golden:    "24fb7fd972eb035b983300d0509619bf983003eb59829ad90cf2c32cdb0f1783",
+			varints:   []int{4, 5, 9},
+			cut:       wire.ErrCorrupt,
+			roundTrip: traceRoundTrip,
 		}, {
 			name:    "DMTP",
 			fixture: dm.EncodeTilePatch(tp),

@@ -19,7 +19,7 @@ func TestHotSpotDeterministicAndBounded(t *testing.T) {
 	unit := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	for ci, qs := range a {
 		for qi, r := range qs {
-			if !unit.ContainsRect(r) {
+			if unit.Union(r) != unit {
 				t.Fatalf("client %d query %d ROI %v leaves the unit square", ci, qi, r)
 			}
 			if w, h := r.Width(), r.Height(); !near(w, 0.2) || !near(h, 0.2) {
@@ -53,7 +53,7 @@ func TestHotSpotSkew(t *testing.T) {
 	for _, qs := range h.ROIs() {
 		for _, r := range qs {
 			total++
-			c := r.Center()
+			c := geom.Point2{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
 			for _, hc := range centers {
 				// Hot queries sit within jitter (default side/2 = 0.05)
 				// of a center, modulo the unit-square clamp.
