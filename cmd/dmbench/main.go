@@ -5,15 +5,15 @@
 // Usage:
 //
 //	dmbench [-fig all|<id>] [-size N] [-size2 N] [-seed S] [-locations L]
-//	        [-csv] [-cpuprofile F] [-memprofile F]
+//	        [-cpuprofile F] [-memprofile F]
 //
 // The ids are the rows of experiments.Table, whose comments say what each
 // figure measures: conn, 6a..6d and 8a..8f are the paper's; throughput,
 // flyover, tilecache, faults, dabreakdown, layoutcmp, cluster, stream
 // and obstrace measure this repository's extensions. Every figure runs
 // on the str layout, the paper's fixed records; layoutcmp builds a
-// packed store beside it. layoutcmp, cluster, stream and obstrace also
-// write their series to results/BENCH_*.json.
+// packed store beside it. layoutcmp, cluster and obstrace also write
+// their series to results/BENCH_*.json.
 //
 // -cpuprofile and -memprofile write pprof profiles of whatever figure
 // selection ran (go tool pprof reads them).
@@ -62,7 +62,6 @@ func mainErr() (err error) {
 		size2     = flag.Int("size2", 513, "grid side of the crater dataset (the paper's 17M-point terrain)")
 		seed      = flag.Int64("seed", 1, "generation seed")
 		locations = flag.Int("locations", 20, "random ROI placements averaged per measurement")
-		csvOut    = flag.Bool("csv", false, "emit the paper figures as CSV instead of aligned tables")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -97,7 +96,7 @@ func mainErr() (err error) {
 		Size: *size, Size2: *size2,
 		Log: os.Stderr,
 	}
-	return run(env, strings.ToLower(*fig), *csvOut)
+	return run(env, strings.ToLower(*fig))
 }
 
 // writeHeapProfile writes the final live set's heap profile to path.
@@ -116,7 +115,7 @@ func writeHeapProfile(path string) error {
 
 // run measures and prints every selected row, one after another: rows
 // share env's bundles.
-func run(env *experiments.Env, fig string, csv bool) error {
+func run(env *experiments.Env, fig string) error {
 	ran := false
 	for _, r := range experiments.Table() {
 		if fig != "all" && fig != r.ID {
@@ -127,11 +126,7 @@ func run(env *experiments.Env, fig string, csv bool) error {
 		if err != nil {
 			return err
 		}
-		show := r.Print
-		if csv && r.CSV != nil {
-			show = r.CSV
-		}
-		if err := show(os.Stdout, res); err != nil {
+		if err := r.Print(os.Stdout, res); err != nil {
 			return err
 		}
 		if r.JSON != "" {

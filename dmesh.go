@@ -132,11 +132,6 @@ type Config struct {
 	// VerticalDistanceError selects the simple vertical-distance error
 	// measure instead of quadric error metrics.
 	VerticalDistanceError bool
-	// IrregularPoints, when positive, samples that many survey-style
-	// irregular points from the heightfield and Delaunay-triangulates
-	// them instead of using the regular grid — the paper's "irregular
-	// mesh" input modality.
-	IrregularPoints int
 }
 
 // Terrain bundles a generated terrain with its multiresolution structures.
@@ -172,31 +167,15 @@ func Build(cfg Config) (*Terrain, error) {
 // first (heightfield.Grid.Normalize). Config.Dataset and Config.Size are
 // ignored.
 func BuildFromGrid(g *heightfield.Grid, cfg Config) (*Terrain, error) {
-	var m *mesh.Mesh
-	if cfg.IrregularPoints > 0 {
-		pts := g.SampleIrregular(cfg.IrregularPoints, cfg.Seed+1)
-		var err error
-		if m, err = triangulatePoints(pts); err != nil {
-			return nil, err
-		}
-	} else {
-		m = mesh.FromGrid(g)
-	}
-	return finishBuild(cfg, g, m)
+	return finishBuild(cfg, g, mesh.FromGrid(g))
 }
 
 // BuildFromPoints builds the multiresolution structures over an irregular
-// point set in the unit square (for example one read with ReadXYZ),
-// Delaunay-triangulating it first. Config generation fields are ignored.
+// point set in the unit square (for example one read with ReadXYZ, or
+// survey-style samples of a heightfield: the paper's "irregular mesh"
+// input), Delaunay-triangulating it first. Config generation fields are
+// ignored.
 func BuildFromPoints(pts []Point3, cfg Config) (*Terrain, error) {
-	m, err := triangulatePoints(pts)
-	if err != nil {
-		return nil, err
-	}
-	return finishBuild(cfg, nil, m)
-}
-
-func triangulatePoints(pts []geom.Point3) (*mesh.Mesh, error) {
 	pts2 := make([]geom.Point2, len(pts))
 	for i, p := range pts {
 		pts2[i] = p.XY()
@@ -205,7 +184,8 @@ func triangulatePoints(pts []geom.Point3) (*mesh.Mesh, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dmesh: triangulate points: %w", err)
 	}
-	return &mesh.Mesh{Positions: append([]geom.Point3(nil), pts...), Tris: tris}, nil
+	m := &mesh.Mesh{Positions: append([]geom.Point3(nil), pts...), Tris: tris}
+	return finishBuild(cfg, nil, m)
 }
 
 // finishBuild runs the shared tail of every construction path:
@@ -331,7 +311,7 @@ func NewCostModel(s *DMStore) (*CostModel, error) {
 // NewPMStore lays the Progressive Mesh baseline out on an LOD-quadtree
 // with a B+-tree ID index (the paper's PM + LOD-quadtree configuration).
 func (t *Terrain) NewPMStore() (*PMStore, error) {
-	return pm.BuildStore(t.Dataset.Tree, 4096, 1024)
+	return pm.BuildStore(t.Dataset.Tree)
 }
 
 // NewHDoVStore builds the HDoV-tree baseline (LOD-R-tree with

@@ -9,6 +9,7 @@ import (
 
 	"dmesh"
 	"dmesh/internal/geom"
+	"dmesh/internal/heightfield"
 	"dmesh/internal/simplify"
 )
 
@@ -148,7 +149,7 @@ func TestVerticalDistanceConfig(t *testing.T) {
 }
 
 func TestIrregularTerrain(t *testing.T) {
-	tr, err := dmesh.Build(dmesh.Config{Dataset: "crater", Size: 65, Seed: 3, IrregularPoints: 600})
+	tr, err := dmesh.BuildFromPoints(heightfield.Crater(65, 3).SampleIrregular(600, 4), dmesh.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +194,14 @@ func TestBuildRejectsNonFiniteHeights(t *testing.T) {
 	}
 	if _, err := dmesh.BuildFromPoints(pts, dmesh.Config{}); !errors.Is(err, simplify.ErrNonFinite) {
 		t.Fatalf("points with an inf height: err = %v, want ErrNonFinite", err)
+	}
+}
+
+func TestBuildRejectsGridSideBelowTwo(t *testing.T) {
+	for _, size := range []int{1, -3} {
+		if _, err := dmesh.Build(dmesh.Config{Size: size}); err == nil {
+			t.Errorf("Size %d: Build succeeded", size)
+		}
 	}
 }
 

@@ -138,11 +138,11 @@ func randRects(rng *rand.Rand, n int) []geom.Rect {
 // rejects degenerate shard lists.
 func TestRingDeterministic(t *testing.T) {
 	ids := []string{"http://s0", "http://s1", "http://s2", "http://s3"}
-	r1, err := cluster.NewRing(ids, 0)
+	r1, err := cluster.NewRing(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := cluster.NewRing(ids, 0)
+	r2, err := cluster.NewRing(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +185,13 @@ func TestRingDeterministic(t *testing.T) {
 		}
 	}
 
-	if _, err := cluster.NewRing(nil, 0); err == nil {
+	if _, err := cluster.NewRing(nil); err == nil {
 		t.Error("empty shard list must be rejected")
 	}
-	if _, err := cluster.NewRing([]string{"a", "a"}, 0); err == nil {
+	if _, err := cluster.NewRing([]string{"a", "a"}); err == nil {
 		t.Error("duplicate shard IDs must be rejected")
 	}
-	if _, err := cluster.NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := cluster.NewRing([]string{"a", ""}); err == nil {
 		t.Error("empty shard ID must be rejected")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"dmesh"
-	"dmesh/internal/obs"
 	"dmesh/internal/serve"
 )
 
@@ -25,20 +24,12 @@ type LocalCluster struct {
 	killed []bool
 }
 
-// LocalConfig parameterizes StartLocal. The zero value of everything
-// but Terrain and Shards is serviceable.
+// LocalConfig parameterizes StartLocal.
 type LocalConfig struct {
 	// Terrain is the dataset every shard serves (required).
 	Terrain *dmesh.Terrain
 	// Shards is the shard count (required, >= 1).
 	Shards int
-	// CacheMaxBytes caps each shard's tile cache (0 = tilecache default).
-	CacheMaxBytes int
-	// VNodes and MaxAttempts configure the router ring (0 = defaults).
-	VNodes      int
-	MaxAttempts int
-	// Registry receives the router metrics (nil = private).
-	Registry *obs.Registry
 }
 
 // StartLocal builds and starts an in-process cluster. Callers must
@@ -54,10 +45,7 @@ func StartLocal(cfg LocalConfig) (*LocalCluster, error) {
 	urls := make([]string, 0, cfg.Shards)
 	ids := make([]string, 0, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
-		s, err := serve.New(serve.Config{
-			Terrain:       cfg.Terrain,
-			CacheMaxBytes: cfg.CacheMaxBytes,
-		})
+		s, err := serve.New(serve.Config{Terrain: cfg.Terrain})
 		if err != nil {
 			lc.Close()
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
@@ -75,14 +63,7 @@ func StartLocal(cfg LocalConfig) (*LocalCluster, error) {
 	// The router's grid is shard 0's — pure arithmetic over (data rect,
 	// max level, ladder), identical on every shard by construction since
 	// they share the terrain.
-	rt, err := NewRouter(Config{
-		Shards:      urls,
-		IDs:         ids,
-		Grid:        lc.Servers[0].Grid(),
-		VNodes:      cfg.VNodes,
-		MaxAttempts: cfg.MaxAttempts,
-		Registry:    cfg.Registry,
-	})
+	rt, err := NewRouter(Config{Shards: urls, IDs: ids, Grid: lc.Servers[0].Grid()})
 	if err != nil {
 		lc.Close()
 		return nil, err

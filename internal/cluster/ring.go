@@ -37,25 +37,19 @@ type ringPoint struct {
 }
 
 // Ring is an immutable consistent-hash ring over a fixed shard list.
-// Construction is deterministic: the same IDs and vnode count always
-// produce the same ring, whatever order maps iterate in.
+// Construction is deterministic: the same IDs always produce the same
+// ring, whatever order maps iterate in.
 type Ring struct {
 	ids    []string
 	points []ringPoint
 }
 
-// NewRing builds a ring with vnodes virtual nodes per shard (0 selects
-// the default). Shard IDs must be non-empty and unique: they are the
-// hashed identity, so a duplicate would silently merge two shards.
-func NewRing(ids []string, vnodes int) (*Ring, error) {
+// NewRing builds a ring with defaultVNodes virtual nodes per shard. Shard
+// IDs must be non-empty and unique: they are the hashed identity, so a
+// duplicate would silently merge two shards.
+func NewRing(ids []string) (*Ring, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one shard")
-	}
-	if vnodes == 0 {
-		vnodes = defaultVNodes
-	}
-	if vnodes < 0 {
-		return nil, fmt.Errorf("cluster: negative vnode count")
 	}
 	seen := make(map[string]bool, len(ids))
 	for _, id := range ids {
@@ -69,10 +63,10 @@ func NewRing(ids []string, vnodes int) (*Ring, error) {
 	}
 	r := &Ring{
 		ids:    append([]string(nil), ids...),
-		points: make([]ringPoint, 0, len(ids)*vnodes),
+		points: make([]ringPoint, 0, len(ids)*defaultVNodes),
 	}
 	for si, id := range r.ids {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < defaultVNodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:  hash64(fmt.Sprintf("%s#%d", id, v)),
 				shard: si,

@@ -26,27 +26,18 @@ type Config struct {
 	// Placement hashes the identity, not the address, so re-homing a
 	// shard (new port, new host) never reshuffles the key space; every
 	// router fronting the same identity list computes the same
-	// placement. Empty defaults to the URLs themselves.
+	// placement.
 	IDs []string
 	// Grid must equal every shard's tile grid (same data rect, max
 	// level, LOD ladder); the router quantizes queries with it exactly
 	// like a local tile cache would. Shards publish theirs at /gridinfo.
 	Grid *tilecache.Grid
-	// VNodes is the ring's virtual-node count per shard (0 = 64).
-	VNodes int
-	// MaxAttempts bounds how many candidate shards one tile request
-	// tries before the query fails (0 = min(3, len(Shards))). Attempts
-	// walk the key's ring-successor order, so they land on the shards
-	// hot-tile replication warms.
-	MaxAttempts int
 	// Client issues the shard requests. Nil selects a client with a 30s
 	// timeout over a dedicated transport whose idle-connection pool is
 	// sized for fan-out: the default transport keeps only 2 idle
 	// connections per host, so a multi-tile burst against few shards
 	// would discard and re-dial almost every connection it opens.
 	Client *http.Client
-	// Registry receives the router metrics (nil = a private registry).
-	Registry *obs.Registry
 }
 
 // QueryStats describes how one fan-out query was answered.
@@ -72,13 +63,12 @@ type QueryStats struct {
 // failure, and replicates hot tiles via Rebalance. Safe for concurrent
 // use.
 type Router struct {
-	ring        *Ring
-	shards      []string
-	ids         []string
-	grid        *tilecache.Grid
-	ladder      []float64 // grid.Ladder(), held once: the accessor copies
-	maxAttempts int
-	client      *http.Client
+	ring   *Ring
+	shards []string
+	ids    []string
+	grid   *tilecache.Grid
+	ladder []float64 // grid.Ladder(), held once: the accessor copies
+	client *http.Client
 
 	reg        *obs.Registry
 	mQueries   *obs.Counter
@@ -105,26 +95,12 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Grid == nil {
 		return nil, fmt.Errorf("cluster: Config.Grid is required")
 	}
-	ids := cfg.IDs
-	if len(ids) == 0 {
-		ids = cfg.Shards
+	if len(cfg.IDs) != len(cfg.Shards) {
+		return nil, fmt.Errorf("cluster: %d ring IDs for %d shards", len(cfg.IDs), len(cfg.Shards))
 	}
-	if len(ids) != len(cfg.Shards) {
-		return nil, fmt.Errorf("cluster: %d ring IDs for %d shards", len(ids), len(cfg.Shards))
-	}
-	ring, err := NewRing(ids, cfg.VNodes)
+	ring, err := NewRing(cfg.IDs)
 	if err != nil {
 		return nil, err
-	}
-	maxAttempts := cfg.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = 3
-		if len(cfg.Shards) < maxAttempts {
-			maxAttempts = len(cfg.Shards)
-		}
-	}
-	if maxAttempts < 1 || maxAttempts > len(cfg.Shards) {
-		return nil, fmt.Errorf("cluster: MaxAttempts %d outside [1, %d]", maxAttempts, len(cfg.Shards))
 	}
 	client := cfg.Client
 	if client == nil {
@@ -139,21 +115,17 @@ func NewRouter(cfg Config) (*Router, error) {
 			client.Transport = tr
 		}
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	rt := &Router{
-		ring:        ring,
-		shards:      append([]string(nil), cfg.Shards...),
-		ids:         append([]string(nil), ids...),
-		grid:        cfg.Grid,
-		ladder:      cfg.Grid.Ladder(),
-		maxAttempts: maxAttempts,
-		client:      client,
-		reg:         reg,
-		hot:         make(map[tilecache.Key]int),
-		hotSeq:      make(map[tilecache.Key]*uint64),
+		ring:   ring,
+		shards: append([]string(nil), cfg.Shards...),
+		ids:    append([]string(nil), cfg.IDs...),
+		grid:   cfg.Grid,
+		ladder: cfg.Grid.Ladder(),
+		client: client,
+		reg:    reg,
+		hot:    make(map[tilecache.Key]int),
+		hotSeq: make(map[tilecache.Key]*uint64),
 	}
 	rt.mQueries = reg.Counter("cluster_router_queries_total", "fan-out queries answered")
 	rt.mTiles = reg.Counter("cluster_router_tiles_total", "per-tile shard requests that succeeded")
@@ -223,16 +195,21 @@ type tileFetch struct {
 	err        error
 }
 
-// fetchTile requests one tile from its candidate shards in order,
-// bounded by MaxAttempts, and decodes the wire patch. da is the shard
+// maxAttempts bounds how many candidate shards one tile request tries
+// before the query fails. Attempts walk the key's ring-successor order,
+// so they land on the shards hot-tile replication warms.
+const maxAttempts = 3
+
+// fetchTile requests one tile from at most maxAttempts of its candidate
+// shards in order, and decodes the wire patch. da is the shard
 // store I/O reported for the winning attempt; redirected counts the
 // failed attempts that preceded it. A non-nil tr asks the winning shard
 // for its phase trace; only tr.Now is called here (fetchTile runs on
 // fan-out goroutines, and Now is the one goroutine-safe Trace method).
 func (rt *Router) fetchTile(k tilecache.Key, tr *obs.Trace) (f tileFetch) {
 	cands := rt.candidates(k)
-	if len(cands) > rt.maxAttempts {
-		cands = cands[:rt.maxAttempts]
+	if len(cands) > maxAttempts {
+		cands = cands[:maxAttempts]
 	}
 	var lastErr error
 	for i, shard := range cands {

@@ -170,21 +170,16 @@ func TestFailoverTruncatedBodies(t *testing.T) {
 		goodTS,
 	}
 
-	reg := obs.NewRegistry()
 	urls := make([]string, len(fronts))
 	ids := []string{"shard-0", "shard-1", "shard-2"}
 	for i, f := range fronts {
 		urls[i] = f.URL
 	}
-	rt, err := cluster.NewRouter(cluster.Config{
-		Shards:   urls,
-		IDs:      ids,
-		Grid:     good.Grid(),
-		Registry: reg,
-	})
+	rt, err := cluster.NewRouter(cluster.Config{Shards: urls, IDs: ids, Grid: good.Grid()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := rt.Registry()
 
 	rng := rand.New(rand.NewSource(41))
 	ladder := single.Grid().Ladder()

@@ -27,9 +27,12 @@ func packedFixtures() []Node {
 		return Node{ID: id, Pos: geom.Point3{X: x, Y: y, Z: z},
 			ELow: elo, EHigh: ehi, Parent: parent, Conn: conn}
 	}
-	longConn := make([]int64, 3000)
-	for i := range longConn {
-		longConn[i] = int64(100 + i)
+	dense := func(from int64, n int) []int64 { // one-byte deltas
+		c := make([]int64, n)
+		for i := range c {
+			c[i] = from + int64(i)
+		}
+		return c
 	}
 	return []Node{
 		// A typical leaf: dyadic grid coordinates, ELow +0, a near parent.
@@ -56,7 +59,13 @@ func packedFixtures() []Node {
 		mk(13, float64(int64(1)<<41)/4096, float64(int64(1)<<41+4096)/4096, -float64(int64(1)<<41)/4096,
 			0, math.Inf(1), pm.None, nil),
 		// Max valence with dense deltas.
-		mk(50, 0.5, 0.5, 0.5, 0.25, 0.5, 49, longConn),
+		mk(50, 0.5, 0.5, 0.5, 0.25, 0.5, 49, dense(100, 3000)),
+		// Page boundaries of packedSplit: a 13-byte head plus 4 075
+		// one-byte deltas fills a slotted page exactly, wholly inline; a
+		// spilled 24-byte head (two-byte bitmap and count, 8-byte chain
+		// head) plus 4 064 of them fills it exactly again.
+		mk(60, 0.5, 0.5, 0.5, 0.25, 0.5, 59, dense(61, heapfile.MaxVarRecord-13)),
+		mk(60, 0.5, 0.5, 0.5, 0.25, 0.5, 59, dense(61, 5000)),
 	}
 }
 
@@ -104,11 +113,27 @@ func TestPackedRecordRoundTripBitExact(t *testing.T) {
 
 // TestPackedRecordSpillRoundTrip exercises the overflow split: a record
 // encoded with a partial inline prefix decodes to exactly that prefix
-// plus the chain head and the whole list's count, and packedSplit never
-// overruns a page.
+// plus the chain head and the whole list's count, and packedSplit keeps
+// the whole list inline when it fits a page, else the longest prefix that
+// does.
 func TestPackedRecordSpillRoundTrip(t *testing.T) {
 	var buf []byte
+	fullPages, spillPages := 0, 0
 	for fi, n := range packedFixtures() {
+		inline, whole := packedSplit(&n), packedRecordLen(&n, len(n.Conn), false)
+		switch {
+		case whole <= heapfile.MaxVarRecord && inline != len(n.Conn):
+			t.Fatalf("fixture %d: a %d-byte record spills after %d of %d IDs", fi, whole, inline, len(n.Conn))
+		case inline < len(n.Conn) && (packedRecordLen(&n, inline, true) > heapfile.MaxVarRecord ||
+			packedRecordLen(&n, inline+1, true) <= heapfile.MaxVarRecord):
+			t.Fatalf("fixture %d: %d IDs inline is not the longest prefix that fits a page", fi, inline)
+		}
+		if whole == heapfile.MaxVarRecord {
+			fullPages++
+		}
+		if inline < len(n.Conn) && packedRecordLen(&n, inline, true) == heapfile.MaxVarRecord {
+			spillPages++
+		}
 		for _, inline := range []int{0, len(n.Conn) / 2} {
 			if inline >= len(n.Conn) {
 				continue
@@ -133,6 +158,9 @@ func TestPackedRecordSpillRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+	if fullPages == 0 || spillPages == 0 {
+		t.Fatalf("%d wholly inline and %d spilled fixtures fill a page exactly; want both above 0", fullPages, spillPages)
 	}
 }
 
@@ -436,10 +464,20 @@ func TestPackedDecodeRejectsCorruption(t *testing.T) {
 	rawInf := encode(func(n *Node) { n.EHigh = math.Inf(-1) })
 	rawInf[2+2+2+1+7] &^= 0x80 // ELow +0 takes no bytes here; last byte of EHigh
 	ff := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	// A record whose bitmap is 0 (no parent, every float raw), respelled
+	// with pkBits alone: the lowest reserved value.
+	allRaw := encode(func(n *Node) {
+		*n = Node{ID: 7, Pos: geom.Point3{X: 0.1, Y: 0.2, Z: 0.3}, ELow: 0.4, EHigh: 0.7, Parent: pm.None}
+	})
+	if allRaw[1] != 0 {
+		t.Fatalf("all-raw record has bitmap %#x, want 0", allRaw[1])
+	}
+	allRaw = append(wire.AppendUvarint([]byte{allRaw[0]}, pkBits), allRaw[2:]...)
 	cases := map[string][]byte{
 		"escapable EHigh sent raw":   rawInf,
 		"escapable ELow as index 0":  respell(flags^(pkELowZero|pkELowDyadic), 7, 7, 0x00),
 		"reserved bit":               respell(flags|pkBits, 2, 2),
+		"bitmap exactly pkBits":      allRaw,
 		"ELow zero and dyadic":       respell(flags|pkELowDyadic, 2, 2),
 		"escapable ELow sent raw":    rawZero,
 		"overflow bit, no head":      respell(flags|pkOverflow, 2, 2, ff...),

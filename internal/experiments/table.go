@@ -55,8 +55,6 @@ type Row struct {
 	ID    string
 	Run   func(*Env) (any, error)
 	Print func(io.Writer, any) error
-	// CSV, where set, is the -csv form of Print.
-	CSV func(io.Writer, any) error
 	// JSON names the results/ file dmbench writes the result to; only the
 	// figures a document cites have one.
 	JSON string
@@ -100,23 +98,11 @@ func (r Row) writes(file string) Row { r.JSON = file; return r }
 
 func (r Row) unpinned(keys ...string) Row { r.Unpinned = keys; return r }
 
-// paper builds the row of one of the paper's Figs 6 and 8, with its
-// -csv form.
+// paper builds the row of one of the paper's Figs 6 and 8.
 func paper(id, dataset string, measure func(*Bundle, workload.Config) (*Figure, error)) Row {
-	r := row(id, []string{dataset}, func(e *Env, b *Bundle) (*Figure, error) {
+	return row(id, []string{dataset}, func(e *Env, b *Bundle) (*Figure, error) {
 		return measure(b, e.Cfg)
 	}, func(w io.Writer, f *Figure) error { return printFigure(w, id, f) })
-	r.CSV = func(w io.Writer, res any) error {
-		for _, f := range res.([]*Figure) {
-			for _, s := range f.Series {
-				for _, p := range s.Points {
-					fmt.Fprintf(w, "%s,%g,%s,%g\n", id, p.X, s.Method, p.DA)
-				}
-			}
-		}
-		return nil
-	}
-	return r
 }
 
 var (
@@ -238,7 +224,7 @@ func Table() []Row {
 		// decoded back and checked against the direct query.
 		row("stream", bothDatasets, func(e *Env, b *Bundle) (*StreamFigure, error) {
 			return b.Streaming(e.Cfg.Seed, 24, 0.6, 0.95)
-		}, printStream).writes("BENCH_stream.json"),
+		}, printStream),
 
 		// Distributed tracing: the cluster query mix traced over the wire
 		// and decomposed per hop and phase, the cross-hop invariant checked

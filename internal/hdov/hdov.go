@@ -140,9 +140,15 @@ type Options struct {
 	// Levels is the hierarchy depth (root = level 0). 0 selects a depth
 	// giving leaf cells of roughly 256 points.
 	Levels int
-	// Pools sizes the buffer pools in pages.
-	MeshPool, DirPool, VisPool, RowPool int
 }
+
+// The buffer pool sizes in pages, one pool per file.
+const (
+	meshPool = 4096
+	dirPool  = 512
+	visPool  = 256
+	rowPool  = 512
+)
 
 func (o *Options) defaults(points int) {
 	if o.Levels <= 0 {
@@ -152,18 +158,6 @@ func (o *Options) defaults(points int) {
 			cells *= 2
 		}
 	}
-	if o.MeshPool <= 0 {
-		o.MeshPool = 4096
-	}
-	if o.DirPool <= 0 {
-		o.DirPool = 512
-	}
-	if o.VisPool <= 0 {
-		o.VisPool = 256
-	}
-	if o.RowPool <= 0 {
-		o.RowPool = 512
-	}
 }
 
 // Build constructs the HDoV store from the multiresolution tree (for the
@@ -172,10 +166,10 @@ func (o *Options) defaults(points int) {
 func Build(tree *pm.Tree, g *heightfield.Grid, opts Options) (*Store, error) {
 	opts.defaults(len(tree.Nodes))
 	s := &Store{
-		dirP: pager.New(pager.NewMemBackend(), opts.DirPool),
-		mshP: pager.New(pager.NewMemBackend(), opts.MeshPool),
-		rlP:  pager.New(pager.NewMemBackend(), opts.RowPool),
-		visP: pager.New(pager.NewMemBackend(), opts.VisPool),
+		dirP: pager.New(pager.NewMemBackend(), dirPool),
+		mshP: pager.New(pager.NewMemBackend(), meshPool),
+		rlP:  pager.New(pager.NewMemBackend(), rowPool),
+		visP: pager.New(pager.NewMemBackend(), visPool),
 	}
 	var err error
 	if s.dir, err = heapfile.Create(s.dirP, dirRecordSize); err != nil {

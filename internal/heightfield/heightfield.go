@@ -205,8 +205,12 @@ func Crater(size int, seed int64) *Grid {
 }
 
 // Named builds one of the two benchmark datasets by name: "highland" (the
-// 2M-point stand-in) or "crater" (the 17M-point stand-in).
+// 2M-point stand-in) or "crater" (the 17M-point stand-in). A side below 2
+// is an error.
 func Named(name string, size int, seed int64) (*Grid, error) {
+	if size < 2 {
+		return nil, fmt.Errorf("heightfield: grid size %d < 2", size)
+	}
 	switch name {
 	case "highland":
 		return Highland(size, seed), nil

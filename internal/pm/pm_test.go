@@ -224,7 +224,7 @@ func TestRecordRoundTripInfinity(t *testing.T) {
 
 func TestStoreUniformMatchesInMemory(t *testing.T) {
 	tree, _ := buildTree(t, 9)
-	store, err := BuildStore(tree, 4096, 1024)
+	store, err := BuildStore(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestStoreUniformMatchesInMemory(t *testing.T) {
 
 func TestStorePlaneMatchesInMemory(t *testing.T) {
 	tree, _ := buildTree(t, 9)
-	store, err := BuildStore(tree, 4096, 1024)
+	store, err := BuildStore(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestStorePlaneMatchesInMemory(t *testing.T) {
 
 func TestStoreCountsDiskAccesses(t *testing.T) {
 	tree, _ := buildTree(t, 9)
-	store, err := BuildStore(tree, 4096, 1024)
+	store, err := BuildStore(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestStoreChasesOutOfROIAncestors(t *testing.T) {
 	// With a small ROI, most ancestors sit outside it and must be chased
 	// by ID — the inefficiency the paper attributes to PM.
 	tree, _ := buildTree(t, 9)
-	store, err := BuildStore(tree, 4096, 1024)
+	store, err := BuildStore(tree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,15 @@ type Store struct {
 	maxE  float64
 }
 
+// The buffer pool sizes in pages: quadtree data and B+-tree ID index.
+const (
+	dataPool  = 4096
+	indexPool = 1024
+)
+
 // BuildStore lays the tree's records out on two fresh in-memory pagers
-// (quadtree data + B+-tree ID index). Pool sizes are in pages.
-func BuildStore(t *Tree, dataPool, indexPool int) (*Store, error) {
+// (quadtree data + B+-tree ID index).
+func BuildStore(t *Tree) (*Store, error) {
 	qtP := pager.New(pager.NewMemBackend(), dataPool)
 	idxP := pager.New(pager.NewMemBackend(), indexPool)
 

@@ -42,14 +42,13 @@ const (
 	VerticalDistance
 )
 
-// Options configure the simplifier. The zero value is valid: QEM with the
-// default boundary weight.
+// Options configure the simplifier. The zero value is valid: QEM.
 type Options struct {
 	Metric Metric
-	// BoundaryWeight scales the boundary-preservation quadrics; 0 means the
-	// default (100).
-	BoundaryWeight float64
 }
+
+// boundaryWeight scales the boundary-preservation quadrics.
+const boundaryWeight = 100
 
 // NoWing marks an absent wing point.
 const NoWing int64 = -1
@@ -198,9 +197,6 @@ func run(m *mesh.Mesh, opts Options) (*Sequence, work, error) {
 			return nil, wk, fmt.Errorf("%w: vertex %d at %v", ErrNonFinite, i, p)
 		}
 	}
-	if opts.BoundaryWeight == 0 {
-		opts.BoundaryWeight = 100
-	}
 	seq := &Sequence{
 		BaseVertices: base,
 		Positions:    append([]geom.Point3(nil), m.Positions...),
@@ -255,7 +251,7 @@ func run(m *mesh.Mesh, opts Options) (*Sequence, work, error) {
 	for _, b := range boundary {
 		pa, pb, pc := m.Positions[b.t.A], m.Positions[b.t.B], m.Positions[b.t.C]
 		fn := pb.Sub(pa).Cross(pc.Sub(pa))
-		q := BoundaryQuadric(m.Positions[b.e[0]], m.Positions[b.e[1]], fn, opts.BoundaryWeight)
+		q := BoundaryQuadric(m.Positions[b.e[0]], m.Positions[b.e[1]], fn, boundaryWeight)
 		quadrics[b.e[0]].Add(q)
 		quadrics[b.e[1]].Add(q)
 	}

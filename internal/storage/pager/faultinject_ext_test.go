@@ -63,51 +63,49 @@ func TestEvictionWriteFaultPropagates(t *testing.T) {
 // the frame map, so each failed eviction leaked one frame of capacity
 // until the pool reported "all frames pinned" with nothing pinned.
 func TestEvictionWriteFaultDoesNotLeakCapacity(t *testing.T) {
-	for _, policy := range []pager.Policy{pager.LRU, pager.Clock} {
-		fb := faultfs.Wrap(pager.NewMemBackend())
-		p := pager.NewSharded(fb, 4, 1, policy)
-		for i := 0; i < 4; i++ {
-			fr, err := p.Allocate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fr.MarkDirty()
-			fr.Unpin()
+	fb := faultfs.Wrap(pager.NewMemBackend())
+	p := pager.New(fb, 4)
+	for i := 0; i < 4; i++ {
+		fr, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
 		}
-		fb.SetSchedule(faultfs.Write, always())
-		// More failed attempts than the pool has frames: every one must
-		// report the injected write fault, not pool exhaustion.
-		for i := 0; i < 6; i++ {
-			if _, err := p.Allocate(); !errors.Is(err, faultfs.ErrInjected) {
-				t.Fatalf("policy %v attempt %d: Allocate = %v, want injected fault", policy, i, err)
-			}
+		fr.MarkDirty()
+		fr.Unpin()
+	}
+	fb.SetSchedule(faultfs.Write, always())
+	// More failed attempts than the pool has frames: every one must
+	// report the injected write fault, not pool exhaustion.
+	for i := 0; i < 6; i++ {
+		if _, err := p.Allocate(); !errors.Is(err, faultfs.ErrInjected) {
+			t.Fatalf("attempt %d: Allocate = %v, want injected fault", i, err)
 		}
-		// Once writes heal, the pool cycles normally again.
-		fb.Heal()
-		for i := 0; i < 4; i++ {
-			fr, err := p.Allocate()
-			if err != nil {
-				t.Fatalf("policy %v: Allocate after healing: %v", policy, err)
-			}
-			fr.MarkDirty()
-			fr.Unpin()
+	}
+	// Once writes heal, the pool cycles normally again.
+	fb.Heal()
+	for i := 0; i < 4; i++ {
+		fr, err := p.Allocate()
+		if err != nil {
+			t.Fatalf("Allocate after healing: %v", err)
 		}
-		// And it still has all of its frames: as many distinct pages as
-		// its capacity pin at once.
-		var held []pager.Frame
-		for id := pager.PageID(0); id < 4; id++ {
-			fr, err := p.Get(id)
-			if err != nil {
-				t.Fatalf("policy %v: pinning page %d of 4 after healing: %v", policy, id, err)
-			}
-			held = append(held, fr)
+		fr.MarkDirty()
+		fr.Unpin()
+	}
+	// And it still has all of its frames: as many distinct pages as
+	// its capacity pin at once.
+	var held []pager.Frame
+	for id := pager.PageID(0); id < 4; id++ {
+		fr, err := p.Get(id)
+		if err != nil {
+			t.Fatalf("pinning page %d of 4 after healing: %v", id, err)
 		}
-		for i := range held {
-			held[i].Unpin()
-		}
-		if err := p.Close(); err != nil {
-			t.Fatalf("policy %v: Close: %v", policy, err)
-		}
+		held = append(held, fr)
+	}
+	for i := range held {
+		held[i].Unpin()
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 

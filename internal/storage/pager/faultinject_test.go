@@ -31,9 +31,9 @@ func (f *faultBackend) WritePage(id PageID, buf []byte) error {
 	return f.Backend.WritePage(id, buf)
 }
 
-func TestClockReadFaultLeavesNoGhostFrame(t *testing.T) {
+func TestReadFaultLeavesNoGhostFrame(t *testing.T) {
 	fb := &faultBackend{Backend: NewMemBackend()}
-	p := NewSharded(fb, 4, 1, Clock)
+	p := New(fb, 4)
 	defer p.Close()
 	var ids []PageID
 	for i := 0; i < 3; i++ {
@@ -49,9 +49,8 @@ func TestClockReadFaultLeavesNoGhostFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A failed read must fully unregister the frame it created: before the
-	// fix it was deleted from the frame map but left in the Clock ring as a
-	// pinned ghost, leaking a ring slot per fault.
+	// A failed read must fully unregister the frame it created: a frame
+	// left behind would be a pinned ghost, one slot leaked per fault.
 	fb.failReads = true
 	for i := 0; i < 8; i++ {
 		if _, err := p.Get(ids[0]); !errors.Is(err, errInjected) {
@@ -59,9 +58,6 @@ func TestClockReadFaultLeavesNoGhostFrame(t *testing.T) {
 		}
 	}
 	for _, sh := range p.pl.shards {
-		if len(sh.ring) != 0 {
-			t.Fatalf("ring holds %d stale entries after failed reads", len(sh.ring))
-		}
 		if len(sh.frames) != 0 {
 			t.Fatalf("frame map holds %d stale entries after failed reads", len(sh.frames))
 		}

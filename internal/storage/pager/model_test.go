@@ -9,9 +9,8 @@ import (
 )
 
 // The reference pool: the replacement algorithm as it stood before the
-// frame-recycling rewrite (map + container/list for LRU, a ring with a
-// sweep hand for Clock), reduced to what decides the counters and the
-// resident set. TestReplacementMatchesModel drives it beside the real
+// frame-recycling rewrite (map + container/list), reduced to what decides
+// the counters and the resident set. TestReplacementMatchesModel drives it beside the real
 // pager; any schedule on which the two disagree is a moved eviction
 // order, which is a moved disk-access count in every figure.
 type mframe struct {
@@ -19,20 +18,15 @@ type mframe struct {
 	dirty bool
 	pins  int
 	elem  *list.Element
-	ref   bool
-	slot  int
 }
 
 type mshard struct {
 	cap    int
 	frames map[PageID]*mframe
 	lru    *list.List
-	ring   []*mframe
-	hand   int
 }
 
 type model struct {
-	policy Policy
 	shards []*mshard
 	st     Stats
 }
@@ -40,11 +34,10 @@ type model struct {
 func (m *model) get(sh *mshard, id PageID) {
 	if f, ok := sh.frames[id]; ok {
 		m.st.Hits++
-		if m.policy == LRU && f.pins == 0 && f.elem != nil {
+		if f.pins == 0 && f.elem != nil {
 			sh.lru.Remove(f.elem)
 			f.elem = nil
 		}
-		f.ref = true
 		f.pins++
 		return
 	}
@@ -55,12 +48,8 @@ func (m *model) get(sh *mshard, id PageID) {
 
 func (m *model) newFrame(sh *mshard, id PageID) *mframe {
 	m.makeRoom(sh)
-	f := &mframe{id: id, pins: 1, slot: -1}
+	f := &mframe{id: id, pins: 1}
 	sh.frames[id] = f
-	if m.policy == Clock {
-		f.slot = len(sh.ring)
-		sh.ring = append(sh.ring, f)
-	}
 	return f
 }
 
@@ -68,35 +57,10 @@ func (m *model) makeRoom(sh *mshard) {
 	if len(sh.frames) < sh.cap {
 		return
 	}
-	var victim *mframe
-	if m.policy == LRU {
-		elem := sh.lru.Back()
-		victim = elem.Value.(*mframe)
-		sh.lru.Remove(elem)
-		victim.elem = nil
-	} else {
-		for victim == nil {
-			f := sh.ring[sh.hand]
-			sh.hand = (sh.hand + 1) % len(sh.ring)
-			if f.pins > 0 {
-				continue
-			}
-			if f.ref {
-				f.ref = false
-				continue
-			}
-			victim = f
-		}
-		last := len(sh.ring) - 1
-		sh.ring[victim.slot] = sh.ring[last]
-		sh.ring[victim.slot].slot = victim.slot
-		sh.ring = sh.ring[:last]
-		if len(sh.ring) > 0 {
-			sh.hand %= len(sh.ring)
-		} else {
-			sh.hand = 0
-		}
-	}
+	elem := sh.lru.Back()
+	victim := elem.Value.(*mframe)
+	sh.lru.Remove(elem)
+	victim.elem = nil
 	if victim.dirty {
 		m.st.Writes++
 	}
@@ -108,11 +72,7 @@ func (m *model) unpin(sh *mshard, id PageID) {
 	f := sh.frames[id]
 	f.pins--
 	if f.pins == 0 {
-		if m.policy == LRU {
-			f.elem = sh.lru.PushFront(f)
-		} else {
-			f.ref = true
-		}
+		f.elem = sh.lru.PushFront(f)
 	}
 }
 
@@ -132,8 +92,6 @@ func (m *model) dropCache() {
 	for _, sh := range m.shards {
 		sh.frames = make(map[PageID]*mframe, sh.cap)
 		sh.lru.Init()
-		sh.ring = sh.ring[:0]
-		sh.hand = 0
 	}
 }
 
@@ -173,25 +131,25 @@ func stampOf(d []byte) (uint64, bool) {
 }
 
 func TestReplacementMatchesModel(t *testing.T) {
-	for _, policy := range []Policy{LRU, Clock} {
-		for _, shards := range []int{1, 4} {
-			for _, capPages := range []int{4, 7, 64} {
-				for seed := int64(1); seed <= 3; seed++ {
-					name := fmt.Sprintf("policy%d/shards%d/cap%d/seed%d", policy, shards, capPages, seed)
-					t.Run(name, func(t *testing.T) {
-						runModelSchedule(t, policy, shards, capPages, seed)
-					})
-				}
+	// policy0 is LRU, the pool's one policy; the prefix keeps the
+	// subtests' names stable.
+	for _, shards := range []int{1, 4} {
+		for _, capPages := range []int{4, 7, 64} {
+			for seed := int64(1); seed <= 3; seed++ {
+				name := fmt.Sprintf("policy%d/shards%d/cap%d/seed%d", LRU, shards, capPages, seed)
+				t.Run(name, func(t *testing.T) {
+					runModelSchedule(t, shards, capPages, seed)
+				})
 			}
 		}
 	}
 }
 
-func runModelSchedule(t *testing.T, policy Policy, shards, capPages int, seed int64) {
+func runModelSchedule(t *testing.T, shards, capPages int, seed int64) {
 	backend := NewMemBackend()
-	p := NewSharded(backend, capPages, shards, policy)
+	p := NewSharded(backend, capPages, shards, LRU)
 	defer p.Close()
-	m := &model{policy: policy}
+	m := &model{}
 	for _, sh := range p.pl.shards {
 		m.shards = append(m.shards, &mshard{cap: sh.cap, frames: make(map[PageID]*mframe, sh.cap), lru: list.New()})
 	}

@@ -112,20 +112,16 @@ func (s *Session) Reads() uint64 { return s.c.reads.Load() }
 // Reset zeroes the session's counters.
 func (s *Session) Reset() { s.c.reset() }
 
-// Policy selects the buffer pool's replacement policy.
+// Policy names the buffer pool's replacement policy. LRU is its one value:
+// the name stays only because NewSharded's callers pass it.
 type Policy int
 
-const (
-	// LRU evicts the least recently used unpinned page (the default).
-	LRU Policy = iota
-	// Clock approximates LRU with a second-chance ring — constant-time
-	// bookkeeping per access, the policy most real buffer managers use.
-	Clock
-)
+// LRU evicts the least recently used unpinned page.
+const LRU Policy = 0
 
 // frame is one page buffer. A shard allocates at most cap of them, lazily,
-// and keeps them: resident (in sh.frames — pinned, or unpinned and, under
-// LRU, on the LRU list) or on the free list until the next miss. gen counts
+// and keeps them: resident (in sh.frames — pinned, or unpinned and on the
+// LRU list) or on the free list until the next miss. gen counts
 // its trips there, which tells a pin handle that outlived its page.
 type frame struct {
 	sh         *shard
@@ -135,8 +131,6 @@ type frame struct {
 	dirty      bool
 	pins       int
 	prev, next *frame // LRU list while unpinned, nil while pinned; next alone links the free list
-	ref        bool   // Clock: second-chance bit
-	slot       int    // Clock: position in the ring (-1 when absent)
 }
 
 // insertAfter links f into the LRU list behind at; unlink takes it out.
@@ -157,16 +151,13 @@ type shard struct {
 	mu     sync.Mutex
 	cap    int
 	frames map[PageID]*frame
-	lru    frame    // LRU: list sentinel; lru.next = most recently used, lru.prev = next victim
-	free   *frame   // frames between pages, linked through next
-	ring   []*frame // Clock: all frames in arrival order
-	hand   int      // Clock: sweep position
+	lru    frame  // list sentinel; lru.next = most recently used, lru.prev = next victim
+	free   *frame // frames between pages, linked through next
 }
 
 // pool is the shared state behind one or more Pager views.
 type pool struct {
 	backend Backend
-	policy  Policy
 	shards  []*shard
 	allocMu sync.Mutex // serializes backend allocation
 	stats   counters
@@ -197,15 +188,15 @@ func New(backend Backend, capPages int) *Pager {
 
 // NewSharded creates a pager whose buffer pool is split into shards
 // independently locked shards; page IDs hash to shards, and each shard
-// runs the replacement policy over its own slice of the capacity. One
+// runs LRU over its own slice of the capacity (LRU is policy's one value). One
 // shard reproduces the monolithic pool exactly (same evictions, same
 // disk-access counts); more shards let concurrent queries proceed in
 // parallel. The shard count is capped so every shard holds at least 4
 // pages.
-func NewSharded(backend Backend, capPages, shards int, policy Policy) *Pager {
+func NewSharded(backend Backend, capPages, shards int, _ Policy) *Pager {
 	capPages = max(capPages, 4)
 	shards = min(max(shards, 1), capPages/4)
-	pl := &pool{backend: backend, policy: policy, shards: make([]*shard, shards)}
+	pl := &pool{backend: backend, shards: make([]*shard, shards)}
 	base, extra := capPages/shards, capPages%shards
 	for i := range pl.shards {
 		c := base
@@ -288,11 +279,7 @@ func (fr *Frame) Unpin() {
 	if !fr.live() {
 		sh.pl.stats.unpinErrors.Add(1)
 	} else if f.pins--; f.pins == 0 {
-		if sh.pl.policy == LRU {
-			f.insertAfter(&sh.lru)
-		} else {
-			f.ref = true
-		}
+		f.insertAfter(&sh.lru)
 	}
 	fr.released = true
 	sh.mu.Unlock()
@@ -328,10 +315,10 @@ func (p *Pager) Get(id PageID) (Frame, error) {
 		p.sess.c.reads.Add(1)
 	}
 	if err := pl.backend.ReadPage(id, f.data); err != nil {
-		sh.recycle(f) // never registered: no map entry, no Clock ring slot to undo
+		sh.recycle(f) // never registered: no map entry to undo
 		return Frame{}, fmt.Errorf("pager: read page %d: %w", id, err)
 	}
-	sh.register(f)
+	sh.frames[id] = f
 	return Frame{f: f, gen: f.gen}, nil
 }
 
@@ -357,16 +344,14 @@ func (p *Pager) Allocate() (Frame, error) {
 	}
 	clear(f.data) // a recycled buffer holds its last page
 	f.dirty = true
-	sh.register(f)
+	sh.frames[id] = f
 	return Frame{f: f, gen: f.gen}, nil
 }
 
 // touch pins f, removing it from the LRU list if it was unpinned.
 // Caller holds sh.mu.
 func (sh *shard) touch(f *frame) {
-	if sh.pl.policy == Clock {
-		f.ref = true
-	} else if f.pins == 0 {
+	if f.pins == 0 {
 		f.unlink()
 	}
 	f.pins++
@@ -374,7 +359,7 @@ func (sh *shard) touch(f *frame) {
 
 // newFrame makes room for and returns a pinned frame for page id, from the
 // free list or, at most cap times in a shard's life, newly allocated. The
-// caller fills it and registers it, or recycles it. Caller holds sh.mu.
+// caller fills it and enters it in sh.frames, or recycles it. Caller holds sh.mu.
 func (sh *shard) newFrame(id PageID, sess *Session) (*frame, error) {
 	if err := sh.makeRoom(sess); err != nil {
 		return nil, err
@@ -384,78 +369,30 @@ func (sh *shard) newFrame(id PageID, sess *Session) (*frame, error) {
 		f = &frame{sh: sh, data: make([]byte, PageSize)}
 	}
 	sh.free, f.next = f.next, nil
-	f.id, f.pins, f.slot = id, 1, -1
+	f.id, f.pins = id, 1
 	return f, nil
 }
 
-// register makes f resident: findable by page ID and, under Clock, in the
-// ring at the arrival end. Caller holds sh.mu.
-func (sh *shard) register(f *frame) {
-	sh.frames[f.id] = f
-	if sh.pl.policy == Clock {
-		f.slot = len(sh.ring)
-		sh.ring = append(sh.ring, f)
-	}
-}
-
-// recycle puts a frame that is out of sh.frames, the LRU list and the ring
-// on the free list; Get's read or Allocate's clear overwrites its bytes.
+// recycle puts a frame that is out of sh.frames and the LRU list on the
+// free list; Get's read or Allocate's clear overwrites its bytes.
 func (sh *shard) recycle(f *frame) {
 	f.gen++
-	f.pins, f.dirty, f.ref = 0, false, false
+	f.pins, f.dirty = 0, false
 	f.prev, f.next = nil, sh.free
 	sh.free = f
 }
 
-// removeFromRing takes f out of the Clock ring (swap with the last entry)
-// and renormalizes the sweep hand. Caller holds sh.mu.
-func (sh *shard) removeFromRing(f *frame) {
-	last := len(sh.ring) - 1
-	sh.ring[f.slot] = sh.ring[last]
-	sh.ring[f.slot].slot = f.slot
-	sh.ring = sh.ring[:last]
-	if len(sh.ring) > 0 {
-		sh.hand %= len(sh.ring)
-	} else {
-		sh.hand = 0
-	}
-	f.slot = -1
-}
-
-// makeRoom evicts one unpinned frame (per policy) when the shard is full.
-// Caller holds sh.mu.
+// makeRoom evicts the least recently used unpinned frame when the shard is
+// full. Caller holds sh.mu.
 func (sh *shard) makeRoom(sess *Session) error {
 	if len(sh.frames) < sh.cap {
 		return nil
 	}
-	var victim *frame
-	switch sh.pl.policy {
-	case LRU:
-		if sh.lru.prev != &sh.lru {
-			victim = sh.lru.prev
-			victim.unlink()
-		}
-	case Clock:
-		// Second-chance sweep: clear reference bits until an unpinned,
-		// unreferenced frame comes around. Two full sweeps with no victim
-		// means everything is pinned.
-		for scanned, n := 0, 2*len(sh.ring); victim == nil && scanned < n; scanned++ {
-			f := sh.ring[sh.hand]
-			sh.hand = (sh.hand + 1) % len(sh.ring)
-			if f.pins > 0 {
-				continue
-			}
-			if f.ref {
-				f.ref = false
-				continue
-			}
-			victim = f
-			sh.removeFromRing(f)
-		}
-	}
-	if victim == nil {
+	victim := sh.lru.prev
+	if victim == &sh.lru {
 		return fmt.Errorf("pager: buffer pool exhausted: all %d frames pinned", sh.cap)
 	}
+	victim.unlink()
 	if victim.dirty {
 		sh.pl.stats.writes.Add(1)
 		if sess != nil {
@@ -463,15 +400,10 @@ func (sh *shard) makeRoom(sess *Session) error {
 		}
 		sh.pl.unsynced.Store(true)
 		if err := sh.pl.backend.WritePage(victim.id, victim.data); err != nil {
-			// The victim is out of the replacement structure; put it back
-			// or it would stay resident and re-Gettable but never evictable,
-			// a one-frame capacity leak per failed eviction write.
-			if sh.pl.policy == LRU {
-				victim.insertAfter(sh.lru.prev)
-			} else {
-				victim.slot = len(sh.ring)
-				sh.ring = append(sh.ring, victim)
-			}
+			// The victim is off the LRU list; put it back or it would stay
+			// resident and re-Gettable but never evictable, a one-frame
+			// capacity leak per failed eviction write.
+			victim.insertAfter(sh.lru.prev)
 			return fmt.Errorf("pager: evict page %d: %w", victim.id, err)
 		}
 	}
@@ -563,7 +495,6 @@ func (p *Pager) DropCache() error {
 		}
 		clear(sh.frames)
 		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
-		sh.ring, sh.hand = sh.ring[:0], 0
 	}
 	return nil
 }

@@ -42,30 +42,28 @@ func backendWithPages(t testing.TB, n int) *MemBackend {
 // A recycled buffer still holds the page it was evicted with; Allocate
 // must hand out zeroes all the same.
 func TestAllocateAfterEvictionIsZeroed(t *testing.T) {
-	for _, policy := range []Policy{LRU, Clock} {
-		p := NewSharded(backendWithPages(t, 4), 4, 1, policy)
-		for id := PageID(0); id < 4; id++ {
-			fr, err := p.Get(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fr.Unpin()
-		}
-		fr, err := p.Allocate() // evicts a page and takes over its buffer
+	p := New(backendWithPages(t, 4), 4)
+	for id := PageID(0); id < 4; id++ {
+		fr, err := p.Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, free, _ := census(p); free != 0 || p.Stats().Evictions != 1 {
-			t.Fatalf("policy %v: the allocation did not recycle a frame (free %d, stats %+v)", policy, free, p.Stats())
-		}
-		for i, b := range fr.Data() {
-			if b != 0 {
-				t.Fatalf("policy %v: allocated page has byte %#x at %d", policy, b, i)
-			}
-		}
 		fr.Unpin()
-		p.Close()
 	}
+	fr, err := p.Allocate() // evicts a page and takes over its buffer
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, free, _ := census(p); free != 0 || p.Stats().Evictions != 1 {
+		t.Fatalf("the allocation did not recycle a frame (free %d, stats %+v)", free, p.Stats())
+	}
+	for i, b := range fr.Data() {
+		if b != 0 {
+			t.Fatalf("allocated page has byte %#x at %d", b, i)
+		}
+	}
+	fr.Unpin()
+	p.Close()
 }
 
 // Failed reads and failed eviction writes hand their frames back: after
@@ -73,59 +71,57 @@ func TestAllocateAfterEvictionIsZeroed(t *testing.T) {
 // lost, and cap distinct pages can be pinned at once.
 func TestFaultsLeaveEveryFrameAccountedFor(t *testing.T) {
 	const capPages, faults = 4, 9
-	for _, policy := range []Policy{LRU, Clock} {
-		fb := &faultBackend{Backend: backendWithPages(t, 8)}
-		p := NewSharded(fb, capPages, 1, policy)
-		for id := PageID(0); id < capPages; id++ {
-			fr, err := p.Get(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fr.MarkDirty()
-			fr.Unpin()
-		}
-		fb.failWrites = true
-		for i := 0; i < faults; i++ {
-			if _, err := p.Get(5); !errors.Is(err, errInjected) {
-				t.Fatalf("policy %v: Get over a failing eviction write = %v", policy, err)
-			}
-		}
-		fb.failWrites, fb.failReads = false, true
-		for i := 0; i < faults; i++ {
-			if _, err := p.Get(5); !errors.Is(err, errInjected) {
-				t.Fatalf("policy %v: Get over a failing read = %v", policy, err)
-			}
-		}
-		fb.failReads = false
-		if resident, free, c := census(p); resident+free > c || resident != capPages-1 || free != 1 {
-			t.Fatalf("policy %v: %d resident + %d free frames of %d after the faults", policy, resident, free, c)
-		}
-		if err := p.DropCache(); err != nil {
+	fb := &faultBackend{Backend: backendWithPages(t, 8)}
+	p := New(fb, capPages)
+	for id := PageID(0); id < capPages; id++ {
+		fr, err := p.Get(id)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var held []Frame
-		for id := PageID(0); id < capPages; id++ {
-			fr, err := p.Get(id)
-			if err != nil {
-				t.Fatalf("policy %v: pinning page %d of %d: %v", policy, id, capPages, err)
-			}
-			if fr.Data()[0] != byte(id+1) || fr.Data()[PageSize-1] != byte(id+1) {
-				t.Fatalf("policy %v: page %d reads %#x", policy, id, fr.Data()[0])
-			}
-			held = append(held, fr)
+		fr.MarkDirty()
+		fr.Unpin()
+	}
+	fb.failWrites = true
+	for i := 0; i < faults; i++ {
+		if _, err := p.Get(5); !errors.Is(err, errInjected) {
+			t.Fatalf("Get over a failing eviction write = %v", err)
 		}
-		if _, err := p.Get(capPages); err == nil {
-			t.Fatalf("policy %v: a pool of %d pinned a page beyond its capacity", policy, capPages)
+	}
+	fb.failWrites, fb.failReads = false, true
+	for i := 0; i < faults; i++ {
+		if _, err := p.Get(5); !errors.Is(err, errInjected) {
+			t.Fatalf("Get over a failing read = %v", err)
 		}
-		if resident, free, c := census(p); resident != c || free != 0 {
-			t.Fatalf("policy %v: %d resident + %d free frames of %d with the pool pinned full", policy, resident, free, c)
+	}
+	fb.failReads = false
+	if resident, free, c := census(p); resident+free > c || resident != capPages-1 || free != 1 {
+		t.Fatalf("%d resident + %d free frames of %d after the faults", resident, free, c)
+	}
+	if err := p.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	var held []Frame
+	for id := PageID(0); id < capPages; id++ {
+		fr, err := p.Get(id)
+		if err != nil {
+			t.Fatalf("pinning page %d of %d: %v", id, capPages, err)
 		}
-		for i := range held {
-			held[i].Unpin()
+		if fr.Data()[0] != byte(id+1) || fr.Data()[PageSize-1] != byte(id+1) {
+			t.Fatalf("page %d reads %#x", id, fr.Data()[0])
 		}
-		if err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
+		held = append(held, fr)
+	}
+	if _, err := p.Get(capPages); err == nil {
+		t.Fatalf("a pool of %d pinned a page beyond its capacity", capPages)
+	}
+	if resident, free, c := census(p); resident != c || free != 0 {
+		t.Fatalf("%d resident + %d free frames of %d with the pool pinned full", resident, free, c)
+	}
+	for i := range held {
+		held[i].Unpin()
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -219,32 +215,30 @@ func TestDropCacheRefusedLeavesFramesResident(t *testing.T) {
 // A Get the pool cannot make room for reaches no backend, so it is not a
 // disk access.
 func TestExhaustedGetChargesNoDiskAccess(t *testing.T) {
-	for _, policy := range []Policy{LRU, Clock} {
-		sess := &Session{}
-		p := NewSharded(backendWithPages(t, 5), 4, 1, policy).WithSession(sess)
-		var held []Frame
-		for id := PageID(0); id < 4; id++ {
-			fr, err := p.Get(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			held = append(held, fr)
+	sess := &Session{}
+	p := New(backendWithPages(t, 5), 4).WithSession(sess)
+	var held []Frame
+	for id := PageID(0); id < 4; id++ {
+		fr, err := p.Get(id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		before, sessBefore := p.Stats(), sess.c.snapshot()
-		if _, err := p.Get(4); err == nil {
-			t.Fatalf("policy %v: Get on an all-pinned pool succeeded", policy)
-		}
-		if got := p.Stats(); got != before {
-			t.Fatalf("policy %v: pool stats moved on a refused Get: %+v -> %+v", policy, before, got)
-		}
-		if got := sess.c.snapshot(); got != sessBefore {
-			t.Fatalf("policy %v: session stats moved on a refused Get: %+v -> %+v", policy, sessBefore, got)
-		}
-		for i := range held {
-			held[i].Unpin()
-		}
-		p.Close()
+		held = append(held, fr)
 	}
+	before, sessBefore := p.Stats(), sess.c.snapshot()
+	if _, err := p.Get(4); err == nil {
+		t.Fatalf("Get on an all-pinned pool succeeded")
+	}
+	if got := p.Stats(); got != before {
+		t.Fatalf("pool stats moved on a refused Get: %+v -> %+v", before, got)
+	}
+	if got := sess.c.snapshot(); got != sessBefore {
+		t.Fatalf("session stats moved on a refused Get: %+v -> %+v", sessBefore, got)
+	}
+	for i := range held {
+		held[i].Unpin()
+	}
+	p.Close()
 }
 
 // The pin path's steady state allocates nothing: a frame, its buffer and
@@ -252,48 +246,46 @@ func TestExhaustedGetChargesNoDiskAccess(t *testing.T) {
 // value.
 func TestPinPathAllocatesNothing(t *testing.T) {
 	const capPages = 8
-	for _, policy := range []Policy{LRU, Clock} {
-		p := NewSharded(backendWithPages(t, 2*capPages), capPages, 1, policy).WithSession(&Session{})
-		pin := func(id PageID) {
-			fr, err := p.Get(id)
-			if err != nil {
+	p := New(backendWithPages(t, 2*capPages), capPages).WithSession(&Session{})
+	pin := func(id PageID) {
+		fr, err := p.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Unpin()
+	}
+	for id := PageID(0); id < 2*capPages; id++ { // fill the pool and size its map
+		pin(id)
+	}
+	next := PageID(0)
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"hit", func() { pin(2*capPages - 1) }},
+		{"miss with the pool full", func() { // a cycle twice the pool's size never hits
+			pin(next)
+			next = (next + 1) % (2 * capPages)
+		}},
+		{"DropCache and refill", func() {
+			if err := p.DropCache(); err != nil {
 				t.Fatal(err)
 			}
-			fr.Unpin()
-		}
-		for id := PageID(0); id < 2*capPages; id++ { // fill the pool and size its map
-			pin(id)
-		}
-		next := PageID(0)
-		cases := []struct {
-			name string
-			fn   func()
-		}{
-			{"hit", func() { pin(2*capPages - 1) }},
-			{"miss with the pool full", func() { // a cycle twice the pool's size never hits
-				pin(next)
-				next = (next + 1) % (2 * capPages)
-			}},
-			{"DropCache and refill", func() {
-				if err := p.DropCache(); err != nil {
-					t.Fatal(err)
-				}
-				for id := PageID(0); id < capPages; id++ {
-					pin(id)
-				}
-			}},
-		}
-		for _, c := range cases {
-			misses := p.Stats().Misses
-			if got := testing.AllocsPerRun(50, c.fn); got != 0 {
-				t.Errorf("policy %v: %s: %v allocations per run, want 0", policy, c.name, got)
+			for id := PageID(0); id < capPages; id++ {
+				pin(id)
 			}
-			if c.name != "hit" && p.Stats().Misses == misses {
-				t.Errorf("policy %v: %s: no miss was measured", policy, c.name)
-			}
-		}
-		p.Close()
+		}},
 	}
+	for _, c := range cases {
+		misses := p.Stats().Misses
+		if got := testing.AllocsPerRun(50, c.fn); got != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", c.name, got)
+		}
+		if c.name != "hit" && p.Stats().Misses == misses {
+			t.Errorf("%s: no miss was measured", c.name)
+		}
+	}
+	p.Close()
 }
 
 // benchPool returns a pool of capPages frames over a backend of pages

@@ -172,7 +172,7 @@ func TestDyadicFloat(t *testing.T) {
 		}
 	}
 	good := map[float64]int64{0: 0, 0.5: 2048, -0.25: -1024, 1: 4096,
-		3.0 / 4096: 3, float64(int64(1)<<41) / 4096: 1 << 41}
+		3.0 / 4096: 3, float64(int64(1)<<41) / 4096: 1 << 41, -float64(int64(1)<<41) / 4096: -(1 << 41)}
 	for v, want := range good {
 		m, ok := wire.DyadicIndex(v)
 		if !ok || m != want {

@@ -1,6 +1,7 @@
 package dmesh_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -57,6 +59,16 @@ var reachAllowlist = map[string]string{
 	"dmesh.Terrain.BuildDMStoreAt":                       "role: facade API that bench/README.md names",
 }
 
+// optionAllowlist names every option field (an exported field of an
+// exported struct named …Config, …Options or …Pools, under internal/ or
+// the root package) that no reached code outside its own package writes,
+// and what keeps it. TestEveryOptionIsSet fails on an unwritten field
+// missing from it and on a line whose field is written or gone.
+var optionAllowlist = map[string]string{
+	"dmesh.Config.VerticalDistanceError": "the metric ablation ROADMAP item 7(c) asks for; TestVerticalDistanceConfig",
+	"dmesh/internal/hdov.Options.Levels": "the hdov tests build 4-level hierarchies on 8²–9² terrains",
+}
+
 // TestProductCodeIsReached type-checks every non-test package of the
 // module and walks the call graph from each main, init and package-level
 // variable initializer (bench/, cmd/ and examples/ count as callers). A
@@ -64,9 +76,9 @@ var reachAllowlist = map[string]string{
 // reached when its type satisfies an interface that has it. Product code
 // only tests reach either goes or earns an allowlist line.
 func TestProductCodeIsReached(t *testing.T) {
-	unreached := scanUnreached(t)
-	got := make(map[string]bool, len(unreached))
-	for _, fn := range unreached {
+	sc := scanModule(t)
+	got := make(map[string]bool, len(sc.unreached))
+	for _, fn := range sc.unreached {
 		got[fn] = true
 		judged := strings.HasPrefix(fn, "dmesh.") || strings.HasPrefix(fn, "dmesh/internal/")
 		if _, ok := reachAllowlist[fn]; judged && !ok {
@@ -80,10 +92,54 @@ func TestProductCodeIsReached(t *testing.T) {
 	}
 }
 
-// scanUnreached returns the module's unreached functions as
-// "importpath.Name" or "importpath.Recv.Name", sorted.
-func scanUnreached(t *testing.T) []string {
+// TestEveryOptionIsSet fails on a setting no program sets: an option
+// field that reached code outside the field's own package never writes,
+// by a composite-literal key or an assignment. Such a field and the path
+// only it selects go, or the field earns an allowlist line.
+func TestEveryOptionIsSet(t *testing.T) {
+	sc := scanModule(t)
+	got := make(map[string]bool, len(sc.unset))
+	for _, f := range sc.unset {
+		got[f] = true
+		if _, ok := optionAllowlist[f]; !ok {
+			t.Errorf("%s: no reached code outside its package sets it; delete it or add an allowlist line naming what keeps it", f)
+		}
+	}
+	for f := range optionAllowlist {
+		if !got[f] {
+			t.Errorf("allowlist line %s: the field is set or gone; delete the line", f)
+		}
+	}
+}
+
+// moduleScan is the one type-check and reachability walk both tests read.
+type moduleScan struct {
+	// unreached lists the functions no main, init or initializer
+	// reaches, as "importpath.Name" or "importpath.Recv.Name".
+	unreached []string
+	// unset lists the option fields no reached code outside their package
+	// writes, as "importpath.Type.Field".
+	unset []string
+	err   error
+}
+
+var (
+	scanOnce sync.Once
+	scanned  moduleScan
+)
+
+// scanModule runs the scan once per test binary (≈ 3.5 s: it type-checks
+// the standard library from source) and returns its sorted results.
+func scanModule(t *testing.T) *moduleScan {
 	t.Helper()
+	scanOnce.Do(func() { scanned = scanSource() })
+	if scanned.err != nil {
+		t.Fatal(scanned.err)
+	}
+	return &scanned
+}
+
+func scanSource() moduleScan {
 	fset := token.NewFileSet()
 	m := &moduleChecker{
 		fset:  fset,
@@ -108,7 +164,7 @@ func scanUnreached(t *testing.T) []string {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return moduleScan{err: err}
 	}
 	var paths []string
 	for ip := range m.dirOf {
@@ -117,7 +173,7 @@ func scanUnreached(t *testing.T) []string {
 	sort.Strings(paths)
 	for _, ip := range paths {
 		if _, err := m.check(ip); err != nil {
-			t.Fatalf("type-check %s: %v", ip, err)
+			return moduleScan{err: fmt.Errorf("type-check %s: %w", ip, err)}
 		}
 	}
 
@@ -127,6 +183,7 @@ func scanUnreached(t *testing.T) []string {
 	var rootPkgs []*checkedPkg
 	var named []*types.Named
 	ifaces := map[*types.Interface]bool{}
+	options := map[*types.Var]string{} // option field -> "importpath.Type.Field"
 	addIfaces := func(scope *types.Scope) {
 		for _, n := range scope.Names() {
 			if tn, ok := scope.Lookup(n).(*types.TypeName); ok {
@@ -148,10 +205,20 @@ func scanUnreached(t *testing.T) []string {
 			}
 		}
 		scope := cp.pkg.Scope()
+		judged := ip == "dmesh" || strings.HasPrefix(ip, "dmesh/internal/")
 		for _, n := range scope.Names() {
 			if tn, ok := scope.Lookup(n).(*types.TypeName); ok {
 				if nt, ok := tn.Type().(*types.Named); ok && !types.IsInterface(nt) {
 					named = append(named, nt)
+				}
+				st, ok := tn.Type().Underlying().(*types.Struct)
+				isOption := strings.HasSuffix(n, "Config") || strings.HasSuffix(n, "Options") || strings.HasSuffix(n, "Pools")
+				if ok && judged && isOption && tn.Exported() && !tn.IsAlias() {
+					for i := 0; i < st.NumFields(); i++ {
+						if f := st.Field(i); f.Exported() {
+							options[f] = ip + "." + n + "." + f.Name()
+						}
+					}
 				}
 			}
 		}
@@ -203,24 +270,53 @@ func scanUnreached(t *testing.T) []string {
 			}
 		}
 	}
-	walk := func(n ast.Node, info *types.Info) {
+	set := map[*types.Var]bool{}
+	write := func(v types.Object, from *checkedPkg) {
+		if f, ok := v.(*types.Var); ok && f.IsField() && f.Origin().Pkg() != from.pkg {
+			set[f.Origin()] = true
+		}
+	}
+	walk := func(n ast.Node, cp *checkedPkg) {
+		info := cp.info
 		ast.Inspect(n, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if fn, ok := info.Uses[id].(*types.Func); ok {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if fn, ok := info.Uses[n].(*types.Func); ok {
 					mark(fn)
+				}
+			case *ast.CompositeLit:
+				typ := info.Types[n].Type
+				if p, ok := typ.Underlying().(*types.Pointer); ok { // an elided &T
+					typ = p.Elem()
+				}
+				st, isStruct := typ.Underlying().(*types.Struct)
+				for i, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							write(info.Uses[id], cp)
+						}
+					} else if isStruct {
+						write(st.Field(i), cp)
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+						write(info.Uses[sel.Sel], cp)
+					}
 				}
 			}
 			return true
 		})
 	}
 	for i, r := range roots {
-		walk(r, rootPkgs[i].info)
+		walk(r, rootPkgs[i])
 	}
 	for len(queue) > 0 {
 		fn := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		if body := decls[fn].Body; body != nil {
-			walk(body, owner[fn].info)
+			walk(body, owner[fn])
 		}
 	}
 
@@ -240,7 +336,14 @@ func scanUnreached(t *testing.T) []string {
 		out = append(out, name)
 	}
 	sort.Strings(out)
-	return out
+	var unset []string
+	for f, name := range options {
+		if !set[f] {
+			unset = append(unset, name)
+		}
+	}
+	sort.Strings(unset)
+	return moduleScan{unreached: out, unset: unset}
 }
 
 type checkedPkg struct {
