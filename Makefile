@@ -42,7 +42,10 @@ race:
 # by the input whatever a header claims, finite coordinates out.
 # FuzzMeshJSON is the one encoder target: the /tile and /frame bodies
 # serve writes by hand must be json.Marshal's bytes, or its error, for any
-# IDs, floats and session name. New coverage is minimized on a short
+# IDs, floats and session name. FuzzBTreePages is the one target over
+# store pages: it overwrites bytes of a B+-tree btree.Build wrote, meta
+# page included, and asserts that Open, Get, Range and Height neither
+# panic nor walk without end, and allocate within a bound. New coverage is minimized on a short
 # leash so the seconds go to fuzzing.
 # Longer explorations just raise -fuzztime.
 fuzzsmoke:
@@ -53,6 +56,7 @@ fuzzsmoke:
 	$(GO) test -fuzz 'FuzzStitchDecoded' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzStitchDecoded$$' ./internal/dm/
 	$(GO) test -fuzz 'FuzzReadDEM' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzReadDEM$$' ./internal/demio/
 	$(GO) test -fuzz 'FuzzMeshJSON' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzMeshJSON$$' ./internal/serve/
+	$(GO) test -fuzz 'FuzzBTreePages' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzBTreePages$$' ./internal/storage/btree/
 
 # The paper's metric: custom DA/... counters, not ns/op. Runs the unit
 # suite first (a benchmark of broken code measures nothing); -run '^$$'

@@ -253,9 +253,6 @@ func buildStore(ds *Dataset, pools StorePools, backends [4]pager.Backend, finish
 	if s.over, err = heapfile.Create(s.overP, OverflowRecordSize); err != nil {
 		return nil, fmt.Errorf("dm: create overflow: %w", err)
 	}
-	if s.idx, err = btree.Create(s.idxP); err != nil {
-		return nil, fmt.Errorf("dm: create id index: %w", err)
-	}
 
 	// The physical record order ("terrain data is arranged on the disk in
 	// such a way that their (x, y) clustering is preserved as much as
@@ -272,6 +269,7 @@ func buildStore(ds *Dataset, pools StorePools, backends [4]pager.Backend, finish
 	buf := make([]byte, RecordSize, heapfile.MaxVarRecord)
 	obuf := make([]byte, OverflowRecordSize, heapfile.MaxVarRecord)
 	items := make([]rtree.Item, 0, len(order))
+	rids := make([]int64, len(order)) // the ID index: node ID -> record
 	space := geom.Box{MinX: math.Inf(1), MinY: math.Inf(1), MinE: 0,
 		MaxX: math.Inf(-1), MaxY: math.Inf(-1), MaxE: s.maxE}
 	for _, it := range order {
@@ -287,9 +285,7 @@ func buildStore(ds *Dataset, pools StorePools, backends [4]pager.Backend, finish
 		if err != nil {
 			return nil, err
 		}
-		if err := s.idx.Put(id, int64(rid)); err != nil {
-			return nil, fmt.Errorf("dm: id index: %w", err)
-		}
+		rids[id] = int64(rid)
 		items = append(items, rtree.Item{
 			Box: segmentOf(n, s.maxE),
 			Ref: int64(rid),
@@ -302,6 +298,14 @@ func buildStore(ds *Dataset, pools StorePools, backends [4]pager.Backend, finish
 	s.space = space
 	if s.rt, err = rtree.BulkLoad(s.rtP, items); err != nil {
 		return nil, fmt.Errorf("dm: bulk load r*-tree: %w", err)
+	}
+	// Written past the pool, as the rung sets are: nothing reads the
+	// index at build, so no pool should hold its pages.
+	if err = btree.Build(backends[3], rids); err != nil {
+		return nil, fmt.Errorf("dm: id index: %w", err)
+	}
+	if s.idx, err = btree.Open(s.idxP); err != nil {
+		return nil, fmt.Errorf("dm: id index: %w", err)
 	}
 	if finish != nil {
 		if err = finish(s); err != nil {
@@ -389,7 +393,7 @@ func (s *Store) MaxE() float64 { return s.maxE }
 func (s *Store) Layout() Layout { return s.layout }
 
 // NumNodes returns how many node records the store holds.
-func (s *Store) NumNodes() int64 { return s.idx.Len() }
+func (s *Store) NumNodes() int64 { return s.rungs.nodes }
 
 // Rungs returns the store's LOD ladder, ascending: the rungs it holds
 // live-ID sets for, chosen at build by LODLadder and the only LODs
@@ -437,7 +441,7 @@ func (s *Store) CostModel() (*costmodel.Model, error) {
 		// Packed records have no static per-page count; use the realized
 		// density (node records over slotted data pages, overflow included).
 		if dp := s.vheap.DataPages(); dp > 0 {
-			recsPerPage = float64(s.idx.Len()) / float64(dp)
+			recsPerPage = float64(s.rungs.nodes) / float64(dp)
 		} else {
 			// No data pages to measure (an empty store): fall back to a
 			// static estimate rather than the fixed record stride, which
@@ -551,8 +555,8 @@ func (s *Store) fetchRecord(rid heapfile.RID, rd *recReader, tr *obs.Trace) (Nod
 	} else {
 		n, err = s.fetchFixedRecord(rid, rd, tr)
 	}
-	if err == nil && (n.ID < 0 || n.ID >= s.idx.Len()) {
-		return Node{}, fmt.Errorf("dm: record %d carries node ID %d, outside [0, %d): corrupt", rid, n.ID, s.idx.Len())
+	if err == nil && (n.ID < 0 || n.ID >= s.rungs.nodes) {
+		return Node{}, fmt.Errorf("dm: record %d carries node ID %d, outside [0, %d): corrupt", rid, n.ID, s.rungs.nodes)
 	}
 	return n, err
 }

@@ -34,7 +34,7 @@ const (
 // (quadtree data + B+-tree ID index).
 func BuildStore(t *Tree) (*Store, error) {
 	qtP := pager.New(pager.NewMemBackend(), dataPool)
-	idxP := pager.New(pager.NewMemBackend(), indexPool)
+	idxB := pager.NewMemBackend()
 
 	items := make([]quadtree.Item, len(t.Nodes))
 	buf := make([]byte, RecordSize)
@@ -50,14 +50,17 @@ func BuildStore(t *Tree) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pm: build quadtree: %w", err)
 	}
-	idx, err := btree.Create(idxP)
-	if err != nil {
+	vals := make([]int64, len(refs))
+	for i, r := range refs {
+		vals[i] = int64(r)
+	}
+	if err := btree.Build(idxB, vals); err != nil {
 		return nil, fmt.Errorf("pm: build index: %w", err)
 	}
-	for i, r := range refs {
-		if err := idx.Put(int64(i), int64(r)); err != nil {
-			return nil, fmt.Errorf("pm: index put: %w", err)
-		}
+	idxP := pager.New(idxB, indexPool)
+	idx, err := btree.Open(idxP)
+	if err != nil {
+		return nil, fmt.Errorf("pm: open index: %w", err)
 	}
 	return &Store{
 		qt: qt, idx: idx, qtP: qtP, idxP: idxP,

@@ -4,8 +4,8 @@
 // hold them, so that a by-ID fetch costs the same page accesses it would in
 // the paper's Oracle setup.
 //
-// Keys are only ever added or overwritten: a store's index is built once
-// and then read, so the tree has no deletion.
+// Every tree here maps the dense IDs 0 … N−1 and is written once, by
+// Build, then only read: there is no insert, overwrite or deletion.
 package btree
 
 import (
@@ -32,10 +32,13 @@ const (
 
 	entrySize = 16 // key + value (leaf) or key + child (inner, child in value slot)
 
-	// MaxEntries is the per-node fanout. One slot below physical capacity
-	// is reserved so a node can temporarily hold MaxEntries+1 entries
-	// between insertAt and the split: (4096-8)/16 - 1 = 254.
+	// MaxEntries is the most entries a node holds, (4096-8)/16 - 1 = 254:
+	// one below what a page has room for, the bound every tree was
+	// written under and checkNode holds pages to.
 	MaxEntries = (pager.PageSize-nodeHeader)/entrySize - 1
+
+	// half is what Build puts in every node but the last of a level.
+	half = (MaxEntries + 1) / 2
 )
 
 // ErrNotFound is returned by Get when the key is absent.
@@ -58,7 +61,7 @@ func checkNode(d []byte, id pager.PageID) error {
 	if typ := nodeType(d); typ != leafType && typ != innerType {
 		return fmt.Errorf("%w: page %d is not a node (type %d)", ErrCorrupt, id, typ)
 	}
-	if n := nodeCount(d); n > MaxEntries+1 {
+	if n := nodeCount(d); n > MaxEntries {
 		return fmt.Errorf("%w: page %d has impossible entry count %d", ErrCorrupt, id, n)
 	}
 	return nil
@@ -71,28 +74,80 @@ type Tree struct {
 	size int64
 }
 
-// Create initializes a new empty tree on an empty pager.
-func Create(p *pager.Pager) (*Tree, error) {
-	if p.NumPages() != 0 {
-		return nil, errors.New("btree: Create requires an empty pager")
+// Build writes onto b, which must be empty, the tree that maps key i to
+// vals[i] for every i in [0, len(vals)), then syncs b. It writes the
+// pages straight to the backend, bottom-up, so no pager's pool holds
+// them; Open then reads the tree through one.
+//
+// Every node holds half = 127 entries but the last of each level, which
+// takes the rest (128 … MaxEntries, or all of them when they fit one
+// node), and an inner entry's key is its subtree's first key. That is
+// the partition ascending one-key inserts with half splits used to
+// leave: the same key ranges per leaf and the same height, so a lookup
+// reads the pages it always did and the PM baseline's figures hold.
+// Packing nodes fuller would flatter that baseline.
+func Build(b pager.Backend, vals []int64) error {
+	if b.NumPages() != 0 {
+		return errors.New("btree: Build requires an empty backend")
 	}
-	meta, err := p.Allocate()
-	if err != nil {
-		return nil, err
+	if _, err := b.Allocate(); err != nil { // the meta page, written last
+		return err
 	}
-	defer meta.Unpin()
-	rootFr, err := p.Allocate()
-	if err != nil {
-		return nil, err
+	size := len(vals)
+	d := make([]byte, pager.PageSize)
+	typ := byte(leafType)
+	var keys []int64 // nil on the leaf level, whose keys are the indexes
+	for {
+		n := len(vals)
+		nodes := max(1, (n-1)/half)
+		firsts := make([]int64, nodes)
+		ids := make([]int64, nodes)
+		id, err := b.Allocate()
+		if err != nil {
+			return err
+		}
+		for k := range nodes {
+			lo, hi := k*half, (k+1)*half
+			if k == nodes-1 {
+				hi = n
+			}
+			clear(d)
+			d[0] = typ
+			for i := lo; i < hi; i++ {
+				key := int64(i)
+				if keys != nil {
+					key = keys[i]
+				}
+				setEntry(d, i-lo, key, vals[i])
+			}
+			setCount(d, hi-lo)
+			firsts[k], ids[k] = entryKey(d, 0), int64(id)
+			next := pager.PageID(0)
+			if k < nodes-1 {
+				if next, err = b.Allocate(); err != nil {
+					return err
+				}
+			}
+			if typ == leafType {
+				setNextLeaf(d, next)
+			}
+			if err := b.WritePage(id, d); err != nil {
+				return err
+			}
+			id = next
+		}
+		if nodes == 1 {
+			clear(d)
+			binary.LittleEndian.PutUint32(d[0:], magic)
+			binary.LittleEndian.PutUint32(d[4:], uint32(ids[0]))
+			binary.LittleEndian.PutUint64(d[8:], uint64(size))
+			if err := b.WritePage(metaPage, d); err != nil {
+				return err
+			}
+			return b.Sync()
+		}
+		typ, keys, vals = innerType, firsts, ids
 	}
-	defer rootFr.Unpin()
-	initNode(rootFr.Data(), leafType)
-	rootFr.MarkDirty()
-
-	t := &Tree{p: p, root: rootFr.ID()}
-	t.writeMeta(meta.Data())
-	meta.MarkDirty()
-	return t, nil
 }
 
 // Open attaches to an existing tree.
@@ -113,26 +168,9 @@ func Open(p *pager.Pager) (*Tree, error) {
 	}, nil
 }
 
-func (t *Tree) writeMeta(d []byte) {
-	binary.LittleEndian.PutUint32(d[0:], magic)
-	binary.LittleEndian.PutUint32(d[4:], uint32(t.root))
-	binary.LittleEndian.PutUint64(d[8:], uint64(t.size))
-}
-
-func (t *Tree) syncMeta() error {
-	meta, err := t.p.Get(metaPage)
-	if err != nil {
-		return err
-	}
-	t.writeMeta(meta.Data())
-	meta.MarkDirty()
-	meta.Unpin()
-	return nil
-}
-
 // On returns a read-only copy of the tree that reads through p, a view of
 // the tree's own pager (Pager.WithSession), so that its page accesses are
-// also attributed to the view's session. Do not Put through it.
+// also attributed to the view's session.
 func (t *Tree) On(p *pager.Pager) Tree {
 	cp := *t
 	cp.p = p
@@ -143,13 +181,6 @@ func (t *Tree) On(p *pager.Pager) Tree {
 func (t *Tree) Len() int64 { return t.size }
 
 // --- node accessors -------------------------------------------------------
-
-func initNode(d []byte, typ byte) {
-	for i := 0; i < nodeHeader; i++ {
-		d[i] = 0
-	}
-	d[0] = typ
-}
 
 func nodeType(d []byte) byte   { return d[0] }
 func nodeCount(d []byte) int   { return int(binary.LittleEndian.Uint16(d[1:])) }
@@ -168,14 +199,6 @@ func entryVal(d []byte, i int) int64 {
 func setEntry(d []byte, i int, k, v int64) {
 	binary.LittleEndian.PutUint64(d[nodeHeader+i*entrySize:], uint64(k))
 	binary.LittleEndian.PutUint64(d[nodeHeader+i*entrySize+8:], uint64(v))
-}
-
-// insertAt shifts entries right and writes (k, v) at index i.
-func insertAt(d []byte, i, n int, k, v int64) {
-	copy(d[nodeHeader+(i+1)*entrySize:nodeHeader+(n+1)*entrySize],
-		d[nodeHeader+i*entrySize:nodeHeader+n*entrySize])
-	setEntry(d, i, k, v)
-	setCount(d, n+1)
 }
 
 // lowerBound returns the first index with entryKey >= k.
@@ -240,180 +263,6 @@ func (t *Tree) Get(key int64) (int64, error) {
 		id = pager.PageID(entryVal(d, childFor(d, key)))
 		fr.Unpin()
 	}
-}
-
-// Put inserts or overwrites key -> value.
-func (t *Tree) Put(key, value int64) error {
-	promoted, newChild, err := t.put(t.root, key, value, maxDepth)
-	if err != nil {
-		return err
-	}
-	if newChild != 0 {
-		// Root split: build a new root over the two children.
-		oldRootMin, err := t.minKey(t.root)
-		if err != nil {
-			return err
-		}
-		fr, err := t.p.Allocate()
-		if err != nil {
-			return err
-		}
-		d := fr.Data()
-		initNode(d, innerType)
-		setEntry(d, 0, oldRootMin, int64(t.root))
-		setEntry(d, 1, promoted, int64(newChild))
-		setCount(d, 2)
-		fr.MarkDirty()
-		t.root = fr.ID()
-		fr.Unpin()
-	}
-	return t.syncMeta()
-}
-
-// minKey returns the smallest key under node id.
-func (t *Tree) minKey(id pager.PageID) (int64, error) {
-	for depth := 0; ; depth++ {
-		if depth >= maxDepth {
-			return 0, fmt.Errorf("%w: descent exceeds %d levels at page %d", ErrCorrupt, maxDepth, id)
-		}
-		fr, err := t.p.Get(id)
-		if err != nil {
-			return 0, err
-		}
-		d := fr.Data()
-		if err := checkNode(d, id); err != nil {
-			fr.Unpin()
-			return 0, err
-		}
-		if nodeCount(d) == 0 {
-			fr.Unpin()
-			return 0, nil // empty tree: any separator works
-		}
-		k := entryKey(d, 0)
-		if nodeType(d) == leafType {
-			fr.Unpin()
-			return k, nil
-		}
-		id = pager.PageID(entryVal(d, 0))
-		fr.Unpin()
-	}
-}
-
-// put inserts into the subtree at id, recursing at most depth more
-// levels. When the node splits, it returns the first key of the new
-// right sibling and its page ID.
-func (t *Tree) put(id pager.PageID, key, value int64, depth int) (promoted int64, newChild pager.PageID, err error) {
-	if depth < 1 {
-		return 0, 0, fmt.Errorf("%w: descent exceeds %d levels at page %d", ErrCorrupt, maxDepth, id)
-	}
-	fr, err := t.p.Get(id)
-	if err != nil {
-		return 0, 0, err
-	}
-	d := fr.Data()
-	if err := checkNode(d, id); err != nil {
-		fr.Unpin()
-		return 0, 0, err
-	}
-
-	if nodeType(d) == leafType {
-		n := nodeCount(d)
-		i := lowerBound(d, key)
-		if i < n && entryKey(d, i) == key {
-			setEntry(d, i, key, value) // overwrite
-			fr.MarkDirty()
-			fr.Unpin()
-			return 0, 0, nil
-		}
-		insertAt(d, i, n, key, value)
-		t.size++
-		fr.MarkDirty()
-		if nodeCount(d) <= MaxEntries {
-			fr.Unpin()
-			return 0, 0, nil
-		}
-		promoted, newChild, err = t.splitLeaf(fr)
-		fr.Unpin()
-		return promoted, newChild, err
-	}
-
-	ci := childFor(d, key)
-	child := pager.PageID(entryVal(d, ci))
-	// Maintain the invariant that an entry's key never exceeds its
-	// subtree's minimum: without this, inserting below the leftmost key
-	// leaves a stale separator that can later collide with a promoted key
-	// and misroute lookups.
-	if key < entryKey(d, ci) {
-		setEntry(d, ci, key, int64(child))
-		fr.MarkDirty()
-	}
-	fr.Unpin() // release during recursion; page stays buffered
-	pk, pc, err := t.put(child, key, value, depth-1)
-	if err != nil || pc == 0 {
-		return 0, 0, err
-	}
-	fr, err = t.p.Get(id)
-	if err != nil {
-		return 0, 0, err
-	}
-	d = fr.Data()
-	n := nodeCount(d)
-	i := lowerBound(d, pk)
-	insertAt(d, i, n, pk, int64(pc))
-	fr.MarkDirty()
-	if nodeCount(d) <= MaxEntries {
-		fr.Unpin()
-		return 0, 0, nil
-	}
-	promoted, newChild, err = t.splitInner(fr)
-	fr.Unpin()
-	return promoted, newChild, err
-}
-
-// splitLeaf moves the upper half of fr into a new leaf.
-func (t *Tree) splitLeaf(fr pager.Frame) (int64, pager.PageID, error) {
-	d := fr.Data()
-	n := nodeCount(d)
-	right, err := t.p.Allocate()
-	if err != nil {
-		return 0, 0, err
-	}
-	rd := right.Data()
-	initNode(rd, leafType)
-	half := n / 2
-	copy(rd[nodeHeader:], d[nodeHeader+half*entrySize:nodeHeader+n*entrySize])
-	setCount(rd, n-half)
-	setNextLeaf(rd, nextLeaf(d))
-	setNextLeaf(d, right.ID())
-	setCount(d, half)
-	fr.MarkDirty()
-	right.MarkDirty()
-	promoted := entryKey(rd, 0)
-	id := right.ID()
-	right.Unpin()
-	return promoted, id, nil
-}
-
-// splitInner moves the upper half of fr into a new inner node.
-func (t *Tree) splitInner(fr pager.Frame) (int64, pager.PageID, error) {
-	d := fr.Data()
-	n := nodeCount(d)
-	right, err := t.p.Allocate()
-	if err != nil {
-		return 0, 0, err
-	}
-	rd := right.Data()
-	initNode(rd, innerType)
-	half := n / 2
-	copy(rd[nodeHeader:], d[nodeHeader+half*entrySize:nodeHeader+n*entrySize])
-	setCount(rd, n-half)
-	setCount(d, half)
-	fr.MarkDirty()
-	right.MarkDirty()
-	promoted := entryKey(rd, 0)
-	id := right.ID()
-	right.Unpin()
-	return promoted, id, nil
 }
 
 // Range calls fn for every (key, value) with lo <= key <= hi in ascending

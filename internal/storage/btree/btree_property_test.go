@@ -5,111 +5,64 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"dmesh/internal/storage/pager"
 )
 
-// TestModelEquivalence drives the tree with random operation sequences and
-// checks it against a plain map after every batch — the model-based
-// property test for the only mutable index in the repository.
+// TestModelEquivalence holds a built tree to the slice it was built
+// from: Get of every key in [−2, N+2) (the N keys and a few on either
+// side, which must be ErrNotFound), Range over random windows and over
+// everything, and Len. Sizes cover one node, the split boundaries and
+// random sizes up to three levels.
 func TestModelEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
+	check := func(seed int64, n int) {
 		rng := rand.New(rand.NewSource(seed))
-		p := pager.New(pager.NewMemBackend(), 256)
-		tr, err := Create(p)
-		if err != nil {
-			t.Fatal(err)
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = rng.Int63() - rng.Int63()
 		}
-		model := make(map[int64]int64)
-		const keySpace = 500
-		for op := 0; op < 1500; op++ {
-			k := int64(rng.Intn(keySpace))
-			switch rng.Intn(3) {
-			case 0, 1: // insert/overwrite twice as often as a lookup
-				v := rng.Int63()
-				if err := tr.Put(k, v); err != nil {
-					t.Fatal(err)
-				}
-				model[k] = v
-			case 2:
-				got, err := tr.Get(k)
-				want, inModel := model[k]
-				if inModel && (err != nil || got != want) || !inModel && !errors.Is(err, ErrNotFound) {
-					t.Fatalf("Get(%d) = %d, %v mid-sequence; model has %d, %v", k, got, err, want, inModel)
-				}
-			}
+		tr, _ := openBuilt(t, vals, 64)
+		if tr.Len() != int64(n) {
+			t.Fatalf("N=%d: Len = %d", n, tr.Len())
 		}
-		if tr.Len() != int64(len(model)) {
-			t.Fatalf("Len = %d, model %d", tr.Len(), len(model))
-		}
-		for k, v := range model {
+		for k := int64(-2); k < int64(n)+2; k++ {
 			got, err := tr.Get(k)
-			if err != nil || got != v {
-				t.Fatalf("Get(%d) = %d, %v; want %d", k, got, err, v)
+			if k < 0 || k >= int64(n) {
+				if !errors.Is(err, ErrNotFound) {
+					t.Fatalf("N=%d: Get(absent %d) = %d, %v", n, k, got, err)
+				}
+			} else if err != nil || got != vals[k] {
+				t.Fatalf("N=%d: Get(%d) = %d, %v; want %d", n, k, got, err, vals[k])
 			}
 		}
-		// Spot-check absent keys.
-		for k := int64(0); k < keySpace; k += 7 {
-			if _, inModel := model[k]; inModel {
-				continue
+		windows := [][2]int64{{-1 << 62, 1 << 62}}
+		for range 8 {
+			lo, hi := rng.Int63n(int64(n)+6)-3, rng.Int63n(int64(n)+6)-3
+			windows = append(windows, [2]int64{lo, hi})
+		}
+		for _, w := range windows {
+			next := max(w[0], 0)
+			err := tr.Range(w[0], w[1], func(k, v int64) bool {
+				if k != next || v != vals[k] {
+					t.Fatalf("N=%d: Range(%d, %d) saw (%d, %d) where key %d was next", n, w[0], w[1], k, v, next)
+				}
+				next++
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if _, err := tr.Get(k); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get(absent %d) = %v", k, err)
+			if want := max(min(w[1]+1, int64(n)), w[0], 0); next != want {
+				t.Fatalf("N=%d: Range(%d, %d) ended at key %d, want %d", n, w[0], w[1], next, want)
 			}
 		}
-		// Range over everything must agree with the sorted model.
-		count := 0
-		err = tr.Range(-1<<62, 1<<62, func(k, v int64) bool {
-			if model[k] != v {
-				t.Fatalf("Range saw (%d,%d), model has %d", k, v, model[k])
-			}
-			count++
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return count == len(model)
+	}
+	for i, n := range []int{0, 1, 2, 126, 127, 128, 253, 254, 255, 256, 381, 382, 32385, 32386} {
+		check(int64(i), n)
+	}
+	f := func(seed int64) bool {
+		check(seed, rand.New(rand.NewSource(seed)).Intn(40000))
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestSequentialVsReverseInsertSameContent checks insertion-order
-// independence of the final key set.
-func TestSequentialVsReverseInsertSameContent(t *testing.T) {
-	build := func(reverse bool) *Tree {
-		p := pager.New(pager.NewMemBackend(), 256)
-		tr, err := Create(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 5000
-		for i := 0; i < n; i++ {
-			k := int64(i)
-			if reverse {
-				k = int64(n - 1 - i)
-			}
-			if err := tr.Put(k, k*2); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tr
-	}
-	a, b := build(false), build(true)
-	if a.Len() != b.Len() {
-		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
-	}
-	var seqA, seqB []int64
-	a.Range(-1<<62, 1<<62, func(k, v int64) bool { seqA = append(seqA, k, v); return true })
-	b.Range(-1<<62, 1<<62, func(k, v int64) bool { seqB = append(seqB, k, v); return true })
-	if len(seqA) != len(seqB) {
-		t.Fatal("scan lengths differ")
-	}
-	for i := range seqA {
-		if seqA[i] != seqB[i] {
-			t.Fatalf("content differs at %d", i)
-		}
 	}
 }

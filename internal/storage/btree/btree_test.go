@@ -3,28 +3,45 @@ package btree
 import (
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"testing"
 
 	"dmesh/internal/storage/pager"
 )
 
-func newTree(t *testing.T, poolPages int) (*Tree, *pager.Pager) {
+// openBuilt builds the tree over vals on a fresh in-memory backend and
+// opens it through a pager of poolPages pages.
+func openBuilt(t testing.TB, vals []int64, poolPages int) (*Tree, *pager.Pager) {
 	t.Helper()
-	p := pager.New(pager.NewMemBackend(), poolPages)
-	tr, err := Create(p)
+	b := pager.NewMemBackend()
+	if err := Build(b, vals); err != nil {
+		t.Fatal(err)
+	}
+	p := pager.New(b, poolPages)
+	tr, err := Open(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tr, p
 }
 
+// denseTree maps key i to 3i+1 for i in [0, n).
+func denseTree(t testing.TB, n int) (*Tree, *pager.Pager) {
+	t.Helper()
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = 3*int64(i) + 1
+	}
+	return openBuilt(t, vals, 256)
+}
+
 func TestEmptyTree(t *testing.T) {
-	tr, _ := newTree(t, 16)
+	tr, _ := denseTree(t, 0)
 	if tr.Len() != 0 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if _, err := tr.Get(1); !errors.Is(err, ErrNotFound) {
+	if _, err := tr.Get(0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get on empty: %v", err)
 	}
 	h, err := tr.Height()
@@ -33,20 +50,13 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
+// TestPutGetSmall builds 50 keys, one leaf, and gets each back.
 func TestPutGetSmall(t *testing.T) {
-	tr, _ := newTree(t, 16)
-	for i := int64(0); i < 50; i++ {
-		if err := tr.Put(i, i*10); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tr, _ := denseTree(t, 50)
 	for i := int64(0); i < 50; i++ {
 		v, err := tr.Get(i)
-		if err != nil {
-			t.Fatalf("Get(%d): %v", i, err)
-		}
-		if v != i*10 {
-			t.Fatalf("Get(%d) = %d", i, v)
+		if err != nil || v != 3*i+1 {
+			t.Fatalf("Get(%d) = %d, %v", i, v, err)
 		}
 	}
 	if tr.Len() != 50 {
@@ -54,87 +64,54 @@ func TestPutGetSmall(t *testing.T) {
 	}
 }
 
-func TestOverwrite(t *testing.T) {
-	tr, _ := newTree(t, 16)
-	tr.Put(7, 1)
-	tr.Put(7, 2)
-	if tr.Len() != 1 {
-		t.Fatalf("Len after overwrite = %d", tr.Len())
-	}
-	v, err := tr.Get(7)
-	if err != nil || v != 2 {
-		t.Fatalf("Get = %d, %v", v, err)
-	}
-}
-
+// TestLargeRandomInsert builds 20 000 random values, two levels, and
+// gets them back in random order.
 func TestLargeRandomInsert(t *testing.T) {
-	tr, _ := newTree(t, 256)
 	const n = 20000
 	rng := rand.New(rand.NewSource(42))
-	keys := rng.Perm(n)
-	for _, k := range keys {
-		if err := tr.Put(int64(k), int64(k)*3); err != nil {
-			t.Fatal(err)
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63()
+	}
+	tr, _ := openBuilt(t, vals, 256)
+	if h, err := tr.Height(); err != nil || h != 2 {
+		t.Fatalf("Height = %d, %v; want 2 for %d keys", h, err, n)
+	}
+	for _, k := range rng.Perm(n) {
+		if v, err := tr.Get(int64(k)); err != nil || v != vals[k] {
+			t.Fatalf("Get(%d) = %d, %v; want %d", k, v, err, vals[k])
 		}
 	}
-	if tr.Len() != n {
-		t.Fatalf("Len = %d, want %d", tr.Len(), n)
-	}
-	h, err := tr.Height()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h < 2 || h > 4 {
-		t.Fatalf("unexpected height %d for %d keys", h, n)
-	}
-	for i := 0; i < n; i += 37 {
-		v, err := tr.Get(int64(i))
-		if err != nil || v != int64(i)*3 {
-			t.Fatalf("Get(%d) = %d, %v", i, v, err)
-		}
-	}
-	if _, err := tr.Get(n + 1); !errors.Is(err, ErrNotFound) {
+	if _, err := tr.Get(n); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing key: %v", err)
 	}
 }
 
-func TestNegativeAndSparseKeys(t *testing.T) {
-	tr, _ := newTree(t, 64)
-	keys := []int64{-1 << 40, -77, 0, 1, 1 << 50}
-	for i, k := range keys {
-		if err := tr.Put(k, int64(i)); err != nil {
-			t.Fatal(err)
-		}
+func TestBuildRequiresEmptyBackend(t *testing.T) {
+	b := pager.NewMemBackend()
+	if _, err := b.Allocate(); err != nil {
+		t.Fatal(err)
 	}
-	for i, k := range keys {
-		v, err := tr.Get(k)
-		if err != nil || v != int64(i) {
-			t.Fatalf("Get(%d) = %d, %v", k, v, err)
-		}
+	if err := Build(b, []int64{1}); err == nil {
+		t.Fatal("Build over a non-empty backend succeeded")
 	}
 }
 
 func TestRangeScan(t *testing.T) {
-	tr, _ := newTree(t, 256)
-	for i := int64(0); i < 5000; i++ {
-		tr.Put(i*2, i) // even keys only
-	}
+	tr, _ := denseTree(t, 5000)
 	var got []int64
 	err := tr.Range(100, 120, func(k, v int64) bool {
+		if v != 3*k+1 {
+			t.Fatalf("Range saw (%d, %d)", k, v)
+		}
 		got = append(got, k)
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int64{100, 102, 104, 106, 108, 110, 112, 114, 116, 118, 120}
-	if len(got) != len(want) {
+	if len(got) != 21 || got[0] != 100 || got[20] != 120 {
 		t.Fatalf("Range = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Range = %v", got)
-		}
 	}
 	// Early stop.
 	count := 0
@@ -145,21 +122,24 @@ func TestRangeScan(t *testing.T) {
 	if count != 10 {
 		t.Fatalf("early stop visited %d", count)
 	}
-	// Empty range.
-	visited := false
-	tr.Range(101, 101, func(k, v int64) bool { visited = true; return true })
-	if visited {
-		t.Error("odd key range must be empty")
+	// Empty ranges: inverted, and past the last key.
+	for _, r := range [][2]int64{{101, 100}, {5000, 1 << 60}} {
+		visited := false
+		tr.Range(r[0], r[1], func(k, v int64) bool { visited = true; return true })
+		if visited {
+			t.Errorf("Range(%d, %d) must be empty", r[0], r[1])
+		}
 	}
 }
 
 func TestRangeIsSorted(t *testing.T) {
-	tr, _ := newTree(t, 256)
 	rng := rand.New(rand.NewSource(7))
-	n := 8000
-	for _, k := range rng.Perm(n) {
-		tr.Put(int64(k), 0)
+	const n = 8000
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63()
 	}
+	tr, _ := openBuilt(t, vals, 256)
 	var got []int64
 	tr.Range(-1<<62, 1<<62, func(k, v int64) bool {
 		got = append(got, k)
@@ -173,27 +153,38 @@ func TestRangeIsSorted(t *testing.T) {
 	}
 }
 
+// TestPersistence builds onto a file, closes it and reads the tree back
+// from a fresh backend over the same file.
 func TestPersistence(t *testing.T) {
-	p := pager.New(pager.NewMemBackend(), 64)
-	tr, err := Create(p)
+	path := filepath.Join(t.TempDir(), "id.btree")
+	b, err := pager.OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 3000; i++ {
-		tr.Put(i, i+1)
+	vals := make([]int64, 3000)
+	for i := range vals {
+		vals[i] = int64(i) + 1
 	}
-	if err := p.DropCache(); err != nil {
+	if err := Build(b, vals); err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := Open(p)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = pager.OpenFile(path); err != nil {
+		t.Fatal(err)
+	}
+	p := pager.New(b, 64)
+	defer p.Close()
+	tr, err := Open(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr2.Len() != 3000 {
-		t.Fatalf("reopened Len = %d", tr2.Len())
+	if tr.Len() != 3000 {
+		t.Fatalf("reopened Len = %d", tr.Len())
 	}
 	for i := int64(0); i < 3000; i += 113 {
-		v, err := tr2.Get(i)
+		v, err := tr.Get(i)
 		if err != nil || v != i+1 {
 			t.Fatalf("Get(%d) = %d, %v", i, v, err)
 		}
@@ -210,10 +201,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 }
 
 func TestColdGetCostIsHeight(t *testing.T) {
-	tr, p := newTree(t, 512)
-	for i := int64(0); i < 50000; i++ {
-		tr.Put(i, i)
-	}
+	tr, p := denseTree(t, 50000)
 	h, err := tr.Height()
 	if err != nil {
 		t.Fatal(err)
@@ -230,28 +218,9 @@ func TestColdGetCostIsHeight(t *testing.T) {
 	}
 }
 
-func BenchmarkPut(b *testing.B) {
-	p := pager.New(pager.NewMemBackend(), 1024)
-	tr, err := Create(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Put(int64(i), int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGet(b *testing.B) {
-	p := pager.New(pager.NewMemBackend(), 1024)
-	tr, _ := Create(p)
 	const n = 100000
-	for i := int64(0); i < n; i++ {
-		tr.Put(i, i)
-	}
+	tr, _ := denseTree(b, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

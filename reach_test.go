@@ -37,6 +37,7 @@ var reachAllowlist = map[string]string{
 	"dmesh/internal/obs.Trace.Breakdown":                 "per-phase reference of TestTraceInvariantQueries",
 	"dmesh/internal/storage/btree.Tree.Range":            "content reference of TestModelEquivalence and allRIDs in dm's cursor tests",
 	"dmesh/internal/storage/btree.Tree.Height":           "page-count reference of TestColdGetCostIsHeight",
+	"dmesh/internal/storage/btree.nextLeaf":              "the leaf-chain step of Tree.Range",
 	"dmesh/internal/storage/heapfile.File.Scan":          "sequential reference of TestScan",
 	"dmesh/internal/storage/heapfile.VarFile.Scan":       "sequential reference of TestVarFileScan",
 	"dmesh/internal/dm.CoherentSession.FrameUniform":     "viewpoint-independent coherent frames of TestCoherentUniformExact",
