@@ -2,12 +2,15 @@
 // Direct Mesh dataset, and writes the disk-resident store (heap file,
 // R*-tree, B+-tree, overflow file, and the live-ID sets of the default
 // LOD ladder's rungs, which let a tile server keep only usable seam pairs)
-// into a directory that cmd/dmquery and the examples can open.
+// into a directory that cmd/dmquery, the one program that opens a store
+// directory, can query.
 //
 // Usage:
 //
 //	dmbuild -out ./stores/highland [-dataset highland|crater] [-size N] [-seed S]
 //	        [-layout packed|str]
+//	dmbuild -out DIR -dem grid.asc   # an ESRI ASCII grid DEM
+//	dmbuild -out DIR -xyz points.xyz # irregular survey points, Delaunay-triangulated
 //
 // -layout packed (the default, and what every server runs on) writes
 // compressed records; -layout str writes the fixed-size records the

@@ -30,9 +30,6 @@ func main() {
 		emin     = flag.Float64("emin", -1, "query-plane minimum LOD (viewpoint-dependent)")
 		emax     = flag.Float64("emax", -1, "query-plane maximum LOD (viewpoint-dependent)")
 		multi    = flag.Bool("multi", false, "use the multi-base optimizer for plane queries")
-		explain  = flag.Bool("explain", false, "print the multi-base plan for a plane query instead of executing it")
-		viewer   = flag.String("viewer", "", "radial query viewer position as x,y (with -scale)")
-		scale    = flag.Float64("scale", 0, "radial query LOD-per-distance scale")
 		objPath  = flag.String("obj", "", "write the mesh as Wavefront OBJ to this path")
 	)
 	flag.Parse()
@@ -41,7 +38,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*storeDir, *roiStr, *lod, *emin, *emax, *multi, *explain, *viewer, *scale, *objPath); err != nil {
+	if err := run(*storeDir, *roiStr, *lod, *emin, *emax, *multi, *objPath); err != nil {
 		fmt.Fprintln(os.Stderr, "dmquery:", err)
 		os.Exit(1)
 	}
@@ -63,7 +60,7 @@ func parseROI(s string) (dmesh.Rect, error) {
 	return dmesh.NewRect(v[0], v[1], v[2], v[3]), nil
 }
 
-func run(storeDir, roiStr string, lod, emin, emax float64, multi, explain bool, viewer string, scale float64, objPath string) error {
+func run(storeDir, roiStr string, lod, emin, emax float64, multi bool, objPath string) error {
 	roi, err := parseROI(roiStr)
 	if err != nil {
 		return err
@@ -74,36 +71,10 @@ func run(storeDir, roiStr string, lod, emin, emax float64, multi, explain bool, 
 	}
 	defer store.Close()
 
-	// -explain plans without executing, so it skips the measured run.
-	if explain && emin >= 0 && emax >= emin {
-		qp := dmesh.QueryPlane{R: roi, EMin: emin, EMax: emax, Axis: 1}
-		model, merr := dmesh.NewCostModel(store)
-		if merr != nil {
-			return merr
-		}
-		plan, perr := store.ExplainPlane(qp, model, 0)
-		if perr != nil {
-			return perr
-		}
-		fmt.Print(plan)
-		return nil
-	}
-
 	var res *dmesh.Result
 	da, err := dmesh.MeasuredRun(store, func() error {
 		var qerr error
 		switch {
-		case viewer != "":
-			parts := strings.Split(viewer, ",")
-			if len(parts) != 2 || scale <= 0 {
-				return fmt.Errorf("radial query needs -viewer x,y and a positive -scale")
-			}
-			vx, err1 := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-			vy, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-			if err1 != nil || err2 != nil {
-				return fmt.Errorf("bad -viewer %q", viewer)
-			}
-			res, qerr = store.Radial(roi, geom.Point2{X: vx, Y: vy}, scale, 8)
 		case lod >= 0:
 			res, qerr = store.ViewpointIndependent(roi, lod)
 		case emin >= 0 && emax >= emin:

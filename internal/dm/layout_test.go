@@ -89,7 +89,7 @@ func TestLayoutsProduceIdenticalResults(t *testing.T) {
 // TestLayoutsAnswerEveryQueryKindIdentically: a store built directly in
 // each layout answers every query kind exactly like the str store — the
 // same mesh, in the same ascending Result order — uniform (several ROIs
-// and LODs), single-base, explicit multi-base strip plans, radial,
+// and LODs), single-base, explicit multi-base strip plans,
 // temporally coherent frame sequences, and tile materialization +
 // stitching — on both datasets. The datasets carry inflated connection
 // lists so the overflow encodings of both record formats are in play.
@@ -124,8 +124,6 @@ func TestLayoutsAnswerEveryQueryKindIdentically(t *testing.T) {
 			EMin: eAtPercentile(ds, 0.2), EMax: eAtPercentile(ds, 0.85), Axis: 1,
 		}
 		strips := model.PlanStrips(qp, 0)
-		viewer := geom.Point2{X: 0.5, Y: 0.05}
-		scale := eAtPercentile(ds, 0.6) / 0.1
 
 		for i, s := range stores[1:] {
 			ctx := fmt.Sprintf("%s/%v vs %v", name, allLayouts[i+1], allLayouts[0])
@@ -152,7 +150,6 @@ func TestLayoutsAnswerEveryQueryKindIdentically(t *testing.T) {
 			same("single-base", func(st *Store) (*Result, error) { return st.SingleBase(qp) })
 			// Multi-base, same explicit plan on both stores.
 			same("strips", func(st *Store) (*Result, error) { return st.ExecuteStrips(qp, strips) })
-			same("radial", func(st *Store) (*Result, error) { return st.Radial(rois[1], viewer, scale, 4) })
 
 			// Coherent frame sequence (a small pan), frame by frame.
 			sessions := map[*Store]*CoherentSession{src: src.NewCoherentSession(nil), s: s.NewCoherentSession(nil)}

@@ -434,9 +434,11 @@ func TestPackedLayoutVersionGate(t *testing.T) {
 }
 
 // TestPackedDecodeRejectsCorruption: the packed-specific violations —
-// bad bitmap bits, and every spelling the encoder would not have picked —
-// surface as wire.ErrCorrupt. (Truncation and non-minimal varints are the
-// shared harness's, internal/wire TestDecoders.)
+// bad bitmap bits, every spelling the encoder would not have picked, and
+// a node ID or spilled count one past its bound — surface as
+// wire.ErrCorrupt, while both bounds themselves decode. (Truncation and
+// non-minimal varints are the shared harness's, internal/wire
+// TestDecoders.)
 func TestPackedDecodeRejectsCorruption(t *testing.T) {
 	// The leaf fixture's ID 7 and bitmap are one byte each, so the floats
 	// start at 2: X and Y are 2-byte indices, Z one byte, ELow +0 none,
@@ -473,19 +475,48 @@ func TestPackedDecodeRejectsCorruption(t *testing.T) {
 		t.Fatalf("all-raw record has bitmap %#x, want 0", allRaw[1])
 	}
 	allRaw = append(wire.AppendUvarint([]byte{allRaw[0]}, pkBits), allRaw[2:]...)
+	// The largest node ID, and the same record respelled one past it.
+	maxID := encode(func(n *Node) { n.ID, n.Parent, n.Conn = math.MaxInt64, pm.None, nil })
+	pastMaxID := append(wire.AppendUvarint(nil, math.MaxInt64+1),
+		maxID[len(wire.AppendUvarint(nil, math.MaxInt64)):]...)
+	// A spilled leaf with two IDs inline, respelled with count c: head is
+	// the same record with none inline, so it ends in the one-byte count.
+	spill := EncodePackedRecord(&leaf, 99, 2, nil)
+	head := EncodePackedRecord(&leaf, 99, 0, nil)
+	spilledCount := func(c uint64) []byte {
+		out := wire.AppendUvarint(append([]byte{}, head[:len(head)-1]...), c)
+		return append(out, spill[len(head):]...)
+	}
+	bounds := []struct {
+		name  string
+		buf   []byte
+		id    int64
+		total int
+	}{
+		{"node ID MaxInt64", maxID, math.MaxInt64, 0},
+		{"spilled count maxPackedConn", spilledCount(maxPackedConn), leaf.ID, maxPackedConn},
+	}
+	for _, b := range bounds {
+		n, total, _, err := DecodePackedRecord(b.buf, nil)
+		if err != nil || n.ID != b.id || total != b.total {
+			t.Errorf("%s: ID %d, count %d, err %v; want ID %d, count %d", b.name, n.ID, total, err, b.id, b.total)
+		}
+	}
 	cases := map[string][]byte{
-		"escapable EHigh sent raw":   rawInf,
-		"escapable ELow as index 0":  respell(flags^(pkELowZero|pkELowDyadic), 7, 7, 0x00),
-		"reserved bit":               respell(flags|pkBits, 2, 2),
-		"bitmap exactly pkBits":      allRaw,
-		"ELow zero and dyadic":       respell(flags|pkELowDyadic, 2, 2),
-		"escapable ELow sent raw":    rawZero,
-		"overflow bit, no head":      respell(flags|pkOverflow, 2, 2, ff...),
-		"presence bit on None":       respell(flags, 9, 10, 0x0f), // parent = ID-8 = pm.None
-		"dyadic value sent raw":      respell(flags&^pkXDyadic, 2, 4, wire.AppendF64(nil, 0.5)...),
-		"repeated connection ID":     append(append([]byte{}, valid...), 0x00),
-		"descending connection ID":   append(append([]byte{}, valid...), 0x01),
-		"spill with every ID inline": EncodePackedRecord(&leaf, 99, len(leaf.Conn), nil),
+		"node ID MaxInt64+1":            pastMaxID,
+		"spilled count maxPackedConn+1": spilledCount(maxPackedConn + 1),
+		"escapable EHigh sent raw":      rawInf,
+		"escapable ELow as index 0":     respell(flags^(pkELowZero|pkELowDyadic), 7, 7, 0x00),
+		"reserved bit":                  respell(flags|pkBits, 2, 2),
+		"bitmap exactly pkBits":         allRaw,
+		"ELow zero and dyadic":          respell(flags|pkELowDyadic, 2, 2),
+		"escapable ELow sent raw":       rawZero,
+		"overflow bit, no head":         respell(flags|pkOverflow, 2, 2, ff...),
+		"presence bit on None":          respell(flags, 9, 10, 0x0f), // parent = ID-8 = pm.None
+		"dyadic value sent raw":         respell(flags&^pkXDyadic, 2, 4, wire.AppendF64(nil, 0.5)...),
+		"repeated connection ID":        append(append([]byte{}, valid...), 0x00),
+		"descending connection ID":      append(append([]byte{}, valid...), 0x01),
+		"spill with every ID inline":    EncodePackedRecord(&leaf, 99, len(leaf.Conn), nil),
 	}
 	if _, _, _, err := DecodePackedRecord(valid, nil); err != nil {
 		t.Fatalf("baseline record does not decode: %v", err)

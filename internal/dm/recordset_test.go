@@ -522,7 +522,6 @@ func TestRecordIDOutOfRangeIsCorruption(t *testing.T) {
 			"ViewpointIndependent": func() error { _, err := s.ViewpointIndependent(roi, victim.ELow); return err },
 			"SingleBase":           func() error { _, err := s.SingleBase(qp); return err },
 			"MultiBase":            func() error { _, err := s.MultiBase(qp, model, 4); return err },
-			"Radial":               func() error { _, err := s.Radial(roi, geom.Point2{X: 0.5, Y: 0.5}, ds.MaxE(), 1); return err },
 			"MaterializeTile":      func() error { _, err := s.MaterializeTile(roi, rung); return err },
 			"coherent Frame":       func() error { _, _, err := cs.Frame(qp); return err },
 		}

@@ -22,7 +22,7 @@ import (
 // session, so concurrent sessions' DiskAccesses sum to the store total.
 //
 // A Session embeds a Store view, so the full query API
-// (ViewpointIndependent, SingleBase, MultiBase, ExecuteStrips, Radial,
+// (ViewpointIndependent, SingleBase, MultiBase, ExecuteStrips,
 // FetchByID) is available directly. Sessions are cheap to create — one
 // per request is the intended pattern — and must not be shared between
 // concurrent requests if their counts are to stay per-request.

@@ -30,9 +30,6 @@ func TestTraceInvariantQueries(t *testing.T) {
 			{"uniform", func(v *Store) (*Result, error) { return v.ViewpointIndependent(roi, e) }},
 			{"single-base", func(v *Store) (*Result, error) { return v.SingleBase(qp) }},
 			{"multi-base", func(v *Store) (*Result, error) { return v.MultiBase(qp, model, 8) }},
-			{"radial", func(v *Store) (*Result, error) {
-				return v.Radial(roi, geom.Point2{X: 0.45, Y: 0.45}, s.MaxE(), 4)
-			}},
 			{"fetch-by-id", func(v *Store) (*Result, error) {
 				_, err := v.FetchByID(0)
 				return &Result{}, err

@@ -324,11 +324,3 @@ func (b *Bundle) Fig8Angle(cfg workload.Config, roiFrac float64, angleFracs []fl
 	}
 	return fig, nil
 }
-
-// ConnStats reproduces the in-text numbers of Section 4: the average
-// similar-LOD connection-list length versus the average number of all
-// possible connection points.
-func (b *Bundle) ConnStats() (avgSimilar, avgTotal float64, maxSimilar int) {
-	st := b.Terrain.Sequence.Stats()
-	return st.AvgSimilarLOD, st.AvgTotal, st.MaxSimilarLOD
-}

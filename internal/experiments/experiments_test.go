@@ -128,12 +128,12 @@ func TestFig8LODRuns(t *testing.T) {
 
 func TestConnStats(t *testing.T) {
 	b := bundle(t, "highland")
-	avgSim, avgTotal, maxSim := b.ConnStats()
-	if avgSim <= 0 || maxSim <= 0 {
+	st := b.Terrain.Sequence.Stats()
+	if st.AvgSimilarLOD <= 0 || st.MaxSimilarLOD <= 0 {
 		t.Fatal("empty connection stats")
 	}
-	if avgTotal <= avgSim {
-		t.Fatalf("total (%g) must exceed similar-LOD (%g)", avgTotal, avgSim)
+	if st.AvgTotal <= st.AvgSimilarLOD {
+		t.Fatalf("total (%g) must exceed similar-LOD (%g)", st.AvgTotal, st.AvgSimilarLOD)
 	}
 }
 

@@ -49,9 +49,6 @@ func FromGrid(g *heightfield.Grid) *Mesh {
 	return m
 }
 
-// NumTriangles returns the number of triangles.
-func (m *Mesh) NumTriangles() int { return len(m.Tris) }
-
 // Adjacency computes, for every vertex, the sorted list of vertices it
 // shares an edge with. Vertices not referenced by any triangle get nil
 // entries.

@@ -22,8 +22,8 @@ func TestFromGridCounts(t *testing.T) {
 		if len(m.Positions) != wantV {
 			t.Errorf("size %d: vertices = %d, want %d", size, len(m.Positions), wantV)
 		}
-		if m.NumTriangles() != wantT {
-			t.Errorf("size %d: triangles = %d, want %d", size, m.NumTriangles(), wantT)
+		if len(m.Tris) != wantT {
+			t.Errorf("size %d: triangles = %d, want %d", size, len(m.Tris), wantT)
 		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 
 // Decoder reconstructs a progressive stream batch by batch. After any
 // number of Next calls, Mesh() is the exact direct-query answer at the
-// last applied batch's LOD; after NumBatches successful calls it is the
-// exact answer at the stream's target.
+// last applied batch's LOD; once Done reports true it is the exact
+// answer at the stream's target.
 //
 // Truncation is recoverable: a Next that fails with ErrTruncated leaves
 // the decoder at the last complete batch — as does one that fails with
@@ -33,7 +33,6 @@ type Decoder struct {
 	next      int
 	lastE     float64
 	bytesRead int64
-	bytesAt1  int64 // bytesRead when the first batch completed
 	sticky    error
 
 	// state is the mesh at the last complete batch. A batch is merged into
@@ -141,15 +140,8 @@ func (d *Decoder) Done() bool { return d.started && d.next >= d.nBatches }
 // first — exactly the resume parameter a re-request needs.
 func (d *Decoder) LastApplied() int { return d.next - 1 }
 
-// NumBatches returns the announced batch count (0 before Attach).
-func (d *Decoder) NumBatches() int { return d.nBatches }
-
 // BytesRead returns the bytes consumed so far, summed across Attaches.
 func (d *Decoder) BytesRead() int64 { return d.bytesRead }
-
-// BytesToFirstFrame returns the bytes consumed when the first renderable
-// mesh was complete (0 until then).
-func (d *Decoder) BytesToFirstFrame() int64 { return d.bytesAt1 }
 
 // Next reads and applies one batch, returning its index and LOD.
 // io.EOF signals a completed stream (all batches applied); ErrTruncated
@@ -181,9 +173,6 @@ func (d *Decoder) Next() (int, float64, error) {
 	}
 	d.next++
 	d.lastE = e
-	if d.next == 1 {
-		d.bytesAt1 = d.bytesRead
-	}
 	return d.next - 1, e, nil
 }
 

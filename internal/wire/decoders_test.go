@@ -144,7 +144,7 @@ func streamRoundTrip(b []byte) ([]byte, error) {
 	rect := geom.Rect{MinX: hdr.F64(), MinY: hdr.F64(), MaxX: hdr.F64(), MaxY: hdr.F64()}
 	out := append([]byte("DMPS"), 1)
 	out = wire.AppendF64(out, rect.MinX, rect.MinY, rect.MaxX, rect.MaxY, hdr.F64())
-	out = wire.AppendUvarint(out, uint64(dec.NumBatches()))
+	out = wire.AppendUvarint(out, hdr.Uvarint())
 	var levels []float64
 	var meshes []*dm.Result
 	var derr error

@@ -35,6 +35,10 @@ var reachAllowlist = map[string]string{
 	"dmesh/internal/simplify.Sequence.AdjacencyAtStep":   "collapse-replay oracle of TestViewpointIndependentExactAgainstReplay",
 	"dmesh/internal/simplify.Sequence.StepForLOD":        "collapse-replay oracle of TestViewpointIndependentExactAgainstReplay",
 	"dmesh/internal/obs.Trace.Breakdown":                 "per-phase reference of TestTraceInvariantQueries",
+	"dmesh/internal/heightfield.Grid.SampleIrregular":    "irregular input of TestIrregularTerrain and pinnedSequences' irregular row",
+	"dmesh/internal/heightfield.Grid.HeightAt":           "the sampler behind Grid.SampleIrregular",
+	"dmesh/internal/heightfield.clamp01":                 "the clamp behind Grid.HeightAt",
+	"dmesh/internal/stream.Decoder.LastApplied":          "the client half of TestStreamResume",
 	"dmesh/internal/storage/btree.Tree.Range":            "content reference of TestModelEquivalence and allRIDs in dm's cursor tests",
 	"dmesh/internal/storage/btree.Tree.Height":           "page-count reference of TestColdGetCostIsHeight",
 	"dmesh/internal/storage/btree.nextLeaf":              "the leaf-chain step of Tree.Range",
