@@ -13,7 +13,8 @@
 // and obstrace measure this repository's extensions. Every figure runs
 // on the str layout, the paper's fixed records; layoutcmp builds a
 // packed store beside it. layoutcmp, cluster and obstrace also write
-// their series to results/BENCH_*.json.
+// their series to results/BENCH_*.json, stamped with the row's pinned
+// hash ("pin").
 //
 // -cpuprofile and -memprofile write pprof profiles of whatever figure
 // selection ran (go tool pprof reads them).
@@ -130,7 +131,7 @@ func run(env *experiments.Env, fig string) error {
 			return err
 		}
 		if r.JSON != "" {
-			if err := writeJSON(env, r.JSON, res); err != nil {
+			if err := writeJSON(env, r, res); err != nil {
 				return err
 			}
 		}
@@ -141,26 +142,28 @@ func run(env *experiments.Env, fig string) error {
 	return nil
 }
 
-// writeJSON persists one figure's result as results/name, under the
-// parameters it was measured with, for the EXPERIMENTS.md tables.
-func writeJSON(env *experiments.Env, name string, datasets any) error {
+// writeJSON persists one figure's result as results/<r.JSON>, under the
+// parameters it was measured with and the row's pinned hash, for the
+// EXPERIMENTS.md tables.
+func writeJSON(env *experiments.Env, r experiments.Row, datasets any) error {
 	if err := os.MkdirAll(resultDir, 0o755); err != nil {
 		return err
 	}
 	doc := struct {
+		Pin       string `json:"pin"`
 		Sizes     [2]int `json:"sizes"`
 		Seed      int64  `json:"seed"`
 		Locations int    `json:"locations"`
 		Datasets  any    `json:"datasets"`
 	}{
-		Sizes: [2]int{env.Size, env.Size2}, Seed: env.Cfg.Seed,
+		Pin: r.Pin, Sizes: [2]int{env.Size, env.Size2}, Seed: env.Cfg.Seed,
 		Locations: env.Cfg.Locations, Datasets: datasets,
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(resultDir, name)
+	path := filepath.Join(resultDir, r.JSON)
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 		return err
 	}

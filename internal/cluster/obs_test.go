@@ -30,7 +30,7 @@ func checkTracedQuery(t *testing.T, tr *obs.Trace, da, traceDA uint64) {
 // TestTracedQueryInvariant fans traced queries over a live cluster and
 // holds the wire-trace plane to its contract: every query passes the
 // three-way cross-hop invariant, the spliced span tree carries one
-// shard_hop per fetch attempt that won, remote phases survive the
+// shard_hop per shard request (none fails here), remote phases survive the
 // splice, and tracing changes no answer-visible accounting (same DA as
 // the untraced path).
 func TestTracedQueryInvariant(t *testing.T) {
@@ -62,8 +62,8 @@ func TestTracedQueryInvariant(t *testing.T) {
 				}
 			}
 		}
-		if hops != st.Tiles {
-			t.Errorf("%d shard_hop spans for %d tiles", hops, st.Tiles)
+		if hops != st.Requests {
+			t.Errorf("%d shard_hop spans for %d shard requests", hops, st.Requests)
 		}
 		// Untraced control: identical header accounting, no trace cost.
 		_, st2, err := lc.Router.Query(r, e)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"dmesh/internal/dm"
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
+	"dmesh/internal/serve"
 	"dmesh/internal/tilecache"
 	"dmesh/internal/wire"
 )
@@ -46,8 +48,9 @@ type QueryStats struct {
 	Level      int     // tile-grid level of the cover
 	Tiles      int     // tiles fanned out to
 	DA         uint64  // shard store disk accesses charged to this query
-	Attempts   int     // shard requests issued (>= Tiles)
-	Redirected int     // tiles served by a later candidate after a failure
+	Attempts   int     // tile attempts made (>= Tiles): a request for k tiles is k attempts
+	Redirected int     // failed attempts that a later candidate made good
+	Requests   int     // shard /patch requests issued, failed ones included
 
 	// TraceDA is the disk-access total the shards' spliced wire traces
 	// account for themselves — zero on untraced queries. The cross-hop
@@ -73,6 +76,7 @@ type Router struct {
 	reg        *obs.Registry
 	mQueries   *obs.Counter
 	mTiles     *obs.Counter
+	mRequests  *obs.Counter
 	mErrors    *obs.Counter
 	mRedirects *obs.Counter
 	mReplica   *obs.Counter
@@ -128,8 +132,9 @@ func NewRouter(cfg Config) (*Router, error) {
 		hotSeq: make(map[tilecache.Key]*uint64),
 	}
 	rt.mQueries = reg.Counter("cluster_router_queries_total", "fan-out queries answered")
-	rt.mTiles = reg.Counter("cluster_router_tiles_total", "per-tile shard requests that succeeded")
-	rt.mErrors = reg.Counter("cluster_router_shard_errors_total", "failed shard attempts (transport error or non-200)")
+	rt.mTiles = reg.Counter("cluster_router_tiles_total", "tiles fetched from shards")
+	rt.mRequests = reg.Counter("cluster_router_shard_requests_total", "shard /patch requests issued, one per shard per fan-out round and per warm-up, failed ones included")
+	rt.mErrors = reg.Counter("cluster_router_shard_errors_total", "failed per-tile shard attempts (the request failed, or its body was another tile)")
 	rt.mRedirects = reg.Counter("cluster_router_redirects_total", "tiles served by a later candidate after a shard failure")
 	rt.mReplica = reg.Counter("cluster_router_replicated_tiles_total", "hot-tile replica warm-ups issued by Rebalance")
 	rt.hQueryDA = reg.Histogram("cluster_router_query_disk_accesses", "shard disk accesses per fan-out query")
@@ -180,146 +185,228 @@ func (rt *Router) candidates(k tilecache.Key) []int {
 	return rot
 }
 
-// tileFetch is one tile's fan-out outcome: the decoded patch, the
-// winning shard's accounting, and — on traced queries — the shard's
-// wire trace plus the hop's timing, recorded with the goroutine-safe
-// Trace.Now so the query goroutine can splice it after the fan-out
-// rejoins.
-type tileFetch struct {
-	tp         *dm.TilePatch
-	da         uint64
-	attempts   int
-	redirected int
-	wt         *obs.WireTrace
-	start, dur time.Duration
-	err        error
+// tileSlot is one cover tile's fetch state. Until the fan-out rejoins,
+// only the goroutine of the slot's group touches it.
+type tileSlot struct {
+	key   tilecache.Key
+	cands []int // candidate shards in order, at most maxAttempts
+	group int   // the tileGroup of its first candidate
+	tried int   // candidates asked so far
+	// tp is the decoded patch once a candidate has served the tile; err is
+	// the tile's last failure, reported if every candidate fails.
+	tp  *dm.TilePatch
+	err error
 }
 
-// maxAttempts bounds how many candidate shards one tile request tries
-// before the query fails. Attempts walk the key's ring-successor order,
-// so they land on the shards hot-tile replication warms.
+// tileGroup is the cover tiles that share a first candidate, fetched by
+// one goroutine: one request to that shard, then, for tiles it failed,
+// one request per next candidate. Its accounting is summed by finish.
+type tileGroup struct {
+	da                             uint64
+	attempts, redirected, requests int
+	hops                           []shardHop // answered requests, on traced queries only
+	err                            error      // the first tile that failed on every candidate
+}
+
+// shardHop is one answered shard request as a traced query splices it:
+// the shard's X-DM-DA and wire trace, and the hop's timing, recorded with
+// the goroutine-safe Trace.Now so the query goroutine can splice it after
+// the fan-out rejoins.
+type shardHop struct {
+	start, dur time.Duration
+	da         uint64
+	wt         *obs.WireTrace
+}
+
+// maxAttempts bounds how many candidate shards one tile tries before the
+// query fails. Attempts walk the key's ring-successor order, so they land
+// on the shards hot-tile replication warms.
 const maxAttempts = 3
 
-// fetchTile requests one tile from at most maxAttempts of its candidate
-// shards in order, and decodes the wire patch. da is the shard
-// store I/O reported for the winning attempt; redirected counts the
-// failed attempts that preceded it. A non-nil tr asks the winning shard
-// for its phase trace; only tr.Now is called here (fetchTile runs on
-// fan-out goroutines, and Now is the one goroutine-safe Trace method).
-func (rt *Router) fetchTile(k tilecache.Key, tr *obs.Trace) (f tileFetch) {
-	cands := rt.candidates(k)
-	if len(cands) > maxAttempts {
-		cands = cands[:maxAttempts]
+// fetchGroup fetches f's tiles of group g. Each round asks one shard for
+// every unserved tile whose next candidate it is (at most
+// serve.MaxPatchKeys of them), so a tile still tries exactly its own
+// candidates in order, and a round always advances every tile it asks
+// for. A non-nil tr asks the shards for their phase traces; only tr.Now
+// is called here (fetchGroup runs on fan-out goroutines, and Now is the
+// one goroutine-safe Trace method).
+func (rt *Router) fetchGroup(f *fanOut, g int, tr *obs.Trace) {
+	grp := &f.groups[g]
+	for {
+		var batch [serve.MaxPatchKeys]*tileSlot
+		n, shard := 0, -1
+		for i := range f.slots {
+			s := &f.slots[i]
+			if s.group != g || s.tp != nil || s.tried == len(s.cands) {
+				continue
+			}
+			if shard < 0 {
+				shard = s.cands[s.tried]
+			}
+			if s.cands[s.tried] == shard && n < len(batch) {
+				batch[n] = s
+				n++
+			}
+		}
+		if n == 0 {
+			return
+		}
+		rt.fetchBatch(grp, batch[:n], shard, tr)
 	}
-	var lastErr error
-	for i, shard := range cands {
-		f.attempts++
-		start := tr.Now()
-		tp, da, wt, err := rt.getPatch(rt.shards[shard], k, tr != nil)
-		lastErr = err
-		if lastErr == nil {
-			// Count every failed attempt that preceded the winner, not
-			// just the fact that one happened: the accounting invariant is
-			// attempts == tiles + redirects, and with two failures before
-			// a success this tile contributes 3 attempts and 1 tile.
-			if i > 0 {
-				f.redirected = i
-				rt.mRedirects.Add(uint64(i))
+}
+
+// fetchBatch asks shard for batch's tiles in one request and accounts
+// each tile's attempt. A whole-response failure fails every tile's
+// attempt; a body that is another tile fails only its own.
+func (rt *Router) fetchBatch(grp *tileGroup, batch []*tileSlot, shard int, tr *obs.Trace) {
+	grp.requests++
+	grp.attempts += len(batch)
+	start := tr.Now()
+	da, wt, err := rt.getPatch(rt.shards[shard], batch, tr != nil)
+	if err == nil {
+		grp.da += da
+		if tr != nil {
+			grp.hops = append(grp.hops, shardHop{start, tr.Now() - start, da, wt})
+		}
+	}
+	for _, s := range batch {
+		s.tried++
+		if s.tp != nil {
+			// Count every failed attempt that preceded the winner, not just
+			// the fact that one happened: the accounting invariant is
+			// attempts == tiles + redirects, and with two failures before a
+			// success this tile contributes 3 attempts and 1 tile.
+			if s.tried > 1 {
+				grp.redirected += s.tried - 1
+				rt.mRedirects.Add(uint64(s.tried - 1))
 			}
 			rt.mTiles.Inc()
-			f.tp, f.da, f.wt = tp, da, wt
-			f.start, f.dur = start, tr.Now()-start
-			return f
+			continue
 		}
 		rt.mErrors.Inc()
+		if err != nil {
+			s.err = err
+		}
+		if s.tried == len(s.cands) && grp.err == nil {
+			grp.err = fmt.Errorf("cluster: tile %s failed on all %d candidates: %w", s.key, s.tried, s.err)
+		}
 	}
-	f.err = fmt.Errorf("cluster: tile %s failed on all %d candidates: %w", k, f.attempts, lastErr)
-	return f
 }
 
 // patchBodies recycles the buffers getPatch reads /patch bodies into: a
-// body is dead once DecodeTilePatchInto has copied out what the patch
-// keeps. Only bodies with a declared length land in them (readBody), and a
-// buffer goes back only once its body has decoded: a failed attempt's was
-// sized by a length nothing verified. The pool holds about one buffer per
-// getPatch that ran at once — a query's tiles times the queries in flight,
-// two rungs' worth on a stream — each as large as the largest body it has
-// held (at most maxShardBody), until two GC cycles pass without its use.
+// body is dead once DecodeTilePatchFrom has copied out what the patches
+// keep. Only bodies with a declared length land in them (readBody), and a
+// buffer goes back only once its bodies have decoded: a failed request's
+// was sized by a length nothing verified. The pool holds about one buffer
+// per getPatch that ran at once — a query's shard requests times the
+// queries in flight, two rungs' worth on a stream — each as large as the
+// largest response it has held (at most maxShardBody), until two GC cycles
+// pass without its use.
 var patchBodies = sync.Pool{New: func() any { return new([]byte) }}
 
 // decodedPatches recycles the patches getPatch decodes into. A patch
-// belongs to its tileFetch until the query's stitch has returned — the
+// belongs to its tileSlot until the query's stitch has returned — the
 // Result copies every ID and position it keeps — and finish then hands it
 // back (release); Rebalance hands its warm-up patches back at once. A
 // failed attempt's patch is dropped, not returned, like its body. The pool
-// holds about one patch per fetch in flight, its arrays as large as the
+// holds about one patch per tile in flight, its arrays as large as the
 // largest tile decoded into them, until two GC cycles pass without use.
 var decodedPatches = sync.Pool{New: func() any { return new(dm.TilePatch) }}
 
-// getPatch issues one /patch request and decodes the body. Any
-// transport error, non-200 status, truncated, over-long or over-limit
-// body (readBody), or undecodable body is a failed attempt — the
-// fail-stop model treats them all as "this shard cannot serve the tile
-// right now", and fetchTile fails over to the next candidate. So is a
-// body that decodes to another tile than k (a shard on a different grid
-// or ladder, or answering the wrong key, would otherwise stitch into a
-// silently wrong mesh), and a missing or unparsable X-DM-DA (the query's
-// disk-access total is the sum of those headers). With traced set the
-// shard is asked for its phase trace (trace=1) and a missing or corrupt
-// X-DM-Trace header fails the attempt the same way: a traced query's
-// accounting is part of its answer.
-func (rt *Router) getPatch(base string, k tilecache.Key, traced bool) (*dm.TilePatch, uint64, *obs.WireTrace, error) {
-	if !rt.grid.ValidKey(k) { // keys from /hottiles are a shard's word
-		return nil, 0, nil, fmt.Errorf("cluster: tile %s outside the grid: %w", k, tilecache.ErrInvalidKey)
+// getPatch issues one /patch request for batch's keys and decodes the
+// response, the bodies back to back in key order, setting each slot's tp
+// (or, for a body that is another tile, its err). A returned error is a
+// whole-response failure and sets no slot: any transport error, non-200
+// status, truncated, over-long or over-limit body (readBody), a missing
+// or unparsable X-DM-DA (the query's disk-access total is the sum of
+// those headers), or bodies that do not decode to exactly one per key —
+// the fail-stop model treats them all as "this shard cannot serve these
+// tiles right now", and fetchBatch moves every tile to its next
+// candidate. A body that decodes to another tile than its key (a shard on
+// a different grid or ladder, or answering the wrong key, would otherwise
+// stitch into a silently wrong mesh) fails only that tile. With traced
+// set the shard is asked for its phase trace (trace=1) and a missing or
+// corrupt X-DM-Trace header fails the request the same way: a traced
+// query's accounting is part of its answer. da is the response's X-DM-DA.
+func (rt *Router) getPatch(base string, batch []*tileSlot, traced bool) (da uint64, wt *obs.WireTrace, err error) {
+	u := append(make([]byte, 0, len(base)+16+40*len(batch)), base...)
+	u = append(u, "/patch?"...)
+	for i, s := range batch {
+		if !rt.grid.ValidKey(s.key) { // keys from /hottiles are a shard's word
+			return 0, nil, fmt.Errorf("cluster: tile %s outside the grid: %w", s.key, tilecache.ErrInvalidKey)
+		}
+		if i > 0 {
+			u = append(u, '&')
+		}
+		u = strconv.AppendInt(append(u, "level="...), int64(s.key.Level), 10)
+		u = strconv.AppendInt(append(u, "&ix="...), int64(s.key.IX), 10)
+		u = strconv.AppendInt(append(u, "&iy="...), int64(s.key.IY), 10)
+		u = strconv.AppendInt(append(u, "&band="...), int64(s.key.Band), 10)
 	}
-	url := fmt.Sprintf("%s/patch?level=%d&ix=%d&iy=%d&band=%d", base, k.Level, k.IX, k.IY, k.Band)
 	if traced {
-		url += "&trace=1"
+		u = append(u, "&trace=1"...)
 	}
+	url := string(u)
+	rt.mRequests.Inc()
 	resp, err := rt.client.Get(url)
 	if err != nil {
-		return nil, 0, nil, err
+		return 0, nil, err
 	}
 	buf := patchBodies.Get().(*[]byte)
 	body, err := readBody(resp, url, buf)
 	if err != nil {
-		return nil, 0, nil, err
+		return 0, nil, err
 	}
-	tp := decodedPatches.Get().(*dm.TilePatch)
-	if err := dm.DecodeTilePatchInto(body, tp); err != nil {
-		return nil, 0, nil, err
+	if da, err = strconv.ParseUint(resp.Header.Get("X-DM-DA"), 10, 64); err != nil {
+		return 0, nil, fmt.Errorf("cluster: %s: bad X-DM-DA %q: %w", url, resp.Header.Get("X-DM-DA"), wire.ErrCorrupt)
 	}
-	patchBodies.Put(buf) // tp holds copies: nothing points into the body
-	want, wantE := rt.grid.RectFor(k), rt.ladder[k.Band]
-	got := [5]float64{tp.Rect.MinX, tp.Rect.MinY, tp.Rect.MaxX, tp.Rect.MaxY, tp.E}
-	for i, w := range [5]float64{want.MinX, want.MinY, want.MaxX, want.MaxY, wantE} {
-		if math.Float64bits(got[i]) != math.Float64bits(w) {
-			return nil, 0, nil, fmt.Errorf("cluster: %s: body is tile %v at LOD %g, want %v at LOD %g: %w",
-				url, tp.Rect, tp.E, want, wantE, wire.ErrCorrupt)
-		}
-	}
-	da, err := strconv.ParseUint(resp.Header.Get("X-DM-DA"), 10, 64)
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("cluster: %s: bad X-DM-DA %q: %w", url, resp.Header.Get("X-DM-DA"), wire.ErrCorrupt)
-	}
-	var wt *obs.WireTrace
 	if traced {
 		raw, err := base64.StdEncoding.DecodeString(resp.Header.Get("X-DM-Trace"))
 		if err != nil {
-			return nil, 0, nil, fmt.Errorf("cluster: %s: undecodable X-DM-Trace: %v: %w", url, err, wire.ErrCorrupt)
+			return 0, nil, fmt.Errorf("cluster: %s: undecodable X-DM-Trace: %v: %w", url, err, wire.ErrCorrupt)
 		}
 		if wt, err = obs.DecodeTraceWire(raw); err != nil {
-			return nil, 0, nil, fmt.Errorf("cluster: %s: %w", url, err)
+			return 0, nil, fmt.Errorf("cluster: %s: %w", url, err)
 		}
 	}
-	return tp, da, wt, nil
+	for i, s := range batch {
+		s.tp = decodedPatches.Get().(*dm.TilePatch)
+		if body, err = dm.DecodeTilePatchFrom(body, s.tp); err != nil {
+			err = fmt.Errorf("cluster: %s: body %d: %w", url, i, err)
+			break
+		}
+	}
+	if err == nil && len(body) > 0 {
+		err = fmt.Errorf("cluster: %s: %d bytes after the %d bodies asked for: %w", url, len(body), len(batch), wire.ErrCorrupt)
+	}
+	if err != nil {
+		for _, s := range batch {
+			s.tp = nil // dropped, like the buffer: sized by bytes nothing verified
+		}
+		return 0, nil, err
+	}
+	patchBodies.Put(buf) // the patches hold copies: nothing points into the body
+	for i, s := range batch {
+		tp, k := s.tp, s.key
+		want, wantE := rt.grid.RectFor(k), rt.ladder[k.Band]
+		got := [5]float64{tp.Rect.MinX, tp.Rect.MinY, tp.Rect.MaxX, tp.Rect.MaxY, tp.E}
+		for j, w := range [5]float64{want.MinX, want.MinY, want.MaxX, want.MaxY, wantE} {
+			if math.Float64bits(got[j]) != math.Float64bits(w) {
+				s.tp, s.err = nil, fmt.Errorf("cluster: %s: body %d is tile %v at LOD %g, want %v at LOD %g: %w",
+					url, i, tp.Rect, tp.E, want, wantE, wire.ErrCorrupt)
+				break
+			}
+		}
+	}
+	return da, wt, nil
 }
 
 // Query answers Q(r, e) through the cluster: snap e onto the ladder,
-// cover r with canonical tiles, fetch each tile from its owner (replica
-// on failure), stitch exactly. The result equals the single-node
-// tilecache answer for the same query — byte for byte once encoded —
-// because both sides stitch identical canonical patches.
+// cover r with canonical tiles, fetch them from their owners — one
+// request per shard — (a replica on failure), stitch exactly. The result
+// equals the single-node tilecache answer for the same query — byte for
+// byte once encoded — because both sides stitch identical canonical
+// patches.
 func (rt *Router) Query(r geom.Rect, e float64) (*dm.Result, QueryStats, error) {
 	return rt.QueryTraced(r, e, nil)
 }
@@ -327,26 +414,29 @@ func (rt *Router) Query(r geom.Rect, e float64) (*dm.Result, QueryStats, error) 
 // QueryTraced is Query recording phase spans on tr (which may be nil).
 // The router's trace must be charge-based (obs.NewTrace(nil)): the
 // store I/O happens in other processes, so every disk access enters the
-// trace through a PhaseShardHop splice — one per fetched tile, carrying
-// the shard's X-DM-DA and, beneath it, the shard's own phase spans from
-// the X-DM-Trace wire. The cross-hop invariant follows: the root trace
-// passes CheckTotal(st.DA) exactly when no shard claims more in spans
-// than in its header, and st.TraceDA == st.DA exactly when every shard
-// accounts for all of it.
+// trace through a PhaseShardHop splice — one per answered shard request,
+// carrying the shard's X-DM-DA and, beneath it, the shard's own phase
+// spans from the X-DM-Trace wire. The cross-hop invariant follows: the
+// root trace passes CheckTotal(st.DA) exactly when no shard claims more
+// in spans than in its header, and st.TraceDA == st.DA exactly when every
+// shard accounts for all of it.
 func (rt *Router) QueryTraced(r geom.Rect, e float64, tr *obs.Trace) (*dm.Result, QueryStats, error) {
 	return rt.finish(rt.launch(r, e, tr), tr, nil)
 }
 
 // fanOut is one query's tile fetches, launched and not yet finished.
 type fanOut struct {
-	r     geom.Rect
-	start time.Time
-	st    QueryStats
-	slots []tileFetch
-	wg    sync.WaitGroup
+	r      geom.Rect
+	start  time.Time
+	st     QueryStats
+	slots  []tileSlot  // the cover, in key order
+	groups []tileGroup // by first candidate, in order of first appearance in the cover
+	wg     sync.WaitGroup
 }
 
-// launch snaps e, covers r and starts one fetch goroutine per tile. The
+// launch snaps e, covers r, groups the cover's keys by their first
+// candidate (after hot-tile rotation) and starts one fetch goroutine per
+// group, so a shard is asked once for all the tiles it owns. The
 // goroutines call only tr.Now, so the caller may go on using tr; it must
 // finish or wait for the fan-out before it resets or reads tr.
 func (rt *Router) launch(r geom.Rect, e float64, tr *obs.Trace) *fanOut {
@@ -357,13 +447,27 @@ func (rt *Router) launch(r geom.Rect, e float64, tr *obs.Trace) *fanOut {
 		r:     r,
 		start: time.Now(),
 		st:    QueryStats{SnappedE: snapped, Level: level, Tiles: len(keys)},
-		slots: make([]tileFetch, len(keys)),
+		slots: make([]tileSlot, len(keys)),
 	}
-	f.wg.Add(len(keys))
+	var firstBuf [serve.MaxPatchKeys]int
+	firsts := firstBuf[:0]
 	for i, k := range keys {
+		cands := rt.candidates(k)
+		if len(cands) > maxAttempts {
+			cands = cands[:maxAttempts]
+		}
+		g := slices.Index(firsts, cands[0])
+		if g < 0 {
+			g, firsts = len(firsts), append(firsts, cands[0])
+		}
+		f.slots[i] = tileSlot{key: k, cands: cands, group: g}
+	}
+	f.groups = make([]tileGroup, len(firsts))
+	f.wg.Add(len(f.groups))
+	for g := range f.groups {
 		go func() {
 			defer f.wg.Done()
-			f.slots[i] = rt.fetchTile(k, tr)
+			rt.fetchGroup(f, g, tr)
 		}()
 	}
 	return f
@@ -405,22 +509,31 @@ func (rt *Router) finish(f *fanOut, tr *obs.Trace, arrived func()) (*dm.Result, 
 		arrived()
 	}
 
-	// Splice after the barrier, in cover-key order: Trace methods other
-	// than Now are not goroutine-safe, and the deterministic order keeps
-	// traced span sequences reproducible however the fan-out raced.
+	// Splice after the barrier, in group order: Trace methods other than
+	// Now are not goroutine-safe, and the deterministic order keeps traced
+	// span sequences reproducible however the fan-out raced.
 	st := f.st
+	var err error
+	for i := range f.groups {
+		g := &f.groups[i]
+		st.DA += g.da
+		st.Attempts += g.attempts
+		st.Redirected += g.redirected
+		st.Requests += g.requests
+		for _, h := range g.hops {
+			st.TraceDA += h.wt.TotalDA()
+			tr.SpliceRemote(obs.PhaseShardHop, h.start, h.dur, h.da, h.wt)
+		}
+		if err == nil {
+			err = g.err
+		}
+	}
+	if err != nil {
+		return nil, st, err
+	}
 	tiles := make([]*dm.TilePatch, len(f.slots))
 	for i := range f.slots {
-		s := &f.slots[i]
-		st.DA += s.da
-		st.Attempts += s.attempts
-		st.Redirected += s.redirected
-		if s.err != nil {
-			return nil, st, s.err
-		}
-		st.TraceDA += s.wt.TotalDA()
-		tr.SpliceRemote(obs.PhaseShardHop, s.start, s.dur, s.da, s.wt)
-		tiles[i] = s.tp
+		tiles[i] = f.slots[i].tp
 	}
 	res, err := dm.StitchTilesTraced(f.r, st.SnappedE, tiles, tr)
 	if err != nil {
@@ -492,10 +605,11 @@ func (rt *Router) Rebalance(topK, replicas int) (RebalanceStats, error) {
 		order := rt.ring.Order(k.String())
 		warmed := 1 // the primary already has it (it is where the hits happened)
 		for _, shard := range order[1:replicas] {
-			if tp, da, _, err := rt.getPatch(rt.shards[shard], k, false); err != nil {
+			slot := tileSlot{key: k}
+			if da, _, err := rt.getPatch(rt.shards[shard], []*tileSlot{&slot}, false); err != nil || slot.tp == nil {
 				st.Failed++
 			} else {
-				decodedPatches.Put(tp) // the warm-up was the point, not the patch
+				decodedPatches.Put(slot.tp) // the warm-up was the point, not the patch
 				st.WarmDA += da
 				st.Replicated++
 				rt.mReplica.Inc()

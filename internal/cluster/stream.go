@@ -22,12 +22,14 @@ type StreamStats struct {
 	BytesToExact int // header + every batch: the exact-answer cost
 	BytesSent    int // bytes actually written for this request
 
-	// Fan-out accounting summed over every rung's Query; the invariant
-	// Attempts == Tiles + Redirected holds for the whole stream.
+	// Fan-out accounting summed over every rung's Query (see QueryStats);
+	// the invariant Attempts == Tiles + Redirected holds for the whole
+	// stream.
 	DA         uint64
 	Tiles      int
 	Attempts   int
 	Redirected int
+	Requests   int
 
 	// TraceDA sums the rungs' shard-trace-accounted DA (see
 	// QueryStats.TraceDA); zero on untraced streams.
@@ -87,6 +89,7 @@ func (rt *Router) StreamTraced(r geom.Rect, e float64, resume int, w io.Writer, 
 		st.Tiles += qs.Tiles
 		st.Attempts += qs.Attempts
 		st.Redirected += qs.Redirected
+		st.Requests += qs.Requests
 		st.TraceDA += qs.TraceDA
 		return res, nil
 	})

@@ -354,12 +354,14 @@ func lyingFront(t *testing.T, h http.Handler, wrongTile bool) *httptest.Server {
 		}
 		if wrongTile {
 			q := r.URL.Query()
-			if level, _ := strconv.Atoi(q.Get("level")); level > 0 {
-				ix, _ := strconv.Atoi(q.Get("ix"))
-				q.Set("ix", strconv.Itoa(ix^1))
-			} else {
-				band, _ := strconv.Atoi(q.Get("band"))
-				q.Set("band", strconv.Itoa(band^1))
+			for i, l := range q["level"] { // every key of a multi-key request
+				if level, _ := strconv.Atoi(l); level > 0 {
+					ix, _ := strconv.Atoi(q["ix"][i])
+					q["ix"][i] = strconv.Itoa(ix ^ 1)
+				} else {
+					band, _ := strconv.Atoi(q["band"][i])
+					q["band"][i] = strconv.Itoa(band ^ 1)
+				}
 			}
 			r.URL.RawQuery = q.Encode()
 		}
@@ -630,5 +632,143 @@ func TestStreamLookaheadExits(t *testing.T) {
 				t.Errorf("a shard request ended %v after Stream returned", late)
 			}
 		})
+	}
+}
+
+// TestOneRequestPerShard: a fan-out asks each shard once for all the cover
+// tiles it owns. On a 2-shard ring with no failure and no hot tile,
+// QueryStats.Requests is exactly the number of distinct first candidates
+// (ring primaries) in the cover, a stream's Requests is that count summed
+// over its rungs, and the router's request and tile counters add up.
+func TestOneRequestPerShard(t *testing.T) {
+	lc := startLocal(t, terrain(t, "highland"), 2)
+	rt := lc.Router
+	g := rt.Grid()
+	ladder := g.Ladder()
+	owners := func(r geom.Rect, e float64) (tiles, shards int) {
+		band, _ := g.SnapE(e)
+		keys := g.Cover(r, g.LevelFor(r), band)
+		seen := make(map[int]bool)
+		for _, k := range keys {
+			seen[rt.Ring().Order(k.String())[0]] = true
+		}
+		return len(keys), len(seen)
+	}
+
+	rng := rand.New(rand.NewSource(53))
+	var requests, tiles int
+	batched := false
+	for _, r := range randRects(rng, 16) {
+		e := ladder[rng.Intn(len(ladder))]
+		wantTiles, wantRequests := owners(r, e)
+		_, st, err := rt.Query(r, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Tiles != wantTiles || st.Requests != wantRequests || st.Attempts != st.Tiles {
+			t.Errorf("Query(%v): %d tiles in %d requests, %d attempts; the cover has %d tiles on %d shards",
+				r, st.Tiles, st.Requests, st.Attempts, wantTiles, wantRequests)
+		}
+		batched = batched || st.Requests < st.Tiles
+		requests += st.Requests
+		tiles += st.Tiles
+	}
+	if !batched {
+		t.Fatal("no cover put two tiles on one shard; the count checks nothing")
+	}
+
+	roi := geom.Rect{MinX: 0.1, MinY: 0.15, MaxX: 0.85, MaxY: 0.8}
+	levels, err := stream.LevelsFor(ladder, len(ladder)-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRequests := 0
+	for _, e := range levels {
+		_, n := owners(roi, e)
+		wantRequests += n
+	}
+	_, ss, err := rt.StreamTraced(roi, ladder[len(ladder)-1], -1, io.Discard, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss.Requests != wantRequests {
+		t.Errorf("stream of %d rungs: %d requests, want %d", len(levels), ss.Requests, wantRequests)
+	}
+	requests += ss.Requests
+	tiles += ss.Tiles
+
+	reg := rt.Registry()
+	if got := reg.Counter("cluster_router_shard_requests_total", "").Value(); got != uint64(requests) {
+		t.Errorf("cluster_router_shard_requests_total = %d, the queries issued %d", got, requests)
+	}
+	if got := reg.Counter("cluster_router_tiles_total", "").Value(); got != uint64(tiles) {
+		t.Errorf("cluster_router_tiles_total = %d, the queries fetched %d tiles", got, tiles)
+	}
+}
+
+// TestWrongBodyFailsOnlyItsTile: failover is per tile. A shard that
+// answers the first key of every multi-key request with its x-neighbour's
+// valid body fails that tile alone; the request's other tiles are served,
+// and only the one lied about goes to its next candidate. So on a
+// 2-shard ring a query's Redirected equals the keys the front altered, and
+// the answer is still the single node's.
+func TestWrongBodyFailsOnlyItsTile(t *testing.T) {
+	tr := terrain(t, "highland")
+	single := singleNode(t, tr)
+	newShard := func() *serve.Server {
+		s, err := serve.New(serve.Config{Terrain: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	good := newShard()
+	goodTS := httptest.NewServer(good.Handler(false))
+	t.Cleanup(goodTS.Close)
+	liar := newShard().Handler(false)
+	var altered, multi atomic.Int64
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		if levels := q["level"]; r.URL.Path == "/patch" && levels[0] != "0" {
+			ix, _ := strconv.Atoi(q["ix"][0])
+			q["ix"][0] = strconv.Itoa(ix ^ 1)
+			r.URL.RawQuery = q.Encode()
+			altered.Add(1)
+			if len(levels) > 1 {
+				multi.Add(1)
+			}
+		}
+		liar.ServeHTTP(w, r)
+	}))
+	t.Cleanup(front.Close)
+	rt, err := cluster.NewRouter(cluster.Config{Shards: []string{front.URL, goodTS.URL},
+		IDs: []string{"shard-0", "shard-1"}, Grid: good.Grid()})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ladder := single.Grid().Ladder()
+	rng := rand.New(rand.NewSource(59))
+	for _, r := range randRects(rng, 16) {
+		e := ladder[rng.Intn(len(ladder))]
+		before := altered.Load()
+		res, st, err := rt.Query(r, e)
+		if err != nil {
+			t.Fatalf("Query(%v, %g): %v", r, e, err)
+		}
+		if lied := int(altered.Load() - before); st.Redirected != lied || st.Attempts != st.Tiles+st.Redirected {
+			t.Fatalf("Query(%v): %d tiles, %d attempts, %d redirected; the front lied about %d",
+				r, st.Tiles, st.Attempts, st.Redirected, lied)
+		}
+		direct, _, err := single.Query(r, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(canonicalMesh(res), canonicalMesh(direct)) {
+			t.Fatal("answer assembled around a lying shard differs from single node")
+		}
+	}
+	if multi.Load() == 0 {
+		t.Fatal("no multi-key request reached the lying shard; the test checks nothing")
 	}
 }

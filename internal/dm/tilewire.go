@@ -36,6 +36,10 @@ import (
 //	  first b - a as a zigzag varint, then each further b as
 //	  b - previous b uvarint (>= 1)
 //
+// Every section states its length, so a body is self-delimiting: a /patch
+// response for k tiles is their k bodies back to back, and
+// DecodeTilePatchFrom reads one off the front.
+//
 // Positions travel as raw IEEE-754 bits and round-trip bit-exactly. The
 // encoding is deterministic and the decoder accepts only what the encoder
 // emits — minimal varints, strictly ascending IDs and pairs — so byte
@@ -163,6 +167,26 @@ func DecodeTilePatch(b []byte) (*TilePatch, error) {
 // a patch as large.
 func DecodeTilePatchInto(b []byte, tp *TilePatch) error {
 	r := wire.NewReader("dm: tile patch wire", b)
+	decodeTilePatch(&r, tp)
+	return r.Done()
+}
+
+// DecodeTilePatchFrom is DecodeTilePatchInto for a body at the front of
+// b, followed by anything: it returns the bytes after the body. A DMTP
+// body is self-delimiting — every section states its own length — so k
+// bodies written back to back, as a multi-key /patch response carries
+// them, decode with k calls, each on the rest the previous one returned.
+func DecodeTilePatchFrom(b []byte, tp *TilePatch) (rest []byte, err error) {
+	r := wire.NewReader("dm: tile patch wire", b)
+	decodeTilePatch(&r, tp)
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return b[len(b)-r.Len():], nil
+}
+
+// decodeTilePatch reads one body into tp; r records the first failure.
+func decodeTilePatch(r *wire.Reader, tp *TilePatch) {
 	r.Magic(tileWireMagic)
 	if v := r.Uvarint(); v != tileWireVersion {
 		r.Corruptf("unsupported version %d", v)
@@ -186,11 +210,7 @@ func DecodeTilePatchInto(b []byte, tp *TilePatch) error {
 		tp.pos[i] = geom.Point3{X: r.F64(), Y: r.F64(), Z: r.F64()}
 	}
 
-	readRuns(&r, "edges", nNodes, &tp.edges)
-	readRuns(&r, "out-pairs", nNodes, &tp.outPairs)
-	if err := r.Done(); err != nil {
-		return err
-	}
+	readRuns(r, "edges", nNodes, &tp.edges)
+	readRuns(r, "out-pairs", nNodes, &tp.outPairs)
 	tp.charge = patchCharge(nNodes, 0, len(tp.edges.far), 0, len(tp.outPairs.far))
-	return nil
 }

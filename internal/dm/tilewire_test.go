@@ -161,6 +161,39 @@ func TestDecodeIntoRecycledPatch(t *testing.T) {
 	}
 }
 
+// TestDecodeBackToBackBodies: the bodies of a multi-key /patch response —
+// a 9² tile, a 65² one and the 9² one again, back to back into one
+// recycled patch — each decode off the front of what the one before left,
+// exactly as a fresh decode of that body alone.
+func TestDecodeBackToBackBodies(t *testing.T) {
+	var bodies [][]byte
+	for _, size := range []int{9, 65} {
+		ds, _ := buildDataset(t, size, "highland")
+		tp, err := newTestStore(t, ds).MaterializeTile(fullRect(), eAtPercentile(ds, 0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, EncodeTilePatch(tp))
+	}
+	bodies = append(bodies, bodies[0])
+	rest := bytes.Join(bodies, nil)
+	reused := new(TilePatch)
+	for i, b := range bodies {
+		var err error
+		if rest, err = DecodeTilePatchFrom(rest, reused); err != nil {
+			t.Fatalf("body %d: %v", i, err)
+		}
+		want, err := DecodeTilePatch(b)
+		requireSameDecode(t, reused, nil, want, err)
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes left after the last body", len(rest))
+	}
+	if _, err := DecodeTilePatchFrom(bodies[1][:len(bodies[1])-1], reused); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("a body cut short: err = %v, want wire.ErrCorrupt", err)
+	}
+}
+
 // TestTilePatchWireCorruption: the DMTP-specific violations — wrong magic
 // or version, a count the body cannot hold, every non-canonical spelling,
 // a v1 or v2 body — fail with wire.ErrCorrupt. (Truncation, trailing bytes and

@@ -198,10 +198,11 @@ func (b *Bundle) measureClusterPoint(lc *cluster.LocalCluster, n int, epoch1, ep
 		}
 	}
 	// patchTotals reads a shard's wire-patch traffic from its registry:
-	// patches served and the store disk accesses they cost (cold
-	// materializations only).
+	// patches (tiles) served and the store disk accesses they cost (cold
+	// materializations only). A /patch request carries all the tiles of a
+	// cover one shard owns, so requests are fewer than patches.
 	patchTotals := func(s *serve.Server) (served, da uint64) {
-		return s.Registry().Counter("tileserver_patch_requests_total", "").Value(),
+		return s.Registry().Counter("tileserver_patch_tiles_total", "").Value(),
 			s.Registry().Histogram("tileserver_patch_disk_accesses", "").Snapshot().Sum
 	}
 	patches0 := make([]uint64, len(lc.Servers))

@@ -58,6 +58,10 @@ type Row struct {
 	// JSON names the results/ file dmbench writes the result to; only the
 	// figures a document cites have one.
 	JSON string
+	// Pin is the row's pinned hash (figureHashes) on a row with a JSON
+	// file: dmbench stamps it into the file, so a file written before the
+	// row was last re-pinned is told apart from one written after.
+	Pin string
 	// Unpinned lists result keys, beyond the timing keys, that the pin
 	// test leaves out; the row says why.
 	Unpinned []string
@@ -94,7 +98,7 @@ func row[T any](id string, datasets []string, measure func(*Env, *Bundle) (T, er
 	}
 }
 
-func (r Row) writes(file string) Row { r.JSON = file; return r }
+func (r Row) writes(file string) Row { r.JSON, r.Pin = file, figureHashes[r.ID]; return r }
 
 func (r Row) unpinned(keys ...string) Row { r.Unpinned = keys; return r }
 

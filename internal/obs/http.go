@@ -16,13 +16,25 @@ import (
 // client as a short read (to the cluster router, a failed attempt
 // eligible for failover) instead of a clean-looking truncated 200. The
 // returned error is the write's; the caller decides whether to log it.
-func WriteBody(w http.ResponseWriter, status int, contentType string, body []byte) error {
+//
+// A body given in parts goes out as the parts back to back, each written
+// where it lies: a multi-key /patch response is its tiles' memoized
+// encodings, never copied into one buffer.
+func WriteBody(w http.ResponseWriter, status int, contentType string, body ...[]byte) error {
+	n := 0
+	for _, part := range body {
+		n += len(part)
+	}
 	h := w.Header()
 	h.Set("Content-Type", contentType)
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h.Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(status)
-	_, err := w.Write(body)
-	return err
+	for _, part := range body {
+		if _, err := w.Write(part); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteJSON renders v as one line of JSON and sends it with WriteBody.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"dmesh"
@@ -48,15 +49,15 @@ type answer struct {
 	// resets, and so holds the camera until then.
 	done func()
 
-	// The body, one of two. Bytes the route rendered are sent as they
-	// are: a JSON body (/tile, /frame) carries its statistics inside, and
-	// /patch's wire bytes — the cache's memoized encoding, shared with
-	// every other reader — travel with da and cold in X-DM-DA and
-	// X-DM-Cold. A planned stream (/stream) is written progressively, one
-	// flush per rung, each rung answered by rung.
+	// The body, one of three. A JSON body (/tile, /frame) is sent as it
+	// is and carries its statistics inside. /patch's wire bodies — the
+	// cache's memoized encodings, shared with every other reader — are
+	// written back to back, each where it lies, and travel with da and
+	// cold in X-DM-DA and X-DM-Cold. A planned stream (/stream) is written
+	// progressively, one flush per rung, each rung answered by rung.
 	body []byte
 	mesh *meshBody // the pooled writer holding a JSON body; back to the pool once body is out
-	wire bool
+	wire [][]byte
 	cold bool
 	enc  *stream.Encoder
 	rung func(level float64) (*dmesh.Result, error)
@@ -92,7 +93,7 @@ func (s *Server) serve(rt *route, m *endpointMetrics, w http.ResponseWriter, r *
 		case err != nil:
 		case ans.enc != nil:
 			err = s.stream(w, &ans, traced)
-		case ans.wire:
+		case ans.wire != nil:
 			ctype = "application/octet-stream"
 			h.Set("X-DM-DA", strconv.FormatUint(ans.da, 10))
 			h.Set("X-DM-Cold", strconv.FormatBool(ans.cold))
@@ -118,6 +119,8 @@ func (s *Server) serve(rt *route, m *endpointMetrics, w http.ResponseWriter, r *
 	}
 	switch {
 	case err == nil && ans.enc != nil: // already out
+	case err == nil && ans.wire != nil:
+		err = obs.WriteBody(w, http.StatusOK, ctype, ans.wire...)
 	case err == nil:
 		err = obs.WriteBody(w, http.StatusOK, ctype, ans.body)
 	default:
@@ -279,23 +282,26 @@ func (s *Server) parseTile(q url.Values, traced bool) (func(*answer) error, erro
 	}, nil
 }
 
-// parsePatch: /patch answers one canonical tile by key in the binary
-// wire encoding — the shard endpoint the cluster router fans out to. The
-// response is deterministic for a key (the patch encoding sorts nodes),
-// so any replica returns byte-identical bodies; a warm tile's body is
-// the cache's memoized encoding, shared read-only with every other
-// reader.
+// MaxPatchKeys caps the tiles one /patch request may name. The router
+// asks a shard for the tiles of one cover that the shard owns, and a
+// cover spans at most 3 × 3 tiles (tilecache.Grid.LevelFor), so the cap
+// bounds a request's work at one cover's.
+const MaxPatchKeys = 9
+
+// parsePatch: /patch answers canonical tiles by key in the binary wire
+// encoding — the shard endpoint the cluster router fans out to. A request
+// names k keys as k values each of level, ix, iy and band, the i-th of
+// each naming the i-th key; the answer is the k bodies back to back in
+// request order (DMTP is self-delimiting), X-DM-DA their disk accesses
+// summed and X-DM-Cold true if any tile was cold. A body is deterministic
+// for a key (the patch encoding sorts nodes), so any replica returns
+// byte-identical responses; a warm tile's body is the cache's memoized
+// encoding, shared read-only with every other reader.
 func (s *Server) parsePatch(q url.Values, traced bool) (func(*answer) error, error) {
-	level, err1 := queryInt(q, "level", -1)
-	ix, err2 := queryInt(q, "ix", -1)
-	iy, err3 := queryInt(q, "iy", -1)
-	band, err4 := queryInt(q, "band", -1)
-	for _, err := range []error{err1, err2, err3, err4} {
-		if err != nil {
-			return nil, err
-		}
+	keys, err := patchKeys(q)
+	if err != nil {
+		return nil, err
 	}
-	k := tilecache.Key{Level: level, IX: ix, IY: iy, Band: band}
 	return func(ans *answer) error {
 		if traced {
 			// Charge-based: the cache counts DA through per-flight sessions,
@@ -303,15 +309,76 @@ func (s *Server) parsePatch(q url.Values, traced bool) (func(*answer) error, err
 			// per-hop half of the cluster's cross-hop invariant.
 			ans.trace = dmesh.NewQueryTrace(nil)
 		}
-		body, st, err := s.cache.PatchWire(k, ans.trace)
-		ans.da, ans.cold = st.DA, st.Cold
-		if st.Cold {
-			ans.size = obs.Size{RecordsFetched: st.Fetched, Strips: 1}
+		bodies := make([][]byte, len(keys))
+		for i, k := range keys {
+			body, st, err := s.cache.PatchWire(k, ans.trace)
+			ans.da += st.DA
+			if st.Cold {
+				ans.cold = true
+				ans.size.RecordsFetched += st.Fetched
+				ans.size.Strips++
+			}
+			if err != nil {
+				ans.label = patchLabel(keys[:i+1], ans.cold)
+				return err
+			}
+			bodies[i] = body
 		}
-		ans.label = fmt.Sprintf("patch key=%s cold=%t", k, st.Cold)
-		ans.body, ans.wire = body, true
-		return err
+		ans.label = patchLabel(keys, ans.cold)
+		ans.wire = bodies
+		s.patchTiles.Add(uint64(len(keys)))
+		return nil
 	}, nil
+}
+
+// patchKeys reads /patch's key lists. Every list must have the same
+// length, from 1 to MaxPatchKeys; in the one-key spelling an absent
+// parameter reads as -1, a key the cache rejects (tilecache.ErrInvalidKey).
+func patchKeys(q url.Values) ([]tilecache.Key, error) {
+	lists := [4][]string{q["level"], q["ix"], q["iy"], q["band"]}
+	n := 1
+	for _, vs := range lists {
+		n = max(n, len(vs))
+	}
+	if n > MaxPatchKeys {
+		return nil, fmt.Errorf("%d tile keys in one request, at most %d", n, MaxPatchKeys)
+	}
+	for _, vs := range lists {
+		if len(vs) != n && !(n == 1 && len(vs) == 0) {
+			return nil, fmt.Errorf("key lists of unequal length: level %d, ix %d, iy %d, band %d",
+				len(lists[0]), len(lists[1]), len(lists[2]), len(lists[3]))
+		}
+	}
+	keys := make([]tilecache.Key, n)
+	for i := range keys {
+		k := &keys[i]
+		for j, dst := range [4]*int{&k.Level, &k.IX, &k.IY, &k.Band} {
+			*dst = -1
+			if vs := lists[j]; len(vs) > 0 {
+				v, err := strconv.Atoi(vs[i])
+				if err != nil {
+					return nil, err
+				}
+				*dst = v
+			}
+		}
+	}
+	return keys, nil
+}
+
+// patchLabel renders a /patch request for its slow-log entry.
+func patchLabel(keys []tilecache.Key, cold bool) string {
+	var b strings.Builder
+	b.WriteString("patch key=")
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(k.String())
+	}
+	b.WriteString(" cold=")
+	b.WriteString(strconv.FormatBool(cold))
+	return b.String()
 }
 
 // parseStream: /stream answers one ROI progressively. Every rung's

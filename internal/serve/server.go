@@ -9,11 +9,14 @@
 // one pipeline: /tile and /frame answer JSON, and the shard-facing
 // surface the cluster router consumes answers bytes:
 //
-//   - /patch?level=&ix=&iy=&band= — one canonical tile, materialized
-//     through the shared cache and returned in the deterministic binary
-//     wire encoding (dm.EncodeTilePatch, memoized per resident tile);
-//     per-request disk accesses and cache coldness travel in X-DM-DA /
-//     X-DM-Cold headers.
+//   - /patch?level=&ix=&iy=&band=[&level=&ix=&iy=&band=...] — up to
+//     MaxPatchKeys canonical tiles, materialized through the shared cache
+//     and returned in the deterministic binary wire encoding
+//     (dm.EncodeTilePatch, memoized per resident tile), the bodies back to
+//     back in request order; the request's disk accesses (summed) and
+//     cache coldness (any tile cold) travel in X-DM-DA / X-DM-Cold
+//     headers. The cluster router asks each shard once per fan-out for
+//     every tile of the cover it owns.
 //   - /stream?x0=&y0=&x1=&y1=&lod=&resume= — the progressive answer: a
 //     chunked body carrying the internal/stream header plus one delta
 //     batch per LOD-ladder rung, coarse to fine, each flushed as soon as
@@ -97,6 +100,7 @@ type Server struct {
 	slow         *obs.SlowLog
 	endpoints    []endpointMetrics // parallel to routes
 	streamBytes  *obs.Histogram
+	patchTiles   *obs.Counter
 	reqErrors    *obs.Counter
 	camEvictions *obs.Counter
 
@@ -157,6 +161,7 @@ func New(cfg Config) (*Server, error) {
 		reg:           reg,
 		slow:          obs.NewSlowLog(slowLogSize, cfg.SlowThreshold),
 		streamBytes:   reg.Histogram("tileserver_stream_bytes", "bytes written per progressive stream"),
+		patchTiles:    reg.Counter("tileserver_patch_tiles_total", "tiles answered by served /patch requests, k for a k-key request"),
 		reqErrors:     reg.Counter("tileserver_request_errors_total", "requests answered with an error status, and streams cut short"),
 		camEvictions:  reg.Counter("tileserver_camera_evictions_total", "coherent sessions dropped from the LRU"),
 		headerTimeout: readHeaderTimeout,

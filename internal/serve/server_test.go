@@ -259,6 +259,100 @@ func TestPatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestPatchMultiKey: a /patch request naming k keys answers the k
+// one-key bodies back to back in request order, with X-DM-DA their sum
+// and X-DM-Cold true when any tile was cold. Two fresh servers over one
+// terrain pay the same cold materializations, one key by key and one in a
+// single request. Key lists of unequal length, and more keys than
+// MaxPatchKeys, are the client's error.
+func TestPatchMultiKey(t *testing.T) {
+	band := len(NewTestServer(t, 33, 0).Grid().Ladder()) / 2
+	keys := []tilecache.Key{{Level: 2, IX: 3, IY: 1, Band: band}, {Level: 2, IX: 0, IY: 2, Band: band}, {Level: 2, IX: 1, IY: 2, Band: band}}
+	path := func(keys ...tilecache.Key) string {
+		var b strings.Builder
+		b.WriteString("/patch?")
+		for i, k := range keys {
+			if i > 0 {
+				b.WriteByte('&')
+			}
+			fmt.Fprintf(&b, "level=%d&ix=%d&iy=%d&band=%d", k.Level, k.IX, k.IY, k.Band)
+		}
+		return b.String()
+	}
+	start := func() (*Server, *httptest.Server) {
+		s := NewTestServer(t, 33, 0)
+		if err := s.Store().DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler(false))
+		t.Cleanup(ts.Close)
+		return s, ts
+	}
+	get := func(ts *httptest.Server, path string) ([]byte, uint64, string) {
+		t.Helper()
+		resp, body := Fetch(t, ts.URL, path)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
+		}
+		if n, err := strconv.Atoi(resp.Header.Get("Content-Length")); err != nil || n != len(body) {
+			t.Fatalf("GET %s: Content-Length %q for %d bytes", path, resp.Header.Get("Content-Length"), len(body))
+		}
+		da, err := strconv.ParseUint(resp.Header.Get("X-DM-DA"), 10, 64)
+		if err != nil {
+			t.Fatalf("GET %s: X-DM-DA %q", path, resp.Header.Get("X-DM-DA"))
+		}
+		return body, da, resp.Header.Get("X-DM-Cold")
+	}
+
+	_, one := start()
+	var concat []byte
+	var sumDA uint64
+	for _, k := range keys {
+		body, da, cold := get(one, path(k))
+		if cold != "true" {
+			t.Fatalf("key %s alone: X-DM-Cold %q on a fresh server", k, cold)
+		}
+		concat = append(concat, body...)
+		sumDA += da
+	}
+	if sumDA == 0 {
+		t.Fatal("cold one-key fetches cost no disk access; the DA sum checks nothing")
+	}
+
+	s, multi := start()
+	body, da, cold := get(multi, path(keys...))
+	if !bytes.Equal(body, concat) {
+		t.Errorf("%d-key body (%d B) is not the one-key bodies in request order (%d B)", len(keys), len(body), len(concat))
+	}
+	if da != sumDA || cold != "true" {
+		t.Errorf("%d-key request: X-DM-DA %d, X-DM-Cold %q; the one-key requests summed %d DA, cold", len(keys), da, cold, sumDA)
+	}
+	if body, da, cold := get(multi, path(keys...)); !bytes.Equal(body, concat) || da != 0 || cold != "false" {
+		t.Errorf("warm repeat: %d B, X-DM-DA %d, X-DM-Cold %q; want the same bytes, 0, false", len(body), da, cold)
+	}
+	reg := s.Registry()
+	if req, tiles := reg.Counter("tileserver_patch_requests_total", "").Value(), reg.Counter("tileserver_patch_tiles_total", "").Value(); req != 2 || tiles != 6 {
+		t.Errorf("after two 3-key requests: %d requests, %d tiles counted; want 2 and 6", req, tiles)
+	}
+
+	var full []tilecache.Key
+	for i := 0; i <= MaxPatchKeys; i++ {
+		full = append(full, tilecache.Key{Level: 2, IX: i % 4, IY: i / 4, Band: band})
+	}
+	if resp, b := Fetch(t, multi.URL, path(full[:MaxPatchKeys]...)); resp.StatusCode != http.StatusOK {
+		t.Errorf("%d keys, the cap: status %d: %s", MaxPatchKeys, resp.StatusCode, b)
+	}
+	for _, bad := range []string{
+		path(full...), // one key over the cap
+		"/patch?level=2&level=2&ix=0&ix=1&iy=0&band=1&band=1",
+		"/patch?level=2&ix=0&iy=0&band=1&band=1",
+	} {
+		if resp, b := Fetch(t, multi.URL, bad); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400: %s", bad, resp.StatusCode, b)
+		}
+	}
+}
+
 // TestPatchColdStampedeOneBody: many clients fetching one cold key via
 // /patch cost one materialization, all read byte-identical bodies, and
 // the cache ends up holding the patch plus one memoized body — charged

@@ -49,6 +49,26 @@ type decoderRow struct {
 	// result must equal b. A stream decoder may also return the
 	// re-encoding of the part it accepted alongside an error.
 	roundTrip func(b []byte) ([]byte, error)
+	// concat, set on a self-delimiting format, is roundTrip over any number
+	// of encodings written back to back (a multi-key /patch response),
+	// returning the re-encoding of the ones it accepted.
+	concat func(b []byte) ([]byte, error)
+}
+
+// dmtpConcat decodes DMTP bodies back to back, each off the front of what
+// the previous one left, and re-encodes every body it accepted.
+func dmtpConcat(b []byte) ([]byte, error) {
+	var out []byte
+	var tp dm.TilePatch
+	for len(b) > 0 {
+		rest, err := dm.DecodeTilePatchFrom(b, &tp)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, dm.EncodeTilePatch(&tp)...)
+		b = rest
+	}
+	return out, nil
 }
 
 var (
@@ -235,6 +255,7 @@ func decoderRows() []decoderRow {
 				}
 				return dm.EncodeTilePatch(tp), nil
 			},
+			concat: dmtpConcat,
 		}, {
 			name:      "DMPS",
 			fixture:   dmps,
@@ -316,7 +337,42 @@ func TestDecoders(t *testing.T) {
 					t.Errorf("earlier-version body %d: err = %v, want wire.ErrCorrupt", i, err)
 				}
 			}
+			if row.concat != nil {
+				checkConcat(t, row)
+			}
 		})
+	}
+}
+
+// checkConcat holds a self-delimiting row's back-to-back decoder to the
+// same properties: three fixtures in a row round-trip; a cut anywhere but
+// between two of them fails with wire.ErrCorrupt, having accepted exactly
+// the fixtures before the cut; and bytes after the last fixture are
+// corruption.
+func checkConcat(t *testing.T, row decoderRow) {
+	t.Helper()
+	n := len(row.fixture)
+	three := bytes.Repeat(row.fixture, 3)
+	if out, err := row.concat(three); err != nil || !bytes.Equal(out, three) {
+		t.Fatalf("three back-to-back fixtures: re-encode %d of %d bytes, err %v", len(out), len(three), err)
+	}
+	for cut := 1; cut < 2*n; cut++ {
+		out, err := row.concat(three[:cut:cut])
+		if cut == n {
+			if err != nil || !bytes.Equal(out, row.fixture) {
+				t.Fatalf("one whole fixture: %d bytes, %v", len(out), err)
+			}
+			continue
+		}
+		if !errors.Is(err, wire.ErrCorrupt) || len(out) != cut/n*n {
+			t.Fatalf("back-to-back prefix of %d bytes: accepted %d, err = %v, want %d accepted and wire.ErrCorrupt",
+				cut, len(out), err, cut/n*n)
+		}
+	}
+	for _, tail := range [][]byte{{0x00}, {0xff}, row.fixture[:n-1]} {
+		if _, err := row.concat(append(bytes.Repeat(row.fixture, 2), tail...)); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("two fixtures and %d more bytes: err = %v, want wire.ErrCorrupt", len(tail), err)
+		}
 	}
 }
 
@@ -385,7 +441,10 @@ func TestHostileDMPS(t *testing.T) {
 // selects the format): none may panic, every rejection must be
 // wire.ErrCorrupt — or ErrTruncated for a DMPS stream that merely ends —
 // and whatever is accepted must re-encode to the bytes it was decoded
-// from, so byte equality is value equality in every format.
+// from, so byte equality is value equality in every format. A
+// self-delimiting format's bytes are also read as bodies back to back
+// (DMTP, as a multi-key /patch response carries them), under the same
+// properties.
 func FuzzDecoders(f *testing.F) {
 	rows := decoderRows()
 	for i, row := range rows {
@@ -404,6 +463,7 @@ func FuzzDecoders(f *testing.F) {
 	for _, s := range hostileDMPS() {
 		f.Add(append([]byte{2}, s...)) // rows[2] is DMPS
 	}
+	f.Add(append([]byte{1}, bytes.Repeat(rows[1].fixture, 2)...)) // rows[1] is DMTP: two bodies back to back
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -415,6 +475,16 @@ func FuzzDecoders(f *testing.F) {
 		}
 		if err == nil && len(out) != len(in) || !bytes.HasPrefix(in, out) {
 			t.Fatalf("%s: accepted input re-encodes to different bytes:\n in  %x\n out %x", row.name, in, out)
+		}
+		if row.concat == nil {
+			return
+		}
+		out, err = row.concat(in)
+		if err != nil && !errors.Is(err, wire.ErrCorrupt) {
+			t.Fatalf("%s back to back: error is not wire.ErrCorrupt: %v", row.name, err)
+		}
+		if err == nil && len(out) != len(in) || !bytes.HasPrefix(in, out) {
+			t.Fatalf("%s back to back: accepted bodies re-encode to different bytes:\n in  %x\n out %x", row.name, in, out)
 		}
 	})
 }
