@@ -22,8 +22,10 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
+
+	"dmesh/internal/tilecache"
 )
 
 // defaultVNodes is the virtual-node count per shard; 64 keeps the
@@ -90,10 +92,16 @@ func NewRing(ids []string) (*Ring, error) {
 	return r, nil
 }
 
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return mix64(h.Sum64())
+// hash64 is FNV-1a of s through the mix64 finalizer. It takes the bytes
+// of a string or a slice alike, so a key spelled into a stack buffer
+// hashes as its String does.
+func hash64[T string | []byte](s T) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211 // FNV-1a prime
+	}
+	return mix64(h)
 }
 
 // mix64 is a splitmix64-style finalizer. FNV-1a avalanches weakly on the
@@ -116,15 +124,34 @@ func (r *Ring) IDs() []string { return append([]string(nil), r.ids...) }
 // element 0 is the primary owner, element 1 the first replica target,
 // and so on — the failover and replication sequence for the key.
 func (r *Ring) Order(key string) []int {
-	h := hash64(key)
+	return r.walk(hash64(key), make([]int, 0, len(r.ids)))
+}
+
+// placement is the head of a tile key's ring-successor order: the shards
+// a fetch tries, in order, at most maxAttempts of them.
+type placement struct {
+	shards [maxAttempts]int
+	n      int
+}
+
+// place returns k's placement, Order(k.String()) cut to maxAttempts,
+// without allocating: the key is spelled into a stack buffer and the walk
+// fills the placement's array.
+func (r *Ring) place(k tilecache.Key) placement {
+	var buf [48]byte
+	var p placement
+	p.n = len(r.walk(hash64(k.AppendTo(buf[:0])), p.shards[:0]))
+	return p
+}
+
+// walk appends to out, in ring order from hash h, each shard not in it
+// yet, until out is full or holds every shard.
+func (r *Ring) walk(h uint64, out []int) []int {
+	want := min(cap(out), len(r.ids))
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]int, 0, len(r.ids))
-	seen := make([]bool, len(r.ids))
-	for i := 0; i < len(r.points) && len(out) < len(r.ids); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.shard] {
-			seen[p.shard] = true
-			out = append(out, p.shard)
+	for i := 0; i < len(r.points) && len(out) < want; i++ {
+		if s := r.points[(start+i)%len(r.points)].shard; !slices.Contains(out, s) {
+			out = append(out, s)
 		}
 	}
 	return out

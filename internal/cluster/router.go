@@ -152,12 +152,12 @@ func (rt *Router) Registry() *obs.Registry { return rt.reg }
 // Grid returns the router's quantization grid.
 func (rt *Router) Grid() *tilecache.Grid { return rt.grid }
 
-// candidates returns the shard order to try for a key. A key in the hot
-// set rotates its starting replica (all R are warmed by Rebalance);
-// everything else starts at the primary. The full successor order
-// follows in both cases, so the failover path is always complete.
-func (rt *Router) candidates(k tilecache.Key) []int {
-	order := rt.ring.Order(k.String())
+// candidates returns the shards to try for a key, in order, at most
+// maxAttempts. A key in the hot set rotates its starting replica (all R
+// are warmed by Rebalance); everything else starts at the primary and is
+// placed without an allocation. The successor order follows in both
+// cases, so the failover path is as long as the ring allows.
+func (rt *Router) candidates(k tilecache.Key) placement {
 	rt.hotMu.RLock()
 	r := rt.hot[k]
 	var seq *uint64
@@ -165,21 +165,23 @@ func (rt *Router) candidates(k tilecache.Key) []int {
 		seq = rt.hotSeq[k]
 	}
 	rt.hotMu.RUnlock()
-	if r <= 1 || seq == nil || r > len(order) {
-		return order
+	if r <= 1 || seq == nil || r > len(rt.ids) {
+		return rt.ring.place(k)
 	}
 	rt.hotSeqM.Lock()
 	start := int(*seq % uint64(r))
 	*seq++
 	rt.hotSeqM.Unlock()
 	if start == 0 {
-		return order
+		return rt.ring.place(k)
 	}
-	rot := make([]int, 0, len(order))
-	rot = append(rot, order[start])
-	for i, s := range order {
+	order := rt.ring.Order(k.String())
+	rot := placement{n: 1}
+	rot.shards[0] = order[start]
+	for i := 0; i < len(order) && rot.n < maxAttempts; i++ {
 		if i != start {
-			rot = append(rot, s)
+			rot.shards[rot.n] = order[i]
+			rot.n++
 		}
 	}
 	return rot
@@ -189,9 +191,9 @@ func (rt *Router) candidates(k tilecache.Key) []int {
 // only the goroutine of the slot's group touches it.
 type tileSlot struct {
 	key   tilecache.Key
-	cands []int // candidate shards in order, at most maxAttempts
-	group int   // the tileGroup of its first candidate
-	tried int   // candidates asked so far
+	cands placement // candidate shards in order
+	group int       // the tileGroup of its first candidate
+	tried int       // candidates asked so far
 	// tp is the decoded patch once a candidate has served the tile; err is
 	// the tile's last failure, reported if every candidate fails.
 	tp  *dm.TilePatch
@@ -237,13 +239,13 @@ func (rt *Router) fetchGroup(f *fanOut, g int, tr *obs.Trace) {
 		n, shard := 0, -1
 		for i := range f.slots {
 			s := &f.slots[i]
-			if s.group != g || s.tp != nil || s.tried == len(s.cands) {
+			if s.group != g || s.tp != nil || s.tried == s.cands.n {
 				continue
 			}
 			if shard < 0 {
-				shard = s.cands[s.tried]
+				shard = s.cands.shards[s.tried]
 			}
-			if s.cands[s.tried] == shard && n < len(batch) {
+			if s.cands.shards[s.tried] == shard && n < len(batch) {
 				batch[n] = s
 				n++
 			}
@@ -287,7 +289,7 @@ func (rt *Router) fetchBatch(grp *tileGroup, batch []*tileSlot, shard int, tr *o
 		if err != nil {
 			s.err = err
 		}
-		if s.tried == len(s.cands) && grp.err == nil {
+		if s.tried == s.cands.n && grp.err == nil {
 			grp.err = fmt.Errorf("cluster: tile %s failed on all %d candidates: %w", s.key, s.tried, s.err)
 		}
 	}
@@ -453,12 +455,10 @@ func (rt *Router) launch(r geom.Rect, e float64, tr *obs.Trace) *fanOut {
 	firsts := firstBuf[:0]
 	for i, k := range keys {
 		cands := rt.candidates(k)
-		if len(cands) > maxAttempts {
-			cands = cands[:maxAttempts]
-		}
-		g := slices.Index(firsts, cands[0])
+		first := cands.shards[0]
+		g := slices.Index(firsts, first)
 		if g < 0 {
-			g, firsts = len(firsts), append(firsts, cands[0])
+			g, firsts = len(firsts), append(firsts, first)
 		}
 		f.slots[i] = tileSlot{key: k, cands: cands, group: g}
 	}

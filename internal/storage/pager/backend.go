@@ -10,6 +10,12 @@ import (
 // experiments: "disk accesses" are still counted by the Pager, but no real
 // I/O happens, which keeps the benchmark harness deterministic and fast
 // while preserving the paper's cost metric.
+//
+// A Pager directly over a MemBackend holds no page twice: its frames point
+// at the backend's pages (page) instead of copying them, so a write into
+// a pinned page is a write into the store, and flushing such a page writes
+// it onto itself, which WritePage skips. A Pager over a wrapped MemBackend
+// keeps its own copies, read through ReadPage.
 type MemBackend struct {
 	mu     sync.RWMutex // RLock on the read path so shards read in parallel
 	pages  [][]byte
@@ -19,31 +25,62 @@ type MemBackend struct {
 // NewMemBackend returns an empty in-memory backend.
 func NewMemBackend() *MemBackend { return &MemBackend{} }
 
-// ReadPage implements Backend.
-func (b *MemBackend) ReadPage(id PageID, buf []byte) error {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+// shortBuffer is the error of a page read or write handed fewer than
+// PageSize bytes.
+func shortBuffer(backend string, buf []byte) error {
+	return fmt.Errorf("%s: buffer of %d bytes, want %d", backend, len(buf), PageSize)
+}
+
+// pageLocked returns page id's own bytes, or why there are none. Caller
+// holds b.mu.
+func (b *MemBackend) pageLocked(id PageID) ([]byte, error) {
 	if b.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if int(id) >= len(b.pages) {
-		return fmt.Errorf("membackend: page %d out of range (%d pages)", id, len(b.pages))
+		return nil, fmt.Errorf("membackend: page %d out of range (%d pages)", id, len(b.pages))
 	}
-	copy(buf, b.pages[id])
+	return b.pages[id], nil
+}
+
+// page lends page id's own bytes to a Pager's frame (pool.mem).
+func (b *MemBackend) page(id PageID) ([]byte, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.pageLocked(id)
+}
+
+// ReadPage implements Backend.
+func (b *MemBackend) ReadPage(id PageID, buf []byte) error {
+	if len(buf) < PageSize {
+		return shortBuffer("membackend", buf)
+	}
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	p, err := b.pageLocked(id)
+	if err != nil {
+		return err
+	}
+	copy(buf, p)
 	return nil
 }
 
-// WritePage implements Backend.
+// WritePage implements Backend. Handed the page's own bytes — a flush
+// from a frame that points at the page — it has nothing to write, and
+// writes nothing, so such a flush never races with the page's readers.
 func (b *MemBackend) WritePage(id PageID, buf []byte) error {
+	if len(buf) < PageSize {
+		return shortBuffer("membackend", buf)
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return ErrClosed
+	p, err := b.pageLocked(id)
+	if err != nil {
+		return err
 	}
-	if int(id) >= len(b.pages) {
-		return fmt.Errorf("membackend: page %d out of range (%d pages)", id, len(b.pages))
+	if &p[0] != &buf[0] {
+		copy(p, buf)
 	}
-	copy(b.pages[id], buf)
 	return nil
 }
 
@@ -107,6 +144,9 @@ func OpenFile(path string) (*FileBackend, error) {
 
 // ReadPage implements Backend.
 func (b *FileBackend) ReadPage(id PageID, buf []byte) error {
+	if len(buf) < PageSize {
+		return shortBuffer("filebackend", buf)
+	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if b.closed {
@@ -121,6 +161,9 @@ func (b *FileBackend) ReadPage(id PageID, buf []byte) error {
 
 // WritePage implements Backend.
 func (b *FileBackend) WritePage(id PageID, buf []byte) error {
+	if len(buf) < PageSize {
+		return shortBuffer("filebackend", buf)
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {

@@ -1,6 +1,7 @@
 package pager_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -207,4 +208,101 @@ func TestChecksumOverFaultfs(t *testing.T) {
 		t.Fatal("page content corrupted")
 	}
 	fr.Unpin()
+}
+
+// A pool over a wrapped MemBackend keeps its own copy of every page, so
+// the wrapper sees every read: a bit flipped by a faultfs read lands in
+// the frame, never in the MemBackend's page, and a frame scribbled on
+// without MarkDirty leaves the stored page as it was.
+func TestWrappedMemBackendPagesAreCopied(t *testing.T) {
+	mem := pager.NewMemBackend()
+	fb := faultfs.Wrap(mem)
+	p := pager.New(fb, 8)
+	defer p.Close()
+	fr, err := p.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := fr.ID()
+	copy(fr.Data(), "payload")
+	fr.Unpin()
+	if err := p.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	stored := make([]byte, pager.PageSize)
+	if err := mem.ReadPage(id, stored); err != nil {
+		t.Fatal(err)
+	}
+
+	fb.SetCorrupt(faultfs.Schedule{Every: 1, Seed: 3})
+	fr, err = p.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(fr.Data(), stored) {
+		t.Fatal("the corrupting read flipped no bit of the frame")
+	}
+	fr.Data()[0] ^= 0xff // no MarkDirty: dropped with the frame
+	fr.Unpin()
+	fb.Heal()
+	if err := p.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	after := make([]byte, pager.PageSize)
+	if err := mem.ReadPage(id, after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, stored) || string(after[:7]) != "payload" {
+		t.Fatal("the MemBackend page changed under a wrapped pool")
+	}
+	if fb.Stats().Ops[faultfs.Read] != 1 {
+		t.Fatalf("wrapper saw %d reads, want 1", fb.Stats().Ops[faultfs.Read])
+	}
+}
+
+// The same holds over a checksummed MemBackend: a frame scribbled on
+// without MarkDirty leaves every page of the MemBackend as it was.
+func TestChecksummedMemBackendPagesAreCopied(t *testing.T) {
+	mem := pager.NewMemBackend()
+	cb, err := pager.Checksummed(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pager.New(cb, 8)
+	defer p.Close()
+	fr, err := p.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := fr.ID()
+	copy(fr.Data(), "payload")
+	fr.Unpin()
+	if err := p.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	stored := memPages(t, mem)
+	fr, err = p.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Data()[0] ^= 0xff // no MarkDirty: dropped with the frame
+	fr.Unpin()
+	if err := p.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(memPages(t, mem), stored) {
+		t.Fatal("the MemBackend changed under a checksummed pool")
+	}
+}
+
+// memPages returns every page of mem, concatenated.
+func memPages(t *testing.T, mem *pager.MemBackend) []byte {
+	t.Helper()
+	out := make([]byte, int(mem.NumPages())*pager.PageSize)
+	for id := pager.PageID(0); id < mem.NumPages(); id++ {
+		if err := mem.ReadPage(id, out[int(id)*pager.PageSize:][:pager.PageSize]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }

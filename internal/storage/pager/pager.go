@@ -119,10 +119,13 @@ type Policy int
 // LRU evicts the least recently used unpinned page.
 const LRU Policy = 0
 
-// frame is one page buffer. A shard allocates at most cap of them, lazily,
-// and keeps them: resident (in sh.frames — pinned, or unpinned and on the
-// LRU list) or on the free list until the next miss. gen counts
-// its trips there, which tells a pin handle that outlived its page.
+// frame is one buffered page. A shard allocates at most cap of them,
+// lazily, and keeps them: resident (in sh.frames — pinned, or unpinned and
+// on the LRU list) or on the free list until the next miss. gen counts
+// its trips there, which tells a pin handle that outlived its page. data
+// is the backend's own page over a bare MemBackend (pool.mem), re-pointed
+// at each page the frame takes; otherwise it is the frame's own buffer,
+// made on first use and copied into from then on.
 type frame struct {
 	sh         *shard
 	id         PageID
@@ -158,6 +161,11 @@ type shard struct {
 // pool is the shared state behind one or more Pager views.
 type pool struct {
 	backend Backend
+	// mem is backend when it is a bare MemBackend, whose pages frames use
+	// in place; nil otherwise. A wrapper around one (Checksummed, faultfs,
+	// StorePools.WrapBackend) is not, so every page read through it still
+	// passes its ReadPage.
+	mem     *MemBackend
 	shards  []*shard
 	allocMu sync.Mutex // serializes backend allocation
 	stats   counters
@@ -197,6 +205,7 @@ func NewSharded(backend Backend, capPages, shards int, _ Policy) *Pager {
 	capPages = max(capPages, 4)
 	shards = min(max(shards, 1), capPages/4)
 	pl := &pool{backend: backend, shards: make([]*shard, shards)}
+	pl.mem, _ = backend.(*MemBackend)
 	base, extra := capPages/shards, capPages%shards
 	for i := range pl.shards {
 		c := base
@@ -314,7 +323,7 @@ func (p *Pager) Get(id PageID) (Frame, error) {
 		p.sess.c.misses.Add(1)
 		p.sess.c.reads.Add(1)
 	}
-	if err := pl.backend.ReadPage(id, f.data); err != nil {
+	if err := pl.fill(f, false); err != nil {
 		sh.recycle(f) // never registered: no map entry to undo
 		return Frame{}, fmt.Errorf("pager: read page %d: %w", id, err)
 	}
@@ -342,7 +351,10 @@ func (p *Pager) Allocate() (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
-	clear(f.data) // a recycled buffer holds its last page
+	if err := pl.fill(f, true); err != nil {
+		sh.recycle(f)
+		return Frame{}, fmt.Errorf("pager: allocate page %d: %w", id, err)
+	}
 	f.dirty = true
 	sh.frames[id] = f
 	return Frame{f: f, gen: f.gen}, nil
@@ -358,23 +370,50 @@ func (sh *shard) touch(f *frame) {
 }
 
 // newFrame makes room for and returns a pinned frame for page id, from the
-// free list or, at most cap times in a shard's life, newly allocated. The
-// caller fills it and enters it in sh.frames, or recycles it. Caller holds sh.mu.
+// free list or, at most cap times in a shard's life, newly allocated with
+// no bytes (fill gives it some). The caller fills it and enters it in
+// sh.frames, or recycles it. Caller holds sh.mu.
 func (sh *shard) newFrame(id PageID, sess *Session) (*frame, error) {
 	if err := sh.makeRoom(sess); err != nil {
 		return nil, err
 	}
 	f := sh.free
 	if f == nil {
-		f = &frame{sh: sh, data: make([]byte, PageSize)}
+		f = &frame{sh: sh}
 	}
 	sh.free, f.next = f.next, nil
 	f.id, f.pins = id, 1
 	return f, nil
 }
 
+// fill gives f the bytes of its page: a fresh page's zeroes for Allocate,
+// the stored page for Get. Over a bare MemBackend f is pointed at the
+// backend's page, never copied into: a recycled frame still points at the page it
+// held last, and a copy would overwrite that page. A brand-new backend
+// page is zero already. Otherwise f reads into its own buffer, made on
+// first use; a recycled buffer holds its last page, so a fresh one is
+// cleared.
+func (pl *pool) fill(f *frame, fresh bool) error {
+	if pl.mem != nil {
+		d, err := pl.mem.page(f.id)
+		if err != nil {
+			return err
+		}
+		f.data = d
+		return nil
+	}
+	if f.data == nil {
+		f.data = make([]byte, PageSize)
+	}
+	if fresh {
+		clear(f.data)
+		return nil
+	}
+	return pl.backend.ReadPage(f.id, f.data)
+}
+
 // recycle puts a frame that is out of sh.frames and the LRU list on the
-// free list; Get's read or Allocate's clear overwrites its bytes.
+// free list; the next fill re-points it or overwrites its bytes.
 func (sh *shard) recycle(f *frame) {
 	f.gen++
 	f.pins, f.dirty = 0, false

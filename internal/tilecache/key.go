@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"dmesh/internal/geom"
 )
@@ -55,7 +56,20 @@ func (k Key) Less(o Key) bool {
 // computing a key's placement must hash identical bytes, so the format
 // is part of the routing contract.
 func (k Key) String() string {
-	return fmt.Sprintf("%d/%d/%d/%d", k.Level, k.IY, k.IX, k.Band)
+	var buf [48]byte
+	return string(k.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the key's canonical spelling (String) to b: the router
+// hashes it from a stack buffer.
+func (k Key) AppendTo(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(k.Level), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(k.IY), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(k.IX), 10)
+	b = append(b, '/')
+	return strconv.AppendInt(b, int64(k.Band), 10)
 }
 
 // Grid quantizes queries for one store: a power-of-two tile grid over the
