@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt build vet test race fuzzsmoke bench benchsmoke benchrepo figures loc
+.PHONY: verify fmt build vet test race fuzzsmoke benchsmoke benchrepo figures loc
 
 # The CI gate: formatting, build, vet, the whole test suite under the
 # race detector (no test in the repo is short-mode gated: `grep -rn
@@ -42,10 +42,12 @@ race:
 # by the input whatever a header claims, finite coordinates out.
 # FuzzMeshJSON is the one encoder target: the /tile and /frame bodies
 # serve writes by hand must be json.Marshal's bytes, or its error, for any
-# IDs, floats and session name. FuzzBTreePages is the one target over
-# store pages: it overwrites bytes of a B+-tree btree.Build wrote, meta
-# page included, and asserts that Open, Get, Range and Height neither
-# panic nor walk without end, and allocate within a bound. New coverage is minimized on a short
+# IDs, floats and session name. FuzzBTreePages and FuzzRTreePages are the
+# targets over store pages: each overwrites bytes of a tree its package
+# wrote (a B+-tree from btree.Build, an R*-tree from rtree.BulkLoad), meta
+# page included, and asserts that Open and the tree's readers (Get, Range
+# and Height; Search and Nodes) neither panic nor walk without end, and
+# allocate within a bound. New coverage is minimized on a short
 # leash so the seconds go to fuzzing.
 # Longer explorations just raise -fuzztime.
 fuzzsmoke:
@@ -57,15 +59,13 @@ fuzzsmoke:
 	$(GO) test -fuzz 'FuzzReadDEM' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzReadDEM$$' ./internal/demio/
 	$(GO) test -fuzz 'FuzzMeshJSON' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzMeshJSON$$' ./internal/serve/
 	$(GO) test -fuzz 'FuzzBTreePages' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzBTreePages$$' ./internal/storage/btree/
+	$(GO) test -fuzz 'FuzzRTreePages' -fuzztime 5s -fuzzminimizetime 1s -run '^FuzzRTreePages$$' ./internal/rtree/
 
-# The paper's metric: custom DA/... counters, not ns/op. Runs the unit
-# suite first (a benchmark of broken code measures nothing); -run '^$$'
-# keeps the tests out of the timed benchmark binary itself.
-bench: test
-	$(GO) test -bench=. -benchmem -run '^$$'
-
-# One-iteration benchmark pass: proves every benchmark still runs
-# without paying for statistically meaningful timings (the CI smoke).
+# One-iteration pass over the packages' micro-benchmarks: proves each
+# still runs without paying for statistically meaningful timings (the CI
+# smoke). The paper's metric is not among them: every disk-access count,
+# the ablations' included, is a row of the figure table that
+# TestFigureTablePinned pins.
 benchsmoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
 

@@ -8,9 +8,10 @@
 //	        [-cpuprofile F] [-memprofile F]
 //
 // The ids are the rows of experiments.Table, whose comments say what each
-// figure measures: conn, 6a..6d and 8a..8f are the paper's; throughput,
-// flyover, tilecache, faults, dabreakdown, layoutcmp, cluster, stream
-// and obstrace measure this repository's extensions. Every figure runs
+// figure measures: conn, 6a..6d and 8a..8f are the paper's; ablation
+// sets DESIGN.md §5's decisions against their alternatives; flyover,
+// tilecache, faults, dabreakdown, layoutcmp, cluster, stream and
+// obstrace measure this repository's extensions. Every figure runs
 // on the str layout, the paper's fixed records; layoutcmp builds a
 // packed store beside it. layoutcmp, cluster and obstrace also write
 // their series to results/BENCH_*.json, stamped with the row's pinned

@@ -75,11 +75,6 @@ type (
 	// TileQueryStats describes how one DMTileCache.Query was answered
 	// (snapped LOD, tiles stitched, cold misses, disk accesses).
 	TileQueryStats = tilecache.QueryStats
-	// BatchQuery describes one independent query for DMStore.QueryBatch.
-	BatchQuery = dm.BatchQuery
-	// BatchResult is one QueryBatch outcome: mesh, per-query disk
-	// accesses, error.
-	BatchResult = dm.BatchResult
 	// PMStore is the disk-resident Progressive Mesh baseline.
 	PMStore = pm.Store
 	// HDoVStore is the disk-resident HDoV-tree baseline.

@@ -125,11 +125,12 @@ func TestConcurrentPlaneQueries(t *testing.T) {
 	wg.Wait()
 }
 
-// TestQueryBatchAttribution checks the batch API's accounting invariant:
-// starting cold, the per-query disk accesses reported by QueryBatch sum
-// exactly to the store's global counter — every page read is charged to
-// exactly one session.
-func TestQueryBatchAttribution(t *testing.T) {
+// TestConcurrentSessionAttribution checks the per-session accounting
+// invariant: starting cold, the disk accesses of sessions run from
+// concurrent goroutines, one session a query, sum exactly to the store's
+// global counter — every page read is charged to exactly one session —
+// and each concurrent answer equals the serial one.
+func TestConcurrentSessionAttribution(t *testing.T) {
 	ds, _ := buildDataset(t, 9, "highland")
 	s := newTestStore(t, ds)
 	model, err := s.CostModel()
@@ -140,42 +141,70 @@ func TestQueryBatchAttribution(t *testing.T) {
 		R:    geom.Rect{MinX: 0.05, MinY: 0.05, MaxX: 0.95, MaxY: 0.95},
 		EMin: eAtPercentile(ds, 0.3), EMax: eAtPercentile(ds, 0.9), Axis: 1,
 	}
-	qs := []BatchQuery{
-		{ROI: geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.6, MaxY: 0.6}, E: eAtPercentile(ds, 0.5)},
-		{ROI: geom.Rect{MinX: 0.3, MinY: 0.2, MaxX: 0.9, MaxY: 0.8}, E: eAtPercentile(ds, 0.7)},
-		{Plane: &qp},
-		{Plane: &qp, Strips: model.PlanStrips(qp, 0)},
-		{ROI: fullRect(), E: eAtPercentile(ds, 0.9)},
+	uniform := func(roi geom.Rect, e float64) func(*Session) (*Result, error) {
+		return func(q *Session) (*Result, error) { return q.ViewpointIndependent(roi, e) }
+	}
+	strips := model.PlanStrips(qp, 0)
+	qs := []func(*Session) (*Result, error){
+		uniform(geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.6, MaxY: 0.6}, eAtPercentile(ds, 0.5)),
+		uniform(geom.Rect{MinX: 0.3, MinY: 0.2, MaxX: 0.9, MaxY: 0.8}, eAtPercentile(ds, 0.7)),
+		func(q *Session) (*Result, error) { return q.SingleBase(qp) },
+		func(q *Session) (*Result, error) { return q.ExecuteStrips(qp, strips) },
+		uniform(fullRect(), eAtPercentile(ds, 0.9)),
+	}
+	type outcome struct {
+		res *Result
+		da  uint64
+		err error
+	}
+	run := func(i int) outcome {
+		sess := s.NewSession()
+		res, err := qs[i](sess)
+		return outcome{res, sess.DiskAccesses(), err}
 	}
 
 	// Serial baseline answers (counts only; maps compare by content).
-	serial := s.QueryBatch(qs, 1)
+	serial := make([]outcome, len(qs))
+	for i := range qs {
+		if serial[i] = run(i); serial[i].err != nil {
+			t.Fatalf("query %d: %v", i, serial[i].err)
+		}
+	}
 
 	if err := s.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
 	s.ResetStats()
-	out := s.QueryBatch(qs, 4)
+	out := make([]outcome, len(qs))
+	var wg sync.WaitGroup
+	for i := range qs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out[i] = run(i)
+		}(i)
+	}
+	wg.Wait()
 	var sum uint64
 	for i, r := range out {
-		if r.Err != nil {
-			t.Fatalf("query %d: %v", i, r.Err)
+		if r.err != nil {
+			t.Fatalf("query %d: %v", i, r.err)
 		}
 		// No per-query DA floor: overlapping queries legitimately hit
 		// pages a concurrent sibling already faulted in.
-		if len(r.Res.Vertices) != len(serial[i].Res.Vertices) ||
-			len(r.Res.Triangles) != len(serial[i].Res.Triangles) {
+		if len(r.res.Vertices) != len(serial[i].res.Vertices) ||
+			len(r.res.Triangles) != len(serial[i].res.Triangles) {
 			t.Fatalf("query %d: concurrent result (%d verts, %d tris) != serial (%d, %d)",
-				i, len(r.Res.Vertices), len(r.Res.Triangles),
-				len(serial[i].Res.Vertices), len(serial[i].Res.Triangles))
+				i, len(r.res.Vertices), len(r.res.Triangles),
+				len(serial[i].res.Vertices), len(serial[i].res.Triangles))
 		}
-		sum += r.DA
+		sum += r.da
 	}
 	if global := s.DiskAccesses(); sum != global {
 		t.Fatalf("per-query DA sum %d != store global %d", sum, global)
 	}
 	if sum == 0 {
-		t.Fatal("cold batch reports zero disk accesses in total")
+		t.Fatal("cold concurrent sessions report zero disk accesses in total")
 	}
 }
 

@@ -1,12 +1,6 @@
 package dm
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"dmesh/internal/costmodel"
-	"dmesh/internal/geom"
 	"dmesh/internal/obs"
 	"dmesh/internal/rtree"
 	"dmesh/internal/storage/btree"
@@ -95,70 +89,4 @@ func (q *Session) ResetStats() {
 	q.overS.Reset()
 	q.rtS.Reset()
 	q.idxS.Reset()
-}
-
-// BatchQuery describes one independent query of a batch. Plane nil means
-// a viewpoint-independent query Q(ROI, E); Plane non-nil is a
-// viewpoint-dependent query, executed single-base unless Strips carries
-// an explicit (e.g. cost-model) plan.
-type BatchQuery struct {
-	ROI    geom.Rect
-	E      float64
-	Plane  *geom.QueryPlane
-	Strips []costmodel.Strip
-}
-
-// BatchResult is one query's outcome: the mesh, the disk accesses
-// attributed to exactly this query, and its error if any.
-type BatchResult struct {
-	Res *Result
-	DA  uint64
-	Err error
-}
-
-// QueryBatch answers independent queries concurrently against one store
-// with at most workers goroutines (<= 0 means GOMAXPROCS). Each query
-// runs in its own Session, so per-query disk-access counts are exact even
-// though the queries share the buffer pool. Results are positional:
-// out[i] answers qs[i].
-func (s *Store) QueryBatch(qs []BatchQuery, workers int) []BatchResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	out := make([]BatchResult, len(qs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				out[i] = s.runBatchQuery(qs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-func (s *Store) runBatchQuery(q BatchQuery) BatchResult {
-	sess := s.NewSession()
-	var res *Result
-	var err error
-	switch {
-	case q.Plane == nil:
-		res, err = sess.ViewpointIndependent(q.ROI, q.E)
-	case len(q.Strips) > 0:
-		res, err = sess.ExecuteStrips(*q.Plane, q.Strips)
-	default:
-		res, err = sess.SingleBase(*q.Plane)
-	}
-	return BatchResult{Res: res, DA: sess.DiskAccesses(), Err: err}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -71,9 +70,6 @@ func pinnedJSON(t *testing.T, res any, unpinned []string) []byte {
 // with figureHashes. It fails on a row without a hash and on a hash that
 // names no row. Rows share one Env and run in table order, one at a time.
 func TestFigureTablePinned(t *testing.T) {
-	// throughput's worker list and pool shard count follow GOMAXPROCS;
-	// fixing it keeps the hash independent of the host.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	rows := Table()
 	for id := range figureHashes {
 		if !slices.ContainsFunc(rows, func(r Row) bool { return r.ID == id }) {

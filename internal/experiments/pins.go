@@ -10,7 +10,8 @@ package experiments
 // record and so moved which records share a data page. obstrace was
 // re-pinned once more when a fan-out began asking each shard once for all
 // the cover tiles it owns: only its shard_hop span counts moved, one hop
-// per shard request instead of one per tile.
+// per shard request instead of one per tile. ablation was pinned at the
+// DA the root package's ablation benchmarks it replaced printed.
 //
 // The map is program code, not test code, because dmbench stamps a row's
 // hash into the results/ file it writes (Row.Pin), and
@@ -18,7 +19,6 @@ package experiments
 // hash.
 var figureHashes = map[string]string{
 	"conn":        "d37e1d4ace7aa9d6b2557864f2fb59fff16e2d3f3efb735b0a523217e164f5c2",
-	"throughput":  "91f31ecc1ee999c6d144f6e12e5fb32d230a42e5a0ba5892e0849f2d50f2e4fa",
 	"flyover":     "f332778510164845498ab45627ce47ee93ac631f4d2f62b37b065a00f6f17efa",
 	"6a":          "2810427c819faae117170afc771f89d28a9e9411d4e7e7765a9a2fbbbd62bd57",
 	"6b":          "9f09b3397c528dad5ce581bd30262f02319b929adb85516bf2ffa1ec1fcb4ad2",
@@ -30,6 +30,7 @@ var figureHashes = map[string]string{
 	"8d":          "2a992da8f749b0c3e057fe19f56c60679333fcee66000f8148f3d2f22fd579ba",
 	"8e":          "ba8e58f5a91aa9fdeedc3560b19738ef0ef8a1abc6e2427a0a21fddcd0cd1f94",
 	"8f":          "01e8fec4016d4dbbd18ef7b225491104b5f3278dddaa1130aa2bbd624d677ab2",
+	"ablation":    "c2e63358717ab1d3de1d17965ee828807151ea0a357fffcfc14b09e9929dacb2",
 	"tilecache":   "8f59cb492555a9e651bb811289034436845e9375f8c239be79da26a8fa6475be",
 	"faults":      "00b3194fc23b1c071dad6fd7fc54bf914fc9eb18859e9f18242ef0fe0668ee61",
 	"dabreakdown": "1c39c33ed8c9ad0ebe960cb5a0cc4e996fd6b9d21e9c639384ea91fbfda0371b",

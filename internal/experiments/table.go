@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"text/tabwriter"
 
 	"dmesh"
@@ -131,21 +130,6 @@ func Table() []Row {
 			return connFigure{Name: b.Name, Points: b.Terrain.NumPoints(), ConnStats: b.Terrain.Sequence.Stats()}, nil
 		}, printConn),
 
-		// Not a paper figure: the Fig 6(a) workload served by a worker pool
-		// over a sharded buffer pool — queries/sec and speedup by worker
-		// count, with per-query disk accesses held constant.
-		row("throughput", highlandOnly, func(e *Env, b *Bundle) (*throughputFigure, error) {
-			workers := []int{1, 2, 4, 8}
-			if n := runtime.GOMAXPROCS(0); n > 8 {
-				workers = append(workers, n)
-			}
-			pts, err := b.ParallelThroughput(e.Cfg, 0.06, workers, 20)
-			if err != nil {
-				return nil, err
-			}
-			return &throughputFigure{Name: b.Name, Shards: runtime.GOMAXPROCS(0), Points: pts}, nil
-		}, printThroughput),
-
 		// The temporal-coherence extension: mean DA per frame along a
 		// camera path, full re-query against the incremental engine, swept
 		// over frame-to-frame overlap on a memory-constrained store.
@@ -185,6 +169,12 @@ func Table() []Row {
 		paper("8f", "crater", func(b *Bundle, cfg workload.Config) (*Figure, error) {
 			return b.Fig8Angle(cfg, 0.05, angleFracs)
 		}),
+
+		// DESIGN.md §5's decisions against their alternatives: multi-base
+		// planning, cold buffers, buffer-pool size and visibility culling.
+		row("ablation", highlandOnly, func(e *Env, b *Bundle) (*AblationFigure, error) {
+			return b.Ablation(e.Cfg)
+		}, printAblation),
 
 		// The shared mesh-tile cache: mean DA per query on a skewed
 		// multi-client workload, direct engine against cache-served. The
@@ -246,14 +236,6 @@ type connFigure struct {
 	simplify.ConnStats
 }
 
-// throughputFigure is the -fig throughput result; Shards is the pool's
-// shard count, GOMAXPROCS.
-type throughputFigure struct {
-	Name   string
-	Shards int
-	Points []ThroughputPoint
-}
-
 // breakdown is the -fig dabreakdown result for one dataset.
 type breakdown struct {
 	Name    string
@@ -285,17 +267,6 @@ func printFigure(w io.Writer, id string, f *Figure) error {
 			}
 			fmt.Fprintln(tw)
 		}
-	}
-	return tw.Flush()
-}
-
-func printThroughput(w io.Writer, f *throughputFigure) error {
-	fmt.Fprintf(w, "\nConcurrent serving throughput (%s, %d queries/round, %d pool shards):\n",
-		f.Name, f.Points[0].Queries, f.Shards)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workers\tqueries/sec\tspeedup\tDA/query")
-	for _, p := range f.Points {
-		fmt.Fprintf(tw, "%d\t%.0f\t%.2fx\t%.1f\n", p.Workers, p.QPS, p.Speedup, p.DAPerQuery)
 	}
 	return tw.Flush()
 }

@@ -40,23 +40,45 @@ type Tree struct {
 	count  int64
 }
 
-// Open attaches to an existing tree.
+// Open attaches to an existing tree. Every descent trusts the meta page's
+// height as its depth bound, so a root off the file or on the meta page, a
+// height of 0 or above the file's node pages, and a height that is not
+// the length of the root's leftmost path (read through p) are ErrCorrupt.
 func Open(p *pager.Pager) (*Tree, error) {
 	meta, err := p.Get(metaPage)
 	if err != nil {
 		return nil, fmt.Errorf("rtree: open: %w", err)
 	}
-	defer meta.Unpin()
 	d := meta.Data()
-	if binary.LittleEndian.Uint32(d[0:]) != magic {
-		return nil, errors.New("rtree: bad magic")
-	}
-	return &Tree{
+	t := &Tree{
 		p:      p,
 		root:   pager.PageID(binary.LittleEndian.Uint32(d[4:])),
 		height: int(binary.LittleEndian.Uint32(d[8:])),
 		count:  int64(binary.LittleEndian.Uint64(d[12:])),
-	}, nil
+	}
+	bad := binary.LittleEndian.Uint32(d[0:]) != magic
+	meta.Unpin()
+	switch pages := p.NumPages(); {
+	case bad:
+		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	case t.root == metaPage || t.root >= pages:
+		return nil, fmt.Errorf("%w: root page %d out of range", ErrCorrupt, t.root)
+	case t.height < 1 || t.height >= int(pages):
+		return nil, fmt.Errorf("%w: height %d in a file of %d pages", ErrCorrupt, t.height, pages)
+	}
+	for id, level := t.root, t.height; ; level-- {
+		n, err := t.readNode(id)
+		switch {
+		case err != nil:
+			return nil, err
+		case n.leaf != (level == 1) || len(n.entries) == 0 && !n.leaf:
+			return nil, fmt.Errorf("%w: height %d, node %d at level %d is leaf=%v with %d entries",
+				ErrCorrupt, t.height, id, level, n.leaf, len(n.entries))
+		case n.leaf:
+			return t, nil
+		}
+		id = pager.PageID(n.entries[0].ref)
+	}
 }
 
 // RootBox returns the bounding box of the tree stored on b: the union of
@@ -234,7 +256,9 @@ type NodeInfo struct {
 
 // Nodes calls fn for every node in the tree (root first, depth-first).
 // The cost model of Section 5.3 needs every node's extents (w_i, h_i, d_i
-// in formula (1)).
+// in formula (1)). An empty tree (no entries, and a root without any) has
+// no node with extents: fn is never called and Nodes returns nil. Any
+// other node without entries is ErrCorrupt.
 func (t *Tree) Nodes(fn func(NodeInfo) bool) error {
 	_, err := t.nodes(t.root, t.height, fn)
 	return err
@@ -247,6 +271,12 @@ func (t *Tree) nodes(id pager.PageID, level int, fn func(NodeInfo) bool) (bool, 
 	n, err := t.readNode(id)
 	if err != nil {
 		return false, err
+	}
+	if len(n.entries) == 0 {
+		if id == t.root && t.count == 0 {
+			return true, nil
+		}
+		return false, fmt.Errorf("%w: node %d is empty", ErrCorrupt, id)
 	}
 	if !fn(NodeInfo{Level: level, Box: n.mbr(), Entries: len(n.entries)}) {
 		return false, nil

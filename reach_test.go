@@ -45,8 +45,6 @@ var reachAllowlist = map[string]string{
 	"dmesh/internal/storage/heapfile.File.Scan":          "sequential reference of TestScan",
 	"dmesh/internal/storage/heapfile.VarFile.Scan":       "sequential reference of TestVarFileScan",
 	"dmesh/internal/dm.CoherentSession.FrameUniform":     "viewpoint-independent coherent frames of TestCoherentUniformExact",
-	"dmesh/internal/costmodel.EqualStrips":               "ablation: BenchmarkAblationMultiBase",
-	"dmesh/internal/hdov.Store.QueryPlaneLODRTree":       "ablation: BenchmarkAblationVisibility",
 	"dmesh/internal/costmodel.Model.DataFactor":          "ROADMAP item 8(c)",
 	"dmesh/internal/storage/faultfs.Backend.SetLatency":  "ROADMAP item 10's fault drill",
 	"dmesh/internal/cluster.Router.Handler":              "ROADMAP item 10: the cluster's HTTP face",
