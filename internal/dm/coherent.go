@@ -203,12 +203,14 @@ func (c *CoherentSession) frame(qp geom.QueryPlane, target []geom.Box) (*Result,
 // from 77.1 to 85.5 at 0.90.
 func (f *fetcher) fetchEach(boxes []geom.Box) (int, error) {
 	defer f.rd.release()
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	fetched := 0
 	for i := range boxes {
-		if err := f.search(boxes[i : i+1]); err != nil {
+		if err := f.search(sc, boxes[i:i+1]); err != nil {
 			return fetched, err
 		}
-		n, err := f.fetchRIDs()
+		n, err := f.fetchRIDs(sc.rids)
 		fetched += n
 		if err != nil {
 			return fetched, err

@@ -129,7 +129,8 @@ func TestConcurrentPlaneQueries(t *testing.T) {
 // invariant: starting cold, the disk accesses of sessions run from
 // concurrent goroutines, one session a query, sum exactly to the store's
 // global counter — every page read is charged to exactly one session —
-// and each concurrent answer equals the serial one.
+// and each concurrent answer equals the serial one. A FetchByID among the
+// queries reads the ID index, so all four of a session's files are read.
 func TestConcurrentSessionAttribution(t *testing.T) {
 	ds, _ := buildDataset(t, 9, "highland")
 	s := newTestStore(t, ds)
@@ -151,6 +152,10 @@ func TestConcurrentSessionAttribution(t *testing.T) {
 		func(q *Session) (*Result, error) { return q.SingleBase(qp) },
 		func(q *Session) (*Result, error) { return q.ExecuteStrips(qp, strips) },
 		uniform(fullRect(), eAtPercentile(ds, 0.9)),
+		func(q *Session) (*Result, error) {
+			n, err := q.FetchByID(int64(s.NumNodes() / 2))
+			return &Result{Vertices: map[int64]geom.Point3{n.ID: n.Pos}}, err
+		},
 	}
 	type outcome struct {
 		res *Result

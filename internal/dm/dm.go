@@ -29,7 +29,9 @@ import (
 	"dmesh/internal/geom"
 	"dmesh/internal/obs"
 	"dmesh/internal/pm"
+	"dmesh/internal/rtree"
 	"dmesh/internal/simplify"
+	"dmesh/internal/storage/heapfile"
 )
 
 // Node is one Direct Mesh node as queries hold it: what reconstruction
@@ -241,14 +243,20 @@ func (l *lifter) rep(p int) int32 {
 	return r
 }
 
-// scratch is the working memory of one assemble, fetched, MaterializeTile
-// or StitchTiles call: every buffer each needs that the Result, the record
-// set or the patch does not keep. It comes from scratchPool and goes back
-// when the call returns, holding no pointer into a record set (merge is
-// cleared first). A coherent session keeps none of its own — 64 cameras
-// would hold ≈ 300 KB each between frames for what the pool lends for the
-// length of a call.
+// scratch is the working memory of one fetchBoxes, fetchEach, assemble,
+// fetched, MaterializeTile or StitchTiles call: every buffer each needs
+// that the Result, the record set or the patch does not keep. It comes
+// from scratchPool and goes back when the call returns, holding no pointer
+// into a record set or a page (merge is cleared first; the search's lists
+// hold RIDs, box numbers and the R*-tree's boxes and refs). A coherent
+// session keeps none of its own — 64 cameras would hold ≈ 300 KB each
+// between frames for what the pool lends for the length of a call.
 type scratch struct {
+	rids  []heapfile.RID  // the search's RID list, box-major once regrouped
+	spare []heapfile.RID  // the regroup's second RID buffer, swapped with rids
+	boxOf []int32         // boxOf[i] is the query box rids[i] matched, while search regroups
+	next  []int           // the regroup's counts, then each box's next slot
+	rt    rtree.Scratch   // the R*-tree descent's stacks
 	reps  []int32         // assemble's live representatives, per record
 	fids  []int64         // assemble's record IDs, indexed by slots
 	ids   []int64         // assemble's cut and the stitch's vertex list, ascending

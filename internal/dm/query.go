@@ -13,18 +13,18 @@ import (
 	"dmesh/internal/storage/heapfile"
 )
 
-// fetcher runs the range queries of one Direct Mesh query, reusing the
-// RID list and the record reader across searches and appending the
-// decoded records to one slab in arrival order. fetched turns the slab
-// into the record set — a []Node ascending by ID, each ID once — the only
-// form fetched records take: queries assemble it, coherent sessions
-// retain it, tile patches keep it.
+// fetcher runs the range queries of one Direct Mesh query, appending the
+// decoded records to one slab in arrival order. It keeps only that slab
+// and its record reader (the connection-list arena included): the
+// search's RID lists and descent stacks are pooled scratch, borrowed for
+// the length of fetchBoxes or fetchEach. fetched turns the slab into the
+// record set — a []Node ascending by ID, each ID once — the only form
+// fetched records take: queries assemble it, coherent sessions retain it,
+// tile patches keep it.
 type fetcher struct {
-	s     *Store
-	rids  []heapfile.RID
-	boxOf []int32 // boxOf[i] is the query box rids[i] matched, while search regroups
-	rd    recReader
-	recs  []Node
+	s    *Store
+	rd   recReader
+	recs []Node
 	// kept is how many records at the head of recs already form a record
 	// set: a coherent frame's retained records, none for a fresh fetcher.
 	kept int
@@ -42,16 +42,16 @@ func (s *Store) newFetcher() *fetcher {
 
 // oneShot recycles the fetchers of one-shot queries, whose records die
 // with the query (assemble copies out all the Result keeps): the next
-// query reuses the slab, RID list and arena chunks instead of
-// allocating them. Coherent sessions and tile patches keep their records
-// and use newFetcher. Idle fetchers go at the second GC.
+// query reuses the slab and the arena's chunks instead of allocating
+// them. Coherent sessions and tile patches keep their records and use
+// newFetcher. Idle fetchers go at the second GC.
 var oneShot = sync.Pool{New: func() any { return &fetcher{rd: recReader{arena: connArena{recycle: true}}} }}
 
 // recycle hands a oneShot fetcher back: the slab cleared, so that no
 // stale Conn pins a list allocated outside the arena, the arena rewound.
 func (f *fetcher) recycle() {
 	clear(f.recs)
-	f.recs, f.rids, f.boxOf, f.kept = f.recs[:0], f.rids[:0], f.boxOf[:0], 0
+	f.recs, f.kept = f.recs[:0], 0
 	f.rd.arena.free, f.rd.arena.next = nil, 0
 	f.s, f.rd.cur, f.tr = nil, heapfile.VarCursor{}, nil
 	oneShot.Put(f)
@@ -124,20 +124,21 @@ func (f *fetcher) fetched() []Node {
 }
 
 // search resolves boxes with one R*-tree descent and leaves their RIDs in
-// f.rids box-major: box 0's in the order a search for box 0 alone reports
+// sc.rids box-major: box 0's in the order a search for box 0 alone reports
 // them, then box 1's, and so on — the list one search per box would build,
 // without the root-to-leaf paths the boxes share being walked once per
 // box. The descent reports (box, RID) in the tree's depth-first order; a
-// stable counting sort on the box number regroups them.
-func (f *fetcher) search(boxes []geom.Box) error {
-	f.rids, f.boxOf = f.rids[:0], f.boxOf[:0]
+// stable counting sort on the box number regroups them into sc.spare, and
+// the two RID buffers swap.
+func (f *fetcher) search(sc *scratch, boxes []geom.Box) error {
+	sc.rids, sc.boxOf = sc.rids[:0], sc.boxOf[:0]
 	f.tr.Begin(obs.PhaseRTree)
 	defer f.tr.End()
 	one := len(boxes) == 1 // nothing to regroup: the largest RID lists are one box's
-	err := f.s.rt.SearchBoxes(boxes, func(q int, ref int64, _ geom.Box) bool {
-		f.rids = append(f.rids, heapfile.RID(ref))
+	err := f.s.rt.SearchBoxes(boxes, &sc.rt, func(q int, ref int64, _ geom.Box) bool {
+		sc.rids = append(sc.rids, heapfile.RID(ref))
 		if !one {
-			f.boxOf = append(f.boxOf, int32(q))
+			sc.boxOf = append(sc.boxOf, int32(q))
 		}
 		return true
 	})
@@ -147,38 +148,40 @@ func (f *fetcher) search(boxes []geom.Box) error {
 	if one {
 		return nil
 	}
-	next := make([]int, len(boxes)+1) // next[q+1] counts box q, then next[q] is its next slot
-	for _, q := range f.boxOf {
+	next := resize(sc.next, len(boxes)+1) // next[q+1] counts box q, then next[q] is its next slot
+	sc.next = next
+	clear(next)
+	for _, q := range sc.boxOf {
 		next[q+1]++
 	}
 	for q := range boxes {
 		next[q+1] += next[q]
 	}
-	grouped := make([]heapfile.RID, len(f.rids))
-	for i, q := range f.boxOf {
-		grouped[next[q]] = f.rids[i]
+	grouped := resize(sc.spare, len(sc.rids))
+	for i, q := range sc.boxOf {
+		grouped[next[q]] = sc.rids[i]
 		next[q]++
 	}
-	f.rids = grouped
+	sc.rids, sc.spare = grouped, sc.rids
 	return nil
 }
 
-// fetchRIDs reads the records f.rids names, in that order, onto the slab:
+// fetchRIDs reads the records rids names, in that order, onto the slab:
 // on a store clustered on the index, leaf after leaf of RIDs that share
 // data pages, which the reader's cursor turns into one pin a page. It
 // returns the number of records read.
-func (f *fetcher) fetchRIDs() (int, error) {
-	f.recs = slices.Grow(f.recs, len(f.rids))
+func (f *fetcher) fetchRIDs(rids []heapfile.RID) (int, error) {
+	f.recs = slices.Grow(f.recs, len(rids))
 	f.tr.Begin(obs.PhaseFetch)
 	defer f.tr.End()
-	for i, rid := range f.rids {
+	for i, rid := range rids {
 		n, err := f.s.fetchRecord(rid, &f.rd, f.tr)
 		if err != nil {
 			return i, err
 		}
 		f.recs = append(f.recs, n)
 	}
-	return len(f.rids), nil
+	return len(rids), nil
 }
 
 // fetchBoxes retrieves every node whose vertical segment intersects one
@@ -188,13 +191,16 @@ func (f *fetcher) fetchRIDs() (int, error) {
 // pools see the same accesses in the same order (so evict the same pages),
 // the slab fetched() sorts is the same slab, and a record on a face two
 // boxes share is still read twice and counted twice. It returns the number
-// of records read (duplicates across boxes are real I/O and count).
+// of records read (duplicates across boxes are real I/O and count). The
+// search works in scratch from scratchPool, given back on return.
 func (f *fetcher) fetchBoxes(boxes []geom.Box) (int, error) {
 	defer f.rd.release()
-	if err := f.search(boxes); err != nil {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	if err := f.search(sc, boxes); err != nil {
 		return 0, err
 	}
-	return f.fetchRIDs()
+	return f.fetchRIDs(sc.rids)
 }
 
 // query is the ending every one-shot query shares: fetch the boxes into

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"dmesh/internal/costmodel"
 	"dmesh/internal/geom"
 	"dmesh/internal/simplify"
 	"dmesh/internal/storage/faultfs"
@@ -311,6 +312,49 @@ func TestOneShotQueryRecyclesItsFetcher(t *testing.T) {
 	if over := query - assemble; over >= slab/4 {
 		t.Errorf("warm query over %d records allocates %.0f bytes beyond its assembly, want < %.0f (a quarter of the slab)",
 			len(recs), over, slab/4)
+	}
+}
+
+// TestOneShotQueryAllocatesOnlyItsResult: a one-shot query's fetcher comes
+// from oneShot and every buffer its search works in — the R*-tree
+// descent's stacks, the RID list and the regroup's second list, the box
+// numbers and counts — from the scratch pool, so a warm lifted query over
+// a plan of k equal strips allocates what an assemble of the same records
+// does, plus its plan's box list: at most 5 objects and 256 bytes + 64 a
+// strip more (the list alone, 1 object and 54 B–3.0 KB, measured at
+// k = 1…64). Growing the search's memory afresh cost 12–14 objects and
+// 16–35 KB more.
+func TestOneShotQueryAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race: sync.Pool drops scratch at random")
+	}
+	ds, _ := buildDataset(t, 65, "highland")
+	s := newTestStore(t, ds)
+	qp := geom.QueryPlane{R: geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9},
+		EMin: eAtPercentile(ds, 0.3), EMax: eAtPercentile(ds, 0.9), Axis: 1}
+	for _, k := range []int{1, 4, 16, 64} {
+		strips := costmodel.EqualStrips(qp, k)
+		f := s.newFetcher()
+		if _, err := f.fetchBoxes(stripBoxes(strips)); err != nil {
+			t.Fatal(err)
+		}
+		recs := f.fetched()
+		query := func() {
+			if _, err := s.ExecuteStrips(qp, strips); err != nil {
+				panic(err)
+			}
+		}
+		assemble := func() { s.assemble(recs, qp.EAt, true) }
+		query()
+		objs := testing.AllocsPerRun(5, query) - testing.AllocsPerRun(5, assemble)
+		bytes := bytesPerRun(5, query) - bytesPerRun(5, assemble)
+		t.Logf("k = %d: %d records, %.0f objects and %.0f bytes beyond assemble", k, len(recs), objs, bytes)
+		if objs > 5 {
+			t.Errorf("k = %d: warm query allocates %.0f objects beyond its assembly, want at most 5", k, objs)
+		}
+		if limit := 256 + 64*float64(k); bytes > limit {
+			t.Errorf("k = %d: warm query allocates %.0f bytes beyond its assembly, want at most %.0f", k, bytes, limit)
+		}
 	}
 }
 

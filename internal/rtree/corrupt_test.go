@@ -238,6 +238,68 @@ func TestOpenRefusesImpossibleMeta(t *testing.T) {
 	}
 }
 
+// overwrite applies a FuzzRTreePages input to the pages of b: each 4-byte
+// group (page, offset low, offset high, value) overwrites one byte, page
+// and offset taken modulo the file.
+func overwrite(t *testing.T, b *pager.MemBackend, data []byte) {
+	t.Helper()
+	pages := int(b.NumPages())
+	buf := make([]byte, pager.PageSize)
+	for ; len(data) >= 4; data = data[4:] {
+		id := pager.PageID(int(data[0]) % pages)
+		off := int(binary.LittleEndian.Uint16(data[1:])) % pager.PageSize
+		if err := b.ReadPage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		buf[off] = data[3]
+		if err := b.WritePage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// duplicatedChildren is the 52-byte FuzzRTreePages input that raises the
+// root's (page 9's) entry count from 8 to 20 and points entries 8–19 at
+// leaf 1: thirteen one-byte edits. Those entries' boxes stay all zero, so
+// a whole-space query follows each of them.
+func duplicatedChildren() []byte {
+	data := []byte{9, 1, 0, 20}
+	for i := 8; i < 20; i++ {
+		off := nodeHeader + i*entryBytes + 48
+		data = append(data, 9, byte(off), byte(off>>8), 1)
+	}
+	return data
+}
+
+// TestDuplicatedChildPointers: an inner node whose child pointers name
+// one leaf thirteen times passes every check Open makes and keeps every
+// descent within the height, yet a walk over it would enter that leaf
+// thirteen times. A whole-space Search, a SearchBoxes and a Nodes walk
+// each enter at most the file's node pages and are ErrCorrupt past them.
+func TestDuplicatedChildPointers(t *testing.T) {
+	b := flushedTree(t, fuzzItems())
+	overwrite(t, b, duplicatedChildren())
+	tr, err := Open(pager.New(b, 16))
+	if err != nil {
+		t.Fatalf("Open = %v; the corruption is meant to pass Open", err)
+	}
+	handed := 0
+	if err := tr.Search(geom.Box{MinX: -1, MinY: -1, MinE: -1, MaxX: 2, MaxY: 2, MaxE: 2}, func(int64, geom.Box) bool {
+		handed++
+		return true
+	}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Search = %v after %d entries, want ErrCorrupt", err, handed)
+	}
+	origin := geom.Box{}
+	if err := tr.SearchBoxes([]geom.Box{origin, origin}, new(Scratch), func(int, int64, geom.Box) bool { return true }); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("SearchBoxes = %v, want ErrCorrupt", err)
+	}
+	visited := 0
+	if err := tr.Nodes(func(NodeInfo) bool { visited++; return true }); !errors.Is(err, ErrCorrupt) || visited > tr.nodes {
+		t.Errorf("Nodes = %v after %d nodes, want ErrCorrupt within the file's %d", err, visited, tr.nodes)
+	}
+}
+
 // fuzzItems is the 500 boxes FuzzRTreePages and the meta-page tests
 // corrupt a tree of: 10 pages, height 2.
 func fuzzItems() []Item {
@@ -259,11 +321,17 @@ func FuzzRTreePages(f *testing.F) {
 	// 1's entry count zeroed; the meta's height raised to 2^16 with the
 	// root's first child pointing back at the root; the height raised to 9,
 	// which the file could hold, with the root's last child pointing back
-	// at it (the root's seven leaves handed out once a level).
+	// at it (the root's seven leaves handed out once a level); and the
+	// root's count raised to 20 with its twelve new (all-zero) entries
+	// pointing at leaf 1, a tree of the right height whose whole-space
+	// Search handed out over 792 entries and whose Nodes walk visited 21
+	// nodes before each walk was bounded by the file's node pages. Two
+	// 60 s fuzz runs never reached that last input.
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 0, 0, 1, 2, 0, 0})
 	f.Add([]byte{0, 8, 0, 0, 0, 10, 0, 1, 9, nodeHeader + 48, 0, 9})
 	f.Add([]byte{0, 8, 0, 9, 9, (nodeHeader + 7*entryBytes + 48) & 0xff, (nodeHeader + 7*entryBytes + 48) >> 8, 9})
+	f.Add(duplicatedChildren())
 	items := fuzzItems()
 	whole := geom.Box{MinX: -1, MinY: -1, MinE: -1, MaxX: 2, MaxY: 2, MaxE: 2}
 	narrow := geom.Box{MinX: 0.4, MinY: 0.4, MinE: 0, MaxX: 0.6, MaxY: 0.6, MaxE: 1}
@@ -271,18 +339,7 @@ func FuzzRTreePages(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := flushedTree(t, items)
 		pages := int(b.NumPages())
-		buf := make([]byte, pager.PageSize)
-		for ; len(data) >= 4; data = data[4:] {
-			id := pager.PageID(int(data[0]) % pages)
-			off := int(binary.LittleEndian.Uint16(data[1:])) % pager.PageSize
-			if err := b.ReadPage(id, buf); err != nil {
-				t.Fatal(err)
-			}
-			buf[off] = data[3]
-			if err := b.WritePage(id, buf); err != nil {
-				t.Fatal(err)
-			}
-		}
+		overwrite(t, b, data)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		tr, err := Open(pager.New(b, pool))

@@ -89,7 +89,7 @@ func (t *Tree) readNode(id pager.PageID) (*node, error) {
 	return n, nil
 }
 
-// allocNode allocates a fresh page for n and assigns its ID.
+// allocNode allocates a fresh page for n, assigns its ID and counts it.
 func (t *Tree) allocNode(n *node) error {
 	fr, err := t.p.Allocate()
 	if err != nil {
@@ -97,6 +97,7 @@ func (t *Tree) allocNode(n *node) error {
 	}
 	defer fr.Unpin()
 	n.id = fr.ID()
+	t.nodes++
 	t.encodeNode(fr.Data(), n)
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dmesh/internal/geom"
 	"dmesh/internal/storage/pager"
@@ -38,6 +39,11 @@ type Tree struct {
 	root   pager.PageID
 	height int // 1 = root is a leaf
 	count  int64
+	// nodes is the number of node pages in the file (all but the meta
+	// page), the most nodes one descent or Nodes walk may enter: in a
+	// valid tree each enters a node at most once. Kept here, so that a
+	// descent asks the backend nothing.
+	nodes int
 }
 
 // Open attaches to an existing tree. Every descent trusts the meta page's
@@ -58,7 +64,9 @@ func Open(p *pager.Pager) (*Tree, error) {
 	}
 	bad := binary.LittleEndian.Uint32(d[0:]) != magic
 	meta.Unpin()
-	switch pages := p.NumPages(); {
+	pages := p.NumPages()
+	t.nodes = int(pages) - 1
+	switch {
 	case bad:
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	case t.root == metaPage || t.root >= pages:
@@ -136,7 +144,19 @@ func (t *Tree) On(p *pager.Pager) Tree {
 // stopping early if fn returns false. The traversal order is the on-disk
 // entry order (deterministic).
 func (t *Tree) Search(query geom.Box, fn func(ref int64, box geom.Box) bool) error {
-	return t.SearchBoxes([]geom.Box{query}, func(_ int, ref int64, box geom.Box) bool { return fn(ref, box) })
+	return t.SearchBoxes([]geom.Box{query}, nil, func(_ int, ref int64, box geom.Box) bool { return fn(ref, box) })
+}
+
+// Scratch is the working memory of a descent, which SearchBoxes leaves
+// grown for the next: for each node on the current root-to-leaf path, the
+// entries still to be visited (stack) and the sub-list of queries, by
+// index and ascending, that reach it (reach), both truncated on the way
+// back up; and the number of nodes the descent may still enter. It holds
+// boxes, refs and indexes, never a page, and serves one descent at a time.
+type Scratch struct {
+	stack []entry
+	reach []int32
+	left  int
 }
 
 // SearchBoxes answers every box of queries in one descent: fn is called
@@ -144,37 +164,43 @@ func (t *Tree) Search(query geom.Box, fn func(ref int64, box geom.Box) bool) err
 // stopping early if fn returns false. For any one q the entries arrive in
 // Search(queries[q])'s order; the boxes interleave in the tree's depth-first
 // order. A node any of the boxes reaches is read once, however many reach
-// it — a cube plan's strips share their root-to-leaf paths.
-func (t *Tree) SearchBoxes(queries []geom.Box, fn func(q int, ref int64, box geom.Box) bool) error {
+// it — a cube plan's strips share their root-to-leaf paths. The descent
+// works in sc, which the caller owns: a caller that searches often keeps
+// one, so its stacks grow once rather than on every call. A nil sc
+// allocates them for this call alone.
+func (t *Tree) SearchBoxes(queries []geom.Box, sc *Scratch, fn func(q int, ref int64, box geom.Box) bool) error {
 	if len(queries) == 0 {
 		return nil
 	}
-	s := searcher{queries: queries, fn: fn, reach: make([]int32, len(queries), 2*len(queries))}
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	sc.stack, sc.reach, sc.left = sc.stack[:0], slices.Grow(sc.reach[:0], 2*len(queries)), t.nodes
 	hull := queries[0]
 	for q, b := range queries {
-		s.reach[q] = int32(q)
+		sc.reach = append(sc.reach, int32(q))
 		hull = hull.Union(b)
 	}
-	_, err := t.search(&s, t.root, t.height, 0, len(queries), hull)
+	_, err := t.search(sc, queries, fn, t.root, t.height, 0, len(queries), hull)
 	return err
 }
 
-// searcher is the state of one search: the query boxes, and two scratch
-// stacks that grow on the way down and are truncated on the way back up.
-// stack holds, for each node on the current root-to-leaf path, the entries
-// of that node still to be visited; reach holds, for each of those nodes,
-// the sub-list of queries (by index, ascending) that reach it.
-type searcher struct {
-	queries []geom.Box
-	fn      func(int, int64, geom.Box) bool
-	stack   []entry
-	reach   []int32
+// enter charges one node to a walk's budget, the file's node pages: in a
+// valid tree a descent or a Nodes walk enters each node at most once, so
+// one that enters more has met a child pointer twice.
+func (t *Tree) enter(left *int, id pager.PageID) error {
+	if *left--; *left < 0 {
+		return fmt.Errorf("%w: node %d entered past the file's %d nodes (a duplicated child pointer)", ErrCorrupt, id, t.nodes)
+	}
+	return nil
 }
 
-// search descends below id, which the queries reach[lo:hi] reach; hull is
-// their bounding box (the query itself when there is one). depth is the
-// number of levels that may remain (the guard that turns a corrupted
-// child-pointer cycle into an ErrCorrupt instead of unbounded recursion).
+// search descends below id, which the queries sc.reach[lo:hi] reach; hull
+// is their bounding box (the query itself when there is one). Two guards
+// turn a corrupted tree into an ErrCorrupt instead of an unbounded walk:
+// depth, the number of levels that may remain (a child-pointer cycle), and
+// sc.left, the nodes that may still be entered (a child pointer repeated
+// within the height).
 // A node is never materialized: its page is pinned, the entries that
 // intersect the hull are copied off it onto the stack, and it is unpinned
 // before any of them is followed — one page access per node and at most
@@ -182,10 +208,14 @@ type searcher struct {
 // node whole. Only then is an entry tested against the queries one by one:
 // a leaf entry is reported to each it intersects, a child is entered with
 // the sub-list of those that do (and not at all when none does, so the
-// hull admits no page a per-box search would not read).
-func (t *Tree) search(s *searcher, id pager.PageID, depth, lo, hi int, hull geom.Box) (bool, error) {
+// hull admits no page a per-box search would not read). queries and fn
+// are passed down rather than kept in sc, so that neither escapes.
+func (t *Tree) search(sc *Scratch, queries []geom.Box, fn func(int, int64, geom.Box) bool, id pager.PageID, depth, lo, hi int, hull geom.Box) (bool, error) {
 	if depth < 1 {
 		return false, fmt.Errorf("%w: traversal exceeds height %d at node %d", ErrCorrupt, t.height, id)
+	}
+	if err := t.enter(&sc.left, id); err != nil {
+		return false, err
 	}
 	fr, err := t.p.Get(id)
 	if err != nil {
@@ -197,53 +227,53 @@ func (t *Tree) search(s *searcher, id pager.PageID, depth, lo, hi int, hull geom
 		fr.Unpin()
 		return false, err
 	}
-	base := len(s.stack)
+	base := len(sc.stack)
 	for i := 0; i < cnt; i++ {
 		if e := d[nodeHeader+i*entryBytes:]; boxIntersectsAt(e, &hull) {
-			s.stack = append(s.stack, decodeEntry(e))
+			sc.stack = append(sc.stack, decodeEntry(e))
 		}
 	}
 	fr.Unpin()
 	one := hi-lo == 1 // the hull is the query: passing it was the test
-	for i, end := base, len(s.stack); i < end; i++ {
-		e := s.stack[i] // copied: a child's appends may move the stack
+	for i, end := base, len(sc.stack); i < end; i++ {
+		e := sc.stack[i] // copied: a child's appends may move the stack
 		switch {
 		case leaf:
 			for j := lo; j < hi; j++ {
-				if q := int(s.reach[j]); one || e.box.Intersects(s.queries[q]) {
-					if !s.fn(q, e.ref, e.box) {
+				if q := int(sc.reach[j]); one || e.box.Intersects(queries[q]) {
+					if !fn(q, e.ref, e.box) {
 						return false, nil
 					}
 				}
 			}
 		case one:
-			cont, err := t.search(s, pager.PageID(e.ref), depth-1, lo, hi, hull)
+			cont, err := t.search(sc, queries, fn, pager.PageID(e.ref), depth-1, lo, hi, hull)
 			if err != nil || !cont {
 				return cont, err
 			}
 		default:
 			var sub geom.Box
 			for j := lo; j < hi; j++ {
-				q := s.reach[j] // by index: the append below may move reach
-				if b := s.queries[q]; e.box.Intersects(b) {
-					if len(s.reach) == hi {
+				q := sc.reach[j] // by index: the append below may move reach
+				if b := queries[q]; e.box.Intersects(b) {
+					if len(sc.reach) == hi {
 						sub = b
 					} else {
 						sub = sub.Union(b)
 					}
-					s.reach = append(s.reach, q)
+					sc.reach = append(sc.reach, q)
 				}
 			}
-			if len(s.reach) > hi {
-				cont, err := t.search(s, pager.PageID(e.ref), depth-1, hi, len(s.reach), sub)
+			if len(sc.reach) > hi {
+				cont, err := t.search(sc, queries, fn, pager.PageID(e.ref), depth-1, hi, len(sc.reach), sub)
 				if err != nil || !cont {
 					return cont, err
 				}
-				s.reach = s.reach[:hi]
+				sc.reach = sc.reach[:hi]
 			}
 		}
 	}
-	s.stack = s.stack[:base]
+	sc.stack = sc.stack[:base]
 	return true, nil
 }
 
@@ -258,15 +288,20 @@ type NodeInfo struct {
 // The cost model of Section 5.3 needs every node's extents (w_i, h_i, d_i
 // in formula (1)). An empty tree (no entries, and a root without any) has
 // no node with extents: fn is never called and Nodes returns nil. Any
-// other node without entries is ErrCorrupt.
+// other node without entries is ErrCorrupt, and so is a walk that enters
+// more nodes than the file holds (a child pointer met twice).
 func (t *Tree) Nodes(fn func(NodeInfo) bool) error {
-	_, err := t.nodes(t.root, t.height, fn)
+	left := t.nodes
+	_, err := t.walk(t.root, t.height, &left, fn)
 	return err
 }
 
-func (t *Tree) nodes(id pager.PageID, level int, fn func(NodeInfo) bool) (bool, error) {
+func (t *Tree) walk(id pager.PageID, level int, left *int, fn func(NodeInfo) bool) (bool, error) {
 	if level < 1 {
 		return false, fmt.Errorf("%w: traversal exceeds height %d at node %d", ErrCorrupt, t.height, id)
+	}
+	if err := t.enter(left, id); err != nil {
+		return false, err
 	}
 	n, err := t.readNode(id)
 	if err != nil {
@@ -283,7 +318,7 @@ func (t *Tree) nodes(id pager.PageID, level int, fn func(NodeInfo) bool) (bool, 
 	}
 	if !n.leaf {
 		for _, e := range n.entries {
-			cont, err := t.nodes(pager.PageID(e.ref), level-1, fn)
+			cont, err := t.walk(pager.PageID(e.ref), level-1, left, fn)
 			if err != nil || !cont {
 				return cont, err
 			}

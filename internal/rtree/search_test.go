@@ -151,11 +151,12 @@ func TestSearchMatchesReference(t *testing.T) {
 // TestSearchAllocations: with the pool warm, a search's allocations do not
 // grow with the pages it visits, nor with the boxes it answers. A pin costs
 // none (the pager hands out a value handle and links the frame itself into
-// its LRU list), so a search allocates only its two scratch stacks' growth
-// — entries to visit, and which boxes reach the node — and both double.
-// Measured: 5 allocations for 3 pages, 11 for 208 (3 of each are Search
-// wrapping its one box as a list), and 9 for the 208 pages of the same
-// volume cut into 64 strips.
+// its LRU list), so a search without a Scratch allocates only its two
+// stacks' growth — entries to visit, and which boxes reach the node — and
+// both double. Measured: 3 allocations for 3 pages, 9 for 208, and 9 for
+// the 208 pages of the same volume cut into 64 strips. Through a Scratch
+// the caller keeps, the stacks have grown on the first call, and a search
+// of either shape allocates nothing.
 func TestSearchAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	items := make([]Item, 50000)
@@ -169,7 +170,7 @@ func TestSearchAllocations(t *testing.T) {
 	}
 	measure := func(qs ...geom.Box) (pages uint64, allocs float64) {
 		search := func() {
-			if err := tr.SearchBoxes(qs, func(int, int64, geom.Box) bool { return true }); err != nil {
+			if err := tr.SearchBoxes(qs, nil, func(int, int64, geom.Box) bool { return true }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -219,5 +220,16 @@ func TestSearchAllocations(t *testing.T) {
 	const reachGrowth = 6
 	if stripAllocs > bigAllocs+reachGrowth {
 		t.Errorf("64 strips allocate %.0f, one box %.0f: more than a constant apart", stripAllocs, bigAllocs)
+	}
+	var sc Scratch
+	for _, qs := range [][]geom.Box{{big}, strips} {
+		kept := func() {
+			if err := tr.SearchBoxes(qs, &sc, func(int, int64, geom.Box) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(20, kept); n != 0 {
+			t.Errorf("%d boxes through a kept Scratch allocate %.0f, want 0", len(qs), n)
+		}
 	}
 }

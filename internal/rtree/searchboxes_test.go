@@ -193,7 +193,7 @@ func TestSearchBoxesMatchesSearch(t *testing.T) {
 			p.ResetStats()
 			got := make([][]int64, len(boxes))
 			total := 0
-			if err := tr.SearchBoxes(boxes, func(q int, ref int64, box geom.Box) bool {
+			if err := tr.SearchBoxes(boxes, nil, func(q int, ref int64, box geom.Box) bool {
 				if !box.Intersects(boxes[q]) {
 					t.Fatalf("%s: box %d handed entry %v it does not intersect", label, q, box)
 				}
@@ -222,7 +222,7 @@ func TestSearchBoxesMatchesSearch(t *testing.T) {
 					continue
 				}
 				calls := 0
-				if err := tr.SearchBoxes(boxes, func(int, int64, geom.Box) bool {
+				if err := tr.SearchBoxes(boxes, nil, func(int, int64, geom.Box) bool {
 					calls++
 					return calls != stopAt
 				}); err != nil {
@@ -264,7 +264,7 @@ func TestSearchBoxesPinsEachNodeOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.ResetStats()
-			if err := tr.SearchBoxes(boxes, func(int, int64, geom.Box) bool { return true }); err != nil {
+			if err := tr.SearchBoxes(boxes, nil, func(int, int64, geom.Box) bool { return true }); err != nil {
 				t.Fatal(err)
 			}
 			if st := p.Stats(); st.Reads != uint64(distinct) || st.Hits != 0 {
@@ -285,7 +285,7 @@ func TestSearchBoxesCorruptChildCycle(t *testing.T) {
 	root.entries[0].ref = int64(tr.root)
 	rewriteNode(t, tr, root)
 	all := geom.Box{MinX: -1, MinY: -1, MinE: -1, MaxX: 2, MaxY: 2, MaxE: 2}
-	err = tr.SearchBoxes([]geom.Box{all, all, all}, func(int, int64, geom.Box) bool { return true })
+	err = tr.SearchBoxes([]geom.Box{all, all, all}, nil, func(int, int64, geom.Box) bool { return true })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("SearchBoxes over child cycle = %v, want ErrCorrupt", err)
 	}
@@ -316,7 +316,7 @@ func TestSearchBoxesReadFault(t *testing.T) {
 		}
 		fb.ResetStats()
 		fb.SetSchedule(faultfs.Read, faultfs.Schedule{Nth: []uint64{nth}})
-		err := tr.SearchBoxes(boxes, func(int, int64, geom.Box) bool { return true })
+		err := tr.SearchBoxes(boxes, nil, func(int, int64, geom.Box) bool { return true })
 		fb.Heal()
 		if !errors.Is(err, faultfs.ErrInjected) {
 			t.Fatalf("read %d of %d faulted: SearchBoxes = %v, want the injected fault", nth, pages, err)
